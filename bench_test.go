@@ -99,8 +99,9 @@ func BenchmarkSimEvents(b *testing.B) {
 }
 
 // BenchmarkSleepWake measures the single-proc sleep/wake fast path: with
-// the event freelist, proc-carrying wake events, and direct handoff, one op
-// is a heap push + pop with zero channel operations and zero allocations.
+// the event freelist, proc-carrying wake events, and the self-wake fast path
+// in park, one op is a heap push + pop with zero coroutine switches and zero
+// allocations.
 func BenchmarkSleepWake(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
@@ -115,9 +116,9 @@ func BenchmarkSleepWake(b *testing.B) {
 	}
 }
 
-// BenchmarkProcHandoff measures the cross-proc token handoff: two procs
-// alternating via a condition variable, so every wake transfers the run
-// token directly between procs instead of bouncing through the scheduler.
+// BenchmarkProcHandoff measures the cross-proc wake: two procs alternating
+// via a condition variable, so every wake is two coroutine switches — the
+// parking proc out to the drive loop, the loop into the woken proc.
 func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
@@ -139,6 +140,34 @@ func BenchmarkProcHandoff(b *testing.B) {
 	}
 	s.Spawn("a", runner(0))
 	s.Spawn("b", runner(1))
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkForkJoinSpawn measures one fork and join of an 8-proc team per op,
+// the paper's per-iteration OpenMP region. The scheduler's runner pool reuses
+// the team's coroutines, so an op allocates the eight Proc values and nothing
+// else (pinned in bench_allocs_baseline.json).
+func BenchmarkForkJoinSpawn(b *testing.B) {
+	b.ReportAllocs()
+	const team = 8
+	s := sim.New()
+	var wg sim.WaitGroup
+	worker := func(p *sim.Proc) {
+		p.Sleep(sim.Nanosecond)
+		wg.Done(s)
+	}
+	s.Spawn("master", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			wg.Add(s, team)
+			for w := 0; w < team; w++ {
+				s.Spawn("worker", worker)
+			}
+			wg.Wait(p)
+		}
+	})
 	b.ResetTimer()
 	if err := s.Run(); err != nil {
 		b.Fatal(err)

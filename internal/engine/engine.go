@@ -15,10 +15,12 @@
 // Cell errors are classified before memoization — see Transient and
 // IsCancellation: cancellations are never cached (a cell aborted because a
 // sibling failed first must stay re-runnable), transient errors are retried
-// under the runner's RetryPolicy and never cached, and only permanent
-// errors are memoized. A FaultInjector (see internal/faults) can replace
-// attempts with seeded transient failures to exercise the retry path
-// end to end without giving up reproducible tables.
+// under the runner's RetryPolicy and never cached, a cell that panics is
+// reported as an error (neither retried nor cached) instead of taking the
+// process down, and only permanent errors are memoized. A FaultInjector
+// (see internal/faults) can replace attempts with seeded transient failures
+// to exercise the retry path end to end without giving up reproducible
+// tables.
 package engine
 
 import (
@@ -491,7 +493,7 @@ func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn func(
 		} else if rc != nil && r.exec != nil {
 			v, err = r.runRemote(key, rc, decode, fn)
 		} else {
-			v, err = fn()
+			v, err = call(fn)
 		}
 		if err == nil || attempt >= maxAttempts || !IsTransient(err) {
 			break

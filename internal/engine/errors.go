@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 )
 
-// The memoizing cache classifies cell errors into three classes:
+// The memoizing cache classifies cell errors into four classes:
 //
 //   - cancellation (context.Canceled / context.DeadlineExceeded): never
 //     cached. A cell usually observes cancellation only because a sibling
@@ -16,6 +17,11 @@ import (
 //   - transient (wrapped with Transient): retried under the runner's
 //     RetryPolicy, never cached. This is how injected fabric faults and
 //     other recoverable conditions surface.
+//   - panic (a cell function that panicked, see call): returned as an
+//     error instead of killing the process, not retried and never cached. A
+//     panic is a bug being reported, not a result: one bad spec must not
+//     take a long-lived sweepd or sweepworker down, and its outcome must not
+//     outlive the request that hit it.
 //   - permanent (everything else): cached like a value — the simulator is
 //     deterministic, so a cell that failed once fails every time.
 
@@ -45,6 +51,30 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
+// panicError is the outcome of a cell whose function panicked. Procs run on
+// coroutines, so a panic anywhere in a simulation — a proc, an event
+// callback, a model invariant — unwinds out of sim.Scheduler.Run on the
+// engine worker's goroutine, where call catches it.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string {
+	return fmt.Sprintf("engine: cell panicked: %v\n%s", e.value, e.stack)
+}
+
+// call runs one attempt of a cell function, turning a panic into a
+// *panicError.
+func call(fn func() (any, error)) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = nil, &panicError{value: p, stack: debug.Stack()}
+		}
+	}()
+	return fn()
+}
+
 // IsCancellation reports whether err is a context cancellation or deadline
 // expiry — the two abort flavours that say nothing about the cell itself
 // and must never be memoized or outrank a real error.
@@ -54,5 +84,9 @@ func IsCancellation(err error) bool {
 
 // cacheable reports whether a computation outcome may be memoized.
 func cacheable(err error) bool {
-	return err == nil || (!IsCancellation(err) && !IsTransient(err))
+	if err == nil {
+		return true // before p below, which errors.As makes a heap allocation
+	}
+	var p *panicError
+	return !IsCancellation(err) && !IsTransient(err) && !errors.As(err, &p)
 }

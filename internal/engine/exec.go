@@ -127,7 +127,7 @@ func (r *Runner) runRemote(key string, rc *remoteCell, decode decodeFunc, fn fun
 			// Unserializable configs cannot travel; run locally. (Unreachable
 			// for keyed cells — the key is itself a JSON encoding — but the
 			// fallback keeps the seam total.)
-			return fn()
+			return call(fn)
 		}
 		rc.payload = raw
 	}
@@ -138,7 +138,7 @@ func (r *Runner) runRemote(key string, rc *remoteCell, decode decodeFunc, fn fun
 		Config:     rc.payload,
 	})
 	if errors.Is(err, ErrNoWorkers) {
-		return fn()
+		return call(fn)
 	}
 	if err != nil {
 		atomic.AddInt64(&r.remoteErrs, 1)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"partmb/internal/sim"
@@ -178,5 +180,50 @@ func TestErrorClassification(t *testing.T) {
 		if got := cacheable(tc.err); got != tc.want {
 			t.Errorf("cacheable(%v) = %v, want %v", tc.err, got, tc.want)
 		}
+	}
+}
+
+// A cell that panics — here the way a bad spec does it, from inside a proc
+// of a simulation the cell drives — resolves to an error carrying the
+// original panic value. It is not retried, not memoized (the next caller
+// computes again) and never reaches the disk cache.
+func TestPanickingCellIsAnUncachedError(t *testing.T) {
+	d, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "deadbeef"
+	rn := New(WithDiskCache(d), WithRetry(RetryPolicy{MaxAttempts: 4, Backoff: sim.Millisecond}))
+	computed := 0
+	cell := func() (diskCell, error) {
+		computed++
+		if computed > 1 {
+			return diskCell{Size: 7}, nil
+		}
+		s := sim.New()
+		s.Spawn("bad", func(p *sim.Proc) {
+			p.Sleep(sim.Microsecond)
+			panic("spec tripped an invariant")
+		})
+		return diskCell{}, s.Run()
+	}
+	_, err = DoAs(rn, key, cell)
+	var pe *panicError
+	if !errors.As(err, &pe) || pe.value != "spec tripped an invariant" {
+		t.Fatalf("err = %v, want a panicError with the proc's panic value", err)
+	}
+	if IsTransient(err) || computed != 1 {
+		t.Fatalf("panic was retried: transient=%v, computed=%d", IsTransient(err), computed)
+	}
+	if st := rn.Stats(); st.Retries != 0 || st.DiskWrites != 0 {
+		t.Fatalf("stats after a panic: %d retries, %d disk writes; want 0 and 0", st.Retries, st.DiskWrites)
+	}
+	if _, err := os.Stat(filepath.Join(d.Dir(), key+".json")); !os.IsNotExist(err) {
+		t.Fatalf("panicked cell was persisted (stat err %v)", err)
+	}
+	// Not memoized: the same runner computes the key again.
+	v, err := DoAs(rn, key, cell)
+	if err != nil || v.Size != 7 || computed != 2 {
+		t.Fatalf("second call = %+v, %v after %d computations; want the recomputed value", v, err, computed)
 	}
 }

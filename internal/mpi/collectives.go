@@ -45,9 +45,9 @@ func (c *Comm) recvColl(p *sim.Proc, src, tag int) ([]byte, int64) {
 		postedAt:    p.Now(),
 		matchedFrom: c.worldOf(src),
 	}
-	release := c.enter(p, 0)
+	call := c.enter(p, 0)
 	c.postRecv(p, rreq)
-	release()
+	call.done()
 	rreq.Wait(p)
 	return rreq.data, rreq.size
 }
@@ -64,9 +64,9 @@ func (c *Comm) sendColl(p *sim.Proc, dest, tag int, size int64) {
 		postedAt:    p.Now(),
 		matchedFrom: c.rank,
 	}
-	release := c.enter(p, 0)
+	call := c.enter(p, 0)
 	c.world.startSend(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(0, size))
-	release()
+	call.done()
 	sreq.Wait(p)
 }
 
@@ -175,9 +175,9 @@ func (c *Comm) Scatter(p *sim.Proc, root int, size int64) {
 				comm: c, kind: sendReq, peer: c.worldOf(r), tag: tag, ctx: c.ctxColl(),
 				size: size, postedAt: p.Now(), matchedFrom: c.rank,
 			}
-			release := c.enter(p, 0)
+			call := c.enter(p, 0)
 			c.world.startSend(p.Now(), c.state(), c.peer(r), sreq, c.sendExtra(0, size))
-			release()
+			call.done()
 			reqs = append(reqs, sreq)
 		}
 		WaitAll(p, reqs...)
@@ -205,9 +205,9 @@ func (c *Comm) Allgather(p *sim.Proc, size int64) {
 			comm: c, kind: sendReq, peer: c.worldOf(right), tag: tag, ctx: c.ctxColl(),
 			size: size, postedAt: p.Now(), matchedFrom: c.rank,
 		}
-		release := c.enter(p, 0)
+		call := c.enter(p, 0)
 		c.world.startSend(p.Now(), c.state(), c.peer(right), sreq, c.sendExtra(0, size))
-		release()
+		call.done()
 		c.recvColl(p, left, tag)
 		sreq.Wait(p)
 	}
@@ -243,9 +243,9 @@ func (c *Comm) Alltoall(p *sim.Proc, size int64) {
 			comm: c, kind: sendReq, peer: c.worldOf(to), tag: tag, ctx: c.ctxColl(),
 			size: size, postedAt: p.Now(), matchedFrom: c.rank,
 		}
-		release := c.enter(p, 0)
+		call := c.enter(p, 0)
 		c.world.startSend(p.Now(), c.state(), c.peer(to), sreq, c.sendExtra(0, size))
-		release()
+		call.done()
 		c.recvColl(p, from, tag)
 		sreq.Wait(p)
 	}

@@ -121,8 +121,8 @@ func (c *Comm) sendCollData(p *sim.Proc, dest, tag int, data []byte) {
 		postedAt:    p.Now(),
 		matchedFrom: c.rank,
 	}
-	release := c.enter(p, 0)
+	call := c.enter(p, 0)
 	c.world.startSend(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(0, sreq.size))
-	release()
+	call.done()
 	sreq.Wait(p)
 }

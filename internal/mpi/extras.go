@@ -69,8 +69,7 @@ func TestAny(p *sim.Proc, reqs ...*Request) (int, bool) {
 		}
 	}
 	if c != nil {
-		release := c.enter(p, 0)
-		release()
+		c.enter(p, 0).done()
 	}
 	for i, r := range reqs {
 		if r != nil && r.done.Done() {
@@ -91,8 +90,8 @@ type ProbeStatus struct {
 // wildcards allowed — is available (the analogue of MPI_Iprobe). It reports
 // the envelope of the earliest match in the unexpected queue.
 func (c *Comm) Iprobe(p *sim.Proc, src, tag int) (ProbeStatus, bool) {
-	release := c.enter(p, 0)
-	defer release()
+	call := c.enter(p, 0)
+	defer call.done()
 	st := c.state()
 	probePeer := src
 	if src != AnySource {
@@ -156,8 +155,8 @@ func (c *Comm) issendOn(p *sim.Proc, thread, dest, tag int, size int64, data []b
 		postedAt:    p.Now(),
 		matchedFrom: c.rank,
 	}
-	release := c.enter(p, 0)
+	call := c.enter(p, 0)
 	w.startRendezvous(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(thread, size))
-	release()
+	call.done()
 	return sreq
 }

@@ -525,21 +525,36 @@ func (c *Comm) peer(rank int) *rankState {
 // NICStats returns the rank's NIC traffic counters.
 func (c *Comm) NICStats() netsim.Stats { return c.state().nic.Stats() }
 
+// libCall is one thread's stay inside the MPI library, as returned by
+// enter. It is a plain two-word value, not a closure, so entering the
+// library allocates nothing.
+type libCall struct {
+	lock *sim.Mutex // the library lock held, nil outside Multiple mode
+	p    *sim.Proc
+}
+
+// done leaves the library, releasing the lock if enter took it.
+func (l libCall) done() {
+	if l.lock != nil {
+		l.lock.Unlock(l.p)
+	}
+}
+
 // enter models the cost of entering the MPI library from the given thread:
-// the call overhead plus, in Multiple mode, the library lock. It returns a
-// release function that must be called when the library work is done.
+// the call overhead plus, in Multiple mode, the library lock. The caller
+// must call done on the result when the library work is finished.
 // threadHeld is the extra time the lock is held beyond the call overhead.
-func (c *Comm) enter(p *sim.Proc, threadHeld sim.Duration) func() {
+func (c *Comm) enter(p *sim.Proc, threadHeld sim.Duration) libCall {
 	w := c.world
-	st := c.state()
 	if w.cfg.ThreadMode != Multiple {
 		p.Sleep(w.cfg.CallOverhead + threadHeld)
-		return func() {}
+		return libCall{}
 	}
+	st := c.state()
 	waiters := st.lock.Waiters()
 	st.lock.Lock(p)
 	cost := w.cfg.LockBase + sim.Duration(waiters)*w.cfg.LockContention +
 		w.cfg.CallOverhead + threadHeld
 	p.Sleep(cost)
-	return func() { st.lock.Unlock(p) }
+	return libCall{lock: &st.lock, p: p}
 }

@@ -55,9 +55,9 @@ func (c *Comm) isendOn(p *sim.Proc, thread, dest, tag int, size int64, data []by
 		postedAt:    p.Now(),
 		matchedFrom: c.rank,
 	}
-	release := c.enter(p, 0)
+	call := c.enter(p, 0)
 	w.startSend(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(thread, size))
-	release()
+	call.done()
 	return sreq
 }
 
@@ -188,9 +188,9 @@ func (c *Comm) irecvOn(p *sim.Proc, src, tag int) *Request {
 		postedAt:    p.Now(),
 		matchedFrom: peer,
 	}
-	release := c.enter(p, 0)
+	call := c.enter(p, 0)
 	c.postRecv(p, rreq)
-	release()
+	call.done()
 	return rreq
 }
 

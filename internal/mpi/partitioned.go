@@ -118,8 +118,7 @@ func (c *Comm) partInit(p *sim.Proc, kind reqKind, peer, tag, parts int, partByt
 	if partBytes < 0 {
 		panic("mpi: negative partition size")
 	}
-	release := c.enter(p, 0)
-	release()
+	c.enter(p, 0).done()
 	pr := &PRequest{
 		comm:      c,
 		kind:      kind,
@@ -311,8 +310,8 @@ func (pr *PRequest) Start(p *sim.Proc) {
 func (pr *PRequest) startMPIPCL(p *sim.Proc) {
 	c := pr.comm
 	w := c.world
-	release := c.enter(p, 0)
-	defer release()
+	call := c.enter(p, 0)
+	defer call.done()
 	if pr.kind == sendReq {
 		// Sends are issued lazily by Pready; Start only resets bookkeeping.
 		pr.inner = make([]*Request, pr.parts)
@@ -352,8 +351,8 @@ func (pr *PRequest) startNative(p *sim.Proc) {
 		// proc forever and surfaces as a simulation deadlock.
 		pr.bound.Wait(p)
 	}
-	release := c.enter(p, 0)
-	defer release()
+	call := c.enter(p, 0)
+	defer call.done()
 	if pr.bootstrap {
 		// Matching and buffer registration handshake, paid once.
 		p.Sleep(2*w.cfg.Net.Latency + w.cfg.Net.RendezvousSetup)
@@ -464,7 +463,7 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 		// MPIPCL turns Pready into an internal MPI_Isend, paying full
 		// per-message costs and, under MPI_THREAD_MULTIPLE, the library
 		// lock.
-		release := c.enter(p, w.cfg.PcclPartitionSetup)
+		call := c.enter(p, w.cfg.PcclPartitionSetup)
 		sreq := &Request{
 			comm:        c,
 			kind:        sendReq,
@@ -480,7 +479,7 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 		sreq.onComplete = func(t sim.Time) { pr.partitionSent(t) }
 		w.startSend(p.Now(), c.state(), w.ranks[pr.peer], sreq, extra)
 		pr.inner[i] = sreq
-		release()
+		call.done()
 	case PartNative:
 		// Native: a flag write plus a doorbell; no lock, no matching.
 		// Snapshot the payload: the sender may legally overwrite its buffer
@@ -566,8 +565,7 @@ func (pr *PRequest) WaitPartition(p *sim.Proc, i int) {
 		panic("mpi: WaitPartition before Start")
 	}
 	pr.checkPartition(i)
-	release := pr.comm.enter(p, 0)
-	release()
+	pr.comm.enter(p, 0).done()
 	pr.partDone[i].Wait(p)
 }
 
@@ -582,8 +580,7 @@ func (pr *PRequest) Parrived(p *sim.Proc, i int) bool {
 		panic("mpi: Parrived before Start")
 	}
 	pr.checkPartition(i)
-	release := pr.comm.enter(p, 0)
-	release()
+	pr.comm.enter(p, 0).done()
 	return pr.arrived[i]
 }
 
@@ -595,8 +592,7 @@ func (pr *PRequest) Wait(p *sim.Proc) {
 	if !pr.active {
 		panic("mpi: Wait on inactive partitioned request")
 	}
-	release := pr.comm.enter(p, 0)
-	release()
+	pr.comm.enter(p, 0).done()
 	pr.allDone.Wait(p)
 	pr.active = false
 }
@@ -604,8 +600,7 @@ func (pr *PRequest) Wait(p *sim.Proc) {
 // Test charges one call overhead and reports whether the epoch has
 // completed, deactivating the request when it has (MPI semantics).
 func (pr *PRequest) Test(p *sim.Proc) bool {
-	release := pr.comm.enter(p, 0)
-	release()
+	pr.comm.enter(p, 0).done()
 	if pr.allDone.Done() {
 		pr.active = false
 		return true

@@ -15,8 +15,7 @@ func (c *Comm) SendInitBytes(p *sim.Proc, dest, tag int, size int64) *Request {
 }
 
 func (c *Comm) sendInit(p *sim.Proc, thread, dest, tag int, size int64, data []byte) *Request {
-	release := c.enter(p, 0)
-	release()
+	c.enter(p, 0).done()
 	return &Request{
 		comm:        c,
 		kind:        sendReq,
@@ -35,8 +34,7 @@ func (c *Comm) sendInit(p *sim.Proc, thread, dest, tag int, size int64, data []b
 // RecvInit creates a persistent receive request, the analogue of
 // MPI_Recv_init. Wildcards are permitted, as in MPI.
 func (c *Comm) RecvInit(p *sim.Proc, src, tag int) *Request {
-	release := c.enter(p, 0)
-	release()
+	c.enter(p, 0).done()
 	peer := src
 	if src != AnySource {
 		peer = c.worldOf(src)
@@ -76,13 +74,13 @@ func (r *Request) Start(p *sim.Proc) {
 	c := r.comm
 	switch r.kind {
 	case sendReq:
-		release := c.enter(p, 0)
+		call := c.enter(p, 0)
 		c.world.startSend(p.Now(), c.state(), c.world.ranks[r.peer], r, c.sendExtra(r.thread, r.size))
-		release()
+		call.done()
 	case recvReq:
-		release := c.enter(p, 0)
+		call := c.enter(p, 0)
 		c.postRecv(p, r)
-		release()
+		call.done()
 	}
 }
 

@@ -75,16 +75,14 @@ func (r *Request) Done() bool { return r.done.Done() }
 // Wait blocks the calling proc until the request completes, charging the
 // MPI call overhead.
 func (r *Request) Wait(p *sim.Proc) {
-	release := r.comm.enter(p, 0)
-	release()
+	r.comm.enter(p, 0).done()
 	r.done.Wait(p)
 }
 
 // Test charges one MPI call overhead and reports whether the request has
 // completed.
 func (r *Request) Test(p *sim.Proc) bool {
-	release := r.comm.enter(p, 0)
-	release()
+	r.comm.enter(p, 0).done()
 	return r.done.Done()
 }
 

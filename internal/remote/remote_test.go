@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -394,6 +395,27 @@ func TestUnknownKindIsTransient(t *testing.T) {
 	})
 	if !engine.IsTransient(err) {
 		t.Fatalf("unknown kind: err = %v, want transient", err)
+	}
+}
+
+// A cell that panics on a worker fails its own task with a permanent error;
+// the worker survives and serves the next task.
+func TestPanickingCellFailsTaskNotWorker(t *testing.T) {
+	RegisterKind("test.panic", func(json.RawMessage) (any, error) { panic("boom") })
+	RegisterKind("test.ok", func(json.RawMessage) (any, error) { return 7, nil })
+	c, hs := testHarness(t, 30*time.Second)
+	startWorker(t, hs.URL, "worker-1", 0)
+	_, err := c.Execute(context.Background(), engine.RemoteTask{
+		Key: "bad", Kind: "test.panic", Config: json.RawMessage(`{}`),
+	})
+	if err == nil || engine.IsTransient(err) || !strings.Contains(err.Error(), "cell panicked: boom") {
+		t.Fatalf("panicking kind: err = %v, want a permanent 'cell panicked: boom'", err)
+	}
+	res, err := c.Execute(context.Background(), engine.RemoteTask{
+		Key: "good", Kind: "test.ok", Config: json.RawMessage(`{}`),
+	})
+	if err != nil || string(res.Value) != "7" {
+		t.Fatalf("task after the panic: value %s, err %v; want 7 from the same worker", res.Value, err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,7 +226,7 @@ func (w *Worker) execute(t Task) Result {
 		time.Sleep(w.cfg.Throttle)
 	}
 	t0 := time.Now()
-	v, err := fn(t.Config)
+	v, err := runKind(fn, t.Config)
 	res.HostNS = time.Since(t0).Nanoseconds()
 	if err != nil {
 		res.Err = err.Error()
@@ -243,6 +244,18 @@ func (w *Worker) execute(t Task) Result {
 	}
 	res.Value = raw
 	return res
+}
+
+// runKind executes one cell, turning a panic into an ordinary (permanent)
+// cell error: a bad config must fail its own task, not the worker and the
+// other cells it holds leases on.
+func runKind(fn ExecFunc, config json.RawMessage) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = nil, fmt.Errorf("remote: cell panicked: %v\n%s", p, debug.Stack())
+		}
+	}()
+	return fn(config)
 }
 
 // postResult delivers a result, retrying briefly: losing a computed result

@@ -14,6 +14,7 @@ import (
 
 	"partmb/internal/core"
 	"partmb/internal/engine"
+	"partmb/internal/sim"
 )
 
 // cheapSpec is a fast, fully-cacheable spec used across the server tests.
@@ -478,3 +479,40 @@ type atomic32 struct {
 
 func (a *atomic32) add(d int) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
 func (a *atomic32) load() int { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
+
+// TestPanickingCellIs5xxAndServerLives: a spec whose simulation panics — here
+// a proc of a cell run through the server's own engine runner — costs that
+// request a 500 and nothing else: the panic is not memoized, and the same
+// server answers the next request.
+func TestPanickingCellIs5xxAndServerLives(t *testing.T) {
+	srv, ts, rn := newTestServer(t, nil)
+	real := srv.runSweep
+	srv.runSweep = func(rq Request) ([]*core.Result, error) {
+		if rq.Base.Partitions != 13 {
+			return real(rq)
+		}
+		_, err := engine.DoAs(rn, "bad-spec", func() (*core.Result, error) {
+			s := sim.New()
+			s.Spawn("rank0", func(p *sim.Proc) {
+				p.Sleep(sim.Microsecond)
+				panic("model invariant tripped")
+			})
+			return nil, s.Run()
+		})
+		return nil, err
+	}
+	bad := `{"size":"13KiB","parts":13,"compute":"1ms"}`
+	for i := 0; i < 2; i++ { // twice: the outcome must not be cached
+		resp, body := postSpec(t, ts.URL+"/v1/sweep", bad)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "cell panicked: model invariant tripped") {
+			t.Fatalf("bad spec, try %d: status %d, body %q; want 500 naming the panic", i, resp.StatusCode, body)
+		}
+	}
+	if st := rn.Stats(); st.Runs != 2 {
+		t.Fatalf("engine ran the panicking cell %d times over two requests, want 2 (never memoized)", st.Runs)
+	}
+	resp, body := postSpec(t, ts.URL+"/v1/sweep", cheapSpec)
+	if resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Fatalf("request after the panic: status %d, %d body bytes; want 200", resp.StatusCode, len(body))
+	}
+}

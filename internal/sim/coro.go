@@ -1,0 +1,56 @@
+//go:build go1.23
+
+package sim
+
+import "iter"
+
+// runner is one runtime coroutine that executes procs, one after another.
+// The drive loop enters it with next() and the proc it carries leaves it
+// with yield() — a coroswitch each way, no channel and no trip through the
+// Go scheduler. A runner outlives its proc: when the proc's function
+// returns the runner puts itself on its scheduler's idle list and the next
+// Spawn reuses it, so a team forked every iteration costs one coroutine per
+// member for the whole run, not per fork.
+//
+// This is the only file that needs Go 1.23 (iter.Pull); the build tag keeps
+// the module's go line where the bench module expects it.
+type runner struct {
+	s    *Scheduler
+	p    *Proc
+	fn   func(p *Proc)
+	next func() (struct{}, bool)
+	stop func()
+	// yield suspends the coroutine until the next next(); it reports false
+	// only after stop, which the scheduler calls on idle runners alone.
+	yield func(struct{}) bool
+}
+
+// newRunner creates a runner on s. The coroutine does not start until the
+// first next().
+func newRunner(s *Scheduler) *runner {
+	r := &runner{s: s}
+	r.next, r.stop = iter.Pull(iter.Seq[struct{}](r.loop))
+	return r
+}
+
+// loop is the coroutine body: run the assigned proc to completion, retire
+// it, go idle, repeat until stopped. A panic in fn unwinds out of loop and
+// resurfaces from next() on the driving goroutine; the runner is dead after
+// that, and so is the drive.
+func (r *runner) loop(yield func(struct{}) bool) {
+	r.yield = yield
+	s := r.s
+	for {
+		p, fn := r.p, r.fn
+		fn(p)
+		p.dead = true
+		p.run = nil
+		r.p, r.fn = nil, nil
+		s.live--
+		s.dropProc(p)
+		s.idle = append(s.idle, r)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}

@@ -89,7 +89,7 @@ func TestSleepWakeAllocationFree(t *testing.T) {
 			p.Sleep(Microsecond)
 		}
 	})
-	// Warm the channel machinery and the freelist with the first few events
+	// Warm the coroutine and the freelist with the first few events
 	// via a bounded drive, then measure the steady state.
 	s.RunUntil(Time(10 * Microsecond))
 	runtime.GC()
@@ -107,8 +107,11 @@ func TestSleepWakeAllocationFree(t *testing.T) {
 	}
 }
 
-// Direct handoff between two procs must produce the same timeline as the
-// scheduler-mediated slow path (RunPaced at enormous scale disables it).
+// The self-wake fast path (a parking proc consuming its own wake without
+// leaving its coroutine) must produce the same timeline as the path where
+// every wake goes through the drive loop (RunPaced at enormous scale disables
+// the fast path). The name predates coroutine procs, when the fast path also
+// handed the token from proc to proc.
 func TestDirectHandoffMatchesSlowPath(t *testing.T) {
 	build := func() (*Scheduler, *[]string) {
 		s := New()

@@ -389,6 +389,7 @@ func (g *ShardGroup) Run() error {
 		g.dispatchWindow()
 		for i := range g.shards {
 			if r := g.panics[i]; r != nil {
+				g.stopIdle()
 				panic(r)
 			}
 		}
@@ -522,8 +523,8 @@ func (g *ShardGroup) runShardWindow(w, sid int) {
 	// Every event ever created is pushed onto the queue exactly once, and
 	// every pop dispatches, so the events processed this window are the
 	// starting queue length plus the events created (seq delta) minus what
-	// is still queued. Counting here keeps the dispatch hot path (and its
-	// handoff fast path) untouched.
+	// is still queued. Counting here keeps the dispatch hot path (and the
+	// self-wake fast path) untouched.
 	g.winEvents[sid] = int64(q0) + int64(s.seq-seq0) - int64(len(s.queue))
 	slices.SortFunc(s.outbox, func(a, b crossEvent) int {
 		if a.at != b.at {
@@ -723,9 +724,17 @@ func (g *ShardGroup) tickOutboxes() {
 	}
 }
 
-// finish marks all shards terminally run and aggregates their deadlock
-// state into one error.
+// stopIdle releases every shard's idle coroutines.
+func (g *ShardGroup) stopIdle() {
+	for _, s := range g.shards {
+		s.stopIdle()
+	}
+}
+
+// finish marks all shards terminally run, releases their idle coroutines,
+// and aggregates their deadlock state into one error.
 func (g *ShardGroup) finish() error {
+	g.stopIdle()
 	live := 0
 	var now Time
 	var blocked []string

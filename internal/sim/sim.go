@@ -1,12 +1,16 @@
 // Package sim provides a deterministic discrete-event simulation kernel with
 // cooperative actors ("procs").
 //
-// Each proc is backed by a goroutine, but the scheduler guarantees that at
-// most one proc executes at any instant: control is handed to a proc via an
-// unbuffered channel and handed back when the proc blocks (Sleep, mutex wait,
-// condition wait, ...). All simulator state is therefore mutated only by the
-// current token holder and needs no locking. Events with equal timestamps
-// fire in the order they were scheduled, so runs are bitwise reproducible.
+// Each proc runs on a runtime coroutine (iter.Pull, see coro.go): the drive
+// loop switches into a proc when its wake event fires, and the proc switches
+// back when it blocks (Sleep, mutex wait, condition wait, ...) or returns.
+// Exactly one of them executes at any instant, on the goroutine that called
+// Run, so all simulator state needs no locking and a panic inside a proc
+// surfaces from Run like any other. Coroutines are pooled per Scheduler:
+// a finished proc's coroutine carries the next Spawn, and the idle ones are
+// stopped when a drive drains, so a finished simulation leaves nothing
+// behind. Events with equal timestamps fire in the order they were
+// scheduled, so runs are bitwise reproducible.
 //
 // The kernel exposes virtual time (Time, Duration in nanoseconds) and a small
 // set of synchronization primitives (Mutex, Cond, WaitGroup, Barrier,
@@ -140,8 +144,8 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // event is a scheduled callback (fn != nil) or a proc wake (proc != nil).
-// Proc wakes carry no closure at all: the run loop and the direct-handoff
-// fast path resume the proc from its fields, so scheduling a wake never
+// Proc wakes carry no closure at all: the run loop and the self-wake fast
+// path resume the proc from its fields, so scheduling a wake never
 // allocates. Events are recycled through the scheduler's freelist.
 type event struct {
 	at Time
@@ -220,7 +224,9 @@ func (q *eventQueue) pop() *event {
 }
 
 // DeadlockError is returned by Run when live procs remain but no future event
-// can wake any of them.
+// can wake any of them. The blocked procs stay suspended in their coroutines
+// for the life of the process (nothing can unwind a proc that is waiting
+// inside user code); only the idle, reusable coroutines are released.
 type DeadlockError struct {
 	// Now is the virtual time at which the simulation stalled.
 	Now Time
@@ -251,9 +257,10 @@ type Scheduler struct {
 	// are only formatted when a DeadlockError is built.
 	procs []*Proc
 
-	// token handoff: the scheduler sends on p.resume to run a proc and
-	// receives on parked when the proc blocks or finishes.
-	parked chan struct{}
+	// idle holds the coroutines of finished procs, reused by the next Spawn
+	// and stopped when a drive drains; runners counts those ever created.
+	idle    []*runner
+	runners int
 
 	// driving is set while a drive loop (Run, RunPaced, RunUntil) is on the
 	// stack; re-entering a drive from an event callback panics.
@@ -261,14 +268,12 @@ type Scheduler struct {
 	// running becomes true once a drive has fully drained the queue; it is
 	// terminal — no further drives are allowed.
 	running bool
-	// handoff enables the direct proc-to-proc token handoff: when a parking
-	// proc finds a proc wake at the head of the queue (at or before limit),
-	// it advances the clock and resumes that proc itself — or simply keeps
-	// running on a self-wake — instead of bouncing the token through the
-	// scheduler goroutine's resume/parked channel pair. RunPaced disables
-	// it so the pacing loop sees every event.
-	handoff bool
-	limit   Time
+	// selfWake enables park's fast path: a parking proc that finds its own
+	// wake at the head of the queue (at or before limit) advances the clock
+	// and keeps running instead of switching to the drive loop and back.
+	// RunPaced disables it so the pacing loop sees every event.
+	selfWake bool
+	limit    Time
 
 	// Sharding state (see shard.go). group is nil for standalone schedulers
 	// and for the single shard of a one-shard group, so the sequential fast
@@ -288,7 +293,7 @@ type Scheduler struct {
 
 // New returns an empty simulation scheduler with the clock at zero.
 func New() *Scheduler {
-	return &Scheduler{parked: make(chan struct{})}
+	return &Scheduler{}
 }
 
 // Now returns the current virtual time.
@@ -364,12 +369,12 @@ const (
 // Proc is a cooperative actor. Every blocking method must be called by the
 // proc itself (i.e. from within the function passed to Spawn).
 type Proc struct {
-	s      *Scheduler
-	name   string
-	id     int
-	idx    int // position in s.procs, for swap-removal on death
-	resume chan struct{}
-	dead   bool
+	s    *Scheduler
+	name string
+	id   int
+	idx  int     // position in s.procs, for swap-removal on death
+	run  *runner // the coroutine carrying this proc; nil once dead
+	dead bool
 	// wakeScheduled guards against double-wake: a proc may be the target of
 	// at most one pending wake event.
 	wakeScheduled bool
@@ -418,24 +423,36 @@ func (p *Proc) Scheduler() *Scheduler { return p.s }
 func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
 	p := &Proc{
-		s:      s,
-		name:   name,
-		id:     s.procSeq,
-		idx:    len(s.procs),
-		resume: make(chan struct{}),
+		s:    s,
+		name: name,
+		id:   s.procSeq,
+		idx:  len(s.procs),
 	}
 	s.procs = append(s.procs, p)
 	s.live++
-	go func() {
-		<-p.resume
-		fn(p)
-		p.dead = true
-		s.live--
-		s.dropProc(p)
-		s.parked <- struct{}{}
-	}()
+	var r *runner
+	if n := len(s.idle); n > 0 {
+		r = s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+	} else {
+		r = newRunner(s)
+		s.runners++
+	}
+	r.p, r.fn = p, fn
+	p.run = r
 	s.wake(p)
 	return p
+}
+
+// stopIdle ends the coroutines on the idle list. Each stop switches into
+// the runner, which returns, so the coroutine is gone when stopIdle returns.
+func (s *Scheduler) stopIdle() {
+	for i, r := range s.idle {
+		r.stop()
+		s.idle[i] = nil
+	}
+	s.idle = s.idle[:0]
 }
 
 // dropProc swap-removes a finished proc from the diagnostics list.
@@ -467,60 +484,43 @@ func (s *Scheduler) wakeAt(t Time, p *Proc) {
 	s.queue.push(s.newEvent(t, nil, p))
 }
 
-// resumeProc hands the token to p from the scheduler loop and waits for it
-// to park, finish, or hand the token onward.
+// resumeProc switches from the drive loop into p's coroutine and returns
+// when p parks or finishes. A panic inside p surfaces here.
 func (s *Scheduler) resumeProc(p *Proc) {
 	if p.dead {
 		return
 	}
 	p.wakeScheduled = false
 	p.parkKind = parkNone
-	p.resume <- struct{}{}
-	<-s.parked
+	p.run.next()
 }
 
-// park blocks the calling proc until something wakes it. The kind and args
-// form the lazy reason shown in deadlock diagnostics.
+// park suspends the calling proc until something wakes it. The kind and
+// args form the lazy reason shown in deadlock diagnostics.
 //
-// Fast path (direct handoff): while handoff is enabled and the head of the
-// queue is a proc wake at or before the drive limit, the parking proc plays
-// scheduler itself — it advances the clock and either keeps running (the
-// wake is its own: a sleep expiring with nothing scheduled before it) or
-// passes the token straight to the woken proc. Either way the
-// resume/parked channel round-trip through the scheduler goroutine is
-// skipped; the scheduler loop only regains control when a non-wake event
-// or the drive limit is next.
+// Fast path (self-wake): when the head of the queue is this proc's own wake
+// at or before the drive limit — a sleep expiring with nothing scheduled
+// before it — the proc advances the clock and keeps running: zero switches.
+// Anything else yields to the drive loop, which dispatches the head event.
+// Waking another proc therefore costs two coroutine switches (out to the
+// loop, in to the target). Coroutines are asymmetric — a proc can only
+// switch to whoever resumed it — so there is no proc-to-proc shortcut, and
+// none is needed: the two switches together (~100 ns) cost less than the one
+// channel handoff (~180 ns) such a shortcut paid when procs were goroutines.
 func (p *Proc) park(kind parkKind, a, b int64) {
 	s := p.s
 	p.parkKind, p.parkA, p.parkB = kind, a, b
-	for s.handoff {
-		if len(s.queue) == 0 {
-			break
+	if s.selfWake && len(s.queue) > 0 {
+		if top := s.queue[0]; top.proc == p && top.at <= s.limit {
+			s.queue.pop()
+			s.now = top.at
+			s.recycle(top)
+			p.wakeScheduled = false
+			p.parkKind = parkNone
+			return
 		}
-		top := s.queue[0]
-		if top.proc == nil || top.at > s.limit {
-			break
-		}
-		q := top.proc
-		s.queue.pop()
-		s.now = top.at
-		s.recycle(top)
-		if q.dead {
-			continue
-		}
-		q.wakeScheduled = false
-		q.parkKind = parkNone
-		if q == p {
-			return // self-wake: keep running, zero channel operations
-		}
-		// Hand the token directly to q, then wait for our own wake. No
-		// scheduler state may be touched after the send: q runs now.
-		q.resume <- struct{}{}
-		<-p.resume
-		return
 	}
-	s.parked <- struct{}{}
-	<-p.resume
+	p.run.yield(struct{}{})
 }
 
 // Sleep suspends the calling proc for d of virtual time. Zero is allowed and
@@ -542,7 +542,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // startDrive begins a drive loop, enforcing the re-entrancy contract: a
 // drive may not start while another is on the stack (an event callback
 // calling Run) or after a previous drive has drained the queue.
-func (s *Scheduler) startDrive(limit Time, handoff bool) {
+func (s *Scheduler) startDrive(limit Time, selfWake bool) {
 	if s.group != nil && !s.windowing {
 		panic("sim: scheduler belongs to a multi-shard group; drive it with ShardGroup.Run")
 	}
@@ -553,16 +553,19 @@ func (s *Scheduler) startDrive(limit Time, handoff bool) {
 		panic("sim: Run called twice")
 	}
 	s.driving = true
-	s.handoff = handoff
+	s.selfWake = selfWake
 	s.limit = limit
 }
 
-// endDrive finishes a drive loop; drained drives are terminal.
+// endDrive finishes a drive loop; drained drives are terminal and release
+// the idle coroutines. The public drives defer it, so a panic unwinding out
+// of a proc or an event callback ends the drive the same way.
 func (s *Scheduler) endDrive(drained bool) {
 	s.driving = false
-	s.handoff = false
+	s.selfWake = false
 	if drained {
 		s.running = true
+		s.stopIdle()
 	}
 }
 
@@ -607,10 +610,10 @@ func (s *Scheduler) deadlock() error {
 // calling it from within an event callback panics.
 func (s *Scheduler) Run() error {
 	s.startDrive(maxTime, true)
+	defer s.endDrive(true)
 	for len(s.queue) > 0 {
 		s.dispatch(s.queue.pop())
 	}
-	s.endDrive(true)
 	return s.deadlock()
 }
 
@@ -618,13 +621,15 @@ func (s *Scheduler) Run() error {
 // the wall clock: one second of virtual time takes 1/scale wall seconds
 // (scale 2 runs twice as fast as real time). Useful for watching timelines
 // live in demos; measurement results are identical to Run since virtual
-// timestamps do not depend on pacing. Direct handoff is disabled so the
-// pacing loop observes every event.
+// timestamps do not depend on pacing. The self-wake fast path is disabled,
+// so every event — every expiring sleep included — is popped and paced by
+// this loop.
 func (s *Scheduler) RunPaced(scale float64) error {
 	if scale <= 0 {
 		panic("sim: pacing scale must be positive")
 	}
 	s.startDrive(maxTime, false)
+	defer s.endDrive(true)
 	wallStart := timeNowUnixNano()
 	simStart := s.now
 	for len(s.queue) > 0 {
@@ -637,7 +642,6 @@ func (s *Scheduler) RunPaced(scale float64) error {
 		}
 		s.dispatch(e)
 	}
-	s.endDrive(true)
 	return s.deadlock()
 }
 
@@ -649,11 +653,12 @@ func (s *Scheduler) RunPaced(scale float64) error {
 // re-entering a drive from an event callback.
 func (s *Scheduler) RunUntil(t Time) bool {
 	s.startDrive(t, true)
+	drained := true // what a panic unwinding through the loop leaves: a terminal scheduler
+	defer func() { s.endDrive(drained) }()
 	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.dispatch(s.queue.pop())
 	}
-	drained := len(s.queue) == 0
-	s.endDrive(drained)
+	drained = len(s.queue) == 0
 	return drained
 }
 
