@@ -80,47 +80,50 @@ func BenchmarkFigAllQuickParallelCached(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime micro-benchmarks: how fast is the simulator itself?
+// Runtime micro-benchmarks: how fast is the simulator itself? Each is a
+// function building the simulation that performs n ops, so the benchmark
+// (benchSim) and the allocation pin (TestAllocPins) run the same code.
 // ---------------------------------------------------------------------------
 
-// BenchmarkSimEvents measures raw event throughput of the DES kernel.
-func BenchmarkSimEvents(b *testing.B) {
+func benchSim(b *testing.B, build func(n int) *sim.Scheduler) {
+	b.Helper()
 	b.ReportAllocs()
+	s := build(b.N)
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// simEvents measures raw event throughput of the DES kernel.
+func simEvents(n int) *sim.Scheduler {
 	s := sim.New()
 	s.Spawn("ticker", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			p.Sleep(sim.Microsecond)
 		}
 	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
+	return s
 }
 
-// BenchmarkSleepWake measures the single-proc sleep/wake fast path: with
-// the event freelist, proc-carrying wake events, and the self-wake fast path
-// in park, one op is a heap push + pop with zero coroutine switches and zero
+// sleepWake measures the single-proc sleep/wake fast path: with the event
+// freelist, proc-carrying wake events, and the self-wake fast path in park,
+// one op is a heap push + pop with zero coroutine switches and zero
 // allocations.
-func BenchmarkSleepWake(b *testing.B) {
-	b.ReportAllocs()
+func sleepWake(n int) *sim.Scheduler {
 	s := sim.New()
 	s.Spawn("sleeper", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			p.Sleep(sim.Nanosecond)
 		}
 	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
+	return s
 }
 
-// BenchmarkProcHandoff measures the cross-proc wake: two procs alternating
-// via a condition variable, so every wake is two coroutine switches — the
-// parking proc out to the drive loop, the loop into the woken proc.
-func BenchmarkProcHandoff(b *testing.B) {
-	b.ReportAllocs()
+// procHandoff measures the cross-proc wake: two procs alternating via a
+// condition variable, so every wake is two coroutine switches — the parking
+// proc out to the drive loop, the loop into the woken proc.
+func procHandoff(n int) *sim.Scheduler {
 	s := sim.New()
 	var mu sim.Mutex
 	cond := sim.NewCond(&mu)
@@ -128,7 +131,7 @@ func BenchmarkProcHandoff(b *testing.B) {
 	runner := func(me int) func(p *sim.Proc) {
 		return func(p *sim.Proc) {
 			mu.Lock(p)
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < n; i++ {
 				for turn != me {
 					cond.Wait(p)
 				}
@@ -140,18 +143,14 @@ func BenchmarkProcHandoff(b *testing.B) {
 	}
 	s.Spawn("a", runner(0))
 	s.Spawn("b", runner(1))
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
+	return s
 }
 
-// BenchmarkForkJoinSpawn measures one fork and join of an 8-proc team per op,
-// the paper's per-iteration OpenMP region. The scheduler's runner pool reuses
+// forkJoinSpawn measures one fork and join of an 8-proc team per op, the
+// paper's per-iteration OpenMP region. The scheduler's runner pool reuses
 // the team's coroutines, so an op allocates the eight Proc values and nothing
-// else (pinned in bench_allocs_baseline.json).
-func BenchmarkForkJoinSpawn(b *testing.B) {
-	b.ReportAllocs()
+// else.
+func forkJoinSpawn(n int) *sim.Scheduler {
 	const team = 8
 	s := sim.New()
 	var wg sim.WaitGroup
@@ -160,7 +159,7 @@ func BenchmarkForkJoinSpawn(b *testing.B) {
 		wg.Done(s)
 	}
 	s.Spawn("master", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			wg.Add(s, team)
 			for w := 0; w < team; w++ {
 				s.Spawn("worker", worker)
@@ -168,40 +167,32 @@ func BenchmarkForkJoinSpawn(b *testing.B) {
 			wg.Wait(p)
 		}
 	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
+	return s
 }
 
-// BenchmarkPt2PtRoundtrip measures one simulated eager ping-pong per op.
-func BenchmarkPt2PtRoundtrip(b *testing.B) {
-	b.ReportAllocs()
+// pt2ptRoundtrip measures one simulated eager ping-pong per op.
+func pt2ptRoundtrip(n int) *sim.Scheduler {
 	s := sim.New()
 	w := mpi.NewWorld(s, mpi.DefaultConfig(2))
 	s.Spawn("r0", func(p *sim.Proc) {
 		c := w.Comm(0)
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			c.SendBytes(p, 1, 0, 1024)
 			c.Recv(p, 1, 1)
 		}
 	})
 	s.Spawn("r1", func(p *sim.Proc) {
 		c := w.Comm(1)
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			c.Recv(p, 0, 0)
 			c.SendBytes(p, 0, 1, 1024)
 		}
 	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
+	return s
 }
 
-// BenchmarkPartitionedEpoch measures one 16-partition epoch per op.
-func BenchmarkPartitionedEpoch(b *testing.B) {
-	b.ReportAllocs()
+// partitionedEpoch measures one 16-partition epoch per op.
+func partitionedEpoch(n int) *sim.Scheduler {
 	s := sim.New()
 	w := mpi.NewWorld(s, mpi.DefaultConfig(2))
 	s.Spawn("sender", func(p *sim.Proc) {
@@ -209,7 +200,7 @@ func BenchmarkPartitionedEpoch(b *testing.B) {
 		c.SetPlacement(cluster.Place(w.Config().Machine, 16))
 		pr := c.PsendInit(p, 1, 0, 16, 4096)
 		c.Barrier(p)
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			pr.Start(p)
 			for j := 0; j < 16; j++ {
 				pr.Pready(p, j)
@@ -221,14 +212,50 @@ func BenchmarkPartitionedEpoch(b *testing.B) {
 		c := w.Comm(1)
 		pr := c.PrecvInit(p, 0, 0, 16, 4096)
 		c.Barrier(p)
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			pr.Start(p)
 			pr.Wait(p)
 		}
 	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
+	return s
+}
+
+func BenchmarkSimEvents(b *testing.B)        { benchSim(b, simEvents) }
+func BenchmarkSleepWake(b *testing.B)        { benchSim(b, sleepWake) }
+func BenchmarkProcHandoff(b *testing.B)      { benchSim(b, procHandoff) }
+func BenchmarkForkJoinSpawn(b *testing.B)    { benchSim(b, forkJoinSpawn) }
+func BenchmarkPt2PtRoundtrip(b *testing.B)   { benchSim(b, pt2ptRoundtrip) }
+func BenchmarkPartitionedEpoch(b *testing.B) { benchSim(b, partitionedEpoch) }
+
+// TestAllocPins pins heap allocations per op of the kernel and protocol fast
+// paths. Counts repeat exactly on every host, so they are ordinary tests and
+// need no baseline file. An op's allocations are those of a 2n-op run minus
+// those of an n-op run, over n and rounded down: set-up left out and
+// amortised growth ignored, as -benchmem does.
+func TestAllocPins(t *testing.T) {
+	const n = 2000
+	for _, pin := range []struct {
+		name  string
+		build func(n int) *sim.Scheduler
+		max   int
+	}{
+		{"SimEvents", simEvents, 0},
+		{"SleepWake", sleepWake, 0},
+		{"ProcHandoff", procHandoff, 0},
+		{"ForkJoinSpawn", forkJoinSpawn, 8},
+		{"Pt2PtRoundtrip", pt2ptRoundtrip, 18},
+		{"PartitionedEpoch", partitionedEpoch, 169},
+	} {
+		run := func(n int) int {
+			return int(testing.AllocsPerRun(1, func() {
+				if err := pin.build(n).Run(); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if got := (run(2*n) - run(n)) / n; got > pin.max {
+			t.Errorf("%s: %d allocs/op, pinned at %d", pin.name, got, pin.max)
+		}
 	}
 }
 
@@ -237,8 +264,7 @@ func BenchmarkPartitionedEpoch(b *testing.B) {
 // at several event-loop shard counts. The virtual result is identical at
 // every shard count (pinned by the patterns identity tests); the wall-clock
 // ratio between sub-benchmarks is the multi-core speedup the sharded DES
-// loop buys. cmd/benchgate runs the same workload in-process and gates the
-// shards=8 speedup (see its shards.go).
+// loop buys.
 // ---------------------------------------------------------------------------
 
 func BenchmarkShardedHalo3D(b *testing.B) {

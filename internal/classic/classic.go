@@ -97,10 +97,9 @@ func (c Config) world(s *sim.Scheduler, mode mpi.ThreadMode) *mpi.World {
 func sweepPoints(rn *engine.Runner, what string, cfg Config, sizes []int64,
 	one func(Config, int64) (float64, error), extra ...any) ([]Point, error) {
 	r := engine.OrDefault(rn)
-	// Cold-cost heuristic for LPT dispatch: classic point cost scales with
-	// the message size.
-	r.SetCostHint(func(i int) float64 { return float64(sizes[i]) })
-	vals, err := r.Map(context.Background(), len(sizes), func(ctx context.Context, i int) (any, error) {
+	// Classic point cost scales with the message size.
+	cost := func(i int) float64 { return float64(sizes[i]) }
+	vals, err := r.Sweep(context.Background(), len(sizes), cost, func(ctx context.Context, i int) (any, error) {
 		size := sizes[i]
 		key, kerr := engine.Key(append([]any{what, cfg, size}, extra...)...)
 		if kerr != nil {

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"partmb/internal/engine"
 	"partmb/internal/faults"
@@ -14,9 +13,9 @@ import (
 
 // EngineFlags bundles the experiment-engine flags every CLI shares: worker
 // bound, persistent cell cache, fault injection, the retry policy that
-// makes injected faults survivable, the dispatch policy and its cell-cost
-// profile, and the observability sinks (run journal, metric summary,
-// Chrome trace). Zero value = engine defaults, observability off.
+// makes injected faults survivable, and the observability sinks (run
+// journal, metric summary, Chrome trace). Zero value = engine defaults,
+// observability off.
 type EngineFlags struct {
 	// Workers bounds the parallel simulation workers (0 = GOMAXPROCS).
 	Workers int
@@ -43,14 +42,6 @@ type EngineFlags struct {
 	// TraceFile, when non-empty, writes the engine's host-time schedule as
 	// Chrome trace-event JSON (open in Perfetto) here.
 	TraceFile string
-	// Schedule selects the sweep dispatch policy: "inorder" (default) or
-	// "lpt" (longest-predicted-first; see engine/schedule.go).
-	Schedule string
-	// CostFile, when non-empty, warm-starts the scheduler's cost model from
-	// this JSON profile and persists the updated profile on Finish. Empty
-	// with CacheDir set defaults to <cachedir>/cost_profile.json, so cached
-	// runs get warm scheduling for free.
-	CostFile string
 	// Samples, when non-empty, switches cells to adaptive confidence-
 	// targeted sampling. The spec is stats.ParseRunConfig syntax
 	// ("min=2,max=32,conf=0.95,ci=0.05,budget=1s"); the bare value "on"
@@ -62,10 +53,8 @@ type EngineFlags struct {
 	// -samples was not given).
 	CITarget float64
 
-	col      *obs.Collector
-	cost     *engine.CostModel
-	costPath string
-	disk     *engine.DiskCache
+	col  *obs.Collector
+	disk *engine.DiskCache
 }
 
 // RegisterFlags installs the shared engine flags on fs.
@@ -79,8 +68,6 @@ func (e *EngineFlags) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&e.Journal, "journal", "", "write the deterministic JSONL run journal to this file")
 	fs.StringVar(&e.Metrics, "metrics", "", "write the per-experiment metric summary JSON to this file")
 	fs.StringVar(&e.TraceFile, "tracefile", "", "write the engine schedule as Chrome trace JSON (Perfetto) to this file")
-	fs.StringVar(&e.Schedule, "schedule", "", "sweep dispatch policy: inorder|lpt (default inorder)")
-	fs.StringVar(&e.CostFile, "costfile", "", "persist the scheduler's cell-cost profile to this JSON file (default <cachedir>/cost_profile.json when -cachedir is set)")
 	fs.StringVar(&e.Samples, "samples", "", "adaptive sampling spec: min=A,max=B,conf=C,ci=R[,budget=D], or \"on\" for defaults (default off: fixed repetitions)")
 	fs.Float64Var(&e.CITarget, "ci-target", 0, "override the adaptive target relative CI half-width (implies -samples=on)")
 }
@@ -124,16 +111,10 @@ func (e *EngineFlags) Collector() *obs.Collector { return e.col }
 // accounting.
 func (e *EngineFlags) DiskCache() *engine.DiskCache { return e.disk }
 
-// Finish writes the requested observability artifacts and persists the
-// scheduler's cost profile. Call it once, after the sweep, with the CLI's
-// name (recorded in the artifact headers); it is a no-op when no sink or
-// cost file was requested.
+// Finish writes the requested observability artifacts. Call it once, after
+// the sweep, with the CLI's name (recorded in the artifact headers); it is a
+// no-op when no sink was requested.
 func (e *EngineFlags) Finish(tool string) error {
-	if e.costPath != "" && e.cost != nil {
-		if err := e.cost.Save(e.costPath); err != nil {
-			return fmt.Errorf("cliutil: %w", err)
-		}
-	}
 	if e.col == nil {
 		return nil
 	}
@@ -205,23 +186,5 @@ func (e *EngineFlags) Runner(extra ...engine.Option) (*engine.Runner, error) {
 		e.col = obs.NewCollector()
 		opts = append(opts, engine.WithObserver(e.col))
 	}
-	policy, err := engine.ParsePolicy(e.Schedule)
-	if err != nil {
-		return nil, fmt.Errorf("cliutil: -schedule: %w", err)
-	}
-	opts = append(opts, engine.WithSchedule(policy))
-	// The cost model is always installed: profiling under inorder is what
-	// warms a later -schedule=lpt run. It only persists when a cost file
-	// was requested (explicitly or implied by -cachedir).
-	e.costPath = e.CostFile
-	if e.costPath == "" && e.CacheDir != "" {
-		e.costPath = filepath.Join(e.CacheDir, "cost_profile.json")
-	}
-	if e.costPath != "" {
-		e.cost = engine.LoadCostProfile(e.costPath)
-	} else {
-		e.cost = engine.NewCostModel()
-	}
-	opts = append(opts, engine.WithCostModel(e.cost))
 	return engine.New(append(opts, extra...)...), nil
 }

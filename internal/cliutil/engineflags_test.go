@@ -1,7 +1,6 @@
 package cliutil
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -79,57 +78,13 @@ func TestEngineFlagsRunnerWiring(t *testing.T) {
 	if _, err := os.Stat(matches[0]); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestEngineFlagsScheduleAndCostFile(t *testing.T) {
-	costPath := filepath.Join(t.TempDir(), "prof.json")
-	sweep := func() engine.Stats {
-		var e EngineFlags
-		fs := flag.NewFlagSet("x", flag.ContinueOnError)
-		e.RegisterFlags(fs)
-		if err := fs.Parse([]string{"-schedule", "lpt", "-costfile", costPath}); err != nil {
-			t.Fatal(err)
-		}
-		rn, err := e.Runner()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rn.Policy() != engine.LPT {
-			t.Fatalf("policy = %q, want lpt", rn.Policy())
-		}
-		if _, err := rn.Map(context.Background(), 4, func(_ context.Context, i int) (any, error) {
-			return i, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Finish("test"); err != nil {
-			t.Fatal(err)
-		}
-		return rn.Stats()
-	}
-	if st := sweep(); st.CostWarm != 0 {
-		t.Fatalf("first run found a warm profile: %+v", st)
-	}
-	if n := engine.LoadCostProfile(costPath).Len(); n != 4 {
-		t.Fatalf("persisted profile has %d tasks, want 4", n)
-	}
-	// A second invocation warm-starts from the persisted profile.
-	if st := sweep(); st.CostWarm != 4 {
-		t.Fatalf("second run not warm: %+v", st)
-	}
-}
-
-func TestEngineFlagsCostFileDefaultsToCacheDir(t *testing.T) {
-	dir := t.TempDir()
-	e := EngineFlags{CacheDir: dir}
-	if _, err := e.Runner(); err != nil {
-		t.Fatal(err)
-	}
+	// Finish without observability sinks writes nothing: the cache's
+	// versioned directory stays the only thing under -cachedir.
 	if err := e.Finish("test"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "cost_profile.json")); err != nil {
-		t.Fatalf("-cachedir did not imply a cost profile: %v", err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("-cachedir holds %v (%v), want only the cache's own directory", entries, err)
 	}
 }
 
@@ -138,7 +93,6 @@ func TestEngineFlagsRejectsBadSpecs(t *testing.T) {
 		{Faults: "bogus:0.5"},
 		{Faults: "drop:2"},
 		{Backoff: "not-a-duration"},
-		{Schedule: "fifo"},
 	} {
 		if _, err := e.Runner(); err == nil {
 			t.Errorf("Runner(%+v) accepted a bad spec", e)

@@ -89,7 +89,7 @@ func (a *Advice) String() string {
 
 // Advise sweeps the candidate partition counts (counts that do not divide
 // the message size are skipped) on the runner's worker pool and ranks them.
-// base.Partitions is ignored. A nil runner sweeps serially without caching.
+// base.Partitions is ignored. A nil runner is SweepPartitions' nil runner.
 func Advise(rn *engine.Runner, base Config, counts []int, w AdvisorWeights) (*Advice, error) {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4, 8, 16, 32}

@@ -358,8 +358,8 @@ func (c Config) CacheKey() string {
 // that resolve identically share one simulation per process. The simulator
 // is deterministic and a *Result round-trips losslessly through JSON, so a
 // cached Result — in-memory or reloaded from disk — is bit-identical to a
-// fresh run; callers must treat it as immutable. A nil runner runs
-// uncached.
+// fresh run; callers must treat it as immutable. A nil runner means a fresh
+// engine.New(), whose memo is thrown away with it.
 //
 // When cfg.Adaptive is set, the cell runs confidence-targeted sampling
 // (RunAdaptive) instead of fixed reps; the adaptive config participates in

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"partmb/internal/engine"
@@ -260,6 +261,41 @@ func TestSweepPartitionsSkipsNonDividing(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("results = %d, want 2 (non-dividing counts skipped)", len(results))
 	}
+}
+
+// TestConcurrentSweepsShareOneRunner is the regression test for sweeps of
+// different lengths racing on one runner, the way sweepd's concurrent
+// requests do: each sweep's cost function must belong to that sweep alone.
+// When it sat in a runner-level slot "for the next sweep", a longer sweep
+// could take a shorter sweep's function and index out of range on the
+// caller's goroutine — once in several thousand sweeps on two cores, hence the
+// iteration count; the cells are memoised and the sweeps short to afford it.
+func TestConcurrentSweepsShareOneRunner(t *testing.T) {
+	rn := engine.New(engine.Workers(2))
+	cfg := Config{Partitions: 1, Iterations: 1, Warmup: -1}
+	sweeps := [][]int64{MessageSizes(1<<10, 1<<10), MessageSizes(1<<10, 1<<11)}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 20000; it++ {
+				sizes := sweeps[(g+it)%2]
+				results, err := SweepMessageSizes(rn, cfg, sizes)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, r := range results {
+					if r.Config.MessageBytes != sizes[i] {
+						t.Errorf("result %d is for %d bytes, want %d", i, r.Config.MessageBytes, sizes[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestNativeImplLowersOverhead(t *testing.T) {

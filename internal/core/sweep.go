@@ -29,7 +29,7 @@ func MessageSizes(min, max int64) []int64 {
 // runner's worker pool, holding the rest of base fixed, and returns results
 // in size order. Sizes not divisible by the partition count are skipped
 // (they cannot be partitioned evenly, the MPIPCL restriction). A nil runner
-// sweeps serially without caching.
+// means a fresh engine.New(): GOMAXPROCS lanes and a throw-away memo.
 func SweepMessageSizes(rn *engine.Runner, base Config, sizes []int64) ([]*Result, error) {
 	var eligible []int64
 	for _, size := range sizes {
@@ -47,7 +47,7 @@ func SweepMessageSizes(rn *engine.Runner, base Config, sizes []int64) ([]*Result
 // SweepPartitions runs the benchmark at every partition count on the
 // runner's worker pool, holding the rest of base fixed, and returns results
 // in count order. Counts that do not divide the message size are skipped.
-// A nil runner sweeps serially without caching.
+// A nil runner means a fresh engine.New(), as in SweepMessageSizes.
 func SweepPartitions(rn *engine.Runner, base Config, counts []int) ([]*Result, error) {
 	var eligible []int
 	for _, n := range counts {
@@ -64,27 +64,27 @@ func SweepPartitions(rn *engine.Runner, base Config, counts []int) ([]*Result, e
 
 // sweep executes n benchmark cells through the runner, labelling errors
 // with the cell description. The engine keeps the reported error the one a
-// serial loop would have hit first under every dispatch policy (see
-// engine/schedule.go), and is hinted with the size x partitions heuristic
-// so LPT dispatch can front-load the expensive cells on a cold profile.
+// serial loop would have hit first under any dispatch order (see
+// engine/schedule.go), and is given the size x partitions heuristic as the
+// cost function so the expensive cells start first.
 func sweep(rn *engine.Runner, n int, cell func(i int) (Config, string)) ([]*Result, error) {
 	r := engine.OrDefault(rn)
-	r.SetCostHint(func(i int) float64 {
+	cost := func(i int) float64 {
 		cfg, _ := cell(i)
 		parts := cfg.Partitions
 		if parts < 1 {
 			parts = 1
 		}
-		hint := float64(cfg.MessageBytes) * float64(parts)
+		c := float64(cfg.MessageBytes) * float64(parts)
 		if cfg.Adaptive != nil {
 			// An adaptive cell may draw up to MaxSamples iterations; scale
-			// the cold-profile hint by the worst case so LPT still
-			// front-loads the potentially expensive cells.
-			hint *= float64(cfg.Adaptive.MaxSamples)
+			// by the worst case so the potentially expensive cells still
+			// start first.
+			c *= float64(cfg.Adaptive.MaxSamples)
 		}
-		return hint
-	})
-	results, err := r.Map(context.Background(), n,
+		return c
+	}
+	results, err := r.Sweep(context.Background(), n, cost,
 		func(_ context.Context, i int) (any, error) {
 			cfg, label := cell(i)
 			res, err := RunCached(r, cfg)

@@ -53,8 +53,6 @@ type Runner struct {
 	disk      *DiskCache
 	obs       Observer
 	epoch     time.Time
-	policy    Policy
-	cost      *CostModel
 	exec      Executor
 
 	mu         sync.Mutex
@@ -62,9 +60,6 @@ type Runner struct {
 	attempts   map[string]int64
 	experiment string
 	expRuns    map[string]int64
-	costHint   func(index int) float64
-	costWarm   int64
-	costCold   int64
 
 	cells      int64
 	runs       int64
@@ -80,13 +75,11 @@ type Runner struct {
 	remoteErrs int64
 	remoteNS   int64
 
-	// Scheduling accounting (see schedule.go): per-lane busy time, the
-	// host-time span of all tasks, and predicted-vs-actual cost totals.
+	// Scheduling accounting: per-lane busy time and the host-time span of
+	// all tasks.
 	laneBusy  []int64
 	spanStart int64
 	spanEnd   int64
-	predNS    int64
-	actualNS  int64
 }
 
 // cacheEntry memoizes one cell result with singleflight semantics: the
@@ -201,7 +194,6 @@ func New(opts ...Option) *Runner {
 		retry:   DefaultRetry,
 		cache:   map[string]*cacheEntry{},
 		epoch:   time.Now(),
-		policy:  InOrder,
 	}
 	for _, o := range opts {
 		o(r)
@@ -261,9 +253,6 @@ type Stats struct {
 	// number of cell attempts performed under it. Runs before any label is
 	// set are keyed by "" (nil when nothing ran).
 	ExperimentRuns map[string]int64
-	// Schedule is the dispatch policy the runner ran under (see
-	// schedule.go).
-	Schedule Policy
 	// Makespan is the host-time span from the first task's start to the
 	// last task's end across every sweep the runner ran (0 when no task
 	// ran).
@@ -273,18 +262,6 @@ type Stats struct {
 	LaneBusy []time.Duration
 	// Utilization is total busy time over workers x Makespan, in [0,1].
 	Utilization float64
-	// PredictedCost / ActualCost total the scheduler's per-task cost
-	// predictions and the observed per-task host times. Predictions only
-	// exist when a cost model or hint was installed, and are true
-	// nanoseconds only for warm (profiled) tasks — an all-cold sweep's
-	// predictions are the hint's arbitrary units, useful for ranking but
-	// not comparable to ActualCost.
-	PredictedCost time.Duration
-	ActualCost    time.Duration
-	// CostWarm / CostCold count tasks predicted from the observed profile
-	// vs from the heuristic hint (see CostModel.Predict).
-	CostWarm int64
-	CostCold int64
 }
 
 func (s Stats) String() string {
@@ -306,13 +283,8 @@ func (s Stats) String() string {
 	// Scheduling report last: the cache-accounting prefix above is parsed
 	// positionally by CI, so new sections only ever append.
 	if s.Makespan > 0 {
-		out += fmt.Sprintf(", schedule %s: makespan %v, %d lanes %.1f%% busy",
-			s.Schedule, s.Makespan.Round(time.Microsecond), len(s.LaneBusy), 100*s.Utilization)
-		if s.CostWarm+s.CostCold > 0 {
-			out += fmt.Sprintf(", predicted %v vs actual %v (%d warm, %d cold)",
-				s.PredictedCost.Round(time.Microsecond), s.ActualCost.Round(time.Microsecond),
-				s.CostWarm, s.CostCold)
-		}
+		out += fmt.Sprintf(", makespan %v, %d lanes %.1f%% busy",
+			s.Makespan.Round(time.Microsecond), len(s.LaneBusy), 100*s.Utilization)
 	}
 	return out
 }
@@ -346,9 +318,6 @@ func (r *Runner) Stats() Stats {
 		DiskReadBytes:  atomic.LoadInt64(&r.diskReadB),
 		DiskWriteBytes: atomic.LoadInt64(&r.diskWroteB),
 		Backoff:        sim.Duration(atomic.LoadInt64(&r.backoffNS)),
-		Schedule:       r.policy,
-		PredictedCost:  time.Duration(atomic.LoadInt64(&r.predNS)),
-		ActualCost:     time.Duration(atomic.LoadInt64(&r.actualNS)),
 	}
 	r.remoteStats(&st)
 	st.LaneBusy = make([]time.Duration, len(r.laneBusy))
@@ -362,7 +331,6 @@ func (r *Runner) Stats() Stats {
 		st.Utilization = float64(busy) / (float64(len(r.laneBusy)) * float64(st.Makespan))
 	}
 	r.mu.Lock()
-	st.CostWarm, st.CostCold = r.costWarm, r.costCold
 	if len(r.attempts) > 0 {
 		st.Attempts = make(map[string]int64, len(r.attempts))
 		for k, v := range r.attempts {
@@ -526,24 +494,21 @@ func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn func(
 }
 
 // Grid evaluates cell over an nRows x nCols grid on the worker pool and
-// returns the results in row-major order. Dispatch order follows the
-// runner's schedule policy (row-major under InOrder, predicted-cost
-// descending under LPT; see schedule.go) but results, memoization, and
-// error selection are policy-independent. After the first error, cells
-// above the failure bound are no longer dispatched and running cells above
-// it have their contexts cancelled; the returned error is the one from the
-// smallest row-major index that failed — deterministic regardless of
-// dispatch order and worker interleaving (the invariant schedule.go
-// documents).
-func (r *Runner) Grid(ctx context.Context, nRows, nCols int, cell func(ctx context.Context, row, col int) (any, error)) ([][]any, error) {
+// returns the results in row-major order; cost, when non-nil, is the
+// per-cell cost function of Sweep, which Grid shares every guarantee with.
+func (r *Runner) Grid(ctx context.Context, nRows, nCols int, cost func(row, col int) float64, cell func(ctx context.Context, row, col int) (any, error)) ([][]any, error) {
 	cells := make([][]any, nRows)
 	for i := range cells {
 		cells[i] = make([]any, nCols)
 	}
+	var flatCost func(i int) float64
+	if cost != nil {
+		flatCost = func(i int) float64 { return cost(i/nCols, i%nCols) }
+	}
 	flat := func(ctx context.Context, i int) (any, error) {
 		return cell(ctx, i/nCols, i%nCols)
 	}
-	results, err := r.run(ctx, nRows*nCols, flat)
+	results, err := r.Sweep(ctx, nRows*nCols, flatCost, flat)
 	if err != nil {
 		return nil, err
 	}
@@ -553,11 +518,9 @@ func (r *Runner) Grid(ctx context.Context, nRows, nCols int, cell func(ctx conte
 	return cells, nil
 }
 
-// Map evaluates fn over n items on the worker pool and returns the results
-// in index order, with the same fail-fast and determinism guarantees as
-// Grid.
+// Map is Sweep without a cost function: cells dispatch in index order.
 func (r *Runner) Map(ctx context.Context, n int, fn func(ctx context.Context, i int) (any, error)) ([]any, error) {
-	return r.run(ctx, n, fn)
+	return r.Sweep(ctx, n, nil, fn)
 }
 
 // indexedError carries the dispatch index of a failed cell so "first error
@@ -571,10 +534,20 @@ type indexedError struct {
 	cancel bool
 }
 
-func (r *Runner) run(ctx context.Context, n int, fn func(ctx context.Context, i int) (any, error)) ([]any, error) {
-	// Consume the sweep hint even for empty sweeps, so a hint set for this
-	// sweep can never leak into the next one.
-	hint := r.takeCostHint()
+// Sweep evaluates fn over n items on the worker pool and returns the results
+// in index order. cost(i) is the relative cost of item i in any unit (larger
+// = more expensive; typically message size x partition count): items
+// dispatch in descending cost, ties by ascending index, so the expensive
+// tail of a geometric sweep starts first instead of serializing the end of
+// the run. Sweep calls cost exactly once per index, on the caller's
+// goroutine, before the first fn call; a nil cost dispatches in index order.
+// Only wall-clock time depends on cost — results, memoization, and error
+// selection do not. After the first error, cells above the failure bound are
+// no longer dispatched and running cells above it have their contexts
+// cancelled; the returned error is the one from the smallest index that
+// failed — deterministic regardless of dispatch order and worker
+// interleaving (the invariant schedule.go documents).
+func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn func(ctx context.Context, i int) (any, error)) ([]any, error) {
 	if n == 0 {
 		return nil, nil
 	}
@@ -582,7 +555,14 @@ func (r *Runner) run(ctx context.Context, n int, fn func(ctx context.Context, i 
 		ctx = context.Background()
 	}
 	exp := r.Experiment()
-	plan := r.plan(n, exp, hint)
+	var order []int // nil = ascending index
+	if cost != nil {
+		costs := make([]float64, n)
+		for i := range costs {
+			costs[i] = cost(i)
+		}
+		order = LPTOrder(costs)
+	}
 
 	results := make([]any, n)
 	// Worker lanes double as the concurrency bound and, for the observer,
@@ -636,8 +616,8 @@ func (r *Runner) run(ctx context.Context, n int, fn func(ctx context.Context, i 
 
 	for k := 0; k < n; k++ {
 		i := k
-		if plan.order != nil {
-			i = plan.order[k]
+		if order != nil {
+			i = order[k]
 		}
 		mu.Lock()
 		skip := i > bound()
@@ -677,8 +657,7 @@ func (r *Runner) run(ctx context.Context, n int, fn func(ctx context.Context, i 
 			delete(running, i)
 			mu.Unlock()
 			cancelTask() // release the per-task context
-			pred := plan.predicted(i)
-			r.recordTask(exp, i, lane, start, end, pred, v)
+			r.recordTask(lane, start, end)
 			if r.obs != nil {
 				r.obs.TaskDone(TaskEvent{
 					Experiment: exp,
@@ -687,7 +666,6 @@ func (r *Runner) run(ctx context.Context, n int, fn func(ctx context.Context, i 
 					Err:        err,
 					Start:      start,
 					End:        end,
-					Predicted:  time.Duration(pred),
 				})
 			}
 			if err != nil {
@@ -719,20 +697,14 @@ func (r *Runner) run(ctx context.Context, n int, fn func(ctx context.Context, i 
 }
 
 // recordTask folds one completed task into the scheduling accounting: its
-// lane's busy time, the runner-wide task span (makespan), the
-// predicted-vs-actual cost totals, and the cost model's observed profile
-// (including the adaptive sample count when the task's value reports one).
-func (r *Runner) recordTask(exp string, i, lane int, start, end time.Duration, pred float64, v any) {
+// lane's busy time and the runner-wide task span (makespan).
+func (r *Runner) recordTask(lane int, start, end time.Duration) {
 	busy := int64(end - start)
 	if busy < 0 {
 		busy = 0
 	}
 	if lane >= 0 && lane < len(r.laneBusy) {
 		atomic.AddInt64(&r.laneBusy[lane], busy)
-	}
-	atomic.AddInt64(&r.actualNS, busy)
-	if pred > 0 && pred <= maxCostNS {
-		atomic.AddInt64(&r.predNS, int64(pred))
 	}
 	for {
 		cur := atomic.LoadInt64(&r.spanStart)
@@ -744,12 +716,6 @@ func (r *Runner) recordTask(exp string, i, lane int, start, end time.Duration, p
 		cur := atomic.LoadInt64(&r.spanEnd)
 		if int64(end) <= cur || atomic.CompareAndSwapInt64(&r.spanEnd, cur, int64(end)) {
 			break
-		}
-	}
-	r.cost.Observe(exp, i, end-start)
-	if sp, ok := v.(sampled); ok {
-		if n, _, _ := sp.SampleStats(); n > 0 {
-			r.cost.ObserveSamples(exp, i, n)
 		}
 	}
 }

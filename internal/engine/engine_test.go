@@ -15,7 +15,7 @@ import (
 
 func TestGridFillsAllCells(t *testing.T) {
 	rn := New(Workers(4))
-	cells, err := rn.Grid(context.Background(), 3, 5, func(_ context.Context, r, c int) (any, error) {
+	cells, err := rn.Grid(context.Background(), 3, 5, nil, func(_ context.Context, r, c int) (any, error) {
 		return r*10 + c, nil
 	})
 	if err != nil {
@@ -36,7 +36,7 @@ func TestGridFillsAllCells(t *testing.T) {
 
 func TestGridEmpty(t *testing.T) {
 	rn := New()
-	cells, err := rn.Grid(context.Background(), 0, 0, nil)
+	cells, err := rn.Grid(context.Background(), 0, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestGridEmpty(t *testing.T) {
 func TestGridPropagatesError(t *testing.T) {
 	rn := New(Workers(4))
 	boom := errors.New("boom")
-	_, err := rn.Grid(context.Background(), 2, 2, func(_ context.Context, r, c int) (any, error) {
+	_, err := rn.Grid(context.Background(), 2, 2, nil, func(_ context.Context, r, c int) (any, error) {
 		if r == 1 && c == 1 {
 			return nil, boom
 		}
@@ -64,7 +64,7 @@ func TestGridPropagatesError(t *testing.T) {
 func TestGridStopsSchedulingAfterError(t *testing.T) {
 	rn := New(Workers(2))
 	var calls int64
-	_, err := rn.Grid(context.Background(), 100, 10, func(_ context.Context, r, c int) (any, error) {
+	_, err := rn.Grid(context.Background(), 100, 10, nil, func(_ context.Context, r, c int) (any, error) {
 		atomic.AddInt64(&calls, 1)
 		if r == 0 {
 			return nil, fmt.Errorf("early failure")
@@ -84,7 +84,7 @@ func TestGridStopsSchedulingAfterError(t *testing.T) {
 func TestGridCancelsRunningCells(t *testing.T) {
 	rn := New(Workers(2))
 	boom := errors.New("boom")
-	_, err := rn.Grid(context.Background(), 1, 2, func(ctx context.Context, r, c int) (any, error) {
+	_, err := rn.Grid(context.Background(), 1, 2, nil, func(ctx context.Context, r, c int) (any, error) {
 		if c == 0 {
 			return nil, boom
 		}
@@ -107,7 +107,7 @@ func TestGridCancelsRunningCells(t *testing.T) {
 func TestGridFirstErrorDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rn := New(Workers(8))
-		_, err := rn.Grid(context.Background(), 4, 4, func(_ context.Context, r, c int) (any, error) {
+		_, err := rn.Grid(context.Background(), 4, 4, nil, func(_ context.Context, r, c int) (any, error) {
 			i := r*4 + c
 			if i == 3 || i == 12 {
 				// The later-dispatched failure completes first.
@@ -128,7 +128,7 @@ func TestGridHonoursExternalCancel(t *testing.T) {
 	rn := New(Workers(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := rn.Grid(ctx, 10, 10, func(_ context.Context, r, c int) (any, error) {
+	_, err := rn.Grid(ctx, 10, 10, nil, func(_ context.Context, r, c int) (any, error) {
 		return 0, nil
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -281,7 +281,7 @@ func TestProgressCallback(t *testing.T) {
 			t.Errorf("total = %d, want 9", total)
 		}
 	}))
-	if _, err := rn.Grid(context.Background(), 3, 3, func(_ context.Context, r, c int) (any, error) {
+	if _, err := rn.Grid(context.Background(), 3, 3, nil, func(_ context.Context, r, c int) (any, error) {
 		return nil, nil
 	}); err != nil {
 		t.Fatal(err)

@@ -78,10 +78,6 @@ type TaskEvent struct {
 	// every task of one runner shares a single epoch and the schedule can
 	// be rendered as a timeline.
 	Start, End time.Duration
-	// Predicted is the scheduler's cost prediction for the task (0 when no
-	// cost model or hint was installed). Like Start/End it is volatile:
-	// predictions derive from host timings.
-	Predicted time.Duration
 }
 
 // Observer receives engine events. Implementations must be safe for

@@ -166,8 +166,8 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestLPTSweepReportsSmallestFaultedIndex is the scheduler's fail-fast
 // determinism check under injected faults: with retries disabled every
-// injected fault is a real cell error, and with an adversarial cost hint
-// LPT dispatches the LARGEST indices first — yet the sweep must always
+// injected fault is a real cell error, and with an adversarial cost function
+// the engine dispatches the LARGEST indices first — yet the sweep must always
 // report the error of the smallest faulted index, at every worker count.
 func TestLPTSweepReportsSmallestFaultedIndex(t *testing.T) {
 	const n, seed, prob = 32, 11, 0.25
@@ -196,11 +196,9 @@ func TestLPTSweepReportsSmallestFaultedIndex(t *testing.T) {
 				engine.Workers(workers),
 				engine.WithFaults(in),
 				engine.WithRetry(engine.RetryPolicy{MaxAttempts: 1}),
-				engine.WithSchedule(engine.LPT),
-				engine.WithCostModel(engine.NewCostModel()),
 			)
-			rn.SetCostHint(func(i int) float64 { return float64(i + 1) })
-			_, err = rn.Map(context.Background(), n, func(_ context.Context, i int) (any, error) {
+			bigFirst := func(i int) float64 { return float64(i + 1) }
+			_, err = rn.Sweep(context.Background(), n, bigFirst, func(_ context.Context, i int) (any, error) {
 				return rn.Do(key(i), func() (any, error) { return i, nil })
 			})
 			if err == nil || !strings.Contains(err.Error(), "(cell "+key(want)+",") {

@@ -125,6 +125,10 @@ type Env struct {
 	// across derived noise seeds until converged. Nil keeps the fixed-rep
 	// path and every table byte-identical.
 	Adaptive *stats.RunConfig
+
+	// recost, when non-nil, replaces every grid's cost function. Only the
+	// test that proves dispatch order cannot change a table sets it.
+	recost func(real func(r, c int) float64) func(r, c int) float64
 }
 
 // band is a value with a symmetric error bar. Figure tables render it as
@@ -143,15 +147,13 @@ func (e Env) metricSpec() *platform.Spec {
 }
 
 // grid evaluates cell over the rows x cols grid on the runner's worker
-// pool. hint is the per-cell relative cost heuristic handed to the
-// engine's scheduler for cold cells (nil = unhinted; see
-// engine.Runner.SetCostHint).
-func (e Env) grid(rows, cols int, hint func(r, c int) float64, cell func(r, c int) (any, error)) ([][]any, error) {
-	rn := e.runner()
-	if hint != nil {
-		rn.SetCostHint(func(i int) float64 { return hint(i/cols, i%cols) })
+// pool. cost is the per-cell relative cost heuristic the engine orders
+// dispatch by (nil = row-major; see engine.Runner.Sweep).
+func (e Env) grid(rows, cols int, cost func(r, c int) float64, cell func(r, c int) (any, error)) ([][]any, error) {
+	if e.recost != nil {
+		cost = e.recost(cost)
 	}
-	return rn.Grid(context.Background(), rows, cols,
+	return e.runner().Grid(context.Background(), rows, cols, cost,
 		func(ctx context.Context, r, c int) (any, error) { return cell(r, c) })
 }
 

@@ -8,8 +8,7 @@ import (
 
 // BenchmarkEnterMultiple is one MPI call entry and exit under
 // MPI_THREAD_MULTIPLE — lock, call overhead, unlock — the prologue of all 25
-// library calls and of every MPI_Parrived poll. enter returns a value, not a
-// closure, so the pin is 0 allocs/op (bench_allocs_baseline.json).
+// library calls and of every MPI_Parrived poll.
 func BenchmarkEnterMultiple(b *testing.B) {
 	s := sim.New()
 	cfg := DefaultConfig(2)
@@ -24,5 +23,24 @@ func BenchmarkEnterMultiple(b *testing.B) {
 	b.ResetTimer()
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestEnterMultipleAllocs pins the same call at 0 allocs: enter returns a
+// value, not a closure.
+func TestEnterMultipleAllocs(t *testing.T) {
+	s := sim.New()
+	cfg := DefaultConfig(2)
+	cfg.ThreadMode = Multiple
+	c := NewWorld(s, cfg).Comm(0)
+	var allocs float64
+	s.Spawn("caller", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(1000, func() { c.enter(p, 0).done() })
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("enter+done allocates %v times per call, want 0", allocs)
 	}
 }

@@ -53,3 +53,26 @@ func BenchmarkMatchArrivalHitFront(b *testing.B) {
 		m.addPosted(req)
 	}
 }
+
+// TestMatchAllocs pins the three paths above at 0 allocs per call.
+func TestMatchAllocs(t *testing.T) {
+	var posted, unexpected, front matcher
+	for i := 0; i < 64; i++ {
+		posted.addPosted(recvFor(1, i, 0))
+		unexpected.addUnexpected(inboundFor(1, i, 0))
+	}
+	front.addPosted(recvFor(0, 5, 0))
+	missInb, missRecv, hitInb := inboundFor(2, 999, 0), recvFor(2, 999, 0), inboundFor(0, 5, 0)
+	for name, op := range map[string]func(){
+		"matchArrival miss, 64 posted":    func() { posted.matchArrival(missInb) },
+		"matchPosted miss, 64 unexpected": func() { unexpected.matchPosted(missRecv) },
+		"matchArrival hit + re-add": func() {
+			req, _ := front.matchArrival(hitInb)
+			front.addPosted(req)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, allocs)
+		}
+	}
+}

@@ -63,7 +63,6 @@ func WriteJournal(w io.Writer, tool string, c *Collector, withHost bool) error {
 	if !withHost {
 		for i := range tasks {
 			tasks[i].Worker, tasks[i].StartNS, tasks[i].EndNS = 0, 0, 0
-			tasks[i].PredNS = 0
 		}
 		for i := range cells {
 			// Where a cell ran (this process or a named remote worker) and

@@ -42,10 +42,6 @@ type ExperimentSummary struct {
 	// (first task start to last task end) — the engine-level throughput
 	// figure the perf gate tracks.
 	CellsPerSec float64 `json:"cells_per_sec,omitempty"`
-	// PredictedNS totals the scheduler's per-task cost predictions (0 when
-	// no cost model or hint was installed; compare with Host.TotalNS for
-	// prediction accuracy).
-	PredictedNS int64 `json:"predicted_ns,omitempty"`
 	// SamplesTotal totals adaptive sampling draws across the experiment's
 	// cells; Converged counts sampled cells that met their CI target. Both
 	// zero (and omitted) when adaptive sampling is off.
@@ -55,7 +51,7 @@ type ExperimentSummary struct {
 
 // ScheduleSummary describes how the engine packed the sweep onto its
 // worker lanes: the makespan (first task start to last task end), total
-// lane busy and idle time, and the utilization the dispatch policy
+// lane busy and idle time, and the utilization the dispatch order
 // achieved. This is the observability view of engine.Stats' scheduling
 // fields, reconstructed purely from task records.
 type ScheduleSummary struct {
@@ -69,10 +65,6 @@ type ScheduleSummary struct {
 	IdleNS int64 `json:"idle_ns"`
 	// UtilizationPct is 100 x BusyNS / (Workers x MakespanNS).
 	UtilizationPct float64 `json:"utilization_pct"`
-	// PredictedNS / ActualNS total the scheduler's cost predictions and
-	// the observed task times.
-	PredictedNS int64 `json:"predicted_ns,omitempty"`
-	ActualNS    int64 `json:"actual_ns"`
 }
 
 // Metrics is the aggregated metrics document.
@@ -217,7 +209,6 @@ func summarizeSchedule(tasks []Task) *ScheduleSummary {
 	for i, t := range tasks {
 		workers[t.Worker] = true
 		s.BusyNS += t.EndNS - t.StartNS
-		s.PredictedNS += t.PredNS
 		if i == 0 || t.StartNS < span0 {
 			span0 = t.StartNS
 		}
@@ -226,7 +217,6 @@ func summarizeSchedule(tasks []Task) *ScheduleSummary {
 		}
 	}
 	s.Workers = len(workers)
-	s.ActualNS = s.BusyNS
 	if s.MakespanNS = span1 - span0; s.MakespanNS > 0 {
 		avail := int64(s.Workers) * s.MakespanNS
 		s.IdleNS = avail - s.BusyNS
@@ -245,7 +235,6 @@ func summarize(name string, tasks []Task, cells []Cell, keep func(string) bool) 
 			continue
 		}
 		s.Tasks++
-		s.PredictedNS += t.PredNS
 		durs = append(durs, float64(t.EndNS-t.StartNS))
 		if span0 == 0 || t.StartNS < span0 {
 			span0 = t.StartNS

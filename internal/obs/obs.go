@@ -12,7 +12,7 @@
 //
 // The package closes the loop the paper's methodology demands: a sweep is
 // not just tables, it is a performance record you can aggregate, diff, and
-// gate on (see cmd/benchgate).
+// gate on.
 package obs
 
 import (
@@ -109,8 +109,8 @@ type Cell struct {
 }
 
 // Task is the journal record of one scheduled grid/map slot. Worker,
-// StartNS, EndNS, and PredNS are volatile (schedule-dependent); the rest
-// is deterministic.
+// StartNS, and EndNS are volatile (schedule-dependent); the rest is
+// deterministic.
 type Task struct {
 	Experiment string `json:"exp,omitempty"`
 	// Index is the row-major dispatch index within the task's grid/map.
@@ -122,10 +122,6 @@ type Task struct {
 	// Volatile.
 	StartNS int64 `json:"start_ns,omitempty"`
 	EndNS   int64 `json:"end_ns,omitempty"`
-	// PredNS is the scheduler's cost prediction for the task (0 when no
-	// cost model or hint was installed). Volatile: predictions derive from
-	// host timings.
-	PredNS int64 `json:"pred_ns,omitempty"`
 }
 
 // Collector accumulates engine events in memory. It is safe for concurrent
@@ -187,7 +183,6 @@ func (c *Collector) TaskDone(ev engine.TaskEvent) {
 		Outcome:    outcomeOf(ev.Err),
 		StartNS:    int64(ev.Start),
 		EndNS:      int64(ev.End),
-		PredNS:     int64(ev.Predicted),
 	}
 	c.mu.Lock()
 	c.tasks = append(c.tasks, rec)

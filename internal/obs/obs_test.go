@@ -30,7 +30,7 @@ func runSweep(t *testing.T, opts ...engine.Option) (*obs.Collector, *engine.Runn
 	col := obs.NewCollector()
 	rn := engine.New(append([]engine.Option{engine.WithObserver(col)}, opts...)...)
 	rn.SetExperiment("sweep")
-	_, err := rn.Grid(context.Background(), 4, 4, func(ctx context.Context, r, c int) (any, error) {
+	_, err := rn.Grid(context.Background(), 4, 4, nil, func(ctx context.Context, r, c int) (any, error) {
 		// Two rows share each key, so half the cells memo-hit.
 		key := fmt.Sprintf("cell-%d-%d", r/2, c)
 		return engine.DoAs(rn, key, func() (simValue, error) {

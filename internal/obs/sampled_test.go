@@ -28,7 +28,7 @@ func runSampledSweep(t *testing.T, opts ...engine.Option) *obs.Collector {
 	col := obs.NewCollector()
 	rn := engine.New(append([]engine.Option{engine.WithObserver(col)}, opts...)...)
 	rn.SetExperiment("sampled")
-	_, err := rn.Grid(context.Background(), 2, 4, func(ctx context.Context, r, c int) (any, error) {
+	_, err := rn.Grid(context.Background(), 2, 4, nil, func(ctx context.Context, r, c int) (any, error) {
 		key := fmt.Sprintf("scell-%d-%d", r, c)
 		return engine.DoAs(rn, key, func() (sampledValue, error) {
 			v := sampledValue{simValue: simValue{V: r*4 + c, SimNS: sim.Duration(1000 * (c + 1))}}
@@ -84,7 +84,7 @@ func TestCellRecordsSampleStats(t *testing.T) {
 	fixedCol := obs.NewCollector()
 	rn := engine.New(engine.WithObserver(fixedCol))
 	rn.SetExperiment("fixed")
-	if _, err := rn.Grid(context.Background(), 2, 2, func(ctx context.Context, r, c int) (any, error) {
+	if _, err := rn.Grid(context.Background(), 2, 2, nil, func(ctx context.Context, r, c int) (any, error) {
 		return engine.DoAs(rn, fmt.Sprintf("f-%d-%d", r, c), func() (simValue, error) {
 			return simValue{V: r, SimNS: 100}, nil
 		})
@@ -103,9 +103,10 @@ func TestCellRecordsSampleStats(t *testing.T) {
 }
 
 // TestAdaptiveJournalByteStable runs a real adaptive core sweep through
-// observed runners at several worker counts and both schedule policies: the
-// journal (and therefore every sampled CI) must be byte-identical, proving
-// adaptive sampling kept the determinism contract.
+// observed runners at several worker counts and, cell by cell, under every
+// kind of cost function: the journal (and therefore every sampled CI) must
+// be byte-identical, proving adaptive sampling kept the determinism
+// contract.
 func TestAdaptiveJournalByteStable(t *testing.T) {
 	rc, err := stats.ParseRunConfig("min=2,max=8,ci=0.05")
 	if err != nil {
@@ -119,11 +120,11 @@ func TestAdaptiveJournalByteStable(t *testing.T) {
 	}
 	sizes := core.MessageSizes(32<<10, 256<<10)
 
-	journal := func(opts ...engine.Option) []byte {
+	journal := func(workers int, sweep func(rn *engine.Runner) error) []byte {
 		col := obs.NewCollector()
-		rn := engine.New(append([]engine.Option{engine.WithObserver(col)}, opts...)...)
+		rn := engine.New(engine.Workers(workers), engine.WithObserver(col))
 		rn.SetExperiment("adaptive-sweep")
-		if _, err := core.SweepMessageSizes(rn, cfg, sizes); err != nil {
+		if err := sweep(rn); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -133,18 +134,37 @@ func TestAdaptiveJournalByteStable(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	ref := journal(engine.Workers(1))
+	real := func(rn *engine.Runner) error {
+		_, err := core.SweepMessageSizes(rn, cfg, sizes)
+		return err
+	}
+	// withCost is SweepMessageSizes' cell loop under a cost function of the
+	// test's choosing instead of core's size x partitions heuristic.
+	withCost := func(cost func(i int) float64) func(rn *engine.Runner) error {
+		return func(rn *engine.Runner) error {
+			_, err := rn.Sweep(context.Background(), len(sizes), cost, func(_ context.Context, i int) (any, error) {
+				c := cfg
+				c.MessageBytes = sizes[i]
+				return core.RunCached(rn, c)
+			})
+			return err
+		}
+	}
+
+	ref := journal(1, real)
 	if !bytes.Contains(ref, []byte("ci_reason")) {
 		t.Fatal("adaptive sweep journal carries no sampling fields")
 	}
-	for _, workers := range []int{2, 8} {
-		if got := journal(engine.Workers(workers)); !bytes.Equal(ref, got) {
-			t.Fatalf("adaptive journal differs at -workers %d", workers)
-		}
-	}
-	for _, pol := range engine.Policies() {
-		if got := journal(engine.Workers(4), engine.WithSchedule(pol)); !bytes.Equal(ref, got) {
-			t.Fatalf("adaptive journal differs under %v scheduling", pol)
+	for name, sweep := range map[string]func(*engine.Runner) error{
+		"real":     real,
+		"none":     withCost(nil),
+		"reversed": withCost(func(i int) float64 { return -float64(sizes[i]) }),
+		"constant": withCost(func(int) float64 { return 1 }),
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			if got := journal(workers, sweep); !bytes.Equal(ref, got) {
+				t.Fatalf("adaptive journal differs at cost=%s -workers %d", name, workers)
+			}
 		}
 	}
 }

@@ -26,7 +26,7 @@ func runShardedSweep(t *testing.T) *obs.Collector {
 	col := obs.NewCollector()
 	rn := engine.New(engine.WithObserver(col))
 	rn.SetExperiment("sharded")
-	_, err := rn.Grid(context.Background(), 2, 4, func(ctx context.Context, r, c int) (any, error) {
+	_, err := rn.Grid(context.Background(), 2, 4, nil, func(ctx context.Context, r, c int) (any, error) {
 		key := fmt.Sprintf("shcell-%d", c)
 		return engine.DoAs(rn, key, func() (shardedValue, error) {
 			v := shardedValue{simValue: simValue{V: c, SimNS: sim.Duration(1000)}}

@@ -23,11 +23,6 @@ func WriteChromeTrace(w io.Writer, c *Collector) error {
 			name = "task"
 		}
 		args := map[string]string{"outcome": t.Outcome, "index": fmt.Sprint(t.Index)}
-		if t.PredNS > 0 {
-			// Predicted vs actual span length shows the scheduler's cost
-			// model accuracy directly in the trace viewer.
-			args["pred_ns"] = fmt.Sprint(t.PredNS)
-		}
 		rec.Span(0, t.Worker, "engine", fmt.Sprintf("%s[%d]", name, t.Index),
 			sim.Time(t.StartNS), sim.Time(t.EndNS), args)
 	}

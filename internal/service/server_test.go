@@ -516,3 +516,47 @@ func TestPanickingCellIs5xxAndServerLives(t *testing.T) {
 		t.Fatalf("request after the panic: status %d, %d body bytes; want 200", resp.StatusCode, len(body))
 	}
 }
+
+// TestConcurrentSweepsOfDifferentLength: two clients posting sweeps of
+// different lengths through one Server — one runner behind both — each get a
+// 200 byte-identical to their spec's serial reply, every time. A sweep's
+// cost function travels with its own engine call; when it sat in a slot on
+// the shared runner, one request could run with the other's and index out of
+// range.
+func TestConcurrentSweepsOfDifferentLength(t *testing.T) {
+	srv, _, _ := newTestServer(t, nil)
+	post := func(spec string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep?format=csv", strings.NewReader(spec)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	specs := []string{
+		`{"sweep":true,"min":"1KiB","max":"1KiB","parts":1,"compute":"1ms","iters":1}`,
+		`{"sweep":true,"min":"1KiB","max":"2KiB","parts":1,"compute":"1ms","iters":1}`,
+	}
+	var serial [2][]byte
+	for i, spec := range specs {
+		code, body := post(spec)
+		if code != http.StatusOK {
+			t.Fatalf("serial %s: status %d: %s", spec, code, body)
+		}
+		serial[i] = body
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for it := 0; it < 5000; it++ {
+				i := (c + it) % 2
+				code, body := post(specs[i])
+				if code != http.StatusOK || !bytes.Equal(body, serial[i]) {
+					t.Errorf("client %d, request %d: status %d, body %q; want 200 and the serial reply %q",
+						c, it, code, body, serial[i])
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}

@@ -2,7 +2,7 @@
 // daemon (cmd/sweepd): it accepts sweep specs as JSON, validates them at
 // the door, answers from the engine's content-addressed disk cache,
 // schedules misses through the engine (single-flight across clients,
-// LPT dispatch when configured), streams per-cell progress over SSE, and
+// largest cells first), streams per-cell progress over SSE, and
 // enforces admission control with explicit backpressure. Results served
 // over HTTP are byte-identical to the same spec run through the batch
 // CLIs: both sides resolve the spec to the same core.Config and render

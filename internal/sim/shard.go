@@ -259,9 +259,8 @@ func (g *ShardGroup) SetWorkers(n int) {
 
 // SetStealing enables (default) or disables work stealing. With stealing
 // off, every shard is pinned to its static owner worker (contiguous chunks
-// of the shard list), which is the un-balanced baseline the benchgate
-// imbalance gate compares against. Must be called before Run; never
-// affects results.
+// of the shard list), which is the un-balanced baseline stealing is
+// compared against. Must be called before Run; never affects results.
 func (g *ShardGroup) SetStealing(on bool) {
 	if g.running {
 		panic("sim: ShardGroup.SetStealing after Run")

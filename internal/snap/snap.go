@@ -158,10 +158,9 @@ func Profile(cfg Config, nodes int) (ProfilePoint, error) {
 func ProfileScaling(rn *engine.Runner, cfg Config, nodeCounts []int) ([]ProfilePoint, error) {
 	cfg = cfg.withDefaults()
 	r := engine.OrDefault(rn)
-	// Cold-cost heuristic for LPT dispatch: profile cost grows with the
-	// node count (more ranks to simulate).
-	r.SetCostHint(func(i int) float64 { return float64(nodeCounts[i]) })
-	vals, err := r.Map(context.Background(), len(nodeCounts), func(ctx context.Context, i int) (any, error) {
+	// Profile cost grows with the node count (more ranks to simulate).
+	cost := func(i int) float64 { return float64(nodeCounts[i]) }
+	vals, err := r.Sweep(context.Background(), len(nodeCounts), cost, func(ctx context.Context, i int) (any, error) {
 		n := nodeCounts[i]
 		key, kerr := engine.Key("snap.Profile", cfg, n)
 		if kerr != nil {
