@@ -52,8 +52,6 @@ func main() {
 		stencilStr  = flag.String("stencil", "", "run the stencil-scaling experiment instead: halo3d|sweep3d")
 		ranksFlag   = flag.Int("ranks", 512, "largest rank count of the -stencil scaling axis")
 		shards      = flag.Int("shards", 1, "event-loop shards per -stencil simulation (results are shard-invariant)")
-		mappingStr  = flag.String("shard-mapping", "", "rank-to-shard mapping for -stencil runs: block|roundrobin|skewed (default block)")
-		noSteal     = flag.Bool("no-steal", false, "disable work stealing in the shard worker pool (-stencil runs; results are unaffected)")
 		shardTrOut  = flag.String("shardtrace", "", "write a Chrome trace of per-worker shard-window execution to this file (-stencil runs; disables the result cache)")
 		topologyStr = flag.String("topology", "uniform", "network topology for -stencil runs: uniform|dragonfly")
 		traceOut    = flag.String("trace", "", "write a Chrome trace of the measured iterations to this file")
@@ -74,10 +72,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mapping, err := cliutil.ValidateShardMapping(*mappingStr)
-	if err != nil {
-		fatal(err)
-	}
 	if *stencilStr != "" {
 		if err := cliutil.ValidateShards(*shards, *ranksFlag); err != nil {
 			fatal(err)
@@ -86,8 +80,6 @@ func main() {
 			stencil:  *stencilStr,
 			ranks:    *ranksFlag,
 			shards:   *shards,
-			mapping:  mapping,
-			noSteal:  *noSteal,
 			traceOut: *shardTrOut,
 			topology: topology,
 		}, &eng, &out)
@@ -99,8 +91,8 @@ func main() {
 	if topology != "uniform" {
 		fatal(fmt.Errorf("-topology applies to the -stencil scaling mode"))
 	}
-	if mapping != "" || *noSteal || *shardTrOut != "" {
-		fatal(fmt.Errorf("-shard-mapping, -no-steal and -shardtrace apply to the -stencil scaling mode"))
+	if *shardTrOut != "" {
+		fatal(fmt.Errorf("-shardtrace applies to the -stencil scaling mode"))
 	}
 
 	spec := platform.Niagara()
@@ -230,8 +222,6 @@ type stencilOpts struct {
 	stencil  string
 	ranks    int
 	shards   int
-	mapping  string
-	noSteal  bool
 	traceOut string
 	topology string
 }
@@ -239,16 +229,13 @@ type stencilOpts struct {
 // runStencilScaling runs the weak/strong stencil-scaling experiment (the
 // Collom et al. comparison shape) on the sharded event loop and emits its
 // tables. Table content is virtual time and therefore shard-invariant; the
-// wall-clock line on stderr is where -shards (and the mapping/stealing
-// knobs) show up.
+// wall-clock line on stderr is where -shards shows up.
 func runStencilScaling(so stencilOpts, eng *cliutil.EngineFlags, out *cliutil.Output) {
 	opt := figures.ScalingOptions{
-		Stencil:      so.stencil,
-		Ranks:        figures.ScalingRanks(so.ranks),
-		Shards:       so.shards,
-		ShardMapping: so.mapping,
-		ShardNoSteal: so.noSteal,
-		Topology:     so.topology,
+		Stencil:  so.stencil,
+		Ranks:    figures.ScalingRanks(so.ranks),
+		Shards:   so.shards,
+		Topology: so.topology,
 	}
 	var shardRec *trace.Recorder
 	if so.traceOut != "" {
@@ -288,18 +275,9 @@ func runStencilScaling(so stencilOpts, eng *cliutil.EngineFlags, out *cliutil.Ou
 		}
 		fmt.Fprintf(os.Stderr, "partbench: wrote %d shard-window spans to %s (open in chrome://tracing)\n", shardRec.Len(), so.traceOut)
 	}
-	fmt.Fprintf(os.Stderr, "partbench: %s scaling ranks=%v shards=%d mapping=%s steal=%v topology=%s: wall %v\n",
-		so.stencil, opt.Ranks, so.shards, mappingName(so.mapping), !so.noSteal, so.topology, wall.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "partbench: %s scaling ranks=%v shards=%d topology=%s: wall %v\n",
+		so.stencil, opt.Ranks, so.shards, so.topology, wall.Round(time.Millisecond))
 	fmt.Fprintf(os.Stderr, "partbench: engine: %s\n", rn.Stats())
-}
-
-// mappingName renders the -shard-mapping value for logs ("" is the block
-// default).
-func mappingName(m string) string {
-	if m == "" {
-		return "block"
-	}
-	return m
 }
 
 func fatal(err error) {

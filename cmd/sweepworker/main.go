@@ -3,10 +3,11 @@
 // Coordinator). It registers over the schema-versioned wire protocol,
 // heartbeats, long-polls for tasks, runs each cell through the registered
 // cell kinds, and posts the cell's result JSON plus its measured host-ns
-// cost back — the result goes into the engine's cache, the cost into the
-// coordinator's backlog predictions. The simulator is deterministic and cells are content-addressed, so
-// a cell computed here is byte-identical to one computed locally; adding
-// workers changes only wall-clock time, never results.
+// cost back — the result goes into the engine's cache, the cost into its
+// per-worker telemetry (stats line, metrics, trace lanes). The simulator is
+// deterministic and cells are content-addressed, so a cell computed here is
+// byte-identical to one computed locally; adding workers changes only
+// wall-clock time, never results.
 //
 // Example:
 //

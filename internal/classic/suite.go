@@ -128,38 +128,3 @@ func Suite(rn *engine.Runner, p SuiteParams) ([]*report.Table, error) {
 	}
 	return out, nil
 }
-
-// suiteParams derives the suite knobs from generic experiment parameters.
-func suiteParams(p engine.Params) SuiteParams {
-	cfg := DefaultConfig()
-	cfg.Platform = p.Spec
-	sizes := []int64{8 << 10, 64 << 10, 512 << 10, 4 << 20}
-	if p.Scale == "full" {
-		sizes = []int64{8, 64, 1 << 10, 8 << 10, 64 << 10, 512 << 10, 4 << 20}
-	}
-	return SuiteParams{Config: cfg, Sizes: sizes, Window: 16}
-}
-
-func init() {
-	for _, name := range Benches() {
-		name := name
-		engine.Register(engine.Experiment{
-			Name:  "classic/" + name,
-			Title: "classic " + name + " benchmark",
-			Run: func(rn *engine.Runner, p engine.Params) ([]*report.Table, error) {
-				t, err := BenchTable(rn, name, suiteParams(p))
-				if err != nil {
-					return nil, err
-				}
-				return []*report.Table{t}, nil
-			},
-		})
-	}
-	engine.Register(engine.Experiment{
-		Name:  "classic/all",
-		Title: "classic benchmark suite",
-		Run: func(rn *engine.Runner, p engine.Params) ([]*report.Table, error) {
-			return Suite(rn, suiteParams(p))
-		},
-	})
-}

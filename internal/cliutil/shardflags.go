@@ -19,25 +19,6 @@ func ValidateShards(shards, ranks int) error {
 	return nil
 }
 
-// ShardMappings lists the rank→shard mapping names the CLIs accept, in
-// help order; "" means the default (block). Kept in sync with
-// cluster.ShardMapping.
-var ShardMappings = []string{"block", "roundrobin", "skewed"}
-
-// ValidateShardMapping normalizes a -shard-mapping name ("" passes through
-// as the block default), rejecting unknown names at startup.
-func ValidateShardMapping(name string) (string, error) {
-	if name == "" {
-		return "", nil
-	}
-	for _, m := range ShardMappings {
-		if name == m {
-			return m, nil
-		}
-	}
-	return "", fmt.Errorf("cliutil: unknown shard mapping %q (want block|roundrobin|skewed)", name)
-}
-
 // ValidateTopology normalizes a -topology name, rejecting unknown names at
 // startup rather than after a long run.
 func ValidateTopology(name string) (string, error) {

@@ -22,22 +22,6 @@ func TestValidateShards(t *testing.T) {
 	}
 }
 
-func TestValidateShardMapping(t *testing.T) {
-	if got, err := ValidateShardMapping(""); err != nil || got != "" {
-		t.Errorf("ValidateShardMapping(\"\") = %q, %v; want the block default to pass through", got, err)
-	}
-	for _, name := range ShardMappings {
-		if got, err := ValidateShardMapping(name); err != nil || got != name {
-			t.Errorf("ValidateShardMapping(%q) = %q, %v", name, got, err)
-		}
-	}
-	for _, name := range []string{"zigzag", "Block", "round-robin"} {
-		if _, err := ValidateShardMapping(name); err == nil {
-			t.Errorf("ValidateShardMapping(%q) accepted", name)
-		}
-	}
-}
-
 func TestValidateTopology(t *testing.T) {
 	for _, name := range Topologies {
 		if got, err := ValidateTopology(name); err != nil || got != name {

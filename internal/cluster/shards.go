@@ -2,9 +2,9 @@ package cluster
 
 import "fmt"
 
-// Shard mappings partition MPI ranks onto event-loop shards for the
-// conservative parallel simulation (sim.ShardGroup). The mapping is a pure
-// function rank → shard; both styles keep every shard non-empty.
+// A shard mapping partitions MPI ranks onto event-loop shards for the
+// conservative parallel simulation (sim.ShardGroup): a pure function
+// rank → shard.
 
 // BlockShards maps contiguous blocks of ranks to each shard — the per-node
 // (and per-wing, when block size is a multiple of the wing size) mapping.
@@ -16,65 +16,6 @@ func BlockShards(ranks, shards int) (func(rank int) int, error) {
 	}
 	per := (ranks + shards - 1) / shards
 	return func(rank int) int { return rank / per }, nil
-}
-
-// RoundRobinShards maps rank r to shard r mod shards — the per-rank scatter
-// mapping, useful when load balance matters more than locality.
-func RoundRobinShards(ranks, shards int) (func(rank int) int, error) {
-	if err := validateShardCount(ranks, shards); err != nil {
-		return nil, err
-	}
-	return func(rank int) int { return rank % shards }, nil
-}
-
-// SkewedShards builds a deliberately imbalanced mapping: the first one or
-// two "heavy" shards hold ~80% of the ranks in contiguous blocks and the
-// remaining shards split the rest evenly. It models the uneven
-// decompositions that realistic partitions produce and is the adversarial
-// input of the work-stealing benchmarks: with stealing off, the heavy
-// shards sit in one static owner's chunk and serialize every window.
-func SkewedShards(ranks, shards int) (func(rank int) int, error) {
-	if err := validateShardCount(ranks, shards); err != nil {
-		return nil, err
-	}
-	if shards == 1 {
-		return func(int) int { return 0 }, nil
-	}
-	heavies := 2
-	if shards == 2 {
-		heavies = 1
-	}
-	light := shards - heavies
-	heavy := 4 * ranks / 5 / heavies
-	if rest := ranks - heavies*heavy; rest < light {
-		// Not enough ranks left for one per light shard; give the excess
-		// back until every shard is non-empty.
-		heavy = (ranks - light) / heavies
-	}
-	off := heavies * heavy
-	rest := ranks - off
-	return func(rank int) int {
-		if rank < off {
-			return rank / heavy
-		}
-		// Even contiguous split of the remainder over the light shards;
-		// surjective because rest >= light.
-		return heavies + (rank-off)*light/rest
-	}, nil
-}
-
-// ShardMapping resolves a mapping by name: "block" (or "") is BlockShards,
-// "roundrobin" is RoundRobinShards, and "skewed" is SkewedShards.
-func ShardMapping(name string, ranks, shards int) (func(rank int) int, error) {
-	switch name {
-	case "", "block":
-		return BlockShards(ranks, shards)
-	case "roundrobin", "rr":
-		return RoundRobinShards(ranks, shards)
-	case "skewed":
-		return SkewedShards(ranks, shards)
-	}
-	return nil, fmt.Errorf("cluster: unknown shard mapping %q (want block|roundrobin|skewed)", name)
 }
 
 func validateShardCount(ranks, shards int) error {

@@ -23,94 +23,12 @@ func TestBlockShards(t *testing.T) {
 	}
 }
 
-func TestRoundRobinShards(t *testing.T) {
-	m, err := RoundRobinShards(5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 5; r++ {
-		if got := m(r); got != r%2 {
-			t.Fatalf("RoundRobinShards(5,2)(%d) = %d", r, got)
-		}
-	}
-}
-
-func TestSkewedShards(t *testing.T) {
-	// Exhaustive structural check across a sweep of shapes: the mapping is
-	// monotone (contiguous blocks), covers every shard, and concentrates
-	// ~80% of the ranks on the heavy shards.
-	for _, tc := range []struct{ ranks, shards int }{
-		{8, 2}, {8, 3}, {8, 8}, {64, 4}, {512, 16}, {100, 3}, {7, 5},
-	} {
-		m, err := SkewedShards(tc.ranks, tc.shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts := make([]int, tc.shards)
-		last := 0
-		for r := 0; r < tc.ranks; r++ {
-			s := m(r)
-			if s < 0 || s >= tc.shards {
-				t.Fatalf("SkewedShards(%d,%d)(%d) = %d out of range", tc.ranks, tc.shards, r, s)
-			}
-			if s < last {
-				t.Fatalf("SkewedShards(%d,%d) not monotone at rank %d", tc.ranks, tc.shards, r)
-			}
-			last = s
-			counts[s]++
-		}
-		for s, c := range counts {
-			if c == 0 {
-				t.Fatalf("SkewedShards(%d,%d): shard %d empty (%v)", tc.ranks, tc.shards, s, counts)
-			}
-		}
-		heavies := 2
-		if tc.shards == 2 {
-			heavies = 1
-		}
-		if tc.ranks >= 4*tc.shards {
-			heavy := 0
-			for s := 0; s < heavies; s++ {
-				heavy += counts[s]
-			}
-			if frac := float64(heavy) / float64(tc.ranks); frac < 0.6 {
-				t.Fatalf("SkewedShards(%d,%d): heavy shards hold only %.0f%% (%v)", tc.ranks, tc.shards, 100*frac, counts)
-			}
-		}
-	}
-}
-
-func TestShardMapping(t *testing.T) {
-	// Each name resolves to its mapping; rank 5 of 8 over 4 shards
-	// distinguishes all three.
-	for name, want := range map[string]int{
-		"":           2, // block: blocks of 2
-		"block":      2,
-		"roundrobin": 1, // 5 mod 4
-		"skewed":     1, // heavy shards 0,1 hold 3 ranks each: 5 -> shard 1
-	} {
-		m, err := ShardMapping(name, 8, 4)
-		if err != nil {
-			t.Fatalf("ShardMapping(%q): %v", name, err)
-		}
-		if got := m(5); got != want {
-			t.Fatalf("ShardMapping(%q)(5) = %d, want %d", name, got, want)
-		}
-	}
-	if _, err := ShardMapping("zigzag", 8, 4); err == nil {
-		t.Fatal("unknown mapping accepted")
-	}
-}
-
 func TestShardCountValidation(t *testing.T) {
 	for _, tc := range []struct{ ranks, shards int }{
 		{8, 0}, {8, -1}, {8, 9}, {0, 1},
 	} {
 		if _, err := BlockShards(tc.ranks, tc.shards); err == nil {
 			t.Fatalf("BlockShards(%d,%d): no error", tc.ranks, tc.shards)
-		}
-		if _, err := RoundRobinShards(tc.ranks, tc.shards); err == nil {
-			t.Fatalf("RoundRobinShards(%d,%d): no error", tc.ranks, tc.shards)
 		}
 	}
 	if m, err := BlockShards(8, 1); err != nil || m(7) != 0 {

@@ -8,9 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"partmb/internal/platform"
-	"partmb/internal/report"
 )
 
 func TestGridFillsAllCells(t *testing.T) {
@@ -294,44 +291,4 @@ func TestProgressCallback(t *testing.T) {
 			t.Fatalf("progress out of order: %v", seen)
 		}
 	}
-}
-
-func TestRegistry(t *testing.T) {
-	exp := Experiment{
-		Name:  "test/registry-exp",
-		Title: "registry smoke test",
-		Run: func(rn *Runner, p Params) ([]*report.Table, error) {
-			tab := report.New("t", "k", "v")
-			tab.AddF(p.Option("key", "fallback"), p.Scale)
-			return []*report.Table{tab}, nil
-		},
-	}
-	if _, ok := Lookup(exp.Name); !ok { // global registry persists across -count reruns
-		Register(exp)
-	}
-	got, ok := Lookup("test/registry-exp")
-	if !ok {
-		t.Fatal("registered experiment not found")
-	}
-	tabs, err := got.Run(New(), Params{Scale: "quick", Spec: platform.Niagara()})
-	if err != nil || len(tabs) != 1 {
-		t.Fatalf("run: %v, %d tables", err, len(tabs))
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "test/registry-exp" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Names() missing registered experiment: %v", Names())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate Register did not panic")
-			}
-		}()
-		Register(exp)
-	}()
 }

@@ -618,20 +618,3 @@ func withoutOne(counts []int) []int {
 	}
 	return out
 }
-
-func init() {
-	for _, fig := range Numbers() {
-		fig := fig
-		engine.Register(engine.Experiment{
-			Name:  fmt.Sprintf("fig%02d", fig),
-			Title: fmt.Sprintf("paper Figure %d", fig),
-			Run: func(rn *engine.Runner, p engine.Params) ([]*report.Table, error) {
-				sc, err := ScaleByName(p.Scale)
-				if err != nil {
-					return nil, err
-				}
-				return Env{Runner: rn, Spec: p.Spec}.Generate(fig, sc)
-			},
-		})
-	}
-}

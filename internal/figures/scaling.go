@@ -40,12 +40,6 @@ type ScalingOptions struct {
 	// Shards is the event-loop shard count each simulation runs on
 	// (virtual results are identical at every value; see patterns).
 	Shards int
-	// ShardMapping names the rank→shard mapping ("" = block; see
-	// cluster.ShardMapping) and ShardNoSteal disables work stealing in the
-	// shard group's worker pool. Both change only the parallel execution
-	// shape — table content is identical regardless.
-	ShardMapping string
-	ShardNoSteal bool
 	// ShardTrace, when non-nil, records per-worker shard-window spans for
 	// every cell on this recorder. Traced cells bypass the result cache
 	// (see patterns), so use it for one-off profiling runs only.
@@ -259,8 +253,6 @@ func (e Env) runScalingCell(opt ScalingOptions, s scalingSeries, n int, perRank 
 			Mode:           s.mode,
 			Platform:       spec,
 			Shards:         opt.Shards,
-			ShardMapping:   opt.ShardMapping,
-			ShardNoSteal:   opt.ShardNoSteal,
 			ShardTrace:     opt.ShardTrace,
 			Topology:       topo,
 		})
@@ -275,8 +267,6 @@ func (e Env) runScalingCell(opt ScalingOptions, s scalingSeries, n int, perRank 
 		Mode:          s.mode,
 		Platform:      spec,
 		Shards:        opt.Shards,
-		ShardMapping:  opt.ShardMapping,
-		ShardNoSteal:  opt.ShardNoSteal,
 		ShardTrace:    opt.ShardTrace,
 		Topology:      topo,
 	})

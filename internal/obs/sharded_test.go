@@ -32,7 +32,7 @@ func runShardedSweep(t *testing.T) *obs.Collector {
 			v := shardedValue{simValue: simValue{V: c, SimNS: sim.Duration(1000)}}
 			if c < 2 {
 				v.Shard = &sim.ShardStats{
-					Shards: 4, Workers: 2, Stealing: true,
+					Shards: 4, Workers: 2,
 					Windows: int64(10 * (c + 1)), Events: int64(100 * (c + 1)),
 					Steals: int64(c + 1), ImbalanceMean: float64(c + 2),
 				}

@@ -43,18 +43,8 @@ type HaloConfig struct {
 	// Shards runs the simulation on this many parallel event-loop shards
 	// with conservative lookahead synchronization; 0 or 1 selects the
 	// sequential reference kernel. Ranks are block-mapped onto shards
-	// (cluster.BlockShards) unless ShardMapping says otherwise. Results
-	// are identical at any shard count.
+	// (cluster.BlockShards). Results are identical at any shard count.
 	Shards int
-	// ShardMapping selects the rank→shard mapping by name ("" or "block",
-	// "roundrobin", "skewed" — see cluster.ShardMapping). The mapping
-	// changes only the parallel execution shape, never the result.
-	ShardMapping string `json:",omitempty"`
-	// ShardNoSteal disables work stealing in the shard group's window
-	// worker pool, pinning every shard to its static owner worker — the
-	// un-balanced baseline the stealing benchmarks compare against.
-	// Results are unaffected.
-	ShardNoSteal bool `json:",omitempty"`
 	// ShardTrace, when non-nil, records one Chrome-trace span per executed
 	// shard-window on per-worker lanes. Host-timing dependent, so traced
 	// configs are never cached (excluded from the cache key and forced to
@@ -226,8 +216,7 @@ func RunHalo3D(cfg HaloConfig) (*Result, error) {
 	mcfg.Machine = pf.Machine
 	mcfg.Mem = memsim.Default(pf.Cache)
 	configureMode(&mcfg, cfg.Mode, pf.Impl)
-	w, runSim, shardStats, err := buildWorld(cfg.Shards, nRanks, mcfg, cfg.Topology,
-		shardOpts{mapping: cfg.ShardMapping, noSteal: cfg.ShardNoSteal, trace: cfg.ShardTrace})
+	w, runSim, shardStats, err := buildWorld(cfg.Shards, nRanks, mcfg, cfg.Topology, cfg.ShardTrace)
 	if err != nil {
 		return nil, err
 	}

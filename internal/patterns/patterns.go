@@ -134,8 +134,8 @@ type Result struct {
 	// used a multi-shard group (nil on the sequential kernel and on
 	// disk-cache hits). It is host-side telemetry — windows, steals,
 	// imbalance — and deliberately excluded from JSON: the motif result
-	// proper is byte-identical at any shard count, worker count, or
-	// stealing mode, and cache entries and goldens must stay that way.
+	// proper is byte-identical at any shard count or worker count, and
+	// cache entries and goldens must stay that way.
 	Shard *sim.ShardStats `json:"-"`
 }
 

@@ -12,15 +12,11 @@ import (
 	"partmb/internal/trace"
 )
 
-// shardOpts bundles the execution knobs of the sharded kernel that motif
-// configs expose: the rank→shard mapping name (cluster.ShardMapping), the
-// stealing switch, and an optional trace recorder for per-worker window
-// lanes.
-type shardOpts struct {
-	mapping string
-	noSteal bool
-	trace   *trace.Recorder
-}
+// shardMapping builds the rank→shard function buildWorld partitions a world
+// with. Block is the mapping; the variable is the seam through which the
+// tests drive the sharded kernel under adversarial (skewed, round-robin)
+// partitions, which must never change a result.
+var shardMapping = cluster.BlockShards
 
 // shardTracePids allocates one Chrome-trace process row per traced shard
 // group, after the engine's rows (pid 0 = engine lanes, pid 1 = remote
@@ -31,12 +27,13 @@ const shardTracePidBase = 2
 
 // buildWorld constructs the simulation world a motif runs in: the sequential
 // reference kernel when shards <= 1, otherwise a conservatively synchronized
-// shard group with ranks mapped onto shards (block by default) and the
-// topology's minimum cross-shard latency as lookahead. The returned run
-// function drives the simulation to completion; the stats function reports
-// the group's execution counters after the run (nil for the sequential
-// kernel, whose results the sharded runs must reproduce exactly).
-func buildWorld(shards, nRanks int, mcfg mpi.Config, topo netsim.Topology, opts shardOpts) (*mpi.World, func() error, func() *sim.ShardStats, error) {
+// shard group with ranks block-mapped onto shards and the topology's minimum
+// cross-shard latency as lookahead. A non-nil tr records one span per
+// executed shard-window on per-worker lanes. The returned run function
+// drives the simulation to completion; the stats function reports the
+// group's execution counters after the run (nil for the sequential kernel,
+// whose results the sharded runs must reproduce exactly).
+func buildWorld(shards, nRanks int, mcfg mpi.Config, topo netsim.Topology, tr *trace.Recorder) (*mpi.World, func() error, func() *sim.ShardStats, error) {
 	if topo != nil {
 		mcfg.Topology = topo
 	}
@@ -44,7 +41,7 @@ func buildWorld(shards, nRanks int, mcfg mpi.Config, topo netsim.Topology, opts 
 		s := sim.New()
 		return mpi.NewWorld(s, mcfg), s.Run, nil, nil
 	}
-	shardOf, err := cluster.ShardMapping(opts.mapping, nRanks, shards)
+	shardOf, err := shardMapping(nRanks, shards)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("patterns: %w", err)
 	}
@@ -57,11 +54,7 @@ func buildWorld(shards, nRanks int, mcfg mpi.Config, topo netsim.Topology, opts 
 			mcfg.Topology.Describe(), shards, nRanks)
 	}
 	g := sim.NewShardGroup(shards, la)
-	if opts.noSteal {
-		g.SetStealing(false)
-	}
-	if opts.trace != nil {
-		tr := opts.trace
+	if tr != nil {
 		pid := shardTracePidBase + int(shardTracePids.Add(1)) - 1
 		g.SetSpanObserver(func(sp sim.ShardSpan) {
 			tr.Span(pid, sp.Worker, "shard", fmt.Sprintf("shard %d", sp.Shard),

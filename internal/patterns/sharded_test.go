@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"partmb/internal/cluster"
+	"partmb/internal/engine"
 	"partmb/internal/mpi"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
@@ -13,8 +15,8 @@ import (
 
 // virtualResult strips the host-side Shard telemetry from a Result so tests
 // can compare the virtual-time outcome by value: the motif result proper must
-// be identical at any shard count, worker count, or stealing mode, while the
-// Shard counters legitimately differ run to run.
+// be identical at any shard count, worker count, or rank→shard mapping, while
+// the Shard counters legitimately differ run to run.
 func virtualResult(r *Result) Result {
 	v := *r
 	v.Shard = nil
@@ -190,12 +192,102 @@ func TestDecompose(t *testing.T) {
 	}
 }
 
-// TestHalo3DShardMappingIdentity pins the mapping knob: a skewed or
-// round-robin rank→shard mapping, with stealing on or off, changes only the
+// roundRobinShards maps rank r to shard r mod shards: the per-rank scatter
+// that cuts every neighbour link of a block-decomposed motif.
+func roundRobinShards(ranks, shards int) (func(rank int) int, error) {
+	return func(rank int) int { return rank % shards }, nil
+}
+
+// skewedShards builds a deliberately imbalanced mapping: the first one or
+// two "heavy" shards hold ~80% of the ranks in contiguous blocks and the
+// remaining shards split the rest evenly — adversarial for the window pool,
+// whose even split puts both heavy shards on worker 0.
+func skewedShards(ranks, shards int) (func(rank int) int, error) {
+	heavies := 2
+	if shards == 2 {
+		heavies = 1
+	}
+	light := shards - heavies
+	heavy := 4 * ranks / 5 / heavies
+	if rest := ranks - heavies*heavy; rest < light {
+		// Not enough ranks left for one per light shard; give the excess
+		// back until every shard is non-empty.
+		heavy = (ranks - light) / heavies
+	}
+	off := heavies * heavy
+	rest := ranks - off
+	return func(rank int) int {
+		if rank < off {
+			return rank / heavy
+		}
+		// Even contiguous split of the remainder over the light shards;
+		// surjective because rest >= light.
+		return heavies + (rank-off)*light/rest
+	}, nil
+}
+
+var testMappings = map[string]func(ranks, shards int) (func(rank int) int, error){
+	"block":      cluster.BlockShards,
+	"roundrobin": roundRobinShards,
+	"skewed":     skewedShards,
+}
+
+// useMapping points buildWorld's mapping seam at the named test
+// mapping until the test ends. Tests using it must not run in parallel.
+func useMapping(t *testing.T, name string) {
+	old := shardMapping
+	shardMapping = testMappings[name]
+	t.Cleanup(func() { shardMapping = old })
+}
+
+func TestSkewedShards(t *testing.T) {
+	// Structural check across a sweep of shapes: the mapping is monotone
+	// (contiguous blocks), covers every shard, and concentrates most of the
+	// ranks on the heavy shards.
+	for _, tc := range []struct{ ranks, shards int }{
+		{8, 2}, {8, 3}, {8, 8}, {64, 4}, {512, 16}, {100, 3}, {7, 5},
+	} {
+		m, _ := skewedShards(tc.ranks, tc.shards)
+		counts := make([]int, tc.shards)
+		last := 0
+		for r := 0; r < tc.ranks; r++ {
+			s := m(r)
+			if s < 0 || s >= tc.shards {
+				t.Fatalf("skewedShards(%d,%d)(%d) = %d out of range", tc.ranks, tc.shards, r, s)
+			}
+			if s < last {
+				t.Fatalf("skewedShards(%d,%d) not monotone at rank %d", tc.ranks, tc.shards, r)
+			}
+			last = s
+			counts[s]++
+		}
+		for s, c := range counts {
+			if c == 0 {
+				t.Fatalf("skewedShards(%d,%d): shard %d empty (%v)", tc.ranks, tc.shards, s, counts)
+			}
+		}
+		heavies := 2
+		if tc.shards == 2 {
+			heavies = 1
+		}
+		if tc.ranks >= 4*tc.shards {
+			heavy := 0
+			for s := 0; s < heavies; s++ {
+				heavy += counts[s]
+			}
+			if frac := float64(heavy) / float64(tc.ranks); frac < 0.6 {
+				t.Fatalf("skewedShards(%d,%d): heavy shards hold only %.0f%% (%v)", tc.ranks, tc.shards, 100*frac, counts)
+			}
+		}
+	}
+}
+
+// TestHalo3DShardMappingIdentity pins that the rank→shard mapping is an
+// execution detail: a skewed or round-robin mapping changes only the
 // parallel execution shape — the motif result stays byte-for-byte the
 // sequential one.
 func TestHalo3DShardMappingIdentity(t *testing.T) {
-	run := func(shards int, mapping string, noSteal bool) *Result {
+	run := func(shards int) *Result {
 		res, err := RunHalo3D(HaloConfig{
 			Nx: 2, Ny: 2, Nz: 2,
 			ThreadsPerDim: 2,
@@ -204,44 +296,35 @@ func TestHalo3DShardMappingIdentity(t *testing.T) {
 			Repeats:       3,
 			Mode:          Partitioned,
 			Shards:        shards,
-			ShardMapping:  mapping,
-			ShardNoSteal:  noSteal,
 		})
 		if err != nil {
-			t.Fatalf("shards=%d mapping=%q noSteal=%v: %v", shards, mapping, noSteal, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		return res
 	}
-	want := virtualResult(run(1, "", false))
+	want := virtualResult(run(1))
 	for _, mapping := range []string{"block", "roundrobin", "skewed"} {
-		for _, noSteal := range []bool{false, true} {
+		t.Run(mapping, func(t *testing.T) {
+			useMapping(t, mapping)
 			for _, shards := range []int{2, 4} {
-				got := run(shards, mapping, noSteal)
-				if virtualResult(got) != want {
-					t.Errorf("shards=%d mapping=%q noSteal=%v: result %v != sequential", shards, mapping, noSteal, got)
-				}
-				if got.Shard.Stealing == noSteal {
-					t.Errorf("shards=%d mapping=%q: Stealing=%v, want %v", shards, mapping, got.Shard.Stealing, !noSteal)
+				if got := run(shards); virtualResult(got) != want {
+					t.Errorf("shards=%d: result %v != sequential", shards, got)
 				}
 			}
-		}
-	}
-	bad := HaloConfig{Nx: 2, Ny: 2, Nz: 2, ThreadsPerDim: 1, FaceBytes: 1024, Mode: Single, Shards: 2, ShardMapping: "zigzag"}
-	if _, err := RunHalo3D(bad); err == nil {
-		t.Error("unknown shard mapping accepted")
+		})
 	}
 }
 
 // TestShardedJSONByteIdentity is the serialization property test the cache
 // and goldens depend on: the JSON encoding of a motif result is identical
-// across shard counts, worker counts (GOMAXPROCS), and stealing modes —
-// the Shard telemetry never leaks into the encoded form. Not parallel: it
+// across shard counts, worker counts (GOMAXPROCS), and rank→shard mappings
+// — the Shard telemetry never leaks into the encoded form. Not parallel: it
 // flips GOMAXPROCS for the whole process.
 func TestShardedJSONByteIdentity(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 
-	encode := func(shards, procs int, noSteal bool) string {
+	encode := func(shards, procs int) string {
 		runtime.GOMAXPROCS(procs)
 		res, err := RunSweep3D(SweepConfig{
 			Px: 4, Py: 2,
@@ -253,8 +336,6 @@ func TestShardedJSONByteIdentity(t *testing.T) {
 			Repeats:        1,
 			Mode:           Partitioned,
 			Shards:         shards,
-			ShardMapping:   "skewed",
-			ShardNoSteal:   noSteal,
 		})
 		if err != nil {
 			t.Fatalf("shards=%d procs=%d: %v", shards, procs, err)
@@ -265,23 +346,27 @@ func TestShardedJSONByteIdentity(t *testing.T) {
 		}
 		return string(b)
 	}
-	want := encode(1, 1, false)
-	for _, shards := range []int{1, 2, 8} {
-		for _, procs := range []int{1, 2, 8} {
-			for _, noSteal := range []bool{false, true} {
-				if got := encode(shards, procs, noSteal); got != want {
-					t.Errorf("shards=%d procs=%d noSteal=%v: JSON %s != %s", shards, procs, noSteal, got, want)
+	want := encode(1, 1)
+	for _, mapping := range []string{"skewed", "roundrobin"} {
+		t.Run(mapping, func(t *testing.T) {
+			useMapping(t, mapping)
+			for _, shards := range []int{2, 8} {
+				for _, procs := range []int{1, 2, 8} {
+					if got := encode(shards, procs); got != want {
+						t.Errorf("shards=%d procs=%d: JSON %s != %s", shards, procs, got, want)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestHalo3DSkewedStress drives an adversarially imbalanced partition — two
-// heavy shards holding ~80% of the ranks, both owned by worker 0's static
-// chunk — through many windows with stealing on. Primarily a -race exercise
-// of the worker pool's claim/steal paths under real motif traffic.
+// heavy shards holding ~80% of the ranks, both in worker 0's half of an even
+// split — through many windows. Primarily a -race exercise of the worker
+// pool's claim path under real motif traffic.
 func TestHalo3DSkewedStress(t *testing.T) {
+	useMapping(t, "skewed")
 	res, err := RunHalo3D(HaloConfig{
 		Nx: 4, Ny: 4, Nz: 2,
 		ThreadsPerDim: 1,
@@ -290,7 +375,6 @@ func TestHalo3DSkewedStress(t *testing.T) {
 		Repeats:       6,
 		Mode:          Single,
 		Shards:        8,
-		ShardMapping:  "skewed",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,6 +384,39 @@ func TestHalo3DSkewedStress(t *testing.T) {
 	}
 	if res.Shard.ImbalanceMax < 1.0 {
 		t.Errorf("ImbalanceMax = %v on a skewed mapping", res.Shard.ImbalanceMax)
+	}
+}
+
+// TestShardedKeysUnchanged pins the cache keys of sharded motif configs to
+// literal hashes: a field added to or dropped from HaloConfig/SweepConfig
+// must not move the key of a config that leaves it zero, or every cell in
+// an existing -cachedir is orphaned.
+func TestShardedKeysUnchanged(t *testing.T) {
+	halo, err := engine.Key("patterns.Halo3D", HaloConfig{
+		Nx: 4, Ny: 2, Nz: 2,
+		ThreadsPerDim: 2,
+		FaceBytes:     16 << 10,
+		Compute:       5 * sim.Microsecond,
+		Repeats:       3,
+		Mode:          Partitioned,
+		Shards:        4,
+	}.withDefaults())
+	if want := "b78581e524e5ea26be89a7ade1245d80f735d084f1e8cf2b11494df94bcbc975"; err != nil || halo != want {
+		t.Errorf("Halo3D key = %s, %v; want %s", halo, err, want)
+	}
+	sweep, err := engine.Key("patterns.Sweep3D", SweepConfig{
+		Px: 4, Py: 2,
+		Threads:        4,
+		BytesPerThread: 2048,
+		Compute:        5 * sim.Microsecond,
+		ZBlocks:        2,
+		Octants:        4,
+		Repeats:        1,
+		Mode:           Partitioned,
+		Shards:         4,
+	}.withDefaults())
+	if want := "cba52c9eed8452c984f4bf2f947be4352a80c24539ab1194e59a4b2ceaf67536"; err != nil || sweep != want {
+		t.Errorf("Sweep3D key = %s, %v; want %s", sweep, err, want)
 	}
 }
 

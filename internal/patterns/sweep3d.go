@@ -46,12 +46,9 @@ type SweepConfig struct {
 	// Shards runs the simulation on this many parallel event-loop shards
 	// (0 or 1 = the sequential reference kernel); see HaloConfig.Shards.
 	Shards int
-	// ShardMapping / ShardNoSteal / ShardTrace are the sharded-execution
-	// knobs; see the HaloConfig fields of the same names. None of them
-	// affect the result.
-	ShardMapping string          `json:",omitempty"`
-	ShardNoSteal bool            `json:",omitempty"`
-	ShardTrace   *trace.Recorder `json:"-"`
+	// ShardTrace records per-worker shard-window spans; see
+	// HaloConfig.ShardTrace. It does not affect the result.
+	ShardTrace *trace.Recorder `json:"-"`
 	// Topology overrides the network topology (nil = single-switch uniform).
 	Topology netsim.Topology
 	// Adaptive, when non-nil, estimates the motif's throughput from
@@ -188,8 +185,7 @@ func RunSweep3D(cfg SweepConfig) (*Result, error) {
 	mcfg.Machine = pf.Machine
 	mcfg.Mem = memsim.Default(pf.Cache)
 	configureMode(&mcfg, cfg.Mode, pf.Impl)
-	w, runSim, shardStats, err := buildWorld(cfg.Shards, cfg.Px*cfg.Py, mcfg, cfg.Topology,
-		shardOpts{mapping: cfg.ShardMapping, noSteal: cfg.ShardNoSteal, trace: cfg.ShardTrace})
+	w, runSim, shardStats, err := buildWorld(cfg.Shards, cfg.Px*cfg.Py, mcfg, cfg.Topology, cfg.ShardTrace)
 	if err != nil {
 		return nil, err
 	}

@@ -1,28 +1,27 @@
 package remote
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"partmb/internal/engine"
-
-	"context"
 )
 
 // CoordinatorConfig tunes a Coordinator.
 type CoordinatorConfig struct {
 	// HeartbeatTimeout is how long a silent worker stays live; past it the
-	// worker is declared lost, its queued tasks are requeued to survivors,
-	// and its leased tasks fail transiently (the engine's retry policy then
-	// re-dispatches them). 0 means the 10s default; negative disables
-	// expiry (tests drive it explicitly).
+	// worker is declared lost and its leased tasks fail transiently (the
+	// engine's retry policy then re-dispatches them). 0 means the 10s
+	// default; negative disables expiry (tests drive it explicitly).
 	HeartbeatTimeout time.Duration
 	// Logf, when non-nil, receives one line per lifecycle event (register,
-	// leave, lost worker, requeue) — wire it to log.Printf in daemons.
+	// leave, lost worker) — wire it to log.Printf in daemons.
 	Logf func(format string, args ...any)
 }
 
@@ -30,30 +29,35 @@ type CoordinatorConfig struct {
 // within; the worker runtime heartbeats several times per window.
 const DefaultHeartbeatTimeout = 10 * time.Second
 
+// maxMessageBytes caps the body of one worker message. The largest cell
+// value in the tree is kilobytes; the cap only keeps a broken or hostile
+// worker from making the coordinator buffer an arbitrarily large POST.
+const maxMessageBytes = 64 << 20
+
 // Coordinator is the driver-side half of distributed execution. It is both
 // an engine.Executor — Execute dispatches one cell to a registered worker
 // and blocks until its result crosses back — and an http.Handler serving
 // the worker wire protocol under /v1/workers/.
 //
-// Scheduling: Execute assigns each cell to the live worker with the least
-// predicted backlog, normalized by the worker's parallelism. The engine
-// already releases cells in LPT order (longest predicted first, PR 5's
-// dispatch permutation), so least-backlog assignment reproduces classic LPT
-// list scheduling across workers; per-key costs observed from completed
-// results sharpen the predictions as the sweep runs. Idle workers steal
-// from the back of the most-loaded queue — the tail task, which would
-// otherwise run last — so an imbalanced tail drains across the fleet.
+// Scheduling: Execute appends each cell to one FIFO and a polling worker
+// leases its head. The engine releases cells in descending cost and a worker
+// polls only when one of its task loops is free, so whichever slot frees
+// first takes the longest cell not yet started — LPT list scheduling, with
+// no cost model and no assignment to undo.
 //
 // Failure: a worker that misses its heartbeat window (or leaves) has its
-// queued cells requeued to survivors and its in-flight cells failed with an
-// engine-transient error; the runner's RetryPolicy re-enters Execute, which
-// picks a surviving worker — or, via ErrNoWorkers, falls back to computing
-// locally when the fleet is empty. Either way the sweep completes, and
-// because cells are content-addressed its journal is unchanged.
+// leased cells failed with an engine-transient error; the runner's
+// RetryPolicy re-enters Execute, which queues the cell for the survivors.
+// Queued cells belong to no worker and are untouched by a loss — unless it
+// was the last live worker, in which case the queue fails the same way and
+// each retry falls back to computing locally via ErrNoWorkers. Either way
+// the sweep completes, and because cells are content-addressed its journal
+// is unchanged.
 type Coordinator struct {
 	timeout time.Duration
 	logf    func(format string, args ...any)
 	now     func() time.Time // injectable for tests
+	maxBody int64            // maxMessageBytes; tests lower it
 	mux     *http.ServeMux
 	done    chan struct{}
 	closeFn sync.Once
@@ -61,17 +65,14 @@ type Coordinator struct {
 	mu         sync.Mutex
 	workers    map[string]*workerState
 	order      []string // registration order, for stable iteration
+	queue      []*pending
+	wake       chan struct{} // made by a parking poll; closed and cleared by the next enqueue
 	leases     map[int64]*pending
 	nextTask   int64
 	nextWorker int64
-	costs      map[string]int64 // observed host-ns per cell key
-	costSum    int64
-	costN      int64
 	dispatched int64
 	completed  int64
 	failed     int64
-	stolen     int64
-	requeued   int64
 	lost       int64
 }
 
@@ -79,22 +80,18 @@ type Coordinator struct {
 type workerState struct {
 	id        string
 	name      string
-	parallel  int
 	lastSeen  time.Time
 	live      bool
-	queue     []*pending         // assigned, not yet leased
 	leased    map[int64]*pending // polled, awaiting result
-	backlogNS int64              // predicted cost of queue + leased
 	completed int64
-	wake      chan struct{} // buffered-1 signal: work may be available
 }
 
-// pending is one in-flight Execute call.
+// pending is one in-flight Execute call: in the queue until a poll leases
+// it, then in leases until its result (or its worker's loss) settles it.
 type pending struct {
-	task   Task
-	predNS int64
-	owner  *workerState // queue or lease holder
-	done   chan outcome // buffered 1; exactly one send per pending
+	task  Task
+	owner *workerState // lease holder; nil while queued
+	done  chan outcome // buffered 1; exactly one send per pending
 }
 
 type outcome struct {
@@ -114,10 +111,10 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		timeout: timeout,
 		logf:    cfg.Logf,
 		now:     time.Now,
+		maxBody: maxMessageBytes,
 		done:    make(chan struct{}),
 		workers: map[string]*workerState{},
 		leases:  map[int64]*pending{},
-		costs:   map[string]int64{},
 	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
@@ -140,7 +137,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 func (c *Coordinator) Close() { c.closeFn.Do(func() { close(c.done) }) }
 
 // reap periodically expires workers whose heartbeats stopped, so leased
-// cells of a dead worker fail (and requeue) even while every Execute is
+// cells of a dead worker fail (and retry) even while every Execute is
 // parked waiting on a result.
 func (c *Coordinator) reap(timeout time.Duration) {
 	period := timeout / 2
@@ -165,17 +162,15 @@ func (c *Coordinator) reap(timeout time.Duration) {
 // server root (paths are absolute) or pass requests for /v1/workers/*.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
 
-// Execute implements engine.Executor: it dispatches one cell to the live
-// worker with the least predicted backlog and blocks until the result (or
-// the worker's loss, surfaced as a transient error) crosses back. With no
-// live workers it returns engine.ErrNoWorkers and the runner computes the
-// cell locally.
+// Execute implements engine.Executor: it queues one cell for the next
+// polling worker and blocks until the result (or the worker's loss,
+// surfaced as a transient error) crosses back. With no live workers it
+// returns engine.ErrNoWorkers and the runner computes the cell locally.
 func (c *Coordinator) Execute(ctx context.Context, t engine.RemoteTask) (engine.RemoteResult, error) {
 	p := &pending{done: make(chan outcome, 1)}
 	c.mu.Lock()
 	c.expireLocked(c.now())
-	w := c.pickLocked()
-	if w == nil {
+	if !c.anyLiveLocked() {
 		c.mu.Unlock()
 		return engine.RemoteResult{}, engine.ErrNoWorkers
 	}
@@ -188,9 +183,12 @@ func (c *Coordinator) Execute(ctx context.Context, t engine.RemoteTask) (engine.
 		Kind:       t.Kind,
 		Config:     t.Config,
 	}
-	p.predNS = c.predictLocked(t.Key)
 	c.dispatched++
-	c.enqueueLocked(w, p)
+	c.queue = append(c.queue, p)
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
 	c.mu.Unlock()
 
 	select {
@@ -208,107 +206,30 @@ func (c *Coordinator) Execute(ctx context.Context, t engine.RemoteTask) (engine.
 func (c *Coordinator) abandon(p *pending) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := p.owner
-	if w == nil {
-		return
-	}
-	for i, q := range w.queue {
-		if q == p {
-			w.queue = append(w.queue[:i], w.queue[i+1:]...)
-			w.backlogNS -= p.predNS
-			if w.backlogNS < 0 {
-				w.backlogNS = 0
-			}
-			p.owner = nil
-			return
-		}
+	if i := slices.Index(c.queue, p); i >= 0 {
+		c.queue = slices.Delete(c.queue, i, i+1)
 	}
 }
 
-// pickLocked returns the live worker with the least predicted backlog per
-// parallel slot (nil when none are live), tie-broken by registration order
-// for determinism.
-func (c *Coordinator) pickLocked() *workerState {
-	var best *workerState
-	var bestLoad float64
-	for _, id := range c.order {
-		w := c.workers[id]
-		if !w.live {
-			continue
-		}
-		load := float64(w.backlogNS) / float64(w.parallel)
-		if best == nil || load < bestLoad {
-			best, bestLoad = w, load
+// anyLiveLocked reports whether some registered worker is live.
+func (c *Coordinator) anyLiveLocked() bool {
+	for _, w := range c.workers {
+		if w.live {
+			return true
 		}
 	}
-	return best
+	return false
 }
 
-// predictLocked estimates a cell's cost: the last observed host-ns for the
-// exact key, else the mean over all completed cells, else 1 (any constant —
-// with no observations every cell looks equal and assignment degenerates to
-// round-robin-by-backlog, which is the right cold-start behaviour).
-func (c *Coordinator) predictLocked(key string) int64 {
-	if ns, ok := c.costs[key]; ok && ns > 0 {
-		return ns
-	}
-	if c.costN > 0 {
-		return c.costSum / c.costN
-	}
-	return 1
-}
-
-// enqueueLocked appends p to w's queue and wakes every live worker: the
-// owner to serve it, the rest so an idle worker can steal it promptly.
-func (c *Coordinator) enqueueLocked(w *workerState, p *pending) {
-	p.owner = w
-	w.queue = append(w.queue, p)
-	w.backlogNS += p.predNS
-	for _, id := range c.order {
-		if ws := c.workers[id]; ws.live {
-			select {
-			case ws.wake <- struct{}{}:
-			default:
-			}
-		}
-	}
-}
-
-// takeLocked pops the next task for w: the front of its own queue, else —
-// work stealing — the tail of the longest live queue. The stolen tail is
-// the task that would otherwise run last, so stealing it shortens the
-// imbalanced queue's makespan without reordering its head. The task is
-// leased to w until its result (or w's loss) settles it.
+// takeLocked leases the head of the queue to w until its result (or w's
+// loss) settles it; nil when the queue is empty.
 func (c *Coordinator) takeLocked(w *workerState) *pending {
-	var p *pending
-	if len(w.queue) > 0 {
-		p = w.queue[0]
-		w.queue = w.queue[1:]
-	} else {
-		var victim *workerState
-		for _, id := range c.order {
-			v := c.workers[id]
-			if v == w || !v.live || len(v.queue) == 0 {
-				continue
-			}
-			if victim == nil || len(v.queue) > len(victim.queue) {
-				victim = v
-			}
-		}
-		if victim == nil {
-			return nil
-		}
-		p = victim.queue[len(victim.queue)-1]
-		victim.queue = victim.queue[:len(victim.queue)-1]
-		victim.backlogNS -= p.predNS
-		if victim.backlogNS < 0 {
-			victim.backlogNS = 0
-		}
-		w.backlogNS += p.predNS
-		c.stolen++
-		c.logf("remote: worker %s (%s) stole task %d (cell %.12s) from %s",
-			w.name, w.id, p.task.ID, p.task.Key, victim.name)
+	if len(c.queue) == 0 {
+		return nil
 	}
+	p := c.queue[0]
+	c.queue[0] = nil
+	c.queue = c.queue[1:]
 	p.owner = w
 	w.leased[p.task.ID] = p
 	c.leases[p.task.ID] = p
@@ -330,15 +251,13 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// dropLocked removes w from service: queued cells are requeued to surviving
-// workers (or failed transiently when none remain — the engine retries, and
-// the retry's Execute falls back to local via ErrNoWorkers), and leased
-// cells fail transiently so the retry re-dispatches them.
+// dropLocked removes w from service: its leased cells fail transiently so
+// the engine's retry re-dispatches them. The queue belongs to no worker and
+// stays for the survivors; when w was the last one, nobody is left to pull
+// it, so it fails the same way and each retry's Execute falls back to local
+// via ErrNoWorkers.
 func (c *Coordinator) dropLocked(w *workerState) {
 	w.live = false
-	queued := w.queue
-	w.queue = nil
-	w.backlogNS = 0
 	for id, p := range w.leased {
 		delete(w.leased, id)
 		delete(c.leases, id)
@@ -346,17 +265,14 @@ func (c *Coordinator) dropLocked(w *workerState) {
 		c.failed++
 		p.done <- outcome{err: engine.Transientf("remote: worker %s (%s) lost mid-cell", w.name, w.id)}
 	}
-	for _, p := range queued {
-		p.owner = nil
-		if nw := c.pickLocked(); nw != nil {
-			c.requeued++
-			c.logf("remote: requeued task %d (cell %.12s) from %s to %s", p.task.ID, p.task.Key, w.name, nw.name)
-			c.enqueueLocked(nw, p)
-		} else {
-			c.failed++
-			p.done <- outcome{err: engine.Transientf("remote: worker %s (%s) lost with no surviving workers", w.name, w.id)}
-		}
+	if c.anyLiveLocked() {
+		return
 	}
+	for _, p := range c.queue {
+		c.failed++
+		p.done <- outcome{err: engine.Transientf("remote: worker %s (%s) lost with no surviving workers", w.name, w.id)}
+	}
+	c.queue = nil
 }
 
 // Status returns a point-in-time snapshot of workers and dispatch counters.
@@ -368,9 +284,8 @@ func (c *Coordinator) Status() Status {
 		Dispatched: c.dispatched,
 		Completed:  c.completed,
 		Failed:     c.failed,
-		Stolen:     c.stolen,
-		Requeued:   c.requeued,
 		Lost:       c.lost,
+		Queued:     len(c.queue),
 	}
 	for _, id := range c.order {
 		w := c.workers[id]
@@ -378,9 +293,7 @@ func (c *Coordinator) Status() Status {
 			ID:        w.id,
 			Name:      w.name,
 			Live:      w.live,
-			Queued:    len(w.queue),
 			Leased:    len(w.leased),
-			BacklogNS: w.backlogNS,
 			Completed: w.completed,
 		})
 	}
@@ -401,23 +314,16 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = id
 	}
-	par := req.Parallel
-	if par < 1 {
-		par = 1
-	}
-	ws := &workerState{
+	c.workers[id] = &workerState{
 		id:       id,
 		name:     name,
-		parallel: par,
 		lastSeen: c.now(),
 		live:     true,
 		leased:   map[int64]*pending{},
-		wake:     make(chan struct{}, 1),
 	}
-	c.workers[id] = ws
 	c.order = append(c.order, id)
 	c.mu.Unlock()
-	c.logf("remote: worker %s registered as %s (parallel %d)", name, id, par)
+	c.logf("remote: worker %s registered as %s", name, id)
 	writeJSON(w, http.StatusOK, RegisterResponse{Schema: WireSchema, WorkerID: id})
 }
 
@@ -469,7 +375,10 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, p.task)
 			return
 		}
-		wake := ws.wake
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		wake := c.wake
 		c.mu.Unlock()
 
 		remaining := deadline.Sub(c.now())
@@ -477,8 +386,8 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		// Cap each nap so a long poll still notices stealable work enqueued
-		// on another worker's queue and keeps its lastSeen fresh.
+		// Cap each nap so a parked poll keeps its worker's lastSeen fresh
+		// and notices the worker's own expiry.
 		nap := remaining
 		if nap > 250*time.Millisecond {
 			nap = 250 * time.Millisecond
@@ -519,10 +428,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	owner := p.owner
 	delete(c.leases, res.ID)
 	delete(owner.leased, res.ID)
-	owner.backlogNS -= p.predNS
-	if owner.backlogNS < 0 {
-		owner.backlogNS = 0
-	}
 	if res.Err != "" {
 		c.failed++
 		err := errors.New(res.Err)
@@ -533,11 +438,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	} else {
 		c.completed++
 		owner.completed++
-		if res.HostNS > 0 {
-			c.costs[res.Key] = res.HostNS
-			c.costSum += res.HostNS
-			c.costN++
-		}
 		p.done <- outcome{res: engine.RemoteResult{Value: res.Value, HostNS: res.HostNS, Worker: owner.name}}
 	}
 	c.mu.Unlock()
@@ -573,8 +473,13 @@ func (c *Coordinator) decode(w http.ResponseWriter, r *http.Request, v any, sche
 		http.Error(w, "remote: POST only", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("remote: bad request body: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.maxBody)).Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("remote: bad request body: %v", err), code)
 		return false
 	}
 	if *schema != WireSchema {

@@ -46,9 +46,6 @@ type RegisterRequest struct {
 	// journal/metrics/trace lanes. Names need not be unique — the
 	// coordinator-issued WorkerID is the identity.
 	Name string `json:"name"`
-	// Parallel is the worker's concurrent task capacity, advisory input to
-	// the coordinator's backlog estimate.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // RegisterResponse assigns the worker its coordinator-issued identity.
@@ -58,9 +55,8 @@ type RegisterResponse struct {
 }
 
 // HeartbeatRequest keeps a worker's registration live. A worker that misses
-// the coordinator's heartbeat timeout is declared lost: its queued tasks are
-// requeued to surviving workers and its leased tasks fail transiently, which
-// the engine's retry policy turns into a re-dispatch.
+// the coordinator's heartbeat timeout is declared lost: its leased tasks fail
+// transiently, which the engine's retry policy turns into a re-dispatch.
 type HeartbeatRequest struct {
 	Schema   int    `json:"schema"`
 	WorkerID string `json:"worker_id"`
@@ -118,8 +114,8 @@ type Result struct {
 	ErrClass string `json:"err_class,omitempty"`
 }
 
-// LeaveRequest announces a graceful departure: queued tasks are requeued
-// immediately instead of waiting out the heartbeat timeout.
+// LeaveRequest announces a graceful departure: the worker stops counting as
+// live at once instead of after the heartbeat timeout.
 type LeaveRequest struct {
 	Schema   int    `json:"schema"`
 	WorkerID string `json:"worker_id"`
@@ -133,9 +129,14 @@ type Status struct {
 	Dispatched int64 `json:"dispatched"`
 	Completed  int64 `json:"completed"`
 	Failed     int64 `json:"failed"`
-	Stolen     int64 `json:"stolen"`
-	Requeued   int64 `json:"requeued"`
 	Lost       int64 `json:"lost"`
+	// Queued counts dispatched cells no worker has leased yet.
+	Queued int `json:"queued"`
+	// Stolen and Requeued are always 0: the one queue has nothing to steal
+	// or requeue. They stay only because bench/remote.go reads them and
+	// goes with the next PR allowed to edit bench/.
+	Stolen   int64 `json:"stolen"`
+	Requeued int64 `json:"requeued"`
 }
 
 // WorkerStatus describes one registered worker.
@@ -144,11 +145,7 @@ type WorkerStatus struct {
 	Name string `json:"name"`
 	// Live is false once the worker left or missed its heartbeat window.
 	Live bool `json:"live"`
-	// Queued and Leased count tasks assigned to (but not finished by) the
-	// worker; BacklogNS is the coordinator's cost-model estimate of that
-	// backlog.
-	Queued    int   `json:"queued"`
+	// Leased counts tasks the worker polled and has not yet reported.
 	Leased    int   `json:"leased"`
-	BacklogNS int64 `json:"backlog_ns"`
 	Completed int64 `json:"completed"`
 }

@@ -68,25 +68,41 @@ func waitUntil(t *testing.T, d time.Duration, what string, ok func() bool) {
 	}
 }
 
-// postJSON posts msg to url, decoding a 200 response into out (when
-// non-nil), and returns the HTTP status.
-func postJSON(t *testing.T, url string, msg, out any) int {
-	t.Helper()
+// The kind registry is process-global and rejects duplicates, so test kinds
+// register once per process, not per test run (-count=N).
+func init() {
+	RegisterKind("test.panic", func(json.RawMessage) (any, error) { panic("boom") })
+	RegisterKind("test.ok", func(json.RawMessage) (any, error) { return 7, nil })
+}
+
+// tryPost posts msg to url, decoding a 200 response into out (when non-nil),
+// and returns the HTTP status. Safe off the test goroutine.
+func tryPost(url string, msg, out any) (int, error) {
 	body, err := json.Marshal(msg)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if out != nil && resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
+			return resp.StatusCode, err
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
+}
+
+// postJSON is tryPost failing the test on a transport or decode error.
+func postJSON(t *testing.T, url string, msg, out any) int {
+	t.Helper()
+	code, err := tryPost(url, msg, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code
 }
 
 // registerRaw registers a coordinator-only worker the test drives by hand
@@ -109,6 +125,37 @@ func pollRaw(t *testing.T, url, workerID string, waitMS int) Task {
 		t.Fatalf("poll as %s: status %d, task %+v", workerID, code, task)
 	}
 	return task
+}
+
+// executeRaw dispatches one "test.raw" cell (a kind only hand-driven raw
+// workers serve) on its own goroutine and returns where its outcome lands.
+func executeRaw(c *Coordinator, key string) <-chan outcome {
+	ch := make(chan outcome, 1)
+	go func() {
+		res, err := c.Execute(context.Background(), engine.RemoteTask{Key: key, Kind: "test.raw", Config: json.RawMessage(`{}`)})
+		ch <- outcome{res, err}
+	}()
+	return ch
+}
+
+// finishRaw posts a successful result for task as the given worker.
+func finishRaw(t *testing.T, url, workerID string, task Task) {
+	t.Helper()
+	code := postJSON(t, url+PathResult, Result{
+		Schema: WireSchema, WorkerID: workerID, ID: task.ID, Key: task.Key,
+		Value: json.RawMessage(`{"ok":true}`), HostNS: 1000,
+	}, nil)
+	if code != http.StatusNoContent {
+		t.Fatalf("result post: status %d", code)
+	}
+}
+
+// leaveRaw announces the given worker's departure.
+func leaveRaw(t *testing.T, url, workerID string) {
+	t.Helper()
+	if code := postJSON(t, url+PathLeave, LeaveRequest{Schema: WireSchema, WorkerID: workerID}, nil); code != http.StatusNoContent {
+		t.Fatalf("leave: status %d", code)
+	}
 }
 
 // The headline correctness property (ISSUE 9): a distributed sweep's
@@ -214,111 +261,158 @@ func TestWorkerLossRequeuesToSurvivor(t *testing.T) {
 	}
 }
 
-// An idle worker steals the tail of the most-loaded queue.
-func TestIdleWorkerStealsQueuedTail(t *testing.T) {
+// Cells are leased in the order they were queued, whichever worker polls:
+// the engine's descending-cost release order is the dispatch order.
+func TestQueueLeasesInOrder(t *testing.T) {
 	c, hs := testHarness(t, 30*time.Second)
-	a := registerRaw(t, hs.URL, "a")
+	names := []string{"a", "b"}
+	ids := []string{registerRaw(t, hs.URL, names[0]), registerRaw(t, hs.URL, names[1])}
 
-	const n = 3
-	type outcome struct {
-		res engine.RemoteResult
-		err error
-	}
-	ch := make(chan outcome, n)
+	const n = 5
+	var outs []<-chan outcome
 	for i := 0; i < n; i++ {
-		go func(i int) {
-			res, err := c.Execute(context.Background(), engine.RemoteTask{
-				Key:    fmt.Sprintf("k%d", i),
-				Kind:   "test.raw",
-				Config: json.RawMessage(`{}`),
-			})
-			ch <- outcome{res, err}
-		}(i)
+		outs = append(outs, executeRaw(c, fmt.Sprintf("k%d", i)))
+		waitUntil(t, 5*time.Second, fmt.Sprintf("cell %d queued", i), func() bool { return c.Status().Queued == i+1 })
 	}
-	waitUntil(t, 5*time.Second, "3 tasks queued on a", func() bool {
-		st := c.Status()
-		return len(st.Workers) > 0 && st.Workers[0].Queued == n
-	})
-
-	b := registerRaw(t, hs.URL, "b")
-	stolen := pollRaw(t, hs.URL, b, 2000)
-	if st := c.Status(); st.Stolen != 1 {
-		t.Fatalf("stolen = %d, want 1", st.Stolen)
-	}
-
-	// Drain: a takes its remaining two, everyone posts results whose value
-	// echoes the cell key so each Execute call can be matched to the worker
-	// that served it.
-	finish := func(workerID string, task Task) {
-		code := postJSON(t, hs.URL+PathResult, Result{
-			Schema:   WireSchema,
-			WorkerID: workerID,
-			ID:       task.ID,
-			Key:      task.Key,
-			Value:    json.RawMessage(fmt.Sprintf("{%q:true}", task.Key)),
-			HostNS:   1000,
-		}, nil)
-		if code != http.StatusNoContent {
-			t.Fatalf("result post: status %d", code)
-		}
-	}
-	finish(b, stolen)
-	finish(a, pollRaw(t, hs.URL, a, 2000))
-	finish(a, pollRaw(t, hs.URL, a, 2000))
-
-	workers := map[string]string{}
 	for i := 0; i < n; i++ {
-		out := <-ch
-		if out.err != nil {
-			t.Fatalf("Execute: %v", out.err)
+		w := ids[i%2]
+		task := pollRaw(t, hs.URL, w, 2000)
+		if want := fmt.Sprintf("k%d", i); task.Key != want {
+			t.Fatalf("lease %d (worker %s) got cell %s, want %s", i, w, task.Key, want)
 		}
-		var payload map[string]bool
-		if err := json.Unmarshal(out.res.Value, &payload); err != nil {
-			t.Fatal(err)
-		}
-		for key := range payload {
-			workers[key] = out.res.Worker
+		finishRaw(t, hs.URL, w, task)
+	}
+	for i, ch := range outs {
+		if out := <-ch; out.err != nil {
+			t.Fatalf("Execute k%d: %v", i, out.err)
+		} else if want := names[i%2]; out.res.Worker != want {
+			t.Errorf("cell k%d served by %q, want %q", i, out.res.Worker, want)
 		}
 	}
-	if got := workers[stolen.Key]; got != "b" {
-		t.Errorf("stolen cell %s served by %q, want b (got map %v)", stolen.Key, got, workers)
-	}
-	if st := c.Status(); st.Completed != n {
-		t.Errorf("completed = %d, want %d", st.Completed, n)
+	if st := c.Status(); st.Completed != n || st.Queued != 0 || st.Workers[0].Completed != 3 || st.Workers[1].Completed != 2 {
+		t.Errorf("status after drain = %+v", st)
 	}
 }
 
-// A graceful leave requeues still-queued cells to survivors immediately.
-func TestLeaveRequeuesQueuedCells(t *testing.T) {
+// Every poll parked before an enqueue is woken by it: two task loops of one
+// worker both get a cell promptly when two arrive back to back, well inside
+// the 250ms nap a missed wake-up would cost.
+func TestParkedPollsWakeOnEnqueue(t *testing.T) {
 	c, hs := testHarness(t, 30*time.Second)
 	a := registerRaw(t, hs.URL, "a")
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Execute(context.Background(), engine.RemoteTask{
-			Key: "k", Kind: "test.raw", Config: json.RawMessage(`{}`),
-		})
-		done <- err
-	}()
-	waitUntil(t, 5*time.Second, "task queued on a", func() bool {
-		st := c.Status()
-		return len(st.Workers) > 0 && st.Workers[0].Queued == 1
+	type lease struct {
+		task Task
+		at   time.Time
+		err  error
+	}
+	leases := make(chan lease, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			var l lease
+			code, err := tryPost(hs.URL+PathPoll, PollRequest{Schema: WireSchema, WorkerID: a, WaitMS: 5000}, &l.task)
+			l.at = time.Now()
+			if l.err = err; err == nil && code != http.StatusOK {
+				l.err = fmt.Errorf("poll: status %d", code)
+			}
+			leases <- l
+		}()
+	}
+	waitUntil(t, 5*time.Second, "a poll parked", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.wake != nil
 	})
+	// The second poll parks on the same channel, so its arrival is not
+	// observable; give it a moment. (Arriving late only weakens the test:
+	// it would find its cell already queued.)
+	time.Sleep(50 * time.Millisecond)
 
-	b := registerRaw(t, hs.URL, "b")
-	if code := postJSON(t, hs.URL+PathLeave, LeaveRequest{Schema: WireSchema, WorkerID: a}, nil); code != http.StatusNoContent {
-		t.Fatalf("leave: status %d", code)
+	t0 := time.Now()
+	outs := []<-chan outcome{executeRaw(c, "k0"), executeRaw(c, "k1")}
+	for i := 0; i < 2; i++ {
+		l := <-leases
+		if l.err != nil {
+			t.Fatal(l.err)
+		}
+		if d := l.at.Sub(t0); d > 100*time.Millisecond {
+			t.Errorf("parked poll answered %v after the enqueue, want <= 100ms", d)
+		}
+		finishRaw(t, hs.URL, a, l.task)
 	}
-	task := pollRaw(t, hs.URL, b, 2000)
-	postJSON(t, hs.URL+PathResult, Result{
-		Schema: WireSchema, WorkerID: b, ID: task.ID, Key: task.Key,
-		Value: json.RawMessage(`{"ok":true}`), HostNS: 1,
-	}, nil)
-	if err := <-done; err != nil {
-		t.Fatalf("Execute after leave: %v", err)
+	for _, ch := range outs {
+		if out := <-ch; out.err != nil {
+			t.Fatalf("Execute: %v", out.err)
+		}
 	}
-	if st := c.Status(); st.Requeued != 1 {
-		t.Errorf("requeued = %d, want 1", st.Requeued)
+}
+
+// A queued cell belongs to no worker, so when the last live worker goes —
+// by leaving or by expiry — nobody is left to pull it: it fails transient,
+// and through a runner the retry computes it locally, byte-identical.
+func TestLastWorkerGoneFailsQueue(t *testing.T) {
+	for _, how := range []string{"leave", "expiry"} {
+		t.Run(how, func(t *testing.T) {
+			c, hs := testHarness(t, 30*time.Second)
+			silent := registerRaw(t, hs.URL, "silent")
+			out := executeRaw(c, "k")
+			waitUntil(t, 5*time.Second, "cell queued", func() bool { return c.Status().Queued == 1 })
+			if how == "leave" {
+				leaveRaw(t, hs.URL, silent)
+			} else {
+				c.mu.Lock()
+				c.expireLocked(time.Now().Add(time.Hour))
+				c.mu.Unlock()
+			}
+			if err := (<-out).err; !engine.IsTransient(err) {
+				t.Fatalf("queued cell after the last worker's %s: err = %v, want transient", how, err)
+			}
+			if st := c.Status(); st.Queued != 0 || st.Failed != 1 {
+				t.Errorf("status = %+v, want an empty queue and 1 failure", st)
+			}
+		})
+	}
+
+	c, hs := testHarness(t, 30*time.Second)
+	silent := registerRaw(t, hs.URL, "silent")
+	cfg := core.Config{MessageBytes: 4096, Partitions: 4, Iterations: 2, Warmup: -1}
+	rn := engine.New(engine.WithExecutor(c))
+	got := make(chan []byte, 1)
+	go func() {
+		res, err := core.RunCached(rn, cfg)
+		if err != nil {
+			t.Errorf("RunCached across the last worker's leave: %v", err)
+		}
+		b, _ := json.Marshal(res)
+		got <- b
+	}()
+	waitUntil(t, 5*time.Second, "cell queued", func() bool { return c.Status().Queued == 1 })
+	leaveRaw(t, hs.URL, silent)
+	local, err := core.RunCached(engine.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(local)
+	if b := <-got; !bytes.Equal(b, want) {
+		t.Errorf("result after local fallback differs from a local run:\n%s\n%s", b, want)
+	}
+	if st := rn.Stats(); st.Retries < 1 || st.RemoteErrors < 1 || st.RemoteRuns != 0 {
+		t.Errorf("stats = %d retries, %d remote errors, %d remote runs; want >=1, >=1, 0", st.Retries, st.RemoteErrors, st.RemoteRuns)
+	}
+}
+
+// One worker message is read through a byte cap: a body past it is refused
+// with 413 instead of being buffered whole.
+func TestOversizedMessageRejected(t *testing.T) {
+	c, hs := testHarness(t, 30*time.Second)
+	c.maxBody = 1 << 10
+	id := registerRaw(t, hs.URL, "a")
+	big := Result{Schema: WireSchema, WorkerID: id, ID: 1, Key: "k", Value: json.RawMessage(`"` + strings.Repeat("x", 2<<10) + `"`)}
+	if code := postJSON(t, hs.URL+PathResult, big, nil); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized result: status %d, want 413", code)
+	}
+	if code := postJSON(t, hs.URL+PathHeartbeat, HeartbeatRequest{Schema: WireSchema, WorkerID: id}, nil); code != http.StatusNoContent {
+		t.Errorf("heartbeat after the refusal: status %d, want 204", code)
 	}
 }
 
@@ -401,8 +495,6 @@ func TestUnknownKindIsTransient(t *testing.T) {
 // A cell that panics on a worker fails its own task with a permanent error;
 // the worker survives and serves the next task.
 func TestPanickingCellFailsTaskNotWorker(t *testing.T) {
-	RegisterKind("test.panic", func(json.RawMessage) (any, error) { panic("boom") })
-	RegisterKind("test.ok", func(json.RawMessage) (any, error) { return 7, nil })
 	c, hs := testHarness(t, 30*time.Second)
 	startWorker(t, hs.URL, "worker-1", 0)
 	_, err := c.Execute(context.Background(), engine.RemoteTask{

@@ -117,11 +117,7 @@ func (w *Worker) register(ctx context.Context) error {
 	backoff := 100 * time.Millisecond
 	for {
 		var resp RegisterResponse
-		status, err := w.post(ctx, PathRegister, RegisterRequest{
-			Schema:   WireSchema,
-			Name:     w.cfg.Name,
-			Parallel: w.cfg.Parallel,
-		}, &resp)
+		status, err := w.post(ctx, PathRegister, RegisterRequest{Schema: WireSchema, Name: w.cfg.Name}, &resp)
 		switch {
 		case err == nil && status == http.StatusOK && resp.Schema == WireSchema && resp.WorkerID != "":
 			w.mu.Lock()
@@ -275,7 +271,8 @@ func (w *Worker) postResult(res Result) {
 	}
 }
 
-// leave announces a graceful departure so queued work requeues immediately.
+// leave announces a graceful departure, so the coordinator need not wait
+// out the heartbeat timeout to stop counting this worker.
 func (w *Worker) leave() {
 	id := w.ID()
 	if id == "" {

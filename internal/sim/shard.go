@@ -32,7 +32,7 @@ import (
 // persistent pool of min(GOMAXPROCS, shards) window workers once, and each
 // round dispatches the shards with work in the window to the pool, ordered
 // largest-predicted-first (LPT, from an EWMA of each shard's recent window
-// host cost), with idle workers stealing the remaining shards off a shared
+// host cost), with idle workers claiming the remaining shards off a shared
 // cursor. Over-decomposition (more shards than cores) thereby becomes the
 // load-balancing mechanism: a hot shard no longer serializes the window,
 // because the other workers drain the rest of the queue around it.
@@ -41,10 +41,10 @@ import (
 // their own state inside a window, cross-shard events are buffered in
 // per-shard outboxes, and the barrier delivers them in the total order
 // (at, born, src, seq) — a pure sort, independent of which worker ran which
-// shard, in what order, or how fast. Any shard-to-worker assignment
-// (stealing on or off, any worker count) therefore yields byte-identical
-// results; the dispatch order and the cost model can only change wall-clock
-// time. The contract is pinned by the determinism tests in shard_test.go.
+// shard, in what order, or how fast. Any shard-to-worker assignment (any
+// worker count, any claim order) therefore yields byte-identical results;
+// the dispatch order and the cost model can only change wall-clock time.
+// The contract is pinned by the determinism tests in shard_test.go.
 //
 // A group of one shard is special-cased to be the sequential kernel,
 // literally: the shard is a plain Scheduler with no group attached, Run
@@ -81,14 +81,12 @@ const (
 // ShardStats are the group's execution counters, in the style of
 // engine.Stats. All of it is host-side telemetry: none of these values
 // feed back into the simulation, and deterministic journals exclude them
-// (they legitimately differ across shard counts, worker counts, and
-// stealing modes).
+// (they legitimately differ across shard counts, worker counts, and runs).
 type ShardStats struct {
 	// Shards and Workers are the group's shard count and window-worker
-	// pool size; Stealing reports whether work stealing was enabled.
-	Shards   int  `json:"shards"`
-	Workers  int  `json:"workers"`
-	Stealing bool `json:"stealing"`
+	// pool size.
+	Shards  int `json:"shards"`
+	Workers int `json:"workers"`
 	// Windows is the number of conservative windows executed.
 	Windows int64 `json:"windows"`
 	// Events is the total number of events dispatched inside windows.
@@ -98,9 +96,9 @@ type ShardStats struct {
 	// and skipped the merge entirely.
 	Merged     int64 `json:"merged"`
 	MergeSkips int64 `json:"merge_skips"`
-	// Steals counts shard-windows executed by a worker other than the
-	// shard's static owner (its contiguous-chunk worker) — the number of
-	// rebalancing moves the LPT + stealing dispatch made.
+	// Steals counts shard-windows executed by a worker other than the one
+	// an even contiguous split would give the shard (worker sid*W/n) — the
+	// number of rebalancing moves the cursor made.
 	Steals int64 `json:"steals"`
 	// Shrinks counts outbox buffers reallocated down by the high-water
 	// shrink policy.
@@ -119,9 +117,9 @@ type ShardStats struct {
 
 // ShardSpan describes one executed shard-window for tracing: which pool
 // worker ran which shard in which window, in host time relative to the
-// group's Run epoch. Stolen marks spans executed off the shard's static
-// owner lane. Spans are emitted by the coordinator between windows, in
-// shard order, so observers need no locking.
+// group's Run epoch. Stolen marks spans executed off the shard's even-split
+// lane (see ShardStats.Steals). Spans are emitted by the coordinator between
+// windows, in shard order, so observers need no locking.
 type ShardSpan struct {
 	Window  int64
 	Worker  int
@@ -141,9 +139,8 @@ type ShardGroup struct {
 	running   bool
 
 	// Pool configuration, frozen when Run starts.
-	workers  int  // 0 = min(GOMAXPROCS, shards)
-	stealing bool // stealing on (default) or static owner assignment
-	span     func(ShardSpan)
+	workers int // 0 = min(GOMAXPROCS, shards)
+	span    func(ShardSpan)
 	// timed enables per-shard-window wall-clock sampling: on for a
 	// multi-worker pool (the EWMA drives LPT dispatch) or a span observer;
 	// off for a one-worker pool, where dispatch order cannot change wall
@@ -158,15 +155,13 @@ type ShardGroup struct {
 	limit Time
 
 	// Window worker pool. order lists the shards active in the current
-	// window, sorted largest-predicted-first; stealing workers claim
-	// positions off cursor, static workers run their entries of owned.
+	// window, sorted largest-predicted-first; workers claim positions off
+	// cursor.
 	startCh []chan struct{}
 	wg      sync.WaitGroup
 	order   []int
 	cursor  atomic.Int64
-	owned   [][]int // owned[w]: shard ids statically owned by worker w
-	ownerOf []int   // inverse of owned
-	epochNS int64   // wall-clock epoch of Run, for span timestamps
+	epochNS int64 // wall-clock epoch of Run, for span timestamps
 
 	// Per-shard per-window scratch, written by the executing worker and
 	// read by the coordinator after the window barrier.
@@ -202,7 +197,7 @@ func NewShardGroup(n int, lookahead Duration) *ShardGroup {
 	if n > 1 && lookahead <= 0 {
 		panic("sim: a multi-shard group requires a positive lookahead")
 	}
-	g := &ShardGroup{lookahead: lookahead, next: make([]Time, n), stealing: true}
+	g := &ShardGroup{lookahead: lookahead, next: make([]Time, n)}
 	g.shards = make([]*Scheduler, n)
 	for i := range g.shards {
 		s := New()
@@ -255,17 +250,6 @@ func (g *ShardGroup) SetWorkers(n int) {
 		n = len(g.shards)
 	}
 	g.workers = n
-}
-
-// SetStealing enables (default) or disables work stealing. With stealing
-// off, every shard is pinned to its static owner worker (contiguous chunks
-// of the shard list), which is the un-balanced baseline stealing is
-// compared against. Must be called before Run; never affects results.
-func (g *ShardGroup) SetStealing(on bool) {
-	if g.running {
-		panic("sim: ShardGroup.SetStealing after Run")
-	}
-	g.stealing = on
 }
 
 // SetSpanObserver installs fn to receive one ShardSpan per executed
@@ -322,7 +306,6 @@ func (g *ShardGroup) Run() error {
 	n := len(g.shards)
 	W := g.poolSize()
 	g.stats.Workers = W
-	g.stats.Stealing = g.stealing
 	g.timed = W > 1 || g.span != nil
 	g.epochNS = timeNowUnixNano()
 	g.panics = make([]any, n)
@@ -334,17 +317,6 @@ func (g *ShardGroup) Run() error {
 	g.winWorker = make([]int, n)
 	g.cost = make([]float64, n)
 	g.order = make([]int, 0, n)
-
-	// Static ownership: worker w owns the contiguous chunk of shards with
-	// sid*W/n == w. It is the stealing-off assignment and the reference
-	// against which steals are counted.
-	g.ownerOf = make([]int, n)
-	g.owned = make([][]int, W)
-	for sid := 0; sid < n; sid++ {
-		w := sid * W / n
-		g.ownerOf[sid] = w
-		g.owned[w] = append(g.owned[w], sid)
-	}
 
 	// The persistent worker pool: started once, signaled per window, torn
 	// down when Run returns. Zero goroutine spawns per window.
@@ -410,7 +382,7 @@ func (g *ShardGroup) dispatchWindow() {
 	}
 	g.predict()
 	if len(g.order) == 1 {
-		g.runShardWindow(g.ownerOf[g.order[0]], g.order[0])
+		g.runShardWindow(g.evenLane(g.order[0]), g.order[0])
 		return
 	}
 	if len(g.startCh) == 1 {
@@ -422,50 +394,37 @@ func (g *ShardGroup) dispatchWindow() {
 		}
 		return
 	}
-	if g.stealing {
-		// LPT: largest predicted cost first, so the expensive shards start
-		// immediately and the small ones fill the gaps via the cursor.
-		slices.SortFunc(g.order, func(a, b int) int {
-			ca, cb := g.cost[a], g.cost[b]
-			// Cold shards (no cost observation yet) run first — an unknown
-			// cost is scheduled conservatively — ordered by queue length.
-			if (ca == 0) != (cb == 0) {
-				if ca == 0 {
-					return -1
-				}
-				return 1
-			}
+	// LPT: largest predicted cost first, so the expensive shards start
+	// immediately and the small ones fill the gaps via the cursor.
+	slices.SortFunc(g.order, func(a, b int) int {
+		ca, cb := g.cost[a], g.cost[b]
+		// Cold shards (no cost observation yet) run first — an unknown
+		// cost is scheduled conservatively — ordered by queue length.
+		if (ca == 0) != (cb == 0) {
 			if ca == 0 {
-				if la, lb := len(g.shards[a].queue), len(g.shards[b].queue); la != lb {
-					return lb - la
-				}
-				return a - b
+				return -1
 			}
-			if ca != cb {
-				if ca > cb {
-					return -1
-				}
-				return 1
+			return 1
+		}
+		if ca == 0 {
+			if la, lb := len(g.shards[a].queue), len(g.shards[b].queue); la != lb {
+				return lb - la
 			}
 			return a - b
-		})
-		g.cursor.Store(0)
-		nwake := g.poolWake(len(g.order))
-		g.wg.Add(nwake)
-		for w := 0; w < nwake; w++ {
-			g.startCh[w] <- struct{}{}
 		}
-	} else {
-		// Static assignment: wake exactly the owners of active shards.
-		for w, shards := range g.owned {
-			for _, sid := range shards {
-				if g.next[sid] <= g.limit {
-					g.wg.Add(1)
-					g.startCh[w] <- struct{}{}
-					break
-				}
+		if ca != cb {
+			if ca > cb {
+				return -1
 			}
+			return 1
 		}
+		return a - b
+	})
+	g.cursor.Store(0)
+	nwake := g.poolWake(len(g.order))
+	g.wg.Add(nwake)
+	for w := 0; w < nwake; w++ {
+		g.startCh[w] <- struct{}{}
 	}
 	g.wg.Wait()
 }
@@ -478,25 +437,21 @@ func (g *ShardGroup) poolWake(active int) int {
 	return len(g.startCh)
 }
 
+// evenLane is the worker an even contiguous split of the shards over the
+// pool would give sid: the reference Steals and ShardSpan.Stolen count
+// against, and the lane a window with one active shard is attributed to.
+func (g *ShardGroup) evenLane(sid int) int { return sid * len(g.startCh) / len(g.shards) }
+
 // windowWorker is the body of one pool worker: woken once per window, it
-// claims shards (stealing) or walks its owned shards (static) and runs
-// each through the window.
+// claims shards off the cursor and runs each through the window.
 func (g *ShardGroup) windowWorker(w int) {
 	for range g.startCh[w] {
-		if g.stealing {
-			for {
-				pos := int(g.cursor.Add(1)) - 1
-				if pos >= len(g.order) {
-					break
-				}
-				g.runShardWindow(w, g.order[pos])
+		for {
+			pos := int(g.cursor.Add(1)) - 1
+			if pos >= len(g.order) {
+				break
 			}
-		} else {
-			for _, sid := range g.owned[w] {
-				if g.next[sid] <= g.limit {
-					g.runShardWindow(w, sid)
-				}
-			}
+			g.runShardWindow(w, g.order[pos])
 		}
 		g.wg.Done()
 	}
@@ -573,7 +528,7 @@ func (g *ShardGroup) accountWindow() {
 		} else {
 			g.cost[sid] = (1-ewmaAlpha)*g.cost[sid] + ewmaAlpha*float64(actual)
 		}
-		if g.winWorker[sid] != g.ownerOf[sid] {
+		if g.winWorker[sid] != g.evenLane(sid) {
 			g.stats.Steals++
 		}
 	}
@@ -603,7 +558,7 @@ func (g *ShardGroup) accountWindow() {
 				EndNS:   g.winEnd[sid],
 				Events:  g.winEvents[sid],
 				PredNS:  g.winPred[sid],
-				Stolen:  g.winWorker[sid] != g.ownerOf[sid],
+				Stolen:  g.winWorker[sid] != g.evenLane(sid),
 			})
 		}
 	}

@@ -10,8 +10,7 @@ import (
 // outcome: per-shard logs of (time, value) pairs appended by event
 // execution. Shard 0 is the hot shard (fan bursts each round); the others
 // run a light token ring through shard 0. Any two runs of the same shard
-// count must produce identical logs, whatever the pool size or stealing
-// mode.
+// count must produce identical logs, whatever the pool size.
 func poolWorkload(g *ShardGroup, rounds, burst int) func() []string {
 	n := g.Shards()
 	logs := make([][]string, n)
@@ -55,35 +54,32 @@ func poolWorkload(g *ShardGroup, rounds, burst int) func() []string {
 }
 
 // TestShardPoolDeterminism pins the core contract of the worker pool: the
-// same workload run at every pool size and stealing mode produces an
-// identical event-execution log. Dispatch order, worker count, and stealing
-// may only change wall-clock time.
+// same workload run at every pool size produces an identical
+// event-execution log. Dispatch order and worker count may only change
+// wall-clock time.
 func TestShardPoolDeterminism(t *testing.T) {
 	const shards, rounds, burst = 8, 20, 50
-	run := func(workers int, stealing bool) []string {
+	run := func(workers int) []string {
 		g := NewShardGroup(shards, 1000)
 		g.SetWorkers(workers)
-		g.SetStealing(stealing)
 		snap := poolWorkload(g, rounds, burst)
 		if err := g.Run(); err != nil {
-			t.Fatalf("workers=%d stealing=%v: %v", workers, stealing, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return snap()
 	}
-	want := run(1, true)
+	want := run(1)
 	if len(want) == 0 {
 		t.Fatal("workload produced no events")
 	}
 	for _, workers := range []int{1, 2, 8} {
-		for _, stealing := range []bool{true, false} {
-			got := run(workers, stealing)
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d stealing=%v: %d log entries, want %d", workers, stealing, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d stealing=%v: log[%d] = %q, want %q", workers, stealing, i, got[i], want[i])
-				}
+		got := run(workers)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d log entries, want %d", workers, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: log[%d] = %q, want %q", workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -101,7 +97,7 @@ func TestShardPoolStats(t *testing.T) {
 	}
 	_ = snap()
 	st := g.Stats()
-	if st.Shards != 4 || st.Workers != 2 || !st.Stealing {
+	if st.Shards != 4 || st.Workers != 2 {
 		t.Fatalf("identity counters wrong: %+v", st)
 	}
 	if st.Windows == 0 || st.Events == 0 {
@@ -121,11 +117,11 @@ func TestShardPoolStats(t *testing.T) {
 }
 
 // TestShardPoolSteals runs the hot-shard workload on a 2-worker pool where
-// the static owner assignment is maximally wrong (all heavy work in worker
-// 0's chunk). A schedule with zero steals across every window of several
-// runs would require every cursor claim to coincidentally match static
-// ownership; retry a few fresh groups so the assertion is robust against
-// one unlucky schedule.
+// an even contiguous split is maximally wrong (all heavy work in worker 0's
+// half). A schedule with zero steals across every window of several runs
+// would require every cursor claim to coincidentally match that split;
+// retry a few fresh groups so the assertion is robust against one unlucky
+// schedule.
 func TestShardPoolSteals(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
 		g := NewShardGroup(8, 1000)
@@ -231,7 +227,6 @@ func TestShardPoolSettersContract(t *testing.T) {
 	}
 	for name, fn := range map[string]func(){
 		"SetWorkers":      func() { g.SetWorkers(2) },
-		"SetStealing":     func() { g.SetStealing(false) },
 		"SetSpanObserver": func() { g.SetSpanObserver(func(ShardSpan) {}) },
 	} {
 		func() {
