@@ -106,10 +106,9 @@ func simEvents(n int) *sim.Scheduler {
 	return s
 }
 
-// sleepWake measures the single-proc sleep/wake fast path: with the event
-// freelist, proc-carrying wake events, and the self-wake fast path in park,
-// one op is a heap push + pop with zero coroutine switches and zero
-// allocations.
+// sleepWake measures the single-proc sleep/wake fast path: a lone sleeper
+// has nothing due before its own wake, so Sleep skips the heap — one op is a
+// clock and sequence-number bump, zero coroutine switches, zero allocations.
 func sleepWake(n int) *sim.Scheduler {
 	s := sim.New()
 	s.Spawn("sleeper", func(p *sim.Proc) {
@@ -170,31 +169,48 @@ func forkJoinSpawn(n int) *sim.Scheduler {
 	return s
 }
 
-// pt2ptRoundtrip measures one simulated eager ping-pong per op.
-func pt2ptRoundtrip(n int) *sim.Scheduler {
-	s := sim.New()
-	w := mpi.NewWorld(s, mpi.DefaultConfig(2))
-	s.Spawn("r0", func(p *sim.Proc) {
-		c := w.Comm(0)
-		for i := 0; i < n; i++ {
-			c.SendBytes(p, 1, 0, 1024)
-			c.Recv(p, 1, 1)
-		}
-	})
-	s.Spawn("r1", func(p *sim.Proc) {
-		c := w.Comm(1)
-		for i := 0; i < n; i++ {
-			c.Recv(p, 0, 0)
-			c.SendBytes(p, 0, 1, 1024)
-		}
-	})
-	return s
+// pingPong builds n simulated ping-pongs of size-byte messages.
+func pingPong(size int64) func(n int) *sim.Scheduler {
+	return func(n int) *sim.Scheduler {
+		s := sim.New()
+		w := mpi.NewWorld(s, mpi.DefaultConfig(2))
+		s.Spawn("r0", func(p *sim.Proc) {
+			c := w.Comm(0)
+			for i := 0; i < n; i++ {
+				c.SendBytes(p, 1, 0, size)
+				c.Recv(p, 1, 1)
+			}
+		})
+		s.Spawn("r1", func(p *sim.Proc) {
+			c := w.Comm(1)
+			for i := 0; i < n; i++ {
+				c.Recv(p, 0, 0)
+				c.SendBytes(p, 0, 1, size)
+			}
+		})
+		return s
+	}
 }
 
-// partitionedEpoch measures one 16-partition epoch per op.
-func partitionedEpoch(n int) *sim.Scheduler {
+// pt2ptRoundtrip measures one eager ping-pong per op, rendezvousRoundtrip
+// one above the eager threshold. Either way an op allocates the four
+// Requests its callers are handed, a waiter list for each, and nothing for
+// the messages themselves.
+var (
+	pt2ptRoundtrip      = pingPong(1024)
+	rendezvousRoundtrip = pingPong(1 << 20)
+)
+
+// partitionedEpoch measures one 16-partition MPIPCL epoch per op,
+// nativeEpoch the same epoch on the native implementation.
+func partitionedEpoch(n int) *sim.Scheduler { return partEpoch(n, mpi.PartMPIPCL) }
+func nativeEpoch(n int) *sim.Scheduler      { return partEpoch(n, mpi.PartNative) }
+
+func partEpoch(n int, impl mpi.PartImpl) *sim.Scheduler {
 	s := sim.New()
-	w := mpi.NewWorld(s, mpi.DefaultConfig(2))
+	cfg := mpi.DefaultConfig(2)
+	cfg.PartImpl = impl
+	w := mpi.NewWorld(s, cfg)
 	s.Spawn("sender", func(p *sim.Proc) {
 		c := w.Comm(0)
 		c.SetPlacement(cluster.Place(w.Config().Machine, 16))
@@ -220,12 +236,14 @@ func partitionedEpoch(n int) *sim.Scheduler {
 	return s
 }
 
-func BenchmarkSimEvents(b *testing.B)        { benchSim(b, simEvents) }
-func BenchmarkSleepWake(b *testing.B)        { benchSim(b, sleepWake) }
-func BenchmarkProcHandoff(b *testing.B)      { benchSim(b, procHandoff) }
-func BenchmarkForkJoinSpawn(b *testing.B)    { benchSim(b, forkJoinSpawn) }
-func BenchmarkPt2PtRoundtrip(b *testing.B)   { benchSim(b, pt2ptRoundtrip) }
-func BenchmarkPartitionedEpoch(b *testing.B) { benchSim(b, partitionedEpoch) }
+func BenchmarkSimEvents(b *testing.B)           { benchSim(b, simEvents) }
+func BenchmarkSleepWake(b *testing.B)           { benchSim(b, sleepWake) }
+func BenchmarkProcHandoff(b *testing.B)         { benchSim(b, procHandoff) }
+func BenchmarkForkJoinSpawn(b *testing.B)       { benchSim(b, forkJoinSpawn) }
+func BenchmarkPt2PtRoundtrip(b *testing.B)      { benchSim(b, pt2ptRoundtrip) }
+func BenchmarkRendezvousRoundtrip(b *testing.B) { benchSim(b, rendezvousRoundtrip) }
+func BenchmarkPartitionedEpoch(b *testing.B)    { benchSim(b, partitionedEpoch) }
+func BenchmarkNativeEpoch(b *testing.B)         { benchSim(b, nativeEpoch) }
 
 // TestAllocPins pins heap allocations per op of the kernel and protocol fast
 // paths. Counts repeat exactly on every host, so they are ordinary tests and
@@ -243,8 +261,10 @@ func TestAllocPins(t *testing.T) {
 		{"SleepWake", sleepWake, 0},
 		{"ProcHandoff", procHandoff, 0},
 		{"ForkJoinSpawn", forkJoinSpawn, 8},
-		{"Pt2PtRoundtrip", pt2ptRoundtrip, 18},
-		{"PartitionedEpoch", partitionedEpoch, 169},
+		{"Pt2PtRoundtrip", pt2ptRoundtrip, 8},
+		{"RendezvousRoundtrip", rendezvousRoundtrip, 8},
+		{"PartitionedEpoch", partitionedEpoch, 39},
+		{"NativeEpoch", nativeEpoch, 40},
 	} {
 		run := func(n int) int {
 			return int(testing.AllocsPerRun(1, func() {

@@ -91,6 +91,10 @@ type cacheEntry struct {
 	done chan struct{}
 	val  any
 	err  error
+	// waiters counts the callers that found the entry and share its
+	// outcome; guarded by Runner.mu. It lets a test hold the computation
+	// open until a known number of callers are committed to this entry.
+	waiters int
 }
 
 // Option configures a Runner.
@@ -383,6 +387,7 @@ func (r *Runner) do(key string, decode decodeFunc, rc *remoteCell, fn func() (an
 	}
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
+		e.waiters++
 		r.mu.Unlock()
 		var t0 time.Time
 		if r.obs != nil {

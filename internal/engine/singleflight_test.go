@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,16 +15,24 @@ func TestSingleFlightCollapsesConcurrentCallers(t *testing.T) {
 	rn := New(WithSingleFlight())
 
 	var (
-		arrived  atomic.Int64 // callers that have entered Do
 		computed atomic.Int64
 		wg       sync.WaitGroup
 	)
+	// parked is the number of callers committed to the in-flight entry. A
+	// caller that has merely been started does not count: had it not looked
+	// the key up by the time the computation returns, the ephemeral entry
+	// would be gone and it would rightly compute again.
+	parked := func() int {
+		rn.mu.Lock()
+		defer rn.mu.Unlock()
+		return rn.cache["cell"].waiters
+	}
 	fn := func() (int, error) {
 		computed.Add(1)
-		// Hold the cell open until every caller has arrived: late callers
-		// park on the in-flight entry, so when this returns, all n calls
-		// resolve from this one computation.
-		for arrived.Load() < n {
+		// Hold the cell open until every other caller is parked on it, so
+		// when this returns, all n calls resolve from this one computation.
+		for parked() < n-1 {
+			runtime.Gosched()
 		}
 		return 42, nil
 	}
@@ -31,7 +40,6 @@ func TestSingleFlightCollapsesConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arrived.Add(1)
 			v, err := DoAs(rn, "cell", fn)
 			if v != 42 || err != nil {
 				t.Errorf("DoAs = %d, %v", v, err)

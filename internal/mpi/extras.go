@@ -100,8 +100,11 @@ func (c *Comm) Iprobe(p *sim.Proc, src, tag int) (ProbeStatus, bool) {
 	probe := &Request{comm: c, kind: recvReq, peer: probePeer, tag: tag, ctx: c.ctxP2P()}
 	for i, u := range st.matcher.unexpected {
 		if matches(probe, u.src, u.tag, u.ctx) {
+			// Read the envelope before sleeping: another thread of this rank
+			// may receive the message meanwhile, and the record is recycled.
+			ps := ProbeStatus{Source: c.localOf(u.src), Tag: u.tag, Size: u.size}
 			p.Sleep(sim.Duration(i+1) * c.world.cfg.MatchPerElement)
-			return ProbeStatus{Source: c.localOf(u.src), Tag: u.tag, Size: u.size}, true
+			return ps, true
 		}
 	}
 	p.Sleep(sim.Duration(len(st.matcher.unexpected)) * c.world.cfg.MatchPerElement)

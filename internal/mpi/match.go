@@ -22,18 +22,37 @@ type rendezvous struct {
 	extra sim.Duration
 	sreq  *Request
 	rreq  *Request
-	data  []byte
-	size  int64
+	// ctsOneWay is the wire latency the CTS travelled with; the payload
+	// takes the same path back.
+	ctsOneWay sim.Duration
 }
 
-// inbound is a message (or RTS) that has arrived at a receiver NIC.
+// inbound is one message on its way from a sender's NIC into a receiver's
+// matcher: the envelope, the payload (eager) or the rendezvous state (RTS),
+// and — because it is the sim.Handler of every event of its own transfer
+// (see Fire in p2p.go) — no closures. A native partition landing travels as
+// one too, with precv set instead of an envelope.
+//
+// Records are recycled (World.newInbound, rankState.release): the sending
+// rank takes one from its own free list, the receiving rank returns it to
+// its own once the match has consumed it. Nothing may hold an *inbound past
+// release; an entry of the unexpected queue is not released until a receive
+// takes it out, so a reader that does not take it out (Iprobe) must not keep
+// the pointer across a Sleep.
 type inbound struct {
+	w             *World
+	to            *rankState
 	src, tag, ctx int
 	size          int64
 	data          []byte
 	kind          msgKind
 	deliveredAt   sim.Time
-	rndv          *rendezvous
+	rendezvous
+
+	// Native partitioned transfers: the bound receive request and which
+	// partition of which epoch this is.
+	precv       *PRequest
+	part, epoch int
 }
 
 // matchKey is the exact-match envelope for the per-rank matching index.

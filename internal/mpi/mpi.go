@@ -275,6 +275,9 @@ type rankState struct {
 	// partRegistry pairs native partitioned inits: key → FIFO of pending
 	// receive-side PRequests awaiting their sender.
 	partRegistry map[partKey][]*PRequest
+	// freeInbounds holds message records this rank has consumed as a
+	// receiver, for it to reuse as a sender (see inbound).
+	freeInbounds []*inbound
 }
 
 type partKey struct {

@@ -1,6 +1,10 @@
 package mpi
 
-import "partmb/internal/sim"
+import (
+	"fmt"
+
+	"partmb/internal/sim"
+)
 
 // Isend starts a nonblocking send of data to dest with the given tag and
 // returns its request. The send completes locally when the payload has left
@@ -68,21 +72,69 @@ func (c *Comm) sendExtra(thread int, size int64) sim.Duration {
 	return c.placement.InjectionPenalty(thread) + c.world.cfg.Mem.AccessStall(size)
 }
 
-// startSend injects the message (eager) or its RTS (rendezvous) and chains
-// the receiver-side events. It may be called from proc or event context;
-// now is the injection request time.
+// The steps of a message's life after injection. Each is one event, and the
+// op the inbound schedules on itself to get there.
+const (
+	msgAtNIC     = iota // last byte at the receiver NIC
+	msgDelivered        // through the receiver NIC: match
+	ctsAtNIC            // rendezvous: clear-to-send at the sender NIC
+	ctsDelivered        // clear-to-send processed: stream the payload
+	payloadAtNIC        // rendezvous payload's last byte at the receiver NIC
+	partAtNIC           // native partition's last byte at the receiver NIC
+	partLanded          // native partition past the receive-side completion
+)
+
+// maxFreeInbounds caps a rank's free list. A rank that receives more than it
+// sends (one-directional traffic) would otherwise hoard every record its
+// peer allocates.
+const maxFreeInbounds = 64
+
+// newMessage takes a record for sreq's message (or its RTS) to rank to and
+// fills in the envelope.
+func (w *World) newMessage(from, to *rankState, sreq *Request, kind msgKind) *inbound {
+	m := w.newInbound(from, to)
+	m.src, m.tag, m.ctx, m.size, m.data = sreq.comm.rank, sreq.tag, sreq.ctx, sreq.size, sreq.data
+	m.kind = kind
+	return m
+}
+
+// newInbound takes a blank record for a transfer from → to off the sender's
+// free list. It runs on the sender's shard.
+func (w *World) newInbound(from, to *rankState) *inbound {
+	var m *inbound
+	if n := len(from.freeInbounds); n > 0 {
+		m = from.freeInbounds[n-1]
+		from.freeInbounds[n-1] = nil
+		from.freeInbounds = from.freeInbounds[:n-1]
+	} else {
+		m = new(inbound)
+	}
+	m.w, m.to = w, to
+	return m
+}
+
+// release returns a consumed message record to the receiver's free list. It
+// runs on the receiver's shard, so like newInbound it touches only the list
+// of a rank the running shard owns.
+func (st *rankState) release(m *inbound) {
+	if len(st.freeInbounds) < maxFreeInbounds {
+		*m = inbound{}
+		st.freeInbounds = append(st.freeInbounds, m)
+	}
+}
+
+// startSend injects the message (eager) or its RTS (rendezvous); the
+// receiver-side events follow in Fire. It may be called from proc or event
+// context; now is the injection request time.
 func (w *World) startSend(now sim.Time, from, to *rankState, sreq *Request, extra sim.Duration) {
-	if w.cfg.Net.Eager(sreq.size) {
-		oneWay := w.latency(from.id, to.id) + w.crossDelay(now, from, to, sreq.size)
-		txDone, arrive := from.nic.InjectLat(now, sreq.size, extra, oneWay)
-		sreq.completeAt(from.sched, txDone)
-		w.scheduleArrival(from, to, arrive, &inbound{
-			src: sreq.comm.rank, tag: sreq.tag, ctx: sreq.ctx,
-			size: sreq.size, data: sreq.data, kind: kindEager,
-		})
+	if !w.cfg.Net.Eager(sreq.size) {
+		w.startRendezvous(now, from, to, sreq, extra)
 		return
 	}
-	w.startRendezvous(now, from, to, sreq, extra)
+	oneWay := w.latency(from.id, to.id) + w.crossDelay(now, from, to, sreq.size)
+	txDone, arrive := from.nic.InjectLat(now, sreq.size, extra, oneWay)
+	sreq.completeAt(txDone)
+	from.sched.DeferFire(to.sched, arrive, w.newMessage(from, to, sreq, kindEager), msgAtNIC)
 }
 
 // startRendezvous sends the zero-byte RTS control message; the payload
@@ -90,30 +142,49 @@ func (w *World) startSend(now sim.Time, from, to *rankState, sreq *Request, extr
 // sends (Ssend/Issend) use this path directly regardless of message size.
 func (w *World) startRendezvous(now sim.Time, from, to *rankState, sreq *Request, extra sim.Duration) {
 	_, arrive := from.nic.InjectLat(now, 0, 0, w.latency(from.id, to.id))
-	rndv := &rendezvous{
-		sender: from,
-		extra:  extra,
-		sreq:   sreq,
-		data:   sreq.data,
-		size:   sreq.size,
-	}
-	w.scheduleArrival(from, to, arrive, &inbound{
-		src: sreq.comm.rank, tag: sreq.tag, ctx: sreq.ctx,
-		size: sreq.size, kind: kindRTS, rndv: rndv,
-	})
+	m := w.newMessage(from, to, sreq, kindRTS)
+	m.rendezvous = rendezvous{sender: from, extra: extra, sreq: sreq}
+	from.sched.DeferFire(to.sched, arrive, m, msgAtNIC)
 }
 
-// scheduleArrival runs receiver-NIC delivery and matching for a message
-// whose last byte lands at time arrive. It is called from the sender's shard
-// and hops to the receiver's; on a single shard Defer degenerates to At.
-func (w *World) scheduleArrival(from, to *rankState, arrive sim.Time, inb *inbound) {
-	from.sched.Defer(to.sched, arrive, func() {
-		delivered := to.nic.Deliver(arrive)
-		inb.deliveredAt = delivered
-		to.sched.At(delivered, func() {
-			w.handleArrival(to, inb)
-		})
-	})
+// Fire advances the message one step. Every event runs on the shard of the
+// rank it happens at — the receiver's, except the two CTS steps on the
+// sender's — and fires at the time it was scheduled for, so that shard's
+// clock is the step's timestamp. A hop between the two ranks goes through
+// DeferFire, which on a single shard degenerates to AtFire.
+func (m *inbound) Fire(op int) {
+	w, to := m.w, m.to
+	switch op {
+	case msgAtNIC:
+		m.deliveredAt = to.nic.Deliver(to.sched.Now())
+		to.sched.AtFire(m.deliveredAt, m, msgDelivered)
+	case msgDelivered:
+		w.handleArrival(to, m)
+	case ctsAtNIC:
+		sender := m.sender
+		sender.sched.AtFire(sender.nic.Deliver(sender.sched.Now()), m, ctsDelivered)
+	case ctsDelivered:
+		// The configured rendezvous setup cost covers protocol bookkeeping
+		// on the sender.
+		sender := m.sender
+		start := sender.sched.Now().Add(w.cfg.Net.RendezvousSetup)
+		dataOneWay := m.ctsOneWay + w.crossDelay(start, sender, to, m.size)
+		txDone, dataArrive := sender.nic.InjectLat(start, m.size, m.extra, dataOneWay)
+		m.sreq.completeAt(txDone)
+		sender.sched.DeferFire(to.sched, dataArrive, m, payloadAtNIC)
+	case payloadAtNIC:
+		m.rreq.data = m.data
+		m.rreq.completeAt(to.nic.Deliver(to.sched.Now()))
+		to.release(m)
+	case partAtNIC:
+		to.sched.AtFire(to.sched.Now().Add(w.cfg.NativeRxOverhead), m, partLanded)
+	case partLanded:
+		rpr, a := m.precv, nativeArrival{part: m.part, epoch: m.epoch, at: to.sched.Now(), data: m.data}
+		to.release(m)
+		rpr.nativeArrive(a)
+	default:
+		panic(fmt.Sprintf("mpi: message fired with unknown step %d", op))
+	}
 }
 
 // handleArrival matches a delivered message against the posted-receive
@@ -130,11 +201,12 @@ func (w *World) handleArrival(to *rankState, inb *inbound) {
 		req.data = inb.data
 		req.size = inb.size
 		req.matchedFrom = inb.src
-		req.completeAt(to.sched, t)
+		req.completeAt(t)
+		to.release(inb)
 	case kindRTS:
 		req.size = inb.size
 		req.matchedFrom = inb.src
-		w.startCTS(t, to, inb.rndv, req)
+		w.startCTS(t, to, inb, req)
 	}
 }
 
@@ -165,11 +237,12 @@ func (c *Comm) postRecv(p *sim.Proc, rreq *Request) {
 		rreq.size = inb.size
 		rreq.matchedFrom = inb.src
 		copyCost := sim.Duration(float64(inb.size) / w.cfg.CopyBandwidth * 1e9)
-		rreq.completeAt(st.sched, p.Now().Add(copyCost))
+		rreq.completeAt(p.Now().Add(copyCost))
+		st.release(inb)
 	case kindRTS:
 		rreq.size = inb.size
 		rreq.matchedFrom = inb.src
-		w.startCTS(p.Now(), st, inb.rndv, rreq)
+		w.startCTS(p.Now(), st, inb, rreq)
 	}
 }
 
@@ -194,27 +267,11 @@ func (c *Comm) irecvOn(p *sim.Proc, src, tag int) *Request {
 	return rreq
 }
 
-// startCTS sends the rendezvous clear-to-send back to the sender at time t
-// and chains the data transfer on its arrival.
-func (w *World) startCTS(t sim.Time, to *rankState, rndv *rendezvous, rreq *Request) {
-	rndv.rreq = rreq
-	sender := rndv.sender
-	oneWay := w.latency(to.id, sender.id)
-	_, arrive := to.nic.InjectLat(t, 0, 0, oneWay)
-	to.sched.Defer(sender.sched, arrive, func() {
-		delivered := sender.nic.Deliver(arrive)
-		sender.sched.At(delivered, func() {
-			// CTS processed: stream the payload. The configured rendezvous
-			// setup cost covers protocol bookkeeping on the sender.
-			start := delivered.Add(w.cfg.Net.RendezvousSetup)
-			dataOneWay := oneWay + w.crossDelay(start, sender, to, rndv.size)
-			txDone, dataArrive := sender.nic.InjectLat(start, rndv.size, rndv.extra, dataOneWay)
-			rndv.sreq.completeAt(sender.sched, txDone)
-			sender.sched.Defer(to.sched, dataArrive, func() {
-				done := to.nic.Deliver(dataArrive)
-				rreq.data = rndv.data
-				rreq.completeAt(to.sched, done)
-			})
-		})
-	})
+// startCTS sends the rendezvous clear-to-send back to the sender at time t;
+// the data transfer follows on its arrival (Fire, from ctsAtNIC on).
+func (w *World) startCTS(t sim.Time, to *rankState, m *inbound, rreq *Request) {
+	m.rreq = rreq
+	m.ctsOneWay = w.latency(to.id, m.sender.id)
+	_, arrive := to.nic.InjectLat(t, 0, 0, m.ctsOneWay)
+	to.sched.DeferFire(m.sender.sched, arrive, m, ctsAtNIC)
 }

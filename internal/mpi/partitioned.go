@@ -54,7 +54,9 @@ type PRequest struct {
 	remaining int
 	allDone   sim.Completion
 
-	// MPIPCL internals: one inner request per partition.
+	// MPIPCL internals: one persistent inner request per partition, created
+	// the first time the partition is used and restarted every epoch after
+	// (see innerRequest).
 	inner []*Request
 
 	// native internals
@@ -132,6 +134,9 @@ func (c *Comm) partInit(p *sim.Proc, kind reqKind, peer, tag, parts int, partByt
 	}
 	for i := range pr.threadOf {
 		pr.threadOf[i] = i
+	}
+	if pr.impl == PartMPIPCL {
+		pr.inner = make([]*Request, parts)
 	}
 	return pr
 }
@@ -313,18 +318,16 @@ func (pr *PRequest) startMPIPCL(p *sim.Proc) {
 	call := c.enter(p, 0)
 	defer call.done()
 	if pr.kind == sendReq {
-		// Sends are issued lazily by Pready; Start only resets bookkeeping.
-		pr.inner = make([]*Request, pr.parts)
+		// Sends are issued lazily by Pready.
 		return
 	}
 	// Receive side: pre-post one internal irecv per partition. This is the
 	// "matching happens once, up front" property of partitioned
 	// communication: partitions always land pre-posted.
-	pr.inner = make([]*Request, pr.parts)
 	for i := 0; i < pr.parts; i++ {
-		i := i
 		p.Sleep(w.cfg.PcclPartitionSetup)
-		rreq := &Request{
+		rreq := pr.innerRequest(i)
+		*rreq = Request{
 			comm:        c,
 			kind:        recvReq,
 			peer:        pr.peer,
@@ -332,11 +335,32 @@ func (pr *PRequest) startMPIPCL(p *sim.Proc) {
 			ctx:         c.ctxPccl(),
 			postedAt:    p.Now(),
 			matchedFrom: pr.peer,
+			onComplete:  rreq.onComplete,
 		}
-		rreq.onComplete = func(t sim.Time) { pr.partitionArrived(i, t, rreq.data) }
 		c.postRecv(p, rreq)
-		pr.inner[i] = rreq
 	}
+}
+
+// innerRequest returns partition i's inner request for the caller to restart
+// (overwrite, keeping onComplete). MPIPCL builds each partition on a
+// persistent request, so an epoch allocates none: the request and the hook
+// that reports its completion to pr are made on first use and kept. By the
+// time an epoch can start, the previous one has completed every inner
+// request; one with a completion still pending is a bug and panics.
+func (pr *PRequest) innerRequest(i int) *Request {
+	r := pr.inner[i]
+	if r == nil {
+		r = new(Request)
+		if pr.kind == recvReq {
+			r.onComplete = func(t sim.Time) { pr.partitionArrived(i, t, r.data) }
+		} else {
+			r.onComplete = func(sim.Time) { pr.partitionSent() }
+		}
+		pr.inner[i] = r
+	} else if r.completing {
+		panic(fmt.Sprintf("mpi: partition %d restarted with a completion pending", i))
+	}
+	return r
 }
 
 func (pr *PRequest) startNative(p *sim.Proc) {
@@ -464,7 +488,8 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 		// per-message costs and, under MPI_THREAD_MULTIPLE, the library
 		// lock.
 		call := c.enter(p, w.cfg.PcclPartitionSetup)
-		sreq := &Request{
+		sreq := pr.innerRequest(i)
+		*sreq = Request{
 			comm:        c,
 			kind:        sendReq,
 			peer:        pr.peer,
@@ -475,10 +500,9 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 			thread:      thread,
 			postedAt:    p.Now(),
 			matchedFrom: c.rank,
+			onComplete:  sreq.onComplete,
 		}
-		sreq.onComplete = func(t sim.Time) { pr.partitionSent(t) }
 		w.startSend(p.Now(), c.state(), w.ranks[pr.peer], sreq, extra)
-		pr.inner[i] = sreq
 		call.done()
 	case PartNative:
 		// Native: a flag write plus a doorbell; no lock, no matching.
@@ -493,17 +517,16 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 		rst := w.ranks[pr.peer]
 		oneWay := w.latency(c.rank, pr.peer) + w.crossDelay(p.Now(), st, rst, pr.partBytes)
 		txDone, arrive := st.nic.InjectLat(p.Now(), pr.partBytes, extra, oneWay)
-		rpr := pr.boundTo
-		epoch := pr.epoch
-		st.sched.At(txDone, func() { pr.partitionSent(txDone) })
-		st.sched.Defer(rst.sched, arrive, func() {
-			done := arrive.Add(w.cfg.NativeRxOverhead)
-			rst.sched.At(done, func() {
-				rpr.nativeArrive(nativeArrival{part: i, epoch: epoch, at: done, data: payload})
-			})
-		})
+		st.sched.AtFire(txDone, pr, 0)
+		m := w.newInbound(st, rst)
+		m.precv, m.part, m.epoch, m.data = pr.boundTo, i, pr.epoch, payload
+		st.sched.DeferFire(rst.sched, arrive, m, partAtNIC)
 	}
 }
+
+// Fire is the local completion of one native partition's transfer, the
+// event Pready schedules at its txDone.
+func (pr *PRequest) Fire(int) { pr.partitionSent() }
 
 // PreadyRange marks partitions [lo, hi) ready, lowest first, the analogue
 // of MPI_Pready_range (note MPI uses an inclusive upper bound; here hi is
@@ -527,12 +550,11 @@ func (pr *PRequest) PreadyList(p *sim.Proc, parts []int) {
 
 // partitionSent records local completion of one partition's transfer on the
 // send side (scheduler context).
-func (pr *PRequest) partitionSent(t sim.Time) {
+func (pr *PRequest) partitionSent() {
 	pr.remaining--
 	if pr.remaining == 0 {
 		pr.allDone.Fire(pr.comm.sched())
 	}
-	_ = t
 }
 
 // partitionArrived records one partition landing on the receive side

@@ -1,0 +1,203 @@
+package mpi
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"partmb/internal/sim"
+)
+
+// Ownership rules of the recycled message records (inbound) and of the
+// persistent inner requests of an MPIPCL PRequest.
+
+// A message parked in the unexpected queue is not released until a receive
+// takes it, however many records are recycled around it in the meantime.
+func TestUnexpectedSurvivesRecycling(t *testing.T) {
+	const rounds = 5000 // 10,000 messages each way
+	small := []byte("parked")
+	large := make([]byte, 1<<20) // rendezvous: its RTS is what gets parked
+	for i := range large {
+		large[i] = byte(i * 31)
+	}
+	// Round i moves 1+i%3 messages one way and 3-i%3 back, so each rank in
+	// turn sends more than it has just received and drains its free list to
+	// the bottom — where a parked record would be, had it been released.
+	exchange := func(c *Comm, p *sim.Proc, peer, round, sends, recvs int) {
+		for k := 0; k < sends; k++ {
+			c.SendBytes(p, peer, 1, int64(1+round%512))
+		}
+		for k := 0; k < recvs; k++ {
+			if _, n := c.Recv(p, peer, 1); n != int64(1+round%512) {
+				t.Fatalf("round %d: size %d, want %d", round, n, 1+round%512)
+			}
+		}
+	}
+	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
+		switch c.Rank() {
+		case 0:
+			c.Send(p, 1, 99, small)
+			big := c.Isend(p, 1, 98, large)
+			for i := 0; i < rounds; i++ {
+				exchange(c, p, 1, i, 1+i%3, 3-i%3)
+			}
+			big.Wait(p)
+		case 1:
+			p.Sleep(sim.Millisecond) // both are parked before any receive is posted
+			for i := 0; i < rounds; i++ {
+				exchange(c, p, 0, i, 3-i%3, 1+i%3)
+			}
+			for _, want := range []struct {
+				tag  int
+				data []byte
+			}{{99, small}, {98, large}} {
+				ps := c.Probe(p, 0, want.tag)
+				if ps.Source != 0 || ps.Tag != want.tag || ps.Size != int64(len(want.data)) {
+					t.Errorf("Probe(tag %d) = %+v, want source 0, size %d", want.tag, ps, len(want.data))
+				}
+				r := c.Irecv(p, 0, want.tag)
+				r.Wait(p)
+				if r.Source() != 0 || r.Size() != int64(len(want.data)) || !bytes.Equal(r.Data(), want.data) {
+					t.Errorf("Recv(tag %d): source %d, size %d, payload intact %v", want.tag, r.Source(), r.Size(), bytes.Equal(r.Data(), want.data))
+				}
+			}
+		}
+	})
+}
+
+// One-directional traffic moves records from the sender's allocator to the
+// receiver's list only: the list stops at its cap and the sender never finds
+// a record to reuse.
+func TestFreeListCappedUnderOneWayTraffic(t *testing.T) {
+	w := runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
+		for i := 0; i < 10000; i++ {
+			if c.Rank() == 0 {
+				c.SendBytes(p, 1, 0, 64)
+			} else {
+				c.Recv(p, 0, 0)
+			}
+		}
+	})
+	if got := len(w.ranks[1].freeInbounds); got != maxFreeInbounds {
+		t.Errorf("receiver holds %d free records after 10000 receives, want the cap %d", got, maxFreeInbounds)
+	}
+	if got := len(w.ranks[0].freeInbounds); got != 0 {
+		t.Errorf("sender holds %d free records though nothing was ever sent to it", got)
+	}
+}
+
+// MPIPCL epochs restart the inner requests made by the first epoch, and the
+// simulation they produce is the one fresh requests produced: the end times
+// are literals recorded on the commit before inner requests were kept.
+func TestEpochsRestartInnerRequests(t *testing.T) {
+	const (
+		epochs = 1000
+		parts  = 8
+	)
+	for _, tc := range []struct {
+		partBytes int64
+		end       sim.Time
+	}{
+		{4096, 7679365},      // eager partitions
+		{64 << 10, 53954350}, // rendezvous partitions
+	} {
+		t.Run(fmt.Sprint(tc.partBytes), func(t *testing.T) {
+			var first [2][]*Request
+			w := runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
+				var pr *PRequest
+				if c.Rank() == 0 {
+					pr = c.PsendInit(p, 1, 0, parts, tc.partBytes)
+				} else {
+					pr = c.PrecvInit(p, 0, 0, parts, tc.partBytes)
+				}
+				for e := 0; e < epochs; e++ {
+					pr.Start(p)
+					if c.Rank() == 0 {
+						pr.PreadyRange(p, 0, parts)
+					}
+					pr.Wait(p)
+					if e == 0 {
+						first[c.Rank()] = append([]*Request(nil), pr.inner...)
+					}
+				}
+				for i, r := range pr.inner {
+					if r == nil || r != first[c.Rank()][i] {
+						t.Errorf("rank %d: inner[%d] is %p after %d epochs, %p after the first", c.Rank(), i, r, epochs, first[c.Rank()][i])
+					}
+				}
+			})
+			if got := w.Scheduler().Now(); got != tc.end {
+				t.Errorf("%d epochs end at %d ns, want %d", epochs, got, tc.end)
+			}
+		})
+	}
+}
+
+// A request is the handler of its own completion event, so it can have one
+// pending at most.
+func TestSecondPendingCompletionPanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	s := sim.New()
+	w := NewWorld(s, DefaultConfig(2))
+	s.Spawn("sender", func(p *sim.Proc) {
+		c := w.Comm(0)
+		r := &Request{comm: c, kind: sendReq}
+		r.completeAt(p.Now().Add(sim.Microsecond))
+		mustPanic("completeAt with a completion pending", func() { r.completeAt(p.Now().Add(sim.Microsecond)) })
+
+		pr := c.PsendInit(p, 1, 0, 2, 1024)
+		pr.Start(p)
+		pr.Pready(p, 0) // partition 0's send completes a little later
+		mustPanic("restarting an inner request with a completion pending", func() { pr.innerRequest(0) })
+		pr.innerRequest(1) // never used yet: fine
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Iprobe reports the envelope it found, even if another thread of the rank
+// receives that message — and its record is recycled — while the probe is
+// still paying its search time. (Below Multiple nothing but the application's
+// promise keeps two calls of one rank apart.)
+func TestIprobeEnvelopeOutlivesRecord(t *testing.T) {
+	s := sim.New()
+	cfg := DefaultConfig(2)
+	cfg.MatchPerElement = sim.Microsecond
+	w := NewWorld(s, cfg)
+	s.Spawn("sender", func(p *sim.Proc) {
+		w.Comm(0).SendBytes(p, 1, 4, 8)
+		w.Comm(0).SendBytes(p, 1, 5, 7)
+	})
+	// Both messages are parked by 1 ms. The probe finds tag 5 second in the
+	// queue and sleeps 2 µs; meanwhile one thread takes tag 4 and another,
+	// now scanning a single entry, takes tag 5; each releases its record 1 µs on.
+	s.Spawn("prober", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond)
+		ps, ok := w.Comm(1).Iprobe(p, 0, 5)
+		if want := (ProbeStatus{Source: 0, Tag: 5, Size: 7}); !ok || ps != want {
+			t.Errorf("Iprobe = %+v, %v, want %+v", ps, ok, want)
+		}
+		if got := len(w.ranks[1].freeInbounds); got != 2 {
+			t.Errorf("%d records released while the probe slept, want both", got)
+		}
+	})
+	for i, tag := range []int{4, 5} {
+		delay := sim.Millisecond + sim.Duration(i+1)*100*sim.Nanosecond
+		s.Spawn(fmt.Sprint("receiver", tag), func(p *sim.Proc) {
+			p.Sleep(delay)
+			w.Comm(1).Recv(p, 0, tag)
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -38,6 +38,9 @@ type Request struct {
 	// persistent-request state
 	persistent bool
 	started    bool
+	// completing is set while the event that completes the request
+	// (completeAt) is scheduled and has not fired.
+	completing bool
 
 	// onComplete, if set, runs in scheduler context when the request
 	// completes (used by the partitioned layer to track partition arrival).
@@ -86,15 +89,25 @@ func (r *Request) Test(p *sim.Proc) bool {
 	return r.done.Done()
 }
 
-// completeAt schedules the request to complete at time t (>= now).
-func (r *Request) completeAt(s *sim.Scheduler, t sim.Time) {
-	s.At(t, func() {
-		r.completedAt = t
-		r.done.Fire(s)
-		if r.onComplete != nil {
-			r.onComplete(t)
-		}
-	})
+// completeAt schedules the request to complete at time t (>= now) on its
+// rank's shard. The request is its own event handler, so a request can have
+// only one completion pending; a second is a protocol bug and panics.
+func (r *Request) completeAt(t sim.Time) {
+	if r.completing {
+		panic("mpi: request already has a completion pending")
+	}
+	r.completing = true
+	r.completedAt = t
+	r.comm.sched().AtFire(t, r, 0)
+}
+
+// Fire completes the request: it is the event completeAt scheduled.
+func (r *Request) Fire(int) {
+	r.completing = false
+	r.done.Fire(r.comm.sched())
+	if r.onComplete != nil {
+		r.onComplete(r.completedAt)
+	}
 }
 
 // reset re-arms a persistent request for another Start.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -514,6 +515,43 @@ func TestPanickingCellIs5xxAndServerLives(t *testing.T) {
 	resp, body := postSpec(t, ts.URL+"/v1/sweep", cheapSpec)
 	if resp.StatusCode != http.StatusOK || len(body) == 0 {
 		t.Fatalf("request after the panic: status %d, %d body bytes; want 200", resp.StatusCode, len(body))
+	}
+}
+
+// TestPanickingCellLeaksNoGoroutines: when a cell's simulation panics, the
+// procs it leaves parked — a sleeper and one blocked for good here — are
+// unwound with the drive, so a client repeating a bad spec costs the daemon
+// no goroutines.
+func TestPanickingCellLeaksNoGoroutines(t *testing.T) {
+	srv, _, rn := newTestServer(t, nil)
+	srv.runSweep = func(Request) ([]*core.Result, error) {
+		_, err := engine.DoAs(rn, "bad-spec", func() (*core.Result, error) {
+			s := sim.New()
+			var never sim.Completion
+			s.Spawn("rank0", func(p *sim.Proc) {
+				p.Sleep(sim.Microsecond)
+				panic("model invariant tripped")
+			})
+			s.Spawn("rank1", func(p *sim.Proc) { p.Sleep(sim.Second) })
+			s.Spawn("rank2", func(p *sim.Proc) { never.Wait(p) })
+			return nil, s.Run()
+		})
+		return nil, err
+	}
+	post := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(cheapSpec)))
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("status %d, want 500: %s", rec.Code, rec.Body)
+		}
+	}
+	post() // whatever the first request starts for good is not a leak
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		post()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after 200 panicking requests, %d before", after, before)
 	}
 }
 

@@ -21,7 +21,8 @@ type runner struct {
 	next func() (struct{}, bool)
 	stop func()
 	// yield suspends the coroutine until the next next(); it reports false
-	// only after stop, which the scheduler calls on idle runners alone.
+	// only after stop, which the scheduler calls when a drive has ended for
+	// good (see Scheduler.stopRunners).
 	yield func(struct{}) bool
 }
 
@@ -39,18 +40,30 @@ func newRunner(s *Scheduler) *runner {
 // that, and so is the drive.
 func (r *runner) loop(yield func(struct{}) bool) {
 	r.yield = yield
-	s := r.s
-	for {
-		p, fn := r.p, r.fn
-		fn(p)
-		p.dead = true
-		p.run = nil
-		r.p, r.fn = nil, nil
-		s.live--
-		s.dropProc(p)
-		s.idle = append(s.idle, r)
-		if !yield(struct{}{}) {
+	for r.runProc() && yield(struct{}{}) {
+	}
+}
+
+// runProc runs the assigned proc and retires it. It reports false when the
+// proc did not finish but was unwound by stop while parked.
+func (r *runner) runProc() (finished bool) {
+	defer func() {
+		if finished {
 			return
 		}
-	}
+		// nil is runtime.Goexit passing through (t.Fatal inside a proc).
+		if v := recover(); v != nil && v != (procKilled{}) {
+			panic(v)
+		}
+	}()
+	s := r.s
+	p, fn := r.p, r.fn
+	fn(p)
+	p.dead = true
+	p.run = nil
+	r.p, r.fn = nil, nil
+	s.live--
+	s.dropProc(p)
+	s.idle = append(s.idle, r)
+	return true
 }

@@ -192,19 +192,63 @@ func TestForkJoinReusesRunners(t *testing.T) {
 	}
 }
 
-// A deadlocked proc keeps its coroutine (nothing can unwind it); the idle
-// ones are still released.
-func TestDeadlockKeepsOnlyBlockedCoroutines(t *testing.T) {
+// A drive that ends with procs still parked — a deadlock, or a panic
+// unwinding through it — unwinds those procs (their deferred calls run) and
+// releases their coroutines along with the idle ones.
+func TestDeadDriveReleasesEveryCoroutine(t *testing.T) {
 	before := goroutineBaseline()
+	unwound := 0
+	stuck := func(p *Proc) {
+		defer func() { unwound++ }()
+		var never Completion
+		never.Wait(p)
+	}
+
 	s := New()
-	var never Completion
 	s.Spawn("done", func(p *Proc) { p.Sleep(Microsecond) })
-	s.Spawn("stuck", func(p *Proc) { never.Wait(p) })
+	s.Spawn("stuck", stuck)
 	var dl *DeadlockError
 	if err := s.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 1 {
 		t.Fatalf("Run = %v, want a deadlock with one blocked proc", err)
 	}
-	if got := runtime.NumGoroutine(); got != before+1 {
-		t.Fatalf("%d goroutines after a one-proc deadlock, want %d (the blocked proc's coroutine only)", got, before+1)
+	if got := runtime.NumGoroutine(); got != before || unwound != 1 {
+		t.Fatalf("deadlocked Run: %d goroutines (started with %d), %d procs unwound, want 1", got, before, unwound)
+	}
+
+	s = New()
+	s.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
+	s.Spawn("stuck", stuck)
+	s.Spawn("bad", func(p *Proc) {
+		p.Sleep(Microsecond)
+		// Its coroutine has not been entered when the drive dies.
+		s.Spawn("unstarted", func(p *Proc) { t.Error("a proc spawned by the panicking proc ran") })
+		panic("boom")
+	})
+	if got := panicValue(func() { s.Run() }); got != "boom" {
+		t.Fatalf("Run panicked with %v, want boom", got)
+	}
+	if got := runtime.NumGoroutine(); got != before || unwound != 2 {
+		t.Fatalf("panicked Run: %d goroutines (started with %d), %d procs unwound, want 2", got, before, unwound)
+	}
+
+	g := NewShardGroup(4, Microsecond)
+	g.SetWorkers(2)
+	for i := 0; i < 4; i++ {
+		i := i
+		g.Shard(i).Spawn("stuck", stuck)
+		g.Shard(i).Spawn(fmt.Sprintf("r%d", i), func(p *Proc) {
+			for k := 0; k < 10; k++ {
+				p.Sleep(Microsecond)
+				if i == 2 && k == 5 {
+					panic("boom")
+				}
+			}
+		})
+	}
+	if got := panicValue(func() { g.Run() }); got != "boom" {
+		t.Fatalf("ShardGroup.Run panicked with %v, want boom", got)
+	}
+	if got := settleGoroutines(before); got != before || unwound != 6 {
+		t.Fatalf("panicked ShardGroup.Run: %d goroutines (started with %d), %d procs unwound, want 6", got, before, unwound)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -107,11 +108,11 @@ func TestSleepWakeAllocationFree(t *testing.T) {
 	}
 }
 
-// The self-wake fast path (a parking proc consuming its own wake without
-// leaving its coroutine) must produce the same timeline as the path where
+// Three procs whose sleeps interleave — some take Sleep's short cut, the rest
+// push a wake and yield — must produce the same timeline as the path where
 // every wake goes through the drive loop (RunPaced at enormous scale disables
-// the fast path). The name predates coroutine procs, when the fast path also
-// handed the token from proc to proc.
+// the short cut). The name predates coroutine procs, when a fast path handed
+// the token from proc to proc.
 func TestDirectHandoffMatchesSlowPath(t *testing.T) {
 	build := func() (*Scheduler, *[]string) {
 		s := New()
@@ -145,6 +146,100 @@ func TestDirectHandoffMatchesSlowPath(t *testing.T) {
 	}
 	if fast.Now() != slow.Now() {
 		t.Fatalf("final clocks differ: %v vs %v", fast.Now(), slow.Now())
+	}
+}
+
+// Sleep's short cut (nothing due before the wake, so the heap is skipped) is
+// taken by a proc whose sleeps are interleaved with callbacks it schedules
+// itself; the callbacks must fire when and in the order they do on the path
+// that pushes every wake, and both paths must hand out the same sequence
+// numbers.
+func TestSleepShortCutMatchesSlowPath(t *testing.T) {
+	build := func() (*Scheduler, *[]string) {
+		s := New()
+		var log []string
+		note := func(what string) func() {
+			return func() { log = append(log, fmt.Sprintf("%s@%d", what, s.Now())) }
+		}
+		s.Spawn("a", func(p *Proc) {
+			for i := 0; i < 40; i++ {
+				s.At(p.Now().Add(Duration(2+i%4)), note(fmt.Sprint("cb", i)))
+				p.Sleep(Duration(1 + i%3)) // sometimes before the callback, sometimes at or past it
+				note("a")()
+			}
+		})
+		return s, &log
+	}
+	fast, fastLog := build()
+	if err := fast.Run(); err != nil {
+		t.Fatal(err)
+	}
+	slow, slowLog := build()
+	if err := slow.RunPaced(1e12); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*fastLog, *slowLog) {
+		t.Fatalf("timelines differ:\n short cut %v\n every wake pushed %v", *fastLog, *slowLog)
+	}
+	if fast.seq != slow.seq || fast.Now() != slow.Now() {
+		t.Fatalf("seq %d at %v with the short cut, seq %d at %v without", fast.seq, fast.Now(), slow.seq, slow.Now())
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Handler events: At is AtFire with the func as the handler, so the two
+// share one order and one allocation-free path.
+// ---------------------------------------------------------------------------
+
+// opLog is a Handler that records the ops it is fired with.
+type opLog []int
+
+func (l *opLog) Fire(op int) { *l = append(*l, op) }
+
+func TestAtAndAtFireShareSchedulingOrder(t *testing.T) {
+	s := New()
+	var got opLog
+	for op := 0; op < 8; op++ {
+		op := op
+		if op%2 == 0 {
+			s.AtFire(Time(5), &got, op)
+		} else {
+			s.At(Time(5), func() { got.Fire(op) })
+		}
+	}
+	s.AtFire(Time(4), &got, -1) // earlier time, scheduled last: fires first
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (opLog{-1, 0, 1, 2, 3, 4, 5, 6, 7}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// ticker is a Handler that reschedules itself n times.
+type ticker struct {
+	s *Scheduler
+	n int
+}
+
+func (k *ticker) Fire(op int) {
+	if k.n--; k.n > 0 {
+		k.s.AtFire(k.s.Now().Add(Microsecond), k, op)
+	}
+}
+
+func TestHandlerEventsAllocationFree(t *testing.T) {
+	run := func(n int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			s := New()
+			s.AtFire(0, &ticker{s: s, n: n}, 0)
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := run(1000), run(2000); a != b {
+		t.Errorf("1000 more handler events cost %v allocations, want 0", b-a)
 	}
 }
 
@@ -257,7 +352,7 @@ func TestRunUntilMonotonicityGuard(t *testing.T) {
 		t.Fatal("expected drained drive")
 	}
 	s.running = false // re-arm the drive for the forged event
-	s.queue.push(s.newEvent(0, func() {}, nil))
+	s.queue.push(s.newEvent(0, nil, funcHandler(func() {}), 0))
 	s.queue[0].at = 0 // bypass At's scheduling-time check
 	defer func() {
 		if recover() == nil {

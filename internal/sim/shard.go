@@ -61,7 +61,8 @@ type crossEvent struct {
 	born Time   // sender-side creation time, the first same-time tiebreak
 	src  int    // source shard id, part of the deterministic merge order
 	seq  uint64 // per-source issue order, the rest of the merge order
-	fn   func()
+	h    Handler
+	op   int
 }
 
 // ewmaAlpha is the weight of the latest window in the per-shard host-cost
@@ -360,7 +361,7 @@ func (g *ShardGroup) Run() error {
 		g.dispatchWindow()
 		for i := range g.shards {
 			if r := g.panics[i]; r != nil {
-				g.stopIdle()
+				g.stopRunners()
 				panic(r)
 			}
 		}
@@ -474,11 +475,12 @@ func (g *ShardGroup) runShardWindow(w, sid int) {
 	}
 	q0, seq0 := len(s.queue), s.seq
 	s.runWindow(g.limit)
-	// Every event ever created is pushed onto the queue exactly once, and
-	// every pop dispatches, so the events processed this window are the
-	// starting queue length plus the events created (seq delta) minus what
-	// is still queued. Counting here keeps the dispatch hot path (and the
-	// self-wake fast path) untouched.
+	// Every sequence number is either an event pushed onto the queue exactly
+	// once and dispatched when popped, or a short-cut Sleep, which takes a
+	// number and counts as one processed event without touching the queue.
+	// So the events processed this window are the starting queue length plus
+	// the numbers taken (seq delta) minus what is still queued. Counting
+	// here keeps the dispatch hot path and Sleep's short cut untouched.
 	g.winEvents[sid] = int64(q0) + int64(s.seq-seq0) - int64(len(s.queue))
 	slices.SortFunc(s.outbox, func(a, b crossEvent) int {
 		if a.at != b.at {
@@ -595,7 +597,7 @@ func (g *ShardGroup) deliver() {
 	if len(g.heads) == 1 {
 		// A single sorted run needs no merge.
 		for _, e := range g.shards[g.heads[0]].outbox {
-			e.dst.atBorn(e.at, e.born, e.fn)
+			e.dst.atBorn(e.at, e.born, e.h, e.op)
 		}
 	} else {
 		// K-way merge over the sorted runs. The scan works on a compacted
@@ -617,14 +619,14 @@ func (g *ShardGroup) deliver() {
 			// atBorn keeps the sender-side creation time as the same-time
 			// tiebreak, so the event interleaves with the destination's
 			// local events exactly as it would have on a single scheduler.
-			be.dst.atBorn(be.at, be.born, be.fn)
+			be.dst.atBorn(be.at, be.born, be.h, be.op)
 			if runs[best] = runs[best][1:]; len(runs[best]) == 0 {
 				runs[best] = runs[len(runs)-1]
 				runs = runs[:len(runs)-1]
 			}
 		}
 		for _, e := range runs[0] {
-			e.dst.atBorn(e.at, e.born, e.fn)
+			e.dst.atBorn(e.at, e.born, e.h, e.op)
 		}
 	}
 	for _, sid := range g.heads {
@@ -678,17 +680,17 @@ func (g *ShardGroup) tickOutboxes() {
 	}
 }
 
-// stopIdle releases every shard's idle coroutines.
-func (g *ShardGroup) stopIdle() {
+// stopRunners releases every shard's coroutines.
+func (g *ShardGroup) stopRunners() {
 	for _, s := range g.shards {
-		s.stopIdle()
+		s.stopRunners()
 	}
 }
 
-// finish marks all shards terminally run, releases their idle coroutines,
-// and aggregates their deadlock state into one error.
+// finish marks all shards terminally run, aggregates their deadlock state
+// into one error, and releases their coroutines.
 func (g *ShardGroup) finish() error {
-	g.stopIdle()
+	defer g.stopRunners()
 	live := 0
 	var now Time
 	var blocked []string
@@ -733,14 +735,15 @@ func (s *Scheduler) runWindow(limit Time) {
 	s.windowing = false
 }
 
-// Defer schedules fn at absolute time t on dst. On the local scheduler it
-// is exactly At. Across shards of the same group it becomes a buffered
-// cross-shard event, delivered at the next window barrier; t must respect
-// the group's lookahead (t >= now + lookahead), which models the minimum
-// cross-shard link latency and is what makes the conservative windows safe.
-func (s *Scheduler) Defer(dst *Scheduler, t Time, fn func()) {
+// DeferFire schedules h.Fire(op) at absolute time t on dst. On the local
+// scheduler it is exactly AtFire. Across shards of the same group it becomes
+// a buffered cross-shard event, delivered at the next window barrier; t must
+// respect the group's lookahead (t >= now + lookahead), which models the
+// minimum cross-shard link latency and is what makes the conservative
+// windows safe.
+func (s *Scheduler) DeferFire(dst *Scheduler, t Time, h Handler, op int) {
 	if dst == s {
-		s.At(t, fn)
+		s.AtFire(t, h, op)
 		return
 	}
 	if s.group == nil || dst.group != s.group {
@@ -751,10 +754,15 @@ func (s *Scheduler) Defer(dst *Scheduler, t Time, fn func()) {
 			t, s.group.lookahead, s.now))
 	}
 	s.outSeq++
-	s.outbox = append(s.outbox, crossEvent{dst: dst, at: t, born: s.now, src: s.shardID, seq: s.outSeq, fn: fn})
+	s.outbox = append(s.outbox, crossEvent{dst: dst, at: t, born: s.now, src: s.shardID, seq: s.outSeq, h: h, op: op})
 	if n := len(s.outbox); n > s.outboxPeak {
 		s.outboxPeak = n
 	}
+}
+
+// Defer is DeferFire with the func itself as the handler.
+func (s *Scheduler) Defer(dst *Scheduler, t Time, fn func()) {
+	s.DeferFire(dst, t, funcHandler(fn), 0)
 }
 
 // Group returns the shard group this scheduler belongs to, or nil for a

@@ -268,3 +268,40 @@ func TestShardGroupWavefrontHorizon(t *testing.T) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
+
+// A cross-shard event carries its sender-side creation time, so among the
+// destination's events of the same instant it fires where it would have on
+// one scheduler: after those created before it, ahead of those created after
+// it — whether it was scheduled with Defer or with DeferFire.
+func TestDeferFireInterleavesLikeDefer(t *testing.T) {
+	const at = Time(20 * Microsecond)
+	run := func(shards int, fire bool) []string {
+		g := NewShardGroup(shards, Microsecond)
+		a, b := g.Shard(0), g.Shard(shards-1)
+		var order []string
+		note := func(what string) func() { return func() { order = append(order, what) } }
+		// b creates local events for the instant at t=1us and t=3us; a
+		// creates its event for b in between, at t=2us.
+		b.At(Time(Microsecond), func() { b.At(at, note("b@1us")) })
+		b.At(Time(3*Microsecond), func() { b.At(at, note("b@3us")) })
+		a.At(Time(2*Microsecond), func() {
+			if fire {
+				a.DeferFire(b, at, funcHandler(note("a@2us")), 0)
+			} else {
+				a.Defer(b, at, note("a@2us"))
+			}
+		})
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return order
+	}
+	want := []string{"b@1us", "a@2us", "b@3us"}
+	for _, shards := range []int{1, 2} {
+		for _, fire := range []bool{false, true} {
+			if got := run(shards, fire); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d DeferFire=%v: order %v, want %v", shards, fire, got, want)
+			}
+		}
+	}
+}

@@ -7,10 +7,11 @@
 // Exactly one of them executes at any instant, on the goroutine that called
 // Run, so all simulator state needs no locking and a panic inside a proc
 // surfaces from Run like any other. Coroutines are pooled per Scheduler:
-// a finished proc's coroutine carries the next Spawn, and the idle ones are
-// stopped when a drive drains, so a finished simulation leaves nothing
-// behind. Events with equal timestamps fire in the order they were
-// scheduled, so runs are bitwise reproducible.
+// a finished proc's coroutine carries the next Spawn, and all of them are
+// stopped when a drive drains or dies (procs still parked are unwound), so a
+// simulation leaves nothing behind however it ends. Events with equal
+// timestamps fire in the order they were scheduled, so runs are bitwise
+// reproducible.
 //
 // The kernel exposes virtual time (Time, Duration in nanoseconds) and a small
 // set of synchronization primitives (Mutex, Cond, WaitGroup, Barrier,
@@ -143,10 +144,23 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// event is a scheduled callback (fn != nil) or a proc wake (proc != nil).
-// Proc wakes carry no closure at all: the run loop and the self-wake fast
-// path resume the proc from its fields, so scheduling a wake never
-// allocates. Events are recycled through the scheduler's freelist.
+// Handler receives events scheduled with AtFire or DeferFire. op is the
+// value passed when the event was scheduled: one object that takes part in
+// several steps (a message arriving, being delivered, being matched) tells
+// them apart by it, so no step needs a closure of its own.
+type Handler interface{ Fire(op int) }
+
+// funcHandler lets At, After and Defer ride on the handler path. A func
+// value is pointer-shaped, so converting one to Handler does not allocate.
+type funcHandler func()
+
+func (f funcHandler) Fire(int) { f() }
+
+// event is a proc wake (proc != nil) or a handler call (h.Fire(op)).
+// Neither carries a closure: the run loop resumes a proc from its fields,
+// and a handler is an object its owner already has,
+// so scheduling either never allocates. Events are recycled through the
+// scheduler's freelist.
 type event struct {
 	at Time
 	// born is the virtual time the event was created at, the first tiebreak
@@ -157,8 +171,9 @@ type event struct {
 	// would have on one scheduler (see ShardGroup.deliver).
 	born Time
 	seq  uint64
-	fn   func()
 	proc *Proc
+	h    Handler
+	op   int
 }
 
 // eventQueue is a typed 4-ary min-heap ordering events by (time, creation
@@ -224,9 +239,8 @@ func (q *eventQueue) pop() *event {
 }
 
 // DeadlockError is returned by Run when live procs remain but no future event
-// can wake any of them. The blocked procs stay suspended in their coroutines
-// for the life of the process (nothing can unwind a proc that is waiting
-// inside user code); only the idle, reusable coroutines are released.
+// can wake any of them. The blocked procs are unwound (their deferred calls
+// run) and their coroutines released before Run returns.
 type DeadlockError struct {
 	// Now is the virtual time at which the simulation stalled.
 	Now Time
@@ -268,9 +282,9 @@ type Scheduler struct {
 	// running becomes true once a drive has fully drained the queue; it is
 	// terminal — no further drives are allowed.
 	running bool
-	// selfWake enables park's fast path: a parking proc that finds its own
-	// wake at the head of the queue (at or before limit) advances the clock
-	// and keeps running instead of switching to the drive loop and back.
+	// selfWake enables Sleep's short cut: a sleep ending at or before limit
+	// with nothing due before it advances the clock and keeps running
+	// instead of pushing a wake and switching to the drive loop and back.
 	// RunPaced disables it so the pacing loop sees every event.
 	selfWake bool
 	limit    Time
@@ -301,7 +315,7 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // newEvent takes an event from the freelist (or allocates one) and stamps
 // it with the next sequence number.
-func (s *Scheduler) newEvent(t Time, fn func(), p *Proc) *event {
+func (s *Scheduler) newEvent(t Time, p *Proc, h Handler, op int) *event {
 	s.seq++
 	var e *event
 	if n := len(s.free); n > 0 {
@@ -311,34 +325,35 @@ func (s *Scheduler) newEvent(t Time, fn func(), p *Proc) *event {
 	} else {
 		e = new(event)
 	}
-	e.at, e.born, e.seq, e.fn, e.proc = t, s.now, s.seq, fn, p
+	e.at, e.born, e.seq, e.proc, e.h, e.op = t, s.now, s.seq, p, h, op
 	return e
 }
 
 // recycle returns a popped event to the freelist, dropping its references.
 func (s *Scheduler) recycle(e *event) {
-	e.fn, e.proc = nil, nil
+	e.proc, e.h = nil, nil
 	s.free = append(s.free, e)
 }
 
-// At schedules fn to run in scheduler context at absolute time t.
-// Scheduling in the past panics: virtual time is monotonic.
-func (s *Scheduler) At(t Time, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	s.queue.push(s.newEvent(t, fn, nil))
+// AtFire schedules h.Fire(op) to run in scheduler context at absolute time
+// t. Scheduling in the past panics: virtual time is monotonic.
+func (s *Scheduler) AtFire(t Time, h Handler, op int) {
+	s.atBorn(t, s.now, h, op)
 }
 
-// atBorn is At with an explicit creation stamp born <= t. The window
+// At schedules fn to run in scheduler context at absolute time t: AtFire
+// with the func itself as the handler.
+func (s *Scheduler) At(t Time, fn func()) { s.AtFire(t, funcHandler(fn), 0) }
+
+// atBorn is AtFire with an explicit creation stamp born <= t. The window
 // barrier uses it so a cross-shard event inherits its sender-side creation
 // time: same-time events then fire in creation-time order exactly as they
 // would have on a single scheduler, instead of in barrier-delivery order.
-func (s *Scheduler) atBorn(t, born Time, fn func()) {
+func (s *Scheduler) atBorn(t, born Time, h Handler, op int) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	e := s.newEvent(t, fn, nil)
+	e := s.newEvent(t, nil, h, op)
 	e.born = born
 	s.queue.push(e)
 }
@@ -445,9 +460,19 @@ func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// stopIdle ends the coroutines on the idle list. Each stop switches into
-// the runner, which returns, so the coroutine is gone when stopIdle returns.
-func (s *Scheduler) stopIdle() {
+// stopRunners ends every coroutine the scheduler still has: those of procs
+// left parked by a deadlock or by a panic that unwound through the drive,
+// then the idle ones. Each stop switches into the runner, which unwinds (a
+// parked proc through park's procKilled panic) and returns, so the
+// coroutines are gone when stopRunners returns. The procs stay listed in
+// s.procs and counted in s.live: they did not finish.
+func (s *Scheduler) stopRunners() {
+	for _, p := range s.procs {
+		if r := p.run; r != nil {
+			p.dead, p.run = true, nil
+			r.stop()
+		}
+	}
 	for i, r := range s.idle {
 		r.stop()
 		s.idle[i] = nil
@@ -481,7 +506,7 @@ func (s *Scheduler) wakeAt(t Time, p *Proc) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	p.wakeScheduled = true
-	s.queue.push(s.newEvent(t, nil, p))
+	s.queue.push(s.newEvent(t, p, nil, 0))
 }
 
 // resumeProc switches from the drive loop into p's coroutine and returns
@@ -498,30 +523,27 @@ func (s *Scheduler) resumeProc(p *Proc) {
 // park suspends the calling proc until something wakes it. The kind and
 // args form the lazy reason shown in deadlock diagnostics.
 //
-// Fast path (self-wake): when the head of the queue is this proc's own wake
-// at or before the drive limit — a sleep expiring with nothing scheduled
-// before it — the proc advances the clock and keeps running: zero switches.
-// Anything else yields to the drive loop, which dispatches the head event.
-// Waking another proc therefore costs two coroutine switches (out to the
-// loop, in to the target). Coroutines are asymmetric — a proc can only
-// switch to whoever resumed it — so there is no proc-to-proc shortcut, and
-// none is needed: the two switches together (~100 ns) cost less than the one
-// channel handoff (~180 ns) such a shortcut paid when procs were goroutines.
+// park always yields to the drive loop, which dispatches the head event, so
+// waking another proc costs two coroutine switches (out to the loop, in to
+// the target). Coroutines are asymmetric — a proc can only switch to whoever
+// resumed it — so there is no proc-to-proc shortcut, and none is needed: the
+// two switches together (~100 ns) cost less than the one channel handoff
+// (~180 ns) such a shortcut paid when procs were goroutines. The one wake
+// that needs no switch at all — a sleep with nothing due before it — never
+// gets here: Sleep returns without pushing it.
 func (p *Proc) park(kind parkKind, a, b int64) {
-	s := p.s
 	p.parkKind, p.parkA, p.parkB = kind, a, b
-	if s.selfWake && len(s.queue) > 0 {
-		if top := s.queue[0]; top.proc == p && top.at <= s.limit {
-			s.queue.pop()
-			s.now = top.at
-			s.recycle(top)
-			p.wakeScheduled = false
-			p.parkKind = parkNone
-			return
-		}
+	if !p.run.yield(struct{}{}) {
+		// The drive is over (deadlock, or a panic unwound through it) and
+		// the scheduler is releasing this proc's coroutine.
+		panic(procKilled{})
 	}
-	p.run.yield(struct{}{})
 }
+
+// procKilled is what park panics with to unwind a proc whose drive has
+// ended; runner.loop recovers it. (runtime.Goexit would not do: iter.Pull
+// re-raises it in the goroutine that called stop.)
+type procKilled struct{}
 
 // Sleep suspends the calling proc for d of virtual time. Zero is allowed and
 // acts as a yield point ordered after already-scheduled same-time events.
@@ -532,6 +554,17 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	s := p.s
 	until := s.now.Add(d)
+	if s.selfWake && until <= s.limit && !p.wakeScheduled &&
+		(len(s.queue) == 0 || until < s.queue[0].at) {
+		// Nothing is due before the wake this sleep would push, so the drive
+		// loop would pop it straight back and resume this proc. Skip the heap
+		// and the two switches; the wake still takes its sequence number, so
+		// every later event keeps the (at, born, seq) it would have had, and
+		// it counts as one event created and processed.
+		s.seq++
+		s.now = until
+		return
+	}
 	s.wakeAt(until, p)
 	p.park(parkSleep, int64(d), int64(until))
 }
@@ -558,19 +591,20 @@ func (s *Scheduler) startDrive(limit Time, selfWake bool) {
 }
 
 // endDrive finishes a drive loop; drained drives are terminal and release
-// the idle coroutines. The public drives defer it, so a panic unwinding out
-// of a proc or an event callback ends the drive the same way.
+// every coroutine, those of still-parked procs included. The public drives
+// defer it, so a panic unwinding out of a proc or an event callback ends the
+// drive the same way.
 func (s *Scheduler) endDrive(drained bool) {
 	s.driving = false
 	s.selfWake = false
 	if drained {
 		s.running = true
-		s.stopIdle()
+		s.stopRunners()
 	}
 }
 
-// dispatch fires one popped event: it resumes the target proc or runs the
-// callback. The event is recycled first (into locals), so callbacks and
+// dispatch fires one popped event: it resumes the target proc or calls the
+// handler. The event is recycled first (into locals), so handlers and
 // resumed procs can immediately reuse it for new events.
 func (s *Scheduler) dispatch(e *event) {
 	if e.at < s.now {
@@ -583,9 +617,9 @@ func (s *Scheduler) dispatch(e *event) {
 		s.resumeProc(p)
 		return
 	}
-	fn := e.fn
+	h, op := e.h, e.op
 	s.recycle(e)
-	fn()
+	h.Fire(op)
 }
 
 // deadlock builds the drive result: nil when every proc finished, a
@@ -621,7 +655,7 @@ func (s *Scheduler) Run() error {
 // the wall clock: one second of virtual time takes 1/scale wall seconds
 // (scale 2 runs twice as fast as real time). Useful for watching timelines
 // live in demos; measurement results are identical to Run since virtual
-// timestamps do not depend on pacing. The self-wake fast path is disabled,
+// timestamps do not depend on pacing. Sleep's short cut is disabled,
 // so every event — every expiring sleep included — is popped and paced by
 // this loop.
 func (s *Scheduler) RunPaced(scale float64) error {
