@@ -98,7 +98,7 @@ func main() {
 		var res *patterns.Result
 		switch *motif {
 		case "sweep3d":
-			res, err = patterns.RunSweep3DCached(rn, patterns.SweepConfig{
+			res, err = patterns.Sweep3D.Run(rn, patterns.SweepConfig{
 				Px: *px, Py: *py,
 				Threads:        *threads,
 				BytesPerThread: size,
@@ -109,7 +109,7 @@ func main() {
 				Adaptive:       adaptive,
 			})
 		case "halo3d":
-			res, err = patterns.RunHalo3DCached(rn, patterns.HaloConfig{
+			res, err = patterns.Halo3D.Run(rn, patterns.HaloConfig{
 				Nx: *haloGrid, Ny: *haloGrid, Nz: *haloGrid,
 				ThreadsPerDim: *tpd,
 				FaceBytes:     size,
@@ -120,7 +120,7 @@ func main() {
 				Adaptive:      adaptive,
 			})
 		case "halo2d":
-			res, err = patterns.RunHalo2DCached(rn, patterns.Halo2DConfig{
+			res, err = patterns.Halo2D.Run(rn, patterns.Halo2DConfig{
 				Nx: *haloGrid, Ny: *haloGrid,
 				ThreadsPerDim: *tpd,
 				EdgeBytes:     size,
@@ -131,7 +131,7 @@ func main() {
 				Adaptive:      adaptive,
 			})
 		case "incast":
-			res, err = patterns.RunIncastCached(rn, patterns.IncastConfig{
+			res, err = patterns.Incast.Run(rn, patterns.IncastConfig{
 				Senders:        *senders,
 				Threads:        *threads,
 				BytesPerThread: size,

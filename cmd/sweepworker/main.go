@@ -2,8 +2,9 @@
 // coordinator (sweepd -distributed, or any embedder of internal/remote's
 // Coordinator). It registers over the schema-versioned wire protocol,
 // heartbeats, long-polls for tasks, runs each cell through the registered
-// cell kinds, and posts the cell's result JSON plus its measured host-ns
-// cost back — the result goes into the engine's cache, the cost into its
+// cell kinds (every experiment family is linked in, so every kind is
+// served), and posts the cell's result JSON plus its measured host-ns cost
+// back — the result goes into the engine's cache, the cost into its
 // per-worker telemetry (stats line, metrics, trace lanes). The simulator is
 // deterministic and cells are content-addressed, so a cell computed here is
 // byte-identical to one computed locally; adding workers changes only
@@ -27,7 +28,14 @@ import (
 	"syscall"
 	"time"
 
+	"partmb/internal/engine"
 	"partmb/internal/remote"
+
+	// Each family registers its cell kinds with the engine.
+	_ "partmb/internal/classic"
+	_ "partmb/internal/core"
+	_ "partmb/internal/patterns"
+	_ "partmb/internal/snap"
 )
 
 func main() {
@@ -64,7 +72,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	fmt.Fprintf(os.Stderr, "sweepworker: %s serving %v for %s\n", *name, remote.Kinds(), *coordinator)
+	fmt.Fprintf(os.Stderr, "sweepworker: %s serving %v for %s\n", *name, engine.Kinds(), *coordinator)
 	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
 		fatal(err)
 	}

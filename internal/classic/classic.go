@@ -89,83 +89,84 @@ func (c Config) world(s *sim.Scheduler, mode mpi.ThreadMode) *mpi.World {
 	return mpi.NewWorld(s, mcfg)
 }
 
-// sweepPoints runs one benchmark point per size on the runner's worker pool,
-// memoizing each (benchmark, config, size, args...) cell. A nil runner uses
-// the shared default runner. With cfg.Adaptive set, each point samples
-// adaptively (the adaptive config participates in the key, so adaptive and
-// fixed cells never alias).
-func sweepPoints(rn *engine.Runner, what string, cfg Config, sizes []int64,
-	one func(Config, int64) (float64, error), extra ...any) ([]Point, error) {
+// The classic cells, one per benchmark kind. Key parts are the benchmark's
+// arguments in the order the keys have always hashed them: size then
+// window; threads, depth or partitions then size.
+var (
+	latencyCell = newCell("classic.Latency", func(c Config, a []int64) (float64, error) {
+		return latencyAt(c, a[0])
+	})
+	bandwidthCell = newCell("classic.Bandwidth", func(c Config, a []int64) (float64, error) {
+		return bandwidthAt(c, a[0], int(a[1]))
+	})
+	biBandwidthCell = newCell("classic.BiBandwidth", func(c Config, a []int64) (float64, error) {
+		return biBandwidthAt(c, a[0], int(a[1]))
+	})
+	threadLatencyCell = newCell("classic.ThreadLatency", func(c Config, a []int64) (sim.Duration, error) {
+		return threadLatencyAt(c, int(a[0]), a[1])
+	})
+	matchStressCell = newCell("classic.MatchStress", func(c Config, a []int64) (sim.Duration, error) {
+		return matchStressAt(c, int(a[0]))
+	})
+	partLatencyCell = newCell("classic.PartLatency", func(c Config, a []int64) (sim.Duration, error) {
+		return partLatencyAt(c, a[1], int(a[0]))
+	})
+)
+
+func newCell[T any](kind string, run func(Config, []int64) (T, error)) *engine.Cell[Config, T] {
+	return engine.NewCell(kind, func(c Config) (Config, *stats.RunConfig, bool) {
+		return c.withDefaults(), c.Adaptive, false
+	}, run, nil)
+}
+
+// sweepPoints runs one benchmark point per size on the runner's worker pool
+// (nil = the shared default runner); extra are the key parts that follow
+// the size, and what names the benchmark in errors.
+func sweepPoints(rn *engine.Runner, what string, cell *engine.Cell[Config, float64],
+	cfg Config, sizes []int64, extra ...int64) ([]Point, error) {
 	r := engine.OrDefault(rn)
 	// Classic point cost scales with the message size.
 	cost := func(i int) float64 { return float64(sizes[i]) }
 	vals, err := r.Sweep(context.Background(), len(sizes), cost, func(ctx context.Context, i int) (any, error) {
-		size := sizes[i]
-		key, kerr := engine.Key(append([]any{what, cfg, size}, extra...)...)
-		if kerr != nil {
-			key = ""
-		}
-		if cfg.Adaptive != nil {
-			if cfg.Adaptive.Budget > 0 {
-				key = "" // budget stops depend on host speed; never memoize
-			}
-			pt, err := engine.DoAs(r, key, func() (Point, error) {
-				return adaptivePoint(cfg, size, one)
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s: size %s: %w", what, FormatSize(size), err)
-			}
-			return pt, nil
-		}
-		v, err := engine.DoAs(r, key, func() (float64, error) { return one(cfg, size) })
+		pt, err := point(r, cell, cfg, append([]int64{sizes[i]}, extra...))
 		if err != nil {
-			return nil, fmt.Errorf("%s: size %s: %w", what, FormatSize(size), err)
+			return nil, fmt.Errorf("%s: size %s: %w", what, FormatSize(sizes[i]), err)
 		}
-		return Point{Size: size, Value: v}, nil
+		return pt, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Point, len(sizes))
+	out := make([]Point, len(vals))
 	for i, v := range vals {
 		out[i] = v.(Point)
-		out[i].Size = sizes[i]
 	}
 	return out, nil
 }
 
-// adaptivePoint estimates one benchmark point by drawing single-iteration
-// runs under seeds derived from the platform seed (stats.DeriveSeed) until
-// the sampler declares the estimate tight — classic sims are deterministic
-// per seed, so a quiet benchmark converges at MinSamples draws instead of
-// burning the fixed OSU-style iteration count. The reported Value is the
-// sample mean, with the full estimate attached.
-func adaptivePoint(cfg Config, size int64, one func(Config, int64) (float64, error)) (Point, error) {
-	rc := *cfg.Adaptive
-	s := stats.NewSampler(rc)
-	for draw := 0; !s.Done(); draw++ {
-		sub := cfg
-		sub.Adaptive = nil
-		sub.Iterations = 1
-		sub.Platform = cfg.Platform.WithSeed(stats.DeriveSeed(cfg.Platform.Seed, draw))
-		v, err := one(sub, size)
+// point resolves one benchmark point, whose size is args[0]. With
+// cfg.Adaptive set it draws single-iteration runs of the same kind under
+// seeds derived from the platform seed (stats.DeriveSeed) until the sampler
+// declares the estimate tight — classic sims are deterministic per seed, so
+// a quiet benchmark converges at MinSamples draws instead of burning the
+// fixed OSU-style iteration count. The adaptive Value is the sample mean,
+// with the full estimate attached.
+func point(r *engine.Runner, cell *engine.Cell[Config, float64], cfg Config, args []int64) (Point, error) {
+	if cfg.Adaptive == nil {
+		v, err := cell.Run(r, cfg, args...)
+		return Point{Size: args[0], Value: v}, err
+	}
+	return engine.Sampled(r, cell, cfg, args, func() (Point, error) {
+		_, est, err := cell.Draws(r, cfg, args, func(c Config, d int) Config {
+			c.Adaptive, c.Iterations = nil, 1
+			c.Platform = c.Platform.WithSeed(stats.DeriveSeed(c.Platform.Seed, d))
+			return c
+		}, func(v float64) float64 { return v })
 		if err != nil {
-			return Point{}, fmt.Errorf("adaptive draw %d: %w", draw, err)
+			return Point{}, err
 		}
-		s.Add(v)
-	}
-	est := s.Estimate()
-	return Point{Size: size, Value: est.Mean, CI: &est}, nil
-}
-
-// cachedDuration memoizes a single-point duration benchmark on the runner's
-// cache.
-func cachedDuration(rn *engine.Runner, what string, cfg Config, a int, b int64, run func() (sim.Duration, error)) (sim.Duration, error) {
-	key, err := engine.Key(what, cfg, a, b)
-	if err != nil {
-		key = ""
-	}
-	return engine.DoAs(engine.OrDefault(rn), key, run)
+		return Point{Size: args[0], Value: est.Mean, CI: &est}, nil
+	})
 }
 
 // FormatSize renders a byte count in the compact power-of-two form used in
@@ -191,7 +192,7 @@ func Latency(rn *engine.Runner, cfg Config, sizes []int64) ([]Point, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return sweepPoints(rn, "classic.Latency", cfg, sizes, latencyAt)
+	return sweepPoints(rn, "classic.Latency", latencyCell, cfg, sizes)
 }
 
 func latencyAt(cfg Config, size int64) (float64, error) {
@@ -236,9 +237,7 @@ func Bandwidth(rn *engine.Runner, cfg Config, sizes []int64, window int) ([]Poin
 	if window <= 0 {
 		return nil, fmt.Errorf("classic: window must be positive")
 	}
-	return sweepPoints(rn, "classic.Bandwidth", cfg, sizes, func(cfg Config, size int64) (float64, error) {
-		return bandwidthAt(cfg, size, window)
-	}, window)
+	return sweepPoints(rn, "classic.Bandwidth", bandwidthCell, cfg, sizes, int64(window))
 }
 
 func bandwidthAt(cfg Config, size int64, window int) (float64, error) {
@@ -291,9 +290,7 @@ func BiBandwidth(rn *engine.Runner, cfg Config, sizes []int64, window int) ([]Po
 	if window <= 0 {
 		return nil, fmt.Errorf("classic: window must be positive")
 	}
-	return sweepPoints(rn, "classic.BiBandwidth", cfg, sizes, func(cfg Config, size int64) (float64, error) {
-		return biBandwidthAt(cfg, size, window)
-	}, window)
+	return sweepPoints(rn, "classic.BiBandwidth", biBandwidthCell, cfg, sizes, int64(window))
 }
 
 func biBandwidthAt(cfg Config, size int64, window int) (float64, error) {
@@ -359,9 +356,7 @@ func ThreadLatency(rn *engine.Runner, cfg Config, threads int, size int64) (sim.
 	if threads <= 0 {
 		return 0, fmt.Errorf("classic: threads must be positive")
 	}
-	return cachedDuration(rn, "classic.ThreadLatency", cfg, threads, size, func() (sim.Duration, error) {
-		return threadLatencyAt(cfg, threads, size)
-	})
+	return threadLatencyCell.Run(rn, cfg, int64(threads), size)
 }
 
 func threadLatencyAt(cfg Config, threads int, size int64) (sim.Duration, error) {
@@ -416,12 +411,13 @@ func threadLatencyAt(cfg Config, threads int, size int64) (sim.Duration, error) 
 // returned duration is the time Irecv spends searching the queue.
 func MatchStress(rn *engine.Runner, cfg Config, depth int) (sim.Duration, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return 0, err
+	}
 	if depth < 0 {
 		return 0, fmt.Errorf("classic: negative depth")
 	}
-	return cachedDuration(rn, "classic.MatchStress", cfg, depth, 0, func() (sim.Duration, error) {
-		return matchStressAt(cfg, depth)
-	})
+	return matchStressCell.Run(rn, cfg, int64(depth), 0)
 }
 
 func matchStressAt(cfg Config, depth int) (sim.Duration, error) {
@@ -464,9 +460,7 @@ func PartLatency(rn *engine.Runner, cfg Config, size int64, parts int) (sim.Dura
 	if parts <= 0 || size%int64(parts) != 0 {
 		return 0, fmt.Errorf("classic: %d partitions must divide %d bytes", parts, size)
 	}
-	return cachedDuration(rn, "classic.PartLatency", cfg, parts, size, func() (sim.Duration, error) {
-		return partLatencyAt(cfg, size, parts)
-	})
+	return partLatencyCell.Run(rn, cfg, int64(parts), size)
 }
 
 func partLatencyAt(cfg Config, size int64, parts int) (sim.Duration, error) {

@@ -1,9 +1,11 @@
 package classic
 
 import (
+	"strings"
 	"testing"
 
 	"partmb/internal/netsim"
+	"partmb/internal/platform"
 	"partmb/internal/sim"
 )
 
@@ -160,5 +162,28 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := MessageRate(nil, quickCfg(), 0, 8); err == nil {
 		t.Fatal("zero size accepted")
+	}
+
+	// An invalid platform is rejected by every entry point, before any cell
+	// runs.
+	badPlatform := quickCfg()
+	badPlatform.Platform = platform.Niagara()
+	badPlatform.Platform.NoisePercent = -1
+	entries := map[string]func() error{
+		"Latency":     func() error { _, err := Latency(nil, badPlatform, []int64{8}); return err },
+		"Bandwidth":   func() error { _, err := Bandwidth(nil, badPlatform, []int64{8}, 4); return err },
+		"BiBandwidth": func() error { _, err := BiBandwidth(nil, badPlatform, []int64{8}, 4); return err },
+		"MessageRate": func() error { _, err := MessageRate(nil, badPlatform, 8, 4); return err },
+		"ThreadLatency": func() error {
+			_, err := ThreadLatency(nil, badPlatform, 2, 8)
+			return err
+		},
+		"MatchStress": func() error { _, err := MatchStress(nil, badPlatform, 4); return err },
+		"PartLatency": func() error { _, err := PartLatency(nil, badPlatform, 64, 4); return err },
+	}
+	for name, run := range entries {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "NoisePercent") {
+			t.Errorf("%s with an invalid platform: err = %v, want the platform's error", name, err)
+		}
 	}
 }

@@ -8,7 +8,13 @@ import (
 	"testing"
 
 	"partmb/internal/engine"
+	"partmb/internal/stats"
 )
+
+// diskCell is a typed cell, so it persists to the disk cache.
+var diskCell = engine.NewCell("cliutil.test",
+	func(v int) (int, *stats.RunConfig, bool) { return v, nil, false },
+	func(v int, _ []int64) (int, error) { return v, nil }, nil)
 
 func TestEngineFlagsDefaults(t *testing.T) {
 	var e EngineFlags
@@ -51,8 +57,7 @@ func TestEngineFlagsRunnerWiring(t *testing.T) {
 	if rn.Workers() != 2 {
 		t.Fatalf("workers = %d, want 2", rn.Workers())
 	}
-	type cell struct{ V int }
-	if _, err := engine.DoAs(rn, "k", func() (cell, error) { return cell{7}, nil }); err != nil {
+	if _, err := diskCell.Run(rn, 7); err != nil {
 		t.Fatal(err)
 	}
 	st := rn.Stats()
@@ -71,7 +76,7 @@ func TestEngineFlagsRunnerWiring(t *testing.T) {
 		t.Fatalf("fault injector never fired across 64 cells at prob 0.4: %+v", st)
 	}
 	// The disk cache landed under the schema-versioned directory.
-	matches, err := filepath.Glob(filepath.Join(dir, "v*", "k.json"))
+	matches, err := filepath.Glob(filepath.Join(dir, "v*", diskCell.Key(7)+".json"))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("persisted cells = %v, %v", matches, err)
 	}

@@ -91,10 +91,10 @@ func metricSamples(cfg Config, samples []Sample) map[string][]float64 {
 	return out
 }
 
-// RunAdaptive runs the cell with confidence-targeted sampling: batches of
-// iterations are simulated under derived noise seeds (stats.DeriveSeed over
-// the platform seed, so draws are independent but fully reproducible) until
-// every metric's confidence interval meets cfg.Adaptive.TargetRelCI, or the
+// runAdaptive is the core.Run cell's sampler: batches of iterations are
+// simulated under derived noise seeds (stats.DeriveSeed over the platform
+// seed, so draws are independent but fully reproducible) until every
+// metric's confidence interval meets cfg.Adaptive.TargetRelCI, or the
 // sample/wall-clock budget runs out. Fixed warmup is replaced by in-band
 // MSER warmup detection: each draw simulates the configured warmup count as
 // extra leading iterations and discards only as many as the marginal
@@ -104,30 +104,11 @@ func metricSamples(cfg Config, samples []Sample) map[string][]float64 {
 //
 // The returned Result carries the concatenated post-warmup samples, the
 // usual pruned-mean point metrics (same aggregation as the fixed path), and
-// a ResultCI with the per-metric interval estimates. Results are memoized
-// like Run unless a wall-clock budget is set (budget stops depend on host
-// speed, so those runs never enter the cache).
-func RunAdaptive(rn *engine.Runner, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Adaptive == nil {
-		return nil, fmt.Errorf("core: RunAdaptive needs cfg.Adaptive")
-	}
-	if err := cfg.Adaptive.Validate(); err != nil {
-		return nil, err
-	}
+// a ResultCI with the per-metric interval estimates.
+func runAdaptive(cell *engine.Cell[Config, *Result], rn *engine.Runner, cfg Config, _ []int64) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	key := cfg.cacheKey()
-	if cfg.Adaptive.Budget > 0 {
-		key = "" // host-speed dependent; never memoize
-	}
-	return engine.DoAs(engine.OrDefault(rn), key, func() (*Result, error) {
-		return runAdaptive(rn, cfg)
-	})
-}
-
-func runAdaptive(rn *engine.Runner, cfg Config) (*Result, error) {
 	rc := *cfg.Adaptive
 	group := stats.NewGroup(rc, MetricOverhead, MetricPerceivedBW, MetricAvailability, MetricEarlyBird)
 
@@ -148,7 +129,7 @@ func runAdaptive(rn *engine.Runner, cfg Config) (*Result, error) {
 		sub.Warmup = -1 // warmup handled in-band below
 		sub.Iterations = slack + batch
 		sub.Platform = cfg.Platform.WithSeed(stats.DeriveSeed(baseSeed, draw))
-		r, err := RunCached(rn, sub)
+		r, err := cell.Run(rn, sub)
 		if err != nil {
 			return nil, fmt.Errorf("core: adaptive draw %d: %w", draw, err)
 		}

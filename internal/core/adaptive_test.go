@@ -30,7 +30,7 @@ func TestRunAdaptiveDeterministicCellConvergesAtMin(t *testing.T) {
 		Warmup:       1,
 		Adaptive:     adaptiveRC(t, "min=2,max=16,ci=0.05"),
 	}
-	res, err := RunAdaptive(nil, cfg)
+	res, err := RunCached(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRunAdaptiveNoisyCellReportsExhaustion(t *testing.T) {
 		Platform:     pf,
 		Adaptive:     adaptiveRC(t, "min=2,max=8,ci=0.0001"),
 	}
-	res, err := RunAdaptive(nil, cfg)
+	res, err := RunCached(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestRunAdaptiveReproducible(t *testing.T) {
 		Platform:     pf,
 		Adaptive:     adaptiveRC(t, "min=2,max=12,ci=0.1"),
 	}
-	a, err := RunAdaptive(nil, cfg)
+	a, err := RunCached(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAdaptive(nil, cfg)
+	b, err := RunCached(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestAdaptiveOffJSONUnchanged(t *testing.T) {
 	// And the cache key is the same with and without the nil pointer field
 	// (omitempty): recompute through the exported surface.
 	cfg := Config{MessageBytes: 4096, Partitions: 2, Iterations: 2, Warmup: 1}.withDefaults()
-	if cfg.cacheKey() == "" {
+	if cfg.CacheKey() == "" {
 		t.Fatal("fixed config must be cacheable")
 	}
 }
@@ -150,14 +150,14 @@ func TestRunAdaptiveBudgetUncacheable(t *testing.T) {
 	// The budgeted adaptive run must not enter the cache: two separate
 	// runners must both simulate (observable via engine stats).
 	rn := engine.New(engine.Workers(1))
-	if _, err := RunAdaptive(rn, cfg); err != nil {
+	if _, err := RunCached(rn, cfg); err != nil {
 		t.Fatal(err)
 	}
 	st := rn.Stats()
 	if st.Runs == 0 {
 		t.Fatal("no cells computed")
 	}
-	if _, err := RunAdaptive(rn, cfg); err != nil {
+	if _, err := RunCached(rn, cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Draws are cacheable (deterministic sub-configs) but the top-level

@@ -41,7 +41,7 @@ type Config struct {
 	Iterations int
 	Warmup     int
 	// Adaptive, when non-nil, switches RunCached to confidence-targeted
-	// sampling (see RunAdaptive): instead of one run of fixed Iterations,
+	// sampling (see runAdaptive): instead of one run of fixed Iterations,
 	// the cell draws batches across derived noise seeds until every metric's
 	// confidence interval is tight enough or the sample/wall-clock budget
 	// runs out. Nil keeps the fixed-rep path and the pre-adaptive cache
@@ -318,64 +318,47 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// cacheKey returns the engine memoization key for a defaulted config, or ""
-// (uncacheable) when the config has side effects or state the key cannot
-// capture: a trace recorder records events on every run, and a custom
-// topology is an interface the hash cannot see through.
-func (c Config) cacheKey() string {
-	if c.Trace != nil || c.Topology != nil {
-		return ""
-	}
-	key, err := engine.Key("core.Run", c)
-	if err != nil {
-		return ""
-	}
-	return key
-}
+// runCell is the core.Run kind: one benchmark cell. A trace recorder
+// records events on every run and a custom topology is an interface the
+// hash cannot see through, so either leaves the cell uncacheable. Adaptive
+// cells sample with runAdaptive; their fixed-rep draws are cells of this
+// kind, so they are what distributes.
+var runCell = engine.NewCell("core.Run",
+	func(c Config) (Config, *stats.RunConfig, bool) {
+		c = c.withDefaults()
+		if c.Adaptive != nil {
+			// Adaptive cells have always taken defaults twice before keying
+			// (a negative Warmup becomes 0, then 2); their keys stay put.
+			c = c.withDefaults()
+		}
+		return c, c.Adaptive, c.Trace != nil || c.Topology != nil
+	},
+	func(c Config, _ []int64) (*Result, error) { return Run(c) },
+	runAdaptive)
 
 // CacheKey returns the content-addressed engine cell key RunCached files
-// this configuration under, after applying the same defaults RunCached
-// does — "" when the cell is uncacheable (trace or custom topology
-// attached, or an adaptive wall-clock budget that makes results
-// host-speed dependent). Callers that watch the engine's observer stream
-// (e.g. the sweep service's progress SSE) use it to recognize their own
-// cells.
-func (c Config) CacheKey() string {
-	c = c.withDefaults()
-	if c.Adaptive != nil {
-		// RunCached hands adaptive cells to RunAdaptive, which applies
-		// defaults a second time before keying; mirror that exactly.
-		c = c.withDefaults()
-		if c.Adaptive.Budget > 0 {
-			return ""
-		}
-	}
-	return c.cacheKey()
-}
+// this configuration under — "" when the cell is uncacheable (trace or
+// custom topology attached, or an adaptive wall-clock budget that makes
+// results host-speed dependent). Callers that watch the engine's observer
+// stream (e.g. the sweep service's progress SSE) use it to recognize their
+// own cells.
+func (c Config) CacheKey() string { return runCell.Key(c) }
 
 // RunCached is Run memoized through the runner's content-addressed cache
 // (and its persistent disk cache, when one is configured): configurations
 // that resolve identically share one simulation per process. The simulator
 // is deterministic and a *Result round-trips losslessly through JSON, so a
 // cached Result — in-memory or reloaded from disk — is bit-identical to a
-// fresh run; callers must treat it as immutable. A nil runner means a fresh
+// fresh run; callers must treat it as immutable. With an executor
+// installed the cell runs on a remote worker. A nil runner means a fresh
 // engine.New(), whose memo is thrown away with it.
 //
 // When cfg.Adaptive is set, the cell runs confidence-targeted sampling
-// (RunAdaptive) instead of fixed reps; the adaptive config participates in
-// the cache key, so adaptive and fixed results never alias.
+// (see runAdaptive) instead of fixed reps; the adaptive config participates
+// in the cache key, so adaptive and fixed results never alias, and a
+// wall-clock budget makes the cell uncacheable.
 func RunCached(rn *engine.Runner, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Adaptive != nil {
-		return RunAdaptive(rn, cfg)
-	}
-	// "core.Run" names the worker-side execute function for distributed
-	// runners (internal/remote.CoreRunKind); cfg is already defaulted, so
-	// its JSON is exactly the identity the cache key hashes. With no
-	// executor installed this is DoAs.
-	return engine.DoAsVia(engine.OrDefault(rn), cfg.cacheKey(), "core.Run", cfg, func() (*Result, error) {
-		return Run(cfg)
-	})
+	return runCell.Run(rn, cfg)
 }
 
 // emitTrace renders one measured iteration as Chrome trace events: the

@@ -417,7 +417,7 @@ func TestRunCachedMemoizes(t *testing.T) {
 	// Traced configs have side effects and must never be served from cache.
 	traced := quickCfg()
 	traced.Trace = new(trace.Recorder)
-	if key := traced.withDefaults().cacheKey(); key != "" {
+	if key := traced.CacheKey(); key != "" {
 		t.Fatalf("traced config got cache key %q, want uncacheable", key)
 	}
 }

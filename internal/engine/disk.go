@@ -316,18 +316,17 @@ func (d *DiskCache) store(key string, val any) (int64, error) {
 	return int64(len(data)), nil
 }
 
-// DoAs is Do with a typed result, and the entry point that activates the
-// persistent cache: decoding a persisted cell requires its concrete type
-// T, which Do's any-typed interface cannot name (and a method cannot be
-// generic, so the typed entry point is a package function). Lookup order
-// is memory, then disk, then computing fn — with the same singleflight,
-// error-classification, fault-injection, and retry behaviour as Do. T must
-// round-trip through encoding/json losslessly for persisted cells to be
-// bit-identical to fresh runs; every result type in this repository does
-// (sim.Duration marshals exactly, and Go's float64 encoding is shortest-
-// round-trip).
-func DoAs[T any](r *Runner, key string, fn func() (T, error)) (T, error) {
-	v, err := r.do(key, decodeAs[T], nil, func() (any, error) { return fn() })
+// doAs is Do with a typed result, the form the persistent cache and the
+// remote executor need (rc, when non-nil, lets the cell ship): decoding a
+// persisted or shipped cell requires its concrete type T, which Do's
+// any-typed interface cannot name. Lookup order is memory, then disk, then
+// computing fn — with the same singleflight, error-classification,
+// fault-injection, and retry behaviour as Do. T must round-trip through
+// encoding/json losslessly for persisted cells to be bit-identical to fresh
+// runs; every result type in this repository does (sim.Duration marshals
+// exactly, and Go's float64 encoding is shortest-round-trip).
+func doAs[T any](r *Runner, key string, rc *remoteCell, fn func() (T, error)) (T, error) {
+	v, err := r.do(key, decodeAs[T], rc, func() (any, error) { return fn() })
 	if err != nil || v == nil {
 		var zero T
 		return zero, err

@@ -26,7 +26,7 @@ func TestDiskCachePersistsAcrossRunners(t *testing.T) {
 
 	rn1 := New(WithDiskCache(d))
 	var computed int
-	v, err := DoAs(rn1, key, func() (diskCell, error) { computed++; return want, nil })
+	v, err := doAs(rn1, key, nil, func() (diskCell, error) { computed++; return want, nil })
 	if err != nil || v != want {
 		t.Fatalf("cold DoAs = %+v, %v", v, err)
 	}
@@ -39,7 +39,7 @@ func TestDiskCachePersistsAcrossRunners(t *testing.T) {
 
 	// A fresh Runner (fresh process, in effect) must answer from disk.
 	rn2 := New(WithDiskCache(d))
-	v, err = DoAs(rn2, key, func() (diskCell, error) {
+	v, err = doAs(rn2, key, nil, func() (diskCell, error) {
 		t.Error("recomputed a persisted cell")
 		return diskCell{}, nil
 	})
@@ -76,7 +76,7 @@ func TestDiskCacheCorruptEntryRecovered(t *testing.T) {
 		}
 		rn := New(WithDiskCache(d))
 		want := diskCell{Size: 7, Elapsed: 42}
-		v, err := DoAs(rn, key, func() (diskCell, error) { return want, nil })
+		v, err := doAs(rn, key, nil, func() (diskCell, error) { return want, nil })
 		if err != nil || v != want {
 			t.Fatalf("%s: DoAs = %+v, %v", tc.name, v, err)
 		}
@@ -85,7 +85,7 @@ func TestDiskCacheCorruptEntryRecovered(t *testing.T) {
 		}
 		// The entry must have been rewritten valid.
 		rn = New(WithDiskCache(d))
-		if v, err := DoAs(rn, key, func() (diskCell, error) {
+		if v, err := doAs(rn, key, nil, func() (diskCell, error) {
 			t.Errorf("%s: rewritten cell not reused", tc.name)
 			return diskCell{}, nil
 		}); err != nil || v != want {
@@ -116,7 +116,7 @@ func TestDiskCacheErrorsNeverPersisted(t *testing.T) {
 	const key = "badc0de"
 	rn := New(WithDiskCache(d))
 	boom := errors.New("boom")
-	if _, err := DoAs(rn, key, func() (diskCell, error) { return diskCell{}, boom }); !errors.Is(err, boom) {
+	if _, err := doAs(rn, key, nil, func() (diskCell, error) { return diskCell{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(d.Dir(), key+".json")); !os.IsNotExist(err) {
@@ -126,7 +126,7 @@ func TestDiskCacheErrorsNeverPersisted(t *testing.T) {
 	// the failing runner's memory.
 	rn2 := New(WithDiskCache(d))
 	var computed int
-	if _, err := DoAs(rn2, key, func() (diskCell, error) { computed++; return diskCell{}, boom }); !errors.Is(err, boom) || computed != 1 {
+	if _, err := doAs(rn2, key, nil, func() (diskCell, error) { computed++; return diskCell{}, boom }); !errors.Is(err, boom) || computed != 1 {
 		t.Fatalf("fresh runner: err = %v, computed = %d", err, computed)
 	}
 }
@@ -135,7 +135,7 @@ func TestDoAsMemoizesWithoutDisk(t *testing.T) {
 	rn := New()
 	var computed int
 	for i := 0; i < 2; i++ {
-		v, err := DoAs(rn, "k", func() (diskCell, error) {
+		v, err := doAs(rn, "k", nil, func() (diskCell, error) {
 			computed++
 			return diskCell{Size: 9}, nil
 		})

@@ -184,7 +184,7 @@ func WithFaults(fi FaultInjector) Option {
 
 // WithDiskCache persists successful cell results under the cache's
 // directory and consults it before computing, so repeated invocations reuse
-// results across processes. Only cells entered through DoAs participate:
+// results across processes. Only cells entered through Cell.Run participate:
 // decoding a persisted cell needs its concrete type, which Do's any-typed
 // interface cannot provide.
 func WithDiskCache(d *DiskCache) Option {

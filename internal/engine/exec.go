@@ -2,10 +2,10 @@ package engine
 
 // This file is the engine's remote-execution seam. A Runner normally
 // computes a cell by calling its closure on a local worker lane; with an
-// Executor installed (WithExecutor), cells that carry a serializable
-// configuration (DoAsVia) are shipped to the executor instead — the
-// internal/remote coordinator dispatches them to registered sweepworker
-// daemons over a small schema-versioned wire protocol.
+// Executor installed (WithExecutor), keyed cells whose configuration travels
+// (Cell.Run) are shipped to the executor instead — the internal/remote
+// coordinator dispatches them to registered sweepworker daemons over a small
+// schema-versioned wire protocol.
 //
 // The seam is deliberately narrow and content-addressed: a remote task is
 // (key, experiment label, kind, config JSON), and a remote result is the
@@ -71,48 +71,27 @@ type Executor interface {
 // worker leaves.
 var ErrNoWorkers = errors.New("engine: no live remote workers")
 
-// WithExecutor installs a remote executor: cells entered through DoAsVia
-// are dispatched to it instead of computing on the local lane (falling back
-// to local on ErrNoWorkers). Cells without a serializable form (plain Do,
-// empty keys) always run locally.
+// WithExecutor installs a remote executor: keyed cells entered through
+// Cell.Run are dispatched to it instead of computing on the local lane
+// (falling back to local on ErrNoWorkers). Cells without a serializable
+// form (plain Do, empty keys, configurations that do not decode back)
+// always run locally.
 func WithExecutor(x Executor) Option {
 	return func(r *Runner) { r.exec = x }
 }
 
-// Executor returns the installed remote executor (nil when none).
-func (r *Runner) Executor() Executor { return r.exec }
-
 // remoteCell carries a cell's serializable identity through the do/compute
 // pipeline, plus the per-resolution remote outcome the observer reports.
-// The config is marshalled once, on the first dispatch attempt.
+// The config is encoded once, on the first dispatch attempt.
 type remoteCell struct {
 	kind    string
-	cfg     any
+	encode  func() json.RawMessage
 	payload json.RawMessage
 
 	// worker and hostNS record the last attempt's remote outcome for the
 	// observer's CellEvent; empty when every attempt ran locally.
 	worker string
 	hostNS int64
-}
-
-// DoAsVia is DoAs for cells that can execute remotely: kind names the
-// worker-side execute function (see internal/remote.RegisterKind) and cfg
-// is the cell's full configuration, which must marshal to the same JSON
-// identity the key was derived from. With no executor installed — or when
-// the executor reports ErrNoWorkers — the cell computes locally via fn,
-// byte-identically to DoAs.
-func DoAsVia[T any](r *Runner, key, kind string, cfg any, fn func() (T, error)) (T, error) {
-	var rc *remoteCell
-	if r.exec != nil && key != "" && kind != "" && !r.noCache {
-		rc = &remoteCell{kind: kind, cfg: cfg}
-	}
-	v, err := r.do(key, decodeAs[T], rc, func() (any, error) { return fn() })
-	if err != nil || v == nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), nil
 }
 
 // runRemote executes one attempt of a cell through the runner's executor,
@@ -122,14 +101,9 @@ func DoAsVia[T any](r *Runner, key, kind string, cfg any, fn func() (T, error)) 
 // memoized outcome.
 func (r *Runner) runRemote(key string, rc *remoteCell, decode decodeFunc, fn func() (any, error)) (any, error) {
 	if rc.payload == nil {
-		raw, err := json.Marshal(rc.cfg)
-		if err != nil {
-			// Unserializable configs cannot travel; run locally. (Unreachable
-			// for keyed cells — the key is itself a JSON encoding — but the
-			// fallback keeps the seam total.)
-			return call(fn)
+		if rc.payload = rc.encode(); rc.payload == nil {
+			return call(fn) // the configuration does not travel
 		}
-		rc.payload = raw
 	}
 	res, err := r.exec.Execute(context.Background(), RemoteTask{
 		Key:        key,

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"partmb/internal/stats"
 )
 
 // fakeExec scripts an Executor: each Execute call pops the next response.
@@ -28,6 +31,27 @@ func (f *fakeExec) Execute(_ context.Context, t RemoteTask) (RemoteResult, error
 
 type execVal struct{ N int }
 
+// execCfg is the configuration of testCell: N is the value a local run
+// returns, Hidden an attachment the key cannot see, and a non-nil Shape
+// marshals but does not decode back, so the cell cannot travel.
+type execCfg struct {
+	N      int
+	Hidden bool         `json:"-"`
+	Shape  fmt.Stringer `json:",omitempty"`
+}
+
+// localRuns counts testCell's local computations.
+var localRuns atomic.Int64
+
+// The kind registry is process-global and rejects duplicates, so test cells
+// are defined once per process, not per test run (-count=N).
+var testCell = NewCell("test.kind",
+	func(c execCfg) (execCfg, *stats.RunConfig, bool) { return c, nil, c.Hidden },
+	func(c execCfg, _ []int64) (execVal, error) {
+		localRuns.Add(1)
+		return execVal{N: c.N}, nil
+	}, nil)
+
 func remoteOK(n int, worker string, hostNS int64) RemoteResult {
 	return RemoteResult{Value: json.RawMessage(fmt.Sprintf(`{"N":%d}`, n)), HostNS: hostNS, Worker: worker}
 }
@@ -35,19 +59,20 @@ func remoteOK(n int, worker string, hostNS int64) RemoteResult {
 func TestDoAsViaDispatchesRemotely(t *testing.T) {
 	x := &fakeExec{fn: func(int, RemoteTask) (RemoteResult, error) { return remoteOK(7, "w1", 1234), nil }}
 	r := New(WithExecutor(x))
-	got, err := DoAsVia(r, "k1", "test.kind", map[string]int{"n": 7}, func() (execVal, error) {
-		t.Error("local closure ran despite live executor")
-		return execVal{}, nil
-	})
+	before := localRuns.Load()
+	got, err := testCell.Run(r, execCfg{N: 1}, 3)
 	if err != nil || got.N != 7 {
-		t.Fatalf("DoAsVia = %+v, %v; want {7}, nil", got, err)
+		t.Fatalf("Run = %+v, %v; want {7}, nil", got, err)
+	}
+	if localRuns.Load() != before {
+		t.Error("local run despite live executor")
 	}
 	st := r.Stats()
 	if st.RemoteRuns != 1 || st.RemoteErrors != 0 || st.RemoteHost != 1234*time.Nanosecond {
 		t.Errorf("stats = %d runs, %d errors, %v host; want 1, 0, 1.234µs", st.RemoteRuns, st.RemoteErrors, st.RemoteHost)
 	}
 	task := x.tasks[0]
-	if task.Key != "k1" || task.Kind != "test.kind" || string(task.Config) != `{"n":7}` {
+	if task.Key != testCell.Key(execCfg{N: 1}, 3) || task.Kind != "test.kind" || string(task.Config) != `{"cfg":{"N":1},"args":[3]}` {
 		t.Errorf("shipped task = %+v", task)
 	}
 }
@@ -55,9 +80,9 @@ func TestDoAsViaDispatchesRemotely(t *testing.T) {
 func TestDoAsViaFallsBackOnErrNoWorkers(t *testing.T) {
 	x := &fakeExec{fn: func(int, RemoteTask) (RemoteResult, error) { return RemoteResult{}, ErrNoWorkers }}
 	r := New(WithExecutor(x))
-	got, err := DoAsVia(r, "k1", "test.kind", 1, func() (execVal, error) { return execVal{N: 9}, nil })
+	got, err := testCell.Run(r, execCfg{N: 9})
 	if err != nil || got.N != 9 {
-		t.Fatalf("DoAsVia = %+v, %v; want local {9}, nil", got, err)
+		t.Fatalf("Run = %+v, %v; want local {9}, nil", got, err)
 	}
 	if st := r.Stats(); st.RemoteRuns != 0 || st.RemoteErrors != 0 || st.Runs != 1 {
 		t.Errorf("stats = %+v; want a plain local run", st)
@@ -72,9 +97,9 @@ func TestDoAsViaRetriesTransientRemoteFailure(t *testing.T) {
 		return remoteOK(3, "w2", 50), nil
 	}}
 	r := New(WithExecutor(x))
-	got, err := DoAsVia(r, "k1", "test.kind", 1, func() (execVal, error) { return execVal{}, nil })
+	got, err := testCell.Run(r, execCfg{})
 	if err != nil || got.N != 3 {
-		t.Fatalf("DoAsVia = %+v, %v; want retried {3}, nil", got, err)
+		t.Fatalf("Run = %+v, %v; want retried {3}, nil", got, err)
 	}
 	st := r.Stats()
 	if st.Retries != 1 || st.RemoteErrors != 1 || st.RemoteRuns != 1 {
@@ -90,9 +115,9 @@ func TestDoAsViaUndecodableResultIsTransient(t *testing.T) {
 		return remoteOK(5, "w1", 10), nil
 	}}
 	r := New(WithExecutor(x))
-	got, err := DoAsVia(r, "k1", "test.kind", 1, func() (execVal, error) { return execVal{}, nil })
+	got, err := testCell.Run(r, execCfg{})
 	if err != nil || got.N != 5 {
-		t.Fatalf("DoAsVia = %+v, %v; want {5}, nil after retry", got, err)
+		t.Fatalf("Run = %+v, %v; want {5}, nil after retry", got, err)
 	}
 	// Both attempts executed remotely; the first also counts as an error.
 	if st := r.Stats(); st.RemoteRuns != 2 || st.RemoteErrors != 1 || st.Retries != 1 {
@@ -106,7 +131,7 @@ func TestDoAsViaPermanentRemoteErrorMemoized(t *testing.T) {
 	}}
 	r := New(WithExecutor(x))
 	for i := 0; i < 2; i++ {
-		if _, err := DoAsVia(r, "k1", "test.kind", 1, func() (execVal, error) { return execVal{}, nil }); err == nil {
+		if _, err := testCell.Run(r, execCfg{}); err == nil {
 			t.Fatal("want permanent error")
 		}
 	}
@@ -125,7 +150,7 @@ func TestDoAsViaObserverSeesRemoteWorker(t *testing.T) {
 		mu.Unlock()
 	}}
 	r := New(WithExecutor(x), WithObserver(obs))
-	if _, err := DoAsVia(r, "k1", "test.kind", 1, func() (execVal, error) { return execVal{}, nil }); err != nil {
+	if _, err := testCell.Run(r, execCfg{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 1 {
@@ -143,18 +168,17 @@ func TestDoAsViaStaysLocalWhenNotEligible(t *testing.T) {
 	cases := []struct {
 		name string
 		r    *Runner
-		key  string
-		kind string
+		cfg  execCfg
 	}{
-		{"empty key", New(WithExecutor(x)), "", "test.kind"},
-		{"empty kind", New(WithExecutor(x)), "k1", ""},
-		{"no executor", New(), "k1", "test.kind"},
-		{"cache disabled", New(WithExecutor(x), WithoutCache()), "k1", "test.kind"},
+		{"unkeyed", New(WithExecutor(x)), execCfg{N: 4, Hidden: true}},
+		{"does not travel", New(WithExecutor(x)), execCfg{N: 4, Shape: time.Second}},
+		{"no executor", New(), execCfg{N: 4}},
+		{"cache disabled", New(WithExecutor(x), WithoutCache()), execCfg{N: 4}},
 	}
 	for _, tc := range cases {
-		got, err := DoAsVia(tc.r, tc.key, tc.kind, 1, func() (execVal, error) { return execVal{N: 4}, nil })
+		got, err := testCell.Run(tc.r, tc.cfg)
 		if err != nil || got.N != 4 {
-			t.Errorf("%s: DoAsVia = %+v, %v; want local {4}, nil", tc.name, got, err)
+			t.Errorf("%s: Run = %+v, %v; want local {4}, nil", tc.name, got, err)
 		}
 	}
 	if x.calls != 0 {

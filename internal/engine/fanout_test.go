@@ -43,7 +43,7 @@ func TestFanOutOnRunner(t *testing.T) {
 	f.Add(a)
 	f.Add(b)
 	rn := New(WithObserver(f))
-	if _, err := DoAs(rn, "cell", func() (int, error) { return 1, nil }); err != nil {
+	if _, err := doAs(rn, "cell", nil, func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if a.cells != 1 || b.cells != 1 {

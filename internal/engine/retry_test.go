@@ -207,7 +207,7 @@ func TestPanickingCellIsAnUncachedError(t *testing.T) {
 		})
 		return diskCell{}, s.Run()
 	}
-	_, err = DoAs(rn, key, cell)
+	_, err = doAs(rn, key, nil, cell)
 	var pe *panicError
 	if !errors.As(err, &pe) || pe.value != "spec tripped an invariant" {
 		t.Fatalf("err = %v, want a panicError with the proc's panic value", err)
@@ -222,7 +222,7 @@ func TestPanickingCellIsAnUncachedError(t *testing.T) {
 		t.Fatalf("panicked cell was persisted (stat err %v)", err)
 	}
 	// Not memoized: the same runner computes the key again.
-	v, err := DoAs(rn, key, cell)
+	v, err := doAs(rn, key, nil, cell)
 	if err != nil || v.Size != 7 || computed != 2 {
 		t.Fatalf("second call = %+v, %v after %d computations; want the recomputed value", v, err, computed)
 	}

@@ -40,7 +40,7 @@ func TestSingleFlightCollapsesConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := DoAs(rn, "cell", fn)
+			v, err := doAs(rn, "cell", nil, fn)
 			if v != 42 || err != nil {
 				t.Errorf("DoAs = %d, %v", v, err)
 			}
@@ -65,8 +65,8 @@ func TestSingleFlightEntriesAreEphemeral(t *testing.T) {
 	fn := func() (int, error) { computed++; return 7, nil }
 
 	eph := New(WithSingleFlight())
-	DoAs(eph, "cell", fn)
-	DoAs(eph, "cell", fn)
+	doAs(eph, "cell", nil, fn)
+	doAs(eph, "cell", nil, fn)
 	if computed != 2 {
 		t.Fatalf("ephemeral runner computed %d times, want 2 (entry must not linger)", computed)
 	}
@@ -76,8 +76,8 @@ func TestSingleFlightEntriesAreEphemeral(t *testing.T) {
 
 	computed = 0
 	memo := New()
-	DoAs(memo, "cell", fn)
-	DoAs(memo, "cell", fn)
+	doAs(memo, "cell", nil, fn)
+	doAs(memo, "cell", nil, fn)
 	if computed != 1 {
 		t.Fatalf("memoizing runner computed %d times, want 1", computed)
 	}
@@ -94,10 +94,10 @@ func TestSingleFlightWithDiskCache(t *testing.T) {
 	rn := New(WithSingleFlight(), WithDiskCache(d))
 	var computed int
 	fn := func() (diskCell, error) { computed++; return diskCell{Size: 1}, nil }
-	if _, err := DoAs(rn, "cell", fn); err != nil {
+	if _, err := doAs(rn, "cell", nil, fn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DoAs(rn, "cell", fn); err != nil {
+	if _, err := doAs(rn, "cell", nil, fn); err != nil {
 		t.Fatal(err)
 	}
 	if computed != 1 {

@@ -443,7 +443,7 @@ func (e Env) figSweep(sc Scale, figure string, comp sim.Duration) ([]*report.Tab
 			Platform:       spec,
 			Adaptive:       e.Adaptive,
 		}
-		res, err := patterns.RunSweep3DCached(e.Runner, cfg)
+		res, err := patterns.Sweep3D.Run(e.Runner, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -496,7 +496,7 @@ func (e Env) figHalo(sc Scale, figure string, comp sim.Duration) ([]*report.Tabl
 				Platform:      spec,
 				Adaptive:      e.Adaptive,
 			}
-			res, err := patterns.RunHalo3DCached(e.Runner, cfg)
+			res, err := patterns.Halo3D.Run(e.Runner, cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -242,7 +242,7 @@ func (e Env) runScalingCell(opt ScalingOptions, s scalingSeries, n int, perRank 
 	spec := e.Spec.Resolved()
 	if opt.Stencil == "sweep3d" {
 		px, py := patterns.Decompose2D(n)
-		return patterns.RunSweep3DCached(e.Runner, patterns.SweepConfig{
+		return patterns.Sweep3D.Run(e.Runner, patterns.SweepConfig{
 			Px: px, Py: py,
 			Threads:        s.threads,
 			BytesPerThread: round16(perRank / int64(s.threads)),
@@ -258,7 +258,7 @@ func (e Env) runScalingCell(opt ScalingOptions, s scalingSeries, n int, perRank 
 		})
 	}
 	nx, ny, nz := patterns.Decompose3D(n)
-	return patterns.RunHalo3DCached(e.Runner, patterns.HaloConfig{
+	return patterns.Halo3D.Run(e.Runner, patterns.HaloConfig{
 		Nx: nx, Ny: ny, Nz: nz,
 		ThreadsPerDim: s.threads,
 		FaceBytes:     perRank,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"sort"
 	"testing"
 
@@ -13,6 +12,7 @@ import (
 	"partmb/internal/figures"
 	"partmb/internal/obs"
 	"partmb/internal/sim"
+	"partmb/internal/stats"
 )
 
 // simValue is a cell result that reports virtual time.
@@ -23,6 +23,14 @@ type simValue struct {
 
 func (s simValue) SimElapsed() sim.Duration { return s.SimNS }
 
+// gridCell is runSweep's synthetic cell: its value is a function of its
+// (row, column) config.
+var gridCell = engine.NewCell("obs.grid",
+	func(c [2]int) ([2]int, *stats.RunConfig, bool) { return c, nil, false },
+	func(c [2]int, _ []int64) (simValue, error) {
+		return simValue{V: c[0]*4 + c[1], SimNS: sim.Duration(1000 * (c[1] + 1))}, nil
+	}, nil)
+
 // runSweep executes a synthetic 4x4 grid with duplicate keys (so memo hits
 // occur) on a fresh observed runner and returns the collector and runner.
 func runSweep(t *testing.T, opts ...engine.Option) (*obs.Collector, *engine.Runner) {
@@ -32,10 +40,7 @@ func runSweep(t *testing.T, opts ...engine.Option) (*obs.Collector, *engine.Runn
 	rn.SetExperiment("sweep")
 	_, err := rn.Grid(context.Background(), 4, 4, nil, func(ctx context.Context, r, c int) (any, error) {
 		// Two rows share each key, so half the cells memo-hit.
-		key := fmt.Sprintf("cell-%d-%d", r/2, c)
-		return engine.DoAs(rn, key, func() (simValue, error) {
-			return simValue{V: r*4 + c, SimNS: sim.Duration(1000 * (c + 1))}, nil
-		})
+		return gridCell.Run(rn, [2]int{r / 2, c})
 	})
 	if err != nil {
 		t.Fatalf("grid: %v", err)

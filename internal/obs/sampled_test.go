@@ -30,7 +30,7 @@ func runSampledSweep(t *testing.T, opts ...engine.Option) *obs.Collector {
 	rn.SetExperiment("sampled")
 	_, err := rn.Grid(context.Background(), 2, 4, nil, func(ctx context.Context, r, c int) (any, error) {
 		key := fmt.Sprintf("scell-%d-%d", r, c)
-		return engine.DoAs(rn, key, func() (sampledValue, error) {
+		return rn.Do(key, func() (any, error) {
 			v := sampledValue{simValue: simValue{V: r*4 + c, SimNS: sim.Duration(1000 * (c + 1))}}
 			if r == 0 {
 				// Row 0 is adaptive; even columns converged, odd exhausted.
@@ -85,7 +85,7 @@ func TestCellRecordsSampleStats(t *testing.T) {
 	rn := engine.New(engine.WithObserver(fixedCol))
 	rn.SetExperiment("fixed")
 	if _, err := rn.Grid(context.Background(), 2, 2, nil, func(ctx context.Context, r, c int) (any, error) {
-		return engine.DoAs(rn, fmt.Sprintf("f-%d-%d", r, c), func() (simValue, error) {
+		return rn.Do(fmt.Sprintf("f-%d-%d", r, c), func() (any, error) {
 			return simValue{V: r, SimNS: 100}, nil
 		})
 	}); err != nil {

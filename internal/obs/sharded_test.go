@@ -28,7 +28,7 @@ func runShardedSweep(t *testing.T) *obs.Collector {
 	rn.SetExperiment("sharded")
 	_, err := rn.Grid(context.Background(), 2, 4, nil, func(ctx context.Context, r, c int) (any, error) {
 		key := fmt.Sprintf("shcell-%d", c)
-		return engine.DoAs(rn, key, func() (shardedValue, error) {
+		return rn.Do(key, func() (any, error) {
 			v := shardedValue{simValue: simValue{V: c, SimNS: sim.Duration(1000)}}
 			if c < 2 {
 				v.Shard = &sim.ShardStats{

@@ -58,7 +58,7 @@ type HaloConfig struct {
 	Topology netsim.Topology
 	// Adaptive, when non-nil, estimates the motif's throughput from
 	// repeated draws under derived noise seeds until the confidence
-	// interval meets the target (see cached.go); nil keeps the fixed path
+	// interval meets the target (see cells.go); nil keeps the fixed path
 	// and its cache keys byte-identical.
 	Adaptive *stats.RunConfig `json:",omitempty"`
 }
@@ -111,10 +111,6 @@ func (c *HaloConfig) Validate() error {
 	}
 	return nil
 }
-
-// uncacheable reports whether the config must bypass the result cache (a
-// trace recorder is attached; see cachedRun).
-func (c HaloConfig) uncacheable() bool { return c.ShardTrace != nil }
 
 // The six faces, paired so face f exchanges with opposite(f) = f^1.
 const (

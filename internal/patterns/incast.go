@@ -38,7 +38,7 @@ type IncastConfig struct {
 	Platform *platform.Spec
 	// Adaptive, when non-nil, estimates the motif's throughput from
 	// repeated draws under derived noise seeds until the confidence
-	// interval meets the target (see cached.go); nil keeps the fixed path
+	// interval meets the target (see cells.go); nil keeps the fixed path
 	// and its cache keys byte-identical.
 	Adaptive *stats.RunConfig `json:",omitempty"`
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"partmb/internal/cluster"
-	"partmb/internal/engine"
 	"partmb/internal/mpi"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
@@ -387,12 +386,13 @@ func TestHalo3DSkewedStress(t *testing.T) {
 	}
 }
 
-// TestShardedKeysUnchanged pins the cache keys of sharded motif configs to
+// TestShardedKeysUnchanged pins the cell keys of sharded motif configs to
 // literal hashes: a field added to or dropped from HaloConfig/SweepConfig
 // must not move the key of a config that leaves it zero, or every cell in
-// an existing -cachedir is orphaned.
+// an existing -cachedir is orphaned. (internal/remote's TestCellKeysPinned
+// pins one key of every kind.)
 func TestShardedKeysUnchanged(t *testing.T) {
-	halo, err := engine.Key("patterns.Halo3D", HaloConfig{
+	halo := Halo3D.Key(HaloConfig{
 		Nx: 4, Ny: 2, Nz: 2,
 		ThreadsPerDim: 2,
 		FaceBytes:     16 << 10,
@@ -400,11 +400,11 @@ func TestShardedKeysUnchanged(t *testing.T) {
 		Repeats:       3,
 		Mode:          Partitioned,
 		Shards:        4,
-	}.withDefaults())
-	if want := "b78581e524e5ea26be89a7ade1245d80f735d084f1e8cf2b11494df94bcbc975"; err != nil || halo != want {
-		t.Errorf("Halo3D key = %s, %v; want %s", halo, err, want)
+	})
+	if want := "b78581e524e5ea26be89a7ade1245d80f735d084f1e8cf2b11494df94bcbc975"; halo != want {
+		t.Errorf("Halo3D key = %s; want %s", halo, want)
 	}
-	sweep, err := engine.Key("patterns.Sweep3D", SweepConfig{
+	sweep := Sweep3D.Key(SweepConfig{
 		Px: 4, Py: 2,
 		Threads:        4,
 		BytesPerThread: 2048,
@@ -414,9 +414,9 @@ func TestShardedKeysUnchanged(t *testing.T) {
 		Repeats:        1,
 		Mode:           Partitioned,
 		Shards:         4,
-	}.withDefaults())
-	if want := "cba52c9eed8452c984f4bf2f947be4352a80c24539ab1194e59a4b2ceaf67536"; err != nil || sweep != want {
-		t.Errorf("Sweep3D key = %s, %v; want %s", sweep, err, want)
+	})
+	if want := "cba52c9eed8452c984f4bf2f947be4352a80c24539ab1194e59a4b2ceaf67536"; sweep != want {
+		t.Errorf("Sweep3D key = %s; want %s", sweep, want)
 	}
 }
 
@@ -437,7 +437,7 @@ func TestShardTraceSmoke(t *testing.T) {
 		tr := new(trace.Recorder)
 		c := cfg
 		c.ShardTrace = tr
-		res, err := RunHalo3DCached(nil, c)
+		res, err := Halo3D.Run(nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,14 +53,10 @@ type SweepConfig struct {
 	Topology netsim.Topology
 	// Adaptive, when non-nil, estimates the motif's throughput from
 	// repeated draws under derived noise seeds until the confidence
-	// interval meets the target (see cached.go); nil keeps the fixed path
+	// interval meets the target (see cells.go); nil keeps the fixed path
 	// and its cache keys byte-identical.
 	Adaptive *stats.RunConfig `json:",omitempty"`
 }
-
-// uncacheable reports whether the config must bypass the result cache (a
-// trace recorder is attached; see cachedRun).
-func (c SweepConfig) uncacheable() bool { return c.ShardTrace != nil }
 
 func (c SweepConfig) withDefaults() SweepConfig {
 	if c.ZBlocks == 0 {

@@ -2,75 +2,17 @@ package remote
 
 import (
 	"encoding/json"
-	"fmt"
-	"sort"
-	"sync"
 
-	"partmb/internal/core"
+	"partmb/internal/engine"
+	"partmb/internal/stats"
 )
 
-// ExecFunc executes one cell kind: it decodes the task's config JSON and
-// returns the cell's value, which must marshal back to the same JSON a local
-// run of the cell would produce (the coordinator feeds it to the engine's
-// decoder and the shared disk cache). Errors are classified for the wire by
-// engine.IsTransient.
-type ExecFunc func(config json.RawMessage) (any, error)
-
-var (
-	kindMu sync.RWMutex
-	kinds  = map[string]ExecFunc{}
-)
-
-// RegisterKind installs the execute function for a cell kind, panicking on
-// duplicates or empty names — kinds are wired at init time, like the
-// experiment registry, and a collision is a programming error.
-func RegisterKind(name string, fn ExecFunc) {
-	if name == "" || fn == nil {
-		panic("remote: RegisterKind with empty name or nil func")
-	}
-	kindMu.Lock()
-	defer kindMu.Unlock()
-	if _, dup := kinds[name]; dup {
-		panic(fmt.Sprintf("remote: RegisterKind called twice for %q", name))
-	}
-	kinds[name] = fn
-}
-
-// kindFunc returns the execute function for name, or nil if unregistered.
-func kindFunc(name string) ExecFunc {
-	kindMu.RLock()
-	defer kindMu.RUnlock()
-	return kinds[name]
-}
-
-// Kinds lists the registered cell kinds, sorted.
-func Kinds() []string {
-	kindMu.RLock()
-	defer kindMu.RUnlock()
-	names := make([]string, 0, len(kinds))
-	for n := range kinds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// CoreRunKind is the cell kind of one fixed-repetition benchmark cell —
-// the unit core.RunCached ships through the executor seam. Adaptive cells
-// are not a kind of their own: the adaptive controller stays in the driving
-// process and its fixed-rep sub-draws distribute individually.
-const CoreRunKind = "core.Run"
-
-func init() {
-	RegisterKind(CoreRunKind, func(raw json.RawMessage) (any, error) {
-		var cfg core.Config
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, fmt.Errorf("remote: decoding %s config: %w", CoreRunKind, err)
-		}
-		// The coordinator ships the already-defaulted config (its JSON is the
-		// cache-key identity); Run re-applies defaults idempotently and the
-		// simulator is deterministic, so this result is byte-identical to a
-		// local run of the same cell.
-		return core.Run(cfg)
-	})
+// RegisterKind defines a cell kind whose configuration is raw JSON
+// (engine.NewCell): a worker executes its tasks by calling fn with the
+// task's config. Every experiment kind is defined by its own package; this
+// form is kept for callers outside this module.
+func RegisterKind(name string, fn func(config json.RawMessage) (any, error)) {
+	engine.NewCell(name,
+		func(c json.RawMessage) (json.RawMessage, *stats.RunConfig, bool) { return c, nil, false },
+		func(c json.RawMessage, _ []int64) (any, error) { return fn(c) }, nil)
 }

@@ -80,10 +80,10 @@ type Task struct {
 	Key string `json:"key"`
 	// Experiment is the engine experiment label current at dispatch.
 	Experiment string `json:"exp,omitempty"`
-	// Kind names the registered execute function (RegisterKind).
+	// Kind names the cell kind the worker executes (engine.LookupKind).
 	Kind string `json:"kind"`
-	// Config is the cell's full configuration as canonical JSON — the same
-	// bytes the cell key hashes.
+	// Config is the cell's configuration and key parts, {"cfg": …,
+	// "args": […]} — the values the cell key hashes after the kind.
 	Config json.RawMessage `json:"config"`
 }
 

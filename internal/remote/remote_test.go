@@ -232,8 +232,8 @@ func TestWorkerLossRequeuesToSurvivor(t *testing.T) {
 
 	// The lame worker leases the cell... and is never heard from again.
 	task := pollRaw(t, hs.URL, lame, 5000)
-	if task.Kind != CoreRunKind {
-		t.Fatalf("leased task kind %q, want %q", task.Kind, CoreRunKind)
+	if task.Kind != "core.Run" {
+		t.Fatalf("leased task kind %q, want %q", task.Kind, "core.Run")
 	}
 	survivor := startWorker(t, hs.URL, "survivor", 0)
 

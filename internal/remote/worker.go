@@ -40,9 +40,10 @@ type WorkerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Worker executes coordinator tasks through the kind registry: it
-// registers, heartbeats, long-polls for tasks, runs each through its
-// registered ExecFunc, and posts results back. The same runtime backs
+// Worker executes coordinator tasks through the engine's kind registry —
+// every engine.Cell the binary links: it registers, heartbeats, long-polls
+// for tasks, runs each through its kind's execute function, and posts
+// results back. The same runtime backs
 // cmd/sweepworker and the in-process two-worker CI harness.
 type Worker struct {
 	cfg      WorkerConfig
@@ -210,11 +211,11 @@ func (w *Worker) poll(ctx context.Context) (Task, bool) {
 // classifying errors for the wire with the engine's taxonomy.
 func (w *Worker) execute(t Task) Result {
 	res := Result{Schema: WireSchema, WorkerID: w.ID(), ID: t.ID, Key: t.Key}
-	fn := kindFunc(t.Kind)
+	fn := engine.LookupKind(t.Kind)
 	if fn == nil {
 		// Transient: another (heterogeneous) worker may know the kind, and
 		// with none that do the engine's bounded retries fall back cleanly.
-		res.Err = fmt.Sprintf("remote: unknown cell kind %q (worker knows %v)", t.Kind, Kinds())
+		res.Err = fmt.Sprintf("remote: unknown cell kind %q (worker knows %v)", t.Kind, engine.Kinds())
 		res.ErrClass = ErrClassTransient
 		return res
 	}
@@ -245,7 +246,7 @@ func (w *Worker) execute(t Task) Result {
 // runKind executes one cell, turning a panic into an ordinary (permanent)
 // cell error: a bad config must fail its own task, not the worker and the
 // other cells it holds leases on.
-func runKind(fn ExecFunc, config json.RawMessage) (v any, err error) {
+func runKind(fn func(json.RawMessage) (any, error), config json.RawMessage) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			v, err = nil, fmt.Errorf("remote: cell panicked: %v\n%s", p, debug.Stack())

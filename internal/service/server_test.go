@@ -492,7 +492,7 @@ func TestPanickingCellIs5xxAndServerLives(t *testing.T) {
 		if rq.Base.Partitions != 13 {
 			return real(rq)
 		}
-		_, err := engine.DoAs(rn, "bad-spec", func() (*core.Result, error) {
+		_, err := rn.Do("bad-spec", func() (any, error) {
 			s := sim.New()
 			s.Spawn("rank0", func(p *sim.Proc) {
 				p.Sleep(sim.Microsecond)
@@ -525,7 +525,7 @@ func TestPanickingCellIs5xxAndServerLives(t *testing.T) {
 func TestPanickingCellLeaksNoGoroutines(t *testing.T) {
 	srv, _, rn := newTestServer(t, nil)
 	srv.runSweep = func(Request) ([]*core.Result, error) {
-		_, err := engine.DoAs(rn, "bad-spec", func() (*core.Result, error) {
+		_, err := rn.Do("bad-spec", func() (any, error) {
 			s := sim.New()
 			var never sim.Completion
 			s.Spawn("rank0", func(p *sim.Proc) {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // ---------------------------------------------------------------------------
@@ -110,8 +109,7 @@ func TestSleepWakeAllocationFree(t *testing.T) {
 
 // Three procs whose sleeps interleave — some take Sleep's short cut, the rest
 // push a wake and yield — must produce the same timeline as the path where
-// every wake goes through the drive loop (RunPaced at enormous scale disables
-// the short cut). The name predates coroutine procs, when a fast path handed
+// every wake goes through the drive loop (runSlow). The name predates coroutine procs, when a fast path handed
 // the token from proc to proc.
 func TestDirectHandoffMatchesSlowPath(t *testing.T) {
 	build := func() (*Scheduler, *[]string) {
@@ -133,7 +131,7 @@ func TestDirectHandoffMatchesSlowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow, slowLog := build()
-	if err := slow.RunPaced(1e12); err != nil {
+	if err := slow.runSlow(); err != nil {
 		t.Fatal(err)
 	}
 	if len(*fastLog) != len(*slowLog) {
@@ -175,7 +173,7 @@ func TestSleepShortCutMatchesSlowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow, slowLog := build()
-	if err := slow.RunPaced(1e12); err != nil {
+	if err := slow.runSlow(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(*fastLog, *slowLog) {
@@ -184,6 +182,17 @@ func TestSleepShortCutMatchesSlowPath(t *testing.T) {
 	if fast.seq != slow.seq || fast.Now() != slow.Now() {
 		t.Fatalf("seq %d at %v with the short cut, seq %d at %v without", fast.seq, fast.Now(), slow.seq, slow.Now())
 	}
+}
+
+// runSlow drives like Run with a horizon below every event time, so Sleep's
+// short cut never applies and every wake is pushed and popped by the loop.
+func (s *Scheduler) runSlow() error {
+	s.startDrive(-1)
+	defer s.endDrive(true)
+	for len(s.queue) > 0 {
+		s.dispatch(s.queue.pop())
+	}
+	return s.deadlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +253,7 @@ func TestHandlerEventsAllocationFree(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// The drive re-entrancy contract (Run / RunPaced / RunUntil).
+// The drive re-entrancy contract (Run / RunUntil).
 // ---------------------------------------------------------------------------
 
 func TestRunAfterPartialRunUntilFinishes(t *testing.T) {
@@ -296,7 +305,6 @@ func TestDriveAfterDrainPanics(t *testing.T) {
 		drive func(s *Scheduler)
 	}{
 		{"Run", func(s *Scheduler) { s.Run() }},
-		{"RunPaced", func(s *Scheduler) { s.RunPaced(1e12) }},
 		{"RunUntil", func(s *Scheduler) { s.RunUntil(Time(Second)) }},
 	}
 	for _, c := range cases {
@@ -360,47 +368,6 @@ func TestRunUntilMonotonicityGuard(t *testing.T) {
 		}
 	}()
 	s.RunUntil(Time(2 * Millisecond))
-}
-
-// ---------------------------------------------------------------------------
-// RunPaced through the wall-clock seams: pacing must be deterministic and
-// testable without real sleeping.
-// ---------------------------------------------------------------------------
-
-func TestRunPacedDeterministicPacing(t *testing.T) {
-	origNow, origSleep := timeNowUnixNano, timeSleep
-	defer func() { timeNowUnixNano, timeSleep = origNow, origSleep }()
-
-	var wall int64 // fake wall clock, ns
-	var slept []time.Duration
-	timeNowUnixNano = func() int64 { return wall }
-	timeSleep = func(d time.Duration) {
-		slept = append(slept, d)
-		wall += int64(d)
-	}
-
-	s := New()
-	s.Spawn("p", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			p.Sleep(10 * Millisecond)
-		}
-	})
-	if err := s.RunPaced(2); err != nil { // 40ms virtual at 2x => 20ms wall
-		t.Fatal(err)
-	}
-	var total time.Duration
-	for _, d := range slept {
-		if d <= 0 {
-			t.Fatalf("non-positive pacing sleep %v", d)
-		}
-		total += d
-	}
-	if total != 20*time.Millisecond {
-		t.Fatalf("total paced sleep = %v, want exactly 20ms on a fake clock", total)
-	}
-	if wall != int64(20*time.Millisecond) {
-		t.Fatalf("fake wall clock = %dns, want 20ms", wall)
-	}
 }
 
 // ---------------------------------------------------------------------------

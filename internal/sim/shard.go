@@ -711,23 +711,12 @@ func (g *ShardGroup) finish() error {
 	return &DeadlockError{Now: now, Blocked: blocked}
 }
 
-// RunPaced paces a single-shard group against the wall clock, exactly like
-// Scheduler.RunPaced. Pacing fundamentally requires observing every event
-// from one sequential drive loop, so multi-shard groups reject it with a
-// clear error rather than silently serializing.
-func (g *ShardGroup) RunPaced(scale float64) error {
-	if len(g.shards) == 1 {
-		return g.shards[0].RunPaced(scale)
-	}
-	return fmt.Errorf("sim: RunPaced is not supported with %d shards: pacing requires the sequential single-loop drive; use Run, or a single shard", len(g.shards))
-}
-
 // runWindow drives one shard through one conservative window: all queued
 // events at or before limit. Unlike the public drives it never marks the
 // scheduler terminally run — the queue legitimately drains between windows.
 func (s *Scheduler) runWindow(limit Time) {
 	s.windowing = true
-	s.startDrive(limit, true)
+	s.startDrive(limit)
 	for len(s.queue) > 0 && s.queue[0].at <= limit {
 		s.dispatch(s.queue.pop())
 	}

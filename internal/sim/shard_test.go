@@ -9,7 +9,7 @@ import (
 )
 
 // TestShardGroupSingleIsPlainScheduler: a one-shard group is the sequential
-// kernel — no group attached, direct Run allowed, RunPaced supported.
+// kernel — no group attached, direct Run allowed.
 func TestShardGroupSingleIsPlainScheduler(t *testing.T) {
 	g := NewShardGroup(1, 0)
 	s := g.Shard(0)
@@ -26,12 +26,6 @@ func TestShardGroupSingleIsPlainScheduler(t *testing.T) {
 	}
 	if !ran || s.Now() != Time(5*Microsecond) {
 		t.Fatalf("ran=%v now=%v", ran, s.Now())
-	}
-
-	g2 := NewShardGroup(1, 0)
-	g2.Shard(0).Spawn("p", func(p *Proc) { p.Sleep(Microsecond) })
-	if err := g2.RunPaced(1e12); err != nil {
-		t.Fatalf("single-shard RunPaced: %v", err)
 	}
 }
 
@@ -161,8 +155,7 @@ func TestShardGroupDeadlockAggregates(t *testing.T) {
 }
 
 // TestShardGroupContract pins the drive re-entrancy contract for sharded
-// runs: direct drives of a member panic, Run is once-only, and multi-shard
-// RunPaced is rejected with a clear error.
+// runs: direct drives of a member panic and Run is once-only.
 func TestShardGroupContract(t *testing.T) {
 	mustPanic := func(name, want string, fn func()) {
 		t.Helper()
@@ -181,11 +174,6 @@ func TestShardGroupContract(t *testing.T) {
 	g := NewShardGroup(2, Microsecond)
 	mustPanic("member Run", "drive it with ShardGroup.Run", func() { _ = g.Shard(0).Run() })
 	mustPanic("member RunUntil", "drive it with ShardGroup.Run", func() { g.Shard(1).RunUntil(10) })
-	mustPanic("member RunPaced", "drive it with ShardGroup.Run", func() { _ = g.Shard(0).RunPaced(1) })
-
-	if err := g.RunPaced(1); err == nil || !strings.Contains(err.Error(), "not supported") {
-		t.Fatalf("multi-shard RunPaced error = %v", err)
-	}
 
 	if err := g.Run(); err != nil {
 		t.Fatal(err)

@@ -276,18 +276,17 @@ type Scheduler struct {
 	idle    []*runner
 	runners int
 
-	// driving is set while a drive loop (Run, RunPaced, RunUntil) is on the
+	// driving is set while a drive loop (Run, RunUntil) is on the
 	// stack; re-entering a drive from an event callback panics.
 	driving bool
 	// running becomes true once a drive has fully drained the queue; it is
 	// terminal — no further drives are allowed.
 	running bool
-	// selfWake enables Sleep's short cut: a sleep ending at or before limit
-	// with nothing due before it advances the clock and keeps running
-	// instead of pushing a wake and switching to the drive loop and back.
-	// RunPaced disables it so the pacing loop sees every event.
-	selfWake bool
-	limit    Time
+	// limit is the current drive's horizon. Sleep's short cut applies to
+	// sleeps ending at or before it: with nothing due before the wake, the
+	// clock advances and the proc keeps running instead of pushing a wake
+	// and switching to the drive loop and back.
+	limit Time
 
 	// Sharding state (see shard.go). group is nil for standalone schedulers
 	// and for the single shard of a one-shard group, so the sequential fast
@@ -554,7 +553,7 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	s := p.s
 	until := s.now.Add(d)
-	if s.selfWake && until <= s.limit && !p.wakeScheduled &&
+	if s.driving && until <= s.limit && !p.wakeScheduled &&
 		(len(s.queue) == 0 || until < s.queue[0].at) {
 		// Nothing is due before the wake this sleep would push, so the drive
 		// loop would pop it straight back and resume this proc. Skip the heap
@@ -575,7 +574,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // startDrive begins a drive loop, enforcing the re-entrancy contract: a
 // drive may not start while another is on the stack (an event callback
 // calling Run) or after a previous drive has drained the queue.
-func (s *Scheduler) startDrive(limit Time, selfWake bool) {
+func (s *Scheduler) startDrive(limit Time) {
 	if s.group != nil && !s.windowing {
 		panic("sim: scheduler belongs to a multi-shard group; drive it with ShardGroup.Run")
 	}
@@ -586,7 +585,6 @@ func (s *Scheduler) startDrive(limit Time, selfWake bool) {
 		panic("sim: Run called twice")
 	}
 	s.driving = true
-	s.selfWake = selfWake
 	s.limit = limit
 }
 
@@ -596,7 +594,6 @@ func (s *Scheduler) startDrive(limit Time, selfWake bool) {
 // drive the same way.
 func (s *Scheduler) endDrive(drained bool) {
 	s.driving = false
-	s.selfWake = false
 	if drained {
 		s.running = true
 		s.stopRunners()
@@ -643,7 +640,7 @@ func (s *Scheduler) deadlock() error {
 // that it may follow partial RunUntil drives to finish the simulation;
 // calling it from within an event callback panics.
 func (s *Scheduler) Run() error {
-	s.startDrive(maxTime, true)
+	s.startDrive(maxTime)
 	defer s.endDrive(true)
 	for len(s.queue) > 0 {
 		s.dispatch(s.queue.pop())
@@ -651,42 +648,14 @@ func (s *Scheduler) Run() error {
 	return s.deadlock()
 }
 
-// RunPaced drives the simulation like Run but paces virtual time against
-// the wall clock: one second of virtual time takes 1/scale wall seconds
-// (scale 2 runs twice as fast as real time). Useful for watching timelines
-// live in demos; measurement results are identical to Run since virtual
-// timestamps do not depend on pacing. Sleep's short cut is disabled,
-// so every event — every expiring sleep included — is popped and paced by
-// this loop.
-func (s *Scheduler) RunPaced(scale float64) error {
-	if scale <= 0 {
-		panic("sim: pacing scale must be positive")
-	}
-	s.startDrive(maxTime, false)
-	defer s.endDrive(true)
-	wallStart := timeNowUnixNano()
-	simStart := s.now
-	for len(s.queue) > 0 {
-		e := s.queue.pop()
-		// Sleep until the wall clock catches up with this event's virtual
-		// time at the requested scale.
-		virtualAhead := time.Duration(float64(e.at-simStart) / scale)
-		if lag := virtualAhead - time.Duration(timeNowUnixNano()-wallStart); lag > 0 {
-			timeSleep(lag)
-		}
-		s.dispatch(e)
-	}
-	return s.deadlock()
-}
-
 // RunUntil drives the simulation until the clock would pass t or the queue
 // drains. Events at exactly t still fire. It reports whether the queue
 // drained (all work done). RunUntil may be called repeatedly to drive the
-// simulation incrementally, and a final Run/RunPaced may finish the drive;
+// simulation incrementally, and a final Run may finish the drive;
 // once any drive has drained the queue, all further drives panic, as does
 // re-entering a drive from an event callback.
 func (s *Scheduler) RunUntil(t Time) bool {
-	s.startDrive(t, true)
+	s.startDrive(t)
 	drained := true // what a panic unwinding through the loop leaves: a terminal scheduler
 	defer func() { s.endDrive(drained) }()
 	for len(s.queue) > 0 && s.queue[0].at <= t {
@@ -696,11 +665,8 @@ func (s *Scheduler) RunUntil(t Time) bool {
 	return drained
 }
 
-// timeNowUnixNano and timeSleep are test seams for wall-clock access; only
-// RunPaced and the shard pool's cost/telemetry sampling (shard.go) consult
-// the wall clock, and only through these. The shard samples feed the LPT
-// dispatch order and trace spans, never the simulation itself.
-var (
-	timeNowUnixNano = func() int64 { return time.Now().UnixNano() }
-	timeSleep       = func(d time.Duration) { time.Sleep(d) }
-)
+// timeNowUnixNano is the test seam for wall-clock access; only the shard
+// pool's cost/telemetry sampling (shard.go) consults the wall clock, and only
+// through it. The shard samples feed the LPT dispatch order and trace spans,
+// never the simulation itself.
+var timeNowUnixNano = func() int64 { return time.Now().UnixNano() }

@@ -549,63 +549,6 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
-func TestRunPacedMatchesRunResults(t *testing.T) {
-	build := func() (*Scheduler, *[]Time) {
-		s := New()
-		var marks []Time
-		s.Spawn("p", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Sleep(Duration(i+1) * Microsecond)
-				marks = append(marks, p.Now())
-			}
-		})
-		return s, &marks
-	}
-	s1, m1 := build()
-	if err := s1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	s2, m2 := build()
-	// Enormous scale: effectively no pacing sleeps, but the paced path.
-	if err := s2.RunPaced(1e12); err != nil {
-		t.Fatal(err)
-	}
-	if len(*m1) != len(*m2) {
-		t.Fatalf("different mark counts: %d vs %d", len(*m1), len(*m2))
-	}
-	for i := range *m1 {
-		if (*m1)[i] != (*m2)[i] {
-			t.Fatalf("paced run diverged at %d: %v vs %v", i, (*m1)[i], (*m2)[i])
-		}
-	}
-}
-
-func TestRunPacedActuallyPaces(t *testing.T) {
-	s := New()
-	s.Spawn("p", func(p *Proc) { p.Sleep(20 * Millisecond) })
-	start := nowWall()
-	if err := s.RunPaced(2); err != nil { // 20ms virtual at 2x = >=10ms wall
-		t.Fatal(err)
-	}
-	if elapsed := sinceWall(start); elapsed < 8*Millisecond {
-		t.Fatalf("paced run took %v wall, want >= ~10ms", elapsed)
-	}
-}
-
-func TestRunPacedBadScalePanics(t *testing.T) {
-	s := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive scale did not panic")
-		}
-	}()
-	s.RunPaced(0)
-}
-
-// wall-clock helpers for pacing tests, in sim.Duration units.
-func nowWall() int64                 { return timeNowUnixNano() }
-func sinceWall(start int64) Duration { return Duration(timeNowUnixNano() - start) }
-
 func TestCondBroadcastFromEvent(t *testing.T) {
 	s := New()
 	var m Mutex

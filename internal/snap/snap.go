@@ -152,29 +152,42 @@ func Profile(cfg Config, nodes int) (ProfilePoint, error) {
 	}, nil
 }
 
+// profileCell is the snap.Profile kind: one scaling point, keyed by
+// (config, node count). Its adaptive form draws the proxy under seeds
+// derived from the platform seed (stats.DeriveSeed) and feeds the projected
+// speedup to a sampler until its interval is tight or the budget runs out;
+// the value is the first draw's profile with Projected replaced by the
+// sample mean and the full estimate attached.
+var profileCell = engine.NewCell("snap.Profile",
+	func(c Config) (Config, *stats.RunConfig, bool) {
+		c = c.withDefaults()
+		return c, c.Adaptive, false
+	},
+	func(c Config, a []int64) (ProfilePoint, error) { return Profile(c, int(a[0])) },
+	func(cell *engine.Cell[Config, ProfilePoint], r *engine.Runner, cfg Config, args []int64) (ProfilePoint, error) {
+		first, est, err := cell.Draws(r, cfg, args, func(c Config, d int) Config {
+			c.Adaptive = nil
+			c.Platform = c.Platform.WithSeed(stats.DeriveSeed(c.Platform.Seed, d))
+			return c
+		}, func(p ProfilePoint) float64 { return p.Projected })
+		if err != nil {
+			return ProfilePoint{}, err
+		}
+		first.Projected = est.Mean
+		first.CI = &est
+		return first, nil
+	})
+
 // ProfileScaling profiles every node count in parallel on the runner's
 // worker pool, memoizing each (config, nodes) point. A nil runner uses the
 // shared default runner.
 func ProfileScaling(rn *engine.Runner, cfg Config, nodeCounts []int) ([]ProfilePoint, error) {
-	cfg = cfg.withDefaults()
 	r := engine.OrDefault(rn)
 	// Profile cost grows with the node count (more ranks to simulate).
 	cost := func(i int) float64 { return float64(nodeCounts[i]) }
 	vals, err := r.Sweep(context.Background(), len(nodeCounts), cost, func(ctx context.Context, i int) (any, error) {
 		n := nodeCounts[i]
-		key, kerr := engine.Key("snap.Profile", cfg, n)
-		if kerr != nil {
-			key = ""
-		}
-		if cfg.Adaptive != nil && cfg.Adaptive.Budget > 0 {
-			key = "" // budget stops depend on host speed; never memoize
-		}
-		v, err := engine.DoAs(r, key, func() (ProfilePoint, error) {
-			if cfg.Adaptive != nil {
-				return adaptiveProfile(cfg, n)
-			}
-			return Profile(cfg, n)
-		})
+		v, err := profileCell.Run(r, cfg, int64(n))
 		if err != nil {
 			return nil, fmt.Errorf("snap: %d nodes: %w", n, err)
 		}
@@ -188,35 +201,6 @@ func ProfileScaling(rn *engine.Runner, cfg Config, nodeCounts []int) ([]ProfileP
 		out[i] = v.(ProfilePoint)
 	}
 	return out, nil
-}
-
-// adaptiveProfile estimates one scaling point with confidence-targeted
-// draws: the proxy runs under seeds derived from the platform seed
-// (stats.DeriveSeed) and the projected speedup feeds a sampler until its
-// interval is tight or the budget runs out. The returned point is the first
-// draw's profile with Projected replaced by the sample mean and the full
-// estimate attached.
-func adaptiveProfile(cfg Config, nodes int) (ProfilePoint, error) {
-	rc := *cfg.Adaptive
-	s := stats.NewSampler(rc)
-	var first ProfilePoint
-	for draw := 0; !s.Done(); draw++ {
-		sub := cfg
-		sub.Adaptive = nil
-		sub.Platform = cfg.Platform.Resolved().WithSeed(stats.DeriveSeed(cfg.Platform.Resolved().Seed, draw))
-		pt, err := Profile(sub, nodes)
-		if err != nil {
-			return ProfilePoint{}, fmt.Errorf("adaptive draw %d: %w", draw, err)
-		}
-		if draw == 0 {
-			first = pt
-		}
-		s.Add(pt.Projected)
-	}
-	est := s.Estimate()
-	first.Projected = est.Mean
-	first.CI = &est
-	return first, nil
 }
 
 // ProjectSpeedup applies the paper's projection: the MPI fraction f of the
