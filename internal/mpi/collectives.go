@@ -36,38 +36,18 @@ func (c *Comm) Barrier(p *sim.Proc) {
 
 // recvColl posts and completes a receive on the collective context.
 func (c *Comm) recvColl(p *sim.Proc, src, tag int) ([]byte, int64) {
-	rreq := &Request{
-		comm:        c,
-		kind:        recvReq,
-		peer:        c.worldOf(src),
-		tag:         tag,
-		ctx:         c.ctxColl(),
-		postedAt:    p.Now(),
-		matchedFrom: c.worldOf(src),
-	}
-	call := c.enter(p, 0)
-	c.postRecv(p, rreq)
-	call.done()
-	rreq.Wait(p)
-	return rreq.data, rreq.size
+	return c.finish(p, c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxColl()))
+}
+
+// isendColl starts a send of size bytes (data may be nil) on the collective
+// context, for finish to wait for.
+func (c *Comm) isendColl(p *sim.Proc, dest, tag int, size int64, data []byte) *Request {
+	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxColl(), size, data)
 }
 
 // sendColl sends on the collective context and waits for local completion.
 func (c *Comm) sendColl(p *sim.Proc, dest, tag int, size int64) {
-	sreq := &Request{
-		comm:        c,
-		kind:        sendReq,
-		peer:        c.worldOf(dest),
-		tag:         tag,
-		ctx:         c.ctxColl(),
-		size:        size,
-		postedAt:    p.Now(),
-		matchedFrom: c.rank,
-	}
-	call := c.enter(p, 0)
-	c.world.startSend(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(0, size))
-	call.done()
-	sreq.Wait(p)
+	c.finish(p, c.isendColl(p, dest, tag, size, nil))
 }
 
 // Bcast models broadcasting size bytes from root over a binomial tree. Only
@@ -168,19 +148,13 @@ func (c *Comm) Scatter(p *sim.Proc, root int, size int64) {
 		// Nonblocking sends so blocks stream back to back.
 		var reqs []*Request
 		for r := 0; r < n; r++ {
-			if r == root {
-				continue
+			if r != root {
+				reqs = append(reqs, c.isendColl(p, r, tag, size, nil))
 			}
-			sreq := &Request{
-				comm: c, kind: sendReq, peer: c.worldOf(r), tag: tag, ctx: c.ctxColl(),
-				size: size, postedAt: p.Now(), matchedFrom: c.rank,
-			}
-			call := c.enter(p, 0)
-			c.world.startSend(p.Now(), c.state(), c.peer(r), sreq, c.sendExtra(0, size))
-			call.done()
-			reqs = append(reqs, sreq)
 		}
-		WaitAll(p, reqs...)
+		for _, r := range reqs {
+			c.finish(p, r)
+		}
 		return
 	}
 	c.recvColl(p, root, tag)
@@ -201,15 +175,9 @@ func (c *Comm) Allgather(p *sim.Proc, size int64) {
 	left := (c.Rank() - 1 + n) % n
 	for step := 0; step < n-1; step++ {
 		tag := c.collTag(gen, step)
-		sreq := &Request{
-			comm: c, kind: sendReq, peer: c.worldOf(right), tag: tag, ctx: c.ctxColl(),
-			size: size, postedAt: p.Now(), matchedFrom: c.rank,
-		}
-		call := c.enter(p, 0)
-		c.world.startSend(p.Now(), c.state(), c.peer(right), sreq, c.sendExtra(0, size))
-		call.done()
+		sreq := c.isendColl(p, right, tag, size, nil)
 		c.recvColl(p, left, tag)
-		sreq.Wait(p)
+		c.finish(p, sreq)
 	}
 }
 
@@ -239,14 +207,8 @@ func (c *Comm) Alltoall(p *sim.Proc, size int64) {
 			from = (me - step + n) % n
 		}
 		tag := c.collTag(gen, step)
-		sreq := &Request{
-			comm: c, kind: sendReq, peer: c.worldOf(to), tag: tag, ctx: c.ctxColl(),
-			size: size, postedAt: p.Now(), matchedFrom: c.rank,
-		}
-		call := c.enter(p, 0)
-		c.world.startSend(p.Now(), c.state(), c.peer(to), sreq, c.sendExtra(0, size))
-		call.done()
+		sreq := c.isendColl(p, to, tag, size, nil)
 		c.recvColl(p, from, tag)
-		sreq.Wait(p)
+		c.finish(p, sreq)
 	}
 }

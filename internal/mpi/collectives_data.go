@@ -110,19 +110,5 @@ func (c *Comm) AllgatherData(p *sim.Proc, data []byte) [][]byte {
 // sendCollData sends a payload on the collective context and waits for
 // local completion.
 func (c *Comm) sendCollData(p *sim.Proc, dest, tag int, data []byte) {
-	sreq := &Request{
-		comm:        c,
-		kind:        sendReq,
-		peer:        c.worldOf(dest),
-		tag:         tag,
-		ctx:         c.ctxColl(),
-		size:        int64(len(data)),
-		data:        data,
-		postedAt:    p.Now(),
-		matchedFrom: c.rank,
-	}
-	call := c.enter(p, 0)
-	c.world.startSend(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(0, sreq.size))
-	call.done()
-	sreq.Wait(p)
+	c.finish(p, c.isendColl(p, dest, tag, int64(len(data)), data))
 }

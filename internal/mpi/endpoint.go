@@ -35,36 +35,34 @@ func (e *Endpoint) Comm() *Comm { return e.c }
 
 // Isend starts a nonblocking send from this thread.
 func (e *Endpoint) Isend(p *sim.Proc, dest, tag int, data []byte) *Request {
-	return e.c.isendOn(p, e.thread, dest, tag, int64(len(data)), data)
+	return e.c.isendOn(p, new(Request), e.thread, dest, tag, e.c.ctxP2P(), int64(len(data)), data)
 }
 
 // IsendBytes starts a size-only nonblocking send from this thread.
 func (e *Endpoint) IsendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return e.c.isendOn(p, e.thread, dest, tag, size, nil)
+	return e.c.isendOn(p, new(Request), e.thread, dest, tag, e.c.ctxP2P(), size, nil)
 }
 
 // Send is the blocking form of Isend.
 func (e *Endpoint) Send(p *sim.Proc, dest, tag int, data []byte) {
-	e.Isend(p, dest, tag, data).Wait(p)
+	e.c.send(p, e.thread, dest, tag, int64(len(data)), data)
 }
 
 // SendBytes is the blocking form of IsendBytes.
 func (e *Endpoint) SendBytes(p *sim.Proc, dest, tag int, size int64) {
-	e.IsendBytes(p, dest, tag, size).Wait(p)
+	e.c.send(p, e.thread, dest, tag, size, nil)
 }
 
 // Irecv posts a nonblocking receive from this thread. Receive-side work has
 // no socket-dependent injection cost, but the call still contends for the
 // library lock under MPI_THREAD_MULTIPLE.
 func (e *Endpoint) Irecv(p *sim.Proc, src, tag int) *Request {
-	return e.c.irecvOn(p, src, tag)
+	return e.c.Irecv(p, src, tag)
 }
 
 // Recv blocks until a matching message arrives.
 func (e *Endpoint) Recv(p *sim.Proc, src, tag int) ([]byte, int64) {
-	r := e.Irecv(p, src, tag)
-	r.Wait(p)
-	return r.data, r.size
+	return e.c.Recv(p, src, tag)
 }
 
 // SendInitBytes creates a persistent size-only send bound to this thread.

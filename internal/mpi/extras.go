@@ -10,20 +10,23 @@ import "partmb/internal/sim"
 // MPI_Sendrecv): both transfers progress concurrently, which makes the
 // classic neighbour-shift exchange deadlock-free.
 func (c *Comm) Sendrecv(p *sim.Proc, dest, sendTag int, data []byte, src, recvTag int) ([]byte, int64) {
-	sreq := c.Isend(p, dest, sendTag, data)
-	rreq := c.Irecv(p, src, recvTag)
-	sreq.Wait(p)
-	rreq.Wait(p)
-	return rreq.Data(), rreq.Size()
+	return c.sendrecv(p, dest, sendTag, int64(len(data)), data, src, recvTag)
 }
 
 // SendrecvBytes is Sendrecv for size-only messages.
 func (c *Comm) SendrecvBytes(p *sim.Proc, dest, sendTag int, size int64, src, recvTag int) int64 {
-	sreq := c.IsendBytes(p, dest, sendTag, size)
-	rreq := c.Irecv(p, src, recvTag)
-	sreq.Wait(p)
-	rreq.Wait(p)
-	return rreq.Size()
+	_, n := c.sendrecv(p, dest, sendTag, size, nil, src, recvTag)
+	return n
+}
+
+// sendrecv is both forms of Sendrecv, on two requests of the rank's free
+// list.
+func (c *Comm) sendrecv(p *sim.Proc, dest, sendTag int, size int64, data []byte, src, recvTag int) ([]byte, int64) {
+	st := c.state()
+	sreq := c.isendOn(p, st.takeReq(), 0, dest, sendTag, c.ctxP2P(), size, data)
+	rreq := c.irecvOn(p, st.takeReq(), src, recvTag, c.ctxP2P())
+	c.finish(p, sreq)
+	return c.finish(p, rreq)
 }
 
 // waitAnyPoll bounds the completion-check cadence of WaitAny and Probe.
@@ -131,35 +134,27 @@ func (c *Comm) Probe(p *sim.Proc, src, tag int) ProbeStatus {
 // been matched. It is implemented by forcing the rendezvous protocol
 // regardless of size.
 func (c *Comm) Issend(p *sim.Proc, dest, tag int, data []byte) *Request {
-	return c.issendOn(p, 0, dest, tag, int64(len(data)), data)
+	return c.issendOn(p, new(Request), dest, tag, int64(len(data)), data)
 }
 
 // IssendBytes is Issend for a size-only message.
 func (c *Comm) IssendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return c.issendOn(p, 0, dest, tag, size, nil)
+	return c.issendOn(p, new(Request), dest, tag, size, nil)
 }
 
 // Ssend is the blocking form of Issend.
 func (c *Comm) Ssend(p *sim.Proc, dest, tag int, data []byte) {
-	c.Issend(p, dest, tag, data).Wait(p)
+	c.finish(p, c.issendOn(p, c.state().takeReq(), dest, tag, int64(len(data)), data))
 }
 
-func (c *Comm) issendOn(p *sim.Proc, thread, dest, tag int, size int64, data []byte) *Request {
-	w := c.world
-	sreq := &Request{
-		comm:        c,
-		kind:        sendReq,
-		peer:        c.worldOf(dest),
-		tag:         tag,
-		ctx:         c.ctxP2P(),
-		size:        size,
-		data:        data,
-		thread:      thread,
-		postedAt:    p.Now(),
-		matchedFrom: c.rank,
-	}
+// issendOn starts a synchronous-mode send into the blank request sreq (see
+// isendOn).
+func (c *Comm) issendOn(p *sim.Proc, sreq *Request, dest, tag int, size int64, data []byte) *Request {
+	sreq.comm, sreq.kind, sreq.peer, sreq.tag, sreq.ctx = c, sendReq, c.worldOf(dest), tag, c.ctxP2P()
+	sreq.size, sreq.data = size, data
+	sreq.postedAt, sreq.matchedFrom = p.Now(), c.rank
 	call := c.enter(p, 0)
-	w.startRendezvous(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(thread, size))
+	c.world.startRendezvous(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(0, size))
 	call.done()
 	return sreq
 }

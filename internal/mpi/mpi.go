@@ -275,9 +275,22 @@ type rankState struct {
 	// partRegistry pairs native partitioned inits: key → FIFO of pending
 	// receive-side PRequests awaiting their sender.
 	partRegistry map[partKey][]*PRequest
-	// freeInbounds holds message records this rank has consumed as a
-	// receiver, for it to reuse as a sender (see inbound).
-	freeInbounds []*inbound
+	// records is the message-record free list of sched, shared by every
+	// rank on it (see inbound).
+	records *recordList
+	// freeReqs holds the requests of this rank's finished blocking calls
+	// (see takeReq).
+	freeReqs []*Request
+}
+
+// recordList is the free list of message records of one scheduler: the
+// world's, or one shard's. A sender takes from its own scheduler's list and
+// a receiver returns to its own, so each list is only touched from the
+// shard it belongs to.
+type recordList struct {
+	free []*inbound
+	// max caps the list at recordsPerRank times the ranks on the scheduler.
+	max int
 }
 
 type partKey struct {
@@ -298,6 +311,9 @@ type World struct {
 	group *sim.ShardGroup
 	// congested is cfg.Topology when it also models link occupancy.
 	congested netsim.Congested
+	// records holds one message-record free list per scheduler: one in a
+	// sequential world, one per shard in a sharded one.
+	records []recordList
 
 	// nextCtx hands each created communicator a fresh context block.
 	nextCtx int
@@ -325,6 +341,7 @@ func NewWorld(s *sim.Scheduler, cfg Config) *World {
 	}
 	w := &World{s: s, cfg: cfg, nextCtx: ctxStride, splits: make(map[splitKey]*splitState)}
 	w.congested, _ = cfg.Topology.(netsim.Congested)
+	w.records = []recordList{{max: recordsPerRank * cfg.Ranks}}
 	w.ranks = make([]*rankState, cfg.Ranks)
 	for i := range w.ranks {
 		nic := netsim.NewNIC(cfg.Net)
@@ -334,6 +351,7 @@ func NewWorld(s *sim.Scheduler, cfg Config) *World {
 			sched:        s,
 			nic:          nic,
 			partRegistry: make(map[partKey][]*PRequest),
+			records:      &w.records[0],
 		}
 	}
 	return w
@@ -364,12 +382,15 @@ func NewShardedWorld(g *sim.ShardGroup, cfg Config, shardOf func(rank int) int) 
 			g.Lookahead(), min, cfg.Topology.Describe())
 	}
 	w.group = g
+	w.records = make([]recordList, g.Shards())
 	for i, st := range w.ranks {
 		s := shardOf(i)
 		if s < 0 || s >= g.Shards() {
 			return nil, fmt.Errorf("mpi: shardOf(%d) = %d, out of range [0,%d)", i, s, g.Shards())
 		}
 		st.sched = g.Shard(s)
+		st.records = &w.records[s]
+		st.records.max += recordsPerRank
 	}
 	return w, nil
 }
@@ -422,17 +443,15 @@ func (w *World) Comm(rank int) *Comm {
 	return w.comms[rank]
 }
 
-// Launch spawns one proc per rank running fn and returns the procs. It is
-// the typical entry point for writing SPMD programs against the library.
-func (w *World) Launch(name string, fn func(c *Comm, p *sim.Proc)) []*sim.Proc {
-	procs := make([]*sim.Proc, w.cfg.Ranks)
+// Launch spawns one proc per rank running fn. It is the typical entry point
+// for writing SPMD programs against the library.
+func (w *World) Launch(name string, fn func(c *Comm, p *sim.Proc)) {
 	for r := 0; r < w.cfg.Ranks; r++ {
 		c := w.Comm(r)
-		procs[r] = w.ranks[r].sched.Spawn(fmt.Sprintf("%s/rank%d", name, r), func(p *sim.Proc) {
+		w.ranks[r].sched.Spawn(fmt.Sprintf("%s/rank%d", name, r), func(p *sim.Proc) {
 			fn(c, p)
 		})
 	}
-	return procs
 }
 
 // Comm is a communicator handle bound to one rank. It also carries the

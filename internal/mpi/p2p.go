@@ -11,56 +11,52 @@ import (
 // the injection engine (eager) or when the rendezvous data transfer has been
 // injected (large messages).
 func (c *Comm) Isend(p *sim.Proc, dest, tag int, data []byte) *Request {
-	return c.isendOn(p, 0, dest, tag, int64(len(data)), data)
+	return c.isendOn(p, new(Request), 0, dest, tag, c.ctxP2P(), int64(len(data)), data)
 }
 
 // IsendBytes is Isend for a size-only message (no payload is carried;
 // benchmarks use this to avoid large allocations).
 func (c *Comm) IsendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return c.isendOn(p, 0, dest, tag, size, nil)
+	return c.isendOn(p, new(Request), 0, dest, tag, c.ctxP2P(), size, nil)
 }
 
 // Send is the blocking form of Isend.
 func (c *Comm) Send(p *sim.Proc, dest, tag int, data []byte) {
-	c.Isend(p, dest, tag, data).Wait(p)
+	c.send(p, 0, dest, tag, int64(len(data)), data)
 }
 
 // SendBytes is the blocking form of IsendBytes.
 func (c *Comm) SendBytes(p *sim.Proc, dest, tag int, size int64) {
-	c.IsendBytes(p, dest, tag, size).Wait(p)
+	c.send(p, 0, dest, tag, size, nil)
+}
+
+// send is the blocking send from the given thread, on a request of the
+// rank's free list.
+func (c *Comm) send(p *sim.Proc, thread, dest, tag int, size int64, data []byte) {
+	c.finish(p, c.isendOn(p, c.state().takeReq(), thread, dest, tag, c.ctxP2P(), size, data))
 }
 
 // Irecv posts a nonblocking receive matching (src, tag); src may be
 // AnySource and tag AnyTag.
 func (c *Comm) Irecv(p *sim.Proc, src, tag int) *Request {
-	return c.irecvOn(p, src, tag)
+	return c.irecvOn(p, new(Request), src, tag, c.ctxP2P())
 }
 
 // Recv blocks until a matching message arrives and returns its payload (nil
 // for size-only sends) and size.
 func (c *Comm) Recv(p *sim.Proc, src, tag int) ([]byte, int64) {
-	r := c.Irecv(p, src, tag)
-	r.Wait(p)
-	return r.data, r.size
+	return c.finish(p, c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxP2P()))
 }
 
-// isendOn implements the send path for the given sending thread index.
-func (c *Comm) isendOn(p *sim.Proc, thread, dest, tag int, size int64, data []byte) *Request {
-	w := c.world
-	sreq := &Request{
-		comm:        c,
-		kind:        sendReq,
-		peer:        c.worldOf(dest),
-		tag:         tag,
-		ctx:         c.ctxP2P(),
-		size:        size,
-		data:        data,
-		thread:      thread,
-		postedAt:    p.Now(),
-		matchedFrom: c.rank,
-	}
+// isendOn implements the send path on context ctx for the given sending
+// thread index. sreq is blank: new for a request handed to the caller,
+// takeReq's for a blocking call.
+func (c *Comm) isendOn(p *sim.Proc, sreq *Request, thread, dest, tag, ctx int, size int64, data []byte) *Request {
+	sreq.comm, sreq.kind, sreq.peer, sreq.tag, sreq.ctx = c, sendReq, c.worldOf(dest), tag, ctx
+	sreq.size, sreq.data, sreq.thread = size, data, thread
+	sreq.postedAt, sreq.matchedFrom = p.Now(), c.rank
 	call := c.enter(p, 0)
-	w.startSend(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(thread, size))
+	c.world.startSend(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(thread, size))
 	call.done()
 	return sreq
 }
@@ -84,10 +80,11 @@ const (
 	partLanded          // native partition past the receive-side completion
 )
 
-// maxFreeInbounds caps a rank's free list. A rank that receives more than it
-// sends (one-directional traffic) would otherwise hoard every record its
-// peer allocates.
-const maxFreeInbounds = 64
+// recordsPerRank sizes a scheduler's record free list: it holds at most this
+// many records per rank on the scheduler. Under one-directional traffic
+// across shards the receiving shard's list would otherwise hoard every
+// record the sending shard allocates.
+const recordsPerRank = 64
 
 // newMessage takes a record for sreq's message (or its RTS) to rank to and
 // fills in the envelope.
@@ -99,13 +96,14 @@ func (w *World) newMessage(from, to *rankState, sreq *Request, kind msgKind) *in
 }
 
 // newInbound takes a blank record for a transfer from → to off the sender's
-// free list. It runs on the sender's shard.
+// scheduler's free list. It runs on the sender's shard.
 func (w *World) newInbound(from, to *rankState) *inbound {
 	var m *inbound
-	if n := len(from.freeInbounds); n > 0 {
-		m = from.freeInbounds[n-1]
-		from.freeInbounds[n-1] = nil
-		from.freeInbounds = from.freeInbounds[:n-1]
+	l := from.records
+	if n := len(l.free); n > 0 {
+		m = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
 	} else {
 		m = new(inbound)
 	}
@@ -113,13 +111,13 @@ func (w *World) newInbound(from, to *rankState) *inbound {
 	return m
 }
 
-// release returns a consumed message record to the receiver's free list. It
-// runs on the receiver's shard, so like newInbound it touches only the list
-// of a rank the running shard owns.
+// release returns a consumed message record to the receiver's scheduler's
+// free list. It runs on the receiver's shard, so like newInbound it touches
+// only the list of the running shard.
 func (st *rankState) release(m *inbound) {
-	if len(st.freeInbounds) < maxFreeInbounds {
+	if l := st.records; len(l.free) < l.max {
 		*m = inbound{}
-		st.freeInbounds = append(st.freeInbounds, m)
+		l.free = append(l.free, m)
 	}
 }
 
@@ -246,21 +244,15 @@ func (c *Comm) postRecv(p *sim.Proc, rreq *Request) {
 	}
 }
 
-// irecvOn posts a receive.
-func (c *Comm) irecvOn(p *sim.Proc, src, tag int) *Request {
+// irecvOn posts a receive on context ctx into the blank request rreq (see
+// isendOn).
+func (c *Comm) irecvOn(p *sim.Proc, rreq *Request, src, tag, ctx int) *Request {
 	peer := src
 	if src != AnySource {
 		peer = c.worldOf(src)
 	}
-	rreq := &Request{
-		comm:        c,
-		kind:        recvReq,
-		peer:        peer,
-		tag:         tag,
-		ctx:         c.ctxP2P(),
-		postedAt:    p.Now(),
-		matchedFrom: peer,
-	}
+	rreq.comm, rreq.kind, rreq.peer, rreq.tag, rreq.ctx = c, recvReq, peer, tag, ctx
+	rreq.postedAt, rreq.matchedFrom = p.Now(), peer
 	call := c.enter(p, 0)
 	c.postRecv(p, rreq)
 	call.done()

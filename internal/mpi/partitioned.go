@@ -45,7 +45,7 @@ type PRequest struct {
 	arrivedTimes []sim.Time
 	// partDone lets procs block on individual partitions (WaitPartition,
 	// used by the partitioned collectives and receive-side pipelines).
-	partDone []*sim.Completion
+	partDone []sim.Completion
 	// covered tracks, for the native implementation, how many bytes of
 	// each receive partition have landed; it is what lets the two sides
 	// partition the buffer differently (MPI 4.0 semantics).
@@ -275,27 +275,35 @@ func (pr *PRequest) pcclTag(i int) int { return pr.tag*maxPartitions + i }
 // partitioned request. On the receive side the MPIPCL implementation posts
 // all internal per-partition receives here; the native implementation just
 // arms its counters. Must be called from a serial section (one thread).
+//
+// The epoch state is made by the first Start and cleared in place by every
+// later one; ReadyTimes and ArrivalTimes hand out copies, so no caller sees
+// it reused.
 func (pr *PRequest) Start(p *sim.Proc) {
 	if pr.active {
 		panic("mpi: Start on active partitioned request")
 	}
-	c := pr.comm
-	w := c.world
 	pr.active = true
 	pr.epoch++
-	pr.allDone = sim.Completion{}
+	pr.allDone.Reset()
 	pr.remaining = pr.parts
-	switch pr.kind {
-	case sendReq:
+	switch {
+	case pr.epoch > 1:
+		clear(pr.readied)
+		clear(pr.readyTimes)
+		clear(pr.arrived)
+		clear(pr.arrivedTimes)
+		clear(pr.covered)
+		for i := range pr.partDone {
+			pr.partDone[i].Reset()
+		}
+	case pr.kind == sendReq:
 		pr.readied = make([]bool, pr.parts)
 		pr.readyTimes = make([]sim.Time, pr.parts)
-	case recvReq:
+	default:
 		pr.arrived = make([]bool, pr.parts)
 		pr.arrivedTimes = make([]sim.Time, pr.parts)
-		pr.partDone = make([]*sim.Completion, pr.parts)
-		for i := range pr.partDone {
-			pr.partDone[i] = new(sim.Completion)
-		}
+		pr.partDone = make([]sim.Completion, pr.parts)
 		if pr.impl == PartNative {
 			pr.covered = make([]int64, pr.parts)
 		}
@@ -309,7 +317,6 @@ func (pr *PRequest) Start(p *sim.Proc) {
 	default:
 		panic("mpi: unknown partitioned implementation")
 	}
-	_ = w
 }
 
 func (pr *PRequest) startMPIPCL(p *sim.Proc) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"partmb/internal/cluster"
 	"partmb/internal/sim"
 )
 
@@ -65,24 +66,151 @@ func TestUnexpectedSurvivesRecycling(t *testing.T) {
 	})
 }
 
-// One-directional traffic moves records from the sender's allocator to the
-// receiver's list only: the list stops at its cap and the sender never finds
-// a record to reuse.
+// Ranks on one scheduler share its record list, so one-directional traffic
+// recycles: the receiver gives back what the sender takes. Across shards
+// records still flow one way only, and the receiving shard's list stops at
+// its cap.
 func TestFreeListCappedUnderOneWayTraffic(t *testing.T) {
-	w := runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
-		for i := 0; i < 10000; i++ {
-			if c.Rank() == 0 {
-				c.SendBytes(p, 1, 0, 64)
-			} else {
-				c.Recv(p, 0, 0)
+	const msgs = 10000
+	// oneWay sends msgs messages from rank 0 to rank 1, calling before ahead
+	// of each send and after behind each receive.
+	oneWay := func(before, after func()) func(c *Comm, p *sim.Proc) {
+		return func(c *Comm, p *sim.Proc) {
+			for i := 0; i < msgs; i++ {
+				if c.Rank() == 0 {
+					before()
+					c.SendBytes(p, 1, 0, 64)
+				} else {
+					c.Recv(p, 0, 0)
+					after()
+				}
 			}
 		}
-	})
-	if got := len(w.ranks[1].freeInbounds); got != maxFreeInbounds {
-		t.Errorf("receiver holds %d free records after 10000 receives, want the cap %d", got, maxFreeInbounds)
 	}
-	if got := len(w.ranks[0].freeInbounds); got != 0 {
-		t.Errorf("sender holds %d free records though nothing was ever sent to it", got)
+
+	t.Run("one scheduler", func(t *testing.T) {
+		var begun, received, peak int
+		// A send takes its record while at most this many messages are in
+		// flight: begun, and not yet received.
+		inFlight := func() { begun++; peak = max(peak, begun-received) }
+		w := runWorld(t, 2, nil, oneWay(inFlight, func() { received++ }))
+		// Every record is back on the list, and each was allocated when the
+		// list was empty, that is when all earlier ones were in flight.
+		if got := len(w.ranks[0].records.free); received != msgs || got == 0 || got > peak {
+			t.Errorf("%d of %d messages received; %d records allocated, want 1 to %d (the most in flight at once)",
+				received, msgs, got, peak)
+		}
+		if w.ranks[0].records != w.ranks[1].records {
+			t.Error("two ranks on one scheduler have separate record lists")
+		}
+	})
+
+	t.Run("two shards", func(t *testing.T) {
+		received := 0 // written on the receiving shard only
+		g, w := shardedPair(t, nil)
+		w.Launch("oneway", oneWay(func() {}, func() { received++ }))
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(w.ranks[1].records.free), w.ranks[1].records.max; received != msgs || got != want || want != recordsPerRank {
+			t.Errorf("receiving shard holds %d free records after %d of %d receives, want its cap %d = %d x 1 rank",
+				got, received, msgs, want, recordsPerRank)
+		}
+		if got := len(w.ranks[0].records.free); got != 0 {
+			t.Errorf("sending shard holds %d free records though nothing was ever sent to it", got)
+		}
+	})
+}
+
+// Blocking calls — eager and rendezvous ping-pongs, Ssend, Sendrecv and
+// Barrier — take their requests off the rank's free list and give them back,
+// here from four threads per rank under MPI_THREAD_MULTIPLE, and the
+// simulation is the one fresh requests produced: the end times are literals
+// recorded on the commit before blocking calls reused their requests.
+func TestBlockingCallsReuseRequests(t *testing.T) {
+	const (
+		ranks   = 4
+		threads = 4
+		rounds  = 200
+	)
+	var ends [ranks]sim.Time
+	w := runWorld(t, ranks, func(cfg *Config) { cfg.ThreadMode = Multiple }, func(c *Comm, p *sim.Proc) {
+		c.SetPlacement(cluster.Place(c.World().Config().Machine, threads))
+		s := p.Scheduler()
+		peer := c.Rank() ^ 1
+		first := c.Rank()%2 == 0
+		for r := 0; r < rounds; r++ {
+			var wg sim.WaitGroup
+			wg.Add(s, threads)
+			for th := 0; th < threads; th++ {
+				ep := c.Endpoint(th)
+				s.Spawn("thread", func(p *sim.Proc) {
+					defer wg.Done(s)
+					switch th {
+					case 0, 1: // eager, then rendezvous ping-pong
+						size := int64(1024) << (10 * th)
+						if first {
+							ep.SendBytes(p, peer, th, size)
+							ep.Recv(p, peer, th)
+						} else {
+							ep.Recv(p, peer, th)
+							ep.SendBytes(p, peer, th, size)
+						}
+					case 2:
+						if first {
+							c.Ssend(p, peer, th, make([]byte, 64))
+						} else {
+							c.Recv(p, peer, th)
+						}
+					case 3:
+						c.SendrecvBytes(p, peer, th, 4096, peer, th)
+					}
+				})
+			}
+			wg.Wait(p)
+			c.Barrier(p)
+		}
+		ends[c.Rank()] = p.Now()
+	})
+	if want := [ranks]sim.Time{38113079, 38113799, 38113079, 38113799}; ends != want {
+		t.Errorf("ranks end at %v, want %v", ends, want)
+	}
+	for i, st := range w.ranks {
+		// At most every thread in one call at once, Sendrecv holding two.
+		if n := len(st.freeReqs); n == 0 || n > threads+1 {
+			t.Errorf("rank %d: %d requests on its free list after %d rounds, want 1 to %d", i, n, rounds, threads+1)
+		}
+	}
+}
+
+// A request on a free list belongs to no call: completing it is a bug.
+func TestCompletingPooledRequestPanics(t *testing.T) {
+	w := runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
+		if c.Rank() == 0 {
+			c.SendBytes(p, 1, 0, 8)
+		} else {
+			c.Recv(p, 0, 0)
+		}
+	})
+	for i, st := range w.ranks {
+		if len(st.freeReqs) != 1 {
+			t.Fatalf("rank %d: %d requests on its free list after one blocking call, want 1", i, len(st.freeReqs))
+		}
+		r := st.freeReqs[0]
+		r.comm = w.Comm(i) // so that only the pooled mark can stop it
+		for what, complete := range map[string]func(){
+			"completeAt": func() { r.completeAt(w.Scheduler().Now()) },
+			"Fire":       func() { r.Fire(0) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("rank %d: %s on a pooled request did not panic", i, what)
+					}
+				}()
+				complete()
+			}()
+		}
 	}
 }
 
@@ -186,7 +314,7 @@ func TestIprobeEnvelopeOutlivesRecord(t *testing.T) {
 		if want := (ProbeStatus{Source: 0, Tag: 5, Size: 7}); !ok || ps != want {
 			t.Errorf("Iprobe = %+v, %v, want %+v", ps, ok, want)
 		}
-		if got := len(w.ranks[1].freeInbounds); got != 2 {
+		if got := len(w.ranks[1].records.free); got != 2 {
 			t.Errorf("%d records released while the probe slept, want both", got)
 		}
 	})

@@ -41,6 +41,8 @@ type Request struct {
 	// completing is set while the event that completes the request
 	// (completeAt) is scheduled and has not fired.
 	completing bool
+	// pooled is set while the request sits on its rank's free list.
+	pooled bool
 
 	// onComplete, if set, runs in scheduler context when the request
 	// completes (used by the partitioned layer to track partition arrival).
@@ -96,6 +98,9 @@ func (r *Request) completeAt(t sim.Time) {
 	if r.completing {
 		panic("mpi: request already has a completion pending")
 	}
+	if r.pooled {
+		panic("mpi: completing a request on a free list")
+	}
 	r.completing = true
 	r.completedAt = t
 	r.comm.sched().AtFire(t, r, 0)
@@ -103,6 +108,9 @@ func (r *Request) completeAt(t sim.Time) {
 
 // Fire completes the request: it is the event completeAt scheduled.
 func (r *Request) Fire(int) {
+	if r.pooled {
+		panic("mpi: completing a request on a free list")
+	}
 	r.completing = false
 	r.done.Fire(r.comm.sched())
 	if r.onComplete != nil {
@@ -115,11 +123,38 @@ func (r *Request) reset() {
 	if !r.persistent {
 		panic("mpi: reset of non-persistent request")
 	}
-	r.done = sim.Completion{}
+	r.done.Reset()
 	r.started = false
 	if r.kind == recvReq {
 		r.data = nil
 	}
+}
+
+// takeReq returns a blank request for a blocking call of this rank: one a
+// finished blocking call gave back, or a new one. Blocking calls never hand
+// their request to a caller, so finish can return it once Wait is over.
+func (st *rankState) takeReq() *Request {
+	n := len(st.freeReqs)
+	if n == 0 {
+		return new(Request)
+	}
+	r := st.freeReqs[n-1]
+	st.freeReqs = st.freeReqs[:n-1]
+	r.pooled = false
+	return r
+}
+
+// finish waits for a blocking call's request, copies out what the call
+// returns and puts the request back on the rank's free list, blank but for
+// its completion's waiter storage.
+func (c *Comm) finish(p *sim.Proc, r *Request) (data []byte, size int64) {
+	r.Wait(p)
+	data, size = r.data, r.size
+	r.done.Reset()
+	*r = Request{done: r.done, pooled: true}
+	st := c.state()
+	st.freeReqs = append(st.freeReqs, r)
+	return data, size
 }
 
 // WaitAll waits for every request in order. Ordering does not change the

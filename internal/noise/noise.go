@@ -93,23 +93,29 @@ func (k *Kind) UnmarshalText(b []byte) error {
 
 // Model generates per-thread compute durations for one parallel region.
 //
-// Concurrency: the embedded generator is guarded by a mutex, so a Model may
-// be shared across engine worker goroutines without data races. Determinism
-// still requires the *call order* to be deterministic — concurrent callers
-// interleave draws nondeterministically — so the harnesses keep one model
-// per cell (seed derived per cell/rank, see stats.DeriveSeed) and the lock
-// is the backstop that turns an accidental share into a correctness issue
-// only, never a race. Audit note: core and consume build a model per run,
-// patterns builds one per rank, and halo3d/sweep3d precompute Region
-// sequentially before launching goroutines; no engine sweep currently
-// shares a model across workers.
+// The generator is built on the first draw, from the seed New was given, so
+// it yields the stream rand.NewSource(seed) would have; a model that never
+// draws (kind None, or 0 %) never builds the 4.9 KB source.
+//
+// Concurrency: the generator, and building it, are guarded by a mutex, so a
+// Model may be shared across engine worker goroutines without data races.
+// Determinism still requires the *call order* to be deterministic —
+// concurrent callers interleave draws nondeterministically — so the
+// harnesses keep one model per cell (seed derived per cell/rank, see
+// stats.DeriveSeed) and the lock is the backstop that turns an accidental
+// share into a correctness issue only, never a race. Audit note: core and
+// consume build one model per run and patterns one per rank; halo2d, halo3d
+// and sweep3d draw every Region before their simulation starts. Each model
+// is drawn from by one goroutine, and no engine sweep shares a model across
+// workers.
 type Model struct {
 	kind    Kind
 	percent float64 // noise amount as a fraction, e.g. 0.04 for 4%
 	period  sim.Duration
+	seed    int64
 
 	mu  sync.Mutex // guards rng
-	rng *rand.Rand
+	rng *rand.Rand // nil until the first draw
 }
 
 // DefaultPeriod is the daemon firing period of the Periodic model when
@@ -130,7 +136,7 @@ func New(kind Kind, percent float64, seed int64) *Model {
 		kind:    kind,
 		percent: percent / 100,
 		period:  DefaultPeriod,
-		rng:     rand.New(rand.NewSource(seed)),
+		seed:    seed,
 	}
 }
 
@@ -169,6 +175,9 @@ func (m *Model) Region(n int, base sim.Duration) []sim.Duration {
 	amount := float64(base) * m.percent
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.seed))
+	}
 	switch m.kind {
 	case SingleThread:
 		// Delay one thread by the full noise amount. The delayed thread is

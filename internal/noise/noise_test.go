@@ -2,6 +2,8 @@ package noise
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +115,35 @@ func TestDeterministicForSeed(t *testing.T) {
 			if ra[i] != rb[i] {
 				t.Fatalf("same seed diverged at trial %d thread %d", trial, i)
 			}
+		}
+	}
+}
+
+// A model builds its generator on the first draw, and it draws the stream a
+// generator seeded up front with the same seed draws. A model that never
+// draws — kind None, or 0 % — never builds one.
+func TestSourceBuiltOnFirstDraw(t *testing.T) {
+	const seed = 12345
+	for _, kind := range []Kind{None, SingleThread, Uniform, Gaussian, Periodic} {
+		lazy, eager := New(kind, 10, seed), New(kind, 10, seed)
+		eager.rng = rand.New(rand.NewSource(seed))
+		if lazy.rng != nil {
+			t.Fatalf("%v: New built a source before any draw", kind)
+		}
+		for trial := 0; trial < 20; trial++ {
+			if a, b := lazy.Region(8, base), eager.Region(8, base); !slices.Equal(a, b) {
+				t.Fatalf("%v trial %d: lazy source drew %v, seeded one %v", kind, trial, a, b)
+			}
+		}
+		if built := lazy.rng != nil; built != (kind != None) {
+			t.Errorf("%v at 10%%: source built = %v after 20 regions", kind, built)
+		}
+	}
+	for _, m := range []*Model{New(None, 4, seed), New(SingleThread, 0, seed), New(Uniform, 0, seed),
+		New(Gaussian, 0, seed), NewPeriodic(0, sim.Millisecond, seed)} {
+		m.Region(8, base)
+		if m.rng != nil {
+			t.Errorf("%v at %v%% built a source it never draws from", m.Kind(), m.Percent())
 		}
 	}
 }

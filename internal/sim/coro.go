@@ -9,14 +9,18 @@ import "iter"
 // with yield() — a coroswitch each way, no channel and no trip through the
 // Go scheduler. A runner outlives its proc: when the proc's function
 // returns the runner puts itself on its scheduler's idle list and the next
-// Spawn reuses it, so a team forked every iteration costs one coroutine per
-// member for the whole run, not per fork.
+// Spawn reuses it, Proc value included, so a team forked every iteration
+// costs one coroutine and one Proc per member for the whole run, not per
+// fork.
 //
 // This is the only file that needs Go 1.23 (iter.Pull); the build tag keeps
 // the module's go line where the bench module expects it.
 type runner struct {
-	s    *Scheduler
-	p    *Proc
+	s *Scheduler
+	// p is the proc the runner carries. Spawn overwrites it with a new id
+	// at the same address; a wake still pending for the previous incarnation
+	// carries that one's id and is dropped (see Scheduler.dispatch).
+	p    Proc
 	fn   func(p *Proc)
 	next func() (struct{}, bool)
 	stop func()
@@ -57,11 +61,10 @@ func (r *runner) runProc() (finished bool) {
 		}
 	}()
 	s := r.s
-	p, fn := r.p, r.fn
-	fn(p)
+	p := &r.p
+	r.fn(p)
 	p.dead = true
-	p.run = nil
-	r.p, r.fn = nil, nil
+	r.fn = nil
 	s.live--
 	s.dropProc(p)
 	s.idle = append(s.idle, r)

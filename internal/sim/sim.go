@@ -7,11 +7,11 @@
 // Exactly one of them executes at any instant, on the goroutine that called
 // Run, so all simulator state needs no locking and a panic inside a proc
 // surfaces from Run like any other. Coroutines are pooled per Scheduler:
-// a finished proc's coroutine carries the next Spawn, and all of them are
-// stopped when a drive drains or dies (procs still parked are unwound), so a
-// simulation leaves nothing behind however it ends. Events with equal
-// timestamps fire in the order they were scheduled, so runs are bitwise
-// reproducible.
+// a finished proc's coroutine, and its Proc value, carry the next Spawn, and
+// all of them are stopped when a drive drains or dies (procs still parked
+// are unwound), so a simulation leaves nothing behind however it ends.
+// Events with equal timestamps fire in the order they were scheduled, so
+// runs are bitwise reproducible.
 //
 // The kernel exposes virtual time (Time, Duration in nanoseconds) and a small
 // set of synchronization primitives (Mutex, Cond, WaitGroup, Barrier,
@@ -156,9 +156,9 @@ type funcHandler func()
 
 func (f funcHandler) Fire(int) { f() }
 
-// event is a proc wake (proc != nil) or a handler call (h.Fire(op)).
-// Neither carries a closure: the run loop resumes a proc from its fields,
-// and a handler is an object its owner already has,
+// event is a proc wake (proc != nil, op the proc's id) or a handler call
+// (h.Fire(op)). Neither carries a closure: the run loop resumes a proc from
+// its fields, and a handler is an object its owner already has,
 // so scheduling either never allocates. Events are recycled through the
 // scheduler's freelist.
 type event struct {
@@ -382,13 +382,18 @@ const (
 
 // Proc is a cooperative actor. Every blocking method must be called by the
 // proc itself (i.e. from within the function passed to Spawn).
+//
+// A *Proc is valid until its function returns. The value lives in the
+// runner that carries it, and the next Spawn on that runner reuses it for a
+// new proc with a new id, so a pointer kept past the return names whichever
+// proc runs there now.
 type Proc struct {
 	s    *Scheduler
 	name string
 	id   int
 	idx  int     // position in s.procs, for swap-removal on death
-	run  *runner // the coroutine carrying this proc; nil once dead
-	dead bool
+	run  *runner // the coroutine carrying this proc; nil once unwound
+	dead bool    // the function returned, or the drive unwound it
 	// wakeScheduled guards against double-wake: a proc may be the target of
 	// at most one pending wake event.
 	wakeScheduled bool
@@ -433,17 +438,8 @@ func (p *Proc) Scheduler() *Scheduler { return p.s }
 
 // Spawn creates a new proc executing fn. It may be called before Run or from
 // inside a running proc or event callback. The proc starts at the current
-// virtual time.
+// virtual time. The returned *Proc is valid until fn returns (see Proc).
 func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
-	s.procSeq++
-	p := &Proc{
-		s:    s,
-		name: name,
-		id:   s.procSeq,
-		idx:  len(s.procs),
-	}
-	s.procs = append(s.procs, p)
-	s.live++
 	var r *runner
 	if n := len(s.idle); n > 0 {
 		r = s.idle[n-1]
@@ -453,8 +449,12 @@ func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
 		r = newRunner(s)
 		s.runners++
 	}
-	r.p, r.fn = p, fn
-	p.run = r
+	s.procSeq++
+	r.p = Proc{s: s, name: name, id: s.procSeq, idx: len(s.procs), run: r}
+	r.fn = fn
+	p := &r.p
+	s.procs = append(s.procs, p)
+	s.live++
 	s.wake(p)
 	return p
 }
@@ -496,7 +496,8 @@ func (s *Scheduler) wake(p *Proc) {
 }
 
 // wakeAt schedules p to resume at time t. Idempotent while a wake is
-// pending. The wake is a plain proc event — no closure is allocated.
+// pending. The wake is a plain proc event — no closure is allocated — and
+// carries p's id, the incarnation it is for.
 func (s *Scheduler) wakeAt(t Time, p *Proc) {
 	if p.dead || p.wakeScheduled {
 		return
@@ -505,7 +506,7 @@ func (s *Scheduler) wakeAt(t Time, p *Proc) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	p.wakeScheduled = true
-	s.queue.push(s.newEvent(t, p, nil, 0))
+	s.queue.push(s.newEvent(t, p, nil, p.id))
 }
 
 // resumeProc switches from the drive loop into p's coroutine and returns
@@ -602,16 +603,21 @@ func (s *Scheduler) endDrive(drained bool) {
 
 // dispatch fires one popped event: it resumes the target proc or calls the
 // handler. The event is recycled first (into locals), so handlers and
-// resumed procs can immediately reuse it for new events.
+// resumed procs can immediately reuse it for new events. A wake whose
+// incarnation is gone — the proc finished and its Proc now carries a newer
+// one — is dropped, as a wake for a finished proc not yet reused is by
+// resumeProc.
 func (s *Scheduler) dispatch(e *event) {
 	if e.at < s.now {
 		panic("sim: time went backwards")
 	}
 	s.now = e.at
 	if e.proc != nil {
-		p := e.proc
+		p, id := e.proc, e.op
 		s.recycle(e)
-		s.resumeProc(p)
+		if p.id == id {
+			s.resumeProc(p)
+		}
 		return
 	}
 	h, op := e.h, e.op

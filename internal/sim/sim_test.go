@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -415,6 +416,68 @@ func TestCompletionDoubleFirePanics(t *testing.T) {
 	}
 	if !panicked {
 		t.Fatal("double fire did not panic")
+	}
+}
+
+// Reset re-arms a completion for another round. A waiter the last Fire woke
+// returns even if the completion was re-armed before it resumed; resetting a
+// completion procs still wait on panics.
+func TestCompletionReset(t *testing.T) {
+	s := New()
+	var c Completion
+	var released []Time
+	s.Spawn("waiter", func(p *Proc) {
+		for round := 0; round < 3; round++ {
+			c.Wait(p)
+			released = append(released, p.Now())
+		}
+	})
+	s.Spawn("firer", func(p *Proc) {
+		for round := 0; round < 3; round++ {
+			p.Sleep(Microsecond)
+			c.Fire(s)
+			c.Reset() // the waiter is woken but has not run yet
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{1000, 2000, 3000}; !slices.Equal(released, want) {
+		t.Fatalf("waiter released at %v, want %v", released, want)
+	}
+
+	s = New()
+	s.Spawn("waiter", func(p *Proc) { c.Wait(p) })
+	s.Spawn("resetter", func(p *Proc) { c.Reset() })
+	if got := panicValue(func() { s.Run() }); got != "sim: Completion reset with waiters" {
+		t.Fatalf("Reset with a waiter panicked with %v", got)
+	}
+}
+
+// A proc's value is reused by the next Spawn on its runner, and a wake
+// still pending for the finished proc must not resume the new one.
+func TestStaleWakeSkipsNextProcOnRunner(t *testing.T) {
+	s := New()
+	var first, second *Proc
+	var woke Time
+	s.Spawn("first", func(p *Proc) {
+		first = p
+		s.wakeAt(5, p) // still pending when the proc returns at 0
+	})
+	s.At(1, func() {
+		second = s.Spawn("second", func(p *Proc) {
+			p.Sleep(10)
+			woke = p.Now()
+		})
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if second != first || s.runners != 1 {
+		t.Fatalf("second proc at %p on %d runners, want the first one's %p on 1", second, s.runners, first)
+	}
+	if woke != 11 {
+		t.Fatalf("second proc's 10ns sleep from 1ns ended at %dns, want 11ns", woke)
 	}
 }
 

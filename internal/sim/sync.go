@@ -173,8 +173,12 @@ func (b *Barrier) Await(p *Proc) {
 
 // Completion is a one-shot latch: procs can wait for it, and a single Fire
 // (from proc or event context) releases all current and future waiters.
+// Reset re-arms it for another round.
 type Completion struct {
-	done    bool
+	done bool
+	// fires counts Fires, so a waiter returns once the round it waited in
+	// has fired, even if Reset re-armed the completion before it resumed.
+	fires   uint64
 	waiters []*Proc
 }
 
@@ -182,22 +186,40 @@ type Completion struct {
 func (c *Completion) Done() bool { return c.done }
 
 // Fire marks the completion done and wakes all waiters. Firing twice panics:
-// it would indicate a double-completion bug in the caller.
+// it would indicate a double-completion bug in the caller. The waiter list
+// keeps its storage for the next round.
 func (c *Completion) Fire(s *Scheduler) {
 	if c.done {
 		panic("sim: Completion fired twice")
 	}
 	c.done = true
+	c.fires++
 	for _, w := range c.waiters {
 		s.wake(w)
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
+}
+
+// Reset re-arms the completion: it is not done, and the next Fire releases
+// whoever waits from now on. A proc the last Fire woke still returns from
+// Wait. Only Fire empties the waiter list, so resetting a completion that
+// procs are still waiting on panics: they would wait through the round they
+// waited for.
+func (c *Completion) Reset() {
+	if len(c.waiters) > 0 {
+		panic("sim: Completion reset with waiters")
+	}
+	c.done = false
 }
 
 // Wait blocks p until the completion fires. Returns immediately if already
 // fired.
 func (c *Completion) Wait(p *Proc) {
-	for !c.done {
+	if c.done {
+		return
+	}
+	for fires := c.fires; c.fires == fires; {
 		c.waiters = append(c.waiters, p)
 		p.park(parkCompletion, 0, 0)
 	}
