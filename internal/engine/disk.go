@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -238,7 +239,8 @@ func (d *DiskCache) touchLocked(key string, size int64) {
 	}
 }
 
-// cellEnvelope is the on-disk form of one cell.
+// cellEnvelope is the on-disk form of one cell. store marshals it; load
+// reads it back through cellValue, which relies on its field order.
 type cellEnvelope struct {
 	Schema int             `json:"schema"`
 	Key    string          `json:"key"`
@@ -249,20 +251,43 @@ func (d *DiskCache) path(key string) string {
 	return filepath.Join(d.dir, key+".json")
 }
 
-// load returns the decoded cell for key plus the envelope's byte size.
-// Unreadable files are a plain miss; corrupt, truncated, or mismatched
-// entries (bad JSON, wrong schema, key/filename disagreement, undecodable
-// value) are deleted so the cell is recomputed and rewritten — recovery,
-// not failure. Hits refresh the key's recency in the eviction index.
+// cellHead is how every file store writes begins, up to the key.
+var cellHead = `{"schema":` + strconv.Itoa(SchemaVersion) + `,"key":"`
+
+// cellValue returns the value bytes of a cell file for key, or false when
+// data is not laid out exactly as store writes it: cellHead, the key, the
+// value, then "}\n". Keys are hex digests, which JSON never escapes, so the
+// key appears verbatim. Checking the fixed bytes in place leaves the value as
+// the only JSON to parse: whatever lies between them must decode as one
+// value, so a file that passes is a well-formed envelope for key.
+func cellValue(data []byte, key string) ([]byte, bool) {
+	const mid, tail = `","value":`, "}\n"
+	n := len(cellHead) + len(key) + len(mid)
+	if len(data) < n+len(tail) ||
+		string(data[:len(cellHead)]) != cellHead ||
+		string(data[len(cellHead):n-len(mid)]) != key ||
+		string(data[n-len(mid):n]) != mid ||
+		string(data[len(data)-len(tail):]) != tail {
+		return nil, false
+	}
+	return data[n : len(data)-len(tail)], true
+}
+
+// load returns the decoded cell for key plus the envelope's byte size, in
+// one read and one decode of the value. Unreadable files are a plain miss;
+// corrupt, truncated, or mismatched entries (a header that is not store's,
+// wrong schema, key/filename disagreement, bytes after the envelope,
+// undecodable value) are deleted so the cell is recomputed and rewritten —
+// recovery, not failure. Hits refresh the key's recency in the eviction
+// index.
 func (d *DiskCache) load(key string, decode decodeFunc) (any, int64, bool) {
 	path := d.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, false
 	}
-	var env cellEnvelope
-	if err := json.Unmarshal(data, &env); err == nil && env.Schema == SchemaVersion && env.Key == key {
-		if v, err := decode(env.Value); err == nil {
+	if raw, ok := cellValue(data, key); ok {
+		if v, err := decode(raw); err == nil {
 			d.mu.Lock()
 			d.touchLocked(key, int64(len(data)))
 			d.mu.Unlock()

@@ -539,6 +539,14 @@ type indexedError struct {
 	cancel bool
 }
 
+// laneTask is one dispatched index handed to a lane, with the task context
+// fail-fast cancels it through.
+type laneTask struct {
+	index  int
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
 // Sweep evaluates fn over n items on the worker pool and returns the results
 // in index order. cost(i) is the relative cost of item i in any unit (larger
 // = more expensive; typically message size x partition count): items
@@ -570,14 +578,6 @@ func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn 
 	}
 
 	results := make([]any, n)
-	// Worker lanes double as the concurrency bound and, for the observer,
-	// as stable timeline rows: a task holds its lane for its whole run, so
-	// tasks sharing a lane never overlap in host time.
-	lanes := make(chan int, r.workers)
-	for w := 0; w < r.workers; w++ {
-		lanes <- w
-	}
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstReal, firstCancel *indexedError
 	running := map[int]context.CancelFunc{}
@@ -619,6 +619,62 @@ func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn 
 		mu.Unlock()
 	}
 
+	run := func(lane int, t laneTask) {
+		start := time.Since(r.epoch)
+		v, err := fn(t.ctx, t.index)
+		end := time.Since(r.epoch)
+		mu.Lock()
+		delete(running, t.index)
+		mu.Unlock()
+		t.cancel() // release the per-task context
+		r.recordTask(lane, start, end)
+		if r.obs != nil {
+			r.obs.TaskDone(TaskEvent{
+				Experiment: exp,
+				Index:      t.index,
+				Worker:     lane,
+				Err:        err,
+				Start:      start,
+				End:        end,
+			})
+		}
+		if err != nil {
+			fail(t.index, err)
+			return
+		}
+		results[t.index] = v
+		if r.progress != nil {
+			// Serialize callbacks so progress counts arrive in order.
+			mu.Lock()
+			done++
+			r.progress(done, n)
+			mu.Unlock()
+		}
+	}
+
+	// Worker lanes are goroutines that live for the whole sweep, so a stack
+	// grown by one cell serves the next instead of growing again on a fresh
+	// goroutine. They double as the concurrency bound and, for the observer,
+	// as stable timeline rows: a task holds its lane for its whole run, so
+	// tasks sharing a lane never overlap in host time. idle holds the lanes
+	// waiting for work; the dispatcher takes one and hands it the index over
+	// that lane's own channel.
+	idle := make(chan int, min(r.workers, n))
+	work := make([]chan laneTask, cap(idle))
+	var wg sync.WaitGroup
+	for lane := range work {
+		work[lane] = make(chan laneTask, 1)
+		idle <- lane
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range work[lane] {
+				run(lane, t)
+				idle <- lane
+			}
+		}()
+	}
+
 	for k := 0; k < n; k++ {
 		i := k
 		if order != nil {
@@ -633,7 +689,7 @@ func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn 
 		var lane int
 		select {
 		case <-ctx.Done():
-		case lane = <-lanes:
+		case lane = <-idle:
 		}
 		if ctx.Err() != nil {
 			break
@@ -644,48 +700,17 @@ func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn 
 		mu.Lock()
 		if i > bound() {
 			mu.Unlock()
-			lanes <- lane
+			idle <- lane
 			continue
 		}
 		tctx, cancelTask := context.WithCancel(ctx)
 		running[i] = cancelTask
 		mu.Unlock()
 		atomic.AddInt64(&r.cells, 1)
-		wg.Add(1)
-		go func(i, lane int, tctx context.Context, cancelTask context.CancelFunc) {
-			defer wg.Done()
-			defer func() { lanes <- lane }()
-			start := time.Since(r.epoch)
-			v, err := fn(tctx, i)
-			end := time.Since(r.epoch)
-			mu.Lock()
-			delete(running, i)
-			mu.Unlock()
-			cancelTask() // release the per-task context
-			r.recordTask(lane, start, end)
-			if r.obs != nil {
-				r.obs.TaskDone(TaskEvent{
-					Experiment: exp,
-					Index:      i,
-					Worker:     lane,
-					Err:        err,
-					Start:      start,
-					End:        end,
-				})
-			}
-			if err != nil {
-				fail(i, err)
-				return
-			}
-			results[i] = v
-			if r.progress != nil {
-				// Serialize callbacks so progress counts arrive in order.
-				mu.Lock()
-				done++
-				r.progress(done, n)
-				mu.Unlock()
-			}
-		}(i, lane, tctx, cancelTask)
+		work[lane] <- laneTask{index: i, ctx: tctx, cancel: cancelTask}
+	}
+	for _, w := range work {
+		close(w)
 	}
 	wg.Wait()
 

@@ -70,7 +70,8 @@ type TaskEvent struct {
 	Experiment string
 	// Index is the task's row-major dispatch index within its grid or map.
 	Index int
-	// Worker is the lane (0..Workers-1) the task executed on.
+	// Worker is the lane the task executed on: below min(Workers, n) for a
+	// sweep of n tasks.
 	Worker int
 	// Err is the task's outcome.
 	Err error

@@ -69,35 +69,82 @@ func (d Duration) String() string {
 	}
 }
 
-// MarshalText renders the duration exactly, using the largest unit that
-// divides it evenly ("900ns", "10ms", "2s"), so JSON round trips are
-// lossless. This is distinct from String, whose adaptive %.3g formatting is
-// for display only.
+// MarshalText renders the duration exactly, as an integer count of the
+// largest unit that divides it evenly ("900ns", "-10ms", "2s"), so JSON round
+// trips are lossless for every int64. This is distinct from String, whose
+// adaptive %.3g formatting is for display only.
 func (d Duration) MarshalText() ([]byte, error) {
-	if d < 0 {
-		b, err := (-d).MarshalText()
-		return append([]byte{'-'}, b...), err
-	}
+	unit, name := Nanosecond, "ns"
 	switch {
 	case d%Second == 0:
-		return []byte(fmt.Sprintf("%ds", int64(d/Second))), nil
+		unit, name = Second, "s"
 	case d%Millisecond == 0:
-		return []byte(fmt.Sprintf("%dms", int64(d/Millisecond))), nil
+		unit, name = Millisecond, "ms"
 	case d%Microsecond == 0:
-		return []byte(fmt.Sprintf("%dus", int64(d/Microsecond))), nil
-	default:
-		return []byte(fmt.Sprintf("%dns", int64(d))), nil
+		unit, name = Microsecond, "us"
 	}
+	b := strconv.AppendInt(make([]byte, 0, len("-9223372036854775808ns")), int64(d/unit), 10)
+	return append(b, name...), nil
 }
 
-// UnmarshalText parses the forms accepted by ParseDuration.
+// UnmarshalText parses the forms accepted by ParseDuration. MarshalText's
+// canonical form — an optional '-', decimal digits, then ns, us, ms or s — is
+// parsed in exact integer arithmetic, so every int64 round-trips; any other
+// text (fractions, spaces, upper case) goes through ParseDuration.
 func (d *Duration) UnmarshalText(b []byte) error {
+	if v, ok := parseCanonical(b); ok {
+		*d = v
+		return nil
+	}
 	v, err := ParseDuration(string(b))
 	if err != nil {
 		return err
 	}
 	*d = v
 	return nil
+}
+
+// parseCanonical parses MarshalText's canonical form, reporting false for
+// any other text and for values outside int64.
+func parseCanonical(b []byte) (Duration, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	if len(b) < 2 || b[len(b)-1] != 's' {
+		return 0, false
+	}
+	b = b[:len(b)-1]
+	unit := Second
+	switch b[len(b)-1] {
+	case 'n':
+		unit, b = Nanosecond, b[:len(b)-1]
+	case 'u':
+		unit, b = Microsecond, b[:len(b)-1]
+	case 'm':
+		unit, b = Millisecond, b[:len(b)-1]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	// Accumulate the magnitude in uint64, which holds -MinInt64.
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	limit /= uint64(unit)
+	var n uint64
+	for _, c := range b {
+		if c < '0' || c > '9' || n > (limit-uint64(c-'0'))/10 {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	n *= uint64(unit)
+	if neg {
+		return Duration(-n), true
+	}
+	return Duration(n), true
 }
 
 // ParseDuration parses durations such as "10ms", "100us", "250ns", "1.5s"
