@@ -1,7 +1,10 @@
 package partmb_test
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"partmb/internal/classic"
@@ -297,6 +300,107 @@ func TestAllocPins(t *testing.T) {
 		if got := (run(2*n) - run(n)) / n; got > pin.max {
 			t.Errorf("%s: %d allocs/op, pinned at %d", pin.name, got, pin.max)
 		}
+	}
+
+	// A cell's set-up: a quick core.Run cell on one engine lane starts with
+	// the coroutines, events and noise generator the cell before it left in
+	// the lane's arena. The same cell on no arena (outside any Sweep) costs
+	// 29,272 B in 477 allocations. Bytes move by a few per run, so they are
+	// pinned with that much slack. Under -race, sync.Pool drops Puts at
+	// random (fmt's printers, the keying encoders), so the pin is skipped.
+	if raceEnabled {
+		return
+	}
+	bytes, allocs, err := coreCellCost(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes > 17700 || allocs > 316 {
+		t.Errorf("CoreCellWarmArena: %d B in %d allocs, pinned at 17700 B in 316", bytes, allocs)
+	}
+}
+
+// quickCoreCell is a Figure 8 cell at quick scale: 1 MiB in 8 partitions
+// under MPI_THREAD_MULTIPLE, 10 ms of compute with 4 % uniform noise, 3
+// measured iterations after 1 of warm-up.
+func quickCoreCell() core.Config {
+	return core.Config{
+		MessageBytes: 1 << 20,
+		Partitions:   8,
+		Compute:      10 * sim.Millisecond,
+		Iterations:   3,
+		Warmup:       1,
+		Platform:     (*platform.Spec)(nil).Resolved().WithThreadMode(mpi.Multiple).WithNoise(noise.Uniform, 4),
+	}
+}
+
+// coreCellCost returns the heap bytes and allocations of a quickCoreCell run
+// through an uncached runner after a first one: on its lane's arena inside a
+// Sweep (onArena), or outside any Sweep, on no arena. It takes the mean of
+// ten runs, and the least of three such means, since anything else the
+// process allocates meanwhile can only add.
+func coreCellCost(onArena bool) (bytes, allocs uint64, err error) {
+	const runs = 10
+	rn := engine.New(engine.Workers(1), engine.WithoutCache())
+	bytes, allocs = math.MaxUint64, math.MaxUint64
+	measure := func() error {
+		if _, err := core.RunCached(rn, quickCoreCell()); err != nil {
+			return err
+		}
+		for round := 0; round < 3; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := core.RunCached(rn, quickCoreCell()); err != nil {
+					return err
+				}
+			}
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+			allocs = min(allocs, (after.Mallocs-before.Mallocs)/runs)
+		}
+		return nil
+	}
+	if onArena {
+		_, err = rn.Sweep(context.Background(), 1, nil, func(context.Context, int) (any, error) { return nil, measure() })
+	} else {
+		err = measure()
+	}
+	return bytes, allocs, err
+}
+
+// BenchmarkCoreCell measures one quickCoreCell per op through an uncached
+// runner, outside any Sweep (no arena) and on one lane's arena: the gap is
+// the set-up the arena saves.
+func BenchmarkCoreCell(b *testing.B) {
+	for _, onArena := range []bool{false, true} {
+		b.Run(map[bool]string{false: "no-arena", true: "arena"}[onArena], func(b *testing.B) {
+			rn := engine.New(engine.Workers(1), engine.WithoutCache())
+			loop := func() error {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := core.RunCached(rn, quickCoreCell()); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			var err error
+			if onArena {
+				_, err = rn.Sweep(context.Background(), 1, nil, func(context.Context, int) (any, error) {
+					if _, err := core.RunCached(rn, quickCoreCell()); err != nil {
+						return nil, err
+					}
+					return nil, loop()
+				})
+			} else {
+				err = loop()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -93,27 +93,27 @@ func (c Config) world(s *sim.Scheduler, mode mpi.ThreadMode) *mpi.World {
 // arguments in the order the keys have always hashed them: size then
 // window; threads, depth or partitions then size.
 var (
-	latencyCell = newCell("classic.Latency", func(c Config, a []int64) (float64, error) {
-		return latencyAt(c, a[0])
+	latencyCell = newCell("classic.Latency", func(ar *sim.Arena, c Config, a []int64) (float64, error) {
+		return latencyAt(ar, c, a[0])
 	})
-	bandwidthCell = newCell("classic.Bandwidth", func(c Config, a []int64) (float64, error) {
-		return bandwidthAt(c, a[0], int(a[1]))
+	bandwidthCell = newCell("classic.Bandwidth", func(ar *sim.Arena, c Config, a []int64) (float64, error) {
+		return bandwidthAt(ar, c, a[0], int(a[1]))
 	})
-	biBandwidthCell = newCell("classic.BiBandwidth", func(c Config, a []int64) (float64, error) {
-		return biBandwidthAt(c, a[0], int(a[1]))
+	biBandwidthCell = newCell("classic.BiBandwidth", func(ar *sim.Arena, c Config, a []int64) (float64, error) {
+		return biBandwidthAt(ar, c, a[0], int(a[1]))
 	})
-	threadLatencyCell = newCell("classic.ThreadLatency", func(c Config, a []int64) (sim.Duration, error) {
-		return threadLatencyAt(c, int(a[0]), a[1])
+	threadLatencyCell = newCell("classic.ThreadLatency", func(ar *sim.Arena, c Config, a []int64) (sim.Duration, error) {
+		return threadLatencyAt(ar, c, int(a[0]), a[1])
 	})
-	matchStressCell = newCell("classic.MatchStress", func(c Config, a []int64) (sim.Duration, error) {
-		return matchStressAt(c, int(a[0]))
+	matchStressCell = newCell("classic.MatchStress", func(ar *sim.Arena, c Config, a []int64) (sim.Duration, error) {
+		return matchStressAt(ar, c, int(a[0]))
 	})
-	partLatencyCell = newCell("classic.PartLatency", func(c Config, a []int64) (sim.Duration, error) {
-		return partLatencyAt(c, a[1], int(a[0]))
+	partLatencyCell = newCell("classic.PartLatency", func(ar *sim.Arena, c Config, a []int64) (sim.Duration, error) {
+		return partLatencyAt(ar, c, a[1], int(a[0]))
 	})
 )
 
-func newCell[T any](kind string, run func(Config, []int64) (T, error)) *engine.Cell[Config, T] {
+func newCell[T any](kind string, run func(*sim.Arena, Config, []int64) (T, error)) *engine.Cell[Config, T] {
 	return engine.NewCell(kind, func(c Config) (Config, *stats.RunConfig, bool) {
 		return c.withDefaults(), c.Adaptive, false
 	}, run, nil)
@@ -195,8 +195,8 @@ func Latency(rn *engine.Runner, cfg Config, sizes []int64) ([]Point, error) {
 	return sweepPoints(rn, "classic.Latency", latencyCell, cfg, sizes)
 }
 
-func latencyAt(cfg Config, size int64) (float64, error) {
-	s := sim.New()
+func latencyAt(a *sim.Arena, cfg Config, size int64) (float64, error) {
+	s := a.New()
 	w := cfg.world(s, mpi.Funneled)
 	var span sim.Duration
 	total := cfg.Warmup + cfg.Iterations
@@ -240,23 +240,24 @@ func Bandwidth(rn *engine.Runner, cfg Config, sizes []int64, window int) ([]Poin
 	return sweepPoints(rn, "classic.Bandwidth", bandwidthCell, cfg, sizes, int64(window))
 }
 
-func bandwidthAt(cfg Config, size int64, window int) (float64, error) {
-	s := sim.New()
+func bandwidthAt(a *sim.Arena, cfg Config, size int64, window int) (float64, error) {
+	s := a.New()
 	w := cfg.world(s, mpi.Funneled)
 	var span sim.Duration
 	total := cfg.Warmup + cfg.Iterations
 	s.Spawn("sender", func(p *sim.Proc) {
 		c := w.Comm(0)
 		c.Barrier(p)
+		reqs := make([]*mpi.Request, window)
 		for it := 0; it < total; it++ {
 			if it == cfg.Warmup {
 				span = -sim.Duration(p.Now())
 			}
-			reqs := make([]*mpi.Request, window)
 			for i := range reqs {
 				reqs[i] = c.IsendBytes(p, 1, i, size)
 			}
 			mpi.WaitAll(p, reqs...)
+			mpi.FreeAll(reqs...)
 			c.Recv(p, 1, 999) // window ack
 		}
 		span += sim.Duration(p.Now())
@@ -264,12 +265,13 @@ func bandwidthAt(cfg Config, size int64, window int) (float64, error) {
 	s.Spawn("recv", func(p *sim.Proc) {
 		c := w.Comm(1)
 		c.Barrier(p)
+		reqs := make([]*mpi.Request, window)
 		for it := 0; it < total; it++ {
-			reqs := make([]*mpi.Request, window)
 			for i := range reqs {
 				reqs[i] = c.Irecv(p, 0, i)
 			}
 			mpi.WaitAll(p, reqs...)
+			mpi.FreeAll(reqs...)
 			c.SendBytes(p, 0, 999, 0)
 		}
 	})
@@ -293,8 +295,8 @@ func BiBandwidth(rn *engine.Runner, cfg Config, sizes []int64, window int) ([]Po
 	return sweepPoints(rn, "classic.BiBandwidth", biBandwidthCell, cfg, sizes, int64(window))
 }
 
-func biBandwidthAt(cfg Config, size int64, window int) (float64, error) {
-	s := sim.New()
+func biBandwidthAt(a *sim.Arena, cfg Config, size int64, window int) (float64, error) {
+	s := a.New()
 	w := cfg.world(s, mpi.Funneled)
 	var span sim.Duration
 	total := cfg.Warmup + cfg.Iterations
@@ -303,11 +305,12 @@ func biBandwidthAt(cfg Config, size int64, window int) (float64, error) {
 			c := w.Comm(rank)
 			other := 1 - rank
 			c.Barrier(p)
+			reqs := make([]*mpi.Request, 0, 2*window)
 			for it := 0; it < total; it++ {
 				if rank == 0 && it == cfg.Warmup {
 					span = -sim.Duration(p.Now())
 				}
-				reqs := make([]*mpi.Request, 0, 2*window)
+				reqs = reqs[:0]
 				for i := 0; i < window; i++ {
 					reqs = append(reqs, c.Irecv(p, other, 100+i))
 				}
@@ -315,6 +318,7 @@ func biBandwidthAt(cfg Config, size int64, window int) (float64, error) {
 					reqs = append(reqs, c.IsendBytes(p, other, 100+i, size))
 				}
 				mpi.WaitAll(p, reqs...)
+				mpi.FreeAll(reqs...)
 				if rank == 0 && it == total-1 {
 					span += sim.Duration(p.Now())
 				}
@@ -359,8 +363,8 @@ func ThreadLatency(rn *engine.Runner, cfg Config, threads int, size int64) (sim.
 	return threadLatencyCell.Run(rn, cfg, int64(threads), size)
 }
 
-func threadLatencyAt(cfg Config, threads int, size int64) (sim.Duration, error) {
-	s := sim.New()
+func threadLatencyAt(a *sim.Arena, cfg Config, threads int, size int64) (sim.Duration, error) {
+	s := a.New()
 	w := cfg.world(s, mpi.Multiple)
 	c0, c1 := w.Comm(0), w.Comm(1)
 	c0.SetPlacement(cluster.Place(cfg.Platform.Machine, threads))
@@ -420,8 +424,8 @@ func MatchStress(rn *engine.Runner, cfg Config, depth int) (sim.Duration, error)
 	return matchStressCell.Run(rn, cfg, int64(depth), 0)
 }
 
-func matchStressAt(cfg Config, depth int) (sim.Duration, error) {
-	s := sim.New()
+func matchStressAt(a *sim.Arena, cfg Config, depth int) (sim.Duration, error) {
+	s := a.New()
 	w := cfg.world(s, mpi.Funneled)
 	var took sim.Duration
 	s.Spawn("sender", func(p *sim.Proc) {
@@ -463,8 +467,8 @@ func PartLatency(rn *engine.Runner, cfg Config, size int64, parts int) (sim.Dura
 	return partLatencyCell.Run(rn, cfg, int64(parts), size)
 }
 
-func partLatencyAt(cfg Config, size int64, parts int) (sim.Duration, error) {
-	s := sim.New()
+func partLatencyAt(a *sim.Arena, cfg Config, size int64, parts int) (sim.Duration, error) {
+	s := a.New()
 	w := cfg.world(s, mpi.Multiple)
 	partBytes := size / int64(parts)
 	var span sim.Duration

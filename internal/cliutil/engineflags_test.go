@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"partmb/internal/engine"
+	"partmb/internal/sim"
 	"partmb/internal/stats"
 )
 
 // diskCell is a typed cell, so it persists to the disk cache.
 var diskCell = engine.NewCell("cliutil.test",
 	func(v int) (int, *stats.RunConfig, bool) { return v, nil, false },
-	func(v int, _ []int64) (int, error) { return v, nil }, nil)
+	func(_ *sim.Arena, v int, _ []int64) (int, error) { return v, nil }, nil)
 
 func TestEngineFlagsDefaults(t *testing.T) {
 	var e EngineFlags

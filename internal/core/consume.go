@@ -56,11 +56,11 @@ func RunConsume(cfg Config, consumePerPartition sim.Duration) (*ConsumeResult, e
 		return nil, fmt.Errorf("core: negative consume time")
 	}
 
-	baseline, err := runConsumeMode(cfg, consumePerPartition, false)
+	baseline, err := runConsumeMode(nil, cfg, consumePerPartition, false)
 	if err != nil {
 		return nil, err
 	}
-	partitioned, err := runConsumeMode(cfg, consumePerPartition, true)
+	partitioned, err := runConsumeMode(nil, cfg, consumePerPartition, true)
 	if err != nil {
 		return nil, err
 	}
@@ -72,10 +72,11 @@ func RunConsume(cfg Config, consumePerPartition sim.Duration) (*ConsumeResult, e
 	}, nil
 }
 
-// runConsumeMode measures the mean fork-to-last-consumption span.
-func runConsumeMode(cfg Config, consume sim.Duration, pipelined bool) (sim.Duration, error) {
+// runConsumeMode measures the mean fork-to-last-consumption span on a
+// simulation built on arena a.
+func runConsumeMode(a *sim.Arena, cfg Config, consume sim.Duration, pipelined bool) (sim.Duration, error) {
 	pf := cfg.Platform
-	s := sim.New()
+	s := a.New()
 	mcfg := mpi.DefaultConfig(2)
 	mcfg.ThreadMode = pf.ThreadMode
 	mcfg.PartImpl = pf.Impl
@@ -87,7 +88,7 @@ func runConsumeMode(cfg Config, consume sim.Duration, pipelined bool) (sim.Durat
 	n := cfg.Partitions
 	partBytes := cfg.MessageBytes / int64(n)
 	placement := cluster.Place(pf.Machine, n)
-	noiseModel := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed)
+	noiseModel := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed, a)
 	total := cfg.Warmup + cfg.Iterations
 
 	forkAts := make([]sim.Time, total)

@@ -172,13 +172,16 @@ type iterRecord struct {
 
 // Run executes the two-process benchmark at one parameter point and returns
 // the aggregated result.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(nil, cfg) }
+
+// run is Run with its simulation built on arena a.
+func run(a *sim.Arena, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	pf := cfg.Platform
-	s := sim.New()
+	s := a.New()
 	mcfg := mpi.DefaultConfig(2)
 	mcfg.ThreadMode = pf.ThreadMode
 	mcfg.PartImpl = pf.Impl
@@ -191,7 +194,7 @@ func Run(cfg Config) (*Result, error) {
 	n := cfg.Partitions
 	partBytes := cfg.MessageBytes / int64(n)
 	placement := cluster.Place(pf.Machine, n)
-	noiseModel := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed)
+	noiseModel := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed, a)
 	invalidate := mcfg.Mem.InvalidateCost()
 	total := cfg.Warmup + cfg.Iterations
 
@@ -333,7 +336,7 @@ var runCell = engine.NewCell("core.Run",
 		}
 		return c, c.Adaptive, c.Trace != nil || c.Topology != nil
 	},
-	func(c Config, _ []int64) (*Result, error) { return Run(c) },
+	func(a *sim.Arena, c Config, _ []int64) (*Result, error) { return run(a, c) },
 	runAdaptive)
 
 // CacheKey returns the content-addressed engine cell key RunCached files

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -63,6 +64,32 @@ func TestRunIsDeterministic(t *testing.T) {
 	if a.Overhead != b.Overhead || a.PerceivedBW != b.PerceivedBW ||
 		a.Availability != b.Availability || a.EarlyBird != b.EarlyBird {
 		t.Fatalf("same config diverged:\n  %v\n  %v", a, b)
+	}
+}
+
+// Cells of every noise model, both implementations and three partition
+// counts run one after another on one arena, each starting with what the
+// previous one left, and equal their runs on no arena.
+func TestRunOnArenaMatchesFreshRuns(t *testing.T) {
+	var a sim.Arena
+	defer a.Close()
+	for i := 0; i < 12; i++ {
+		cfg := quickCfg()
+		cfg.Iterations = 2
+		cfg.Partitions = []int{1, 8, 32}[i%3]
+		kind := []noise.Kind{noise.None, noise.SingleThread, noise.Uniform, noise.Gaussian, noise.Periodic}[i%5]
+		cfg.Platform = cfg.Platform.WithNoise(kind, 4).WithImpl([]mpi.PartImpl{mpi.PartMPIPCL, mpi.PartNative}[i%2]).WithSeed(int64(i))
+		got, err := run(&a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cell %d (%v, %d parts): on the arena %v, on none %v", i, kind, cfg.Partitions, got, want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"partmb/internal/sim"
 	"partmb/internal/stats"
 )
 
@@ -23,7 +24,7 @@ import (
 type Cell[C, T any] struct {
 	kind   string
 	canon  func(C) (C, *stats.RunConfig, bool)
-	run    func(C, []int64) (T, error)
+	run    func(*sim.Arena, C, []int64) (T, error)
 	sample func(*Cell[C, T], *Runner, C, []int64) (T, error)
 }
 
@@ -33,13 +34,15 @@ type Cell[C, T any] struct {
 // canon applies the configuration's defaults — keys hash the canonical form
 // — and reports its adaptive sampling config (nil on the fixed path) and
 // whether it carries an attachment the key cannot see, such as a trace
-// recorder. run computes the value of a canonical fixed configuration.
-// sample, when non-nil, computes the value of a canonical adaptive one,
-// typically from the cell's own Draws; with it nil, adaptive configurations
-// run the fixed path.
+// recorder. run computes the value of a canonical fixed configuration,
+// building its simulation on arena a: one checked out for the run while a
+// Sweep is active on the runner, nil otherwise and on remote workers (see
+// Runner.Sweep). sample, when non-nil, computes the value of a canonical
+// adaptive one, typically from the cell's own Draws; with it nil, adaptive
+// configurations run the fixed path.
 func NewCell[C, T any](kind string,
 	canon func(C) (cfg C, sampling *stats.RunConfig, attached bool),
-	run func(cfg C, args []int64) (T, error),
+	run func(a *sim.Arena, cfg C, args []int64) (T, error),
 	sample func(c *Cell[C, T], r *Runner, cfg C, args []int64) (T, error),
 ) *Cell[C, T] {
 	registerKind(kind, func(raw json.RawMessage) (any, error) {
@@ -47,7 +50,7 @@ func NewCell[C, T any](kind string,
 		if err := json.Unmarshal(raw, &t); err != nil {
 			return nil, fmt.Errorf("engine: decoding %s config: %w", kind, err)
 		}
-		return run(t.Cfg, t.Args)
+		return run(nil, t.Cfg, t.Args)
 	})
 	return &Cell[C, T]{kind: kind, canon: canon, run: run, sample: sample}
 }
@@ -93,7 +96,7 @@ func (c *Cell[C, T]) Run(rn *Runner, cfg C, args ...int64) (T, error) {
 	if r.exec != nil && key != "" && !r.noCache {
 		remote = &remoteCell{kind: c.kind, encode: func() json.RawMessage { return encodeTask[C](cfg, args) }}
 	}
-	return doAs(r, key, remote, func() (T, error) { return c.run(cfg, args) })
+	return doAs(r, key, remote, func(a *sim.Arena) (T, error) { return c.run(a, cfg, args) })
 }
 
 // Sampled resolves an adaptive configuration of the cell — one whose canon
@@ -108,7 +111,7 @@ func Sampled[C, T, V any](rn *Runner, c *Cell[C, T], cfg C, args []int64, fn fun
 		var zero V
 		return zero, err
 	}
-	return doAs(OrDefault(rn), c.key(cfg, rc, attached, args), nil, fn)
+	return doAs(OrDefault(rn), c.key(cfg, rc, attached, args), nil, func(*sim.Arena) (V, error) { return fn() })
 }
 
 // Draws is the single-metric adaptive loop: draw d runs the cell at

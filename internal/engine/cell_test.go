@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"partmb/internal/sim"
 	"partmb/internal/stats"
 )
 
@@ -18,7 +19,7 @@ type seedCfg struct {
 // at MinSamples draws.
 var sampledCell = NewCell("test.sampled",
 	func(c seedCfg) (seedCfg, *stats.RunConfig, bool) { return c, c.RC, false },
-	func(c seedCfg, _ []int64) (float64, error) { return 2, nil },
+	func(_ *sim.Arena, c seedCfg, _ []int64) (float64, error) { return 2, nil },
 	func(c *Cell[seedCfg, float64], r *Runner, cfg seedCfg, args []int64) (float64, error) {
 		_, est, err := c.Draws(r, cfg, args, func(c seedCfg, d int) seedCfg {
 			c.RC, c.Seed = nil, d

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"partmb/internal/sim"
 )
 
 // SchemaVersion versions the on-disk cell format. Entries written under a
@@ -350,8 +352,8 @@ func (d *DiskCache) store(key string, val any) (int64, error) {
 // encoding/json losslessly for persisted cells to be bit-identical to fresh
 // runs; every result type in this repository does (sim.Duration marshals
 // exactly, and Go's float64 encoding is shortest-round-trip).
-func doAs[T any](r *Runner, key string, rc *remoteCell, fn func() (T, error)) (T, error) {
-	v, err := r.do(key, decodeAs[T], rc, func() (any, error) { return fn() })
+func doAs[T any](r *Runner, key string, rc *remoteCell, fn func(*sim.Arena) (T, error)) (T, error) {
+	v, err := r.do(key, decodeAs[T], rc, func(a *sim.Arena) (any, error) { return fn(a) })
 	if err != nil || v == nil {
 		var zero T
 		return zero, err

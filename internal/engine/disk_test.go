@@ -27,7 +27,7 @@ func TestDiskCachePersistsAcrossRunners(t *testing.T) {
 
 	rn1 := New(WithDiskCache(d))
 	var computed int
-	v, err := doAs(rn1, key, nil, func() (diskCell, error) { computed++; return want, nil })
+	v, err := doAs(rn1, key, nil, func(*sim.Arena) (diskCell, error) { computed++; return want, nil })
 	if err != nil || v != want {
 		t.Fatalf("cold DoAs = %+v, %v", v, err)
 	}
@@ -40,7 +40,7 @@ func TestDiskCachePersistsAcrossRunners(t *testing.T) {
 
 	// A fresh Runner (fresh process, in effect) must answer from disk.
 	rn2 := New(WithDiskCache(d))
-	v, err = doAs(rn2, key, nil, func() (diskCell, error) {
+	v, err = doAs(rn2, key, nil, func(*sim.Arena) (diskCell, error) {
 		t.Error("recomputed a persisted cell")
 		return diskCell{}, nil
 	})
@@ -93,7 +93,7 @@ func TestDiskCacheCorruptEntryRecovered(t *testing.T) {
 		}
 		rn := New(WithDiskCache(d))
 		want := diskCell{Size: 7, Elapsed: 42}
-		v, err := doAs(rn, key, nil, func() (diskCell, error) { return want, nil })
+		v, err := doAs(rn, key, nil, func(*sim.Arena) (diskCell, error) { return want, nil })
 		st := rn.Stats()
 		if err != nil || v != want && !(tc.mayHit && v == held && st.DiskHits == 1) {
 			t.Fatalf("%s: DoAs = %+v, %v (stats %+v)", tc.name, v, err, st)
@@ -107,7 +107,7 @@ func TestDiskCacheCorruptEntryRecovered(t *testing.T) {
 		}
 		// The entry must have been rewritten valid.
 		rn = New(WithDiskCache(d))
-		if v, err := doAs(rn, key, nil, func() (diskCell, error) {
+		if v, err := doAs(rn, key, nil, func(*sim.Arena) (diskCell, error) {
 			t.Errorf("%s: rewritten cell not reused", tc.name)
 			return diskCell{}, nil
 		}); err != nil || v != want {
@@ -151,7 +151,7 @@ func TestDiskCacheFileBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := doAs(New(WithDiskCache(d)), key, nil, func() (sampleCell, error) { return want, nil }); err != nil {
+	if _, err := doAs(New(WithDiskCache(d)), key, nil, func(*sim.Arena) (sampleCell, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := os.ReadFile(filepath.Join(d.Dir(), key+".json")); err != nil || string(got) != cellFileBytes {
@@ -166,7 +166,7 @@ func TestDiskCacheFileBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	rn := New(WithDiskCache(d))
-	v, err := doAs(rn, key, nil, func() (sampleCell, error) {
+	v, err := doAs(rn, key, nil, func(*sim.Arena) (sampleCell, error) {
 		t.Error("recomputed a cell file written in the schema 1 layout")
 		return sampleCell{}, nil
 	})
@@ -191,11 +191,11 @@ func TestDiskHitAllocs(t *testing.T) {
 	const key = "0123abcd"
 	want := newSampleCell(8)
 	rn := New(WithDiskCache(d), WithSingleFlight())
-	if _, err := doAs(rn, key, nil, func() (sampleCell, error) { return want, nil }); err != nil {
+	if _, err := doAs(rn, key, nil, func(*sim.Arena) (sampleCell, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if v, err := doAs(rn, key, nil, func() (sampleCell, error) {
+		if v, err := doAs(rn, key, nil, func(*sim.Arena) (sampleCell, error) {
 			t.Error("recomputed a persisted cell")
 			return want, nil
 		}); err != nil || len(v.Samples) != 8 {
@@ -228,7 +228,7 @@ func TestDiskCacheErrorsNeverPersisted(t *testing.T) {
 	const key = "badc0de"
 	rn := New(WithDiskCache(d))
 	boom := errors.New("boom")
-	if _, err := doAs(rn, key, nil, func() (diskCell, error) { return diskCell{}, boom }); !errors.Is(err, boom) {
+	if _, err := doAs(rn, key, nil, func(*sim.Arena) (diskCell, error) { return diskCell{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(d.Dir(), key+".json")); !os.IsNotExist(err) {
@@ -238,7 +238,7 @@ func TestDiskCacheErrorsNeverPersisted(t *testing.T) {
 	// the failing runner's memory.
 	rn2 := New(WithDiskCache(d))
 	var computed int
-	if _, err := doAs(rn2, key, nil, func() (diskCell, error) { computed++; return diskCell{}, boom }); !errors.Is(err, boom) || computed != 1 {
+	if _, err := doAs(rn2, key, nil, func(*sim.Arena) (diskCell, error) { computed++; return diskCell{}, boom }); !errors.Is(err, boom) || computed != 1 {
 		t.Fatalf("fresh runner: err = %v, computed = %d", err, computed)
 	}
 }
@@ -247,7 +247,7 @@ func TestDoAsMemoizesWithoutDisk(t *testing.T) {
 	rn := New()
 	var computed int
 	for i := 0; i < 2; i++ {
-		v, err := doAs(rn, "k", nil, func() (diskCell, error) {
+		v, err := doAs(rn, "k", nil, func(*sim.Arena) (diskCell, error) {
 			computed++
 			return diskCell{Size: 9}, nil
 		})

@@ -80,6 +80,12 @@ type Runner struct {
 	laneBusy  []int64
 	spanStart int64
 	spanEnd   int64
+
+	// Simulation arenas (see takeArena): sweeps counts the Sweeps running
+	// on the runner and arenas holds the idle arenas while any does.
+	arenaMu sync.Mutex
+	sweeps  int
+	arenas  []*sim.Arena
 }
 
 // cacheEntry memoizes one cell result with singleflight semantics: the
@@ -372,16 +378,19 @@ func Key(parts ...any) (string, error) {
 // cache for that cell.
 type decodeFunc func(json.RawMessage) (any, error)
 
+// cellFunc computes a cell's value on arena a (see Runner.takeArena).
+type cellFunc func(a *sim.Arena) (any, error)
+
 // Do returns the memoized result for key, computing it with fn on the first
 // call. Concurrent calls with the same key compute once and share the
 // result. Outcomes are classified before memoization: values and permanent
 // errors are cached, cancellations and transient errors are not — the next
 // caller recomputes. An empty key disables memoization.
 func (r *Runner) Do(key string, fn func() (any, error)) (any, error) {
-	return r.do(key, nil, nil, fn)
+	return r.do(key, nil, nil, func(*sim.Arena) (any, error) { return fn() })
 }
 
-func (r *Runner) do(key string, decode decodeFunc, rc *remoteCell, fn func() (any, error)) (any, error) {
+func (r *Runner) do(key string, decode decodeFunc, rc *remoteCell, fn cellFunc) (any, error) {
 	if key == "" || r.noCache {
 		return r.observedCompute(key, decode, rc, fn)
 	}
@@ -432,7 +441,7 @@ func (r *Runner) do(key string, decode decodeFunc, rc *remoteCell, fn func() (an
 // compute runs one cell through the disk cache, remote executor, fault
 // injector, and retry policy, reporting where the result came from and how
 // many attempts it took (0 when it did not run).
-func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn func() (any, error)) (any, CellSource, int, error) {
+func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn cellFunc) (any, CellSource, int, error) {
 	useDisk := key != "" && !r.noCache && r.disk != nil && decode != nil
 	if useDisk {
 		// Pin the cell for the whole resolution (load, compute, store):
@@ -466,7 +475,7 @@ func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn func(
 		} else if rc != nil && r.exec != nil {
 			v, err = r.runRemote(key, rc, decode, fn)
 		} else {
-			v, err = call(fn)
+			v, err = r.runLocal(fn)
 		}
 		if err == nil || attempt >= maxAttempts || !IsTransient(err) {
 			break
@@ -496,6 +505,73 @@ func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn func(
 		}
 	}
 	return v, SourceRun, attempt, err
+}
+
+// runLocal runs one attempt of a cell on this goroutine, on an arena checked
+// out for the attempt; a panic becomes the attempt's error.
+func (r *Runner) runLocal(fn cellFunc) (any, error) {
+	a := r.takeArena()
+	v, err := call(fn, a)
+	r.putArena(a)
+	return v, err
+}
+
+// takeArena checks out a simulation arena for one local cell run: an idle
+// one, or a new one. An arena serves one cell at a time, so the next cell
+// run on it starts with the coroutines, events and generators the last one
+// left behind, and arenas are closed when the last active Sweep returns, so
+// no coroutine outlives the outermost Sweep. Outside any Sweep it returns
+// nil, the empty arena.
+func (r *Runner) takeArena() *sim.Arena {
+	r.arenaMu.Lock()
+	defer r.arenaMu.Unlock()
+	if r.sweeps == 0 {
+		return nil
+	}
+	if n := len(r.arenas); n > 0 {
+		a := r.arenas[n-1]
+		r.arenas = r.arenas[:n-1]
+		return a
+	}
+	return new(sim.Arena)
+}
+
+// putArena returns an arena takeArena handed out, closing it when every
+// Sweep has returned in the meantime.
+func (r *Runner) putArena(a *sim.Arena) {
+	if a == nil {
+		return
+	}
+	r.arenaMu.Lock()
+	keep := r.sweeps > 0
+	if keep {
+		r.arenas = append(r.arenas, a)
+	}
+	r.arenaMu.Unlock()
+	if !keep {
+		a.Close()
+	}
+}
+
+// sweepBegun counts a Sweep in; the matching sweepDone closes the idle
+// arenas when it was the last one running.
+func (r *Runner) sweepBegun() {
+	r.arenaMu.Lock()
+	r.sweeps++
+	r.arenaMu.Unlock()
+}
+
+func (r *Runner) sweepDone() {
+	r.arenaMu.Lock()
+	r.sweeps--
+	var idle []*sim.Arena
+	if r.sweeps == 0 {
+		idle, r.arenas = r.arenas, nil
+	}
+	r.arenaMu.Unlock()
+	for _, a := range idle {
+		a.Close()
+	}
 }
 
 // Grid evaluates cell over an nRows x nCols grid on the worker pool and
@@ -560,6 +636,11 @@ type laneTask struct {
 // cancelled; the returned error is the one from the smallest index that
 // failed — deterministic regardless of dispatch order and worker
 // interleaving (the invariant schedule.go documents).
+//
+// While a Sweep runs, every cell computed locally on the runner — by its
+// lanes, or by a nested Sweep — builds its simulation on a checked-out
+// sim.Arena (see Cell), and the arenas are closed when the outermost Sweep
+// returns.
 func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn func(ctx context.Context, i int) (any, error)) ([]any, error) {
 	if n == 0 {
 		return nil, nil
@@ -567,6 +648,8 @@ func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	r.sweepBegun()
+	defer r.sweepDone()
 	exp := r.Experiment()
 	var order []int // nil = ascending index
 	if cost != nil {

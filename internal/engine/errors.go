@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+
+	"partmb/internal/sim"
 )
 
 // The memoizing cache classifies cell errors into four classes:
@@ -64,15 +66,15 @@ func (e *panicError) Error() string {
 	return fmt.Sprintf("engine: cell panicked: %v\n%s", e.value, e.stack)
 }
 
-// call runs one attempt of a cell function, turning a panic into a
-// *panicError.
-func call(fn func() (any, error)) (v any, err error) {
+// call runs one attempt of a cell function on arena a, turning a panic into
+// a *panicError.
+func call(fn cellFunc, a *sim.Arena) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			v, err = nil, &panicError{value: p, stack: debug.Stack()}
 		}
 	}()
-	return fn()
+	return fn(a)
 }
 
 // IsCancellation reports whether err is a context cancellation or deadline

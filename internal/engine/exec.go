@@ -99,10 +99,10 @@ type remoteCell struct {
 // undecodable remote value is a transient failure — the worker that
 // produced it may be broken, and a retry lands elsewhere — never a
 // memoized outcome.
-func (r *Runner) runRemote(key string, rc *remoteCell, decode decodeFunc, fn func() (any, error)) (any, error) {
+func (r *Runner) runRemote(key string, rc *remoteCell, decode decodeFunc, fn cellFunc) (any, error) {
 	if rc.payload == nil {
 		if rc.payload = rc.encode(); rc.payload == nil {
-			return call(fn) // the configuration does not travel
+			return r.runLocal(fn) // the configuration does not travel
 		}
 	}
 	res, err := r.exec.Execute(context.Background(), RemoteTask{
@@ -112,7 +112,7 @@ func (r *Runner) runRemote(key string, rc *remoteCell, decode decodeFunc, fn fun
 		Config:     rc.payload,
 	})
 	if errors.Is(err, ErrNoWorkers) {
-		return call(fn)
+		return r.runLocal(fn)
 	}
 	if err != nil {
 		atomic.AddInt64(&r.remoteErrs, 1)

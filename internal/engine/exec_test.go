@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"partmb/internal/sim"
 	"partmb/internal/stats"
 )
 
@@ -47,7 +48,7 @@ var localRuns atomic.Int64
 // are defined once per process, not per test run (-count=N).
 var testCell = NewCell("test.kind",
 	func(c execCfg) (execCfg, *stats.RunConfig, bool) { return c, nil, c.Hidden },
-	func(c execCfg, _ []int64) (execVal, error) {
+	func(_ *sim.Arena, c execCfg, _ []int64) (execVal, error) {
 		localRuns.Add(1)
 		return execVal{N: c.N}, nil
 	}, nil)

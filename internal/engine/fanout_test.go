@@ -3,6 +3,8 @@ package engine
 import (
 	"sync"
 	"testing"
+
+	"partmb/internal/sim"
 )
 
 type countObs struct {
@@ -43,7 +45,7 @@ func TestFanOutOnRunner(t *testing.T) {
 	f.Add(a)
 	f.Add(b)
 	rn := New(WithObserver(f))
-	if _, err := doAs(rn, "cell", nil, func() (int, error) { return 1, nil }); err != nil {
+	if _, err := doAs(rn, "cell", nil, func(*sim.Arena) (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if a.cells != 1 || b.cells != 1 {

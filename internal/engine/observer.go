@@ -186,7 +186,7 @@ func (r *Runner) countRun() {
 
 // observedCompute wraps compute with the observer's cell event; with no
 // observer it adds nothing (not even a clock read).
-func (r *Runner) observedCompute(key string, decode decodeFunc, rc *remoteCell, fn func() (any, error)) (any, error) {
+func (r *Runner) observedCompute(key string, decode decodeFunc, rc *remoteCell, fn cellFunc) (any, error) {
 	if r.obs == nil {
 		v, _, _, err := r.compute(key, decode, rc, fn)
 		return v, err

@@ -195,7 +195,7 @@ func TestPanickingCellIsAnUncachedError(t *testing.T) {
 	const key = "deadbeef"
 	rn := New(WithDiskCache(d), WithRetry(RetryPolicy{MaxAttempts: 4, Backoff: sim.Millisecond}))
 	computed := 0
-	cell := func() (diskCell, error) {
+	cell := func(*sim.Arena) (diskCell, error) {
 		computed++
 		if computed > 1 {
 			return diskCell{Size: 7}, nil

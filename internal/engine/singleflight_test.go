@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"partmb/internal/sim"
 )
 
 // TestSingleFlightCollapsesConcurrentCallers pins the single-flight
@@ -27,7 +29,7 @@ func TestSingleFlightCollapsesConcurrentCallers(t *testing.T) {
 		defer rn.mu.Unlock()
 		return rn.cache["cell"].waiters
 	}
-	fn := func() (int, error) {
+	fn := func(*sim.Arena) (int, error) {
 		computed.Add(1)
 		// Hold the cell open until every other caller is parked on it, so
 		// when this returns, all n calls resolve from this one computation.
@@ -62,7 +64,7 @@ func TestSingleFlightCollapsesConcurrentCallers(t *testing.T) {
 // the settled entry. This is what bounds a long-lived daemon's memory.
 func TestSingleFlightEntriesAreEphemeral(t *testing.T) {
 	var computed int
-	fn := func() (int, error) { computed++; return 7, nil }
+	fn := func(*sim.Arena) (int, error) { computed++; return 7, nil }
 
 	eph := New(WithSingleFlight())
 	doAs(eph, "cell", nil, fn)
@@ -93,7 +95,7 @@ func TestSingleFlightWithDiskCache(t *testing.T) {
 	}
 	rn := New(WithSingleFlight(), WithDiskCache(d))
 	var computed int
-	fn := func() (diskCell, error) { computed++; return diskCell{Size: 1}, nil }
+	fn := func(*sim.Arena) (diskCell, error) { computed++; return diskCell{Size: 1}, nil }
 	if _, err := doAs(rn, "cell", nil, fn); err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,19 @@ type Endpoint struct {
 }
 
 // Endpoint returns a handle bound to the given thread index of the rank's
-// placement.
+// placement. Handles are cached: repeated calls return the same one.
 func (c *Comm) Endpoint(thread int) *Endpoint {
-	if thread < 0 || thread >= c.placement.Threads() {
-		panic(fmt.Sprintf("mpi: thread %d out of range [0,%d)", thread, c.placement.Threads()))
+	n := c.placement.Threads()
+	if thread < 0 || thread >= n {
+		panic(fmt.Sprintf("mpi: thread %d out of range [0,%d)", thread, n))
 	}
-	return &Endpoint{c: c, thread: thread}
+	if len(c.endpoints) < n {
+		c.endpoints = make([]Endpoint, n)
+		for i := range c.endpoints {
+			c.endpoints[i] = Endpoint{c: c, thread: i}
+		}
+	}
+	return &c.endpoints[thread]
 }
 
 // Thread returns the bound thread index.
@@ -35,12 +42,12 @@ func (e *Endpoint) Comm() *Comm { return e.c }
 
 // Isend starts a nonblocking send from this thread.
 func (e *Endpoint) Isend(p *sim.Proc, dest, tag int, data []byte) *Request {
-	return e.c.isendOn(p, new(Request), e.thread, dest, tag, e.c.ctxP2P(), int64(len(data)), data)
+	return e.c.isendOn(p, e.c.state().takeReq(), e.thread, dest, tag, e.c.ctxP2P(), int64(len(data)), data)
 }
 
 // IsendBytes starts a size-only nonblocking send from this thread.
 func (e *Endpoint) IsendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return e.c.isendOn(p, new(Request), e.thread, dest, tag, e.c.ctxP2P(), size, nil)
+	return e.c.isendOn(p, e.c.state().takeReq(), e.thread, dest, tag, e.c.ctxP2P(), size, nil)
 }
 
 // Send is the blocking form of Isend.

@@ -134,12 +134,12 @@ func (c *Comm) Probe(p *sim.Proc, src, tag int) ProbeStatus {
 // been matched. It is implemented by forcing the rendezvous protocol
 // regardless of size.
 func (c *Comm) Issend(p *sim.Proc, dest, tag int, data []byte) *Request {
-	return c.issendOn(p, new(Request), dest, tag, int64(len(data)), data)
+	return c.issendOn(p, c.state().takeReq(), dest, tag, int64(len(data)), data)
 }
 
 // IssendBytes is Issend for a size-only message.
 func (c *Comm) IssendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return c.issendOn(p, new(Request), dest, tag, size, nil)
+	return c.issendOn(p, c.state().takeReq(), dest, tag, size, nil)
 }
 
 // Ssend is the blocking form of Issend.

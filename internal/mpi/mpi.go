@@ -279,7 +279,7 @@ type rankState struct {
 	// rank on it (see inbound).
 	records *recordList
 	// freeReqs holds the requests of this rank's finished blocking calls
-	// (see takeReq).
+	// and freed nonblocking ones (see takeReq).
 	freeReqs []*Request
 }
 
@@ -468,6 +468,8 @@ type Comm struct {
 	// ctxBase is the communicator's matching-context block (ctxStride ids).
 	ctxBase   int
 	placement *cluster.Placement
+	// endpoints caches the per-thread handles Endpoint returns.
+	endpoints []Endpoint
 	// barrierGen, pbcastSeq and splitGen are per-rank collective sequence
 	// numbers; they stay aligned across ranks because MPI requires every
 	// rank to issue collectives in the same order.

@@ -9,15 +9,16 @@ import (
 // Isend starts a nonblocking send of data to dest with the given tag and
 // returns its request. The send completes locally when the payload has left
 // the injection engine (eager) or when the rendezvous data transfer has been
-// injected (large messages).
+// injected (large messages). The request comes off the rank's free list;
+// Free gives it back once it has completed.
 func (c *Comm) Isend(p *sim.Proc, dest, tag int, data []byte) *Request {
-	return c.isendOn(p, new(Request), 0, dest, tag, c.ctxP2P(), int64(len(data)), data)
+	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxP2P(), int64(len(data)), data)
 }
 
 // IsendBytes is Isend for a size-only message (no payload is carried;
 // benchmarks use this to avoid large allocations).
 func (c *Comm) IsendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return c.isendOn(p, new(Request), 0, dest, tag, c.ctxP2P(), size, nil)
+	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxP2P(), size, nil)
 }
 
 // Send is the blocking form of Isend.
@@ -37,9 +38,10 @@ func (c *Comm) send(p *sim.Proc, thread, dest, tag int, size int64, data []byte)
 }
 
 // Irecv posts a nonblocking receive matching (src, tag); src may be
-// AnySource and tag AnyTag.
+// AnySource and tag AnyTag. Like Isend's, its request comes off the rank's
+// free list.
 func (c *Comm) Irecv(p *sim.Proc, src, tag int) *Request {
-	return c.irecvOn(p, new(Request), src, tag, c.ctxP2P())
+	return c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxP2P())
 }
 
 // Recv blocks until a matching message arrives and returns its payload (nil
@@ -49,8 +51,7 @@ func (c *Comm) Recv(p *sim.Proc, src, tag int) ([]byte, int64) {
 }
 
 // isendOn implements the send path on context ctx for the given sending
-// thread index. sreq is blank: new for a request handed to the caller,
-// takeReq's for a blocking call.
+// thread index, into the blank request sreq (see takeReq).
 func (c *Comm) isendOn(p *sim.Proc, sreq *Request, thread, dest, tag, ctx int, size int64, data []byte) *Request {
 	sreq.comm, sreq.kind, sreq.peer, sreq.tag, sreq.ctx = c, sendReq, c.worldOf(dest), tag, ctx
 	sreq.size, sreq.data, sreq.thread = size, data, thread

@@ -78,17 +78,47 @@ func (r *Request) CompletedAt() sim.Time { return r.completedAt }
 func (r *Request) Done() bool { return r.done.Done() }
 
 // Wait blocks the calling proc until the request completes, charging the
-// MPI call overhead.
+// MPI call overhead. Waiting on a freed request panics.
 func (r *Request) Wait(p *sim.Proc) {
+	if r.pooled {
+		panic("mpi: Wait on a freed request")
+	}
 	r.comm.enter(p, 0).done()
 	r.done.Wait(p)
 }
 
 // Test charges one MPI call overhead and reports whether the request has
-// completed.
+// completed. Testing a freed request panics.
 func (r *Request) Test(p *sim.Proc) bool {
+	if r.pooled {
+		panic("mpi: Test on a freed request")
+	}
 	r.comm.enter(p, 0).done()
 	return r.done.Done()
+}
+
+// Free gives a completed request back to its rank, the analogue of
+// MPI_Request_free after completion: the rank's next nonblocking or blocking
+// call reuses it, so the caller must not touch it again. Freeing a request
+// that has not completed, a persistent request, an inner request of an
+// MPIPCL partitioned request, or a freed one panics, and so do a later Wait,
+// Test or completion of it — but only until the rank's next call takes the
+// request again. After that a stale handle aliases the reused request.
+func (r *Request) Free() {
+	switch {
+	case r.pooled:
+		panic("mpi: Free of a freed request")
+	case r.persistent:
+		panic("mpi: Free of a persistent request")
+	case r.onComplete != nil:
+		panic("mpi: Free of a partitioned request's inner request")
+	case !r.done.Done():
+		panic("mpi: Free of an incomplete request")
+	}
+	st := r.comm.state()
+	r.done.Reset()
+	*r = Request{done: r.done, pooled: true}
+	st.freeReqs = append(st.freeReqs, r)
 }
 
 // completeAt schedules the request to complete at time t (>= now) on its
@@ -130,9 +160,8 @@ func (r *Request) reset() {
 	}
 }
 
-// takeReq returns a blank request for a blocking call of this rank: one a
-// finished blocking call gave back, or a new one. Blocking calls never hand
-// their request to a caller, so finish can return it once Wait is over.
+// takeReq returns a blank request for a call of this rank: one a finished
+// blocking call or a caller's Free gave back, or a new one.
 func (st *rankState) takeReq() *Request {
 	n := len(st.freeReqs)
 	if n == 0 {
@@ -145,15 +174,12 @@ func (st *rankState) takeReq() *Request {
 }
 
 // finish waits for a blocking call's request, copies out what the call
-// returns and puts the request back on the rank's free list, blank but for
-// its completion's waiter storage.
+// returns and frees the request: a blocking call never hands its request to
+// the caller.
 func (c *Comm) finish(p *sim.Proc, r *Request) (data []byte, size int64) {
 	r.Wait(p)
 	data, size = r.data, r.size
-	r.done.Reset()
-	*r = Request{done: r.done, pooled: true}
-	st := c.state()
-	st.freeReqs = append(st.freeReqs, r)
+	r.Free()
 	return data, size
 }
 
@@ -165,6 +191,15 @@ func WaitAll(p *sim.Proc, reqs ...*Request) {
 			continue
 		}
 		r.Wait(p)
+	}
+}
+
+// FreeAll frees every request (see Request.Free); nil entries are skipped.
+func FreeAll(reqs ...*Request) {
+	for _, r := range reqs {
+		if r != nil {
+			r.Free()
+		}
 	}
 }
 

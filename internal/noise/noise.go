@@ -93,9 +93,13 @@ func (k *Kind) UnmarshalText(b []byte) error {
 
 // Model generates per-thread compute durations for one parallel region.
 //
-// The generator is built on the first draw, from the seed New was given, so
-// it yields the stream rand.NewSource(seed) would have; a model that never
-// draws (kind None, or 0 %) never builds the 4.9 KB source.
+// The generator is taken on the first draw, from the arena New was given
+// (sim.Arena.Rand), seeded with the seed New was given, so it yields the
+// stream rand.NewSource(seed) would have; a model that never draws (kind
+// None, or 0 %) never takes one. A nil arena builds a fresh 4.9 KB source;
+// an arena reuses one a previous cell drew from, so a model built for an
+// arena must not draw after its cell returns — after the arena's next New
+// or Close the generator may be another model's.
 //
 // Concurrency: the generator, and building it, are guarded by a mutex, so a
 // Model may be shared across engine worker goroutines without data races.
@@ -104,15 +108,17 @@ func (k *Kind) UnmarshalText(b []byte) error {
 // harnesses keep one model per cell (seed derived per cell/rank, see
 // stats.DeriveSeed) and the lock is the backstop that turns an accidental
 // share into a correctness issue only, never a race. Audit note: core and
-// consume build one model per run and patterns one per rank; halo2d, halo3d
-// and sweep3d draw every Region before their simulation starts. Each model
-// is drawn from by one goroutine, and no engine sweep shares a model across
-// workers.
+// consume build one model per run and patterns one per rank, each after the
+// run's scheduler; halo2d, halo3d and sweep3d draw every Region before their
+// simulation starts, core, consume and incast inside it, so no model draws
+// after its cell returns. Each model is drawn from by one goroutine, and no
+// engine sweep shares a model across workers.
 type Model struct {
 	kind    Kind
 	percent float64 // noise amount as a fraction, e.g. 0.04 for 4%
 	period  sim.Duration
 	seed    int64
+	arena   *sim.Arena
 
 	mu  sync.Mutex // guards rng
 	rng *rand.Rand // nil until the first draw
@@ -123,9 +129,10 @@ type Model struct {
 const DefaultPeriod = sim.Millisecond
 
 // New returns a noise model of the given kind with the noise amount expressed
-// as a percentage (the paper's "4% noise" is percent=4). The model is
-// deterministic for a given seed.
-func New(kind Kind, percent float64, seed int64) *Model {
+// as a percentage (the paper's "4% noise" is percent=4), drawing from a
+// generator of arena a (nil: a fresh one). The model is deterministic for a
+// given seed, whatever the arena.
+func New(kind Kind, percent float64, seed int64, a *sim.Arena) *Model {
 	if percent < 0 {
 		panic("noise: negative noise percentage")
 	}
@@ -137,6 +144,7 @@ func New(kind Kind, percent float64, seed int64) *Model {
 		percent: percent / 100,
 		period:  DefaultPeriod,
 		seed:    seed,
+		arena:   a,
 	}
 }
 
@@ -147,7 +155,7 @@ func NewPeriodic(percent float64, period sim.Duration, seed int64) *Model {
 	if period <= 0 {
 		panic("noise: periodic model needs a positive period")
 	}
-	m := New(Periodic, percent, seed)
+	m := New(Periodic, percent, seed, nil)
 	m.period = period
 	return m
 }
@@ -176,7 +184,7 @@ func (m *Model) Region(n int, base sim.Duration) []sim.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(m.seed))
+		m.rng = m.arena.Rand(m.seed)
 	}
 	switch m.kind {
 	case SingleThread:

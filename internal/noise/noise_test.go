@@ -13,7 +13,7 @@ import (
 const base = 10 * sim.Millisecond
 
 func TestNoneIsExact(t *testing.T) {
-	m := New(None, 0, 1)
+	m := New(None, 0, 1, nil)
 	for _, d := range m.Region(16, base) {
 		if d != base {
 			t.Fatalf("no-noise compute = %v, want %v", d, base)
@@ -23,7 +23,7 @@ func TestNoneIsExact(t *testing.T) {
 
 func TestZeroPercentIsExactForAllKinds(t *testing.T) {
 	for _, k := range []Kind{SingleThread, Uniform, Gaussian} {
-		m := New(k, 0, 1)
+		m := New(k, 0, 1, nil)
 		for _, d := range m.Region(8, base) {
 			if d != base {
 				t.Fatalf("%v at 0%%: compute = %v, want %v", k, d, base)
@@ -33,7 +33,7 @@ func TestZeroPercentIsExactForAllKinds(t *testing.T) {
 }
 
 func TestSingleThreadDelaysExactlyOne(t *testing.T) {
-	m := New(SingleThread, 4, 42)
+	m := New(SingleThread, 4, 42, nil)
 	region := m.Region(16, base)
 	delayed := 0
 	for _, d := range region {
@@ -51,7 +51,7 @@ func TestSingleThreadDelaysExactlyOne(t *testing.T) {
 }
 
 func TestSingleThreadVictimVaries(t *testing.T) {
-	m := New(SingleThread, 4, 7)
+	m := New(SingleThread, 4, 7, nil)
 	victims := make(map[int]bool)
 	for trial := 0; trial < 50; trial++ {
 		for i, d := range m.Region(8, base) {
@@ -66,7 +66,7 @@ func TestSingleThreadVictimVaries(t *testing.T) {
 }
 
 func TestUniformBounds(t *testing.T) {
-	m := New(Uniform, 10, 99)
+	m := New(Uniform, 10, 99, nil)
 	hi := base + sim.Duration(0.10*float64(base))
 	for trial := 0; trial < 100; trial++ {
 		for _, d := range m.Region(8, base) {
@@ -78,7 +78,7 @@ func TestUniformBounds(t *testing.T) {
 }
 
 func TestGaussianMeanAndSpread(t *testing.T) {
-	m := New(Gaussian, 4, 5)
+	m := New(Gaussian, 4, 5, nil)
 	var sum float64
 	n := 0
 	for trial := 0; trial < 500; trial++ {
@@ -96,7 +96,7 @@ func TestGaussianMeanAndSpread(t *testing.T) {
 func TestGaussianNeverNonPositive(t *testing.T) {
 	// Absurd noise: 1000% stddev would often sample negative durations;
 	// the model must floor them.
-	m := New(Gaussian, 1000, 3)
+	m := New(Gaussian, 1000, 3, nil)
 	for trial := 0; trial < 200; trial++ {
 		for _, d := range m.Region(4, base) {
 			if d <= 0 {
@@ -107,8 +107,8 @@ func TestGaussianNeverNonPositive(t *testing.T) {
 }
 
 func TestDeterministicForSeed(t *testing.T) {
-	a := New(Uniform, 4, 12345)
-	b := New(Uniform, 4, 12345)
+	a := New(Uniform, 4, 12345, nil)
+	b := New(Uniform, 4, 12345, nil)
 	for trial := 0; trial < 10; trial++ {
 		ra, rb := a.Region(8, base), b.Region(8, base)
 		for i := range ra {
@@ -125,7 +125,7 @@ func TestDeterministicForSeed(t *testing.T) {
 func TestSourceBuiltOnFirstDraw(t *testing.T) {
 	const seed = 12345
 	for _, kind := range []Kind{None, SingleThread, Uniform, Gaussian, Periodic} {
-		lazy, eager := New(kind, 10, seed), New(kind, 10, seed)
+		lazy, eager := New(kind, 10, seed, nil), New(kind, 10, seed, nil)
 		eager.rng = rand.New(rand.NewSource(seed))
 		if lazy.rng != nil {
 			t.Fatalf("%v: New built a source before any draw", kind)
@@ -139,11 +139,32 @@ func TestSourceBuiltOnFirstDraw(t *testing.T) {
 			t.Errorf("%v at 10%%: source built = %v after 20 regions", kind, built)
 		}
 	}
-	for _, m := range []*Model{New(None, 4, seed), New(SingleThread, 0, seed), New(Uniform, 0, seed),
-		New(Gaussian, 0, seed), NewPeriodic(0, sim.Millisecond, seed)} {
+	for _, m := range []*Model{New(None, 4, seed, nil), New(SingleThread, 0, seed, nil), New(Uniform, 0, seed, nil),
+		New(Gaussian, 0, seed, nil), NewPeriodic(0, sim.Millisecond, seed)} {
 		m.Region(8, base)
 		if m.rng != nil {
 			t.Errorf("%v at %v%% built a source it never draws from", m.Kind(), m.Percent())
+		}
+	}
+}
+
+// Models built for an arena draw what models with fresh sources draw, cell
+// after cell, though each cell's models take the generators the previous
+// cell's models drew from.
+func TestArenaModelsDrawFreshStreams(t *testing.T) {
+	var a sim.Arena
+	defer a.Close()
+	for cell := 0; cell < 4; cell++ {
+		a.New()
+		for rank := int64(0); rank < 3; rank++ {
+			kind := []Kind{SingleThread, Uniform, Gaussian, Periodic}[(cell+int(rank))%4]
+			seed := 100*int64(cell) + rank
+			onArena, fresh := New(kind, 10, seed, &a), New(kind, 10, seed, nil)
+			for trial := 0; trial < 5; trial++ {
+				if got, want := onArena.Region(8, base), fresh.Region(8, base); !slices.Equal(got, want) {
+					t.Fatalf("cell %d rank %d (%v) trial %d: %v on the arena, %v fresh", cell, rank, kind, trial, got, want)
+				}
+			}
 		}
 	}
 }
@@ -174,13 +195,13 @@ func TestKindString(t *testing.T) {
 }
 
 func TestMaxExpected(t *testing.T) {
-	if got := New(None, 4, 1).MaxExpected(base); got != base {
+	if got := New(None, 4, 1, nil).MaxExpected(base); got != base {
 		t.Errorf("none MaxExpected = %v", got)
 	}
-	if got := New(Uniform, 4, 1).MaxExpected(base); got != base+sim.Duration(0.04*float64(base)) {
+	if got := New(Uniform, 4, 1, nil).MaxExpected(base); got != base+sim.Duration(0.04*float64(base)) {
 		t.Errorf("uniform MaxExpected = %v", got)
 	}
-	if got := New(Gaussian, 4, 1).MaxExpected(base); got != base+sim.Duration(3*0.04*float64(base)) {
+	if got := New(Gaussian, 4, 1, nil).MaxExpected(base); got != base+sim.Duration(3*0.04*float64(base)) {
 		t.Errorf("gaussian MaxExpected = %v", got)
 	}
 }
@@ -191,7 +212,7 @@ func TestNegativePercentPanics(t *testing.T) {
 			t.Fatal("negative percent did not panic")
 		}
 	}()
-	New(Uniform, -1, 1)
+	New(Uniform, -1, 1, nil)
 }
 
 // Property: every sample from every model is at least the floor and the
@@ -200,7 +221,7 @@ func TestQuickRegionShape(t *testing.T) {
 	f := func(kindRaw uint8, pct uint8, n uint8, seed int64) bool {
 		kind := Kind(int(kindRaw) % 5)
 		threads := int(n%32) + 1
-		m := New(kind, float64(pct%50), seed)
+		m := New(kind, float64(pct%50), seed, nil)
 		region := m.Region(threads, base)
 		if len(region) != threads {
 			return false
@@ -278,7 +299,7 @@ func TestPeriodicShortComputeMayMissDaemon(t *testing.T) {
 func TestNewPeriodicValidation(t *testing.T) {
 	for name, f := range map[string]func(){
 		"zero period": func() { NewPeriodic(10, 0, 1) },
-		"full duty":   func() { New(Periodic, 100, 1) },
+		"full duty":   func() { New(Periodic, 100, 1, nil) },
 	} {
 		func() {
 			defer func() {
@@ -292,7 +313,7 @@ func TestNewPeriodicValidation(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	m := New(Uniform, 4, 1)
+	m := New(Uniform, 4, 1, nil)
 	if m.Kind() != Uniform {
 		t.Fatalf("Kind = %v", m.Kind())
 	}
@@ -307,5 +328,5 @@ func TestRegionZeroThreadsPanics(t *testing.T) {
 			t.Fatal("zero-thread region did not panic")
 		}
 	}()
-	New(None, 0, 1).Region(0, base)
+	New(None, 0, 1, nil).Region(0, base)
 }

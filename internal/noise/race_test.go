@@ -15,7 +15,7 @@ import (
 // *rand.Rand (run under -race to see it); now sharing is merely
 // nondeterministic, never racy.
 func TestSharedModelUnderRace(t *testing.T) {
-	shared := noise.New(noise.Gaussian, 10, 42)
+	shared := noise.New(noise.Gaussian, 10, 42, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -38,7 +38,7 @@ func TestSharedModelUnderRace(t *testing.T) {
 // goroutines at once.
 func TestSharedModelUnderEngineWorkers(t *testing.T) {
 	for _, kind := range []noise.Kind{noise.SingleThread, noise.Uniform, noise.Gaussian, noise.Periodic} {
-		shared := noise.New(kind, 5, 7)
+		shared := noise.New(kind, 5, 7, nil)
 		rn := engine.New(engine.Workers(8), engine.WithoutCache())
 		_, err := rn.Map(context.Background(), 64, func(ctx context.Context, i int) (any, error) {
 			var total sim.Duration

@@ -27,7 +27,7 @@ func (s simValue) SimElapsed() sim.Duration { return s.SimNS }
 // (row, column) config.
 var gridCell = engine.NewCell("obs.grid",
 	func(c [2]int) ([2]int, *stats.RunConfig, bool) { return c, nil, false },
-	func(c [2]int, _ []int64) (simValue, error) {
+	func(_ *sim.Arena, c [2]int, _ []int64) (simValue, error) {
 		return simValue{V: c[0]*4 + c[1], SimNS: sim.Duration(1000 * (c[1] + 1))}, nil
 	}, nil)
 

@@ -46,7 +46,7 @@ func TestRegionThreadIndices(t *testing.T) {
 func TestComputeRegionAppliesPlacementAndNoise(t *testing.T) {
 	s := sim.New()
 	place := cluster.Place(cluster.Niagara(), 64) // oversubscribed
-	nm := noise.New(noise.None, 0, 1)
+	nm := noise.New(noise.None, 0, 1, nil)
 	var durations []sim.Duration
 	var joinedAt sim.Time
 	s.Spawn("main", func(p *sim.Proc) {
@@ -69,7 +69,7 @@ func TestComputeRegionThen(t *testing.T) {
 	s := sim.New()
 	order := make([]sim.Time, 4)
 	place := cluster.Place(cluster.Niagara(), 4)
-	nm := noise.New(noise.None, 0, 1)
+	nm := noise.New(noise.None, 0, 1, nil)
 	s.Spawn("main", func(p *sim.Proc) {
 		ComputeRegion(p, place, nm, sim.Millisecond, func(tp *sim.Proc, th int) {
 			order[th] = tp.Now()

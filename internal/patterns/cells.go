@@ -3,6 +3,7 @@ package patterns
 import (
 	"partmb/internal/engine"
 	"partmb/internal/platform"
+	"partmb/internal/sim"
 	"partmb/internal/stats"
 	"partmb/internal/trace"
 )
@@ -22,19 +23,19 @@ import (
 // alias); each draw is itself a cell, keyed under its derived seed. The
 // value is the first draw's Result with the estimate attached.
 var (
-	Sweep3D = motif("patterns.Sweep3D", SweepConfig.withDefaults, RunSweep3D,
+	Sweep3D = motif("patterns.Sweep3D", SweepConfig.withDefaults, runSweep3D,
 		func(c *SweepConfig) (**stats.RunConfig, **platform.Spec, *trace.Recorder) {
 			return &c.Adaptive, &c.Platform, c.ShardTrace
 		})
-	Halo3D = motif("patterns.Halo3D", HaloConfig.withDefaults, RunHalo3D,
+	Halo3D = motif("patterns.Halo3D", HaloConfig.withDefaults, runHalo3D,
 		func(c *HaloConfig) (**stats.RunConfig, **platform.Spec, *trace.Recorder) {
 			return &c.Adaptive, &c.Platform, c.ShardTrace
 		})
-	Halo2D = motif("patterns.Halo2D", Halo2DConfig.withDefaults, RunHalo2D,
+	Halo2D = motif("patterns.Halo2D", Halo2DConfig.withDefaults, runHalo2D,
 		func(c *Halo2DConfig) (**stats.RunConfig, **platform.Spec, *trace.Recorder) {
 			return &c.Adaptive, &c.Platform, nil
 		})
-	Incast = motif("patterns.Incast", IncastConfig.withDefaults, RunIncast,
+	Incast = motif("patterns.Incast", IncastConfig.withDefaults, runIncast,
 		func(c *IncastConfig) (**stats.RunConfig, **platform.Spec, *trace.Recorder) {
 			return &c.Adaptive, &c.Platform, nil
 		})
@@ -42,7 +43,7 @@ var (
 
 // motif defines a motif's cell; fields exposes a config's sampling config,
 // platform and shard-trace recorder.
-func motif[C any](kind string, defaults func(C) C, run func(C) (*Result, error),
+func motif[C any](kind string, defaults func(C) C, run func(*sim.Arena, C) (*Result, error),
 	fields func(*C) (**stats.RunConfig, **platform.Spec, *trace.Recorder)) *engine.Cell[C, *Result] {
 	return engine.NewCell(kind,
 		func(c C) (C, *stats.RunConfig, bool) {
@@ -50,7 +51,7 @@ func motif[C any](kind string, defaults func(C) C, run func(C) (*Result, error),
 			rc, _, tr := fields(&c)
 			return c, *rc, tr != nil
 		},
-		func(c C, _ []int64) (*Result, error) { return run(c) },
+		func(a *sim.Arena, c C, _ []int64) (*Result, error) { return run(a, c) },
 		func(cell *engine.Cell[C, *Result], r *engine.Runner, cfg C, _ []int64) (*Result, error) {
 			first, est, err := cell.Draws(r, cfg, nil, func(c C, d int) C {
 				rc, pf, _ := fields(&c)

@@ -101,6 +101,8 @@ type halo2dRank struct {
 
 	precv [numEdges]*mpi.PRequest
 	psend [numEdges]*mpi.PRequest
+	// borders[t] lists the edges thread t borders, computed at set-up.
+	borders [][]border
 
 	startBar, doneBar *sim.Barrier
 	curStep           int
@@ -111,35 +113,34 @@ type halo2dRank struct {
 // edgesOf lists the edges thread t borders and the partition it owns on
 // each: thread (a,b) owns partition b of the west/east edges when a is on
 // that border, and partition a of the south/north edges.
-func (r *halo2dRank) edgesOf(t int) (edges []int, parts []int) {
+func (r *halo2dRank) edgesOf(t int) (edges []border) {
 	d := r.cfg.ThreadsPerDim
 	a, b := t%d, t/d
 	if a == 0 {
-		edges = append(edges, edgeWest)
-		parts = append(parts, b)
+		edges = append(edges, border{edgeWest, b})
 	}
 	if a == d-1 {
-		edges = append(edges, edgeEast)
-		parts = append(parts, b)
+		edges = append(edges, border{edgeEast, b})
 	}
 	if b == 0 {
-		edges = append(edges, edgeSouth)
-		parts = append(parts, a)
+		edges = append(edges, border{edgeSouth, a})
 	}
 	if b == d-1 {
-		edges = append(edges, edgeNorth)
-		parts = append(parts, a)
+		edges = append(edges, border{edgeNorth, a})
 	}
-	return edges, parts
+	return edges
 }
 
 // RunHalo2D executes the motif and returns its throughput result.
-func RunHalo2D(cfg Halo2DConfig) (*Result, error) {
+func RunHalo2D(cfg Halo2DConfig) (*Result, error) { return runHalo2D(nil, cfg) }
+
+// runHalo2D is RunHalo2D with its simulation built on arena a.
+func runHalo2D(a *sim.Arena, cfg Halo2DConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := sim.New()
+	s := a.New()
 	pf := cfg.Platform
 	nRanks := cfg.Nx * cfg.Ny
 	mcfg := mpi.DefaultConfig(nRanks)
@@ -156,7 +157,7 @@ func RunHalo2D(cfg Halo2DConfig) (*Result, error) {
 		comm := w.Comm(id)
 		place := cluster.Place(pf.Machine, cfg.Threads())
 		comm.SetPlacement(place)
-		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id))
+		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id), a)
 		r := &halo2dRank{
 			cfg:   cfg,
 			comm:  comm,
@@ -224,8 +225,10 @@ func (r *halo2dRank) spawnWorkers(p *sim.Proc) {
 	n := cfg.Threads()
 	r.startBar = sim.NewBarrier(n + 1)
 	r.doneBar = sim.NewBarrier(n + 1)
+	r.borders = make([][]border, n)
 	for t := 0; t < n; t++ {
 		t := t
+		r.borders[t] = r.edgesOf(t)
 		s.Spawn(fmt.Sprintf("halo2d/rank%d/worker%d", r.comm.Rank(), t), func(tp *sim.Proc) {
 			for st := 0; st < cfg.Repeats; st++ {
 				r.startBar.Await(tp)
@@ -268,7 +271,8 @@ func (r *halo2dRank) run(p *sim.Proc) {
 
 func (r *halo2dRank) singleStep(p *sim.Proc, step int) {
 	cfg := r.cfg
-	var reqs []*mpi.Request
+	var buf [2 * numEdges]*mpi.Request
+	reqs := buf[:0]
 	for e := 0; e < numEdges; e++ {
 		reqs = append(reqs, r.comm.Irecv(p, r.neighbour[e], haloTag(step, opposite(e), 0)))
 	}
@@ -277,33 +281,34 @@ func (r *halo2dRank) singleStep(p *sim.Proc, step int) {
 		reqs = append(reqs, r.comm.IsendBytes(p, r.neighbour[e], haloTag(step, e, 0), cfg.EdgeBytes))
 	}
 	mpi.WaitAll(p, reqs...)
+	mpi.FreeAll(reqs...)
 }
 
 func (r *halo2dRank) multiWorkerStep(tp *sim.Proc, t int) {
 	cfg := r.cfg
 	step := r.curStep
-	edges, parts := r.edgesOf(t)
 	partBytes := cfg.EdgeBytes / int64(cfg.ThreadsPerDim)
 	ep := r.comm.Endpoint(t)
-	var reqs []*mpi.Request
-	for i, e := range edges {
-		reqs = append(reqs, ep.Irecv(tp, r.neighbour[e], haloTag(step, opposite(e), parts[i])))
+	var buf [2 * numEdges]*mpi.Request
+	reqs := buf[:0]
+	for _, b := range r.borders[t] {
+		reqs = append(reqs, ep.Irecv(tp, r.neighbour[b.face], haloTag(step, opposite(b.face), b.part)))
 	}
 	tp.Sleep(r.place.ComputeTime(t, r.computeOf[step][t]))
-	for i, e := range edges {
-		reqs = append(reqs, ep.IsendBytes(tp, r.neighbour[e], haloTag(step, e, parts[i]), partBytes))
+	for _, b := range r.borders[t] {
+		reqs = append(reqs, ep.IsendBytes(tp, r.neighbour[b.face], haloTag(step, b.face, b.part), partBytes))
 	}
 	mpi.WaitAll(tp, reqs...)
+	mpi.FreeAll(reqs...)
 }
 
 func (r *halo2dRank) partWorkerStep(tp *sim.Proc, t int) {
 	step := r.curStep
-	edges, parts := r.edgesOf(t)
 	tp.Sleep(r.place.ComputeTime(t, r.computeOf[step][t]))
-	for i, e := range edges {
-		r.psend[e].Pready(tp, parts[i])
+	for _, b := range r.borders[t] {
+		r.psend[b.face].Pready(tp, b.part)
 	}
-	for i, e := range edges {
-		pollParrived(tp, r.precv[e], parts[i])
+	for _, b := range r.borders[t] {
+		pollParrived(tp, r.precv[b.face], b.part)
 	}
 }

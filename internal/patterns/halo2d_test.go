@@ -52,12 +52,12 @@ func TestHalo2DEdgeOwnership(t *testing.T) {
 	owners := map[[2]int]int{}
 	interior := 0
 	for t2 := 0; t2 < 16; t2++ {
-		edges, parts := r.edgesOf(t2)
+		edges := r.edgesOf(t2)
 		if len(edges) == 0 {
 			interior++
 		}
-		for i := range edges {
-			owners[[2]int{edges[i], parts[i]}]++
+		for _, b := range edges {
+			owners[[2]int{b.face, b.part}]++
 		}
 	}
 	if interior != 4 {

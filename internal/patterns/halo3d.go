@@ -137,6 +137,9 @@ type haloRank struct {
 
 	// neighbour[f] is the rank across face f (periodic torus).
 	neighbour [numFaces]int
+	// borders[t] lists the faces thread t borders (Multi and Partitioned
+	// modes), computed at set-up.
+	borders [][]border
 
 	// Partitioned-mode persistent requests per face.
 	precv [numFaces]*mpi.PRequest
@@ -158,15 +161,18 @@ func (r *haloRank) threadCoord(t int) (a, b, c int) {
 	return t % d, (t / d) % d, t / (d * d)
 }
 
+// border is one face (or edge) of a rank that a thread borders, and the
+// partition index the thread owns on it.
+type border struct{ face, part int }
+
 // facesOf lists the faces thread t borders and the partition index it owns
 // on each face. Interior threads (possible when ThreadsPerDim > 2) border
 // no faces and only compute.
-func (r *haloRank) facesOf(t int) (faces []int, parts []int) {
+func (r *haloRank) facesOf(t int) (faces []border) {
 	d := r.cfg.ThreadsPerDim
 	a, b, c := r.threadCoord(t)
 	add := func(face, u, v int) {
-		faces = append(faces, face)
-		parts = append(parts, v*d+u)
+		faces = append(faces, border{face, v*d + u})
 	}
 	if a == 0 {
 		add(faceXMinus, b, c)
@@ -186,7 +192,7 @@ func (r *haloRank) facesOf(t int) (faces []int, parts []int) {
 	if c == d-1 {
 		add(faceZPlus, a, b)
 	}
-	return faces, parts
+	return faces
 }
 
 // haloTag builds the Single/Multi tag for (step, face, partition) traffic,
@@ -200,10 +206,16 @@ func haloTag(step, face, part int) int {
 func haloPartTag(face int) int { return face + 1 }
 
 // RunHalo3D executes the motif and returns its throughput result.
-func RunHalo3D(cfg HaloConfig) (*Result, error) {
+func RunHalo3D(cfg HaloConfig) (*Result, error) { return runHalo3D(nil, cfg) }
+
+// runHalo3D is RunHalo3D with a sequential simulation built on arena a.
+func runHalo3D(a *sim.Arena, cfg HaloConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Shards > 1 {
+		a = nil // a shard group builds its own schedulers (see buildWorld)
 	}
 	pf := cfg.Platform
 	nRanks := cfg.Nx * cfg.Ny * cfg.Nz
@@ -212,7 +224,7 @@ func RunHalo3D(cfg HaloConfig) (*Result, error) {
 	mcfg.Machine = pf.Machine
 	mcfg.Mem = memsim.Default(pf.Cache)
 	configureMode(&mcfg, cfg.Mode, pf.Impl)
-	w, runSim, shardStats, err := buildWorld(cfg.Shards, nRanks, mcfg, cfg.Topology, cfg.ShardTrace)
+	w, runSim, shardStats, err := buildWorld(a, cfg.Shards, nRanks, mcfg, cfg.Topology, cfg.ShardTrace)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +235,7 @@ func RunHalo3D(cfg HaloConfig) (*Result, error) {
 		comm := w.Comm(id)
 		place := cluster.Place(pf.Machine, cfg.Threads())
 		comm.SetPlacement(place)
-		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id))
+		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id), a)
 		r := &haloRank{
 			cfg:   cfg,
 			comm:  comm,
@@ -313,8 +325,10 @@ func (r *haloRank) spawnWorkers(p *sim.Proc) {
 	n := cfg.Threads()
 	r.startBar = sim.NewBarrier(n + 1)
 	r.doneBar = sim.NewBarrier(n + 1)
+	r.borders = make([][]border, n)
 	for t := 0; t < n; t++ {
 		t := t
+		r.borders[t] = r.facesOf(t)
 		s.Spawn(fmt.Sprintf("halo/rank%d/worker%d", r.comm.Rank(), t), func(tp *sim.Proc) {
 			for st := 0; st < cfg.Repeats; st++ {
 				r.startBar.Await(tp)
@@ -362,7 +376,8 @@ func (r *haloRank) run(p *sim.Proc) {
 // receives, compute, send all six faces, complete everything.
 func (r *haloRank) singleStep(p *sim.Proc, step int) {
 	cfg := r.cfg
-	var reqs []*mpi.Request
+	var buf [2 * numFaces]*mpi.Request
+	reqs := buf[:0]
 	for f := 0; f < numFaces; f++ {
 		reqs = append(reqs, r.comm.Irecv(p, r.neighbour[f], haloTag(step, opposite(f), 0)))
 	}
@@ -371,6 +386,7 @@ func (r *haloRank) singleStep(p *sim.Proc, step int) {
 		reqs = append(reqs, r.comm.IsendBytes(p, r.neighbour[f], haloTag(step, f, 0), cfg.FaceBytes))
 	}
 	mpi.WaitAll(p, reqs...)
+	mpi.FreeAll(reqs...)
 }
 
 // persistentStep is singleStep over pre-initialized persistent requests:
@@ -380,7 +396,8 @@ func (r *haloRank) persistentStep(p *sim.Proc, step int) {
 		r.recvP[f].Start(p)
 	}
 	p.Sleep(r.place.ComputeTime(0, r.computeOf[step][0]))
-	var reqs []*mpi.Request
+	var buf [2 * numFaces]*mpi.Request
+	reqs := buf[:0]
 	for f := 0; f < numFaces; f++ {
 		r.sendP[f].Start(p)
 		reqs = append(reqs, r.sendP[f], r.recvP[f])
@@ -393,30 +410,30 @@ func (r *haloRank) persistentStep(p *sim.Proc, step int) {
 func (r *haloRank) multiWorkerStep(tp *sim.Proc, t int) {
 	cfg := r.cfg
 	step := r.curStep
-	faces, parts := r.facesOf(t)
 	partBytes := cfg.FaceBytes / int64(cfg.FacePartitions())
 	ep := r.comm.Endpoint(t)
-	var reqs []*mpi.Request
-	for i, f := range faces {
-		reqs = append(reqs, ep.Irecv(tp, r.neighbour[f], haloTag(step, opposite(f), parts[i])))
+	var buf [2 * numFaces]*mpi.Request
+	reqs := buf[:0]
+	for _, b := range r.borders[t] {
+		reqs = append(reqs, ep.Irecv(tp, r.neighbour[b.face], haloTag(step, opposite(b.face), b.part)))
 	}
 	tp.Sleep(r.place.ComputeTime(t, r.computeOf[step][t]))
-	for i, f := range faces {
-		reqs = append(reqs, ep.IsendBytes(tp, r.neighbour[f], haloTag(step, f, parts[i]), partBytes))
+	for _, b := range r.borders[t] {
+		reqs = append(reqs, ep.IsendBytes(tp, r.neighbour[b.face], haloTag(step, b.face, b.part), partBytes))
 	}
 	mpi.WaitAll(tp, reqs...)
+	mpi.FreeAll(reqs...)
 }
 
 // partWorkerStep: compute, ready the owned partitions, then poll the
 // matching inbound partitions.
 func (r *haloRank) partWorkerStep(tp *sim.Proc, t int) {
 	step := r.curStep
-	faces, parts := r.facesOf(t)
 	tp.Sleep(r.place.ComputeTime(t, r.computeOf[step][t]))
-	for i, f := range faces {
-		r.psend[f].Pready(tp, parts[i])
+	for _, b := range r.borders[t] {
+		r.psend[b.face].Pready(tp, b.part)
 	}
-	for i, f := range faces {
-		pollParrived(tp, r.precv[f], parts[i])
+	for _, b := range r.borders[t] {
+		pollParrived(tp, r.precv[b.face], b.part)
 	}
 }

@@ -72,12 +72,15 @@ func (c *IncastConfig) Validate() error {
 }
 
 // RunIncast executes the motif and returns its throughput result.
-func RunIncast(cfg IncastConfig) (*Result, error) {
+func RunIncast(cfg IncastConfig) (*Result, error) { return runIncast(nil, cfg) }
+
+// runIncast is RunIncast with its simulation built on arena a.
+func runIncast(a *sim.Arena, cfg IncastConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := sim.New()
+	s := a.New()
 	pf := cfg.Platform
 	nRanks := cfg.Senders + 1
 	mcfg := mpi.DefaultConfig(nRanks)
@@ -94,7 +97,7 @@ func RunIncast(cfg IncastConfig) (*Result, error) {
 		comm := w.Comm(id)
 		place := cluster.Place(pf.Machine, cfg.Threads)
 		comm.SetPlacement(place)
-		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id))
+		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id), a)
 		s.Spawn(fmt.Sprintf("incast/rank%d", id), func(p *sim.Proc) {
 			if id == 0 {
 				runIncastSink(p, comm, cfg)
@@ -174,22 +177,20 @@ func runIncastSink(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig) {
 		}
 	}
 	comm.Barrier(p)
+	var reqs []*mpi.Request
 	for rep := 0; rep < cfg.Repeats; rep++ {
+		reqs = reqs[:0]
 		switch cfg.Mode {
 		case Single:
-			var reqs []*mpi.Request
 			for src := 1; src <= cfg.Senders; src++ {
 				reqs = append(reqs, comm.Irecv(p, src, rep*1024+src))
 			}
-			mpi.WaitAll(p, reqs...)
 		case Multi:
-			var reqs []*mpi.Request
 			for src := 1; src <= cfg.Senders; src++ {
 				for t := 0; t < cfg.Threads; t++ {
 					reqs = append(reqs, comm.Irecv(p, src, rep*1024+src*64+t))
 				}
 			}
-			mpi.WaitAll(p, reqs...)
 		case Partitioned:
 			for _, pr := range precvs {
 				pr.Start(p)
@@ -198,6 +199,8 @@ func runIncastSink(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig) {
 				pr.Wait(p)
 			}
 		}
+		mpi.WaitAll(p, reqs...)
+		mpi.FreeAll(reqs...)
 	}
 	comm.Barrier(p)
 }

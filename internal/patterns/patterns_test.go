@@ -206,12 +206,12 @@ func TestHalo3DFaceOwnership(t *testing.T) {
 	owners := map[[2]int]int{} // (face, part) -> count
 	interior := 0
 	for t2 := 0; t2 < 64; t2++ {
-		faces, parts := r.facesOf(t2)
+		faces := r.facesOf(t2)
 		if len(faces) == 0 {
 			interior++
 		}
-		for i := range faces {
-			owners[[2]int{faces[i], parts[i]}]++
+		for _, b := range faces {
+			owners[[2]int{b.face, b.part}]++
 		}
 	}
 	if interior != 8 {

@@ -26,19 +26,20 @@ var shardTracePids atomic.Int64
 const shardTracePidBase = 2
 
 // buildWorld constructs the simulation world a motif runs in: the sequential
-// reference kernel when shards <= 1, otherwise a conservatively synchronized
-// shard group with ranks block-mapped onto shards and the topology's minimum
-// cross-shard latency as lookahead. A non-nil tr records one span per
+// reference kernel, built on arena a, when shards <= 1, otherwise a
+// conservatively synchronized shard group with ranks block-mapped onto
+// shards and the topology's minimum cross-shard latency as lookahead, whose
+// schedulers take nothing from a. A non-nil tr records one span per
 // executed shard-window on per-worker lanes. The returned run function
 // drives the simulation to completion; the stats function reports the
 // group's execution counters after the run (nil for the sequential kernel,
 // whose results the sharded runs must reproduce exactly).
-func buildWorld(shards, nRanks int, mcfg mpi.Config, topo netsim.Topology, tr *trace.Recorder) (*mpi.World, func() error, func() *sim.ShardStats, error) {
+func buildWorld(a *sim.Arena, shards, nRanks int, mcfg mpi.Config, topo netsim.Topology, tr *trace.Recorder) (*mpi.World, func() error, func() *sim.ShardStats, error) {
 	if topo != nil {
 		mcfg.Topology = topo
 	}
 	if shards <= 1 {
-		s := sim.New()
+		s := a.New()
 		return mpi.NewWorld(s, mcfg), s.Run, nil, nil
 	}
 	shardOf, err := shardMapping(nRanks, shards)

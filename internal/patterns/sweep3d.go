@@ -136,6 +136,9 @@ type sweepRank struct {
 	curStep           int
 	curOct            int
 
+	// pending holds the current octant's Single-mode sends.
+	pending []*mpi.Request
+
 	endAt sim.Time
 }
 
@@ -170,10 +173,16 @@ func stepTag(step, axis, thread int) int {
 func partTag(oct, axis int) int { return oct*2 + axis + 1 }
 
 // RunSweep3D executes the motif and returns its throughput result.
-func RunSweep3D(cfg SweepConfig) (*Result, error) {
+func RunSweep3D(cfg SweepConfig) (*Result, error) { return runSweep3D(nil, cfg) }
+
+// runSweep3D is RunSweep3D with a sequential simulation built on arena a.
+func runSweep3D(a *sim.Arena, cfg SweepConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Shards > 1 {
+		a = nil // a shard group builds its own schedulers (see buildWorld)
 	}
 	pf := cfg.Platform
 	mcfg := mpi.DefaultConfig(cfg.Px * cfg.Py)
@@ -181,7 +190,7 @@ func RunSweep3D(cfg SweepConfig) (*Result, error) {
 	mcfg.Machine = pf.Machine
 	mcfg.Mem = memsim.Default(pf.Cache)
 	configureMode(&mcfg, cfg.Mode, pf.Impl)
-	w, runSim, shardStats, err := buildWorld(cfg.Shards, cfg.Px*cfg.Py, mcfg, cfg.Topology, cfg.ShardTrace)
+	w, runSim, shardStats, err := buildWorld(a, cfg.Shards, cfg.Px*cfg.Py, mcfg, cfg.Topology, cfg.ShardTrace)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +202,7 @@ func RunSweep3D(cfg SweepConfig) (*Result, error) {
 		comm := w.Comm(id)
 		place := cluster.Place(pf.Machine, cfg.Threads)
 		comm.SetPlacement(place)
-		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id))
+		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id), a)
 		r := &sweepRank{
 			cfg:   cfg,
 			comm:  comm,
@@ -308,12 +317,11 @@ func (r *sweepRank) run(p *sim.Proc) {
 	step := 0
 	for rep := 0; rep < cfg.Repeats; rep++ {
 		for o := 0; o < cfg.Octants; o++ {
-			var pending []*mpi.Request
 			for zb := 0; zb < cfg.ZBlocks; zb++ {
 				r.curStep, r.curOct = step, o
 				switch cfg.Mode {
 				case Single:
-					pending = append(pending, r.singleStep(p, step, o)...)
+					r.singleStep(p, step, o)
 				case Multi:
 					r.startBar.Await(p)
 					r.doneBar.Await(p)
@@ -322,14 +330,17 @@ func (r *sweepRank) run(p *sim.Proc) {
 				}
 				step++
 			}
-			mpi.WaitAll(p, pending...)
+			mpi.WaitAll(p, r.pending...)
+			mpi.FreeAll(r.pending...)
+			r.pending = r.pending[:0]
 		}
 	}
 }
 
 // singleStep performs one z-block in Single mode: blocking receives from
-// upstream, compute, nonblocking sends downstream.
-func (r *sweepRank) singleStep(p *sim.Proc, step, o int) []*mpi.Request {
+// upstream, compute, nonblocking sends downstream, which join the octant's
+// pending sends.
+func (r *sweepRank) singleStep(p *sim.Proc, step, o int) {
 	cfg := r.cfg
 	upX, upY, downX, downY := r.neighbours(o)
 	size := int64(cfg.Threads) * cfg.BytesPerThread
@@ -340,14 +351,12 @@ func (r *sweepRank) singleStep(p *sim.Proc, step, o int) []*mpi.Request {
 		r.comm.Recv(p, upY, stepTag(step, 1, 0))
 	}
 	p.Sleep(r.place.ComputeTime(0, r.computeOf[step][0]))
-	var reqs []*mpi.Request
 	if downX >= 0 {
-		reqs = append(reqs, r.comm.IsendBytes(p, downX, stepTag(step, 0, 0), size))
+		r.pending = append(r.pending, r.comm.IsendBytes(p, downX, stepTag(step, 0, 0), size))
 	}
 	if downY >= 0 {
-		reqs = append(reqs, r.comm.IsendBytes(p, downY, stepTag(step, 1, 0), size))
+		r.pending = append(r.pending, r.comm.IsendBytes(p, downY, stepTag(step, 1, 0), size))
 	}
-	return reqs
 }
 
 // multiWorkerStep performs one z-block on one thread in Multi mode.
@@ -363,7 +372,8 @@ func (r *sweepRank) multiWorkerStep(tp *sim.Proc, t int) {
 		ep.Recv(tp, upY, stepTag(step, 1, t))
 	}
 	tp.Sleep(r.place.ComputeTime(t, r.computeOf[step][t]))
-	var reqs []*mpi.Request
+	var buf [2]*mpi.Request
+	reqs := buf[:0]
 	if downX >= 0 {
 		reqs = append(reqs, ep.IsendBytes(tp, downX, stepTag(step, 0, t), cfg.BytesPerThread))
 	}
@@ -371,6 +381,7 @@ func (r *sweepRank) multiWorkerStep(tp *sim.Proc, t int) {
 		reqs = append(reqs, ep.IsendBytes(tp, downY, stepTag(step, 1, t), cfg.BytesPerThread))
 	}
 	mpi.WaitAll(tp, reqs...)
+	mpi.FreeAll(reqs...)
 }
 
 // Parrived polling uses exponential backoff: tight at first (low detection

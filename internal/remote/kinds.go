@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"partmb/internal/engine"
+	"partmb/internal/sim"
 	"partmb/internal/stats"
 )
 
@@ -14,5 +15,5 @@ import (
 func RegisterKind(name string, fn func(config json.RawMessage) (any, error)) {
 	engine.NewCell(name,
 		func(c json.RawMessage) (json.RawMessage, *stats.RunConfig, bool) { return c, nil, false },
-		func(c json.RawMessage, _ []int64) (any, error) { return fn(c) }, nil)
+		func(_ *sim.Arena, c json.RawMessage, _ []int64) (any, error) { return fn(c) }, nil)
 }

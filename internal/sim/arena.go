@@ -1,0 +1,114 @@
+package sim
+
+import "math/rand"
+
+// Arena hands what one simulation leaves behind to the next one built from
+// it: the coroutines of its finished procs, its event freelist, the capacity
+// of its event queue and proc list, and the random generators its noise
+// models drew from. A cell that forks worker teams every iteration pays for
+// those once per arena instead of once per cell.
+//
+// New is the only way in: a Scheduler from a.New() starts with whatever the
+// previous scheduler from a gave back. A drive that drains cleanly — every
+// proc finished — gives back its idle runners (re-pointed at the next
+// scheduler, not stopped) and its free events. A dead drive (a deadlock, or a
+// panic unwinding through it) stops every runner instead, as a scheduler
+// without an arena does, so it discards what it borrowed. What the previous
+// scheduler still holds because it never finished a drive is reclaimed —
+// its coroutines stopped — by the next New or by Close.
+//
+// A nil *Arena is the empty arena: (*Arena)(nil).New() is New(), which keeps
+// nothing, and Rand builds a fresh generator. An Arena serves one simulation
+// at a time and is not safe for concurrent use; the goroutine using it may
+// change from one simulation to the next. Close stops the coroutines it
+// holds.
+type Arena struct {
+	idle  []*runner
+	free  []*event
+	queue eventQueue
+	procs []*Proc
+
+	// rngs are the generators Rand has made; the first lent of them are in
+	// use until the next New or Close.
+	rngs []*rand.Rand
+	lent int
+
+	// last is the scheduler the last New returned. While it has not given
+	// back (its arena field still points here) it holds the runners.
+	last *Scheduler
+}
+
+// New returns an empty scheduler with the clock at zero that starts with
+// what the arena holds.
+func (a *Arena) New() *Scheduler {
+	s := &Scheduler{arena: a}
+	if a == nil {
+		return s
+	}
+	a.reclaim()
+	s.idle, s.free, s.queue, s.procs = a.idle, a.free, a.queue, a.procs
+	a.idle, a.free, a.queue, a.procs = nil, nil, nil, nil
+	for _, r := range s.idle {
+		r.s = s
+	}
+	a.last = s
+	return s
+}
+
+// Rand returns a generator seeded with seed: it yields the stream
+// rand.New(rand.NewSource(seed)) yields. The generator is the caller's until
+// the arena's next New or Close, which hand it to someone else.
+func (a *Arena) Rand(seed int64) *rand.Rand {
+	if a == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	if a.lent == len(a.rngs) {
+		a.rngs = append(a.rngs, rand.New(rand.NewSource(seed)))
+	} else {
+		a.rngs[a.lent].Seed(seed)
+	}
+	a.lent++
+	return a.rngs[a.lent-1]
+}
+
+// Close stops the coroutines the arena holds, those of a scheduler that
+// never finished its drive included, and empties it. A closed arena may be
+// used again; it starts empty.
+func (a *Arena) Close() {
+	if a == nil {
+		return
+	}
+	a.reclaim()
+	for _, r := range a.idle {
+		r.stop()
+	}
+	*a = Arena{}
+}
+
+// reclaim takes back everything the last scheduler borrowed. One that gave
+// back after a clean drain, or discarded after a dead one, holds nothing; one
+// that never finished a drive has its coroutines stopped. Every generator
+// is free again.
+func (a *Arena) reclaim() {
+	if s := a.last; s != nil && s.arena == a {
+		s.arena = nil
+		s.stopRunners()
+	}
+	a.last = nil
+	a.lent = 0
+}
+
+// release ends the scheduler's hold on its coroutines and events once its
+// last drive is over. After a clean drain the idle runners, the event
+// freelist and the queue and proc-list capacity go back to the arena;
+// without an arena, or after a dead drive, every runner is stopped.
+func (s *Scheduler) release(clean bool) {
+	a := s.arena
+	s.arena = nil
+	if a == nil || !clean {
+		s.stopRunners()
+		return
+	}
+	a.idle, a.free, a.queue, a.procs = s.idle, s.free, s.queue[:0], s.procs[:0]
+	s.idle, s.free, s.queue, s.procs = nil, nil, nil, nil
+}

@@ -1,0 +1,237 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// ---------------------------------------------------------------------------
+// Arena: what one scheduler leaves behind serves the next one built from the
+// same arena, and nothing it hands over changes a simulation.
+// ---------------------------------------------------------------------------
+
+// traced builds a fork/join simulation on s whose procs log when they wake,
+// and returns the log; different shapes exercise different runner and event
+// counts.
+func traced(s *Scheduler, team, iters int) *[]string {
+	var log []string
+	s.Spawn("master", func(p *Proc) {
+		for it := 0; it < iters; it++ {
+			var wg WaitGroup
+			wg.Add(s, team)
+			for w := 0; w < team; w++ {
+				s.Spawn(fmt.Sprint("w", w), func(p *Proc) {
+					p.Sleep(Duration(1 + (w*7+it)%5))
+					log = append(log, fmt.Sprintf("%s#%d@%d", p.Name(), p.ID(), p.Now()))
+					wg.Done(s)
+				})
+			}
+			wg.Wait(p)
+			p.Yield()
+		}
+	})
+	return &log
+}
+
+// runTraced runs traced on s and returns its log, final clock and sequence.
+func runTraced(t *testing.T, s *Scheduler, team, iters int) ([]string, Time, uint64) {
+	t.Helper()
+	log := traced(s, team, iters)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return *log, s.Now(), s.seq
+}
+
+func TestArenaRunsMatchFreshSchedulers(t *testing.T) {
+	var a Arena
+	defer a.Close()
+	for _, shape := range [][2]int{{8, 20}, {3, 50}, {16, 5}, {8, 20}, {1, 1}} {
+		wantLog, wantNow, wantSeq := runTraced(t, New(), shape[0], shape[1])
+		gotLog, gotNow, gotSeq := runTraced(t, a.New(), shape[0], shape[1])
+		if !reflect.DeepEqual(gotLog, wantLog) || gotNow != wantNow || gotSeq != wantSeq {
+			t.Fatalf("team %d x %d: on the arena %d wakes to %v (seq %d), fresh %d to %v (seq %d)",
+				shape[0], shape[1], len(gotLog), gotNow, gotSeq, len(wantLog), wantNow, wantSeq)
+		}
+	}
+}
+
+// The second scheduler of an arena creates no runner and no event the first
+// one already made, and the arena holds the coroutines in between.
+func TestArenaHandsRunnersAndEventsOn(t *testing.T) {
+	before := goroutineBaseline()
+	var a Arena
+	s := a.New()
+	runTraced(t, s, 8, 10)
+	if s.runners != 9 || len(a.idle) != 9 || len(s.idle) != 0 {
+		t.Fatalf("first scheduler made %d runners; arena holds %d, scheduler %d; want 9, 9, 0", s.runners, len(a.idle), len(s.idle))
+	}
+	if got := runtime.NumGoroutine(); got != before+9 {
+		t.Fatalf("%d goroutines with 9 runners stashed, %d before", got, before)
+	}
+	events := len(a.free)
+	if events == 0 || cap(a.queue) == 0 || cap(a.procs) == 0 {
+		t.Fatalf("arena kept %d events, queue cap %d, procs cap %d", events, cap(a.queue), cap(a.procs))
+	}
+	s = a.New()
+	for _, r := range s.idle {
+		if r.s != s {
+			t.Fatal("a handed-over runner still points at the scheduler it came from")
+		}
+	}
+	runTraced(t, s, 8, 10)
+	if s.runners != 0 || len(a.free) != events {
+		t.Fatalf("second scheduler made %d runners and the arena holds %d events, want 0 and %d", s.runners, len(a.free), events)
+	}
+	a.Close()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines after Close, %d before: stashed runners survived", got, before)
+	}
+	if len(a.idle) != 0 || len(a.free) != 0 {
+		t.Fatal("Close left the arena holding something")
+	}
+}
+
+// A dead drive discards what it borrowed instead of giving it back, and the
+// arena's next scheduler still runs the simulation a fresh one runs.
+func TestArenaDeadDriveDiscards(t *testing.T) {
+	before := goroutineBaseline()
+	wantLog, wantNow, _ := runTraced(t, New(), 4, 10)
+	stuck := func(p *Proc) {
+		var never Completion
+		never.Wait(p)
+	}
+	var a Arena
+	runTraced(t, a.New(), 4, 10)
+	for name, dead := range map[string]func(s *Scheduler){
+		"deadlock": func(s *Scheduler) {
+			forkJoin(s, 4, 3)
+			s.Spawn("stuck", stuck)
+			var dl *DeadlockError
+			if err := s.Run(); !errors.As(err, &dl) {
+				t.Fatalf("Run = %v, want a deadlock", err)
+			}
+		},
+		"panic": func(s *Scheduler) {
+			forkJoin(s, 4, 3)
+			s.Spawn("stuck", stuck)
+			s.Spawn("bad", func(p *Proc) {
+				p.Sleep(2 * Microsecond)
+				panic("boom")
+			})
+			if panicValue(func() { s.Run() }) != "boom" {
+				t.Fatal("Run did not panic")
+			}
+		},
+	} {
+		dead(a.New())
+		if got := runtime.NumGoroutine(); got != before || len(a.idle) != 0 {
+			t.Fatalf("%s: %d goroutines (%d before), arena holds %d runners; want every runner stopped", name, got, before, len(a.idle))
+		}
+		if log, now, _ := runTraced(t, a.New(), 4, 10); !reflect.DeepEqual(log, wantLog) || now != wantNow {
+			t.Fatalf("%s: the next scheduler ran to %v, a fresh one to %v", name, now, wantNow)
+		}
+	}
+	a.Close()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines after Close, %d before", got, before)
+	}
+}
+
+// A scheduler that never finishes a drive — its cell failed before Run, or
+// after a partial RunUntil — keeps the runners it took until the arena's next
+// New or Close stops them.
+func TestArenaReclaimsUnfinishedSchedulers(t *testing.T) {
+	before := goroutineBaseline()
+	var a Arena
+	runTraced(t, a.New(), 4, 5)
+	for _, reclaim := range []func(){func() { a.New() }, a.Close} {
+		s := a.New()
+		forkJoin(s, 4, 5) // takes the master's runner, never run
+		s = a.New()
+		forkJoin(s, 8, 5)
+		s.RunUntil(Time(3)) // parks procs on stashed and on new runners
+		reclaim()
+		if got := runtime.NumGoroutine(); got != before {
+			t.Fatalf("%d goroutines after reclaiming, %d before", got, before)
+		}
+	}
+}
+
+func TestArenaCloseStopsStashedRunners(t *testing.T) {
+	before := goroutineBaseline()
+	var a Arena
+	runTraced(t, a.New(), 16, 3)
+	if got := runtime.NumGoroutine(); got != before+len(a.idle) || len(a.idle) != 17 {
+		t.Fatalf("%d goroutines, %d before, %d runners stashed; want 17 stashed", got, before, len(a.idle))
+	}
+	a.Close()
+	a.Close() // idempotent
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("%d goroutines after Close, %d before", got, before)
+	}
+	// A closed arena starts empty.
+	if log, _, _ := runTraced(t, a.New(), 2, 2); len(log) != 4 {
+		t.Fatalf("%d wakes on a closed arena, want 4", len(log))
+	}
+	a.Close()
+	var nilArena *Arena
+	nilArena.Close()
+	if s := nilArena.New(); s.arena != nil {
+		t.Fatal("the nil arena's scheduler has an arena")
+	}
+}
+
+// An arena may serve its simulations from different goroutines, one at a
+// time, as engine lanes hand it on; -race checks the handover.
+func TestArenaMovesBetweenGoroutines(t *testing.T) {
+	var a Arena
+	defer a.Close()
+	wantLog, _, _ := runTraced(t, New(), 4, 10)
+	for i := 0; i < 4; i++ {
+		done := make(chan []string)
+		go func() {
+			s := a.New()
+			log := traced(s, 4, 10)
+			if err := s.Run(); err != nil {
+				t.Error(err)
+			}
+			done <- *log
+		}()
+		if log := <-done; !reflect.DeepEqual(log, wantLog) {
+			t.Fatalf("run %d on another goroutine differs", i)
+		}
+	}
+}
+
+// Rand(s) yields the rand.NewSource(s) stream, also from a generator that
+// served another seed before; generators are lent until the next New.
+func TestArenaRandMatchesNewSource(t *testing.T) {
+	var a Arena
+	defer a.Close()
+	a.Rand(99).Int63() // the generator has served another seed
+	a.New()
+	for _, seed := range []int64{1, 42, -7, 1 << 40} {
+		got, want := a.Rand(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 10000; i++ {
+			g := [3]float64{float64(got.Intn(1000)), got.Float64(), got.NormFloat64()}
+			w := [3]float64{float64(want.Intn(1000)), want.Float64(), want.NormFloat64()}
+			if g != w {
+				t.Fatalf("seed %d, draw %d: %v, want %v", seed, i, g, w)
+			}
+		}
+		a.New()
+	}
+	first, second := a.Rand(1), a.Rand(1)
+	if first == second || len(a.rngs) != 2 {
+		t.Fatalf("two generators lent at once share one (%d made)", len(a.rngs))
+	}
+	a.New()
+	if a.Rand(5) != first {
+		t.Fatal("New did not take back the lent generators")
+	}
+}

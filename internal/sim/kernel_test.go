@@ -188,7 +188,7 @@ func TestSleepShortCutMatchesSlowPath(t *testing.T) {
 // short cut never applies and every wake is pushed and popped by the loop.
 func (s *Scheduler) runSlow() error {
 	s.startDrive(-1)
-	defer s.endDrive(true)
+	defer s.endDrive(true, false)
 	for len(s.queue) > 0 {
 		s.dispatch(s.queue.pop())
 	}

@@ -720,7 +720,7 @@ func (s *Scheduler) runWindow(limit Time) {
 	for len(s.queue) > 0 && s.queue[0].at <= limit {
 		s.dispatch(s.queue.pop())
 	}
-	s.endDrive(false)
+	s.endDrive(false, false)
 	s.windowing = false
 }
 

@@ -7,9 +7,11 @@
 // Exactly one of them executes at any instant, on the goroutine that called
 // Run, so all simulator state needs no locking and a panic inside a proc
 // surfaces from Run like any other. Coroutines are pooled per Scheduler:
-// a finished proc's coroutine, and its Proc value, carry the next Spawn, and
-// all of them are stopped when a drive drains or dies (procs still parked
-// are unwound), so a simulation leaves nothing behind however it ends.
+// a finished proc's coroutine, and its Proc value, carry the next Spawn.
+// When a drive drains cleanly they go back to the Arena the scheduler came
+// from, for the next scheduler built from it (see Arena); without one, or
+// when a drive dies, all of them are stopped (procs still parked are
+// unwound), so a simulation leaves nothing behind however it ends.
 // Events with equal timestamps fire in the order they were scheduled, so
 // runs are bitwise reproducible.
 //
@@ -319,9 +321,13 @@ type Scheduler struct {
 	procs []*Proc
 
 	// idle holds the coroutines of finished procs, reused by the next Spawn
-	// and stopped when a drive drains; runners counts those ever created.
+	// and given back or stopped when a drive drains (see release); runners
+	// counts those this scheduler created.
 	idle    []*runner
 	runners int
+	// arena is the Arena the scheduler came from and gives back to, until
+	// it has given back or been reclaimed; nil for New.
+	arena *Arena
 
 	// driving is set while a drive loop (Run, RunUntil) is on the
 	// stack; re-entering a drive from an event callback panics.
@@ -351,9 +357,11 @@ type Scheduler struct {
 	outboxTick int
 }
 
-// New returns an empty simulation scheduler with the clock at zero.
+// New returns an empty simulation scheduler with the clock at zero: the
+// scheduler of the empty arena, which keeps nothing for a next one.
 func New() *Scheduler {
-	return &Scheduler{}
+	var a *Arena
+	return a.New()
 }
 
 // Now returns the current virtual time.
@@ -637,14 +645,15 @@ func (s *Scheduler) startDrive(limit Time) {
 }
 
 // endDrive finishes a drive loop; drained drives are terminal and release
-// every coroutine, those of still-parked procs included. The public drives
-// defer it, so a panic unwinding out of a proc or an event callback ends the
-// drive the same way.
-func (s *Scheduler) endDrive(drained bool) {
+// every coroutine: back to the arena when the drive is clean (every proc
+// finished), stopped otherwise, those of still-parked procs included. The
+// public drives defer it, so a panic unwinding out of a proc or an event
+// callback ends the drive the same way, as a dead one.
+func (s *Scheduler) endDrive(drained, clean bool) {
 	s.driving = false
 	if drained {
 		s.running = true
-		s.stopRunners()
+		s.release(clean)
 	}
 }
 
@@ -694,10 +703,12 @@ func (s *Scheduler) deadlock() error {
 // calling it from within an event callback panics.
 func (s *Scheduler) Run() error {
 	s.startDrive(maxTime)
-	defer s.endDrive(true)
+	clean := false // what a panic unwinding through the loop leaves
+	defer func() { s.endDrive(true, clean) }()
 	for len(s.queue) > 0 {
 		s.dispatch(s.queue.pop())
 	}
+	clean = s.live == 0
 	return s.deadlock()
 }
 
@@ -709,12 +720,13 @@ func (s *Scheduler) Run() error {
 // re-entering a drive from an event callback.
 func (s *Scheduler) RunUntil(t Time) bool {
 	s.startDrive(t)
-	drained := true // what a panic unwinding through the loop leaves: a terminal scheduler
-	defer func() { s.endDrive(drained) }()
+	// What a panic unwinding through the loop leaves: a terminal, dead drive.
+	drained, clean := true, false
+	defer func() { s.endDrive(drained, clean) }()
 	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.dispatch(s.queue.pop())
 	}
-	drained = len(s.queue) == 0
+	drained, clean = len(s.queue) == 0, s.live == 0
 	return drained
 }
 

@@ -59,7 +59,7 @@ func ComparePort(cfg Config, nodes, chunks int) (*PortResult, error) {
 		return nil, fmt.Errorf("snap: %d chunks must divide the %dB boundary", chunks, cfg.BoundaryBytes)
 	}
 
-	rep, err := runProxy(cfg, nodes)
+	rep, err := runProxy(nil, cfg, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func ComparePort(cfg Config, nodes, chunks int) (*PortResult, error) {
 	// per-rank mean (all ranks span the same measured region).
 	baseline := rep.AppTime / sim.Duration(nodes)
 
-	ported, err := runPortedProxy(cfg, nodes, chunks)
+	ported, err := runPortedProxy(nil, cfg, nodes, chunks)
 	if err != nil {
 		return nil, err
 	}
@@ -81,10 +81,10 @@ func ComparePort(cfg Config, nodes, chunks int) (*PortResult, error) {
 	}, nil
 }
 
-// runPortedProxy executes the partitioned port and returns the mean
-// per-rank elapsed time of the measured region.
-func runPortedProxy(cfg Config, nodes, chunks int) (sim.Duration, error) {
-	s := sim.New()
+// runPortedProxy executes the partitioned port on a simulation built on
+// arena a and returns the mean per-rank elapsed time of the measured region.
+func runPortedProxy(a *sim.Arena, cfg Config, nodes, chunks int) (sim.Duration, error) {
+	s := a.New()
 	mcfg := mpi.DefaultConfig(nodes)
 	spec := cfg.Platform.Resolved()
 	mcfg.Net = spec.Net

@@ -133,12 +133,15 @@ func (p ProfilePoint) SampleStats() (n int, relCI float64, reason string) {
 
 // Profile runs the proxy at the given node count and returns its mpiP-style
 // profile point.
-func Profile(cfg Config, nodes int) (ProfilePoint, error) {
+func Profile(cfg Config, nodes int) (ProfilePoint, error) { return profile(nil, cfg, nodes) }
+
+// profile is Profile with its simulation built on arena a.
+func profile(a *sim.Arena, cfg Config, nodes int) (ProfilePoint, error) {
 	cfg = cfg.withDefaults()
 	if nodes <= 0 {
 		return ProfilePoint{}, fmt.Errorf("snap: nodes = %d, must be positive", nodes)
 	}
-	rep, err := runProxy(cfg, nodes)
+	rep, err := runProxy(a, cfg, nodes)
 	if err != nil {
 		return ProfilePoint{}, err
 	}
@@ -163,7 +166,7 @@ var profileCell = engine.NewCell("snap.Profile",
 		c = c.withDefaults()
 		return c, c.Adaptive, false
 	},
-	func(c Config, a []int64) (ProfilePoint, error) { return Profile(c, int(a[0])) },
+	func(a *sim.Arena, c Config, args []int64) (ProfilePoint, error) { return profile(a, c, int(args[0])) },
 	func(cell *engine.Cell[Config, ProfilePoint], r *engine.Runner, cfg Config, args []int64) (ProfilePoint, error) {
 		first, est, err := cell.Draws(r, cfg, args, func(c Config, d int) Config {
 			c.Adaptive = nil
@@ -215,9 +218,10 @@ func ProjectSpeedup(fraction, gain float64) float64 {
 	return 1 / ((1 - fraction) + fraction/gain)
 }
 
-// runProxy executes the SNAP-like sweep on `nodes` ranks under the profiler.
-func runProxy(cfg Config, nodes int) (prof.Report, error) {
-	s := sim.New()
+// runProxy executes the SNAP-like sweep on `nodes` ranks under the profiler,
+// on a simulation built on arena a.
+func runProxy(a *sim.Arena, cfg Config, nodes int) (prof.Report, error) {
+	s := a.New()
 	mcfg := mpi.DefaultConfig(nodes)
 	spec := cfg.Platform.Resolved()
 	mcfg.Net = spec.Net
@@ -237,10 +241,11 @@ func runProxy(cfg Config, nodes int) (prof.Report, error) {
 			comm.Barrier(p)
 			rp.Begin(p)
 			step := 0
+			var pending []*mpi.Request
 			for rep := 0; rep < cfg.Repeats; rep++ {
 				for o := 0; o < cfg.Octants; o++ {
 					upX, upY, downX, downY := sweepNeighbours(o, x, y, px, py)
-					var pending []*mpi.Request
+					pending = pending[:0]
 					for zb := 0; zb < cfg.ZBlocks; zb++ {
 						tag := step * 4
 						if upX >= 0 {
@@ -263,6 +268,7 @@ func runProxy(cfg Config, nodes int) (prof.Report, error) {
 						step++
 					}
 					rp.Call(p, "MPI_Waitall", func() { mpi.WaitAll(p, pending...) })
+					mpi.FreeAll(pending...)
 				}
 			}
 			rp.End(p)

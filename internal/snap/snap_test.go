@@ -136,7 +136,7 @@ func TestProxyDeterministic(t *testing.T) {
 func TestProxyReportNamesCalls(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Octants = 2
-	rep, err := runProxy(cfg, 4)
+	rep, err := runProxy(nil, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
