@@ -36,21 +36,21 @@ type Cell[C, T any] struct {
 // whether it carries an attachment the key cannot see, such as a trace
 // recorder. run computes the value of a canonical fixed configuration,
 // building its simulation on arena a: one checked out for the run while a
-// Sweep is active on the runner, nil otherwise and on remote workers (see
-// Runner.Sweep). sample, when non-nil, computes the value of a canonical
-// adaptive one, typically from the cell's own Draws; with it nil, adaptive
-// configurations run the fixed path.
+// Sweep is active on the runner, nil otherwise (see Runner.Sweep), and on a
+// remote worker the arena of the task loop that runs it. sample, when
+// non-nil, computes the value of a canonical adaptive one, typically from the
+// cell's own Draws; with it nil, adaptive configurations run the fixed path.
 func NewCell[C, T any](kind string,
 	canon func(C) (cfg C, sampling *stats.RunConfig, attached bool),
 	run func(a *sim.Arena, cfg C, args []int64) (T, error),
 	sample func(c *Cell[C, T], r *Runner, cfg C, args []int64) (T, error),
 ) *Cell[C, T] {
-	registerKind(kind, func(raw json.RawMessage) (any, error) {
+	registerKind(kind, func(a *sim.Arena, raw json.RawMessage) (any, error) {
 		var t task[C]
 		if err := json.Unmarshal(raw, &t); err != nil {
 			return nil, fmt.Errorf("engine: decoding %s config: %w", kind, err)
 		}
-		return run(nil, t.Cfg, t.Args)
+		return run(a, t.Cfg, t.Args)
 	})
 	return &Cell[C, T]{kind: kind, canon: canon, run: run, sample: sample}
 }
@@ -153,15 +153,19 @@ func encodeTask[C any](cfg C, args []int64) json.RawMessage {
 	return raw
 }
 
+// KindFunc is a kind's worker-side execute function: it decodes a task's
+// config JSON and returns the value, building its simulation on arena a,
+// which serves one task at a time (nil is the empty arena). The value must
+// marshal to the JSON a local run of the cell would produce.
+type KindFunc func(a *sim.Arena, config json.RawMessage) (any, error)
+
 var (
 	kindMu sync.RWMutex
-	kinds  = map[string]func(json.RawMessage) (any, error){}
+	kinds  = map[string]KindFunc{}
 )
 
-// registerKind installs a kind's worker-side execute function, which decodes
-// a task's config JSON and returns the value; it must marshal to the JSON a
-// local run of the cell would produce.
-func registerKind(name string, fn func(json.RawMessage) (any, error)) {
+// registerKind installs a kind's worker-side execute function.
+func registerKind(name string, fn KindFunc) {
 	if name == "" {
 		panic("engine: cell kind with empty name")
 	}
@@ -175,7 +179,7 @@ func registerKind(name string, fn func(json.RawMessage) (any, error)) {
 
 // LookupKind returns the worker-side execute function of a defined kind, or
 // nil.
-func LookupKind(name string) func(config json.RawMessage) (any, error) {
+func LookupKind(name string) KindFunc {
 	kindMu.RLock()
 	defer kindMu.RUnlock()
 	return kinds[name]

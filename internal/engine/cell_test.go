@@ -47,7 +47,7 @@ func TestCellTaskRoundTrips(t *testing.T) {
 	if string(raw) != `{"cfg":{"N":5},"args":[7,8]}` {
 		t.Fatalf("task = %s", raw)
 	}
-	v, err := LookupKind("test.kind")(raw)
+	v, err := LookupKind("test.kind")(nil, raw)
 	if err != nil || v.(execVal).N != 5 {
 		t.Errorf("worker-side execute = %v, %v; want {5}", v, err)
 	}

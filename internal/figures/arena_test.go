@@ -14,6 +14,7 @@ import (
 
 	"partmb/internal/core"
 	"partmb/internal/engine"
+	"partmb/internal/mpi"
 	"partmb/internal/patterns"
 	"partmb/internal/sim"
 	"partmb/internal/snap"
@@ -134,6 +135,37 @@ var deadCell = engine.NewCell("figures.test.dead",
 		return 0, s.Run()
 	}, nil)
 
+// litterCell's simulation drains cleanly but leaves its MPI world full:
+// messages nobody receives, receives nothing matches, a native init whose
+// peer never comes, a persistent receive started and never completed, and
+// partitioned requests larger than any figure's. The next world built on its
+// arena inherits all of it and must clear it. Its value is its end time.
+var litterCell = engine.NewCell("figures.test.litter",
+	func(ranks int) (int, *stats.RunConfig, bool) { return ranks, nil, false },
+	func(a *sim.Arena, ranks int, _ []int64) (int64, error) {
+		s := a.New()
+		cfg := mpi.DefaultConfig(ranks)
+		cfg.ThreadMode = mpi.Multiple
+		w := mpi.NewWorld(s, cfg)
+		w.Launch("litter", func(c *mpi.Comm, p *sim.Proc) {
+			me, next := c.Rank(), (c.Rank()+1)%ranks
+			pr := c.PsendInit(p, next, 1, 512, 64)
+			rr := c.PrecvInit(p, (me+ranks-1)%ranks, 1, 512, 64)
+			c.Barrier(p)
+			pr.Start(p)
+			rr.Start(p)
+			pr.PreadyRange(p, 0, 512)
+			c.IsendBytes(p, next, 2, 1<<20) // rendezvous, never received
+			c.IsendBytes(p, next, 3, 64)    // eager, never received
+			c.Irecv(p, mpi.AnySource, 4)    // never matched
+			c.RecvInit(p, next, 5).Start(p) // started, never matched
+			pr.Wait(p)
+			rr.Wait(p)
+		})
+		err := s.Run()
+		return int64(s.Now()), err
+	}, nil)
+
 func deadCells() []replayed {
 	var cells []replayed
 	for _, panics := range []bool{false, true} {
@@ -155,9 +187,10 @@ func deadCells() []replayed {
 
 // TestArenaReuseChangesNoResult: the quick figures' core, patterns and SNAP
 // cells run in a shuffled order on one engine lane — so on one arena, each
-// cell starting with the coroutines, events and generators of whichever cell
-// ran before it — among cells whose drives die. Every result is the one a run
-// on no arena gives, and the lane's arena goes with the Sweep.
+// cell starting with the coroutines, events, generators and MPI world of
+// whichever cell ran before it — among cells whose drives die and cells that
+// leave their world littered. Every result is the one a run on no arena
+// gives, and the lane's arena goes with the Sweep.
 func TestArenaReuseChangesNoResult(t *testing.T) {
 	cells := quickCells(t)
 	want := make([]any, len(cells))
@@ -171,11 +204,27 @@ func TestArenaReuseChangesNoResult(t *testing.T) {
 	order := rand.New(rand.NewSource(31)).Perm(len(cells))
 	dead := deadCells()
 	for k := range order {
-		if k%40 == 7 {
+		switch k % 40 {
+		case 7:
 			// A dead drive, then a normal cell, on the same arena.
-			cells = append(cells, dead[k/40%len(dead)])
-			order = append(order[:k], append([]int{len(cells) - 1}, order[k:]...)...)
+			cells, want = append(cells, dead[k/40%len(dead)]), append(want, nil)
+		case 23:
+			// A world left full of MPI litter, then a normal cell.
+			ranks := 2 + k/40%8
+			litter := replayed{
+				name:  fmt.Sprintf("litter on %d ranks", ranks),
+				run:   func(rn *engine.Runner) (any, error) { return litterCell.Run(rn, ranks) },
+				fresh: func() (any, error) { return litterCell.Run(engine.New(engine.WithoutCache()), ranks) },
+			}
+			v, err := litter.fresh()
+			if err != nil {
+				t.Fatalf("%s: %v", litter.name, err)
+			}
+			cells, want = append(cells, litter), append(want, v)
+		default:
+			continue
 		}
+		order = append(order[:k], append([]int{len(cells) - 1}, order[k:]...)...)
 	}
 
 	rn := engine.New(engine.Workers(1), engine.WithoutCache())

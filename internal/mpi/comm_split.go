@@ -59,6 +59,9 @@ func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 	st, ok := w.splits[sk]
 	if !ok {
 		st = &splitState{expected: c.Size()}
+		if w.splits == nil {
+			w.splits = make(map[splitKey]*splitState)
+		}
 		w.splits[sk] = st
 	}
 	st.entries = append(st.entries, splitEntry{world: c.rank, color: color, key: key})

@@ -83,6 +83,17 @@ type matcher struct {
 	unexpExact  map[matchKey]int
 }
 
+// reset empties both queues and their indexes for a new world, keeping their
+// storage.
+func (m *matcher) reset() {
+	clear(m.posted)
+	clear(m.unexpected)
+	m.posted, m.unexpected = m.posted[:0], m.unexpected[:0]
+	clear(m.postedExact)
+	clear(m.unexpExact)
+	m.postedWild = 0
+}
+
 // matches implements the MPI matching predicate: contexts must be equal;
 // posted source/tag match exactly or via wildcard.
 func matches(r *Request, src, tag, ctx int) bool {

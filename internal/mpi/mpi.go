@@ -266,14 +266,19 @@ const (
 // lock, registry — is mutated only from sched, the rank's event-loop shard,
 // which is what makes the sharded simulation race-free: there is no
 // cross-shard mutable MPI state.
+//
+// A rank state outlives its world when the world is kept for the next one
+// on the same sim.Arena (see NewWorld): reset clears it for its next world
+// and keeps the storage of its matcher, registry, free list and partitioned
+// requests.
 type rankState struct {
 	id      int
 	sched   *sim.Scheduler
-	nic     *netsim.NIC
+	nic     netsim.NIC
 	matcher matcher
 	lock    sim.Mutex
 	// partRegistry pairs native partitioned inits: key → FIFO of pending
-	// receive-side PRequests awaiting their sender.
+	// receive-side PRequests awaiting their sender. Made on first use.
 	partRegistry map[partKey][]*PRequest
 	// records is the message-record free list of sched, shared by every
 	// rank on it (see inbound).
@@ -281,6 +286,43 @@ type rankState struct {
 	// freeReqs holds the requests of this rank's finished blocking calls
 	// and freed nonblocking ones (see takeReq).
 	freeReqs []*Request
+	// preqs and persist are the partitioned and persistent requests inits
+	// on this rank made, handed out again by the inits of the next world
+	// built from this state.
+	preqs   remade[PRequest]
+	persist remade[Request]
+}
+
+// remade is the list of objects of one kind a rank's inits made, in the
+// order they made them: the first used belong to the current world, and the
+// rest, made by an earlier world built from the same rank state, go to the
+// next inits before anything new is made. Inits overwrite every field, so
+// only storage carries over.
+type remade[T any] struct {
+	all  []*T
+	used int
+}
+
+// take returns the next object for an init.
+func (r *remade[T]) take() *T {
+	if r.used == len(r.all) {
+		r.all = append(r.all, new(T))
+	}
+	r.used++
+	return r.all[r.used-1]
+}
+
+// reset readies the rank state for rank id of a world on s: everything the
+// previous world left in it is dropped — queued receives and messages,
+// registry entries, NIC occupancy — while the storage stays. A new state
+// takes the same path.
+func (st *rankState) reset(id int, s *sim.Scheduler, cfg *Config, records *recordList) {
+	st.id, st.sched, st.records = id, s, records
+	st.nic = *netsim.NewNIC(cfg.Net)
+	st.nic.SetFaults(cfg.Faults)
+	st.matcher.reset()
+	clear(st.partRegistry)
+	st.preqs.used, st.persist.used = 0, 0
 }
 
 // recordList is the free list of message records of one scheduler: the
@@ -302,8 +344,14 @@ type World struct {
 	s   *sim.Scheduler
 	cfg Config
 
+	// ranks are the rank states; any beyond len(ranks), up to its capacity,
+	// are left from an earlier, larger world for a later one (see reset).
 	ranks []*rankState
+	// comms caches World.Comm's handles, with the same rule for those
+	// beyond len(comms).
 	comms []*Comm
+	// single is the one-thread placement every handle starts with.
+	single *cluster.Placement
 
 	// group is non-nil for sharded worlds (NewShardedWorld): ranks are
 	// spread over the group's shards and cross-rank events route through
@@ -317,12 +365,24 @@ type World struct {
 
 	// nextCtx hands each created communicator a fresh context block.
 	nextCtx int
-	// splits coordinates in-progress Comm.Split operations.
+	// splits coordinates in-progress Comm.Split operations; made on first
+	// use.
 	splits map[splitKey]*splitState
 }
 
 // NewWorld builds a world on the scheduler. Nil Config sub-models are filled
 // with defaults; an invalid configuration panics (construction-time bug).
+//
+// The world is kept for the next scheduler built from s's sim.Arena (see
+// sim.Scheduler.Keep): when the simulation drains cleanly, the next NewWorld
+// on that arena is this World, cleared for its new configuration, with the
+// rank states, communicator handles, message records, free requests and
+// partitioned requests of this one — so a cell's world allocates only what
+// no earlier world on its arena had. Every handle the world gave out
+// (communicators, endpoints, requests, partitioned requests) is therefore
+// valid only until the next world is built on the arena. Without an arena,
+// or after a simulation that deadlocked or panicked, the world is built
+// from nothing, through the same reset.
 func NewWorld(s *sim.Scheduler, cfg Config) *World {
 	if cfg.Net == nil {
 		cfg.Net = netsim.EDR()
@@ -339,22 +399,61 @@ func NewWorld(s *sim.Scheduler, cfg Config) *World {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	w := &World{s: s, cfg: cfg, nextCtx: ctxStride, splits: make(map[splitKey]*splitState)}
+	w, _ := s.Kept().(*World)
+	if w == nil {
+		w = new(World)
+	}
+	w.reset(s, cfg)
+	s.Keep(w)
+	return w
+}
+
+// reset readies w, new or kept from the previous simulation on the arena,
+// for a sequential world of cfg on s. The rank states and communicator
+// handles are reset in place, by index, and those beyond cfg.Ranks are kept
+// for a later, larger world; the record free list keeps at most what the
+// new world's cap allows.
+func (w *World) reset(s *sim.Scheduler, cfg Config) {
+	w.s, w.cfg, w.group, w.nextCtx = s, cfg, nil, ctxStride
 	w.congested, _ = cfg.Topology.(netsim.Congested)
-	w.records = []recordList{{max: recordsPerRank * cfg.Ranks}}
-	w.ranks = make([]*rankState, cfg.Ranks)
-	for i := range w.ranks {
-		nic := netsim.NewNIC(cfg.Net)
-		nic.SetFaults(cfg.Faults)
-		w.ranks[i] = &rankState{
-			id:           i,
-			sched:        s,
-			nic:          nic,
-			partRegistry: make(map[partKey][]*PRequest),
-			records:      &w.records[0],
+	w.single = cluster.Place(cfg.Machine, 1)
+	clear(w.splits)
+
+	if len(w.records) == 0 {
+		w.records = make([]recordList, 1)
+	}
+	w.records = w.records[:1]
+	l := &w.records[0]
+	l.max = recordsPerRank * cfg.Ranks
+	if len(l.free) > l.max {
+		clear(l.free[l.max:])
+		l.free = l.free[:l.max]
+	}
+
+	w.ranks = extend(w.ranks, cfg.Ranks)
+	for i, st := range w.ranks {
+		if st == nil {
+			st = new(rankState)
+			w.ranks[i] = st
+		}
+		st.reset(i, s, &w.cfg, l)
+	}
+	w.comms = extend(w.comms, cfg.Ranks)
+	for i, c := range w.comms {
+		if c != nil {
+			c.reset(w, i)
 		}
 	}
-	return w
+}
+
+// extend returns xs with length n, keeping the elements it holds up to its
+// capacity: a shorter xs[:n] leaves the rest in place for a later extend.
+func extend[T any](xs []T, n int) []T {
+	xs = xs[:cap(xs)]
+	if len(xs) < n {
+		xs = append(xs, make([]T, n-len(xs))...)
+	}
+	return xs[:n]
 }
 
 // NewShardedWorld builds a world whose ranks are partitioned across the
@@ -429,18 +528,19 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.cfg.Ranks {
 		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, w.cfg.Ranks))
 	}
-	if w.comms == nil {
-		w.comms = make([]*Comm, w.cfg.Ranks)
-	}
 	if w.comms[rank] == nil {
-		w.comms[rank] = &Comm{
-			world:     w,
-			rank:      rank,
-			ctxBase:   0,
-			placement: cluster.Place(w.cfg.Machine, 1),
-		}
+		c := new(Comm)
+		c.reset(w, rank)
+		w.comms[rank] = c
 	}
 	return w.comms[rank]
+}
+
+// reset readies c as the world communicator handle of rank in w, keeping
+// its endpoint storage: the cached Endpoints point at c, so they stay
+// valid.
+func (c *Comm) reset(w *World, rank int) {
+	*c = Comm{world: w, rank: rank, placement: w.single, endpoints: c.endpoints}
 }
 
 // Launch spawns one proc per rank running fn. It is the typical entry point

@@ -121,7 +121,8 @@ func (c *Comm) partInit(p *sim.Proc, kind reqKind, peer, tag, parts int, partByt
 		panic("mpi: negative partition size")
 	}
 	c.enter(p, 0).done()
-	pr := &PRequest{
+	pr := c.state().preqs.take()
+	*pr = PRequest{
 		comm:      c,
 		kind:      kind,
 		peer:      peer,
@@ -129,16 +130,53 @@ func (c *Comm) partInit(p *sim.Proc, kind reqKind, peer, tag, parts int, partByt
 		parts:     parts,
 		partBytes: partBytes,
 		impl:      c.world.cfg.PartImpl,
-		threadOf:  make([]int, parts),
+		threadOf:  resized(pr.threadOf, parts),
 		bootstrap: true,
+
+		// Storage an earlier init left: the epoch state is sized by Start.
+		readied:       pr.readied[:0],
+		readyTimes:    pr.readyTimes[:0],
+		arrived:       pr.arrived[:0],
+		arrivedTimes:  pr.arrivedTimes[:0],
+		partDone:      pr.partDone[:0],
+		covered:       pr.covered[:0],
+		inner:         pr.inner[:0],
+		allDone:       pr.allDone,
+		pendingNative: pr.pendingNative[:0],
 	}
+	pr.allDone.Reset()
 	for i := range pr.threadOf {
 		pr.threadOf[i] = i
 	}
 	if pr.impl == PartMPIPCL {
-		pr.inner = make([]*Request, parts)
+		pr.inner = extend(pr.inner, parts)
 	}
 	return pr
+}
+
+// resized returns xs with length n and every element zero, in xs's storage
+// when it is large enough.
+func resized[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
+}
+
+// rearmed returns n completions, not done, in cs's storage when it is large
+// enough. Reset, unlike zeroing, keeps the fire count a proc woken by the
+// last round still checks on its way out of Wait.
+func rearmed(cs []sim.Completion, n int) []sim.Completion {
+	if cap(cs) < n {
+		return make([]sim.Completion, n)
+	}
+	cs = cs[:n]
+	for i := range cs {
+		cs[i].Reset()
+	}
+	return cs
 }
 
 // nativeBind pairs a native-implementation PRequest with its peer through
@@ -197,6 +235,9 @@ func (w *World) bindAt(reg *rankState, key partKey, pr *PRequest) {
 			w.completeBind(reg, pr, other)
 			return
 		}
+	}
+	if reg.partRegistry == nil {
+		reg.partRegistry = make(map[partKey][]*PRequest)
 	}
 	reg.partRegistry[key] = append(pending, pr)
 }
@@ -276,9 +317,10 @@ func (pr *PRequest) pcclTag(i int) int { return pr.tag*maxPartitions + i }
 // all internal per-partition receives here; the native implementation just
 // arms its counters. Must be called from a serial section (one thread).
 //
-// The epoch state is made by the first Start and cleared in place by every
-// later one; ReadyTimes and ArrivalTimes hand out copies, so no caller sees
-// it reused.
+// The epoch state is sized by the first Start — in the storage of a request
+// an earlier world made, when the init reused one — and cleared in place by
+// every later one; ReadyTimes and ArrivalTimes hand out copies, so no caller
+// sees it reused.
 func (pr *PRequest) Start(p *sim.Proc) {
 	if pr.active {
 		panic("mpi: Start on active partitioned request")
@@ -287,25 +329,15 @@ func (pr *PRequest) Start(p *sim.Proc) {
 	pr.epoch++
 	pr.allDone.Reset()
 	pr.remaining = pr.parts
-	switch {
-	case pr.epoch > 1:
-		clear(pr.readied)
-		clear(pr.readyTimes)
-		clear(pr.arrived)
-		clear(pr.arrivedTimes)
-		clear(pr.covered)
-		for i := range pr.partDone {
-			pr.partDone[i].Reset()
-		}
-	case pr.kind == sendReq:
-		pr.readied = make([]bool, pr.parts)
-		pr.readyTimes = make([]sim.Time, pr.parts)
-	default:
-		pr.arrived = make([]bool, pr.parts)
-		pr.arrivedTimes = make([]sim.Time, pr.parts)
-		pr.partDone = make([]sim.Completion, pr.parts)
+	if pr.kind == sendReq {
+		pr.readied = resized(pr.readied, pr.parts)
+		pr.readyTimes = resized(pr.readyTimes, pr.parts)
+	} else {
+		pr.arrived = resized(pr.arrived, pr.parts)
+		pr.arrivedTimes = resized(pr.arrivedTimes, pr.parts)
+		pr.partDone = rearmed(pr.partDone, pr.parts)
 		if pr.impl == PartNative {
-			pr.covered = make([]int64, pr.parts)
+			pr.covered = resized(pr.covered, pr.parts)
 		}
 	}
 
@@ -342,32 +374,39 @@ func (pr *PRequest) startMPIPCL(p *sim.Proc) {
 			ctx:         c.ctxPccl(),
 			postedAt:    p.Now(),
 			matchedFrom: pr.peer,
-			onComplete:  rreq.onComplete,
+			part:        pr,
+			partIdx:     i,
 		}
 		c.postRecv(p, rreq)
 	}
 }
 
 // innerRequest returns partition i's inner request for the caller to restart
-// (overwrite, keeping onComplete). MPIPCL builds each partition on a
-// persistent request, so an epoch allocates none: the request and the hook
-// that reports its completion to pr are made on first use and kept. By the
-// time an epoch can start, the previous one has completed every inner
-// request; one with a completion still pending is a bug and panics.
+// (overwrite, pointing it back at pr and i). MPIPCL builds each partition on
+// a persistent request, so an epoch allocates none: the request is made on
+// first use and kept, by later epochs and by the next request an init makes
+// from pr's storage. By the time an epoch can start, the previous one has
+// completed every inner request; one with a completion still pending is a
+// bug and panics.
 func (pr *PRequest) innerRequest(i int) *Request {
 	r := pr.inner[i]
 	if r == nil {
 		r = new(Request)
-		if pr.kind == recvReq {
-			r.onComplete = func(t sim.Time) { pr.partitionArrived(i, t, r.data) }
-		} else {
-			r.onComplete = func(sim.Time) { pr.partitionSent() }
-		}
 		pr.inner[i] = r
 	} else if r.completing {
 		panic(fmt.Sprintf("mpi: partition %d restarted with a completion pending", i))
 	}
 	return r
+}
+
+// innerDone reports the completion of inner request r to pr: partition
+// r.partIdx arrived (receive side) or left (send side).
+func (pr *PRequest) innerDone(r *Request) {
+	if pr.kind == recvReq {
+		pr.partitionArrived(r.partIdx, r.completedAt, r.data)
+	} else {
+		pr.partitionSent()
+	}
 }
 
 func (pr *PRequest) startNative(p *sim.Proc) {
@@ -507,7 +546,8 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 			thread:      thread,
 			postedAt:    p.Now(),
 			matchedFrom: c.rank,
-			onComplete:  sreq.onComplete,
+			part:        pr,
+			partIdx:     i,
 		}
 		w.startSend(p.Now(), c.state(), w.ranks[pr.peer], sreq, extra)
 		call.done()

@@ -16,7 +16,8 @@ func (c *Comm) SendInitBytes(p *sim.Proc, dest, tag int, size int64) *Request {
 
 func (c *Comm) sendInit(p *sim.Proc, thread, dest, tag int, size int64, data []byte) *Request {
 	c.enter(p, 0).done()
-	return &Request{
+	r := c.state().persist.take()
+	*r = Request{
 		comm:        c,
 		kind:        sendReq,
 		peer:        c.worldOf(dest),
@@ -27,8 +28,10 @@ func (c *Comm) sendInit(p *sim.Proc, thread, dest, tag int, size int64, data []b
 		thread:      thread,
 		persistent:  true,
 		matchedFrom: c.rank,
-		done:        completedCompletion(p.Scheduler()),
+		done:        r.done,
 	}
+	r.inactive(p.Scheduler())
+	return r
 }
 
 // RecvInit creates a persistent receive request, the analogue of
@@ -39,7 +42,8 @@ func (c *Comm) RecvInit(p *sim.Proc, src, tag int) *Request {
 	if src != AnySource {
 		peer = c.worldOf(src)
 	}
-	return &Request{
+	r := c.state().persist.take()
+	*r = Request{
 		comm:        c,
 		kind:        recvReq,
 		peer:        peer,
@@ -47,16 +51,19 @@ func (c *Comm) RecvInit(p *sim.Proc, src, tag int) *Request {
 		ctx:         c.ctxP2P(),
 		persistent:  true,
 		matchedFrom: peer,
-		done:        completedCompletion(p.Scheduler()),
+		done:        r.done,
 	}
+	r.inactive(p.Scheduler())
+	return r
 }
 
-// completedCompletion returns a pre-fired completion: a persistent request
-// is "inactive" (and therefore wait-able as a no-op) until its first Start.
-func completedCompletion(s *sim.Scheduler) sim.Completion {
-	var c sim.Completion
-	c.Fire(s)
-	return c
+// inactive fires the new persistent request's completion: a persistent
+// request is "inactive" (and therefore wait-able as a no-op) until its first
+// Start. The completion may come from a request an earlier world made, which
+// may have been left started.
+func (r *Request) inactive(s *sim.Scheduler) {
+	r.done.Reset()
+	r.done.Fire(s)
 }
 
 // Start activates a persistent request for one transfer cycle, the analogue

@@ -44,9 +44,11 @@ type Request struct {
 	// pooled is set while the request sits on its rank's free list.
 	pooled bool
 
-	// onComplete, if set, runs in scheduler context when the request
-	// completes (used by the partitioned layer to track partition arrival).
-	onComplete func(t sim.Time)
+	// part is set on the inner request of partition partIdx of an MPIPCL
+	// partitioned request, which the request's completion reports to (see
+	// PRequest.innerDone).
+	part    *PRequest
+	partIdx int
 }
 
 // IsSend reports whether this is a send-side request.
@@ -110,7 +112,7 @@ func (r *Request) Free() {
 		panic("mpi: Free of a freed request")
 	case r.persistent:
 		panic("mpi: Free of a persistent request")
-	case r.onComplete != nil:
+	case r.part != nil:
 		panic("mpi: Free of a partitioned request's inner request")
 	case !r.done.Done():
 		panic("mpi: Free of an incomplete request")
@@ -143,8 +145,8 @@ func (r *Request) Fire(int) {
 	}
 	r.completing = false
 	r.done.Fire(r.comm.sched())
-	if r.onComplete != nil {
-		r.onComplete(r.completedAt)
+	if r.part != nil {
+		r.part.innerDone(r)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"partmb/internal/engine"
+	"partmb/internal/sim"
 )
 
 // WorkerConfig tunes a Worker runtime.
@@ -169,14 +170,19 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 
 // taskLoop long-polls for tasks and executes them until ctx dies. An
 // in-flight task is finished and its result posted even after cancellation,
-// so a graceful shutdown never strands a leased cell.
+// so a graceful shutdown never strands a leased cell. The loop's tasks build
+// their simulations on one sim.Arena, each starting with what the task before
+// it left (see engine.NewCell); it is closed when the loop ends, so no
+// coroutine outlives Run.
 func (w *Worker) taskLoop(ctx context.Context) {
+	var a sim.Arena
+	defer a.Close()
 	for ctx.Err() == nil {
 		task, ok := w.poll(ctx)
 		if !ok {
 			continue
 		}
-		res := w.execute(task)
+		res := w.execute(&a, task)
 		atomic.AddInt64(&w.executed, 1)
 		w.postResult(res)
 	}
@@ -207,9 +213,9 @@ func (w *Worker) poll(ctx context.Context) (Task, bool) {
 	return Task{}, false
 }
 
-// execute runs one task through the kind registry and builds its Result,
-// classifying errors for the wire with the engine's taxonomy.
-func (w *Worker) execute(t Task) Result {
+// execute runs one task through the kind registry on arena a and builds its
+// Result, classifying errors for the wire with the engine's taxonomy.
+func (w *Worker) execute(a *sim.Arena, t Task) Result {
 	res := Result{Schema: WireSchema, WorkerID: w.ID(), ID: t.ID, Key: t.Key}
 	fn := engine.LookupKind(t.Kind)
 	if fn == nil {
@@ -223,7 +229,7 @@ func (w *Worker) execute(t Task) Result {
 		time.Sleep(w.cfg.Throttle)
 	}
 	t0 := time.Now()
-	v, err := runKind(fn, t.Config)
+	v, err := runKind(fn, a, t.Config)
 	res.HostNS = time.Since(t0).Nanoseconds()
 	if err != nil {
 		res.Err = err.Error()
@@ -243,16 +249,17 @@ func (w *Worker) execute(t Task) Result {
 	return res
 }
 
-// runKind executes one cell, turning a panic into an ordinary (permanent)
-// cell error: a bad config must fail its own task, not the worker and the
-// other cells it holds leases on.
-func runKind(fn func(json.RawMessage) (any, error), config json.RawMessage) (v any, err error) {
+// runKind executes one cell on arena a, turning a panic into an ordinary
+// (permanent) cell error: a bad config must fail its own task, not the worker
+// and the other cells it holds leases on. A panic that unwinds through the
+// cell's drive leaves nothing on the arena (see sim.Arena).
+func runKind(fn engine.KindFunc, a *sim.Arena, config json.RawMessage) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			v, err = nil, fmt.Errorf("remote: cell panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
-	return fn(config)
+	return fn(a, config)
 }
 
 // postResult delivers a result, retrying briefly: losing a computed result

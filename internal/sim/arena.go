@@ -4,18 +4,21 @@ import "math/rand"
 
 // Arena hands what one simulation leaves behind to the next one built from
 // it: the coroutines of its finished procs, its event freelist, the capacity
-// of its event queue and proc list, and the random generators its noise
-// models drew from. A cell that forks worker teams every iteration pays for
-// those once per arena instead of once per cell.
+// of its event queue and proc list, the random generators its noise models
+// drew from, and whatever the layer above asked it to keep (Keep): the MPI
+// world, whose ranks, matchers, free lists and partitioned requests the next
+// world is built from. A cell that forks worker teams every iteration pays
+// for those once per arena instead of once per cell.
 //
 // New is the only way in: a Scheduler from a.New() starts with whatever the
 // previous scheduler from a gave back. A drive that drains cleanly — every
 // proc finished — gives back its idle runners (re-pointed at the next
-// scheduler, not stopped) and its free events. A dead drive (a deadlock, or a
-// panic unwinding through it) stops every runner instead, as a scheduler
-// without an arena does, so it discards what it borrowed. What the previous
-// scheduler still holds because it never finished a drive is reclaimed —
-// its coroutines stopped — by the next New or by Close.
+// scheduler, not stopped), its free events and what it was asked to Keep. A
+// dead drive (a deadlock, or a panic unwinding through it) stops every
+// runner instead, as a scheduler without an arena does, so it discards what
+// it borrowed. What the previous scheduler still holds because it never
+// finished a drive is reclaimed — its coroutines stopped — by the next New
+// or by Close.
 //
 // A nil *Arena is the empty arena: (*Arena)(nil).New() is New(), which keeps
 // nothing, and Rand builds a fresh generator. An Arena serves one simulation
@@ -33,6 +36,10 @@ type Arena struct {
 	rngs []*rand.Rand
 	lent int
 
+	// kept is what the last scheduler to drain cleanly was asked to Keep,
+	// until the next New hands it on (see Scheduler.Kept).
+	kept any
+
 	// last is the scheduler the last New returned. While it has not given
 	// back (its arena field still points here) it holds the runners.
 	last *Scheduler
@@ -46,8 +53,8 @@ func (a *Arena) New() *Scheduler {
 		return s
 	}
 	a.reclaim()
-	s.idle, s.free, s.queue, s.procs = a.idle, a.free, a.queue, a.procs
-	a.idle, a.free, a.queue, a.procs = nil, nil, nil, nil
+	s.idle, s.free, s.queue, s.procs, s.kept = a.idle, a.free, a.queue, a.procs, a.kept
+	a.idle, a.free, a.queue, a.procs, a.kept = nil, nil, nil, nil, nil
 	for _, r := range s.idle {
 		r.s = s
 	}
@@ -100,8 +107,9 @@ func (a *Arena) reclaim() {
 
 // release ends the scheduler's hold on its coroutines and events once its
 // last drive is over. After a clean drain the idle runners, the event
-// freelist and the queue and proc-list capacity go back to the arena;
-// without an arena, or after a dead drive, every runner is stopped.
+// freelist, the queue and proc-list capacity and what Keep was given go back
+// to the arena; without an arena, or after a dead drive, every runner is
+// stopped and the rest is dropped.
 func (s *Scheduler) release(clean bool) {
 	a := s.arena
 	s.arena = nil
@@ -109,6 +117,26 @@ func (s *Scheduler) release(clean bool) {
 		s.stopRunners()
 		return
 	}
-	a.idle, a.free, a.queue, a.procs = s.idle, s.free, s.queue[:0], s.procs[:0]
+	a.idle, a.free, a.queue, a.procs, a.kept = s.idle, s.free, s.queue[:0], s.procs[:0], s.keep
 	s.idle, s.free, s.queue, s.procs = nil, nil, nil, nil
+}
+
+// Keep asks the scheduler to hand v to the next scheduler built from its
+// arena, which gets it from Kept, if its drive drains cleanly. A later Keep
+// replaces v. Without an arena, or when the drive dies, v is dropped: a layer
+// above the kernel keeps its state across simulations this way — the MPI
+// world keeps its ranks — and a simulation that deadlocked or panicked hands
+// nothing on.
+func (s *Scheduler) Keep(v any) { s.keep = v }
+
+// Kept returns what the previous scheduler from this one's arena was asked to
+// Keep, if that scheduler drained cleanly, and forgets it: only the first
+// caller gets it. It is nil on a scheduler without an arena. The simulation
+// that kept the value is over, so the caller may reuse it; code that builds
+// two schedulers from one arena must be done with the first one's state
+// before it builds the second.
+func (s *Scheduler) Kept() any {
+	v := s.kept
+	s.kept = nil
+	return v
 }

@@ -235,3 +235,65 @@ func TestArenaRandMatchesNewSource(t *testing.T) {
 		t.Fatal("New did not take back the lent generators")
 	}
 }
+
+// What a scheduler Keeps reaches the arena's next scheduler, once, only after
+// a clean drain: a dead drive, a scheduler that never finished its drive, a
+// Close and the nil arena all drop it.
+func TestArenaKeepsStateOnlyAcrossCleanDrains(t *testing.T) {
+	var a Arena
+	defer a.Close()
+	keep := func(s *Scheduler, v any) *Scheduler {
+		s.Keep("replaced")
+		s.Keep(v)
+		return s
+	}
+	run := func(s *Scheduler) *Scheduler {
+		forkJoin(s, 2, 2)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	run(keep(a.New(), 1))
+	s := a.New()
+	if got, again := s.Kept(), s.Kept(); got != 1 || again != nil {
+		t.Fatalf("Kept = %v then %v, want 1 then nil", got, again)
+	}
+	run(s) // kept nothing
+	if got := a.New().Kept(); got != nil {
+		t.Fatalf("a scheduler that kept nothing handed on %v", got)
+	}
+
+	for name, end := range map[string]func(s *Scheduler){
+		"deadlock": func(s *Scheduler) {
+			s.Spawn("stuck", func(p *Proc) {
+				var never Completion
+				never.Wait(p)
+			})
+			s.Run()
+		},
+		"panic": func(s *Scheduler) {
+			s.Spawn("bad", func(p *Proc) { panic("boom") })
+			panicValue(func() { s.Run() })
+		},
+		"never driven":  func(*Scheduler) {},
+		"partly driven": func(s *Scheduler) { forkJoin(s, 2, 2); s.RunUntil(0) },
+		"closed":        func(s *Scheduler) { run(s); a.Close() },
+	} {
+		run(keep(a.New(), 2)) // the state the next one would have inherited
+		s := a.New()
+		if got := s.Kept(); got != 2 {
+			t.Fatalf("%s: inherited %v, want 2", name, got)
+		}
+		end(keep(s, 3))
+		if got := a.New().Kept(); got != nil {
+			t.Errorf("%s: the next scheduler inherited %v, want nothing", name, got)
+		}
+	}
+
+	var none *Arena
+	run(keep(none.New(), 4))
+	if got := none.New().Kept(); got != nil {
+		t.Fatalf("the nil arena handed on %v", got)
+	}
+}

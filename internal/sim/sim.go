@@ -328,6 +328,9 @@ type Scheduler struct {
 	// arena is the Arena the scheduler came from and gives back to, until
 	// it has given back or been reclaimed; nil for New.
 	arena *Arena
+	// kept is what the arena's previous scheduler kept, until Kept takes
+	// it; keep is what this one keeps for the next (see Keep).
+	kept, keep any
 
 	// driving is set while a drive loop (Run, RunUntil) is on the
 	// stack; re-entering a drive from an event callback panics.
