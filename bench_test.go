@@ -15,6 +15,7 @@ import (
 	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/noise"
+	"partmb/internal/omp"
 	"partmb/internal/patterns"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
@@ -148,28 +149,37 @@ func procHandoff(n int) *sim.Scheduler {
 	return s
 }
 
-// forkJoinSpawn measures one fork and join of an 8-proc team per op, the
-// paper's per-iteration OpenMP region. The scheduler's runner pool reuses
-// the team's coroutines and the Proc values inside them, and the WaitGroup
-// keeps its waiter list, so an op allocates nothing.
+// forkJoinSpawn measures one fork and join of an 8-thread compute region
+// per op, the paper's per-iteration OpenMP region, forked the way core.Run's
+// partitioned phase forks it: one omp.Compute body for the whole run draws
+// each region's noisy compute times into its own slice, and thread t sleeps
+// its time and then hands its index to the continuation, which reads the
+// fork's inputs from its fields. The runner pool reuses the coroutines and
+// the Proc values inside them, the thread index rides on the runner, and no
+// name is formatted, so an op allocates nothing.
 func forkJoinSpawn(n int) *sim.Scheduler {
 	const team = 8
 	s := sim.New()
-	var wg sim.WaitGroup
-	worker := func(p *sim.Proc) {
-		p.Sleep(sim.Nanosecond)
-		wg.Done(s)
-	}
+	then := &readiedThreads{readied: make([]int, team)}
+	compute := omp.NewCompute(cluster.Place(cluster.Niagara(), team), noise.New(noise.Uniform, 4, 1, nil), sim.Microsecond, then)
 	s.Spawn("master", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			wg.Add(s, team)
-			for w := 0; w < team; w++ {
-				s.Spawn("worker", worker)
-			}
-			wg.Wait(p)
+			then.it = i
+			omp.ComputeRegion(p, compute)
 		}
 	})
 	return s
+}
+
+// readiedThreads records, per thread, the last iteration it finished in.
+type readiedThreads struct {
+	it      int
+	readied []int
+}
+
+func (b *readiedThreads) Thread(tp *sim.Proc, t int) { b.readied[t] = b.it }
+func (b *readiedThreads) ThreadName(t int) string {
+	return fmt.Sprintf("w2-%d-%d", b.it, t)
 }
 
 // pingPong builds n simulated ping-pongs of size-byte messages.
@@ -304,11 +314,14 @@ func TestAllocPins(t *testing.T) {
 
 	// A cell's set-up: a quick core.Run cell on one engine lane starts with
 	// the coroutines, events, noise generator and MPI world the cell before
-	// it left in the lane's arena. The same cell on no arena (outside any
-	// Sweep) costs 29,248 B in 459 allocations, and cost 17,640 B in 316 on a
-	// warm arena that did not keep its world. Bytes move by a few per run, so
-	// they are pinned with that much slack. Under -race, sync.Pool drops Puts
-	// at random (fmt's printers, the keying encoders), so the pin is skipped.
+	// it left in the lane's arena, and its forks allocate nothing. It
+	// measures 3,704 B in 68 allocations; the same cell on no arena (outside
+	// any Sweep) costs 24,448 B in 302. Before forks stopped allocating
+	// (a closure and a name per thread, noise and timestamp slices per
+	// iteration) the warm cell cost 8,984 B in 225, and before arenas kept
+	// worlds 17,640 B in 316. Bytes move by a few per run, so they are pinned
+	// with that much slack. Under -race, sync.Pool drops Puts at random
+	// (fmt's printers, the keying encoders), so the pin is skipped.
 	if raceEnabled {
 		return
 	}
@@ -316,8 +329,8 @@ func TestAllocPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes > 9050 || allocs > 225 {
-		t.Errorf("CoreCellWarmArena: %d B in %d allocs, pinned at 9050 B in 225", bytes, allocs)
+	if bytes > 3770 || allocs > 68 {
+		t.Errorf("CoreCellWarmArena: %d B in %d allocs, pinned at 3770 B in 68", bytes, allocs)
 	}
 }
 

@@ -88,20 +88,20 @@ func run(usePartitioned bool) sim.Duration {
 				recvB.Start(p)
 				// Worker threads: compute a slice of the block product,
 				// then ready that slice of both outgoing blocks.
-				omp.Region(p, threads, func(tp *sim.Proc, t int) {
+				omp.Region(p, threads, omp.Func(func(tp *sim.Proc, t int) {
 					tp.Sleep(sliceCompute(place, t))
 					sendA.Pready(tp, t)
 					sendB.Pready(tp, t)
-				})
+				}))
 				sendA.Wait(p)
 				sendB.Wait(p)
 				recvA.Wait(p)
 				recvB.Wait(p)
 			} else {
 				// Compute, join, then shift whole blocks.
-				omp.Region(p, threads, func(tp *sim.Proc, t int) {
+				omp.Region(p, threads, omp.Func(func(tp *sim.Proc, t int) {
 					tp.Sleep(sliceCompute(place, t))
-				})
+				}))
 				rowComm.SendrecvBytes(p, left, 1, blockSize, right, 1)
 				colComm.SendrecvBytes(p, up, 2, blockSize, down, 2)
 			}

@@ -13,6 +13,7 @@ import (
 
 	"partmb/internal/cluster"
 	"partmb/internal/mpi"
+	"partmb/internal/omp"
 	"partmb/internal/sim"
 )
 
@@ -46,20 +47,13 @@ func main() {
 		c.Barrier(p)
 
 		pr.Start(p)
-		var join sim.WaitGroup
-		join.Add(s, threads)
-		for t := 0; t < threads; t++ {
-			t := t
-			s.Spawn(fmt.Sprintf("worker%d", t), func(tp *sim.Proc) {
-				// Each thread produces two partitions, with skewed compute.
-				tp.Sleep(sim.Duration(1+t) * sim.Millisecond)
-				pr.Pready(tp, 2*t)
-				tp.Sleep(500 * sim.Microsecond)
-				pr.Pready(tp, 2*t+1)
-				join.Done(s)
-			})
-		}
-		join.Wait(p)
+		omp.Region(p, threads, omp.Func(func(tp *sim.Proc, t int) {
+			// Each thread produces two partitions, with skewed compute.
+			tp.Sleep(sim.Duration(1+t) * sim.Millisecond)
+			pr.Pready(tp, 2*t)
+			tp.Sleep(500 * sim.Microsecond)
+			pr.Pready(tp, 2*t+1)
+		}))
 		pr.Wait(p)
 		fmt.Printf("sender:   all partitions readied by t=%v\n", sim.Duration(p.Now()))
 		c.Barrier(p)

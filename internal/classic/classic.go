@@ -17,6 +17,7 @@ import (
 	"partmb/internal/engine"
 	"partmb/internal/memsim"
 	"partmb/internal/mpi"
+	"partmb/internal/omp"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
 	"partmb/internal/stats"
@@ -369,45 +370,57 @@ func threadLatencyAt(a *sim.Arena, cfg Config, threads int, size int64) (sim.Dur
 	c0, c1 := w.Comm(0), w.Comm(1)
 	c0.SetPlacement(cluster.Place(cfg.Platform.Machine, threads))
 	c1.SetPlacement(cluster.Place(cfg.Platform.Machine, threads))
-	total := cfg.Warmup + cfg.Iterations
-	var start, end sim.Time
-	startBar := sim.NewBarrier(2 * threads)
-	var done sim.WaitGroup
-	done.Add(s, 2*threads)
-	for t := 0; t < threads; t++ {
-		t := t
-		s.Spawn(fmt.Sprintf("ping%d", t), func(p *sim.Proc) {
-			ep := c0.Endpoint(t)
-			startBar.Await(p)
-			if t == 0 {
-				start = p.Now()
-			}
-			for it := 0; it < total; it++ {
-				ep.SendBytes(p, 1, 2*t, size)
-				ep.Recv(p, 1, 2*t+1)
-			}
-			if p.Now() > end {
-				end = p.Now()
-			}
-			done.Done(s)
-		})
-		s.Spawn(fmt.Sprintf("pong%d", t), func(p *sim.Proc) {
-			ep := c1.Endpoint(t)
-			startBar.Await(p)
-			for it := 0; it < total; it++ {
-				ep.Recv(p, 0, 2*t)
-				ep.SendBytes(p, 0, 2*t+1, size)
-			}
-			done.Done(s)
-		})
+	pairs := &threadPairs{
+		c0: c0, c1: c1, size: size,
+		total:    cfg.Warmup + cfg.Iterations,
+		startBar: sim.NewBarrier(2 * threads),
 	}
-	s.Spawn("join", func(p *sim.Proc) { done.Wait(p) })
+	s.Spawn("join", func(p *sim.Proc) { omp.Region(p, 2*threads, pairs) })
 	if err := s.Run(); err != nil {
 		return 0, err
 	}
-	span := end.Sub(start)
+	span := pairs.end.Sub(pairs.start)
 	// Per-message half round trip, averaged over every pair's traffic.
-	return span / sim.Duration(2*total), nil
+	return span / sim.Duration(2*pairs.total), nil
+}
+
+// threadPairs is the threads of the multithreaded latency test: thread 2t
+// pings from thread t of rank 0, thread 2t+1 answers on thread t of rank 1.
+type threadPairs struct {
+	c0, c1     *mpi.Comm
+	size       int64
+	total      int
+	startBar   *sim.Barrier
+	start, end sim.Time
+}
+
+func (b *threadPairs) Thread(p *sim.Proc, m int) {
+	t := m / 2
+	b.startBar.Await(p)
+	if m%2 == 1 {
+		ep := b.c1.Endpoint(t)
+		for it := 0; it < b.total; it++ {
+			ep.Recv(p, 0, 2*t)
+			ep.SendBytes(p, 0, 2*t+1, b.size)
+		}
+		return
+	}
+	if t == 0 {
+		b.start = p.Now()
+	}
+	ep := b.c0.Endpoint(t)
+	for it := 0; it < b.total; it++ {
+		ep.SendBytes(p, 1, 2*t, b.size)
+		ep.Recv(p, 1, 2*t+1)
+	}
+	b.end = max(b.end, p.Now())
+}
+
+func (b *threadPairs) ThreadName(m int) string {
+	if m%2 == 1 {
+		return fmt.Sprintf("pong%d", m/2)
+	}
+	return fmt.Sprintf("ping%d", m/2)
 }
 
 // MatchStress measures the receive-posting cost behind an unexpected queue

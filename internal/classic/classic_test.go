@@ -187,3 +187,25 @@ func TestValidationErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestThreadLatencyPinned pins the exact half round trips of the
+// multithreaded latency test at one and four thread pairs. The literals were
+// recorded before its ping and pong threads became one omp region, which
+// must not move them.
+func TestThreadLatencyPinned(t *testing.T) {
+	for _, want := range []struct {
+		threads int
+		latency sim.Duration
+	}{
+		{1, 2040},
+		{4, 4779},
+	} {
+		got, err := ThreadLatency(nil, quickCfg(), want.threads, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want.latency {
+			t.Errorf("%d threads: %d ns, pinned at %d", want.threads, int64(got), int64(want.latency))
+		}
+	}
+}

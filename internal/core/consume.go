@@ -7,6 +7,7 @@ import (
 	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/noise"
+	"partmb/internal/omp"
 	"partmb/internal/sim"
 )
 
@@ -72,6 +73,30 @@ func RunConsume(cfg Config, consumePerPartition sim.Duration) (*ConsumeResult, e
 	}, nil
 }
 
+// consumers is the receiver's consumer threads, one body for every fork of
+// a cell: thread i waits for partition i when pipelined, then consumes it.
+type consumers struct {
+	pipelined bool
+	it        int
+	precv     *mpi.PRequest
+	place     *cluster.Placement
+	consume   sim.Duration
+}
+
+func (b *consumers) Thread(tp *sim.Proc, i int) {
+	if b.pipelined {
+		b.precv.WaitPartition(tp, i)
+	}
+	tp.Sleep(b.place.ComputeTime(i, b.consume))
+}
+
+func (b *consumers) ThreadName(i int) string {
+	if b.pipelined {
+		return fmt.Sprintf("cc-%d-%d", b.it, i)
+	}
+	return fmt.Sprintf("cb-%d-%d", b.it, i)
+}
+
 // runConsumeMode measures the mean fork-to-last-consumption span on a
 // simulation built on arena a.
 func runConsumeMode(a *sim.Arena, cfg Config, consume sim.Duration, pipelined bool) (sim.Duration, error) {
@@ -99,28 +124,17 @@ func runConsumeMode(a *sim.Arena, cfg Config, consume sim.Duration, pipelined bo
 		c.SetPlacement(placement)
 		psend := c.PsendInit(p, 1, tagPart, n, partBytes)
 		single := c.SendInitBytes(p, 1, tagSingle, cfg.MessageBytes)
+		threads := &readyThreads{name: "cw-%d-%d", ready: pipelined, psend: psend}
+		compute := omp.NewCompute(placement, noiseModel, cfg.Compute, threads)
 		c.Barrier(p)
 		for it := 0; it < total; it++ {
 			c.Barrier(p)
-			compute := noiseModel.Region(n, cfg.Compute)
 			forkAts[it] = p.Now()
-			var join sim.WaitGroup
-			join.Add(s, n)
 			if pipelined {
 				psend.Start(p)
 			}
-			for i := 0; i < n; i++ {
-				i := i
-				d := placement.ComputeTime(i, compute[i])
-				s.Spawn(fmt.Sprintf("cw-%d-%d", it, i), func(tp *sim.Proc) {
-					tp.Sleep(d)
-					if pipelined {
-						psend.Pready(tp, i)
-					}
-					join.Done(s)
-				})
-			}
-			join.Wait(p)
+			threads.it = it
+			omp.ComputeRegion(p, compute)
 			if pipelined {
 				psend.Wait(p)
 			} else {
@@ -136,41 +150,22 @@ func runConsumeMode(a *sim.Arena, cfg Config, consume sim.Duration, pipelined bo
 		c.SetPlacement(placement)
 		precv := c.PrecvInit(p, 0, tagPart, n, partBytes)
 		single := c.RecvInit(p, 0, tagSingle)
+		consumers := &consumers{pipelined: pipelined, precv: precv, place: placement, consume: consume}
 		c.Barrier(p)
 		for it := 0; it < total; it++ {
-			it := it
 			c.Barrier(p)
+			consumers.it = it
 			if pipelined {
-				precv.Start(p)
-				// One consumer thread per partition: wait for the
-				// partition, then consume it. All consumers run
+				// One consumer thread per partition, all running
 				// concurrently on the receiver node.
-				var done sim.WaitGroup
-				done.Add(s, n)
-				for i := 0; i < n; i++ {
-					i := i
-					s.Spawn(fmt.Sprintf("cc-%d-%d", it, i), func(tp *sim.Proc) {
-						precv.WaitPartition(tp, i)
-						tp.Sleep(placement.ComputeTime(i, consume))
-						done.Done(s)
-					})
-				}
-				done.Wait(p)
+				precv.Start(p)
+				omp.Region(p, n, consumers)
 				precv.Wait(p)
 			} else {
 				single.Start(p)
 				single.Wait(p)
 				// Full message present: consumers start together.
-				var done sim.WaitGroup
-				done.Add(s, n)
-				for i := 0; i < n; i++ {
-					i := i
-					s.Spawn(fmt.Sprintf("cb-%d-%d", it, i), func(tp *sim.Proc) {
-						tp.Sleep(placement.ComputeTime(i, consume))
-						done.Done(s)
-					})
-				}
-				done.Wait(p)
+				omp.Region(p, n, consumers)
 			}
 			consumedAts[it] = p.Now()
 			c.Barrier(p)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"partmb/internal/mpi"
 	"partmb/internal/noise"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
@@ -74,5 +75,36 @@ func TestReceiveOverlapZeroConsumeNearOne(t *testing.T) {
 	}
 	if res.Speedup() < 0.7 || res.Speedup() > 1.7 {
 		t.Fatalf("zero-consume speedup = %.3f, want near 1", res.Speedup())
+	}
+}
+
+// TestRunConsumePinned pins the exact spans of the `extensions -study
+// overlap` table (64 MiB in 16 partitions, 5 ms of compute under 4 %
+// uniform noise, THREAD_MULTIPLE). No golden covers RunConsume; the literals
+// were recorded before its three forks became omp regions, which must not
+// move them.
+func TestRunConsumePinned(t *testing.T) {
+	cfg := Config{
+		MessageBytes: 64 << 20,
+		Partitions:   16,
+		Compute:      5 * sim.Millisecond,
+		Iterations:   6,
+		Warmup:       2,
+		Platform:     platform.Niagara().WithNoise(noise.Uniform, 4).WithThreadMode(mpi.Multiple),
+	}
+	for _, want := range []struct{ consume, baseline, partitioned sim.Duration }{
+		{0, 10791501, 10625228},
+		{500 * sim.Microsecond, 11291501, 11125228},
+		{2 * sim.Millisecond, 12791501, 12625228},
+		{5 * sim.Millisecond, 15791501, 15625228},
+	} {
+		res, err := RunConsume(cfg, want.consume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Baseline != want.baseline || res.Partitioned != want.partitioned {
+			t.Errorf("consume %v: baseline %d ns, partitioned %d ns; pinned at %d, %d",
+				want.consume, int64(res.Baseline), int64(res.Partitioned), int64(want.baseline), int64(want.partitioned))
+		}
 	}
 }

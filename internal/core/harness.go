@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"partmb/internal/cluster"
 	"partmb/internal/engine"
@@ -9,6 +10,7 @@ import (
 	"partmb/internal/mpi"
 	"partmb/internal/netsim"
 	"partmb/internal/noise"
+	"partmb/internal/omp"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
 	"partmb/internal/stats"
@@ -155,6 +157,25 @@ func (r *Result) SimElapsed() sim.Duration {
 	return total
 }
 
+// readyThreads is what a sender's threads do after computing, one body for
+// every fork of a cell: thread i readies partition i when ready is set.
+// name formats thread i's name from the iteration and i, so threads keep
+// the names they had when every fork formatted them.
+type readyThreads struct {
+	name  string
+	ready bool
+	it    int
+	psend *mpi.PRequest
+}
+
+func (b *readyThreads) Thread(tp *sim.Proc, i int) {
+	if b.ready {
+		b.psend.Pready(tp, i)
+	}
+}
+
+func (b *readyThreads) ThreadName(i int) string { return fmt.Sprintf(b.name, b.it, i) }
+
 // iterRecord is the cross-rank scratchpad for one iteration.
 type iterRecord struct {
 	pt2ptStart sim.Time
@@ -163,8 +184,8 @@ type iterRecord struct {
 	lastReady  sim.Time
 	lastArrive sim.Time
 	joinEquiv  sim.Time
-	// timeline detail for tracing
-	forkAt      sim.Time
+	forkAt     sim.Time
+	// timeline detail, kept only when tracing
 	computes    []sim.Duration
 	readyTimes  []sim.Time
 	arriveTimes []sim.Time
@@ -199,6 +220,18 @@ func run(a *sim.Arena, cfg Config) (*Result, error) {
 	total := cfg.Warmup + cfg.Iterations
 
 	records := make([]iterRecord, total)
+	if cfg.Trace != nil {
+		// The timeline detail of every iteration shares one array per
+		// type; without a trace it stays nil and filling it does nothing.
+		computes := make([]sim.Duration, total*n)
+		times := make([]sim.Time, 2*total*n)
+		for it := range records {
+			rec := &records[it]
+			rec.computes = computes[it*n : (it+1)*n]
+			rec.readyTimes = times[2*it*n : (2*it+1)*n]
+			rec.arriveTimes = times[(2*it+1)*n : (2*it+2)*n]
+		}
+	}
 
 	// Sender, rank 0.
 	s.Spawn("bench/sender", func(p *sim.Proc) {
@@ -206,6 +239,8 @@ func run(a *sim.Arena, cfg Config) (*Result, error) {
 		c.SetPlacement(placement)
 		psend := c.PsendInit(p, 1, tagPart, n, partBytes)
 		single := c.SendInitBytes(p, 1, tagSingle, cfg.MessageBytes)
+		threads := &readyThreads{psend: psend}
+		compute := omp.NewCompute(placement, noiseModel, cfg.Compute, threads)
 		c.Barrier(p)
 		for it := 0; it < total; it++ {
 			rec := &records[it]
@@ -213,57 +248,32 @@ func run(a *sim.Arena, cfg Config) (*Result, error) {
 			if invalidate > 0 {
 				p.Sleep(invalidate)
 			}
-			compute := noiseModel.Region(n, cfg.Compute)
 
 			// Phase 1 — single-send model: fork, compute, join, one send.
-			var join sim.WaitGroup
-			join.Add(s, n)
-			for i := 0; i < n; i++ {
-				i := i
-				s.Spawn(fmt.Sprintf("w1-%d-%d", it, i), func(tp *sim.Proc) {
-					tp.Sleep(placement.ComputeTime(i, compute[i]))
-					join.Done(s)
-				})
-			}
-			join.Wait(p)
+			threads.name, threads.ready, threads.it = "w1-%d-%d", false, it
+			omp.ComputeRegion(p, compute)
 			rec.pt2ptStart = p.Now()
 			single.Start(p)
 			single.Wait(p)
 			c.Barrier(p) // phase boundary: receiver has completed and re-armed
 
-			// Phase 2 — partitioned: fork, compute, Pready per thread.
+			// Phase 2 — partitioned: fork, compute the same draws, Pready
+			// per thread.
 			psend.Start(p)
-			forkAt := p.Now()
-			var join2 sim.WaitGroup
-			join2.Add(s, n)
-			var maxCompute sim.Duration
-			rec.computes = make([]sim.Duration, n)
-			for i := 0; i < n; i++ {
-				i := i
-				d := placement.ComputeTime(i, compute[i])
-				rec.computes[i] = d
-				if d > maxCompute {
-					maxCompute = d
-				}
-				s.Spawn(fmt.Sprintf("w2-%d-%d", it, i), func(tp *sim.Proc) {
-					tp.Sleep(d)
-					psend.Pready(tp, i)
-					join2.Done(s)
-				})
-			}
-			rec.joinEquiv = forkAt.Add(maxCompute)
-			join2.Wait(p)
+			rec.forkAt = p.Now()
+			rec.joinEquiv = rec.forkAt.Add(slices.Max(compute.Times))
+			threads.name, threads.ready = "w2-%d-%d", true
+			omp.Region(p, n, compute)
 			psend.Wait(p)
 			rec.firstReady = psend.FirstReadyAt()
-			ready := psend.ReadyTimes()
-			rec.lastReady = ready[0]
-			for _, r := range ready[1:] {
-				if r > rec.lastReady {
-					rec.lastReady = r
-				}
+			rec.lastReady = psend.ReadyAt(0)
+			for i := 1; i < n; i++ {
+				rec.lastReady = max(rec.lastReady, psend.ReadyAt(i))
 			}
-			rec.forkAt = forkAt
-			rec.readyTimes = ready
+			copy(rec.computes, compute.Times)
+			for i := range rec.readyTimes {
+				rec.readyTimes[i] = psend.ReadyAt(i)
+			}
 			c.Barrier(p) // iteration end
 		}
 	})
@@ -291,7 +301,9 @@ func run(a *sim.Arena, cfg Config) (*Result, error) {
 			precv.Start(p)
 			precv.Wait(p)
 			rec.lastArrive = precv.LastArriveAt()
-			rec.arriveTimes = precv.ArrivalTimes()
+			for i := range rec.arriveTimes {
+				rec.arriveTimes[i] = precv.ArrivedAt(i)
+			}
 			c.Barrier(p)
 		}
 	})

@@ -170,15 +170,24 @@ func (m *Model) Percent() float64 { return m.percent * 100 }
 // n threads with the given base compute amount. Thread i computes for
 // result[i].
 func (m *Model) Region(n int, base sim.Duration) []sim.Duration {
+	out := make([]sim.Duration, n)
+	m.Draw(out, base)
+	return out
+}
+
+// Draw is Region into a slice the caller owns: it overwrites out with the
+// durations of one region of len(out) threads, drawing exactly what Region
+// would.
+func (m *Model) Draw(out []sim.Duration, base sim.Duration) {
+	n := len(out)
 	if n <= 0 {
 		panic("noise: region needs at least one thread")
 	}
-	out := make([]sim.Duration, n)
 	for i := range out {
 		out[i] = base
 	}
 	if m.percent == 0 || m.kind == None {
-		return out
+		return
 	}
 	amount := float64(base) * m.percent
 	m.mu.Lock()
@@ -214,7 +223,6 @@ func (m *Model) Region(n int, base sim.Duration) []sim.Duration {
 			out[i] = m.stretchPeriodic(base, phase)
 		}
 	}
-	return out
 }
 
 // stretchPeriodic returns the wall time needed to accumulate base CPU time

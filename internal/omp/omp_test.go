@@ -12,9 +12,9 @@ func TestRegionJoinsAtSlowest(t *testing.T) {
 	s := sim.New()
 	var joinedAt sim.Time
 	s.Spawn("main", func(p *sim.Proc) {
-		Region(p, 4, func(tp *sim.Proc, th int) {
+		Region(p, 4, Func(func(tp *sim.Proc, th int) {
 			tp.Sleep(sim.Duration(th+1) * sim.Millisecond)
-		})
+		}))
 		joinedAt = p.Now()
 	})
 	if err := s.Run(); err != nil {
@@ -29,9 +29,9 @@ func TestRegionThreadIndices(t *testing.T) {
 	s := sim.New()
 	seen := make([]bool, 8)
 	s.Spawn("main", func(p *sim.Proc) {
-		Region(p, 8, func(tp *sim.Proc, th int) {
+		Region(p, 8, Func(func(tp *sim.Proc, th int) {
 			seen[th] = true
-		})
+		}))
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestComputeRegionAppliesPlacementAndNoise(t *testing.T) {
 	var durations []sim.Duration
 	var joinedAt sim.Time
 	s.Spawn("main", func(p *sim.Proc) {
-		durations = ComputeRegion(p, place, nm, 10*sim.Millisecond, nil)
+		durations = ComputeRegion(p, NewCompute(place, nm, 10*sim.Millisecond, Func(func(*sim.Proc, int) {})))
 		joinedAt = p.Now()
 	})
 	if err := s.Run(); err != nil {
@@ -71,9 +71,9 @@ func TestComputeRegionThen(t *testing.T) {
 	place := cluster.Place(cluster.Niagara(), 4)
 	nm := noise.New(noise.None, 0, 1, nil)
 	s.Spawn("main", func(p *sim.Proc) {
-		ComputeRegion(p, place, nm, sim.Millisecond, func(tp *sim.Proc, th int) {
+		ComputeRegion(p, NewCompute(place, nm, sim.Millisecond, Func(func(tp *sim.Proc, th int) {
 			order[th] = tp.Now()
-		})
+		})))
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -89,14 +89,13 @@ func TestTeamSteps(t *testing.T) {
 	s := sim.New()
 	var counts [3]int
 	s.Spawn("main", func(p *sim.Proc) {
-		tm := NewTeam(s, "t", 3)
+		tm := NewTeam(s, 3, 5, Func(func(tp *sim.Proc, th int) {
+			tp.Sleep(sim.Microsecond)
+			counts[th]++
+		}))
 		for step := 0; step < 5; step++ {
-			tm.Step(p, func(tp *sim.Proc, th int) {
-				tp.Sleep(sim.Microsecond)
-				counts[th]++
-			})
+			tm.Step(p)
 		}
-		tm.Close(p)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -108,14 +107,23 @@ func TestTeamSteps(t *testing.T) {
 	}
 }
 
+// TestTeamVaryingBodies drives one team through steps that do different
+// work: the body reads what to do from state the caller sets between steps.
 func TestTeamVaryingBodies(t *testing.T) {
 	s := sim.New()
 	var a, b int
+	step := 0
 	s.Spawn("main", func(p *sim.Proc) {
-		tm := NewTeam(s, "v", 2)
-		tm.Step(p, func(tp *sim.Proc, th int) { a++ })
-		tm.Step(p, func(tp *sim.Proc, th int) { b++ })
-		tm.Close(p)
+		tm := NewTeam(s, 2, 2, Func(func(tp *sim.Proc, th int) {
+			if step == 0 {
+				a++
+			} else {
+				b++
+			}
+		}))
+		tm.Step(p)
+		step++
+		tm.Step(p)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -128,30 +136,32 @@ func TestTeamVaryingBodies(t *testing.T) {
 func TestTeamMisuse(t *testing.T) {
 	s := sim.New()
 	s.Spawn("main", func(p *sim.Proc) {
-		tm := NewTeam(s, "m", 2)
-		mustPanic := func(name string, f func()) {
+		tm := NewTeam(s, 2, 1, Func(func(*sim.Proc, int) {}))
+		tm.Step(p)
+		defer func() {
+			if recover() == nil {
+				t.Errorf("step past the last did not panic")
+			}
+		}()
+		tm.Step(p)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Constructor validation.
+	for name, f := range map[string]func(){
+		"zero-size team": func() { NewTeam(s2(), 0, 1, Func(func(*sim.Proc, int) {})) },
+		"nil body":       func() { NewTeam(s2(), 2, 1, nil) },
+	} {
+		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s did not panic", name)
 				}
 			}()
 			f()
-		}
-		mustPanic("nil body", func() { tm.Step(p, nil) })
-		tm.Close(p)
-		mustPanic("step after close", func() { tm.Step(p, func(*sim.Proc, int) {}) })
-		mustPanic("double close", func() { tm.Close(p) })
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+		}()
 	}
-	// Constructor validation.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-size team did not panic")
-		}
-	}()
-	NewTeam(s2(), "bad", 0)
 }
 
 func s2() *sim.Scheduler { return sim.New() }

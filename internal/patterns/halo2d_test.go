@@ -48,11 +48,9 @@ func TestHalo2DPayloadAccounting(t *testing.T) {
 }
 
 func TestHalo2DEdgeOwnership(t *testing.T) {
-	r := &halo2dRank{cfg: Halo2DConfig{ThreadsPerDim: 4}}
 	owners := map[[2]int]int{}
 	interior := 0
-	for t2 := 0; t2 < 16; t2++ {
-		edges := r.edgesOf(t2)
+	for _, edges := range edgeBorders(4) {
 		if len(edges) == 0 {
 			interior++
 		}

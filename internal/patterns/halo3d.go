@@ -8,6 +8,7 @@ import (
 	"partmb/internal/mpi"
 	"partmb/internal/netsim"
 	"partmb/internal/noise"
+	"partmb/internal/omp"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
 	"partmb/internal/stats"
@@ -126,20 +127,28 @@ const (
 // opposite returns the face on the other side of the axis.
 func opposite(f int) int { return f ^ 1 }
 
-// haloRank is the per-rank state of a Halo3D run.
+// haloRank is the per-rank state of a halo exchange on a periodic rank
+// grid: Halo3D's six faces, or Halo2D's four edges, which the code below
+// calls faces too.
 type haloRank struct {
-	cfg     HaloConfig
-	comm    *mpi.Comm
-	x, y, z int
-	place   *cluster.Placement
-
+	mode      Mode
+	repeats   int
+	comm      *mpi.Comm
+	place     *cluster.Placement
 	computeOf [][]sim.Duration
 
-	// neighbour[f] is the rank across face f (periodic torus).
+	// faces is the face count; neighbour[f] is the rank across face f.
+	faces     int
 	neighbour [numFaces]int
+	// faceBytes is one face's message; the threaded modes split it into
+	// parts partitions.
+	faceBytes int64
+	parts     int
 	// borders[t] lists the faces thread t borders (Multi and Partitioned
-	// modes), computed at set-up.
+	// modes); every rank of a run shares one list.
 	borders [][]border
+	// motif names the rank's workers "<motif>/rank<r>/worker<t>".
+	motif string
 
 	// Partitioned-mode persistent requests per face.
 	precv [numFaces]*mpi.PRequest
@@ -149,50 +158,46 @@ type haloRank struct {
 	recvP [numFaces]*mpi.Request
 	sendP [numFaces]*mpi.Request
 
-	startBar, doneBar *sim.Barrier
-	curStep           int
+	team    *omp.Team
+	curStep int
 
 	endAt sim.Time
-}
-
-// threadCoord decomposes thread index t into its cube coordinates.
-func (r *haloRank) threadCoord(t int) (a, b, c int) {
-	d := r.cfg.ThreadsPerDim
-	return t % d, (t / d) % d, t / (d * d)
 }
 
 // border is one face (or edge) of a rank that a thread borders, and the
 // partition index the thread owns on it.
 type border struct{ face, part int }
 
-// facesOf lists the faces thread t borders and the partition index it owns
-// on each face. Interior threads (possible when ThreadsPerDim > 2) border
-// no faces and only compute.
-func (r *haloRank) facesOf(t int) (faces []border) {
-	d := r.cfg.ThreadsPerDim
-	a, b, c := r.threadCoord(t)
-	add := func(face, u, v int) {
-		faces = append(faces, border{face, v*d + u})
+// faceBorders lists, for each thread of a d×d×d cube, the faces it borders
+// and the partition index it owns on each. Interior threads (possible when
+// d > 2) border no faces and only compute.
+func faceBorders(d int) [][]border {
+	out := make([][]border, d*d*d)
+	for t := range out {
+		a, b, c := t%d, (t/d)%d, t/(d*d)
+		add := func(face, u, v int) {
+			out[t] = append(out[t], border{face, v*d + u})
+		}
+		if a == 0 {
+			add(faceXMinus, b, c)
+		}
+		if a == d-1 {
+			add(faceXPlus, b, c)
+		}
+		if b == 0 {
+			add(faceYMinus, a, c)
+		}
+		if b == d-1 {
+			add(faceYPlus, a, c)
+		}
+		if c == 0 {
+			add(faceZMinus, a, b)
+		}
+		if c == d-1 {
+			add(faceZPlus, a, b)
+		}
 	}
-	if a == 0 {
-		add(faceXMinus, b, c)
-	}
-	if a == d-1 {
-		add(faceXPlus, b, c)
-	}
-	if b == 0 {
-		add(faceYMinus, a, c)
-	}
-	if b == d-1 {
-		add(faceYPlus, a, c)
-	}
-	if c == 0 {
-		add(faceZMinus, a, b)
-	}
-	if c == d-1 {
-		add(faceZPlus, a, b)
-	}
-	return faces
+	return out
 }
 
 // haloTag builds the Single/Multi tag for (step, face, partition) traffic,
@@ -230,37 +235,52 @@ func runHalo3D(a *sim.Arena, cfg HaloConfig) (*Result, error) {
 	}
 
 	ranks := make([]*haloRank, nRanks)
-	var startAt sim.Time
+	borders := faceBorders(cfg.ThreadsPerDim)
+	wrap := func(v, n int) int { return ((v % n) + n) % n }
+	at := func(x, y, z int) int {
+		return wrap(z, cfg.Nz)*cfg.Nx*cfg.Ny + wrap(y, cfg.Ny)*cfg.Nx + wrap(x, cfg.Nx)
+	}
 	for id := range ranks {
-		comm := w.Comm(id)
-		place := cluster.Place(pf.Machine, cfg.Threads())
-		comm.SetPlacement(place)
-		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id), a)
-		r := &haloRank{
-			cfg:   cfg,
-			comm:  comm,
-			x:     id % cfg.Nx,
-			y:     (id / cfg.Nx) % cfg.Ny,
-			z:     id / (cfg.Nx * cfg.Ny),
-			place: place,
+		r := newHaloRank(a, w.Comm(id), pf, cfg.Mode, len(borders), cfg.Repeats, cfg.Compute)
+		x, y, z := id%cfg.Nx, (id/cfg.Nx)%cfg.Ny, id/(cfg.Nx*cfg.Ny)
+		r.neighbour = [numFaces]int{
+			faceXMinus: at(x-1, y, z), faceXPlus: at(x+1, y, z),
+			faceYMinus: at(x, y-1, z), faceYPlus: at(x, y+1, z),
+			faceZMinus: at(x, y, z-1), faceZPlus: at(x, y, z+1),
 		}
-		wrap := func(v, n int) int { return ((v % n) + n) % n }
-		at := func(x, y, z int) int {
-			return wrap(z, cfg.Nz)*cfg.Nx*cfg.Ny + wrap(y, cfg.Ny)*cfg.Nx + wrap(x, cfg.Nx)
-		}
-		r.neighbour[faceXMinus] = at(r.x-1, r.y, r.z)
-		r.neighbour[faceXPlus] = at(r.x+1, r.y, r.z)
-		r.neighbour[faceYMinus] = at(r.x, r.y-1, r.z)
-		r.neighbour[faceYPlus] = at(r.x, r.y+1, r.z)
-		r.neighbour[faceZMinus] = at(r.x, r.y, r.z-1)
-		r.neighbour[faceZPlus] = at(r.x, r.y, r.z+1)
-		r.computeOf = make([][]sim.Duration, cfg.Repeats)
-		for st := range r.computeOf {
-			r.computeOf[st] = nm.Region(cfg.Threads(), cfg.Compute)
-		}
+		r.faces, r.faceBytes, r.parts, r.borders, r.motif = numFaces, cfg.FaceBytes, cfg.FacePartitions(), borders, "halo"
 		ranks[id] = r
 	}
-	w.Launch("halo", func(c *mpi.Comm, p *sim.Proc) {
+	res, err := runHalo(w, runSim, ranks)
+	if err != nil {
+		return nil, fmt.Errorf("patterns: halo3d simulation failed: %w", err)
+	}
+	if shardStats != nil {
+		res.Shard = shardStats()
+	}
+	return res, nil
+}
+
+// newHaloRank builds a rank's state on comm: its placement and the compute
+// time of every thread in every step, drawn from a noise model seeded for
+// the rank.
+func newHaloRank(a *sim.Arena, comm *mpi.Comm, pf *platform.Spec, mode Mode, threads, repeats int, compute sim.Duration) *haloRank {
+	place := cluster.Place(pf.Machine, threads)
+	comm.SetPlacement(place)
+	nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(comm.WorldRank()), a)
+	r := &haloRank{mode: mode, repeats: repeats, comm: comm, place: place, computeOf: make([][]sim.Duration, repeats)}
+	for st := range r.computeOf {
+		r.computeOf[st] = nm.Region(threads, compute)
+	}
+	return r
+}
+
+// runHalo launches one proc per rank on w — set up, meet, run the steps,
+// meet again — drives the simulation and totals the result, timed from the
+// first meeting to the last rank done.
+func runHalo(w *mpi.World, runSim func() error, ranks []*haloRank) (*Result, error) {
+	var startAt sim.Time
+	w.Launch(ranks[0].motif, func(c *mpi.Comm, p *sim.Proc) {
 		r := ranks[c.WorldRank()]
 		r.setup(p)
 		c.Barrier(p)
@@ -272,7 +292,7 @@ func runHalo3D(a *sim.Arena, cfg HaloConfig) (*Result, error) {
 		r.endAt = p.Now()
 	})
 	if err := runSim(); err != nil {
-		return nil, fmt.Errorf("patterns: halo3d simulation failed: %w", err)
+		return nil, err
 	}
 	res := &Result{}
 	var maxEnd sim.Time
@@ -285,86 +305,66 @@ func runHalo3D(a *sim.Arena, cfg HaloConfig) (*Result, error) {
 		}
 	}
 	res.Elapsed = maxEnd.Sub(startAt)
-	if shardStats != nil {
-		res.Shard = shardStats()
-	}
 	return res, nil
 }
 
-// setup creates the persistent partitioned pairs and worker threads.
+// setup creates the persistent requests and worker threads.
 func (r *haloRank) setup(p *sim.Proc) {
-	cfg := r.cfg
-	if cfg.Mode == Partitioned {
-		parts := cfg.FacePartitions()
-		partBytes := cfg.FaceBytes / int64(parts)
-		for f := 0; f < numFaces; f++ {
-			r.psend[f] = r.comm.PsendInit(p, r.neighbour[f], haloPartTag(f), parts, partBytes)
+	if r.mode == Partitioned {
+		partBytes := r.faceBytes / int64(r.parts)
+		for f := 0; f < r.faces; f++ {
+			r.psend[f] = r.comm.PsendInit(p, r.neighbour[f], haloPartTag(f), r.parts, partBytes)
 			// The message landing on our face f was sent through the
 			// neighbour's opposite face.
-			r.precv[f] = r.comm.PrecvInit(p, r.neighbour[f], haloPartTag(opposite(f)), parts, partBytes)
+			r.precv[f] = r.comm.PrecvInit(p, r.neighbour[f], haloPartTag(opposite(f)), r.parts, partBytes)
 		}
 	}
-	if cfg.Mode == Persistent {
+	if r.mode == Persistent {
 		// Fixed tags are safe: every rank Waits both requests of a face
 		// before restarting them, so at most one transfer per (peer, tag)
 		// pair is in flight and FIFO matching keeps steps aligned.
-		for f := 0; f < numFaces; f++ {
-			r.sendP[f] = r.comm.SendInitBytes(p, r.neighbour[f], haloPartTag(f), cfg.FaceBytes)
+		for f := 0; f < r.faces; f++ {
+			r.sendP[f] = r.comm.SendInitBytes(p, r.neighbour[f], haloPartTag(f), r.faceBytes)
 			r.recvP[f] = r.comm.RecvInit(p, r.neighbour[f], haloPartTag(opposite(f)))
 		}
 	}
-	if cfg.Mode == Multi || cfg.Mode == Partitioned {
-		r.spawnWorkers(p)
+	if r.mode == Multi || r.mode == Partitioned {
+		r.team = omp.NewTeam(p.Scheduler(), len(r.borders), r.repeats, r)
 	}
 }
 
-// spawnWorkers starts the long-lived thread procs.
-func (r *haloRank) spawnWorkers(p *sim.Proc) {
-	cfg := r.cfg
-	s := p.Scheduler()
-	n := cfg.Threads()
-	r.startBar = sim.NewBarrier(n + 1)
-	r.doneBar = sim.NewBarrier(n + 1)
-	r.borders = make([][]border, n)
-	for t := 0; t < n; t++ {
-		t := t
-		r.borders[t] = r.facesOf(t)
-		s.Spawn(fmt.Sprintf("halo/rank%d/worker%d", r.comm.Rank(), t), func(tp *sim.Proc) {
-			for st := 0; st < cfg.Repeats; st++ {
-				r.startBar.Await(tp)
-				switch cfg.Mode {
-				case Multi:
-					r.multiWorkerStep(tp, t)
-				case Partitioned:
-					r.partWorkerStep(tp, t)
-				}
-				r.doneBar.Await(tp)
-			}
-		})
+// Thread runs worker t's part of the current step: the rank is its team's
+// body.
+func (r *haloRank) Thread(tp *sim.Proc, t int) {
+	if r.mode == Multi {
+		r.multiWorkerStep(tp, t)
+	} else {
+		r.partWorkerStep(tp, t)
 	}
+}
+
+func (r *haloRank) ThreadName(t int) string {
+	return fmt.Sprintf("%s/rank%d/worker%d", r.motif, r.comm.Rank(), t)
 }
 
 // run drives the exchange loop on the rank's main proc.
 func (r *haloRank) run(p *sim.Proc) {
-	cfg := r.cfg
-	for step := 0; step < cfg.Repeats; step++ {
+	for step := 0; step < r.repeats; step++ {
 		r.curStep = step
-		switch cfg.Mode {
+		switch r.mode {
 		case Single:
 			r.singleStep(p, step)
 		case Persistent:
 			r.persistentStep(p, step)
 		case Multi:
-			r.startBar.Await(p)
-			r.doneBar.Await(p)
+			r.team.Step(p)
 		case Partitioned:
-			for f := 0; f < numFaces; f++ {
+			for f := 0; f < r.faces; f++ {
 				r.precv[f].Start(p)
 				r.psend[f].Start(p)
 			}
-			r.startBar.Await(p)
-			r.doneBar.Await(p)
-			for f := 0; f < numFaces; f++ {
+			r.team.Step(p)
+			for f := 0; f < r.faces; f++ {
 				r.precv[f].Wait(p)
 				r.psend[f].Wait(p)
 			}
@@ -372,33 +372,32 @@ func (r *haloRank) run(p *sim.Proc) {
 	}
 }
 
-// singleStep exchanges whole faces with plain point-to-point: post all six
-// receives, compute, send all six faces, complete everything.
+// singleStep exchanges whole faces with plain point-to-point: post all the
+// receives, compute, send every face, complete everything.
 func (r *haloRank) singleStep(p *sim.Proc, step int) {
-	cfg := r.cfg
 	var buf [2 * numFaces]*mpi.Request
 	reqs := buf[:0]
-	for f := 0; f < numFaces; f++ {
+	for f := 0; f < r.faces; f++ {
 		reqs = append(reqs, r.comm.Irecv(p, r.neighbour[f], haloTag(step, opposite(f), 0)))
 	}
 	p.Sleep(r.place.ComputeTime(0, r.computeOf[step][0]))
-	for f := 0; f < numFaces; f++ {
-		reqs = append(reqs, r.comm.IsendBytes(p, r.neighbour[f], haloTag(step, f, 0), cfg.FaceBytes))
+	for f := 0; f < r.faces; f++ {
+		reqs = append(reqs, r.comm.IsendBytes(p, r.neighbour[f], haloTag(step, f, 0), r.faceBytes))
 	}
 	mpi.WaitAll(p, reqs...)
 	mpi.FreeAll(reqs...)
 }
 
 // persistentStep is singleStep over pre-initialized persistent requests:
-// restart the six receives, compute, restart the six sends, complete all.
+// restart the receives, compute, restart the sends, complete all.
 func (r *haloRank) persistentStep(p *sim.Proc, step int) {
-	for f := 0; f < numFaces; f++ {
+	for f := 0; f < r.faces; f++ {
 		r.recvP[f].Start(p)
 	}
 	p.Sleep(r.place.ComputeTime(0, r.computeOf[step][0]))
 	var buf [2 * numFaces]*mpi.Request
 	reqs := buf[:0]
-	for f := 0; f < numFaces; f++ {
+	for f := 0; f < r.faces; f++ {
 		r.sendP[f].Start(p)
 		reqs = append(reqs, r.sendP[f], r.recvP[f])
 	}
@@ -408,9 +407,8 @@ func (r *haloRank) persistentStep(p *sim.Proc, step int) {
 // multiWorkerStep: a surface thread exchanges its partition of every face it
 // borders; interior threads only compute.
 func (r *haloRank) multiWorkerStep(tp *sim.Proc, t int) {
-	cfg := r.cfg
 	step := r.curStep
-	partBytes := cfg.FaceBytes / int64(cfg.FacePartitions())
+	partBytes := r.faceBytes / int64(r.parts)
 	ep := r.comm.Endpoint(t)
 	var buf [2 * numFaces]*mpi.Request
 	reqs := buf[:0]

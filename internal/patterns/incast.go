@@ -7,6 +7,7 @@ import (
 	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/noise"
+	"partmb/internal/omp"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
 	"partmb/internal/stats"
@@ -123,46 +124,48 @@ func runIncast(a *sim.Arena, cfg IncastConfig) (*Result, error) {
 	return res, nil
 }
 
+// incastThreads is what a sender's threads do after computing, one body for
+// every round: send their share (Multi) or ready their partition
+// (Partitioned).
+type incastThreads struct {
+	comm  *mpi.Comm
+	bytes int64
+	psend *mpi.PRequest
+	rep   int
+}
+
+func (b *incastThreads) Thread(tp *sim.Proc, t int) {
+	if b.psend != nil {
+		b.psend.Pready(tp, t)
+		return
+	}
+	tag := b.rep*1024 + b.comm.Rank()*64 + t
+	b.comm.Endpoint(t).SendBytes(tp, 0, tag, b.bytes)
+}
+
+func (b *incastThreads) ThreadName(t int) string { return fmt.Sprintf("incast/w%d", t) }
+
 // runIncastSender computes and sends toward the sink each round.
 func runIncastSender(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig, nm *noise.Model, place *cluster.Placement) {
-	s := p.Scheduler()
-	var psend *mpi.PRequest
+	threads := &incastThreads{comm: comm, bytes: cfg.BytesPerThread}
 	if cfg.Mode == Partitioned {
-		psend = comm.PsendInit(p, 0, comm.Rank(), cfg.Threads, cfg.BytesPerThread)
+		threads.psend = comm.PsendInit(p, 0, comm.Rank(), cfg.Threads, cfg.BytesPerThread)
 	}
+	compute := omp.NewCompute(place, nm, cfg.Compute, threads)
 	comm.Barrier(p)
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		compute := nm.Region(cfg.Threads, cfg.Compute)
+		threads.rep = rep
 		switch cfg.Mode {
 		case Single:
-			p.Sleep(place.ComputeTime(0, compute[0]))
+			compute.Draw()
+			p.Sleep(compute.Times[0])
 			comm.SendBytes(p, 0, rep*1024+comm.Rank(), cfg.BytesPerThread)
 		case Multi:
-			var join sim.WaitGroup
-			join.Add(s, cfg.Threads)
-			for t := 0; t < cfg.Threads; t++ {
-				t := t
-				s.Spawn(fmt.Sprintf("incast/w%d", t), func(tp *sim.Proc) {
-					tp.Sleep(place.ComputeTime(t, compute[t]))
-					comm.Endpoint(t).SendBytes(tp, 0, rep*1024+comm.Rank()*64+t, cfg.BytesPerThread)
-					join.Done(s)
-				})
-			}
-			join.Wait(p)
+			omp.ComputeRegion(p, compute)
 		case Partitioned:
-			psend.Start(p)
-			var join sim.WaitGroup
-			join.Add(s, cfg.Threads)
-			for t := 0; t < cfg.Threads; t++ {
-				t := t
-				s.Spawn(fmt.Sprintf("incast/w%d", t), func(tp *sim.Proc) {
-					tp.Sleep(place.ComputeTime(t, compute[t]))
-					psend.Pready(tp, t)
-					join.Done(s)
-				})
-			}
-			join.Wait(p)
-			psend.Wait(p)
+			threads.psend.Start(p)
+			omp.ComputeRegion(p, compute)
+			threads.psend.Wait(p)
 		}
 	}
 	comm.Barrier(p)

@@ -97,3 +97,26 @@ func TestIncastDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic incast: %v vs %v", a.Elapsed, b.Elapsed)
 	}
 }
+
+// TestIncastPinned pins the exact results of the threaded incast modes, whose
+// per-repeat forks no golden covers. The literals were recorded before those
+// forks became omp compute regions, which must not move them.
+func TestIncastPinned(t *testing.T) {
+	for _, want := range []struct {
+		mode              Mode
+		elapsed           sim.Duration
+		payload, messages int64
+	}{
+		{Multi, 6299320, 9437184, 474},
+		{Partitioned, 6295665, 9437184, 474},
+	} {
+		res, err := RunIncast(incastCfg(want.mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Elapsed != want.elapsed || res.PayloadBytes != want.payload || res.Messages != want.messages {
+			t.Errorf("%v: elapsed %d ns, %d B in %d messages; pinned at %d ns, %d B in %d",
+				want.mode, int64(res.Elapsed), res.PayloadBytes, res.Messages, int64(want.elapsed), want.payload, want.messages)
+		}
+	}
+}

@@ -201,12 +201,9 @@ func TestHalo3DOversubscribed64Threads(t *testing.T) {
 
 func TestHalo3DFaceOwnership(t *testing.T) {
 	// Every face partition must be owned by exactly one thread.
-	r := &haloRank{cfg: HaloConfig{ThreadsPerDim: 4}.withDefaults()}
-	r.cfg.ThreadsPerDim = 4
 	owners := map[[2]int]int{} // (face, part) -> count
 	interior := 0
-	for t2 := 0; t2 < 64; t2++ {
-		faces := r.facesOf(t2)
+	for _, faces := range faceBorders(4) {
 		if len(faces) == 0 {
 			interior++
 		}

@@ -8,6 +8,7 @@ import (
 	"partmb/internal/mpi"
 	"partmb/internal/netsim"
 	"partmb/internal/noise"
+	"partmb/internal/omp"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
 	"partmb/internal/stats"
@@ -132,9 +133,8 @@ type sweepRank struct {
 	psend [8][2]*mpi.PRequest
 
 	// step choreography (Partitioned / Multi modes)
-	startBar, doneBar *sim.Barrier
-	curStep           int
-	curOct            int
+	team            *omp.Team
+	curStep, curOct int
 
 	// pending holds the current octant's Single-mode sends.
 	pending []*mpi.Request
@@ -260,55 +260,45 @@ func configureMode(mcfg *mpi.Config, mode Mode, impl mpi.PartImpl) {
 	mcfg.PartImpl = impl
 }
 
-// setup creates persistent requests and long-lived worker threads.
+// setup creates the persistent requests and the long-lived worker threads
+// (the "OpenMP parallel region") of the Multi and Partitioned modes, which
+// run one step per z-block.
 func (r *sweepRank) setup(p *sim.Proc) {
 	cfg := r.cfg
-	if cfg.Mode != Partitioned {
-		if cfg.Mode == Multi {
-			r.spawnWorkers(p)
-		}
-		return
-	}
-	for o := 0; o < cfg.Octants; o++ {
-		upX, upY, downX, downY := r.neighbours(o)
-		if upX >= 0 {
-			r.precv[o][0] = r.comm.PrecvInit(p, upX, partTag(o, 0), cfg.Threads, cfg.BytesPerThread)
-		}
-		if upY >= 0 {
-			r.precv[o][1] = r.comm.PrecvInit(p, upY, partTag(o, 1), cfg.Threads, cfg.BytesPerThread)
-		}
-		if downX >= 0 {
-			r.psend[o][0] = r.comm.PsendInit(p, downX, partTag(o, 0), cfg.Threads, cfg.BytesPerThread)
-		}
-		if downY >= 0 {
-			r.psend[o][1] = r.comm.PsendInit(p, downY, partTag(o, 1), cfg.Threads, cfg.BytesPerThread)
+	if cfg.Mode == Partitioned {
+		for o := 0; o < cfg.Octants; o++ {
+			upX, upY, downX, downY := r.neighbours(o)
+			if upX >= 0 {
+				r.precv[o][0] = r.comm.PrecvInit(p, upX, partTag(o, 0), cfg.Threads, cfg.BytesPerThread)
+			}
+			if upY >= 0 {
+				r.precv[o][1] = r.comm.PrecvInit(p, upY, partTag(o, 1), cfg.Threads, cfg.BytesPerThread)
+			}
+			if downX >= 0 {
+				r.psend[o][0] = r.comm.PsendInit(p, downX, partTag(o, 0), cfg.Threads, cfg.BytesPerThread)
+			}
+			if downY >= 0 {
+				r.psend[o][1] = r.comm.PsendInit(p, downY, partTag(o, 1), cfg.Threads, cfg.BytesPerThread)
+			}
 		}
 	}
-	r.spawnWorkers(p)
+	if cfg.Mode == Multi || cfg.Mode == Partitioned {
+		r.team = omp.NewTeam(p.Scheduler(), cfg.Threads, cfg.Repeats*cfg.Octants*cfg.ZBlocks, r)
+	}
 }
 
-// spawnWorkers starts the long-lived per-thread procs (the "OpenMP parallel
-// region") used by Multi and Partitioned modes.
-func (r *sweepRank) spawnWorkers(p *sim.Proc) {
-	cfg := r.cfg
-	s := p.Scheduler()
-	r.startBar = sim.NewBarrier(cfg.Threads + 1)
-	r.doneBar = sim.NewBarrier(cfg.Threads + 1)
-	for t := 0; t < cfg.Threads; t++ {
-		t := t
-		s.Spawn(fmt.Sprintf("sweep/rank%d/worker%d", r.comm.Rank(), t), func(tp *sim.Proc) {
-			for st := 0; st < cfg.Repeats*cfg.Octants*cfg.ZBlocks; st++ {
-				r.startBar.Await(tp)
-				switch cfg.Mode {
-				case Multi:
-					r.multiWorkerStep(tp, t)
-				case Partitioned:
-					r.partWorkerStep(tp, t)
-				}
-				r.doneBar.Await(tp)
-			}
-		})
+// Thread runs worker t's part of the current z-block: the rank is its
+// team's body.
+func (r *sweepRank) Thread(tp *sim.Proc, t int) {
+	if r.cfg.Mode == Multi {
+		r.multiWorkerStep(tp, t)
+	} else {
+		r.partWorkerStep(tp, t)
 	}
+}
+
+func (r *sweepRank) ThreadName(t int) string {
+	return fmt.Sprintf("sweep/rank%d/worker%d", r.comm.Rank(), t)
 }
 
 // run drives the sweep loop on the rank's main proc.
@@ -323,8 +313,7 @@ func (r *sweepRank) run(p *sim.Proc) {
 				case Single:
 					r.singleStep(p, step, o)
 				case Multi:
-					r.startBar.Await(p)
-					r.doneBar.Await(p)
+					r.team.Step(p)
 				case Partitioned:
 					r.partMainStep(p, o)
 				}
@@ -430,8 +419,7 @@ func (r *sweepRank) partMainStep(p *sim.Proc, o int) {
 			pr.Start(p)
 		}
 	}
-	r.startBar.Await(p)
-	r.doneBar.Await(p)
+	r.team.Step(p)
 	for axis := 0; axis < 2; axis++ {
 		if pr := r.precv[o][axis]; pr != nil {
 			pr.Wait(p)

@@ -9,19 +9,23 @@ import "iter"
 // with yield() — a coroswitch each way, no channel and no trip through the
 // Go scheduler. A runner outlives its proc: when the proc's function
 // returns the runner puts itself on its scheduler's idle list and the next
-// Spawn reuses it, Proc value included, so a team forked every iteration
-// costs one coroutine and one Proc per member for the whole run, not per
-// fork.
+// proc started reuses it, Proc value included, so a team forked every
+// iteration costs one coroutine and one Proc per member for the whole run,
+// not per fork.
 //
 // This is the only file that needs Go 1.23 (iter.Pull); the build tag keeps
 // the module's go line where the bench module expects it.
 type runner struct {
 	s *Scheduler
-	// p is the proc the runner carries. Spawn overwrites it with a new id
+	// p is the proc the runner carries. start overwrites it with a new id
 	// at the same address; a wake still pending for the previous incarnation
 	// carries that one's id and is dropped (see Scheduler.dispatch).
-	p    Proc
-	fn   func(p *Proc)
+	p Proc
+	// body and t are what p runs: member t of a fork. join is the proc
+	// whose ForkJoin waits for p, if any.
+	body Thread
+	t    int
+	join *Proc
 	next func() (struct{}, bool)
 	stop func()
 	// yield suspends the coroutine until the next next(); it reports false
@@ -39,9 +43,9 @@ func newRunner(s *Scheduler) *runner {
 }
 
 // loop is the coroutine body: run the assigned proc to completion, retire
-// it, go idle, repeat until stopped. A panic in fn unwinds out of loop and
-// resurfaces from next() on the driving goroutine; the runner is dead after
-// that, and so is the drive.
+// it, go idle, repeat until stopped. A panic in the body unwinds out of
+// loop and resurfaces from next() on the driving goroutine; the runner is
+// dead after that, and so is the drive.
 func (r *runner) loop(yield func(struct{}) bool) {
 	r.yield = yield
 	for r.runProc() && yield(struct{}{}) {
@@ -62,9 +66,14 @@ func (r *runner) runProc() (finished bool) {
 	}()
 	s := r.s
 	p := &r.p
-	r.fn(p)
+	r.body.Thread(p, r.t)
+	if q := r.join; q != nil {
+		if q.forks--; q.forks == 0 {
+			s.wake(q)
+		}
+	}
 	p.dead = true
-	r.fn = nil
+	r.body, r.join = nil, nil
 	s.live--
 	s.dropProc(p)
 	s.idle = append(s.idle, r)

@@ -6,8 +6,10 @@
 // back when it blocks (Sleep, mutex wait, condition wait, ...) or returns.
 // Exactly one of them executes at any instant, on the goroutine that called
 // Run, so all simulator state needs no locking and a panic inside a proc
-// surfaces from Run like any other. Coroutines are pooled per Scheduler:
-// a finished proc's coroutine, and its Proc value, carry the next Spawn.
+// surfaces from Run like any other. Procs start one way: Fork starts n
+// members of a Thread body (ForkJoin also waits for them), and Spawn is a
+// one-member fork of a func. Coroutines are pooled per Scheduler: a finished
+// proc's coroutine, and its Proc value, carry the next proc started.
 // When a drive drains cleanly they go back to the Arena the scheduler came
 // from, for the next scheduler built from it (see Arena); without one, or
 // when a drive dies, all of them are stopped (procs still parked are
@@ -439,19 +441,23 @@ const (
 )
 
 // Proc is a cooperative actor. Every blocking method must be called by the
-// proc itself (i.e. from within the function passed to Spawn).
+// proc itself (i.e. from within the body it was started with).
 //
-// A *Proc is valid until its function returns. The value lives in the
-// runner that carries it, and the next Spawn on that runner reuses it for a
-// new proc with a new id, so a pointer kept past the return names whichever
-// proc runs there now.
+// A *Proc is valid until its body returns. The value lives in the runner
+// that carries it, and the next proc started on that runner reuses it with
+// a new id, so a pointer kept past the return names whichever proc runs
+// there now.
 type Proc struct {
-	s    *Scheduler
+	s *Scheduler
+	// name is Spawn's name; a fork member's is its body's ThreadName,
+	// formatted only when asked for (see Name).
 	name string
 	id   int
 	idx  int     // position in s.procs, for swap-removal on death
 	run  *runner // the coroutine carrying this proc; nil once unwound
-	dead bool    // the function returned, or the drive unwound it
+	dead bool    // the body returned, or the drive unwound it
+	// forks counts the members of this proc's ForkJoin still running.
+	forks int
 	// wakeScheduled guards against double-wake: a proc may be the target of
 	// at most one pending wake event.
 	wakeScheduled bool
@@ -482,8 +488,14 @@ func (p *Proc) parkReason() string {
 	}
 }
 
-// Name returns the name the proc was spawned with.
-func (p *Proc) Name() string { return p.name }
+// Name returns the name the proc was spawned with, or for a fork member
+// its body's ThreadName, formatted now.
+func (p *Proc) Name() string {
+	if r := p.run; p.name == "" && r != nil && r.body != nil {
+		return r.body.ThreadName(r.t)
+	}
+	return p.name
+}
 
 // ID returns the unique spawn-ordered id of the proc.
 func (p *Proc) ID() int { return p.id }
@@ -494,10 +506,60 @@ func (p *Proc) Now() Time { return p.s.now }
 // Scheduler returns the scheduler this proc belongs to.
 func (p *Proc) Scheduler() *Scheduler { return p.s }
 
-// Spawn creates a new proc executing fn. It may be called before Run or from
-// inside a running proc or event callback. The proc starts at the current
-// virtual time. The returned *Proc is valid until fn returns (see Proc).
+// Thread is the body of forked procs: member t of a fork runs
+// Thread(tp, t). ThreadName(t) names member t in deadlock diagnostics and
+// Proc.Name; it is called only then, so a fork formats no names. One body
+// value serves every member of a fork and every fork after it, and the
+// thread index travels on the runner, so starting a member allocates
+// nothing.
+type Thread interface {
+	Thread(tp *Proc, t int)
+	ThreadName(t int) string
+}
+
+// funcThread runs Spawn's func as a one-member fork. A func value is
+// pointer-shaped, so converting one to Thread does not allocate; its name
+// is the Proc's own.
+type funcThread func(p *Proc)
+
+func (f funcThread) Thread(p *Proc, _ int) { f(p) }
+func (f funcThread) ThreadName(int) string { return "" }
+
+// Spawn creates a new proc executing fn: a one-member fork named name. It
+// may be called before Run or from inside a running proc or event callback.
+// The proc starts at the current virtual time. The returned *Proc is valid
+// until fn returns (see Proc).
 func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
+	return s.start(funcThread(fn), 0, name, nil)
+}
+
+// Fork starts n procs at the current virtual time, member t running
+// body.Thread(tp, t), in index order. It may be called wherever Spawn may.
+func (s *Scheduler) Fork(body Thread, n int) {
+	for t := 0; t < n; t++ {
+		s.start(body, t, "", nil)
+	}
+}
+
+// ForkJoin forks n members from p, as Fork does, and blocks p until every
+// one of them has returned: one fork/join of an OpenMP parallel region. p
+// waits as a WaitGroup waiter does, so its deadlock reason reads
+// "waitgroup wait".
+func (p *Proc) ForkJoin(body Thread, n int) {
+	s := p.s
+	p.forks += n
+	for t := 0; t < n; t++ {
+		s.start(body, t, "", p)
+	}
+	for p.forks > 0 {
+		p.park(parkWaitGroup, 0, 0)
+	}
+}
+
+// start is the one way a proc starts: it takes an idle runner (or makes
+// one), gives it member t of body, and wakes the new proc now. join, when
+// set, is the proc whose ForkJoin waits for this one.
+func (s *Scheduler) start(body Thread, t int, name string, join *Proc) *Proc {
 	var r *runner
 	if n := len(s.idle); n > 0 {
 		r = s.idle[n-1]
@@ -509,7 +571,7 @@ func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	s.procSeq++
 	r.p = Proc{s: s, name: name, id: s.procSeq, idx: len(s.procs), run: r}
-	r.fn = fn
+	r.body, r.t, r.join = body, t, join
 	p := &r.p
 	s.procs = append(s.procs, p)
 	s.live++
@@ -685,15 +747,15 @@ func (s *Scheduler) dispatch(e *event) {
 }
 
 // deadlock builds the drive result: nil when every proc finished, a
-// *DeadlockError naming the parked procs otherwise. Reasons are formatted
-// here, lazily — never on the park fast path.
+// *DeadlockError naming the parked procs otherwise. Names and reasons are
+// formatted here, lazily — never on the start or park fast paths.
 func (s *Scheduler) deadlock() error {
 	if s.live == 0 {
 		return nil
 	}
 	blocked := make([]string, 0, len(s.procs))
 	for _, p := range s.procs {
-		blocked = append(blocked, fmt.Sprintf("%s(#%d): %s", p.name, p.id, p.parkReason()))
+		blocked = append(blocked, fmt.Sprintf("%s(#%d): %s", p.Name(), p.id, p.parkReason()))
 	}
 	slices.Sort(blocked)
 	return &DeadlockError{Now: s.now, Blocked: blocked}
