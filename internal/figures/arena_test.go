@@ -154,7 +154,9 @@ var litterCell = engine.NewCell("figures.test.litter",
 			c.Barrier(p)
 			pr.Start(p)
 			rr.Start(p)
-			pr.PreadyRange(p, 0, 512)
+			for i := 0; i < 512; i++ {
+				pr.Pready(p, i)
+			}
 			c.IsendBytes(p, next, 2, 1<<20) // rendezvous, never received
 			c.IsendBytes(p, next, 3, 64)    // eager, never received
 			c.Irecv(p, mpi.AnySource, 4)    // never matched

@@ -204,14 +204,14 @@ func TestFaultInjectionPreservesDeliveryAndOrder(t *testing.T) {
 	s.Spawn("sender", func(p *sim.Proc) {
 		c := w.Comm(0)
 		for i := 0; i < msgs; i++ {
-			c.Send(p, 1, 0, []byte{byte(i)})
+			c.sendData(p, 1, 0, c.ctxP2P(), []byte{byte(i)})
 		}
 	})
 	var got []byte
 	s.Spawn("recv", func(p *sim.Proc) {
 		c := w.Comm(1)
 		for i := 0; i < msgs; i++ {
-			data, _ := c.Recv(p, 0, 0)
+			data := c.recvData(p, 0, 0, c.ctxP2P())
 			got = append(got, data[0])
 		}
 	})

@@ -98,7 +98,7 @@ func TestQuickChaosTraffic(t *testing.T) {
 							}
 							pr.Wait(p)
 						} else {
-							c.Send(p, ex.to, ex.tag, ex.body)
+							c.sendData(p, ex.to, ex.tag, c.ctxP2P(), ex.body)
 						}
 					}
 					if ex.to == r {
@@ -112,7 +112,7 @@ func TestQuickChaosTraffic(t *testing.T) {
 								ok = false
 							}
 						} else {
-							data, _ := c.Recv(p, ex.from, ex.tag)
+							data := c.recvData(p, ex.from, ex.tag, c.ctxP2P())
 							if !bytes.Equal(data, ex.body) {
 								ok = false
 							}

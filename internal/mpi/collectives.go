@@ -35,19 +35,18 @@ func (c *Comm) Barrier(p *sim.Proc) {
 }
 
 // recvColl posts and completes a receive on the collective context.
-func (c *Comm) recvColl(p *sim.Proc, src, tag int) ([]byte, int64) {
-	return c.finish(p, c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxColl()))
+func (c *Comm) recvColl(p *sim.Proc, src, tag int) {
+	c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxColl()).finish(p)
 }
 
-// isendColl starts a send of size bytes (data may be nil) on the collective
-// context, for finish to wait for.
-func (c *Comm) isendColl(p *sim.Proc, dest, tag int, size int64, data []byte) *Request {
-	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxColl(), size, data)
+// isendColl starts a send of size bytes on the collective context.
+func (c *Comm) isendColl(p *sim.Proc, dest, tag int, size int64) *Request {
+	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxColl(), size)
 }
 
 // sendColl sends on the collective context and waits for local completion.
 func (c *Comm) sendColl(p *sim.Proc, dest, tag int, size int64) {
-	c.finish(p, c.isendColl(p, dest, tag, size, nil))
+	c.isendColl(p, dest, tag, size).finish(p)
 }
 
 // Bcast models broadcasting size bytes from root over a binomial tree. Only
@@ -82,10 +81,10 @@ func (c *Comm) Bcast(p *sim.Proc, root int, size int64) {
 	}
 }
 
-// Reduce models reducing size bytes to root over a flat gather (each
-// non-root rank sends its contribution; root receives all). Adequate for
-// the harness's result collection; not a performance-critical path.
-func (c *Comm) Reduce(p *sim.Proc, root int, size int64) {
+// reduce models reducing size bytes to root over a flat gather (each
+// non-root rank sends its contribution; root receives all): the first half
+// of Allreduce.
+func (c *Comm) reduce(p *sim.Proc, root int, size int64) {
 	n := c.Size()
 	gen := c.barrierGen
 	c.barrierGen++
@@ -108,62 +107,14 @@ func (c *Comm) Reduce(p *sim.Proc, root int, size int64) {
 
 // Allreduce models a reduce followed by a broadcast of size bytes.
 func (c *Comm) Allreduce(p *sim.Proc, size int64) {
-	c.Reduce(p, 0, size)
+	c.reduce(p, 0, size)
 	c.Bcast(p, 0, size)
 }
 
-// Gather models every rank sending size bytes to root (flat algorithm).
-func (c *Comm) Gather(p *sim.Proc, root int, size int64) {
-	n := c.Size()
-	gen := c.barrierGen
-	c.barrierGen++
-	if n == 1 {
-		p.Sleep(c.world.cfg.CallOverhead)
-		return
-	}
-	tag := c.collTag(gen, 0)
-	if c.Rank() == root {
-		for r := 0; r < n; r++ {
-			if r != root {
-				c.recvColl(p, r, tag)
-			}
-		}
-		return
-	}
-	c.sendColl(p, root, tag, size)
-}
-
-// Scatter models root sending a distinct size-byte block to every rank
-// (flat algorithm).
-func (c *Comm) Scatter(p *sim.Proc, root int, size int64) {
-	n := c.Size()
-	gen := c.barrierGen
-	c.barrierGen++
-	if n == 1 {
-		p.Sleep(c.world.cfg.CallOverhead)
-		return
-	}
-	tag := c.collTag(gen, 0)
-	if c.Rank() == root {
-		// Nonblocking sends so blocks stream back to back.
-		var reqs []*Request
-		for r := 0; r < n; r++ {
-			if r != root {
-				reqs = append(reqs, c.isendColl(p, r, tag, size, nil))
-			}
-		}
-		for _, r := range reqs {
-			c.finish(p, r)
-		}
-		return
-	}
-	c.recvColl(p, root, tag)
-}
-
-// Allgather models every rank contributing size bytes and receiving all
+// allgather models every rank contributing size bytes and receiving all
 // contributions, via a ring: n-1 steps, each forwarding the block received
 // in the previous step.
-func (c *Comm) Allgather(p *sim.Proc, size int64) {
+func (c *Comm) allgather(p *sim.Proc, size int64) {
 	n := c.Size()
 	gen := c.barrierGen
 	c.barrierGen++
@@ -175,40 +126,8 @@ func (c *Comm) Allgather(p *sim.Proc, size int64) {
 	left := (c.Rank() - 1 + n) % n
 	for step := 0; step < n-1; step++ {
 		tag := c.collTag(gen, step)
-		sreq := c.isendColl(p, right, tag, size, nil)
+		sreq := c.isendColl(p, right, tag, size)
 		c.recvColl(p, left, tag)
-		c.finish(p, sreq)
-	}
-}
-
-// Alltoall models the full personalized exchange: every rank sends a
-// distinct size-byte block to every other rank (pairwise exchange
-// algorithm, n-1 rounds).
-func (c *Comm) Alltoall(p *sim.Proc, size int64) {
-	n := c.Size()
-	gen := c.barrierGen
-	c.barrierGen++
-	if n == 1 {
-		p.Sleep(c.world.cfg.CallOverhead)
-		return
-	}
-	// One algorithm for all ranks: XOR pairwise exchange when the world is
-	// a power of two (each round is a perfect matching), ring offsets
-	// otherwise.
-	pairwise := n&(n-1) == 0
-	for step := 1; step < n; step++ {
-		me := c.Rank()
-		var to, from int
-		if pairwise {
-			to = me ^ step
-			from = to
-		} else {
-			to = (me + step) % n
-			from = (me - step + n) % n
-		}
-		tag := c.collTag(gen, step)
-		sreq := c.isendColl(p, to, tag, size, nil)
-		c.recvColl(p, from, tag)
-		c.finish(p, sreq)
+		sreq.finish(p)
 	}
 }

@@ -17,7 +17,7 @@ func TestBcastDataDeliversPayload(t *testing.T) {
 		if c.Rank() == 2 {
 			data = payload
 		}
-		got[c.Rank()] = c.BcastData(p, 2, data)
+		got[c.Rank()] = c.bcastData(p, 2, data)
 	})
 	for r := 0; r < ranks; r++ {
 		if !bytes.Equal(got[r], payload) {
@@ -31,7 +31,7 @@ func TestGatherDataCollectsAll(t *testing.T) {
 	var gathered [][]byte
 	runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
 		mine := []byte(fmt.Sprintf("rank-%d", c.Rank()))
-		out := c.GatherData(p, 1, mine)
+		out := c.gatherData(p, 1, mine)
 		if c.Rank() == 1 {
 			gathered = out
 		} else if out != nil {
@@ -53,7 +53,7 @@ func TestAllgatherDataEveryRankSeesAll(t *testing.T) {
 	results := make([][][]byte, ranks)
 	runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
 		mine := bytes.Repeat([]byte{byte(c.Rank() + 1)}, c.Rank()+1) // varied lengths
-		results[c.Rank()] = c.AllgatherData(p, mine)
+		results[c.Rank()] = c.allgatherData(p, mine)
 	})
 	for r := 0; r < ranks; r++ {
 		if len(results[r]) != ranks {
@@ -70,10 +70,10 @@ func TestAllgatherDataEveryRankSeesAll(t *testing.T) {
 
 func TestBcastDataSingleRank(t *testing.T) {
 	runWorld(t, 1, nil, func(c *Comm, p *sim.Proc) {
-		if got := c.BcastData(p, 0, []byte("x")); string(got) != "x" {
+		if got := c.bcastData(p, 0, []byte("x")); string(got) != "x" {
 			t.Errorf("single-rank bcast = %q", got)
 		}
-		if got := c.GatherData(p, 0, []byte("y")); len(got) != 1 || string(got[0]) != "y" {
+		if got := c.gatherData(p, 0, []byte("y")); len(got) != 1 || string(got[0]) != "y" {
 			t.Errorf("single-rank gather = %v", got)
 		}
 	})
@@ -83,7 +83,7 @@ func TestDataCollectivesOnSubcomm(t *testing.T) {
 	runWorld(t, 6, nil, func(c *Comm, p *sim.Proc) {
 		sub := c.Split(p, c.Rank()%2, c.Rank())
 		mine := []byte{byte(c.Rank())}
-		all := sub.AllgatherData(p, mine)
+		all := sub.allgatherData(p, mine)
 		if len(all) != 3 {
 			t.Errorf("subcomm allgather %d parts", len(all))
 			return
@@ -109,7 +109,7 @@ func TestBcastDataLargePayloadRendezvous(t *testing.T) {
 		if c.Rank() == 0 {
 			data = payload
 		}
-		got := c.BcastData(p, 0, data)
+		got := c.bcastData(p, 0, data)
 		ok[c.Rank()] = bytes.Equal(got, payload)
 	})
 	for r, good := range ok {
@@ -117,4 +117,104 @@ func TestBcastDataLargePayloadRendezvous(t *testing.T) {
 			t.Fatalf("rank %d corrupted a rendezvous broadcast", r)
 		}
 	}
+}
+
+// The runtime's collectives are timing-only. The payload-carrying
+// collectives below are built in the test from collective-context sends that
+// carry data (sendData, recvData), to check that payloads survive the
+// binomial tree, the flat gather and both protocols on the way.
+
+// bcastData broadcasts root's payload to every rank over the binomial tree
+// and returns it (the root returns its own slice; other ranks a received
+// copy). Every rank must pass the same root; non-roots may pass nil data.
+func (c *Comm) bcastData(p *sim.Proc, root int, data []byte) []byte {
+	n := c.Size()
+	gen := c.barrierGen
+	c.barrierGen++
+	if n == 1 {
+		p.Sleep(c.world.cfg.CallOverhead)
+		return data
+	}
+	tag := c.collTag(gen, 0)
+	vrank := (c.Rank() - root + n) % n
+	mask := 1
+	if vrank != 0 {
+		for mask < n {
+			if vrank&mask != 0 {
+				src := (vrank - mask + root) % n
+				data = c.recvData(p, src, tag, c.ctxColl())
+				break
+			}
+			mask <<= 1
+		}
+	} else {
+		mask = nextPow2(n)
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if vrank+mask < n {
+			dst := (vrank + mask + root) % n
+			c.sendData(p, dst, tag, c.ctxColl(), data)
+		}
+	}
+	return data
+}
+
+// gatherData collects every rank's payload at root: the root returns a
+// slice indexed by local rank (its own contribution included); other ranks
+// return nil.
+func (c *Comm) gatherData(p *sim.Proc, root int, data []byte) [][]byte {
+	n := c.Size()
+	gen := c.barrierGen
+	c.barrierGen++
+	if n == 1 {
+		p.Sleep(c.world.cfg.CallOverhead)
+		return [][]byte{data}
+	}
+	tag := c.collTag(gen, 0)
+	if c.Rank() != root {
+		c.sendData(p, root, tag, c.ctxColl(), data)
+		return nil
+	}
+	out := make([][]byte, n)
+	out[root] = data
+	// Receive from each non-root member; sources are disjoint, so posting
+	// them per-rank keeps attribution simple.
+	for r := 0; r < n; r++ {
+		if r == root {
+			continue
+		}
+		out[r] = c.recvData(p, r, tag, c.ctxColl())
+	}
+	return out
+}
+
+// allgatherData is gatherData to rank 0 followed by a broadcast of the
+// concatenated contributions; every rank returns the full per-rank slice.
+func (c *Comm) allgatherData(p *sim.Proc, data []byte) [][]byte {
+	n := c.Size()
+	gathered := c.gatherData(p, 0, data)
+	// Flatten with a length-prefixed framing so the broadcast can carry it
+	// as one payload, then re-split on every rank.
+	var frame []byte
+	if c.Rank() == 0 {
+		for _, part := range gathered {
+			frame = append(frame, byte(len(part)>>24), byte(len(part)>>16), byte(len(part)>>8), byte(len(part)))
+			frame = append(frame, part...)
+		}
+	}
+	frame = c.bcastData(p, 0, frame)
+	out := make([][]byte, 0, n)
+	for len(frame) >= 4 {
+		size := int(frame[0])<<24 | int(frame[1])<<16 | int(frame[2])<<8 | int(frame[3])
+		frame = frame[4:]
+		if size > len(frame) {
+			panic(fmt.Sprintf("mpi: corrupt allgather frame: %d > %d", size, len(frame)))
+		}
+		out = append(out, frame[:size:size])
+		frame = frame[size:]
+	}
+	if len(out) != n {
+		panic(fmt.Sprintf("mpi: allgather decoded %d parts, want %d", len(out), n))
+	}
+	return out
 }

@@ -26,7 +26,7 @@ func runColl(t *testing.T, n int, body func(c *Comm, p *sim.Proc)) []sim.Time {
 func TestGatherRootFinishesLast(t *testing.T) {
 	done := runColl(t, 6, func(c *Comm, p *sim.Proc) {
 		p.Sleep(sim.Duration(c.Rank()) * sim.Millisecond) // skewed arrival
-		c.Gather(p, 0, 64<<10)
+		c.reduce(p, 0, 64<<10)
 	})
 	for r := 1; r < 6; r++ {
 		if done[0] < done[r]-sim.Time(sim.Millisecond) {
@@ -42,7 +42,7 @@ func TestGatherRootFinishesLast(t *testing.T) {
 
 func TestScatterLeavesRootEarly(t *testing.T) {
 	done := runColl(t, 5, func(c *Comm, p *sim.Proc) {
-		c.Scatter(p, 2, 128<<10)
+		c.scatter(p, 2, 128<<10)
 	})
 	for r, at := range done {
 		if at <= 0 {
@@ -53,7 +53,7 @@ func TestScatterLeavesRootEarly(t *testing.T) {
 
 func TestAllgatherAllFinishTogether(t *testing.T) {
 	done := runColl(t, 4, func(c *Comm, p *sim.Proc) {
-		c.Allgather(p, 32<<10)
+		c.allgather(p, 32<<10)
 	})
 	for r := 1; r < 4; r++ {
 		if done[r] != done[0] {
@@ -66,7 +66,7 @@ func TestAllgatherAllFinishTogether(t *testing.T) {
 
 func TestAlltoallPowerOfTwo(t *testing.T) {
 	done := runColl(t, 8, func(c *Comm, p *sim.Proc) {
-		c.Alltoall(p, 16<<10)
+		c.alltoall(p, 16<<10)
 	})
 	for r, at := range done {
 		if at <= 0 {
@@ -77,7 +77,7 @@ func TestAlltoallPowerOfTwo(t *testing.T) {
 
 func TestAlltoallNonPowerOfTwo(t *testing.T) {
 	done := runColl(t, 6, func(c *Comm, p *sim.Proc) {
-		c.Alltoall(p, 4<<10)
+		c.alltoall(p, 4<<10)
 	})
 	for r, at := range done {
 		if at <= 0 {
@@ -88,10 +88,10 @@ func TestAlltoallNonPowerOfTwo(t *testing.T) {
 
 func TestCollectivesSingleRankNoOp(t *testing.T) {
 	runColl(t, 1, func(c *Comm, p *sim.Proc) {
-		c.Gather(p, 0, 1024)
-		c.Scatter(p, 0, 1024)
-		c.Allgather(p, 1024)
-		c.Alltoall(p, 1024)
+		c.reduce(p, 0, 1024)
+		c.scatter(p, 0, 1024)
+		c.allgather(p, 1024)
+		c.alltoall(p, 1024)
 	})
 }
 
@@ -101,9 +101,9 @@ func TestRepeatedCollectivesNoCrossMatch(t *testing.T) {
 	runColl(t, 4, func(c *Comm, p *sim.Proc) {
 		p.Sleep(sim.Duration(c.Rank()*977) * sim.Nanosecond)
 		for i := 0; i < 5; i++ {
-			c.Allgather(p, 1024)
-			c.Alltoall(p, 512)
-			c.Gather(p, i%4, 256)
+			c.allgather(p, 1024)
+			c.alltoall(p, 512)
+			c.reduce(p, i%4, 256)
 			c.Barrier(p)
 		}
 	})
@@ -115,7 +115,7 @@ func TestAlltoallMovesExpectedBytes(t *testing.T) {
 	s := sim.New()
 	w := NewWorld(s, DefaultConfig(n))
 	w.Launch("a2a", func(c *Comm, p *sim.Proc) {
-		c.Alltoall(p, size)
+		c.alltoall(p, size)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -127,5 +127,71 @@ func TestAlltoallMovesExpectedBytes(t *testing.T) {
 	want := int64(n) * int64(n-1) * size
 	if total != want {
 		t.Fatalf("alltoall moved %d bytes, want %d", total, want)
+	}
+}
+
+// The runtime's collectives are Barrier, Bcast and Allreduce, plus the
+// flat reduce and the ring allgather Allreduce and Split are built from;
+// the flat reduce is also the flat gather the tests call. The flat scatter
+// and the pairwise alltoall below are built in the test on the collective
+// context, to check fan-in and fan-out timing, tag-block isolation between
+// back-to-back collectives and the bytes the NICs move.
+
+// scatter models root sending a distinct size-byte block to every rank
+// (flat algorithm).
+func (c *Comm) scatter(p *sim.Proc, root int, size int64) {
+	n := c.Size()
+	gen := c.barrierGen
+	c.barrierGen++
+	if n == 1 {
+		p.Sleep(c.world.cfg.CallOverhead)
+		return
+	}
+	tag := c.collTag(gen, 0)
+	if c.Rank() == root {
+		// Nonblocking sends so blocks stream back to back.
+		var reqs []*Request
+		for r := 0; r < n; r++ {
+			if r != root {
+				reqs = append(reqs, c.isendColl(p, r, tag, size))
+			}
+		}
+		for _, r := range reqs {
+			r.finish(p)
+		}
+		return
+	}
+	c.recvColl(p, root, tag)
+}
+
+// alltoall models the full personalized exchange: every rank sends a
+// distinct size-byte block to every other rank (pairwise exchange
+// algorithm, n-1 rounds).
+func (c *Comm) alltoall(p *sim.Proc, size int64) {
+	n := c.Size()
+	gen := c.barrierGen
+	c.barrierGen++
+	if n == 1 {
+		p.Sleep(c.world.cfg.CallOverhead)
+		return
+	}
+	// One algorithm for all ranks: XOR pairwise exchange when the world is
+	// a power of two (each round is a perfect matching), ring offsets
+	// otherwise.
+	pairwise := n&(n-1) == 0
+	for step := 1; step < n; step++ {
+		me := c.Rank()
+		var to, from int
+		if pairwise {
+			to = me ^ step
+			from = to
+		} else {
+			to = (me + step) % n
+			from = (me - step + n) % n
+		}
+		tag := c.collTag(gen, step)
+		sreq := c.isendColl(p, to, tag, size)
+		c.recvColl(p, from, tag)
+		sreq.finish(p)
 	}
 }

@@ -44,13 +44,13 @@ func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 	if color < 0 && color != Undefined {
 		panic(fmt.Sprintf("mpi: negative split color %d (use mpi.Undefined to opt out)", color))
 	}
-	if c.world.Sharded() {
+	if c.world.sharded() {
 		// The split bookkeeping (shared entry list, one completion all
 		// members park on) is inherently cross-shard mutable state.
-		panic("mpi: Comm.Split/Dup require a single-shard world")
+		panic("mpi: Comm.Split requires a single-shard world")
 	}
 	// The color/key exchange is an allgather of a few bytes — charge it.
-	c.Allgather(p, 8)
+	c.allgather(p, 8)
 
 	w := c.world
 	gen := c.splitGen
@@ -118,10 +118,4 @@ func (st *splitState) resolve(w *World) {
 		st.ctxOf[color] = w.nextCtx
 		w.nextCtx += ctxStride
 	}
-}
-
-// Dup returns a communicator with the same group but fresh matching
-// contexts, the analogue of MPI_Comm_dup. Collective over the communicator.
-func (c *Comm) Dup(p *sim.Proc) *Comm {
-	return c.Split(p, 0, c.Rank())
 }

@@ -67,7 +67,7 @@ func TestSplitPointToPointWithinSubcomm(t *testing.T) {
 		right := (sub.Rank() + 1) % n
 		left := (sub.Rank() - 1 + n) % n
 		payload := []byte(fmt.Sprintf("w%d", c.Rank()))
-		data, _ := sub.Sendrecv(p, right, 0, payload, left, 0)
+		data := sub.sendrecvData(p, right, 0, payload, left, 0)
 		// The left neighbour's world rank is within the same half.
 		wantWorld := (c.Rank()/3)*3 + (sub.Rank()-1+n)%n
 		if string(data) != fmt.Sprintf("w%d", wantWorld) {
@@ -85,7 +85,7 @@ func TestSplitTagIsolation(t *testing.T) {
 		me := sub.Rank()
 		other := 1 - me
 		payload := []byte{byte(100 + c.Rank())}
-		data, _ := sub.Sendrecv(p, other, 7, payload, other, 7)
+		data := sub.sendrecvData(p, other, 7, payload, other, 7)
 		wantWorld := (c.Rank()/2)*2 + other
 		if data[0] != byte(100+wantWorld) {
 			t.Errorf("rank %d got payload from world rank %d, want %d", c.Rank(), data[0]-100, wantWorld)
@@ -173,26 +173,26 @@ func TestNestedSplit(t *testing.T) {
 			t.Errorf("nested split size = %d, want 2", quad.Size())
 		}
 		other := 1 - quad.Rank()
-		quad.Sendrecv(p, other, 0, []byte{1}, other, 0)
+		quad.SendrecvBytes(p, other, 0, 1, other, 0)
 	})
 }
 
 func TestDupIsolatesTraffic(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
-		dup := c.Dup(p)
+		dup := c.Split(p, 0, c.Rank()) // MPI_Comm_dup: same group, fresh contexts
 		if dup.Size() != c.Size() || dup.Rank() != c.Rank() {
 			t.Fatalf("dup group differs: %d/%d", dup.Rank(), dup.Size())
 		}
 		switch c.Rank() {
 		case 0:
 			// Same tag on both communicators; payloads must route by comm.
-			c.Send(p, 1, 5, []byte("orig"))
-			dup.Send(p, 1, 5, []byte("dup"))
+			c.sendData(p, 1, 5, c.ctxP2P(), []byte("orig"))
+			dup.sendData(p, 1, 5, dup.ctxP2P(), []byte("dup"))
 		case 1:
 			// Receive dup's first: context separation must deliver "dup"
 			// even though "orig" arrived earlier on the same tag.
-			dupData, _ := dup.Recv(p, 0, 5)
-			origData, _ := c.Recv(p, 0, 5)
+			dupData := dup.recvData(p, 0, 5, dup.ctxP2P())
+			origData := c.recvData(p, 0, 5, c.ctxP2P())
 			if string(dupData) != "dup" || string(origData) != "orig" {
 				t.Errorf("comm isolation broken: dup=%q orig=%q", dupData, origData)
 			}

@@ -40,24 +40,14 @@ func (e *Endpoint) Thread() int { return e.thread }
 // Comm returns the underlying communicator.
 func (e *Endpoint) Comm() *Comm { return e.c }
 
-// Isend starts a nonblocking send from this thread.
-func (e *Endpoint) Isend(p *sim.Proc, dest, tag int, data []byte) *Request {
-	return e.c.isendOn(p, e.c.state().takeReq(), e.thread, dest, tag, e.c.ctxP2P(), int64(len(data)), data)
-}
-
 // IsendBytes starts a size-only nonblocking send from this thread.
 func (e *Endpoint) IsendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return e.c.isendOn(p, e.c.state().takeReq(), e.thread, dest, tag, e.c.ctxP2P(), size, nil)
-}
-
-// Send is the blocking form of Isend.
-func (e *Endpoint) Send(p *sim.Proc, dest, tag int, data []byte) {
-	e.c.send(p, e.thread, dest, tag, int64(len(data)), data)
+	return e.c.isendOn(p, e.c.state().takeReq(), e.thread, dest, tag, e.c.ctxP2P(), size)
 }
 
 // SendBytes is the blocking form of IsendBytes.
 func (e *Endpoint) SendBytes(p *sim.Proc, dest, tag int, size int64) {
-	e.c.send(p, e.thread, dest, tag, size, nil)
+	e.c.send(p, e.thread, dest, tag, size)
 }
 
 // Irecv posts a nonblocking receive from this thread. Receive-side work has
@@ -68,11 +58,11 @@ func (e *Endpoint) Irecv(p *sim.Proc, src, tag int) *Request {
 }
 
 // Recv blocks until a matching message arrives.
-func (e *Endpoint) Recv(p *sim.Proc, src, tag int) ([]byte, int64) {
-	return e.c.Recv(p, src, tag)
+func (e *Endpoint) Recv(p *sim.Proc, src, tag int) {
+	e.c.Recv(p, src, tag)
 }
 
 // SendInitBytes creates a persistent size-only send bound to this thread.
 func (e *Endpoint) SendInitBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return e.c.sendInit(p, e.thread, dest, tag, size, nil)
+	return e.c.sendInit(p, e.thread, dest, tag, size)
 }

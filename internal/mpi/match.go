@@ -37,7 +37,7 @@ type rendezvous struct {
 // rank takes one from its own free list, the receiving rank returns it to
 // its own once the match has consumed it. Nothing may hold an *inbound past
 // release; an entry of the unexpected queue is not released until a receive
-// takes it out, so a reader that does not take it out (Iprobe) must not keep
+// takes it out, so a reader that does not take it out (a probe) must not keep
 // the pointer across a Sleep.
 type inbound struct {
 	w             *World

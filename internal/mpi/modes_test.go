@@ -147,7 +147,7 @@ func TestRequestString(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			r := c.IsendBytes(p, 1, 3, 64)
-			if r.String() == "" || r.Size() != 64 || !r.IsSend() {
+			if r.String() == "" || r.Size() != 64 || r.kind != sendReq {
 				t.Errorf("send request accessors wrong: %v", r)
 			}
 			r.Wait(p)

@@ -7,9 +7,9 @@
 // communication with two interchangeable implementations (an MPIPCL-style
 // layered one and a native one).
 //
-// Messages carry real payload bytes end to end when the caller provides
-// them; benchmarks that only need timing can use the size-only variants to
-// avoid large allocations.
+// Point-to-point calls and collectives model timing only and carry no
+// payload; partitioned requests move real bytes end to end when buffers are
+// bound to them.
 package mpi
 
 import (
@@ -60,20 +60,6 @@ func (m ThreadMode) String() string {
 	}
 }
 
-// ParseThreadMode parses a threading-level name: the short lower-case forms
-// ("funneled", "serialized", "multiple") or the MPI constant names.
-func ParseThreadMode(s string) (ThreadMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "funneled", "mpi_thread_funneled":
-		return Funneled, nil
-	case "serialized", "mpi_thread_serialized":
-		return Serialized, nil
-	case "multiple", "mpi_thread_multiple":
-		return Multiple, nil
-	}
-	return Funneled, fmt.Errorf("mpi: unknown thread mode %q (want funneled|serialized|multiple)", s)
-}
-
 // MarshalText renders the short lower-case mode name (used by JSON platform
 // specs).
 func (m ThreadMode) MarshalText() ([]byte, error) {
@@ -88,13 +74,19 @@ func (m ThreadMode) MarshalText() ([]byte, error) {
 	return nil, fmt.Errorf("mpi: cannot marshal %v", m)
 }
 
-// UnmarshalText parses the forms accepted by ParseThreadMode.
+// UnmarshalText parses a threading-level name: the short lower-case forms
+// ("funneled", "serialized", "multiple") or the MPI constant names.
 func (m *ThreadMode) UnmarshalText(b []byte) error {
-	v, err := ParseThreadMode(string(b))
-	if err != nil {
-		return err
+	switch strings.ToLower(strings.TrimSpace(string(b))) {
+	case "funneled", "mpi_thread_funneled":
+		*m = Funneled
+	case "serialized", "mpi_thread_serialized":
+		*m = Serialized
+	case "multiple", "mpi_thread_multiple":
+		*m = Multiple
+	default:
+		return fmt.Errorf("mpi: unknown thread mode %q (want funneled|serialized|multiple)", b)
 	}
-	*m = v
 	return nil
 }
 
@@ -465,7 +457,7 @@ func extend[T any](xs []T, n int) []T {
 // Restrictions in multi-shard worlds: cfg.Faults must be nil (the fault
 // injector draws from one shared RNG, which cannot be split across shards),
 // the group's lookahead must not exceed the minimum cross-shard wire latency
-// of the topology (netsim.MinCrossLatency), Comm.Split/Dup are unavailable,
+// of the topology (netsim.MinCrossLatency), Comm.Split is unavailable,
 // and all Comm handles must be created before the group runs.
 func NewShardedWorld(g *sim.ShardGroup, cfg Config, shardOf func(rank int) int) (*World, error) {
 	w := NewWorld(g.Shard(0), cfg)
@@ -494,8 +486,8 @@ func NewShardedWorld(g *sim.ShardGroup, cfg Config, shardOf func(rank int) int) 
 	return w, nil
 }
 
-// Sharded reports whether the world's ranks span more than one shard.
-func (w *World) Sharded() bool { return w.group != nil }
+// sharded reports whether the world's ranks span more than one shard.
+func (w *World) sharded() bool { return w.group != nil }
 
 // crossDelay returns the congestion delay for a transfer, zero on topologies
 // without occupancy state. Must be called from the sender's shard.
@@ -625,14 +617,8 @@ func (c *Comm) Size() int {
 	return len(c.group)
 }
 
-// World returns the underlying world.
-func (c *Comm) World() *World { return c.world }
-
 // SetPlacement installs the thread→core layout used by thread-aware calls.
 func (c *Comm) SetPlacement(p *cluster.Placement) { c.placement = p }
-
-// Placement returns the rank's thread placement.
-func (c *Comm) Placement() *cluster.Placement { return c.placement }
 
 // state returns the rank's library state.
 func (c *Comm) state() *rankState { return c.world.ranks[c.rank] }

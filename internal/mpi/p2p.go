@@ -6,56 +6,57 @@ import (
 	"partmb/internal/sim"
 )
 
-// Isend starts a nonblocking send of data to dest with the given tag and
-// returns its request. The send completes locally when the payload has left
+// IsendBytes starts a nonblocking send of size bytes to dest with the given
+// tag and returns its request. No payload is carried: only the timing of the
+// transfer is modelled. The send completes locally when the message has left
 // the injection engine (eager) or when the rendezvous data transfer has been
 // injected (large messages). The request comes off the rank's free list;
-// Free gives it back once it has completed.
-func (c *Comm) Isend(p *sim.Proc, dest, tag int, data []byte) *Request {
-	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxP2P(), int64(len(data)), data)
-}
-
-// IsendBytes is Isend for a size-only message (no payload is carried;
-// benchmarks use this to avoid large allocations).
+// FreeAll gives it back once it has completed.
 func (c *Comm) IsendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxP2P(), size, nil)
-}
-
-// Send is the blocking form of Isend.
-func (c *Comm) Send(p *sim.Proc, dest, tag int, data []byte) {
-	c.send(p, 0, dest, tag, int64(len(data)), data)
+	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxP2P(), size)
 }
 
 // SendBytes is the blocking form of IsendBytes.
 func (c *Comm) SendBytes(p *sim.Proc, dest, tag int, size int64) {
-	c.send(p, 0, dest, tag, size, nil)
+	c.send(p, 0, dest, tag, size)
 }
 
 // send is the blocking send from the given thread, on a request of the
 // rank's free list.
-func (c *Comm) send(p *sim.Proc, thread, dest, tag int, size int64, data []byte) {
-	c.finish(p, c.isendOn(p, c.state().takeReq(), thread, dest, tag, c.ctxP2P(), size, data))
+func (c *Comm) send(p *sim.Proc, thread, dest, tag int, size int64) {
+	c.isendOn(p, c.state().takeReq(), thread, dest, tag, c.ctxP2P(), size).finish(p)
 }
 
 // Irecv posts a nonblocking receive matching (src, tag); src may be
-// AnySource and tag AnyTag. Like Isend's, its request comes off the rank's
-// free list.
+// AnySource and tag AnyTag. Like IsendBytes's, its request comes off the
+// rank's free list.
 func (c *Comm) Irecv(p *sim.Proc, src, tag int) *Request {
 	return c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxP2P())
 }
 
-// Recv blocks until a matching message arrives and returns its payload (nil
-// for size-only sends) and size.
-func (c *Comm) Recv(p *sim.Proc, src, tag int) ([]byte, int64) {
-	return c.finish(p, c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxP2P()))
+// Recv blocks until a matching message arrives.
+func (c *Comm) Recv(p *sim.Proc, src, tag int) {
+	c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxP2P()).finish(p)
+}
+
+// SendrecvBytes performs a combined send and receive (the analogue of
+// MPI_Sendrecv): both transfers progress concurrently, which makes the
+// classic neighbour-shift exchange deadlock-free. Its two requests come off
+// the rank's free list.
+func (c *Comm) SendrecvBytes(p *sim.Proc, dest, sendTag int, size int64, src, recvTag int) {
+	st := c.state()
+	sreq := c.isendOn(p, st.takeReq(), 0, dest, sendTag, c.ctxP2P(), size)
+	rreq := c.irecvOn(p, st.takeReq(), src, recvTag, c.ctxP2P())
+	sreq.finish(p)
+	rreq.finish(p)
 }
 
 // isendOn implements the send path on context ctx for the given sending
-// thread index, into the blank request sreq (see takeReq).
-func (c *Comm) isendOn(p *sim.Proc, sreq *Request, thread, dest, tag, ctx int, size int64, data []byte) *Request {
+// thread index, into the blank request sreq (see takeReq). It sets every
+// field of the envelope but the payload, which a blank request has none of.
+func (c *Comm) isendOn(p *sim.Proc, sreq *Request, thread, dest, tag, ctx int, size int64) *Request {
 	sreq.comm, sreq.kind, sreq.peer, sreq.tag, sreq.ctx = c, sendReq, c.worldOf(dest), tag, ctx
-	sreq.size, sreq.data, sreq.thread = size, data, thread
-	sreq.postedAt, sreq.matchedFrom = p.Now(), c.rank
+	sreq.size, sreq.thread = size, thread
 	call := c.enter(p, 0)
 	c.world.startSend(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(thread, size))
 	call.done()
@@ -137,8 +138,7 @@ func (w *World) startSend(now sim.Time, from, to *rankState, sreq *Request, extr
 }
 
 // startRendezvous sends the zero-byte RTS control message; the payload
-// stays put until the receiver matches and returns a CTS. Synchronous-mode
-// sends (Ssend/Issend) use this path directly regardless of message size.
+// stays put until the receiver matches and returns a CTS.
 func (w *World) startRendezvous(now sim.Time, from, to *rankState, sreq *Request, extra sim.Duration) {
 	_, arrive := from.nic.InjectLat(now, 0, 0, w.latency(from.id, to.id))
 	m := w.newMessage(from, to, sreq, kindRTS)
@@ -253,7 +253,6 @@ func (c *Comm) irecvOn(p *sim.Proc, rreq *Request, src, tag, ctx int) *Request {
 		peer = c.worldOf(src)
 	}
 	rreq.comm, rreq.kind, rreq.peer, rreq.tag, rreq.ctx = c, recvReq, peer, tag, ctx
-	rreq.postedAt, rreq.matchedFrom = p.Now(), peer
 	call := c.enter(p, 0)
 	c.postRecv(p, rreq)
 	call.done()

@@ -29,10 +29,6 @@ type PRequest struct {
 	sendBuf []byte
 	recvBuf []byte
 
-	// threadOf maps partition index to issuing thread (identity by
-	// default, the paper's one-thread-per-partition assignment).
-	threadOf []int
-
 	active bool
 	epoch  int
 
@@ -130,7 +126,6 @@ func (c *Comm) partInit(p *sim.Proc, kind reqKind, peer, tag, parts int, partByt
 		parts:     parts,
 		partBytes: partBytes,
 		impl:      c.world.cfg.PartImpl,
-		threadOf:  resized(pr.threadOf, parts),
 		bootstrap: true,
 
 		// Storage an earlier init left: the epoch state is sized by Start.
@@ -145,9 +140,6 @@ func (c *Comm) partInit(p *sim.Proc, kind reqKind, peer, tag, parts int, partByt
 		pendingNative: pr.pendingNative[:0],
 	}
 	pr.allDone.Reset()
-	for i := range pr.threadOf {
-		pr.threadOf[i] = i
-	}
 	if pr.impl == PartMPIPCL {
 		pr.inner = extend(pr.inner, parts)
 	}
@@ -197,7 +189,7 @@ func (c *Comm) nativeBind(pr *PRequest) {
 	}
 	reg := w.ranks[regRank]
 	self := c.sched()
-	if w.Sharded() {
+	if w.sharded() {
 		// Any party may have a cross-shard peer, so every request gets a
 		// completion to block on; it fires when the pairing lands.
 		pr.bound = new(sim.Completion)
@@ -223,10 +215,10 @@ func (w *World) bindAt(reg *rankState, key partKey, pr *PRequest) {
 			reg.partRegistry[key] = append(pending[:i], pending[i+1:]...)
 			// MPI 4.0 allows the two sides to partition the buffer
 			// differently as long as the total transfer size matches (the
-			// MPIPCL layered library cannot; see Impl docs).
-			if other.TotalBytes() != pr.TotalBytes() {
+			// MPIPCL layered library cannot; see PrecvInit).
+			if other.totalBytes() != pr.totalBytes() {
 				panic(fmt.Sprintf("mpi: partitioned init size mismatch: %dB vs %dB",
-					other.TotalBytes(), pr.TotalBytes()))
+					other.totalBytes(), pr.totalBytes()))
 			}
 			if (other.partBytes == 0 || pr.partBytes == 0) && other.parts != pr.parts {
 				panic("mpi: zero-byte partitions require equal partition counts")
@@ -284,24 +276,8 @@ func (pr *PRequest) BindRecvBuffer(buf []byte) {
 	pr.recvBuf = buf
 }
 
-// AssignThread overrides the partition→thread mapping used for socket-
-// dependent injection costs (default: partition i is readied by thread i).
-func (pr *PRequest) AssignThread(partition, thread int) {
-	pr.checkPartition(partition)
-	pr.threadOf[partition] = thread
-}
-
-// Parts returns the partition count.
-func (pr *PRequest) Parts() int { return pr.parts }
-
-// PartBytes returns the bytes per partition.
-func (pr *PRequest) PartBytes() int64 { return pr.partBytes }
-
-// TotalBytes returns parts*partBytes.
-func (pr *PRequest) TotalBytes() int64 { return int64(pr.parts) * pr.partBytes }
-
-// Impl returns the implementation this request uses.
-func (pr *PRequest) Impl() PartImpl { return pr.impl }
+// totalBytes returns parts*partBytes.
+func (pr *PRequest) totalBytes() int64 { return int64(pr.parts) * pr.partBytes }
 
 func (pr *PRequest) checkPartition(i int) {
 	if i < 0 || i >= pr.parts {
@@ -319,8 +295,8 @@ func (pr *PRequest) pcclTag(i int) int { return pr.tag*maxPartitions + i }
 //
 // The epoch state is sized by the first Start — in the storage of a request
 // an earlier world made, when the init reused one — and cleared in place by
-// every later one; ReadyTimes and ArrivalTimes hand out copies, so no caller
-// sees it reused.
+// every later one; ArrivalTimes hands out a copy, so no caller sees it
+// reused.
 func (pr *PRequest) Start(p *sim.Proc) {
 	if pr.active {
 		panic("mpi: Start on active partitioned request")
@@ -367,15 +343,13 @@ func (pr *PRequest) startMPIPCL(p *sim.Proc) {
 		p.Sleep(w.cfg.PcclPartitionSetup)
 		rreq := pr.innerRequest(i)
 		*rreq = Request{
-			comm:        c,
-			kind:        recvReq,
-			peer:        pr.peer,
-			tag:         pr.pcclTag(i),
-			ctx:         c.ctxPccl(),
-			postedAt:    p.Now(),
-			matchedFrom: pr.peer,
-			part:        pr,
-			partIdx:     i,
+			comm:    c,
+			kind:    recvReq,
+			peer:    pr.peer,
+			tag:     pr.pcclTag(i),
+			ctx:     c.ctxPccl(),
+			part:    pr,
+			partIdx: i,
 		}
 		c.postRecv(p, rreq)
 	}
@@ -502,9 +476,9 @@ func max64(a, b int64) int64 {
 }
 
 // Pready marks partition i ready for transfer, the analogue of MPI_Pready.
-// It must be called exactly once per partition per epoch, from the thread
-// that produced the partition (the thread mapping affects cost only; any
-// proc may make the call).
+// It must be called exactly once per partition per epoch. Partition i is
+// charged the injection cost of thread i of the rank's placement, the
+// paper's one-thread-per-partition assignment; any proc may make the call.
 func (pr *PRequest) Pready(p *sim.Proc, i int) {
 	if pr.kind != sendReq {
 		panic("mpi: Pready on receive request")
@@ -521,8 +495,7 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 
 	c := pr.comm
 	w := c.world
-	thread := pr.threadOf[i]
-	extra := c.placement.InjectionPenalty(thread) + w.cfg.Mem.AccessStall(pr.partBytes)
+	extra := c.placement.InjectionPenalty(i) + w.cfg.Mem.AccessStall(pr.partBytes)
 	var payload []byte
 	if pr.sendBuf != nil {
 		payload = pr.sendBuf[int64(i)*pr.partBytes : int64(i+1)*pr.partBytes]
@@ -536,18 +509,16 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 		call := c.enter(p, w.cfg.PcclPartitionSetup)
 		sreq := pr.innerRequest(i)
 		*sreq = Request{
-			comm:        c,
-			kind:        sendReq,
-			peer:        pr.peer,
-			tag:         pr.pcclTag(i),
-			ctx:         c.ctxPccl(),
-			size:        pr.partBytes,
-			data:        payload,
-			thread:      thread,
-			postedAt:    p.Now(),
-			matchedFrom: c.rank,
-			part:        pr,
-			partIdx:     i,
+			comm:    c,
+			kind:    sendReq,
+			peer:    pr.peer,
+			tag:     pr.pcclTag(i),
+			ctx:     c.ctxPccl(),
+			size:    pr.partBytes,
+			data:    payload,
+			thread:  i,
+			part:    pr,
+			partIdx: i,
 		}
 		w.startSend(p.Now(), c.state(), w.ranks[pr.peer], sreq, extra)
 		call.done()
@@ -574,26 +545,6 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 // Fire is the local completion of one native partition's transfer, the
 // event Pready schedules at its txDone.
 func (pr *PRequest) Fire(int) { pr.partitionSent() }
-
-// PreadyRange marks partitions [lo, hi) ready, lowest first, the analogue
-// of MPI_Pready_range (note MPI uses an inclusive upper bound; here hi is
-// exclusive, the Go convention).
-func (pr *PRequest) PreadyRange(p *sim.Proc, lo, hi int) {
-	if lo < 0 || hi > pr.parts || lo >= hi {
-		panic(fmt.Sprintf("mpi: PreadyRange [%d,%d) invalid for %d partitions", lo, hi, pr.parts))
-	}
-	for i := lo; i < hi; i++ {
-		pr.Pready(p, i)
-	}
-}
-
-// PreadyList marks the listed partitions ready in order, the analogue of
-// MPI_Pready_list.
-func (pr *PRequest) PreadyList(p *sim.Proc, parts []int) {
-	for _, i := range parts {
-		pr.Pready(p, i)
-	}
-}
 
 // partitionSent records local completion of one partition's transfer on the
 // send side (scheduler context).
@@ -666,23 +617,6 @@ func (pr *PRequest) Wait(p *sim.Proc) {
 	pr.active = false
 }
 
-// Test charges one call overhead and reports whether the epoch has
-// completed, deactivating the request when it has (MPI semantics).
-func (pr *PRequest) Test(p *sim.Proc) bool {
-	pr.comm.enter(p, 0).done()
-	if pr.allDone.Done() {
-		pr.active = false
-		return true
-	}
-	return false
-}
-
-// Active reports whether an epoch is in progress.
-func (pr *PRequest) Active() bool { return pr.active }
-
-// Epoch returns the number of Starts so far.
-func (pr *PRequest) Epoch() int { return pr.epoch }
-
 // ReadyAt returns the time Pready was called on partition i this epoch
 // (send side).
 func (pr *PRequest) ReadyAt(i int) sim.Time {
@@ -737,12 +671,5 @@ func (pr *PRequest) LastArriveAt() sim.Time {
 func (pr *PRequest) ArrivalTimes() []sim.Time {
 	out := make([]sim.Time, pr.parts)
 	copy(out, pr.arrivedTimes)
-	return out
-}
-
-// ReadyTimes returns a copy of all Pready times for the finished epoch.
-func (pr *PRequest) ReadyTimes() []sim.Time {
-	out := make([]sim.Time, pr.parts)
-	copy(out, pr.readyTimes)
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"partmb/internal/cluster"
 	"partmb/internal/sim"
 )
 
@@ -65,7 +64,6 @@ func TestBindBufferLengthMismatchPanics(t *testing.T) {
 			"long recv buffer":  func() { rpr.BindRecvBuffer(make([]byte, 1000)) },
 			"send bind on recv": func() { rpr.BindSendBuffer(make([]byte, 256)) },
 			"recv bind on send": func() { spr.BindRecvBuffer(make([]byte, 256)) },
-			"bad AssignThread":  func() { spr.AssignThread(9, 0) },
 		} {
 			func() {
 				defer func() {
@@ -78,48 +76,6 @@ func TestBindBufferLengthMismatchPanics(t *testing.T) {
 		}
 	})
 	_ = s.Run() // native-less MPIPCL init has no pairing to drain
-}
-
-func TestAssignThreadChangesCost(t *testing.T) {
-	// Re-mapping all partitions to a far-socket thread must slow the epoch.
-	span := func(farSocket bool) sim.Duration {
-		s, w := partWorld(t, PartMPIPCL, nil)
-		var spr, rpr *PRequest
-		s.Spawn("sender", func(p *sim.Proc) {
-			c := w.Comm(0)
-			c.SetPlacement(cluster.Place(w.Config().Machine, 32))
-			spr = c.PsendInit(p, 1, 0, 8, 1<<10)
-			if farSocket {
-				for i := 0; i < 8; i++ {
-					spr.AssignThread(i, 25) // socket 1
-				}
-			}
-			c.Barrier(p)
-			spr.Start(p)
-			for i := 0; i < 8; i++ {
-				spr.Pready(p, i)
-			}
-			spr.Wait(p)
-			c.Barrier(p)
-		})
-		s.Spawn("recv", func(p *sim.Proc) {
-			c := w.Comm(1)
-			rpr = c.PrecvInit(p, 0, 0, 8, 1<<10)
-			c.Barrier(p)
-			rpr.Start(p)
-			rpr.Wait(p)
-			c.Barrier(p)
-		})
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return rpr.LastArriveAt().Sub(spr.FirstReadyAt())
-	}
-	near := span(false)
-	far := span(true)
-	if far <= near {
-		t.Fatalf("far-socket thread assignment (%v) not slower than near (%v)", far, near)
-	}
 }
 
 func TestTimestampAccessorMisuse(t *testing.T) {

@@ -62,17 +62,63 @@ func onePartEpoch(t *testing.T, impl PartImpl, parts int, partBytes int64, sendB
 	return spr, rpr
 }
 
+// Payloads bound to partitioned requests arrive intact on every path a
+// partition can take: 1 KiB and 64 KiB partitions, either side of the
+// 16 KiB eager threshold (MPIPCL sends the larger ones by rendezvous),
+// received pre-posted or — when the sender readies every partition before
+// the receiver starts its epoch — out of the unexpected queue (MPIPCL) or
+// the pending-arrival buffer (native).
 func TestPartitionedPayloadIntegrity(t *testing.T) {
+	const parts = 8
 	for _, impl := range []PartImpl{PartMPIPCL, PartNative} {
 		t.Run(impl.String(), func(t *testing.T) {
-			const parts = 8
-			const partBytes = 1 << 10
-			sendBuf := make([]byte, parts*partBytes)
-			rand.New(rand.NewSource(7)).Read(sendBuf)
-			recvBuf := make([]byte, parts*partBytes)
-			onePartEpoch(t, impl, parts, partBytes, sendBuf, recvBuf)
-			if !bytes.Equal(sendBuf, recvBuf) {
-				t.Fatal("partitioned payload corrupted")
+			for _, tc := range []struct {
+				name      string
+				partBytes int64
+				late      bool // the receiver starts after every Pready
+			}{
+				{"1KiB", 1 << 10, false},
+				{"64KiB", 64 << 10, false},
+				{"1KiB-late-receiver", 1 << 10, true},
+				{"64KiB-late-receiver", 64 << 10, true},
+			} {
+				t.Run(tc.name, func(t *testing.T) {
+					sendBuf := make([]byte, parts*tc.partBytes)
+					rand.New(rand.NewSource(7)).Read(sendBuf)
+					recvBuf := make([]byte, len(sendBuf))
+					s, w := partWorld(t, impl, nil)
+					var readied sim.Time
+					s.Spawn("sender", func(p *sim.Proc) {
+						c := w.Comm(0)
+						pr := c.PsendInit(p, 1, 42, parts, tc.partBytes)
+						pr.BindSendBuffer(sendBuf)
+						c.Barrier(p)
+						pr.Start(p)
+						pr.preadyRange(p, 0, parts)
+						readied = p.Now()
+						pr.Wait(p)
+					})
+					s.Spawn("recv", func(p *sim.Proc) {
+						c := w.Comm(1)
+						pr := c.PrecvInit(p, 0, 42, parts, tc.partBytes)
+						pr.BindRecvBuffer(recvBuf)
+						c.Barrier(p)
+						if tc.late {
+							p.Sleep(sim.Millisecond)
+							if readied == 0 || readied > p.Now() {
+								t.Errorf("receiver starts at %v, before the sender readied every partition (%v)", p.Now(), readied)
+							}
+						}
+						pr.Start(p)
+						pr.Wait(p)
+					})
+					if err := s.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(sendBuf, recvBuf) {
+						t.Fatal("partitioned payload corrupted")
+					}
+				})
 			}
 		})
 	}
@@ -124,8 +170,8 @@ func TestPartitionedEpochRestart(t *testing.T) {
 					pr.Start(p)
 					pr.Wait(p)
 					lastArrivals = append(lastArrivals, pr.LastArriveAt())
-					if pr.Epoch() != e+1 {
-						t.Errorf("epoch counter = %d, want %d", pr.Epoch(), e+1)
+					if pr.epoch != e+1 {
+						t.Errorf("epoch counter = %d, want %d", pr.epoch, e+1)
 					}
 				}
 				c.Barrier(p)
@@ -311,6 +357,22 @@ func TestPartitionedMisusePanics(t *testing.T) {
 	}
 }
 
+// preadyRange marks partitions [lo, hi) ready, lowest first, the analogue
+// of MPI_Pready_range with an exclusive upper bound.
+func (pr *PRequest) preadyRange(p *sim.Proc, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		pr.Pready(p, i)
+	}
+}
+
+// preadyList marks the listed partitions ready in order, the analogue of
+// MPI_Pready_list.
+func (pr *PRequest) preadyList(p *sim.Proc, parts []int) {
+	for _, i := range parts {
+		pr.Pready(p, i)
+	}
+}
+
 func TestPreadyRangeAndList(t *testing.T) {
 	s, w := partWorld(t, PartMPIPCL, nil)
 	s.Spawn("sender", func(p *sim.Proc) {
@@ -318,8 +380,8 @@ func TestPreadyRangeAndList(t *testing.T) {
 		pr := c.PsendInit(p, 1, 0, 8, 64)
 		c.Barrier(p)
 		pr.Start(p)
-		pr.PreadyRange(p, 0, 4)
-		pr.PreadyList(p, []int{6, 4, 7, 5})
+		pr.preadyRange(p, 0, 4)
+		pr.preadyList(p, []int{6, 4, 7, 5})
 		pr.Wait(p)
 		c.Barrier(p)
 	})
@@ -375,6 +437,19 @@ func TestNativeStartUnboundPanics(t *testing.T) {
 	_ = s.Run()
 }
 
+// test charges one call overhead and reports whether the epoch has
+// completed, deactivating the request when it has: MPI_Test on a
+// partitioned request, which the runtime leaves out because its callers
+// only wait.
+func (pr *PRequest) test(p *sim.Proc) bool {
+	pr.comm.enter(p, 0).done()
+	if pr.allDone.Done() {
+		pr.active = false
+		return true
+	}
+	return false
+}
+
 func TestPartitionedTestDeactivates(t *testing.T) {
 	s, w := partWorld(t, PartMPIPCL, nil)
 	s.Spawn("sender", func(p *sim.Proc) {
@@ -384,10 +459,10 @@ func TestPartitionedTestDeactivates(t *testing.T) {
 		pr.Start(p)
 		pr.Pready(p, 0)
 		pr.Pready(p, 1)
-		for !pr.Test(p) {
+		for !pr.test(p) {
 			p.Sleep(sim.Microsecond)
 		}
-		if pr.Active() {
+		if pr.active {
 			t.Error("request still active after successful Test")
 		}
 		c.Barrier(p)

@@ -84,9 +84,6 @@ func nextPow2(n int) int {
 // Root reports whether this rank is the broadcast root.
 func (pb *PBcast) Root() bool { return pb.comm.Rank() == pb.root }
 
-// Parts returns the partition count.
-func (pb *PBcast) Parts() int { return pb.parts }
-
 // Start opens a broadcast epoch. On non-root, non-leaf ranks it spawns a
 // forwarder that relays each partition to the children as it arrives.
 func (pb *PBcast) Start(p *sim.Proc) {

@@ -2,33 +2,26 @@ package mpi
 
 import "partmb/internal/sim"
 
-// SendInit creates a persistent send request: the envelope (destination,
-// tag, size, payload) is registered once, and each Start/Wait cycle performs
-// one transfer, the analogue of MPI_Send_init.
-func (c *Comm) SendInit(p *sim.Proc, dest, tag int, data []byte) *Request {
-	return c.sendInit(p, 0, dest, tag, int64(len(data)), data)
-}
-
-// SendInitBytes is SendInit for a size-only message.
+// SendInitBytes creates a persistent size-only send request: the envelope
+// (destination, tag, size) is registered once, and each Start/Wait cycle
+// performs one transfer, the analogue of MPI_Send_init.
 func (c *Comm) SendInitBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return c.sendInit(p, 0, dest, tag, size, nil)
+	return c.sendInit(p, 0, dest, tag, size)
 }
 
-func (c *Comm) sendInit(p *sim.Proc, thread, dest, tag int, size int64, data []byte) *Request {
+func (c *Comm) sendInit(p *sim.Proc, thread, dest, tag int, size int64) *Request {
 	c.enter(p, 0).done()
 	r := c.state().persist.take()
 	*r = Request{
-		comm:        c,
-		kind:        sendReq,
-		peer:        c.worldOf(dest),
-		tag:         tag,
-		ctx:         c.ctxP2P(),
-		size:        size,
-		data:        data,
-		thread:      thread,
-		persistent:  true,
-		matchedFrom: c.rank,
-		done:        r.done,
+		comm:       c,
+		kind:       sendReq,
+		peer:       c.worldOf(dest),
+		tag:        tag,
+		ctx:        c.ctxP2P(),
+		size:       size,
+		thread:     thread,
+		persistent: true,
+		done:       r.done,
 	}
 	r.inactive(p.Scheduler())
 	return r
@@ -44,14 +37,13 @@ func (c *Comm) RecvInit(p *sim.Proc, src, tag int) *Request {
 	}
 	r := c.state().persist.take()
 	*r = Request{
-		comm:        c,
-		kind:        recvReq,
-		peer:        peer,
-		tag:         tag,
-		ctx:         c.ctxP2P(),
-		persistent:  true,
-		matchedFrom: peer,
-		done:        r.done,
+		comm:       c,
+		kind:       recvReq,
+		peer:       peer,
+		tag:        tag,
+		ctx:        c.ctxP2P(),
+		persistent: true,
+		done:       r.done,
 	}
 	r.inactive(p.Scheduler())
 	return r
@@ -70,14 +62,13 @@ func (r *Request) inactive(s *sim.Scheduler) {
 // of MPI_Start. Starting an active (incomplete) request panics.
 func (r *Request) Start(p *sim.Proc) {
 	if !r.persistent {
-		panic("mpi: Start on non-persistent request (use Isend/Irecv)")
+		panic("mpi: Start on non-persistent request (use IsendBytes/Irecv)")
 	}
 	if r.started && !r.done.Done() {
 		panic("mpi: Start on active persistent request")
 	}
 	r.reset()
 	r.started = true
-	r.postedAt = p.Now()
 	c := r.comm
 	switch r.kind {
 	case sendReq:
@@ -88,15 +79,5 @@ func (r *Request) Start(p *sim.Proc) {
 		call := c.enter(p, 0)
 		c.postRecv(p, r)
 		call.done()
-	}
-}
-
-// StartAll activates every persistent request in order, the analogue of
-// MPI_Startall. Nil entries are skipped.
-func StartAll(p *sim.Proc, reqs ...*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Start(p)
-		}
 	}
 }

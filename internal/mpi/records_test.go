@@ -29,16 +29,19 @@ func TestUnexpectedSurvivesRecycling(t *testing.T) {
 			c.SendBytes(p, peer, 1, int64(1+round%512))
 		}
 		for k := 0; k < recvs; k++ {
-			if _, n := c.Recv(p, peer, 1); n != int64(1+round%512) {
+			r := c.Irecv(p, peer, 1)
+			r.Wait(p)
+			if n := r.Size(); n != int64(1+round%512) {
 				t.Fatalf("round %d: size %d, want %d", round, n, 1+round%512)
 			}
+			FreeAll(r)
 		}
 	}
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			c.Send(p, 1, 99, small)
-			big := c.Isend(p, 1, 98, large)
+			c.sendData(p, 1, 99, c.ctxP2P(), small)
+			big := c.isendData(p, 1, 98, c.ctxP2P(), large)
 			for i := 0; i < rounds; i++ {
 				exchange(c, p, 1, i, 1+i%3, 3-i%3)
 			}
@@ -52,14 +55,14 @@ func TestUnexpectedSurvivesRecycling(t *testing.T) {
 				tag  int
 				data []byte
 			}{{99, small}, {98, large}} {
-				ps := c.Probe(p, 0, want.tag)
+				ps := c.probe(p, 0, want.tag)
 				if ps.Source != 0 || ps.Tag != want.tag || ps.Size != int64(len(want.data)) {
-					t.Errorf("Probe(tag %d) = %+v, want source 0, size %d", want.tag, ps, len(want.data))
+					t.Errorf("probe(tag %d) = %+v, want source 0, size %d", want.tag, ps, len(want.data))
 				}
 				r := c.Irecv(p, 0, want.tag)
 				r.Wait(p)
-				if r.Source() != 0 || r.Size() != int64(len(want.data)) || !bytes.Equal(r.Data(), want.data) {
-					t.Errorf("Recv(tag %d): source %d, size %d, payload intact %v", want.tag, r.Source(), r.Size(), bytes.Equal(r.Data(), want.data))
+				if r.Source() != 0 || r.Size() != int64(len(want.data)) || !bytes.Equal(r.data, want.data) {
+					t.Errorf("Recv(tag %d): source %d, size %d, payload intact %v", want.tag, r.Source(), r.Size(), bytes.Equal(r.data, want.data))
 				}
 			}
 		}
@@ -122,11 +125,13 @@ func TestFreeListCappedUnderOneWayTraffic(t *testing.T) {
 	})
 }
 
-// Blocking calls — eager and rendezvous ping-pongs, Ssend, Sendrecv and
-// Barrier — take their requests off the rank's free list and give them back,
+// Blocking calls — eager and rendezvous ping-pongs, a rendezvous send,
+// Sendrecv and Barrier — take their requests off the rank's free list and give them back,
 // here from four threads per rank under MPI_THREAD_MULTIPLE, and the
 // simulation is the one fresh requests produced: the end times are literals
-// recorded on the commit before blocking calls reused their requests.
+// recorded on the commit before blocking calls reused their requests, and
+// recorded again for this program on the commit before the runtime lost its
+// synchronous-mode send (thread 2 then sent 64 bytes with Ssend).
 func TestBlockingCallsReuseRequests(t *testing.T) {
 	const (
 		ranks   = 4
@@ -135,7 +140,7 @@ func TestBlockingCallsReuseRequests(t *testing.T) {
 	)
 	var ends [ranks]sim.Time
 	w := runWorld(t, ranks, func(cfg *Config) { cfg.ThreadMode = Multiple }, func(c *Comm, p *sim.Proc) {
-		c.SetPlacement(cluster.Place(c.World().Config().Machine, threads))
+		c.SetPlacement(cluster.Place(c.world.cfg.Machine, threads))
 		s := p.Scheduler()
 		peer := c.Rank() ^ 1
 		first := c.Rank()%2 == 0
@@ -158,7 +163,7 @@ func TestBlockingCallsReuseRequests(t *testing.T) {
 						}
 					case 2:
 						if first {
-							c.Ssend(p, peer, th, make([]byte, 64))
+							c.SendBytes(p, peer, th, 32<<10)
 						} else {
 							c.Recv(p, peer, th)
 						}
@@ -172,7 +177,7 @@ func TestBlockingCallsReuseRequests(t *testing.T) {
 		}
 		ends[c.Rank()] = p.Now()
 	})
-	if want := [ranks]sim.Time{38113079, 38113799, 38113079, 38113799}; ends != want {
+	if want := [ranks]sim.Time{38128079, 38128799, 38128079, 38128799}; ends != want {
 		t.Errorf("ranks end at %v, want %v", ends, want)
 	}
 	for i, st := range w.ranks {
@@ -241,7 +246,7 @@ func TestEpochsRestartInnerRequests(t *testing.T) {
 				for e := 0; e < epochs; e++ {
 					pr.Start(p)
 					if c.Rank() == 0 {
-						pr.PreadyRange(p, 0, parts)
+						pr.preadyRange(p, 0, parts)
 					}
 					pr.Wait(p)
 					if e == 0 {
@@ -310,9 +315,9 @@ func TestIprobeEnvelopeOutlivesRecord(t *testing.T) {
 	// now scanning a single entry, takes tag 5; each releases its record 1 µs on.
 	s.Spawn("prober", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
-		ps, ok := w.Comm(1).Iprobe(p, 0, 5)
-		if want := (ProbeStatus{Source: 0, Tag: 5, Size: 7}); !ok || ps != want {
-			t.Errorf("Iprobe = %+v, %v, want %+v", ps, ok, want)
+		ps, ok := w.Comm(1).iprobe(p, 0, 5)
+		if want := (probeStatus{Source: 0, Tag: 5, Size: 7}); !ok || ps != want {
+			t.Errorf("iprobe = %+v, %v, want %+v", ps, ok, want)
 		}
 		if got := len(w.ranks[1].records.free); got != 2 {
 			t.Errorf("%d records released while the probe slept, want both", got)

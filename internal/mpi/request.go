@@ -30,7 +30,6 @@ type Request struct {
 	thread int
 
 	done        sim.Completion
-	postedAt    sim.Time
 	completedAt sim.Time
 	// matchedFrom records the actual source rank after a wildcard match.
 	matchedFrom int
@@ -51,32 +50,18 @@ type Request struct {
 	partIdx int
 }
 
-// IsSend reports whether this is a send-side request.
-func (r *Request) IsSend() bool { return r.kind == sendReq }
-
 // Size returns the message size in bytes.
 func (r *Request) Size() int64 { return r.size }
-
-// Tag returns the message tag.
-func (r *Request) Tag() int { return r.tag }
-
-// Data returns the payload: for completed receives, the received bytes (nil
-// for size-only transfers); for sends, the bytes passed in.
-func (r *Request) Data() []byte { return r.data }
 
 // Source returns the matched source rank (communicator-local) of a
 // completed receive; for wildcard receives this is the actual sender.
 func (r *Request) Source() int { return r.comm.localOf(r.matchedFrom) }
 
-// PostedAt returns the virtual time the operation was initiated.
-func (r *Request) PostedAt() sim.Time { return r.postedAt }
-
 // CompletedAt returns the virtual time the operation completed. Only valid
-// after Wait/Test reports completion.
+// after Wait returns.
 func (r *Request) CompletedAt() sim.Time { return r.completedAt }
 
-// Done reports (without cost) whether the request has completed. Prefer
-// Test from simulation procs: Test charges the MPI call overhead.
+// Done reports, without cost, whether the request has completed.
 func (r *Request) Done() bool { return r.done.Done() }
 
 // Wait blocks the calling proc until the request completes, charging the
@@ -89,24 +74,15 @@ func (r *Request) Wait(p *sim.Proc) {
 	r.done.Wait(p)
 }
 
-// Test charges one MPI call overhead and reports whether the request has
-// completed. Testing a freed request panics.
-func (r *Request) Test(p *sim.Proc) bool {
-	if r.pooled {
-		panic("mpi: Test on a freed request")
-	}
-	r.comm.enter(p, 0).done()
-	return r.done.Done()
-}
-
-// Free gives a completed request back to its rank, the analogue of
-// MPI_Request_free after completion: the rank's next nonblocking or blocking
-// call reuses it, so the caller must not touch it again. Freeing a request
-// that has not completed, a persistent request, an inner request of an
-// MPIPCL partitioned request, or a freed one panics, and so do a later Wait,
-// Test or completion of it — but only until the rank's next call takes the
-// request again. After that a stale handle aliases the reused request.
-func (r *Request) Free() {
+// free gives a completed request back to its rank, the analogue of
+// MPI_Request_free after completion (callers reach it through FreeAll): the
+// rank's next nonblocking or blocking call reuses it, so the caller must not
+// touch it again. Freeing a request that has not completed, a persistent
+// request, an inner request of an MPIPCL partitioned request, or a freed one
+// panics, and so do a later Wait or completion of it — but only until the
+// rank's next call takes the request again. After that a stale handle
+// aliases the reused request.
+func (r *Request) free() {
 	switch {
 	case r.pooled:
 		panic("mpi: Free of a freed request")
@@ -163,7 +139,7 @@ func (r *Request) reset() {
 }
 
 // takeReq returns a blank request for a call of this rank: one a finished
-// blocking call or a caller's Free gave back, or a new one.
+// blocking call or a caller's FreeAll gave back, or a new one.
 func (st *rankState) takeReq() *Request {
 	n := len(st.freeReqs)
 	if n == 0 {
@@ -175,14 +151,11 @@ func (st *rankState) takeReq() *Request {
 	return r
 }
 
-// finish waits for a blocking call's request, copies out what the call
-// returns and frees the request: a blocking call never hands its request to
-// the caller.
-func (c *Comm) finish(p *sim.Proc, r *Request) (data []byte, size int64) {
+// finish waits for a blocking call's request and frees it: a blocking call
+// never hands its request to the caller.
+func (r *Request) finish(p *sim.Proc) {
 	r.Wait(p)
-	data, size = r.data, r.size
-	r.Free()
-	return data, size
+	r.free()
 }
 
 // WaitAll waits for every request in order. Ordering does not change the
@@ -196,28 +169,14 @@ func WaitAll(p *sim.Proc, reqs ...*Request) {
 	}
 }
 
-// FreeAll frees every request (see Request.Free); nil entries are skipped.
+// FreeAll gives every completed request back to its rank (see free); nil
+// entries are skipped.
 func FreeAll(reqs ...*Request) {
 	for _, r := range reqs {
 		if r != nil {
-			r.Free()
+			r.free()
 		}
 	}
-}
-
-// TestAll charges one call overhead per request and reports whether all have
-// completed.
-func TestAll(p *sim.Proc, reqs ...*Request) bool {
-	all := true
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		if !r.Test(p) {
-			all = false
-		}
-	}
-	return all
 }
 
 func (r *Request) String() string {

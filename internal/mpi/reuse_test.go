@@ -34,13 +34,15 @@ var programs = []program{
 	{"p2p", 4, func(c *Config) { c.ThreadMode = Multiple }, func(log func(string, ...any)) func(*Comm, *sim.Proc) {
 		return func(c *Comm, p *sim.Proc) {
 			me, peer := c.Rank(), c.Rank()^1
-			c.SetPlacement(cluster.Place(c.World().Config().Machine, 2))
+			c.SetPlacement(cluster.Place(c.world.cfg.Machine, 2))
 			for i := 0; i < 6; i++ {
 				size := int64(512 << (3 * (i % 3))) // eager, eager, rendezvous
 				rr := c.Endpoint(i%2).Irecv(p, AnySource, AnyTag)
-				sr := c.Endpoint(1-i%2).Isend(p, peer, i, bytes.Repeat([]byte{byte(me)}, int(size)))
+				sr := c.state().takeReq()
+				sr.data = bytes.Repeat([]byte{byte(me)}, int(size))
+				c.isendOn(p, sr, 1-i%2, peer, i, c.ctxP2P(), size) // endpoint 1-i%2, carrying data
 				WaitAll(p, rr, sr)
-				log("rank %d msg %d from %d tag %d size %d byte %d done %v/%v", me, i, rr.Source(), rr.Tag(), rr.Size(), rr.Data()[0], rr.CompletedAt(), sr.CompletedAt())
+				log("rank %d msg %d from %d tag %d size %d byte %d done %v/%v", me, i, rr.Source(), rr.tag, rr.Size(), rr.data[0], rr.CompletedAt(), sr.CompletedAt())
 				FreeAll(rr, sr)
 			}
 			c.IsendBytes(p, peer, 99, 64)  // never received: left unexpected
@@ -54,7 +56,7 @@ var programs = []program{
 			for _, parts := range []int{16, 3} {
 				var pr *PRequest
 				if c.Rank() == 0 {
-					c.SetPlacement(cluster.Place(c.World().Config().Machine, parts))
+					c.SetPlacement(cluster.Place(c.world.cfg.Machine, parts))
 					pr = c.PsendInit(p, 1, parts, parts, 4096)
 				} else {
 					pr = c.PrecvInit(p, 0, parts, parts, 4096)
@@ -68,7 +70,7 @@ var programs = []program{
 							pr.Pready(p, i)
 						}
 						pr.Wait(p)
-						log("send %d parts epoch %d: %v", parts, e, pr.ReadyTimes())
+						log("send %d parts epoch %d: %v", parts, e, pr.readyTimes)
 					} else {
 						pr.Wait(p)
 						log("recv %d parts epoch %d: %v", parts, e, pr.ArrivalTimes())
@@ -98,7 +100,7 @@ var programs = []program{
 			for e := 0; e < 2 && pr != nil; e++ {
 				pr.Start(p)
 				if c.Rank() == 0 {
-					pr.PreadyRange(p, 0, 8)
+					pr.preadyRange(p, 0, 8)
 				}
 				pr.Wait(p)
 				log("rank %d epoch %d ends at %v, last byte %d", c.Rank(), e, p.Now(), buf[len(buf)-1])
@@ -243,7 +245,7 @@ func TestKeptWorldAllocs(t *testing.T) {
 		for e := 0; e < 2; e++ {
 			pr.Start(p)
 			if c.Rank() == 0 {
-				pr.PreadyRange(p, 0, 16)
+				pr.preadyRange(p, 0, 16)
 			}
 			pr.Wait(p)
 			recv.Start(p)

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -103,4 +105,34 @@ func TestSpecAdaptiveOn(t *testing.T) {
 	if k := rq.CellKeys()[0]; k == "" {
 		t.Fatal("budget-free adaptive cell keyed to \"\" (uncacheable)")
 	}
+}
+
+// FuzzSpecResolve feeds arbitrary request bodies through the decode and
+// resolve steps the sweep handler runs at the door. Neither may panic, and
+// a spec Resolve accepts must describe only valid cells: every size it
+// schedules passes core.Config.Validate, not just the first one Resolve
+// probes.
+func FuzzSpecResolve(f *testing.F) {
+	f.Add([]byte(`{"sweep":true,"min":"1KiB","max":"1MiB","compute":"1ms"}`))
+	f.Add([]byte(`{"size":"64KiB","parts":8,"samples":"min=3,max=6,ci=0.05"}`))
+	f.Add([]byte(`{"size":"4KiB","parts":-4}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec Spec
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			return
+		}
+		rq, err := spec.Resolve()
+		if err != nil {
+			return
+		}
+		for _, size := range rq.Sizes {
+			cfg := rq.Base
+			cfg.MessageBytes = size
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("spec %s resolved to an invalid %d-byte cell: %v", body, size, err)
+			}
+		}
+	})
 }
