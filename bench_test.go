@@ -33,7 +33,7 @@ func benchFigure(b *testing.B, fig int) {
 	sc := figures.Quick()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tables, err := figures.Generate(fig, sc)
+		tables, err := figures.Env{}.Generate(fig, sc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,11 +41,7 @@ func main() {
 		fatal(err)
 	}
 
-	scaleName, err := cliutil.ParseScale(*scaleStr)
-	if err != nil {
-		fatal(err)
-	}
-	sc, err := figures.ScaleByName(scaleName)
+	sc, err := figures.ScaleByName(*scaleStr)
 	if err != nil {
 		fatal(err)
 	}

@@ -11,18 +11,7 @@ import (
 )
 
 // This file holds the flag plumbing every sweep CLI previously duplicated:
-// the quick|full scale selector and the -csv/-md/-spark/-out output sink.
-
-// ParseScale validates a -scale flag value; "" defaults to quick.
-func ParseScale(s string) (string, error) {
-	switch s {
-	case "", "quick":
-		return "quick", nil
-	case "full":
-		return "full", nil
-	}
-	return "", fmt.Errorf("cliutil: unknown scale %q (want quick|full)", s)
-}
+// the -csv/-md/-spark/-out output sink.
 
 // Output bundles the shared table-output flags. Zero value renders text to
 // stdout. Call Validate after flag parsing: the format flags conflict in

@@ -10,20 +10,6 @@ import (
 	"partmb/internal/report"
 )
 
-func TestParseScale(t *testing.T) {
-	for in, want := range map[string]string{"": "quick", "quick": "quick", "full": "full"} {
-		got, err := ParseScale(in)
-		if err != nil || got != want {
-			t.Errorf("ParseScale(%q) = %q, %v; want %q", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"fast", "FULL", "tiny"} {
-		if _, err := ParseScale(bad); err == nil {
-			t.Errorf("ParseScale(%q) accepted", bad)
-		}
-	}
-}
-
 func sampleTable() *report.Table {
 	tb := report.New("sample", "size", "value")
 	tb.AddF("1KiB", 1.5)

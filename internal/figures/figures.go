@@ -1,7 +1,8 @@
 // Package figures regenerates the data behind every figure in the paper's
-// evaluation (Figures 4–13). Each generator returns report tables whose rows
-// are the series the paper plots; cmd/figures renders them as text or CSV,
-// and bench_test.go wraps each one in a testing.B benchmark.
+// evaluation (Figures 4–13). Each figure is one row of an ordered table;
+// Env.Generate runs a row and returns report tables whose rows are the
+// series the paper plots. cmd/figures renders them as text or CSV, and
+// bench_test.go times each figure.
 //
 // Two scales are provided: Full approximates the paper's parameter ranges;
 // Quick shrinks sweeps for CI and benchmarks.
@@ -14,8 +15,10 @@
 package figures
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"partmb/internal/core"
 	"partmb/internal/engine"
@@ -112,10 +115,11 @@ const (
 )
 
 // Env binds the generators to an experiment runner and a platform spec. The
-// zero Env uses the shared default runner and the paper's Niagara/EDR
-// platform, so package-level calls keep working unchanged.
+// zero Env runs each call on a fresh default runner and the paper's
+// Niagara/EDR platform.
 type Env struct {
-	// Runner executes and memoizes the cells (nil = shared default runner).
+	// Runner executes and memoizes the cells (nil = a fresh default runner
+	// per Generate or ScalingTables call, shared by that call's cells).
 	Runner *engine.Runner
 	// Spec is the base platform; generators override the figure-controlled
 	// axes (noise model, cache state, thread mode) per cell.
@@ -138,33 +142,16 @@ type band struct{ v, hw float64 }
 
 func (b band) String() string { return fmt.Sprintf("%.4g±%.3g", b.v, b.hw) }
 
-func (e Env) runner() *engine.Runner { return engine.OrDefault(e.Runner) }
-
-// spec returns the base platform with the metric benchmarks' thread mode:
-// the paper's MPIPCL setup initializes MPI_THREAD_MULTIPLE.
-func (e Env) metricSpec() *platform.Spec {
-	return e.Spec.Resolved().WithThreadMode(mpi.Multiple)
-}
-
 // grid evaluates cell over the rows x cols grid on the runner's worker
 // pool. cost is the per-cell relative cost heuristic the engine orders
-// dispatch by (nil = row-major; see engine.Runner.Sweep).
+// dispatch by (nil = row-major; see engine.Runner.Sweep). Generate and
+// ScalingTables resolve e.Runner before any grid runs.
 func (e Env) grid(rows, cols int, cost func(r, c int) float64, cell func(r, c int) (any, error)) ([][]any, error) {
 	if e.recost != nil {
 		cost = e.recost(cost)
 	}
-	return e.runner().Grid(context.Background(), rows, cols, cost,
+	return e.Runner.Grid(context.Background(), rows, cols, cost,
 		func(ctx context.Context, r, c int) (any, error) { return cell(r, c) })
-}
-
-// metricCfg builds the shared point-to-point benchmark configuration.
-func (e Env) metricCfg(sc Scale) core.Config {
-	return core.Config{
-		Iterations: sc.Iterations,
-		Warmup:     sc.Warmup,
-		Platform:   e.metricSpec(),
-		Adaptive:   e.Adaptive,
-	}
 }
 
 // metricCell renders one metric-figure cell: the fixed-path value, or — on
@@ -176,49 +163,186 @@ func metricCell(fixed float64, est *stats.Estimate, scale float64) any {
 	return band{est.Mean * scale, est.HalfWidth() * scale}
 }
 
-// Fig4 regenerates "Overhead of Partitioned Point-to-Point Communication
-// Relative to Point-to-Point Communication for 10ms of Compute": one table
-// per cache state, overhead per partition count over the size sweep.
-func (e Env) Fig4(sc Scale) ([]*report.Table, error) {
+// metric is one core.Result measure, its adaptive estimate, and the unit
+// its cells render in (values are divided by unit).
+type metric struct {
+	value func(*core.Result) float64
+	est   func(*core.ResultCI) *stats.Estimate
+	unit  float64
+}
+
+// The paper's four metrics (Eqs. 1–4); perceived bandwidth renders in GB/s.
+var (
+	overhead = metric{func(r *core.Result) float64 { return r.Overhead },
+		func(ci *core.ResultCI) *stats.Estimate { return &ci.Overhead }, 1}
+	perceivedGBps = metric{func(r *core.Result) float64 { return r.PerceivedBW },
+		func(ci *core.ResultCI) *stats.Estimate { return &ci.PerceivedBW }, 1e9}
+	availability = metric{func(r *core.Result) float64 { return r.Availability },
+		func(ci *core.ResultCI) *stats.Estimate { return &ci.Availability }, 1}
+	earlyBird = metric{func(r *core.Result) float64 { return r.EarlyBird },
+		func(ci *core.ResultCI) *stats.Estimate { return &ci.EarlyBird }, 1}
+)
+
+// metricFigure is one of Figures 4–8 as a spec row: the two-rank
+// partitioned benchmark over the MetricSizes x column grid, one grid per
+// table, every cell reading one metric. The columns are the scale's
+// partition counts unless series replaces them.
+type metricFigure struct {
+	tables []metricTable
+	metric metric
+	// dropOne drops the 1-partition column, meaningless for availability
+	// and early-bird figures, as the paper notes.
+	dropOne bool
+	// series, when set, replaces the partition-count columns (Figure 7).
+	series []metricCol
+}
+
+// metricTable is one table's title and settings. noise.None keeps the
+// spec's noise model, and a nil cache (else &hot or &cold) its cache state.
+type metricTable struct {
+	title    string
+	compute  sim.Duration
+	noise    noise.Kind
+	noisePct float64
+	cache    *memsim.CacheMode
+}
+
+var hot, cold = memsim.Hot, memsim.Cold
+
+// metricCol is one column series: a partition count and, when set, the
+// noise model that replaces the table's.
+type metricCol struct {
+	label string
+	parts int
+	noise noise.Kind
+}
+
+// fig4 is "Overhead of Partitioned Point-to-Point Communication Relative to
+// Point-to-Point Communication for 10ms of Compute": one table per cache
+// state, overhead per partition count over the size sweep.
+var fig4 = metricFigure{
+	tables: []metricTable{
+		{title: "Figure 4 (hot cache): overhead t_part/t_pt2pt, 10ms compute, no noise", compute: comp10ms, cache: &hot},
+		{title: "Figure 4 (cold cache): overhead t_part/t_pt2pt, 10ms compute, no noise", compute: comp10ms, cache: &cold},
+	},
+	metric: overhead,
+}
+
+// fig5 is "Perceived Bandwidth ... with Uniform Noise and a Hot Cache for
+// Different Noise and Compute Amounts": one table per (compute, noise%)
+// pair, perceived bandwidth (GB/s) per partition count.
+var fig5 = metricFigure{
+	tables: []metricTable{
+		{title: "Figure 5 (compute=10ms, uniform noise=0%): perceived bandwidth GB/s", compute: comp10ms, noise: noise.Uniform},
+		{title: "Figure 5 (compute=10ms, uniform noise=4%): perceived bandwidth GB/s", compute: comp10ms, noise: noise.Uniform, noisePct: 4},
+		{title: "Figure 5 (compute=100ms, uniform noise=0%): perceived bandwidth GB/s", compute: comp100ms, noise: noise.Uniform},
+		{title: "Figure 5 (compute=100ms, uniform noise=4%): perceived bandwidth GB/s", compute: comp100ms, noise: noise.Uniform, noisePct: 4},
+	},
+	metric: perceivedGBps,
+}
+
+// fig6 is "Application Availability ... With a Hot Cache and Our Single
+// Thread Delay Model With 4% Noise": one table per compute amount,
+// availability per partition count.
+var fig6 = metricFigure{
+	tables: []metricTable{
+		{title: "Figure 6 (compute=10ms): application availability, single-thread delay 4%, hot cache", compute: comp10ms, noise: noise.SingleThread, noisePct: 4},
+		{title: "Figure 6 (compute=100ms): application availability, single-thread delay 4%, hot cache", compute: comp100ms, noise: noise.SingleThread, noisePct: 4},
+	},
+	metric:  availability,
+	dropOne: true,
+}
+
+// fig7 is "The Impact of Noise Models on Application Availability": one
+// column per noise model at 16 partitions, 4% noise, hot cache.
+var fig7 = metricFigure{
+	tables: []metricTable{
+		{title: "Figure 7: application availability by noise model, 16 partitions, 4% noise, hot cache, 10ms compute", compute: comp10ms, noisePct: 4},
+	},
+	metric: availability,
+	series: []metricCol{{"single", 16, noise.SingleThread}, {"uniform", 16, noise.Uniform}, {"gaussian", 16, noise.Gaussian}},
+}
+
+// fig8 is "Percentage of Early-Bird Communication with MPI Partitioned
+// Point-to-Point Communication" (uniform noise): one table per compute
+// amount.
+var fig8 = metricFigure{
+	tables: []metricTable{
+		{title: "Figure 8 (compute=10ms): % early-bird communication, uniform 4% noise, hot cache", compute: comp10ms, noise: noise.Uniform, noisePct: 4},
+		{title: "Figure 8 (compute=100ms): % early-bird communication, uniform 4% noise, hot cache", compute: comp100ms, noise: noise.Uniform, noisePct: 4},
+	},
+	metric:  earlyBird,
+	dropOne: true,
+}
+
+// generate runs the figure's tables. Rows are the sizes at least one
+// column's partition count divides; a cell whose count does not divide its
+// size renders "-".
+func (f metricFigure) generate(e Env, sc Scale) ([]*report.Table, error) {
+	cols := f.series
+	if cols == nil {
+		counts := sc.PartCounts
+		if f.dropOne {
+			counts = withoutOne(counts)
+		}
+		for _, n := range counts {
+			cols = append(cols, metricCol{label: fmt.Sprintf("p=%d", n), parts: n})
+		}
+	}
+	header := []string{"size"}
+	for _, c := range cols {
+		header = append(header, c.label)
+	}
+	var sizes []int64
+	for _, size := range sc.MetricSizes {
+		if slices.ContainsFunc(cols, func(c metricCol) bool { return size%int64(c.parts) == 0 }) {
+			sizes = append(sizes, size)
+		}
+	}
+	// metricHint is the dominant LogGP-style term of a cell's simulation cost.
+	metricHint := func(r, c int) float64 { return float64(sizes[r]) * float64(cols[c].parts) }
 	var tables []*report.Table
-	for _, cache := range []memsim.CacheMode{memsim.Hot, memsim.Cold} {
-		cache := cache
-		t := report.New(
-			fmt.Sprintf("Figure 4 (%s cache): overhead t_part/t_pt2pt, 10ms compute, no noise", cache),
-			append([]string{"size"}, partColumns(sc.PartCounts, "p=%d")...)...)
-		cells, err := e.grid(len(sc.MetricSizes), len(sc.PartCounts), metricHint(sc.MetricSizes, sc.PartCounts), func(r, col int) (any, error) {
-			size, parts := sc.MetricSizes[r], sc.PartCounts[col]
-			if size%int64(parts) != 0 {
+	for _, tab := range f.tables {
+		// The paper's MPIPCL setup initializes MPI_THREAD_MULTIPLE.
+		spec := e.Spec.Resolved().WithThreadMode(mpi.Multiple)
+		if tab.cache != nil {
+			spec = spec.WithCache(*tab.cache)
+		}
+		cells, err := e.grid(len(sizes), len(cols), metricHint, func(r, c int) (any, error) {
+			size, col := sizes[r], cols[c]
+			if size%int64(col.parts) != 0 {
 				return nil, nil
 			}
-			cfg := e.metricCfg(sc)
-			cfg.MessageBytes = size
-			cfg.Partitions = parts
-			cfg.Compute = comp10ms
-			cfg.Platform = cfg.Platform.WithCache(cache)
+			cfg := core.Config{
+				MessageBytes: size,
+				Partitions:   col.parts,
+				Compute:      tab.compute,
+				Iterations:   sc.Iterations,
+				Warmup:       sc.Warmup,
+				Platform:     spec,
+				Adaptive:     e.Adaptive,
+			}
+			if kind := cmp.Or(col.noise, tab.noise); kind != noise.None {
+				cfg.Platform = spec.WithNoise(kind, tab.noisePct)
+			}
 			res, err := core.RunCached(e.Runner, cfg)
 			if err != nil {
 				return nil, err
 			}
 			var est *stats.Estimate
 			if res.CI != nil {
-				est = &res.CI.Overhead
+				est = f.metric.est(res.CI)
 			}
-			return metricCell(res.Overhead, est, 1), nil
+			return metricCell(f.metric.value(res)/f.metric.unit, est, 1/f.metric.unit), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		addGridRows(t, sc.MetricSizes, cells)
+		t := report.New(tab.title, header...)
+		addGridRows(t, sizes, cells)
 		tables = append(tables, t)
 	}
 	return tables, nil
-}
-
-// metricHint is the size x partitions cost heuristic of the metric figures:
-// the dominant LogGP-style terms of a cell's simulation cost.
-func metricHint(sizes []int64, counts []int) func(r, c int) float64 {
-	return func(r, c int) float64 { return float64(sizes[r]) * float64(counts[c]) }
 }
 
 // addGridRows appends one row per size with the grid's cells.
@@ -226,220 +350,55 @@ func addGridRows(t *report.Table, sizes []int64, cells [][]any) {
 	for r, size := range sizes {
 		row := []any{core.FormatBytes(size)}
 		for _, v := range cells[r] {
-			row = append(row, cellOrDash(v))
+			if v == nil { // a skipped cell
+				v = "-"
+			}
+			row = append(row, v)
 		}
 		t.AddF(row...)
 	}
 }
 
-// cellOrDash renders nil (skipped) cells as "-" for AddF.
-func cellOrDash(v any) any {
-	if v == nil {
-		return "-"
-	}
-	return v
-}
-
-// Fig5 regenerates "Perceived Bandwidth ... with Uniform Noise and a Hot
-// Cache for Different Noise and Compute Amounts": one table per
-// (compute, noise%) cell, perceived bandwidth (GB/s) per partition count.
-func (e Env) Fig5(sc Scale) ([]*report.Table, error) {
-	var tables []*report.Table
-	for _, comp := range []sim.Duration{comp10ms, comp100ms} {
-		for _, noisePct := range []float64{0, 4} {
-			comp, noisePct := comp, noisePct
-			t := report.New(
-				fmt.Sprintf("Figure 5 (compute=%v, uniform noise=%.0f%%): perceived bandwidth GB/s", comp, noisePct),
-				append([]string{"size"}, partColumns(sc.PartCounts, "p=%d")...)...)
-			cells, err := e.grid(len(sc.MetricSizes), len(sc.PartCounts), metricHint(sc.MetricSizes, sc.PartCounts), func(r, col int) (any, error) {
-				size, parts := sc.MetricSizes[r], sc.PartCounts[col]
-				if size%int64(parts) != 0 {
-					return nil, nil
-				}
-				cfg := e.metricCfg(sc)
-				cfg.MessageBytes = size
-				cfg.Partitions = parts
-				cfg.Compute = comp
-				cfg.Platform = cfg.Platform.WithNoise(noise.Uniform, noisePct)
-				res, err := core.RunCached(e.Runner, cfg)
-				if err != nil {
-					return nil, err
-				}
-				var est *stats.Estimate
-				if res.CI != nil {
-					est = &res.CI.PerceivedBW
-				}
-				return metricCell(res.PerceivedBW/1e9, est, 1e-9), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			addGridRows(t, sc.MetricSizes, cells)
-			tables = append(tables, t)
-		}
-	}
-	return tables, nil
-}
-
-// Fig6 regenerates "Application Availability ... With a Hot Cache and Our
-// Single Thread Delay Model With 4% Noise": one table per compute amount,
-// availability per partition count.
-func (e Env) Fig6(sc Scale) ([]*report.Table, error) {
-	counts := withoutOne(sc.PartCounts)
-	var tables []*report.Table
-	for _, comp := range []sim.Duration{comp10ms, comp100ms} {
-		comp := comp
-		t := report.New(
-			fmt.Sprintf("Figure 6 (compute=%v): application availability, single-thread delay 4%%, hot cache", comp),
-			append([]string{"size"}, partColumns(counts, "p=%d")...)...)
-		cells, err := e.grid(len(sc.MetricSizes), len(counts), metricHint(sc.MetricSizes, counts), func(r, col int) (any, error) {
-			size, parts := sc.MetricSizes[r], counts[col]
-			if size%int64(parts) != 0 {
-				return nil, nil
-			}
-			cfg := e.metricCfg(sc)
-			cfg.MessageBytes = size
-			cfg.Partitions = parts
-			cfg.Compute = comp
-			cfg.Platform = cfg.Platform.WithNoise(noise.SingleThread, 4)
-			res, err := core.RunCached(e.Runner, cfg)
-			if err != nil {
-				return nil, err
-			}
-			var est *stats.Estimate
-			if res.CI != nil {
-				est = &res.CI.Availability
-			}
-			return metricCell(res.Availability, est, 1), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		addGridRows(t, sc.MetricSizes, cells)
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
-
-// Fig7 regenerates "The Impact of Noise Models on Application Availability"
-// (16 partitions, 4% noise, hot cache).
-func (e Env) Fig7(sc Scale) ([]*report.Table, error) {
-	models := []noise.Kind{noise.SingleThread, noise.Uniform, noise.Gaussian}
-	t := report.New(
-		"Figure 7: application availability by noise model, 16 partitions, 4% noise, hot cache, 10ms compute",
-		"size", "single", "uniform", "gaussian")
-	var sizes []int64
-	for _, size := range sc.MetricSizes {
-		if size%16 == 0 {
-			sizes = append(sizes, size)
-		}
-	}
-	cells, err := e.grid(len(sizes), len(models), func(r, c int) float64 {
-		return float64(sizes[r]) * 16
-	}, func(r, col int) (any, error) {
-		cfg := e.metricCfg(sc)
-		cfg.MessageBytes = sizes[r]
-		cfg.Partitions = 16
-		cfg.Compute = comp10ms
-		cfg.Platform = cfg.Platform.WithNoise(models[col], 4)
-		res, err := core.RunCached(e.Runner, cfg)
-		if err != nil {
-			return nil, err
-		}
-		var est *stats.Estimate
-		if res.CI != nil {
-			est = &res.CI.Availability
-		}
-		return metricCell(res.Availability, est, 1), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	addGridRows(t, sizes, cells)
-	return []*report.Table{t}, nil
-}
-
-// Fig8 regenerates "Percentage of Early-Bird Communication with MPI
-// Partitioned Point-to-Point Communication" (uniform noise): one table per
-// compute amount.
-func (e Env) Fig8(sc Scale) ([]*report.Table, error) {
-	counts := withoutOne(sc.PartCounts)
-	var tables []*report.Table
-	for _, comp := range []sim.Duration{comp10ms, comp100ms} {
-		comp := comp
-		t := report.New(
-			fmt.Sprintf("Figure 8 (compute=%v): %% early-bird communication, uniform 4%% noise, hot cache", comp),
-			append([]string{"size"}, partColumns(counts, "p=%d")...)...)
-		cells, err := e.grid(len(sc.MetricSizes), len(counts), metricHint(sc.MetricSizes, counts), func(r, col int) (any, error) {
-			size, parts := sc.MetricSizes[r], counts[col]
-			if size%int64(parts) != 0 {
-				return nil, nil
-			}
-			cfg := e.metricCfg(sc)
-			cfg.MessageBytes = size
-			cfg.Partitions = parts
-			cfg.Compute = comp
-			cfg.Platform = cfg.Platform.WithNoise(noise.Uniform, 4)
-			res, err := core.RunCached(e.Runner, cfg)
-			if err != nil {
-				return nil, err
-			}
-			var est *stats.Estimate
-			if res.CI != nil {
-				est = &res.CI.EarlyBird
-			}
-			return metricCell(res.EarlyBird, est, 1), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		addGridRows(t, sc.MetricSizes, cells)
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
-
-// patternSeries defines the Sweep3D series the paper plots: a single-threaded
-// baseline plus multi/partitioned at two thread counts.
+// patternSeries is one mode column of a motif table.
 type patternSeries struct {
-	label   string
-	mode    patterns.Mode
+	label string
+	mode  patterns.Mode
+	// threads is ThreadsPerDim for halo3d, the thread count for sweep3d.
 	threads int
 }
 
-func sweepSeriesList() []patternSeries {
-	return []patternSeries{
-		{"single", patterns.Single, 1},
-		{"multi-4t", patterns.Multi, 4},
-		{"multi-16t", patterns.Multi, 16},
-		{"part-4t", patterns.Partitioned, 4},
-		{"part-16t", patterns.Partitioned, 16},
-	}
+// sweepSeries is the Sweep3D series the paper plots: a single-threaded
+// baseline plus multi/partitioned at two thread counts.
+var sweepSeries = []patternSeries{
+	{"single", patterns.Single, 1},
+	{"multi-4t", patterns.Multi, 4},
+	{"multi-16t", patterns.Multi, 16},
+	{"part-4t", patterns.Partitioned, 4},
+	{"part-16t", patterns.Partitioned, 16},
 }
 
 // figSweep generates a Sweep3D throughput table for one compute amount.
 func (e Env) figSweep(sc Scale, figure string, comp sim.Duration) ([]*report.Table, error) {
-	series := sweepSeriesList()
 	cols := []string{"bytes/thread"}
-	for _, s := range series {
+	for _, s := range sweepSeries {
 		cols = append(cols, s.label)
 	}
 	t := report.New(
 		fmt.Sprintf("%s: Sweep3D throughput GB/s, %v compute, 4%% single noise, hot cache", figure, comp),
 		cols...)
 	spec := e.Spec.Resolved().WithNoise(noise.SingleThread, 4)
-	cells, err := e.grid(len(sc.SweepSizes), len(series), func(r, c int) float64 {
-		return float64(sc.SweepSizes[r]) * float64(series[c].threads)
+	cells, err := e.grid(len(sc.SweepSizes), len(sweepSeries), func(r, c int) float64 {
+		return float64(sc.SweepSizes[r]) * float64(sweepSeries[c].threads)
 	}, func(r, col int) (any, error) {
 		cfg := patterns.SweepConfig{
 			Px: sc.SweepGridPx, Py: sc.SweepGridPy,
-			Threads:        series[col].threads,
+			Threads:        sweepSeries[col].threads,
 			BytesPerThread: sc.SweepSizes[r],
 			Compute:        comp,
 			ZBlocks:        sc.SweepZBlocks,
 			Octants:        sc.SweepOctants,
 			Repeats:        sc.SweepRepeats,
-			Mode:           series[col].mode,
+			Mode:           sweepSeries[col].mode,
 			Platform:       spec,
 			Adaptive:       e.Adaptive,
 		}
@@ -456,13 +415,6 @@ func (e Env) figSweep(sc Scale, figure string, comp sim.Duration) ([]*report.Tab
 	return []*report.Table{t}, nil
 }
 
-// Fig9 regenerates "Sweep3D Communication Throughput For 10ms, 4% Single
-// Noise with a Hot Cache".
-func (e Env) Fig9(sc Scale) ([]*report.Table, error) { return e.figSweep(sc, "Figure 9", comp10ms) }
-
-// Fig10 regenerates the 100ms-compute Sweep3D figure.
-func (e Env) Fig10(sc Scale) ([]*report.Table, error) { return e.figSweep(sc, "Figure 10", comp100ms) }
-
 // figHalo generates Halo3D throughput tables for one compute amount: one
 // table per thread configuration (8 threads / 4 partitions per face, and 64
 // threads oversubscribed / 16 partitions per face).
@@ -470,18 +422,12 @@ func (e Env) figHalo(sc Scale, figure string, comp sim.Duration) ([]*report.Tabl
 	var tables []*report.Table
 	spec := e.Spec.Resolved().WithNoise(noise.SingleThread, 4)
 	for _, tpd := range []int{2, 4} {
-		tpd := tpd
 		threads := tpd * tpd * tpd
 		t := report.New(
 			fmt.Sprintf("%s (%d threads, %d partitions/face): Halo3D throughput GB/s, %v compute, 4%% single noise",
 				figure, threads, tpd*tpd, comp),
 			"face bytes", "single", "multi", "partitioned")
-		var sizes []int64
-		for _, size := range sc.HaloSizes {
-			if size%int64(tpd*tpd) == 0 {
-				sizes = append(sizes, size)
-			}
-		}
+		sizes := slices.DeleteFunc(slices.Clone(sc.HaloSizes), func(size int64) bool { return size%int64(tpd*tpd) != 0 })
 		modes := patterns.Modes()
 		cells, err := e.grid(len(sizes), len(modes), func(r, c int) float64 {
 			return float64(sizes[r]) * float64(threads)
@@ -511,18 +457,11 @@ func (e Env) figHalo(sc Scale, figure string, comp sim.Duration) ([]*report.Tabl
 	return tables, nil
 }
 
-// Fig11 regenerates "Halo3D Communication Throughput For 10ms, 4% Single
-// Noise with a Hot Cache".
-func (e Env) Fig11(sc Scale) ([]*report.Table, error) { return e.figHalo(sc, "Figure 11", comp10ms) }
-
-// Fig12 regenerates the 100ms-compute Halo3D figure.
-func (e Env) Fig12(sc Scale) ([]*report.Table, error) { return e.figHalo(sc, "Figure 12", comp100ms) }
-
-// Fig13 regenerates "Expected Speedup From Porting SNAP-C to MPI
-// Partitioned": the mpiP-style profile of the SNAP proxy per node count and
-// the Amdahl projection with the Sweep3D gain. The proxy keeps the MPI
+// figSNAP regenerates Figure 13, "Expected Speedup From Porting SNAP-C to
+// MPI Partitioned": the mpiP-style profile of the SNAP proxy per node count
+// and the Amdahl projection with the Sweep3D gain. The proxy keeps the MPI
 // library's funneled threading regardless of the spec's ThreadMode.
-func (e Env) Fig13(sc Scale) ([]*report.Table, error) {
+func (e Env) figSNAP(sc Scale) ([]*report.Table, error) {
 	t := report.New(
 		fmt.Sprintf("Figure 13: SNAP proxy mpiP profile and projected speedup (gain %.1fx)", snap.SweepGain),
 		"nodes", "app time", "mpi time", "mpi %", "projected speedup")
@@ -540,66 +479,44 @@ func (e Env) Fig13(sc Scale) ([]*report.Table, error) {
 	return []*report.Table{t}, nil
 }
 
-// Generate runs the generator for one figure number (4..13).
-func (e Env) Generate(fig int, sc Scale) ([]*report.Table, error) {
-	gens := map[int]func(Scale) ([]*report.Table, error){
-		4: e.Fig4, 5: e.Fig5, 6: e.Fig6, 7: e.Fig7, 8: e.Fig8,
-		9: e.Fig9, 10: e.Fig10, 11: e.Fig11, 12: e.Fig12, 13: e.Fig13,
-	}
-	g, ok := gens[fig]
-	if !ok {
-		return nil, fmt.Errorf("figures: no figure %d (paper evaluation figures are 4..13)", fig)
-	}
-	// Label the runner so stats, journals, and traces attribute the cells
-	// to this figure.
-	e.Runner.SetExperiment(fmt.Sprintf("fig%02d", fig))
-	return g(sc)
+// figureTable lists the paper's evaluation figures in order: Figures 4–8
+// are metric-grid rows, 9–12 the Sweep3D and Halo3D motifs, 13 SNAP.
+var figureTable = []struct {
+	n   int
+	gen func(Env, Scale) ([]*report.Table, error)
+}{
+	{4, fig4.generate},
+	{5, fig5.generate},
+	{6, fig6.generate},
+	{7, fig7.generate},
+	{8, fig8.generate},
+	{9, func(e Env, sc Scale) ([]*report.Table, error) { return e.figSweep(sc, "Figure 9", comp10ms) }},
+	{10, func(e Env, sc Scale) ([]*report.Table, error) { return e.figSweep(sc, "Figure 10", comp100ms) }},
+	{11, func(e Env, sc Scale) ([]*report.Table, error) { return e.figHalo(sc, "Figure 11", comp10ms) }},
+	{12, func(e Env, sc Scale) ([]*report.Table, error) { return e.figHalo(sc, "Figure 12", comp100ms) }},
+	{13, Env.figSNAP},
 }
 
-// Package-level generators preserve the original API: they run on the shared
-// default runner with the paper's default platform.
-
-// Fig4 renders Figure 4 with the default environment; see Env.Fig4.
-func Fig4(sc Scale) ([]*report.Table, error) { return Env{}.Fig4(sc) }
-
-// Fig5 renders Figure 5 with the default environment; see Env.Fig5.
-func Fig5(sc Scale) ([]*report.Table, error) { return Env{}.Fig5(sc) }
-
-// Fig6 renders Figure 6 with the default environment; see Env.Fig6.
-func Fig6(sc Scale) ([]*report.Table, error) { return Env{}.Fig6(sc) }
-
-// Fig7 renders Figure 7 with the default environment; see Env.Fig7.
-func Fig7(sc Scale) ([]*report.Table, error) { return Env{}.Fig7(sc) }
-
-// Fig8 renders Figure 8 with the default environment; see Env.Fig8.
-func Fig8(sc Scale) ([]*report.Table, error) { return Env{}.Fig8(sc) }
-
-// Fig9 renders Figure 9 with the default environment; see Env.Fig9.
-func Fig9(sc Scale) ([]*report.Table, error) { return Env{}.Fig9(sc) }
-
-// Fig10 renders Figure 10 with the default environment; see Env.Fig10.
-func Fig10(sc Scale) ([]*report.Table, error) { return Env{}.Fig10(sc) }
-
-// Fig11 renders Figure 11 with the default environment; see Env.Fig11.
-func Fig11(sc Scale) ([]*report.Table, error) { return Env{}.Fig11(sc) }
-
-// Fig12 renders Figure 12 with the default environment; see Env.Fig12.
-func Fig12(sc Scale) ([]*report.Table, error) { return Env{}.Fig12(sc) }
-
-// Fig13 renders Figure 13 with the default environment; see Env.Fig13.
-func Fig13(sc Scale) ([]*report.Table, error) { return Env{}.Fig13(sc) }
-
-// Generate runs one figure with the default environment; see Env.Generate.
-func Generate(fig int, sc Scale) ([]*report.Table, error) { return Env{}.Generate(fig, sc) }
+// Generate runs the generator for one figure number (4..13). A nil Runner
+// is resolved once here, so the figure's grids and cells share it.
+func (e Env) Generate(fig int, sc Scale) ([]*report.Table, error) {
+	for _, f := range figureTable {
+		if f.n == fig {
+			e.Runner = engine.OrDefault(e.Runner)
+			// Label the runner so stats, journals, and traces attribute
+			// the cells to this figure.
+			e.Runner.SetExperiment(fmt.Sprintf("fig%02d", fig))
+			return f.gen(e, sc)
+		}
+	}
+	return nil, fmt.Errorf("figures: no figure %d (paper evaluation figures are 4..13)", fig)
+}
 
 // Numbers lists the reproducible figure numbers.
-func Numbers() []int { return []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 13} }
-
-// partColumns renders partition-count column headers.
-func partColumns(counts []int, format string) []string {
-	out := make([]string, len(counts))
-	for i, n := range counts {
-		out[i] = fmt.Sprintf(format, n)
+func Numbers() []int {
+	out := make([]int, len(figureTable))
+	for i, f := range figureTable {
+		out[i] = f.n
 	}
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"partmb/internal/engine"
 )
 
 // tiny returns an even smaller scale than Quick for unit tests.
@@ -24,7 +26,7 @@ func TestGenerateAllFigures(t *testing.T) {
 	for _, fig := range Numbers() {
 		fig := fig
 		t.Run("fig"+strconv.Itoa(fig), func(t *testing.T) {
-			tables, err := Generate(fig, sc)
+			tables, err := Env{}.Generate(fig, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,11 +46,27 @@ func TestGenerateAllFigures(t *testing.T) {
 }
 
 func TestGenerateUnknownFigure(t *testing.T) {
-	if _, err := Generate(3, Quick()); err == nil {
+	if _, err := (Env{}).Generate(3, Quick()); err == nil {
 		t.Fatal("figure 3 accepted")
 	}
-	if _, err := Generate(14, Quick()); err == nil {
+	if _, err := (Env{}).Generate(14, Quick()); err == nil {
 		t.Fatal("figure 14 accepted")
+	}
+}
+
+// TestParseScale pins the -scale flag's names: "" defaults to quick, and
+// names are case-sensitive.
+func TestParseScale(t *testing.T) {
+	for in, want := range map[string]string{"": "quick", "quick": "quick", "full": "full"} {
+		got, err := ScaleByName(in)
+		if err != nil || got.Name != want {
+			t.Errorf("ScaleByName(%q) = %q, %v; want %q", in, got.Name, err, want)
+		}
+	}
+	for _, bad := range []string{"fast", "FULL", "tiny"} {
+		if _, err := ScaleByName(bad); err == nil {
+			t.Errorf("ScaleByName(%q) accepted", bad)
+		}
 	}
 }
 
@@ -80,7 +98,7 @@ func TestFig4HeadlineShapes(t *testing.T) {
 	// The overhead table must show: ~1x at 1 partition, larger at 16
 	// partitions for the small size, and hot >= cold for small messages.
 	sc := tiny()
-	tables, err := Fig4(sc)
+	tables, err := Env{}.Generate(4, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,5 +122,36 @@ func TestFig4HeadlineShapes(t *testing.T) {
 	o16cold := parse(cold.Rows[0][2])
 	if o16cold >= o16hot {
 		t.Fatalf("cold overhead %v not below hot %v for small messages", o16cold, o16hot)
+	}
+}
+
+// TestZeroEnvSharesOneRunner checks that a zero Env resolves one runner per
+// call, which the call's grids and cells share. Its cells then run on the
+// grid's sweep arenas and repeated cells are memo hits, so the call
+// allocates no more than the same call on an explicit runner. A runner per
+// cell would build every simulation from nothing and miss the memo.
+func TestZeroEnvSharesOneRunner(t *testing.T) {
+	calls := []struct {
+		name string
+		call func(Env) error
+	}{
+		{"Generate", func(e Env) error { _, err := e.Generate(4, tiny()); return err }},
+		{"ScalingTables", func(e Env) error { _, err := e.ScalingTables(goldenScalingOptions("halo3d", 1)); return err }},
+	}
+	for _, c := range calls {
+		allocs := func(env func() Env) float64 {
+			return testing.AllocsPerRun(2, func() {
+				if err := c.call(env()); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		zero := allocs(func() Env { return Env{} })
+		own := allocs(func() Env { return Env{Runner: engine.New()} })
+		t.Logf("%s: %.0f allocs on a zero Env, %.0f on an explicit runner", c.name, zero, own)
+		if zero > 1.1*own {
+			t.Errorf("%s on a zero Env allocates %.0f, on an explicit runner %.0f: the call does not share one runner",
+				c.name, zero, own)
+		}
 	}
 }

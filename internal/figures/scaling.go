@@ -12,7 +12,9 @@ package figures
 
 import (
 	"fmt"
+	"slices"
 
+	"partmb/internal/engine"
 	"partmb/internal/netsim"
 	"partmb/internal/patterns"
 	"partmb/internal/report"
@@ -114,14 +116,11 @@ func ScalingRanks(max int) []int {
 	if max < 8 {
 		max = 8
 	}
-	var down []int
-	for n := max; n >= 8 && len(down) < 4; n /= 4 {
-		down = append(down, n)
+	var out []int
+	for n := max; n >= 8 && len(out) < 4; n /= 4 {
+		out = append(out, n)
 	}
-	out := make([]int, 0, len(down))
-	for i := len(down) - 1; i >= 0; i-- {
-		out = append(out, down[i])
-	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -136,26 +135,18 @@ func round16(b int64) int64 {
 	return b
 }
 
-// scalingSeries is one mode column of the scaling tables.
-type scalingSeries struct {
-	label string
-	mode  patterns.Mode
-	// threads is ThreadsPerDim for halo3d, the thread count for sweep3d.
-	threads int
-}
-
 // scalingSeriesList returns the comparison columns: for halo3d the
 // Collom-shaped persistent-vs-partitioned pair over a single-threaded
 // baseline; for sweep3d (no persistent mode) the threaded pair instead.
-func scalingSeriesList(stencil string) []scalingSeries {
+func scalingSeriesList(stencil string) []patternSeries {
 	if stencil == "sweep3d" {
-		return []scalingSeries{
+		return []patternSeries{
 			{"single", patterns.Single, 1},
 			{"multi-4t", patterns.Multi, 4},
 			{"part-4t", patterns.Partitioned, 4},
 		}
 	}
-	return []scalingSeries{
+	return []patternSeries{
 		{"single", patterns.Single, 1},
 		{"persistent", patterns.Persistent, 1},
 		{"partitioned", patterns.Partitioned, 2},
@@ -174,8 +165,10 @@ func scalingTopology(name string, n int) netsim.Topology {
 
 // ScalingTables generates the weak- and strong-scaling tables: one row per
 // rank count, virtual elapsed time per mode, and the elapsed ratio of the
-// rightmost baseline mode over partitioned (the Collom et al. speedup).
+// rightmost baseline mode over partitioned (the Collom et al. speedup). A
+// nil Runner is resolved once here, so both tables' cells share it.
 func (e Env) ScalingTables(opt ScalingOptions) ([]*report.Table, error) {
+	e.Runner = engine.OrDefault(e.Runner)
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -216,19 +209,11 @@ func (e Env) ScalingTables(opt ScalingOptions) ([]*report.Table, error) {
 		for r, n := range opt.Ranks {
 			row := []any{n}
 			for _, v := range cells[r] {
-				if d, ok := v.(sim.Duration); ok {
-					row = append(row, float64(d)/1e3)
-				} else {
-					row = append(row, v)
-				}
+				row = append(row, float64(v.(sim.Duration))/1e3)
 			}
-			baseD, okB := cells[r][len(series)-2].(sim.Duration)
-			partD, okP := cells[r][len(series)-1].(sim.Duration)
-			if okB && okP && partD > 0 {
-				row = append(row, float64(baseD)/float64(partD))
-			} else {
-				row = append(row, "-")
-			}
+			// Compute is positive, so every elapsed time is too.
+			baseD, partD := cells[r][len(series)-2].(sim.Duration), cells[r][len(series)-1].(sim.Duration)
+			row = append(row, float64(baseD)/float64(partD))
 			t.AddF(row...)
 		}
 		tables = append(tables, t)
@@ -237,7 +222,7 @@ func (e Env) ScalingTables(opt ScalingOptions) ([]*report.Table, error) {
 }
 
 // runScalingCell runs one (series, rank count) simulation point.
-func (e Env) runScalingCell(opt ScalingOptions, s scalingSeries, n int, perRank int64) (*patterns.Result, error) {
+func (e Env) runScalingCell(opt ScalingOptions, s patternSeries, n int, perRank int64) (*patterns.Result, error) {
 	topo := scalingTopology(opt.Topology, n)
 	spec := e.Spec.Resolved()
 	if opt.Stencil == "sweep3d" {
@@ -271,6 +256,3 @@ func (e Env) runScalingCell(opt ScalingOptions, s scalingSeries, n int, perRank 
 		Topology:      topo,
 	})
 }
-
-// ScalingTables is Env.ScalingTables on the default runner and platform.
-func ScalingTables(opt ScalingOptions) ([]*report.Table, error) { return Env{}.ScalingTables(opt) }

@@ -25,7 +25,7 @@ func goldenScalingOptions(stencil string, shards int) ScalingOptions {
 
 func renderScaling(t *testing.T, opt ScalingOptions) []byte {
 	t.Helper()
-	tables, err := ScalingTables(opt)
+	tables, err := Env{}.ScalingTables(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

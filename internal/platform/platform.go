@@ -286,10 +286,3 @@ func (s *Spec) WithNet(net *netsim.Params) *Spec {
 	out.Net = net
 	return &out
 }
-
-// WithMachine returns a copy with the node model replaced.
-func (s *Spec) WithMachine(m *cluster.Machine) *Spec {
-	out := *s.Resolved()
-	out.Machine = m
-	return &out
-}

@@ -757,7 +757,3 @@ func (s *Scheduler) Defer(dst *Scheduler, t Time, fn func()) {
 // Group returns the shard group this scheduler belongs to, or nil for a
 // standalone scheduler (including the single shard of a one-shard group).
 func (s *Scheduler) Group() *ShardGroup { return s.group }
-
-// ShardID returns the scheduler's shard index within its group (0 for a
-// standalone scheduler).
-func (s *Scheduler) ShardID() int { return s.shardID }

@@ -328,9 +328,6 @@ func (g *Group) Estimates() map[string]Estimate {
 	return out
 }
 
-// Names returns the metric names in construction order.
-func (g *Group) Names() []string { return g.names }
-
 // MaxRelHalfWidth returns the largest relative CI half-width across the
 // group — the single number journals report per cell.
 func (g *Group) MaxRelHalfWidth() float64 {
