@@ -91,7 +91,7 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// adaptiveRC is the -samples/-ci-target run configuration (nil = fixed
+// adaptiveRC is the -samples run configuration (nil = fixed
 // repetitions); the p2p studies pick it up through metricCfg.
 var adaptiveRC *stats.RunConfig
 

@@ -31,8 +31,6 @@ type EngineFlags struct {
 	Faults string
 	// Retries is the maximum attempts per cell for transient failures.
 	Retries int
-	// Backoff is the virtual exponential-backoff base between attempts.
-	Backoff string
 	// Journal, when non-empty, writes the deterministic JSONL run journal
 	// (one record per task and cell, plus a stats trailer) to this path.
 	Journal string
@@ -48,10 +46,6 @@ type EngineFlags struct {
 	// selects the defaults. Empty keeps the fixed-rep path — and every
 	// journal, table, and cache key byte-identical.
 	Samples string
-	// CITarget, when positive, overrides the adaptive spec's target
-	// relative CI half-width (implies adaptive on with defaults if
-	// -samples was not given).
-	CITarget float64
 
 	col  *obs.Collector
 	disk *engine.DiskCache
@@ -64,12 +58,10 @@ func (e *EngineFlags) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&e.CacheMax, "cache-max", "", "bound the disk cache at this many bytes (e.g. 256MiB), evicting least-recently-used cells (default unlimited)")
 	fs.StringVar(&e.Faults, "faults", "", "inject transient cell faults: mode:prob[:seed], mode = drop|delay|flaky (default none)")
 	fs.IntVar(&e.Retries, "retries", engine.DefaultRetry.MaxAttempts, "max attempts per cell for transient failures")
-	fs.StringVar(&e.Backoff, "retry-backoff", engine.DefaultRetry.Backoff.String(), "virtual exponential-backoff base between attempts")
 	fs.StringVar(&e.Journal, "journal", "", "write the deterministic JSONL run journal to this file")
 	fs.StringVar(&e.Metrics, "metrics", "", "write the per-experiment metric summary JSON to this file")
 	fs.StringVar(&e.TraceFile, "tracefile", "", "write the engine schedule as Chrome trace JSON (Perfetto) to this file")
 	fs.StringVar(&e.Samples, "samples", "", "adaptive sampling spec: min=A,max=B,conf=C,ci=R[,budget=D], or \"on\" for defaults (default off: fixed repetitions)")
-	fs.Float64Var(&e.CITarget, "ci-target", 0, "override the adaptive target relative CI half-width (implies -samples=on)")
 }
 
 // RunConfig resolves the adaptive sampling flags into a run configuration,
@@ -77,7 +69,7 @@ func (e *EngineFlags) RegisterFlags(fs *flag.FlagSet) {
 // experiment config's Adaptive field: nil keeps every fixed-path artifact
 // byte-identical.
 func (e *EngineFlags) RunConfig() (*stats.RunConfig, error) {
-	if e.Samples == "" && e.CITarget == 0 {
+	if e.Samples == "" {
 		return nil, nil
 	}
 	spec := e.Samples
@@ -87,9 +79,6 @@ func (e *EngineFlags) RunConfig() (*stats.RunConfig, error) {
 	rc, err := stats.ParseRunConfig(spec)
 	if err != nil {
 		return nil, fmt.Errorf("cliutil: -samples: %w", err)
-	}
-	if e.CITarget != 0 {
-		rc.TargetRelCI = e.CITarget
 	}
 	if err := rc.Validate(); err != nil {
 		return nil, fmt.Errorf("cliutil: adaptive sampling config: %w", err)
@@ -174,14 +163,7 @@ func (e *EngineFlags) Runner(extra ...engine.Option) (*engine.Runner, error) {
 	if inj != nil {
 		opts = append(opts, engine.WithFaults(inj))
 	}
-	pol := engine.DefaultRetry
-	pol.MaxAttempts = e.Retries
-	if e.Backoff != "" {
-		if pol.Backoff, err = ParseDuration(e.Backoff); err != nil {
-			return nil, fmt.Errorf("cliutil: -retry-backoff: %w", err)
-		}
-	}
-	opts = append(opts, engine.WithRetry(pol))
+	opts = append(opts, engine.WithRetry(engine.RetryPolicy{MaxAttempts: e.Retries}))
 	if e.observing() {
 		e.col = obs.NewCollector()
 		opts = append(opts, engine.WithObserver(e.col))

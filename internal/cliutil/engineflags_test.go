@@ -24,7 +24,7 @@ func TestEngineFlagsDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.Retries != engine.DefaultRetry.MaxAttempts || e.Backoff != engine.DefaultRetry.Backoff.String() {
+	if e.Retries != engine.DefaultRetry.MaxAttempts {
 		t.Fatalf("defaults = %+v, want engine.DefaultRetry", e)
 	}
 	rn, err := e.Runner()
@@ -46,7 +46,6 @@ func TestEngineFlagsRunnerWiring(t *testing.T) {
 		"-cachedir", dir,
 		"-faults", "drop:0.4:7",
 		"-retries", "8",
-		"-retry-backoff", "2ms",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,6 @@ func TestEngineFlagsRejectsBadSpecs(t *testing.T) {
 	for _, e := range []EngineFlags{
 		{Faults: "bogus:0.5"},
 		{Faults: "drop:2"},
-		{Backoff: "not-a-duration"},
 	} {
 		if _, err := e.Runner(); err == nil {
 			t.Errorf("Runner(%+v) accepted a bad spec", e)

@@ -324,16 +324,15 @@ func (d *DiskCache) store(key string, val any) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
+	if err == nil {
+		err = os.Rename(tmp.Name(), d.path(key))
 	}
-	if err := os.Rename(tmp.Name(), d.path(key)); err != nil {
+	if err != nil {
+		os.Remove(tmp.Name())
 		return 0, err
 	}
 	d.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"partmb/internal/sim"
@@ -240,6 +241,32 @@ func TestDiskCacheErrorsNeverPersisted(t *testing.T) {
 	var computed int
 	if _, err := doAs(rn2, key, nil, func(*sim.Arena) (diskCell, error) { computed++; return diskCell{}, boom }); !errors.Is(err, boom) || computed != 1 {
 		t.Fatalf("fresh runner: err = %v, computed = %d", err, computed)
+	}
+}
+
+// A store whose rename fails, here because a directory sits where the cell
+// file goes, must remove its temp file: scan skips names that do not end in
+// .json, so a leaked one would stay forever, outside the byte budget.
+func TestDiskCacheFailedStoreLeavesNoTempFile(t *testing.T) {
+	d, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "deadbeef"
+	if err := os.Mkdir(d.path(key), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.store(key, diskCell{Size: 1}); err == nil {
+		t.Fatal("store over a directory succeeded")
+	}
+	des, err := os.ReadDir(d.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if strings.Contains(de.Name(), ".tmp-") {
+			t.Fatalf("leaked temp file %s", de.Name())
+		}
 	}
 }
 

@@ -70,7 +70,6 @@ type Runner struct {
 	diskWrites int64
 	diskReadB  int64
 	diskWroteB int64
-	backoffNS  int64
 	remoteRuns int64
 	remoteErrs int64
 	remoteNS   int64
@@ -141,32 +140,25 @@ func OnProgress(fn func(done, total int)) Option {
 }
 
 // RetryPolicy bounds how often a cell is re-attempted after a transient
-// failure and how the runner backs off between attempts. Backoff is virtual
-// time on the simulation clock: the wait before re-running attempt k+1 is
-// Backoff<<(k-1), the total is surfaced in Stats.Backoff, and no host time
-// is spent — the simulator is deterministic, so wall-clock sleeping would
-// only slow the sweep without changing any result.
+// failure. A retry follows at once: the simulator is deterministic, so
+// waiting between attempts would only slow the sweep without changing any
+// result.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per cell, first try
 	// included; values below 1 behave as 1 (no retries).
 	MaxAttempts int
-	// Backoff is the virtual exponential-backoff base between attempts.
-	Backoff sim.Duration
 }
 
-// DefaultRetry is the policy installed by New: a few bounded attempts with
-// a millisecond virtual backoff base. Only errors wrapped with Transient
-// are retried, so runners without fault injection never re-run cells.
-var DefaultRetry = RetryPolicy{MaxAttempts: 4, Backoff: sim.Millisecond}
+// DefaultRetry is the policy installed by New: a few bounded attempts. Only
+// errors wrapped with Transient are retried, so runners without fault
+// injection never re-run cells.
+var DefaultRetry = RetryPolicy{MaxAttempts: 4}
 
 // WithRetry replaces the runner's retry policy.
 func WithRetry(p RetryPolicy) Option {
 	return func(r *Runner) {
 		if p.MaxAttempts < 1 {
 			p.MaxAttempts = 1
-		}
-		if p.Backoff < 0 {
-			p.Backoff = 0
 		}
 		r.retry = p
 	}
@@ -254,8 +246,6 @@ type Stats struct {
 	RemoteRuns   int64
 	RemoteErrors int64
 	RemoteHost   time.Duration
-	// Backoff is the total virtual time spent backing off between attempts.
-	Backoff sim.Duration
 	// Attempts maps the key of every cell that needed more than one attempt
 	// to its attempt count (nil when no cell retried).
 	Attempts map[string]int64
@@ -277,7 +267,7 @@ type Stats struct {
 func (s Stats) String() string {
 	out := fmt.Sprintf("%d cells, %d runs, %d cache hits", s.Cells, s.Runs, s.Hits)
 	if s.Retries > 0 || s.Faults > 0 {
-		out += fmt.Sprintf(", %d retries (%d injected faults, %v backoff)", s.Retries, s.Faults, s.Backoff)
+		out += fmt.Sprintf(", %d retries (%d injected faults)", s.Retries, s.Faults)
 	}
 	if s.DiskHits > 0 || s.DiskWrites > 0 {
 		out += fmt.Sprintf(", %d disk hits (%d bytes read), %d disk writes (%d bytes written)",
@@ -327,7 +317,6 @@ func (r *Runner) Stats() Stats {
 		DiskWrites:     atomic.LoadInt64(&r.diskWrites),
 		DiskReadBytes:  atomic.LoadInt64(&r.diskReadB),
 		DiskWriteBytes: atomic.LoadInt64(&r.diskWroteB),
-		Backoff:        sim.Duration(atomic.LoadInt64(&r.backoffNS)),
 	}
 	r.remoteStats(&st)
 	st.LaneBusy = make([]time.Duration, len(r.laneBusy))
@@ -481,11 +470,6 @@ func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn cellF
 			break
 		}
 		atomic.AddInt64(&r.retries, 1)
-		shift := attempt - 1
-		if shift > 20 {
-			shift = 20 // cap the exponent; policies never need >2^20x base
-		}
-		atomic.AddInt64(&r.backoffNS, int64(r.retry.Backoff)<<shift)
 	}
 	if attempt > 1 && key != "" {
 		r.mu.Lock()

@@ -80,7 +80,7 @@ func TestDeadlineRanksBelowRealError(t *testing.T) {
 }
 
 func TestTransientRetriesThenSucceeds(t *testing.T) {
-	rn := New(WithRetry(RetryPolicy{MaxAttempts: 4, Backoff: sim.Millisecond}))
+	rn := New(WithRetry(RetryPolicy{MaxAttempts: 4}))
 	attempts := 0
 	v, err := rn.Do("k", func() (any, error) {
 		attempts++
@@ -99,10 +99,6 @@ func TestTransientRetriesThenSucceeds(t *testing.T) {
 	if st.Runs != 3 || st.Retries != 2 {
 		t.Fatalf("stats = %+v, want 3 runs, 2 retries", st)
 	}
-	// Backoff before attempt 2 is the base, before attempt 3 twice the base.
-	if st.Backoff != 3*sim.Millisecond {
-		t.Fatalf("backoff = %v, want 3ms", st.Backoff)
-	}
 	if st.Attempts["k"] != 3 {
 		t.Fatalf("Attempts = %v, want k:3", st.Attempts)
 	}
@@ -116,7 +112,7 @@ func TestTransientRetriesThenSucceeds(t *testing.T) {
 }
 
 func TestTransientExhaustedNotCached(t *testing.T) {
-	rn := New(WithRetry(RetryPolicy{MaxAttempts: 2, Backoff: 0}))
+	rn := New(WithRetry(RetryPolicy{MaxAttempts: 2}))
 	var computed int
 	for i := 0; i < 2; i++ {
 		_, err := rn.Do("k", func() (any, error) {
@@ -137,7 +133,7 @@ func TestTransientExhaustedNotCached(t *testing.T) {
 }
 
 func TestPermanentErrorNotRetried(t *testing.T) {
-	rn := New(WithRetry(RetryPolicy{MaxAttempts: 5, Backoff: sim.Millisecond}))
+	rn := New(WithRetry(RetryPolicy{MaxAttempts: 5}))
 	var computed int
 	boom := errors.New("deterministic failure")
 	_, err := rn.Do("k", func() (any, error) { computed++; return nil, boom })
@@ -193,7 +189,7 @@ func TestPanickingCellIsAnUncachedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	const key = "deadbeef"
-	rn := New(WithDiskCache(d), WithRetry(RetryPolicy{MaxAttempts: 4, Backoff: sim.Millisecond}))
+	rn := New(WithDiskCache(d), WithRetry(RetryPolicy{MaxAttempts: 4}))
 	computed := 0
 	cell := func(*sim.Arena) (diskCell, error) {
 		computed++

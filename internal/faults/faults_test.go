@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"partmb/internal/engine"
-	"partmb/internal/sim"
 )
 
 func TestParse(t *testing.T) {
@@ -137,7 +136,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		rn := engine.New(
 			engine.Workers(workers),
 			engine.WithFaults(in),
-			engine.WithRetry(engine.RetryPolicy{MaxAttempts: 8, Backoff: sim.Millisecond}),
+			engine.WithRetry(engine.RetryPolicy{MaxAttempts: 8}),
 		)
 		res, err := rn.Map(context.Background(), 32, func(_ context.Context, i int) (any, error) {
 			return rn.Do(fmt.Sprintf("cell-%d", i), func() (any, error) { return i * i, nil })
@@ -152,8 +151,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	if !reflect.DeepEqual(res1, res8) {
 		t.Fatalf("results differ between worker counts:\n1: %v\n8: %v", res1, res8)
 	}
-	if st1.Runs != st8.Runs || st1.Retries != st8.Retries ||
-		st1.Faults != st8.Faults || st1.Backoff != st8.Backoff {
+	if st1.Runs != st8.Runs || st1.Retries != st8.Retries || st1.Faults != st8.Faults {
 		t.Fatalf("counters differ between worker counts:\n1: %+v\n8: %+v", st1, st8)
 	}
 	if st1.Retries == 0 || st1.Faults == 0 {
@@ -213,7 +211,7 @@ func TestLPTSweepReportsSmallestFaultedIndex(t *testing.T) {
 // correctness.
 func TestFaultedSweepMatchesFaultFree(t *testing.T) {
 	sweep := func(fi *Injector) []any {
-		opts := []engine.Option{engine.Workers(4), engine.WithRetry(engine.RetryPolicy{MaxAttempts: 8, Backoff: sim.Millisecond})}
+		opts := []engine.Option{engine.Workers(4), engine.WithRetry(engine.RetryPolicy{MaxAttempts: 8})}
 		if fi != nil {
 			opts = append(opts, engine.WithFaults(fi))
 		}

@@ -159,7 +159,7 @@ var litterCell = engine.NewCell("figures.test.litter",
 			}
 			c.IsendBytes(p, next, 2, 1<<20) // rendezvous, never received
 			c.IsendBytes(p, next, 3, 64)    // eager, never received
-			c.Irecv(p, mpi.AnySource, 4)    // never matched
+			c.Irecv(p, next, 4)             // never matched
 			c.RecvInit(p, next, 5).Start(p) // started, never matched
 			pr.Wait(p)
 			rr.Wait(p)

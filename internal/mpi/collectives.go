@@ -15,7 +15,7 @@ func (c *Comm) collTag(gen, round int) int { return gen*64 + round }
 // Barrier blocks until every rank has entered the barrier, using the
 // dissemination algorithm (ceil(log2 n) rounds of size-0 messages).
 func (c *Comm) Barrier(p *sim.Proc) {
-	n := c.Size()
+	n := c.size()
 	gen := c.barrierGen
 	c.barrierGen++
 	if n == 1 {
@@ -52,7 +52,7 @@ func (c *Comm) sendColl(p *sim.Proc, dest, tag int, size int64) {
 // Bcast models broadcasting size bytes from root over a binomial tree. Only
 // timing is modeled; no payload is carried.
 func (c *Comm) Bcast(p *sim.Proc, root int, size int64) {
-	n := c.Size()
+	n := c.size()
 	gen := c.barrierGen
 	c.barrierGen++
 	if n == 1 {
@@ -85,7 +85,7 @@ func (c *Comm) Bcast(p *sim.Proc, root int, size int64) {
 // non-root rank sends its contribution; root receives all): the first half
 // of Allreduce.
 func (c *Comm) reduce(p *sim.Proc, root int, size int64) {
-	n := c.Size()
+	n := c.size()
 	gen := c.barrierGen
 	c.barrierGen++
 	if n == 1 {
@@ -115,7 +115,7 @@ func (c *Comm) Allreduce(p *sim.Proc, size int64) {
 // contributions, via a ring: n-1 steps, each forwarding the block received
 // in the previous step.
 func (c *Comm) allgather(p *sim.Proc, size int64) {
-	n := c.Size()
+	n := c.size()
 	gen := c.barrierGen
 	c.barrierGen++
 	if n == 1 {

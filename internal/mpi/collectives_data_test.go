@@ -128,7 +128,7 @@ func TestBcastDataLargePayloadRendezvous(t *testing.T) {
 // and returns it (the root returns its own slice; other ranks a received
 // copy). Every rank must pass the same root; non-roots may pass nil data.
 func (c *Comm) bcastData(p *sim.Proc, root int, data []byte) []byte {
-	n := c.Size()
+	n := c.size()
 	gen := c.barrierGen
 	c.barrierGen++
 	if n == 1 {
@@ -163,7 +163,7 @@ func (c *Comm) bcastData(p *sim.Proc, root int, data []byte) []byte {
 // slice indexed by local rank (its own contribution included); other ranks
 // return nil.
 func (c *Comm) gatherData(p *sim.Proc, root int, data []byte) [][]byte {
-	n := c.Size()
+	n := c.size()
 	gen := c.barrierGen
 	c.barrierGen++
 	if n == 1 {
@@ -191,7 +191,7 @@ func (c *Comm) gatherData(p *sim.Proc, root int, data []byte) [][]byte {
 // allgatherData is gatherData to rank 0 followed by a broadcast of the
 // concatenated contributions; every rank returns the full per-rank slice.
 func (c *Comm) allgatherData(p *sim.Proc, data []byte) [][]byte {
-	n := c.Size()
+	n := c.size()
 	gathered := c.gatherData(p, 0, data)
 	// Flatten with a length-prefixed framing so the broadcast can carry it
 	// as one payload, then re-split on every rank.

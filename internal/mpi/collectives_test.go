@@ -140,7 +140,7 @@ func TestAlltoallMovesExpectedBytes(t *testing.T) {
 // scatter models root sending a distinct size-byte block to every rank
 // (flat algorithm).
 func (c *Comm) scatter(p *sim.Proc, root int, size int64) {
-	n := c.Size()
+	n := c.size()
 	gen := c.barrierGen
 	c.barrierGen++
 	if n == 1 {
@@ -168,7 +168,7 @@ func (c *Comm) scatter(p *sim.Proc, root int, size int64) {
 // distinct size-byte block to every other rank (pairwise exchange
 // algorithm, n-1 rounds).
 func (c *Comm) alltoall(p *sim.Proc, size int64) {
-	n := c.Size()
+	n := c.size()
 	gen := c.barrierGen
 	c.barrierGen++
 	if n == 1 {

@@ -58,7 +58,7 @@ func (c *Comm) Split(p *sim.Proc, color, key int) *Comm {
 	sk := splitKey{ctxBase: c.ctxBase, gen: gen}
 	st, ok := w.splits[sk]
 	if !ok {
-		st = &splitState{expected: c.Size()}
+		st = &splitState{expected: c.size()}
 		if w.splits == nil {
 			w.splits = make(map[splitKey]*splitState)
 		}

@@ -13,7 +13,7 @@ func TestSplitEvenOdd(t *testing.T) {
 	locals := make([]int, ranks)
 	runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
 		sub := c.Split(p, c.Rank()%2, c.Rank())
-		sizes[c.Rank()] = sub.Size()
+		sizes[c.Rank()] = sub.size()
 		locals[c.Rank()] = sub.Rank()
 	})
 	for r := 0; r < ranks; r++ {
@@ -52,7 +52,7 @@ func TestSplitUndefinedGetsNil(t *testing.T) {
 			if sub != nil {
 				t.Error("Undefined color received a communicator")
 			}
-		} else if sub == nil || sub.Size() != 3 {
+		} else if sub == nil || sub.size() != 3 {
 			t.Errorf("rank %d: bad subcomm %v", c.Rank(), sub)
 		}
 	})
@@ -63,7 +63,7 @@ func TestSplitPointToPointWithinSubcomm(t *testing.T) {
 	const ranks = 6
 	runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
 		sub := c.Split(p, c.Rank()/3, c.Rank())
-		n := sub.Size()
+		n := sub.size()
 		right := (sub.Rank() + 1) % n
 		left := (sub.Rank() - 1 + n) % n
 		payload := []byte(fmt.Sprintf("w%d", c.Rank()))
@@ -148,17 +148,21 @@ func TestSplitPartitionedWithinSubcomm(t *testing.T) {
 	}
 }
 
+// Local rank 0 of the odd half is world rank 1: a receive from local 0
+// that translated to world rank 0 would wait for a message on the odd
+// half's context that never comes, and the world would deadlock.
 func TestSplitSourceTranslation(t *testing.T) {
 	runWorld(t, 4, nil, func(c *Comm, p *sim.Proc) {
 		sub := c.Split(p, c.Rank()%2, c.Rank())
 		switch sub.Rank() {
 		case 0:
-			sub.SendBytes(p, 1, 0, 64)
+			sub.SendBytes(p, 1, 0, 64+int64(c.Rank()))
 		case 1:
-			r := sub.Irecv(p, AnySource, AnyTag)
+			r := sub.Irecv(p, 0, 0)
 			r.Wait(p)
-			if r.Source() != 0 {
-				t.Errorf("wildcard source = %d (local), want 0", r.Source())
+			from := c.Rank() % 2
+			if r.peer != from || r.size != 64+int64(from) {
+				t.Errorf("world rank %d: received %d bytes from world rank %d, want %d from %d", c.Rank(), r.size, r.peer, 64+from, from)
 			}
 		}
 	})
@@ -169,8 +173,8 @@ func TestNestedSplit(t *testing.T) {
 	runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
 		half := c.Split(p, c.Rank()/4, c.Rank())          // two halves of 4
 		quad := half.Split(p, half.Rank()/2, half.Rank()) // pairs
-		if quad.Size() != 2 {
-			t.Errorf("nested split size = %d, want 2", quad.Size())
+		if quad.size() != 2 {
+			t.Errorf("nested split size = %d, want 2", quad.size())
 		}
 		other := 1 - quad.Rank()
 		quad.SendrecvBytes(p, other, 0, 1, other, 0)
@@ -180,8 +184,8 @@ func TestNestedSplit(t *testing.T) {
 func TestDupIsolatesTraffic(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		dup := c.Split(p, 0, c.Rank()) // MPI_Comm_dup: same group, fresh contexts
-		if dup.Size() != c.Size() || dup.Rank() != c.Rank() {
-			t.Fatalf("dup group differs: %d/%d", dup.Rank(), dup.Size())
+		if dup.size() != c.size() || dup.Rank() != c.Rank() {
+			t.Fatalf("dup group differs: %d/%d", dup.Rank(), dup.size())
 		}
 		switch c.Rank() {
 		case 0:

@@ -34,12 +34,6 @@ func (c *Comm) Endpoint(thread int) *Endpoint {
 	return &c.endpoints[thread]
 }
 
-// Thread returns the bound thread index.
-func (e *Endpoint) Thread() int { return e.thread }
-
-// Comm returns the underlying communicator.
-func (e *Endpoint) Comm() *Comm { return e.c }
-
 // IsendBytes starts a size-only nonblocking send from this thread.
 func (e *Endpoint) IsendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
 	return e.c.isendOn(p, e.c.state().takeReq(), e.thread, dest, tag, e.c.ctxP2P(), size)
@@ -60,9 +54,4 @@ func (e *Endpoint) Irecv(p *sim.Proc, src, tag int) *Request {
 // Recv blocks until a matching message arrives.
 func (e *Endpoint) Recv(p *sim.Proc, src, tag int) {
 	e.c.Recv(p, src, tag)
-}
-
-// SendInitBytes creates a persistent size-only send bound to this thread.
-func (e *Endpoint) SendInitBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return e.c.sendInit(p, e.thread, dest, tag, size)
 }

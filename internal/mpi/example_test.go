@@ -13,14 +13,14 @@ import (
 func Example() {
 	s := sim.New()
 	w := mpi.NewWorld(s, mpi.DefaultConfig(2))
+	const size, from = 1024, 0
 	w.Launch("hello", func(c *mpi.Comm, p *sim.Proc) {
 		switch c.Rank() {
-		case 0:
-			c.SendBytes(p, 1, 0, 1024)
+		case from:
+			c.SendBytes(p, 1, 0, size)
 		case 1:
-			r := c.Irecv(p, 0, 0)
-			r.Wait(p)
-			fmt.Printf("rank 1 received %d bytes from rank %d\n", r.Size(), r.Source())
+			c.Recv(p, from, 0)
+			fmt.Printf("rank 1 received %d bytes from rank %d\n", size, from)
 		}
 	})
 	if err := s.Run(); err != nil {

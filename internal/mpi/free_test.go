@@ -132,8 +132,8 @@ func TestFreedRequestsServeTheNextCall(t *testing.T) {
 						sr = ep.IsendBytes(p, peer, th, size)
 					}
 					WaitAll(p, rr, sr)
-					if rr.Size() != size || th == 0 && !bytes.Equal(rr.data, payload) {
-						t.Errorf("rank %d thread %d message %d: %d bytes received, want %d intact", me, th, i, rr.Size(), size)
+					if rr.size != size || th == 0 && !bytes.Equal(rr.data, payload) {
+						t.Errorf("rank %d thread %d message %d: %d bytes received, want %d intact", me, th, i, rr.size, size)
 					}
 					seen[me][rr], seen[me][sr] = true, true
 					FreeAll(rr, sr)

@@ -9,13 +9,14 @@ import "testing"
 func BenchmarkMatchArrivalMissDeepQueue(b *testing.B) {
 	var m matcher
 	for i := 0; i < 64; i++ {
-		m.addPosted(recvFor(1, i, 0))
+		r := recvFor(1, i, 0)
+		m.posted.push(r)
 	}
-	inb := inboundFor(2, 999, 0)
+	k := inboundFor(2, 999, 0).key()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if req, scanned := m.matchArrival(inb); req != nil || scanned != 64 {
+		if req, ok, scanned := m.posted.take(k); ok || scanned != 64 {
 			b.Fatalf("unexpected match (%v, %d)", req, scanned)
 		}
 	}
@@ -24,13 +25,14 @@ func BenchmarkMatchArrivalMissDeepQueue(b *testing.B) {
 func BenchmarkMatchPostedMissDeepQueue(b *testing.B) {
 	var m matcher
 	for i := 0; i < 64; i++ {
-		m.addUnexpected(inboundFor(1, i, 0))
+		inb := inboundFor(1, i, 0)
+		m.unexpected.push(inb)
 	}
-	r := recvFor(2, 999, 0)
+	k := recvFor(2, 999, 0).key()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if inb, scanned := m.matchPosted(r); inb != nil || scanned != 64 {
+		if inb, ok, scanned := m.unexpected.take(k); ok || scanned != 64 {
 			b.Fatalf("unexpected match (%v, %d)", inb, scanned)
 		}
 	}
@@ -41,16 +43,16 @@ func BenchmarkMatchPostedMissDeepQueue(b *testing.B) {
 func BenchmarkMatchArrivalHitFront(b *testing.B) {
 	var m matcher
 	r := recvFor(0, 5, 0)
-	m.addPosted(r)
-	inb := inboundFor(0, 5, 0)
+	m.posted.push(r)
+	k := inboundFor(0, 5, 0).key()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req, scanned := m.matchArrival(inb)
-		if req == nil || scanned != 1 {
+		req, ok, scanned := m.posted.take(k)
+		if !ok || scanned != 1 {
 			b.Fatalf("no match (scanned %d)", scanned)
 		}
-		m.addPosted(req)
+		m.posted.push(req)
 	}
 }
 
@@ -58,17 +60,19 @@ func BenchmarkMatchArrivalHitFront(b *testing.B) {
 func TestMatchAllocs(t *testing.T) {
 	var posted, unexpected, front matcher
 	for i := 0; i < 64; i++ {
-		posted.addPosted(recvFor(1, i, 0))
-		unexpected.addUnexpected(inboundFor(1, i, 0))
+		r, inb := recvFor(1, i, 0), inboundFor(1, i, 0)
+		posted.posted.push(r)
+		unexpected.unexpected.push(inb)
 	}
-	front.addPosted(recvFor(0, 5, 0))
-	missInb, missRecv, hitInb := inboundFor(2, 999, 0), recvFor(2, 999, 0), inboundFor(0, 5, 0)
+	hit := recvFor(0, 5, 0)
+	front.posted.push(hit)
+	miss := matchKey{0, 2, 999}
 	for name, op := range map[string]func(){
-		"matchArrival miss, 64 posted":    func() { posted.matchArrival(missInb) },
-		"matchPosted miss, 64 unexpected": func() { unexpected.matchPosted(missRecv) },
-		"matchArrival hit + re-add": func() {
-			req, _ := front.matchArrival(hitInb)
-			front.addPosted(req)
+		"arrival miss, 64 posted":     func() { posted.posted.take(miss) },
+		"posting miss, 64 unexpected": func() { unexpected.unexpected.take(miss) },
+		"arrival hit + re-add": func() {
+			req, _, _ := front.posted.take(hit.key())
+			front.posted.push(req)
 		},
 	} {
 		if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,14 +25,13 @@ func TestMatchesPredicate(t *testing.T) {
 		{recvFor(1, 2, 0), 1, 3, 0, false}, // tag mismatch
 		{recvFor(1, 2, 0), 2, 2, 0, false}, // source mismatch
 		{recvFor(1, 2, 0), 1, 2, 1, false}, // context mismatch
-		{recvFor(AnySource, 2, 0), 9, 2, 0, true},
-		{recvFor(1, AnyTag, 0), 1, 99, 0, true},
-		{recvFor(AnySource, AnyTag, 0), 5, 7, 0, true},
-		{recvFor(AnySource, AnyTag, 0), 5, 7, 3, false}, // wildcard never crosses contexts
+		{recvFor(1, 2, 0), 2, 1, 0, false}, // source and tag swapped
 	}
 	for i, c := range cases {
-		if got := matches(c.req, c.src, c.tag, c.ctx); got != c.want {
-			t.Errorf("case %d: matches = %v, want %v", i, got, c.want)
+		var m matcher
+		m.posted.push(c.req)
+		if _, got, _ := m.posted.take(inboundFor(c.src, c.tag, c.ctx).key()); got != c.want {
+			t.Errorf("case %d: matched = %v, want %v", i, got, c.want)
 		}
 	}
 }
@@ -40,19 +40,19 @@ func TestMatchArrivalFIFO(t *testing.T) {
 	var m matcher
 	first := recvFor(0, 5, 0)
 	second := recvFor(0, 5, 0)
-	m.addPosted(first)
-	m.addPosted(second)
-	req, scanned := m.matchArrival(inboundFor(0, 5, 0))
+	m.posted.push(first)
+	m.posted.push(second)
+	req, _, scanned := m.posted.take(inboundFor(0, 5, 0).key())
 	if req != first {
 		t.Fatal("arrival did not match the earliest posted receive")
 	}
 	if scanned != 1 {
 		t.Fatalf("scanned = %d, want 1", scanned)
 	}
-	if m.PostedLen() != 1 {
-		t.Fatalf("posted queue = %d after match, want 1", m.PostedLen())
+	if len(m.posted.slots) != 1 {
+		t.Fatalf("posted queue = %d after match, want 1", len(m.posted.slots))
 	}
-	req2, _ := m.matchArrival(inboundFor(0, 5, 0))
+	req2, _, _ := m.posted.take(inboundFor(0, 5, 0).key())
 	if req2 != second {
 		t.Fatal("second arrival did not match the remaining receive")
 	}
@@ -62,23 +62,24 @@ func TestMatchPostedFIFO(t *testing.T) {
 	var m matcher
 	a := inboundFor(0, 5, 0)
 	b := inboundFor(0, 5, 0)
-	m.addUnexpected(a)
-	m.addUnexpected(b)
-	got, _ := m.matchPosted(recvFor(0, 5, 0))
+	m.unexpected.push(a)
+	m.unexpected.push(b)
+	got, _, _ := m.unexpected.take(recvFor(0, 5, 0).key())
 	if got != a {
 		t.Fatal("posted receive did not take the earliest unexpected message")
 	}
-	if m.UnexpectedLen() != 1 {
-		t.Fatalf("unexpected queue = %d, want 1", m.UnexpectedLen())
+	if len(m.unexpected.slots) != 1 {
+		t.Fatalf("unexpected queue = %d, want 1", len(m.unexpected.slots))
 	}
 }
 
 func TestMatchScansPastNonMatching(t *testing.T) {
 	var m matcher
-	m.addPosted(recvFor(0, 1, 0))
-	m.addPosted(recvFor(0, 2, 0))
-	m.addPosted(recvFor(0, 3, 0))
-	req, scanned := m.matchArrival(inboundFor(0, 3, 0))
+	for tag := 1; tag <= 3; tag++ {
+		r := recvFor(0, tag, 0)
+		m.posted.push(r)
+	}
+	req, _, scanned := m.posted.take(inboundFor(0, 3, 0).key())
 	if req == nil || req.tag != 3 {
 		t.Fatalf("matched %v, want tag 3", req)
 	}
@@ -89,64 +90,19 @@ func TestMatchScansPastNonMatching(t *testing.T) {
 
 func TestMatchMissScansAll(t *testing.T) {
 	var m matcher
-	m.addPosted(recvFor(0, 1, 0))
-	m.addPosted(recvFor(0, 2, 0))
-	req, scanned := m.matchArrival(inboundFor(0, 9, 0))
-	if req != nil {
+	for tag := 1; tag <= 2; tag++ {
+		r := recvFor(0, tag, 0)
+		m.posted.push(r)
+	}
+	req, ok, scanned := m.posted.take(inboundFor(0, 9, 0).key())
+	if ok || req != nil {
 		t.Fatal("matched a non-matching arrival")
 	}
 	if scanned != 2 {
 		t.Fatalf("scanned = %d, want 2", scanned)
 	}
-}
-
-func TestMatchWildcardReceiveMiss(t *testing.T) {
-	var m matcher
-	m.addUnexpected(inboundFor(0, 1, 7))
-	m.addUnexpected(inboundFor(3, 2, 7))
-	// Wildcard receive in another context cannot take the index shortcut but
-	// must still miss with a full-traversal scanned count.
-	inb, scanned := m.matchPosted(recvFor(AnySource, AnyTag, 0))
-	if inb != nil {
-		t.Fatal("wildcard receive crossed contexts")
-	}
-	if scanned != 2 {
-		t.Fatalf("scanned = %d, want 2", scanned)
-	}
-	// Same-context wildcard takes the earliest entry.
-	inb, scanned = m.matchPosted(recvFor(AnySource, AnyTag, 7))
-	if inb == nil || inb.src != 0 || inb.tag != 1 {
-		t.Fatalf("wildcard matched %+v, want the earliest (src 0, tag 1)", inb)
-	}
-	if scanned != 1 {
-		t.Fatalf("scanned = %d, want 1", scanned)
-	}
-}
-
-func TestMatchWildcardPostedBlocksIndexShortcut(t *testing.T) {
-	var m matcher
-	m.addPosted(recvFor(AnySource, AnyTag, 0))
-	m.addPosted(recvFor(2, 9, 0))
-	// The arrival's exact key is absent from the index, but the wildcard
-	// receive must still win (non-overtaking: it was posted first).
-	req, scanned := m.matchArrival(inboundFor(5, 5, 0))
-	if req == nil || req.peer != AnySource {
-		t.Fatalf("matched %+v, want the wildcard receive", req)
-	}
-	if scanned != 1 {
-		t.Fatalf("scanned = %d, want 1", scanned)
-	}
-	if m.postedWild != 0 {
-		t.Fatalf("postedWild = %d after wildcard matched, want 0", m.postedWild)
-	}
-	// With the wildcard gone the index shortcut reactivates: a miss answers
-	// with full-traversal accounting and no false match.
-	req, scanned = m.matchArrival(inboundFor(5, 5, 0))
-	if req != nil {
-		t.Fatal("exact receive (2,9) matched a (5,5) arrival")
-	}
-	if scanned != 1 {
-		t.Fatalf("scanned = %d, want 1 (queue length)", scanned)
+	if _, _, scanned := (&keyedFIFO[*Request]{}).take(matchKey{}); scanned != 0 {
+		t.Fatalf("scanned = %d on an empty queue, want 0", scanned)
 	}
 }
 
@@ -156,31 +112,30 @@ func TestMatchWildcardPostedBlocksIndexShortcut(t *testing.T) {
 func TestQuickMatcherConservation(t *testing.T) {
 	f := func(ops []bool) bool {
 		var m matcher
-		posted, arrived, matched := 0, 0, 0
+		matched := 0
 		for _, isPost := range ops {
 			if isPost {
 				r := recvFor(0, 0, 0)
-				if inb, _ := m.matchPosted(r); inb != nil {
+				if _, ok, _ := m.unexpected.take(r.key()); ok {
 					matched++
 				} else {
-					m.addPosted(r)
-					posted++
+					m.posted.push(r)
 				}
 			} else {
 				inb := inboundFor(0, 0, 0)
-				if r, _ := m.matchArrival(inb); r != nil {
+				if _, ok, _ := m.posted.take(inb.key()); ok {
 					matched++
 				} else {
-					m.addUnexpected(inb)
-					arrived++
+					m.unexpected.push(inb)
 				}
 			}
 		}
+		posted, unexpected := len(m.posted.slots), len(m.unexpected.slots)
 		// One queue must always be empty (same envelope ⇒ immediate match).
-		if m.PostedLen() > 0 && m.UnexpectedLen() > 0 {
+		if posted > 0 && unexpected > 0 {
 			return false
 		}
-		return m.PostedLen()+m.UnexpectedLen()+2*matched == len(ops)
+		return posted+unexpected+2*matched == len(ops)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -197,7 +152,7 @@ type fifoMatcher struct {
 
 func (m *fifoMatcher) matchArrival(inb *inbound) (*Request, int) {
 	for i, r := range m.posted {
-		if matches(r, inb.src, inb.tag, inb.ctx) {
+		if r.ctx == inb.ctx && r.peer == inb.src && r.tag == inb.tag {
 			m.posted = append(m.posted[:i], m.posted[i+1:]...)
 			return r, i + 1
 		}
@@ -207,7 +162,7 @@ func (m *fifoMatcher) matchArrival(inb *inbound) (*Request, int) {
 
 func (m *fifoMatcher) matchPosted(r *Request) (*inbound, int) {
 	for i, u := range m.unexpected {
-		if matches(r, u.src, u.tag, u.ctx) {
+		if r.ctx == u.ctx && r.peer == u.src && r.tag == u.tag {
 			m.unexpected = append(m.unexpected[:i], m.unexpected[i+1:]...)
 			return u, i + 1
 		}
@@ -215,94 +170,97 @@ func (m *fifoMatcher) matchPosted(r *Request) (*inbound, int) {
 	return nil, len(m.unexpected)
 }
 
-// Property (satellite): wildcard receives interleaved with exact matches
-// must preserve MPI non-overtaking order and scanned accounting exactly as
-// the old FIFO scan did. Drives the indexed matcher and the reference
-// side by side through seeded random op streams over a small envelope space
-// (guaranteeing collisions, wildcard overlap, and deep queues).
+// Property: the indexed queues preserve MPI non-overtaking order and scanned
+// accounting exactly as the plain FIFO scan does. Drives the indexed matcher
+// and the reference side by side through seeded random op streams over a
+// small envelope space (guaranteeing collisions and deep queues).
 func TestMatcherEquivalentToFIFOReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var idx matcher
 		var ref fifoMatcher
-		envelope := func(wild bool) (src, tag int) {
-			src, tag = rng.Intn(3), rng.Intn(3)
-			if wild {
-				if rng.Intn(2) == 0 {
-					src = AnySource
-				}
-				if rng.Intn(2) == 0 {
-					tag = AnyTag
-				}
-			}
-			return
-		}
 		for op := 0; op < 400; op++ {
-			ctx := rng.Intn(2)
+			src, tag, ctx := rng.Intn(3), rng.Intn(3), rng.Intn(2)
 			if rng.Intn(2) == 0 {
-				src, tag := envelope(rng.Intn(4) == 0) // 25% wildcard receives
 				ri := recvFor(src, tag, ctx)
+				ri.size = int64(op) // identity marker
 				rr := recvFor(src, tag, ctx)
-				gi, si := idx.matchPosted(ri)
+				rr.size = int64(op)
+				gi, _, si := idx.unexpected.take(ri.key())
 				gr, sr := ref.matchPosted(rr)
 				if si != sr {
-					t.Fatalf("seed %d op %d: matchPosted scanned %d, reference %d", seed, op, si, sr)
+					t.Fatalf("seed %d op %d: posting scanned %d, reference %d", seed, op, si, sr)
 				}
 				if (gi == nil) != (gr == nil) {
-					t.Fatalf("seed %d op %d: matchPosted hit mismatch (%v vs %v)", seed, op, gi, gr)
+					t.Fatalf("seed %d op %d: posting hit mismatch (%v vs %v)", seed, op, gi, gr)
 				}
-				if gi != nil && (gi.src != gr.src || gi.tag != gr.tag || gi.ctx != gr.ctx || gi.size != gr.size) {
-					t.Fatalf("seed %d op %d: matchPosted took different messages: %+v vs %+v", seed, op, gi, gr)
+				if gi != nil && gi.size != gr.size {
+					t.Fatalf("seed %d op %d: posting took different messages: %+v vs %+v", seed, op, gi, gr)
 				}
 				if gi == nil {
-					idx.addPosted(ri)
+					idx.posted.push(ri)
 					ref.posted = append(ref.posted, rr)
 				}
 			} else {
-				src, tag := rng.Intn(3), rng.Intn(3) // arrivals always concrete
 				ii := inboundFor(src, tag, ctx)
 				ii.size = int64(op) // identity marker
 				ir := inboundFor(src, tag, ctx)
 				ir.size = int64(op)
-				gi, si := idx.matchArrival(ii)
+				gi, _, si := idx.posted.take(ii.key())
 				gr, sr := ref.matchArrival(ir)
 				if si != sr {
-					t.Fatalf("seed %d op %d: matchArrival scanned %d, reference %d", seed, op, si, sr)
+					t.Fatalf("seed %d op %d: arrival scanned %d, reference %d", seed, op, si, sr)
 				}
 				if (gi == nil) != (gr == nil) {
-					t.Fatalf("seed %d op %d: matchArrival hit mismatch", seed, op)
+					t.Fatalf("seed %d op %d: arrival hit mismatch", seed, op)
 				}
-				if gi != nil && (gi.peer != gr.peer || gi.tag != gr.tag || gi.ctx != gr.ctx) {
-					t.Fatalf("seed %d op %d: matchArrival took different receives: %+v vs %+v", seed, op, gi, gr)
+				if gi != nil && gi.size != gr.size {
+					t.Fatalf("seed %d op %d: arrival took different receives: %+v vs %+v", seed, op, gi, gr)
 				}
 				if gi == nil {
-					idx.addUnexpected(ii)
+					idx.unexpected.push(ii)
 					ref.unexpected = append(ref.unexpected, ir)
 				}
 			}
-			if idx.PostedLen() != len(ref.posted) || idx.UnexpectedLen() != len(ref.unexpected) {
+			if len(idx.posted.slots) != len(ref.posted) || len(idx.unexpected.slots) != len(ref.unexpected) {
 				t.Fatalf("seed %d op %d: queue depths diverged (%d/%d vs %d/%d)",
-					seed, op, idx.PostedLen(), idx.UnexpectedLen(), len(ref.posted), len(ref.unexpected))
+					seed, op, len(idx.posted.slots), len(idx.unexpected.slots), len(ref.posted), len(ref.unexpected))
 			}
 		}
 		// Drain both and confirm identical residual order.
-		for i, u := range idx.unexpected {
-			r := ref.unexpected[i]
-			if u.src != r.src || u.tag != r.tag || u.ctx != r.ctx || u.size != r.size {
+		for i, u := range idx.unexpected.slots {
+			if u.size != ref.unexpected[i].size {
 				t.Fatalf("seed %d: residual unexpected[%d] differs", seed, i)
 			}
 		}
-		for i, q := range idx.posted {
-			r := ref.posted[i]
-			if q.peer != r.peer || q.tag != r.tag || q.ctx != r.ctx {
+		for i, r := range idx.posted.slots {
+			if r.size != ref.posted[i].size {
 				t.Fatalf("seed %d: residual posted[%d] differs", seed, i)
 			}
 		}
 	}
 }
 
+// countsMatch reports how q's occupancy index differs from its slots, or
+// nil when every key's count equals its number of slots.
+func countsMatch[T keyed](q *keyedFIFO[T]) error {
+	want := map[matchKey]int{}
+	for _, v := range q.slots {
+		want[v.key()]++
+	}
+	if len(want) != len(q.count) {
+		return fmt.Errorf("index has %d keys, queue has %d", len(q.count), len(want))
+	}
+	for k, n := range want {
+		if q.count[k] != n {
+			return fmt.Errorf("index[%v] = %d, queue has %d", k, q.count[k], n)
+		}
+	}
+	return nil
+}
+
 // The index must stay consistent under heavy churn: counts in the maps always
-// equal the occupancy of the authoritative slices.
+// equal the occupancy of the authoritative slots.
 func TestMatcherIndexConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var m matcher
@@ -311,46 +269,20 @@ func TestMatcherIndexConsistency(t *testing.T) {
 		switch rng.Intn(2) {
 		case 0:
 			r := recvFor(src, tag, ctx)
-			if inb, _ := m.matchPosted(r); inb == nil {
-				m.addPosted(r)
+			if _, ok, _ := m.unexpected.take(r.key()); !ok {
+				m.posted.push(r)
 			}
 		case 1:
 			inb := inboundFor(src, tag, ctx)
-			if r, _ := m.matchArrival(inb); r == nil {
-				m.addUnexpected(inb)
+			if _, ok, _ := m.posted.take(inb.key()); !ok {
+				m.unexpected.push(inb)
 			}
 		}
-		wantPosted := map[matchKey]int{}
-		wild := 0
-		for _, r := range m.posted {
-			if isWild(r) {
-				wild++
-			} else {
-				wantPosted[matchKey{r.ctx, r.peer, r.tag}]++
-			}
+		if err := countsMatch(&m.posted); err != nil {
+			t.Fatalf("op %d: posted: %v", op, err)
 		}
-		if wild != m.postedWild {
-			t.Fatalf("op %d: postedWild = %d, queue has %d", op, m.postedWild, wild)
-		}
-		if len(wantPosted) != len(m.postedExact) {
-			t.Fatalf("op %d: postedExact has %d keys, queue has %d", op, len(m.postedExact), len(wantPosted))
-		}
-		for k, n := range wantPosted {
-			if m.postedExact[k] != n {
-				t.Fatalf("op %d: postedExact[%v] = %d, queue has %d", op, k, m.postedExact[k], n)
-			}
-		}
-		wantUnexp := map[matchKey]int{}
-		for _, u := range m.unexpected {
-			wantUnexp[matchKey{u.ctx, u.src, u.tag}]++
-		}
-		if len(wantUnexp) != len(m.unexpExact) {
-			t.Fatalf("op %d: unexpExact has %d keys, queue has %d", op, len(m.unexpExact), len(wantUnexp))
-		}
-		for k, n := range wantUnexp {
-			if m.unexpExact[k] != n {
-				t.Fatalf("op %d: unexpExact[%v] = %d, queue has %d", op, k, m.unexpExact[k], n)
-			}
+		if err := countsMatch(&m.unexpected); err != nil {
+			t.Fatalf("op %d: unexpected: %v", op, err)
 		}
 	}
 }

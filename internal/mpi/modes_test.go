@@ -114,7 +114,7 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := DefaultConfig(2)
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("bad config %d passed Validate", i)
 		}
 	}
@@ -147,7 +147,7 @@ func TestRequestString(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			r := c.IsendBytes(p, 1, 3, 64)
-			if r.String() == "" || r.Size() != 64 || r.kind != sendReq {
+			if r.String() == "" || r.size != 64 || r.kind != sendReq {
 				t.Errorf("send request accessors wrong: %v", r)
 			}
 			r.Wait(p)

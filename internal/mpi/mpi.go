@@ -22,13 +22,6 @@ import (
 	"partmb/internal/sim"
 )
 
-// Wildcards for Recv/Irecv source and tag matching. Partitioned
-// communication does not accept wildcards (per the MPI 4.0 standard).
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
 // ThreadMode mirrors the MPI threading support levels that matter to the
 // benchmark: with Funneled or Serialized the application guarantees that MPI
 // calls never overlap, so the library takes no lock; with Multiple every
@@ -216,8 +209,8 @@ func DefaultConfig(ranks int) Config {
 	}
 }
 
-// Validate checks the configuration.
-func (c *Config) Validate() error {
+// validate checks the configuration.
+func (c *Config) validate() error {
 	if c.Ranks <= 0 {
 		return fmt.Errorf("mpi: Ranks = %d, must be positive", c.Ranks)
 	}
@@ -388,7 +381,7 @@ func NewWorld(s *sim.Scheduler, cfg Config) *World {
 	if cfg.Topology == nil {
 		cfg.Topology = netsim.Uniform{L: cfg.Net.Latency}
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
 	w, _ := s.Kept().(*World)
@@ -498,9 +491,6 @@ func (w *World) crossDelay(now sim.Time, from, to *rankState, size int64) sim.Du
 	return w.congested.CrossDelay(now, from.id, to.id, size)
 }
 
-// Scheduler returns the simulation scheduler the world runs on.
-func (w *World) Scheduler() *sim.Scheduler { return w.s }
-
 // latency returns the one-way wire latency between two ranks' nodes.
 func (w *World) latency(src, dst int) sim.Duration {
 	return w.cfg.Topology.Latency(src, dst)
@@ -508,9 +498,6 @@ func (w *World) latency(src, dst int) sim.Duration {
 
 // Config returns the world configuration.
 func (w *World) Config() Config { return w.cfg }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.cfg.Ranks }
 
 // Comm returns the world communicator handle for the given rank. Handles
 // are cached: repeated calls return the same object, so collective sequence
@@ -609,8 +596,8 @@ func (c *Comm) Rank() int { return c.localOf(c.rank) }
 // WorldRank returns the calling process's world rank.
 func (c *Comm) WorldRank() int { return c.rank }
 
-// Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int {
+// size returns the number of ranks in the communicator.
+func (c *Comm) size() int {
 	if c.group == nil {
 		return c.world.cfg.Ranks
 	}

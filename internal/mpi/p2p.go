@@ -27,9 +27,8 @@ func (c *Comm) send(p *sim.Proc, thread, dest, tag int, size int64) {
 	c.isendOn(p, c.state().takeReq(), thread, dest, tag, c.ctxP2P(), size).finish(p)
 }
 
-// Irecv posts a nonblocking receive matching (src, tag); src may be
-// AnySource and tag AnyTag. Like IsendBytes's, its request comes off the
-// rank's free list.
+// Irecv posts a nonblocking receive matching (src, tag) exactly. Like
+// IsendBytes's, its request comes off the rank's free list.
 func (c *Comm) Irecv(p *sim.Proc, src, tag int) *Request {
 	return c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxP2P())
 }
@@ -189,9 +188,9 @@ func (m *inbound) Fire(op int) {
 // handleArrival matches a delivered message against the posted-receive
 // queue, completing the receive or parking the message as unexpected.
 func (w *World) handleArrival(to *rankState, inb *inbound) {
-	req, scanned := to.matcher.matchArrival(inb)
-	if req == nil {
-		to.matcher.addUnexpected(inb)
+	req, ok, scanned := to.matcher.posted.take(inb.key())
+	if !ok {
+		to.matcher.unexpected.push(inb)
 		return
 	}
 	t := inb.deliveredAt.Add(sim.Duration(scanned) * w.cfg.MatchPerElement)
@@ -199,12 +198,10 @@ func (w *World) handleArrival(to *rankState, inb *inbound) {
 	case kindEager:
 		req.data = inb.data
 		req.size = inb.size
-		req.matchedFrom = inb.src
 		req.completeAt(t)
 		to.release(inb)
 	case kindRTS:
 		req.size = inb.size
-		req.matchedFrom = inb.src
 		w.startCTS(t, to, inb, req)
 	}
 }
@@ -218,14 +215,14 @@ func (c *Comm) postRecv(p *sim.Proc, rreq *Request) {
 	// enqueue first, then charge the traversal time. Sleeping in between
 	// would let a message land in the unexpected queue while this receive
 	// sits in neither queue, stranding both.
-	inb, scanned := st.matcher.matchPosted(rreq)
-	if inb == nil {
-		st.matcher.addPosted(rreq)
+	inb, ok, scanned := st.matcher.unexpected.take(rreq.key())
+	if !ok {
+		st.matcher.posted.push(rreq)
 	}
 	if scanned > 0 {
 		p.Sleep(sim.Duration(scanned) * w.cfg.MatchPerElement)
 	}
-	if inb == nil {
+	if !ok {
 		return
 	}
 	switch inb.kind {
@@ -234,13 +231,11 @@ func (c *Comm) postRecv(p *sim.Proc, rreq *Request) {
 		// user buffer costs a copy.
 		rreq.data = inb.data
 		rreq.size = inb.size
-		rreq.matchedFrom = inb.src
 		copyCost := sim.Duration(float64(inb.size) / w.cfg.CopyBandwidth * 1e9)
 		rreq.completeAt(p.Now().Add(copyCost))
 		st.release(inb)
 	case kindRTS:
 		rreq.size = inb.size
-		rreq.matchedFrom = inb.src
 		w.startCTS(p.Now(), st, inb, rreq)
 	}
 }
@@ -248,11 +243,7 @@ func (c *Comm) postRecv(p *sim.Proc, rreq *Request) {
 // irecvOn posts a receive on context ctx into the blank request rreq (see
 // isendOn).
 func (c *Comm) irecvOn(p *sim.Proc, rreq *Request, src, tag, ctx int) *Request {
-	peer := src
-	if src != AnySource {
-		peer = c.worldOf(src)
-	}
-	rreq.comm, rreq.kind, rreq.peer, rreq.tag, rreq.ctx = c, recvReq, peer, tag, ctx
+	rreq.comm, rreq.kind, rreq.peer, rreq.tag, rreq.ctx = c, recvReq, c.worldOf(src), tag, ctx
 	call := c.enter(p, 0)
 	c.postRecv(p, rreq)
 	call.done()

@@ -79,7 +79,7 @@ type nativeArrival struct {
 }
 
 // PsendInit creates a partitioned send of parts partitions of partBytes
-// bytes each to dest with the given tag (no wildcards, per MPI 4.0).
+// bytes each to dest with the given tag.
 func (c *Comm) PsendInit(p *sim.Proc, dest, tag, parts int, partBytes int64) *PRequest {
 	pr := c.partInit(p, sendReq, dest, tag, parts, partBytes)
 	if c.world.cfg.PartImpl == PartNative {
@@ -106,9 +106,6 @@ func (c *Comm) PrecvInit(p *sim.Proc, src, tag, parts int, partBytes int64) *PRe
 }
 
 func (c *Comm) partInit(p *sim.Proc, kind reqKind, peer, tag, parts int, partBytes int64) *PRequest {
-	if peer == AnySource || tag == AnyTag {
-		panic("mpi: partitioned communication does not support wildcards")
-	}
 	peer = c.worldOf(peer) // stored as a world rank
 	if parts <= 0 || parts >= maxPartitions {
 		panic(fmt.Sprintf("mpi: partition count %d out of range [1,%d)", parts, maxPartitions))

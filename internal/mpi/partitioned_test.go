@@ -298,29 +298,6 @@ func TestNativeFasterThanMPIPCLManyPartitions(t *testing.T) {
 	}
 }
 
-func TestPartitionedWildcardsRejected(t *testing.T) {
-	s, w := partWorld(t, PartMPIPCL, nil)
-	s.Spawn("r0", func(p *sim.Proc) {
-		c := w.Comm(0)
-		for _, f := range []func(){
-			func() { c.PsendInit(p, AnySource, 0, 1, 8) },
-			func() { c.PrecvInit(p, 0, AnyTag, 1, 8) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("partitioned wildcard did not panic")
-					}
-				}()
-				f()
-			}()
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPartitionedMisusePanics(t *testing.T) {
 	s, w := partWorld(t, PartMPIPCL, nil)
 	s.Spawn("sender", func(p *sim.Proc) {

@@ -38,15 +38,15 @@ const pbcastTagBase = 1 << 12
 // Pready per partition after Start; other ranks may consume partitions via
 // Parrived/WaitPartition; everyone calls Wait to close the epoch.
 func (c *Comm) PBcastInit(p *sim.Proc, root, parts int, partBytes int64) *PBcast {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: PBcast root %d out of range [0,%d)", root, c.Size()))
+	if root < 0 || root >= c.size() {
+		panic(fmt.Sprintf("mpi: PBcast root %d out of range [0,%d)", root, c.size()))
 	}
 	seq := c.pbcastSeq
 	c.pbcastSeq++
 	tag := pbcastTagBase + seq
 
 	pb := &PBcast{comm: c, root: root, parts: parts}
-	n := c.Size()
+	n := c.size()
 	vrank := (c.Rank() - root + n) % n
 
 	// Binomial tree (same shape as Bcast): the receive edge is the lowest
@@ -127,22 +127,6 @@ func (pb *PBcast) Pready(p *sim.Proc, i int) {
 	for _, ch := range pb.toChildren {
 		ch.Pready(p, i)
 	}
-}
-
-// Parrived tests whether partition i has arrived on a non-root rank.
-func (pb *PBcast) Parrived(p *sim.Proc, i int) bool {
-	if pb.Root() {
-		panic("mpi: PBcast.Parrived on the root")
-	}
-	return pb.fromParent.Parrived(p, i)
-}
-
-// WaitPartition blocks until partition i arrives on a non-root rank.
-func (pb *PBcast) WaitPartition(p *sim.Proc, i int) {
-	if pb.Root() {
-		panic("mpi: PBcast.WaitPartition on the root")
-	}
-	pb.fromParent.WaitPartition(p, i)
 }
 
 // ArrivedAt returns partition i's arrival time on a non-root rank

@@ -142,7 +142,6 @@ func TestPBcastMisuse(t *testing.T) {
 				f()
 			}
 			if pb.Root() {
-				mustPanic("Parrived on root", func() { pb.Parrived(p, 0) })
 				mustPanic("Start while active", func() { pb.Start(p) })
 				pb.Pready(p, 0)
 				pb.Pready(p, 1)

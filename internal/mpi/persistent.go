@@ -6,10 +6,6 @@ import "partmb/internal/sim"
 // (destination, tag, size) is registered once, and each Start/Wait cycle
 // performs one transfer, the analogue of MPI_Send_init.
 func (c *Comm) SendInitBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return c.sendInit(p, 0, dest, tag, size)
-}
-
-func (c *Comm) sendInit(p *sim.Proc, thread, dest, tag int, size int64) *Request {
 	c.enter(p, 0).done()
 	r := c.state().persist.take()
 	*r = Request{
@@ -19,7 +15,6 @@ func (c *Comm) sendInit(p *sim.Proc, thread, dest, tag int, size int64) *Request
 		tag:        tag,
 		ctx:        c.ctxP2P(),
 		size:       size,
-		thread:     thread,
 		persistent: true,
 		done:       r.done,
 	}
@@ -28,18 +23,14 @@ func (c *Comm) sendInit(p *sim.Proc, thread, dest, tag int, size int64) *Request
 }
 
 // RecvInit creates a persistent receive request, the analogue of
-// MPI_Recv_init. Wildcards are permitted, as in MPI.
+// MPI_Recv_init.
 func (c *Comm) RecvInit(p *sim.Proc, src, tag int) *Request {
 	c.enter(p, 0).done()
-	peer := src
-	if src != AnySource {
-		peer = c.worldOf(src)
-	}
 	r := c.state().persist.take()
 	*r = Request{
 		comm:       c,
 		kind:       recvReq,
-		peer:       peer,
+		peer:       c.worldOf(src),
 		tag:        tag,
 		ctx:        c.ctxP2P(),
 		persistent: true,

@@ -205,8 +205,8 @@ type pReduce struct {
 // is the per-byte cost of combining two partitions (0 for free). Every rank
 // calls Pready per partition after Start and Wait to close the epoch.
 func (c *Comm) pReduceInit(p *sim.Proc, root, parts int, partBytes int64, opCostPerByte sim.Duration) *pReduce {
-	if root < 0 || root >= c.Size() {
-		panic(fmt.Sprintf("mpi: PReduce root %d out of range [0,%d)", root, c.Size()))
+	if root < 0 || root >= c.size() {
+		panic(fmt.Sprintf("mpi: PReduce root %d out of range [0,%d)", root, c.size()))
 	}
 	if opCostPerByte < 0 {
 		panic("mpi: negative reduction op cost")
@@ -222,7 +222,7 @@ func (c *Comm) pReduceInit(p *sim.Proc, root, parts int, partBytes int64, opCost
 		partBytes: partBytes,
 		opCost:    sim.Duration(int64(opCostPerByte) * partBytes),
 	}
-	n := c.Size()
+	n := c.size()
 	vrank := (c.Rank() - root + n) % n
 
 	// The reduction tree is the broadcast tree with edges reversed.

@@ -31,7 +31,7 @@ func TestUnexpectedSurvivesRecycling(t *testing.T) {
 		for k := 0; k < recvs; k++ {
 			r := c.Irecv(p, peer, 1)
 			r.Wait(p)
-			if n := r.Size(); n != int64(1+round%512) {
+			if n := r.size; n != int64(1+round%512) {
 				t.Fatalf("round %d: size %d, want %d", round, n, 1+round%512)
 			}
 			FreeAll(r)
@@ -61,8 +61,8 @@ func TestUnexpectedSurvivesRecycling(t *testing.T) {
 				}
 				r := c.Irecv(p, 0, want.tag)
 				r.Wait(p)
-				if r.Source() != 0 || r.Size() != int64(len(want.data)) || !bytes.Equal(r.data, want.data) {
-					t.Errorf("Recv(tag %d): source %d, size %d, payload intact %v", want.tag, r.Source(), r.Size(), bytes.Equal(r.data, want.data))
+				if r.size != int64(len(want.data)) || !bytes.Equal(r.data, want.data) {
+					t.Errorf("Recv(tag %d): size %d, payload intact %v", want.tag, r.size, bytes.Equal(r.data, want.data))
 				}
 			}
 		}
@@ -204,7 +204,7 @@ func TestCompletingPooledRequestPanics(t *testing.T) {
 		r := st.freeReqs[0]
 		r.comm = w.Comm(i) // so that only the pooled mark can stop it
 		for what, complete := range map[string]func(){
-			"completeAt": func() { r.completeAt(w.Scheduler().Now()) },
+			"completeAt": func() { r.completeAt(w.s.Now()) },
 			"Fire":       func() { r.Fire(0) },
 		} {
 			func() {
@@ -259,7 +259,7 @@ func TestEpochsRestartInnerRequests(t *testing.T) {
 					}
 				}
 			})
-			if got := w.Scheduler().Now(); got != tc.end {
+			if got := w.s.Now(); got != tc.end {
 				t.Errorf("%d epochs end at %d ns, want %d", epochs, got, tc.end)
 			}
 		})

@@ -18,7 +18,7 @@ const (
 type Request struct {
 	comm *Comm
 	kind reqKind
-	// peer is the destination (send) or source (recv, possibly AnySource).
+	// peer is the destination (send) or source (recv) world rank.
 	peer int
 	tag  int
 	ctx  int
@@ -31,8 +31,6 @@ type Request struct {
 
 	done        sim.Completion
 	completedAt sim.Time
-	// matchedFrom records the actual source rank after a wildcard match.
-	matchedFrom int
 
 	// persistent-request state
 	persistent bool
@@ -50,19 +48,9 @@ type Request struct {
 	partIdx int
 }
 
-// Size returns the message size in bytes.
-func (r *Request) Size() int64 { return r.size }
-
-// Source returns the matched source rank (communicator-local) of a
-// completed receive; for wildcard receives this is the actual sender.
-func (r *Request) Source() int { return r.comm.localOf(r.matchedFrom) }
-
 // CompletedAt returns the virtual time the operation completed. Only valid
 // after Wait returns.
 func (r *Request) CompletedAt() sim.Time { return r.completedAt }
-
-// Done reports, without cost, whether the request has completed.
-func (r *Request) Done() bool { return r.done.Done() }
 
 // Wait blocks the calling proc until the request completes, charging the
 // MPI call overhead. Waiting on a freed request panics.

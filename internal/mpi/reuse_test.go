@@ -25,8 +25,8 @@ type program struct {
 	body  func(log func(format string, args ...any)) func(c *Comm, p *sim.Proc)
 }
 
-// programs exercise every part of a world that is kept: matchers (wildcards,
-// unexpected and posted leftovers), free requests, records, persistent and
+// programs exercise every part of a world that is kept: matchers (unexpected
+// and posted leftovers), free requests, records, persistent and
 // partitioned requests of both implementations and unequal partitionings,
 // the native registry (an init left unpaired), split communicators and
 // endpoints.
@@ -37,12 +37,12 @@ var programs = []program{
 			c.SetPlacement(cluster.Place(c.world.cfg.Machine, 2))
 			for i := 0; i < 6; i++ {
 				size := int64(512 << (3 * (i % 3))) // eager, eager, rendezvous
-				rr := c.Endpoint(i%2).Irecv(p, AnySource, AnyTag)
+				rr := c.Endpoint(i%2).Irecv(p, peer, i)
 				sr := c.state().takeReq()
 				sr.data = bytes.Repeat([]byte{byte(me)}, int(size))
 				c.isendOn(p, sr, 1-i%2, peer, i, c.ctxP2P(), size) // endpoint 1-i%2, carrying data
 				WaitAll(p, rr, sr)
-				log("rank %d msg %d from %d tag %d size %d byte %d done %v/%v", me, i, rr.Source(), rr.tag, rr.Size(), rr.data[0], rr.CompletedAt(), sr.CompletedAt())
+				log("rank %d msg %d size %d byte %d done %v/%v", me, i, rr.size, rr.data[0], rr.CompletedAt(), sr.CompletedAt())
 				FreeAll(rr, sr)
 			}
 			c.IsendBytes(p, peer, 99, 64)  // never received: left unexpected
@@ -120,7 +120,7 @@ var programs = []program{
 			sub := c.Split(p, c.Rank()%2, -c.Rank())
 			sub.Allreduce(p, 4096)
 			c.Barrier(p)
-			log("rank %d is %d of %d, at %v", c.Rank(), sub.Rank(), sub.Size(), p.Now())
+			log("rank %d is %d of %d, at %v", c.Rank(), sub.Rank(), sub.size(), p.Now())
 		}
 	}},
 }
@@ -187,10 +187,10 @@ func TestKeptWorldReusesItsParts(t *testing.T) {
 		}
 		for _, st := range small.ranks {
 			m := st.matcher
-			if len(m.posted)+len(m.unexpected)+len(m.postedExact)+len(m.unexpExact)+m.postedWild+len(st.partRegistry) != 0 ||
+			if len(m.posted.slots)+len(m.unexpected.slots)+len(m.posted.count)+len(m.unexpected.count)+len(st.partRegistry) != 0 ||
 				st.nic.Stats() != (netsim.Stats{}) || st.lock.Locked() || st.preqs.used+st.persist.used != 0 {
 				t.Fatalf("after %s: rank %d starts with %d posted and %d unexpected messages, %d registry keys, NIC stats %+v, %d+%d inits",
-					pg.name, st.id, len(m.posted), len(m.unexpected), len(st.partRegistry), st.nic.Stats(), st.preqs.used, st.persist.used)
+					pg.name, st.id, len(m.posted.slots), len(m.unexpected.slots), len(st.partRegistry), st.nic.Stats(), st.preqs.used, st.persist.used)
 			}
 		}
 		if c := small.comms[0]; c.world != small || c.placement != small.single || c.barrierGen != 0 || len(c.endpoints) != len(comms[0].endpoints) {

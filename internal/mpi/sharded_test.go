@@ -80,8 +80,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 		ends := make([]sim.Time, 4)
 		w.Launch("ring", func(c *Comm, p *sim.Proc) {
 			me := c.Rank()
-			next := (me + 1) % c.Size()
-			prev := (me + 3) % c.Size()
+			next := (me + 1) % c.size()
+			prev := (me + 3) % c.size()
 			for i := 0; i < 5; i++ {
 				sr := c.IsendBytes(p, next, i, 1024)
 				c.Recv(p, prev, i)

@@ -109,7 +109,7 @@ func TestJournalRecordsRetriesAndFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, rn := runSweep(t, engine.WithFaults(inj), engine.WithRetry(engine.RetryPolicy{MaxAttempts: 10, Backoff: sim.Millisecond}))
+	col, rn := runSweep(t, engine.WithFaults(inj), engine.WithRetry(engine.RetryPolicy{MaxAttempts: 10}))
 	st := rn.Stats()
 	if st.Retries == 0 {
 		t.Skip("fault schedule injected nothing (seed drift)")

@@ -1,15 +1,22 @@
 package partmb_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 )
+
+const mpiPath = "partmb/internal/mpi"
 
 // mpiInterfaceMethods are the exported internal/mpi methods that exist to
 // satisfy an interface (sim.Handler, fmt.Stringer, encoding.Text*), so code
@@ -21,96 +28,127 @@ var mpiInterfaceMethods = map[string]bool{
 	"UnmarshalText": true,
 }
 
-// TestMPIEntryPointsHaveCallers keeps internal/mpi the size of its callers:
-// every exported function and every exported method of an exported type
-// must be named in some non-test Go file outside internal/mpi (bench/,
-// examples/ and cmd/ included). An entry point only tests call is surface
-// that every runtime change has to keep working for nobody; delete it, or
-// unexport it if a kept entry point needs it.
-func TestMPIEntryPointsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	parse := func(path string) *ast.File {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
+// listedPackage is the part of `go list -json` output the guard reads.
+type listedPackage struct {
+	Dir        string
+	ImportPath string
+	Export     string
+	GoFiles    []string
+	Imports    []string
+	Standard   bool
+}
+
+// goListExport lists the packages of the module at dir and their
+// dependencies, with compiled export data.
+func goListExport(t *testing.T, dir string) []listedPackage {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json=Dir,ImportPath,Export,GoFiles,Imports,Standard", "./...")
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs
+		} else if err != nil {
 			t.Fatal(err)
 		}
-		return f
-	}
-	mpiDir := filepath.Join("internal", "mpi")
-	entry := map[string]string{} // identifier → where it is declared
-	used := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f := parse(path)
-		if filepath.Dir(path) != mpiDir {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					used[id.Name] = true
-				}
-				return true
-			})
-			return nil
-		}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() || mpiInterfaceMethods[fn.Name.Name] {
-				continue
-			}
-			where := fn.Name.Name
-			if fn.Recv != nil {
-				recv := receiverType(fn.Recv.List[0].Type)
-				if !ast.IsExported(recv) {
-					continue
-				}
-				where = recv + "." + where
-			}
-			entry[fn.Name.Name] = where + " (" + fset.Position(fn.Pos()).String() + ")"
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entry) == 0 {
-		t.Fatalf("no exported functions found under %s", mpiDir)
-	}
-	var unused []string
-	for name, where := range entry {
-		if !used[name] {
-			unused = append(unused, where)
-		}
-	}
-	sort.Strings(unused)
-	for _, where := range unused {
-		t.Errorf("internal/mpi entry point %s has no caller outside internal/mpi and tests", where)
+		pkgs = append(pkgs, p)
 	}
 }
 
-// receiverType names a method receiver's type: T, *T, T[P] or *T[P].
-func receiverType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// TestMPIEntryPointsHaveCallers keeps internal/mpi the size of its callers:
+// every exported function and every exported method of an exported type
+// must be used by some non-test package outside internal/mpi (bench/,
+// examples/ and cmd/ included). Every such package is type-checked, and an
+// entry point counts as used only where the type checker resolves a name to
+// that very function, so a field or method of the same name elsewhere does
+// not keep it alive. An entry point only tests call is surface that every
+// runtime change has to keep working for nobody; delete it, or unexport it
+// if a kept entry point needs it.
+func TestMPIEntryPointsHaveCallers(t *testing.T) {
+	exports := map[string]string{} // import path → export data file
+	var importers []listedPackage
+	for _, dir := range []string{".", "bench"} {
+		for _, p := range goListExport(t, dir) {
+			if _, seen := exports[p.ImportPath]; seen {
+				continue
+			}
+			exports[p.ImportPath] = p.Export
+			if p.Standard || p.ImportPath == mpiPath {
+				continue
+			}
+			for _, imp := range p.Imports {
+				if imp == mpiPath {
+					importers = append(importers, p)
+					break
+				}
+			}
 		}
+	}
+
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	mpi, err := imp.Import(mpiPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := map[*types.Func]bool{}
+	for _, name := range mpi.Scope().Names() {
+		switch obj := mpi.Scope().Lookup(name).(type) {
+		case *types.Func:
+			if obj.Exported() {
+				entry[obj] = true
+			}
+		case *types.TypeName:
+			named, ok := obj.Type().(*types.Named)
+			if !ok || !obj.Exported() {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() && !mpiInterfaceMethods[m.Name()] {
+					entry[m] = true
+				}
+			}
+		}
+	}
+	if len(entry) == 0 {
+		t.Fatalf("no exported functions found in %s", mpiPath)
+	}
+
+	for _, p := range importers {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: imp}
+		if _, err := conf.Check(p.ImportPath, fset, files, info); err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		for _, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				delete(entry, fn.Origin())
+			}
+		}
+	}
+
+	var unused []string
+	for fn := range entry {
+		unused = append(unused, fn.FullName())
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("internal/mpi entry point %s has no caller outside internal/mpi and tests", name)
 	}
 }
