@@ -147,7 +147,7 @@ func TestDirectHandoffMatchesSlowPath(t *testing.T) {
 	}
 }
 
-// Sleep's short cut (nothing due before the wake, so the heap is skipped) is
+// Sleep's short cut (nothing due before the wake, so the queue is skipped) is
 // taken by a proc whose sleeps are interleaved with callbacks it schedules
 // itself; the callbacks must fire when and in the order they do on the path
 // that pushes every wake, and both paths must hand out the same sequence
@@ -189,9 +189,7 @@ func TestSleepShortCutMatchesSlowPath(t *testing.T) {
 func (s *Scheduler) runSlow() error {
 	s.startDrive(-1)
 	defer s.endDrive(true, false)
-	for len(s.queue) > 0 {
-		s.dispatch(s.queue.pop())
-	}
+	s.drive(maxTime)
 	return s.deadlock()
 }
 
@@ -360,8 +358,9 @@ func TestRunUntilMonotonicityGuard(t *testing.T) {
 		t.Fatal("expected drained drive")
 	}
 	s.running = false // re-arm the drive for the forged event
+	// Push an event stamped before the clock straight onto the queue,
+	// bypassing At's scheduling-time check.
 	s.queue.push(s.newEvent(0, nil, funcHandler(func() {}), 0))
-	s.queue[0].at = 0 // bypass At's scheduling-time check
 	defer func() {
 		if recover() == nil {
 			t.Fatal("RunUntil fired an event in the past without panicking")
@@ -371,8 +370,8 @@ func TestRunUntilMonotonicityGuard(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Event queue: the typed 4-ary heap must dequeue in (time, seq) order and
-// the freelist must actually recycle.
+// Event queue: the radix queue must dequeue in (time, seq) order and the
+// freelist must actually recycle (queue_test.go fuzzes the full order).
 // ---------------------------------------------------------------------------
 
 func TestEventQueueOrdering(t *testing.T) {

@@ -336,8 +336,8 @@ func (g *ShardGroup) Run() error {
 		work := false
 		min := maxTime
 		for i, s := range g.shards {
-			if len(s.queue) > 0 {
-				g.next[i] = s.queue[0].at
+			if at, ok := s.queue.peek(); ok {
+				g.next[i] = at
 				work = true
 				if g.next[i] < min {
 					min = g.next[i]
@@ -408,7 +408,7 @@ func (g *ShardGroup) dispatchWindow() {
 			return 1
 		}
 		if ca == 0 {
-			if la, lb := len(g.shards[a].queue), len(g.shards[b].queue); la != lb {
+			if la, lb := g.shards[a].queue.n, g.shards[b].queue.n; la != lb {
 				return lb - la
 			}
 			return a - b
@@ -473,15 +473,11 @@ func (g *ShardGroup) runShardWindow(w, sid int) {
 	if g.timed {
 		start = timeNowUnixNano()
 	}
-	q0, seq0 := len(s.queue), s.seq
+	// The events processed this window: those popped and the sleeps that
+	// took Sleep's short cut, each of which counts as one event.
+	ev0 := s.counts.Popped + s.counts.ShortCut
 	s.runWindow(g.limit)
-	// Every sequence number is either an event pushed onto the queue exactly
-	// once and dispatched when popped, or a short-cut Sleep, which takes a
-	// number and counts as one processed event without touching the queue.
-	// So the events processed this window are the starting queue length plus
-	// the numbers taken (seq delta) minus what is still queued. Counting
-	// here keeps the dispatch hot path and Sleep's short cut untouched.
-	g.winEvents[sid] = int64(q0) + int64(s.seq-seq0) - int64(len(s.queue))
+	g.winEvents[sid] = s.counts.Popped + s.counts.ShortCut - ev0
 	slices.SortFunc(s.outbox, func(a, b crossEvent) int {
 		if a.at != b.at {
 			if a.at < b.at {
@@ -717,9 +713,7 @@ func (g *ShardGroup) finish() error {
 func (s *Scheduler) runWindow(limit Time) {
 	s.windowing = true
 	s.startDrive(limit)
-	for len(s.queue) > 0 && s.queue[0].at <= limit {
-		s.dispatch(s.queue.pop())
-	}
+	s.drive(limit)
 	s.endDrive(false, false)
 	s.windowing = false
 }
