@@ -2,12 +2,18 @@ package partmb_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"partmb/internal/core"
+	"partmb/internal/engine"
+	"partmb/internal/service"
 )
 
 // cliCase drives one command-line tool end to end with quick parameters.
@@ -119,22 +125,45 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string) {
 	return outBuf.String(), errBuf.String()
 }
 
+// firstAttemptLost is a remote executor whose worker is lost on the first
+// attempt of every cell: it answers a key's first Execute with a transient
+// error, the way a reaped lease surfaces, and every later one with
+// ErrNoWorkers, so the retry computes the cell locally.
+type firstAttemptLost struct{ seen sync.Map }
+
+func (x *firstAttemptLost) Execute(_ context.Context, t engine.RemoteTask) (engine.RemoteResult, error) {
+	if _, again := x.seen.LoadOrStore(t.Key, true); again {
+		return engine.RemoteResult{}, engine.ErrNoWorkers
+	}
+	return engine.RemoteResult{}, engine.Transientf("worker lost (cell %.8s)", t.Key)
+}
+
 // TestFaultInjectionKeepsTablesIdentical is the acceptance check for the
-// fault/retry path: a sweep with injected transient faults and retries
-// enabled must emit byte-identical tables to the fault-free sweep, while
-// the engine stats prove faults were actually injected and retried.
+// retry path: a sweep whose every cell loses its first attempt must render
+// a table byte-identical to the failure-free sweep, while the engine stats
+// prove the attempts were actually retried.
 func TestFaultInjectionKeepsTablesIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping CLI execution in -short mode")
+	base := core.Config{Partitions: 4, Iterations: 2}
+	sizes := core.MessageSizes(1<<10, 64<<10)
+	table := func(rn *engine.Runner) string {
+		results, err := core.SweepMessageSizes(rn, base, sizes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := service.ResultTable(base, results).WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	base := []string{"./cmd/partbench", "-sweep", "-min", "1KiB", "-max", "64KiB", "-parts", "4", "-iters", "2"}
-	clean, _ := runCLI(t, base...)
-	faulted, faultedErr := runCLI(t, append(base, "-faults", "drop:0.5:7", "-retries", "10")...)
+	clean := table(engine.New())
+	rn := engine.New(engine.WithExecutor(new(firstAttemptLost)))
+	faulted := table(rn)
 	if clean != faulted {
-		t.Fatalf("fault injection changed the tables:\nclean:\n%s\nfaulted:\n%s", clean, faulted)
+		t.Fatalf("lost attempts changed the table:\nclean:\n%s\nfaulted:\n%s", clean, faulted)
 	}
-	if !strings.Contains(faultedErr, "retries") || !strings.Contains(faultedErr, "injected faults") {
-		t.Fatalf("faulted run's stats report no retries:\n%s", faultedErr)
+	if st := rn.Stats(); st.Retries != int64(len(sizes)) || st.RemoteErrors != st.Retries {
+		t.Fatalf("stats = %+v, want one lost and retried attempt per cell (%d)", st, len(sizes))
 	}
 }
 

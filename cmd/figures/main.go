@@ -11,7 +11,6 @@
 //	figures -fig 9 -out data/ -csv    # write data/fig09_*.csv
 //	figures -fig all -platform epyc-hdr -workers 4
 //	figures -fig all -cachedir .cellcache        # reuse cells across runs
-//	figures -fig 5 -faults drop:0.2 -retries 6   # exercise the retry path
 //	figures -fig all -journal run.jsonl -tracefile sched.json   # observability
 package main
 

@@ -7,7 +7,6 @@
 //
 //	partbench -size 1MiB -parts 16 -compute 10ms -noise uniform -noise-pct 4
 //	partbench -sweep -min 1KiB -max 64MiB -parts 32 -cache cold
-//	partbench -sweep -faults drop:0.3 -retries 6   # inject transient faults
 //	partbench -sweep -cachedir .cellcache          # reuse cells across runs
 //	partbench -stencil halo3d -ranks 512 -shards 8 # scaling tables, 8 shards
 //	partbench -stencil sweep3d -ranks 128 -topology dragonfly
@@ -158,8 +157,7 @@ func main() {
 		}
 	} else {
 		// RunCached rather than Run so single points also benefit from
-		// -cachedir and exercise -faults; traced configs key to "" and
-		// run uncached anyway.
+		// -cachedir; traced configs key to "" and run uncached anyway.
 		res, err := core.RunCached(rn, cfg)
 		if err != nil {
 			fatal(err)

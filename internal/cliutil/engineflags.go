@@ -6,16 +6,14 @@ import (
 	"os"
 
 	"partmb/internal/engine"
-	"partmb/internal/faults"
 	"partmb/internal/obs"
 	"partmb/internal/stats"
 )
 
 // EngineFlags bundles the experiment-engine flags every CLI shares: worker
-// bound, persistent cell cache, fault injection, the retry policy that
-// makes injected faults survivable, and the observability sinks (run
-// journal, metric summary, Chrome trace). Zero value = engine defaults,
-// observability off.
+// bound, persistent cell cache, adaptive sampling, and the observability
+// sinks (run journal, metric summary, Chrome trace). Zero value = engine
+// defaults, observability off.
 type EngineFlags struct {
 	// Workers bounds the parallel simulation workers (0 = GOMAXPROCS).
 	Workers int
@@ -26,11 +24,6 @@ type EngineFlags struct {
 	// (cliutil.ParseSize syntax, e.g. "256MiB"); stores past the budget
 	// evict least-recently-used cells. Empty means unlimited.
 	CacheMax string
-	// Faults is a fault-injection spec, "mode:prob[:seed]" with mode
-	// drop|delay|flaky ("" or "none" disables injection).
-	Faults string
-	// Retries is the maximum attempts per cell for transient failures.
-	Retries int
 	// Journal, when non-empty, writes the deterministic JSONL run journal
 	// (one record per task and cell, plus a stats trailer) to this path.
 	Journal string
@@ -56,8 +49,6 @@ func (e *EngineFlags) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&e.Workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	fs.StringVar(&e.CacheDir, "cachedir", "", "persist cell results as JSON under this directory and reuse them across runs")
 	fs.StringVar(&e.CacheMax, "cache-max", "", "bound the disk cache at this many bytes (e.g. 256MiB), evicting least-recently-used cells (default unlimited)")
-	fs.StringVar(&e.Faults, "faults", "", "inject transient cell faults: mode:prob[:seed], mode = drop|delay|flaky (default none)")
-	fs.IntVar(&e.Retries, "retries", engine.DefaultRetry.MaxAttempts, "max attempts per cell for transient failures")
 	fs.StringVar(&e.Journal, "journal", "", "write the deterministic JSONL run journal to this file")
 	fs.StringVar(&e.Metrics, "metrics", "", "write the per-experiment metric summary JSON to this file")
 	fs.StringVar(&e.TraceFile, "tracefile", "", "write the engine schedule as Chrome trace JSON (Perfetto) to this file")
@@ -156,14 +147,6 @@ func (e *EngineFlags) Runner(extra ...engine.Option) (*engine.Runner, error) {
 		e.disk = dc
 		opts = append(opts, engine.WithDiskCache(dc))
 	}
-	inj, err := faults.Parse(e.Faults)
-	if err != nil {
-		return nil, err
-	}
-	if inj != nil {
-		opts = append(opts, engine.WithFaults(inj))
-	}
-	opts = append(opts, engine.WithRetry(engine.RetryPolicy{MaxAttempts: e.Retries}))
 	if e.observing() {
 		e.col = obs.NewCollector()
 		opts = append(opts, engine.WithObserver(e.col))

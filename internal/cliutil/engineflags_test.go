@@ -2,7 +2,6 @@ package cliutil
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,9 +23,6 @@ func TestEngineFlagsDefaults(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.Retries != engine.DefaultRetry.MaxAttempts {
-		t.Fatalf("defaults = %+v, want engine.DefaultRetry", e)
-	}
 	rn, err := e.Runner()
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +40,6 @@ func TestEngineFlagsRunnerWiring(t *testing.T) {
 	err := fs.Parse([]string{
 		"-workers", "2",
 		"-cachedir", dir,
-		"-faults", "drop:0.4:7",
-		"-retries", "8",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,17 +57,6 @@ func TestEngineFlagsRunnerWiring(t *testing.T) {
 	st := rn.Stats()
 	if st.DiskWrites != 1 {
 		t.Fatalf("stats = %+v, want one disk write", st)
-	}
-	// Injection at this seed may legitimately spare the first cell's first
-	// attempt; run cells until the schedule bites to prove -faults is wired.
-	for i := 0; st.Faults == 0 && i < 64; i++ {
-		if _, err := rn.Do(fmt.Sprintf("cell-%d", i), func() (any, error) { return nil, nil }); err != nil {
-			t.Fatal(err)
-		}
-		st = rn.Stats()
-	}
-	if st.Faults == 0 {
-		t.Fatalf("fault injector never fired across 64 cells at prob 0.4: %+v", st)
 	}
 	// The disk cache landed under the schema-versioned directory.
 	matches, err := filepath.Glob(filepath.Join(dir, "v*", diskCell.Key(7)+".json"))
@@ -95,8 +78,8 @@ func TestEngineFlagsRunnerWiring(t *testing.T) {
 
 func TestEngineFlagsRejectsBadSpecs(t *testing.T) {
 	for _, e := range []EngineFlags{
-		{Faults: "bogus:0.5"},
-		{Faults: "drop:2"},
+		{CacheMax: "256MiB"},
+		{CacheDir: t.TempDir(), CacheMax: "lots"},
 	} {
 		if _, err := e.Runner(); err == nil {
 			t.Errorf("Runner(%+v) accepted a bad spec", e)

@@ -346,8 +346,8 @@ func (d *DiskCache) store(key string, val any) (int64, error) {
 // remote executor need (rc, when non-nil, lets the cell ship): decoding a
 // persisted or shipped cell requires its concrete type T, which Do's
 // any-typed interface cannot name. Lookup order is memory, then disk, then
-// computing fn — with the same singleflight, error-classification,
-// fault-injection, and retry behaviour as Do. T must round-trip through
+// computing fn — with the same singleflight, error-classification and
+// retry behaviour as Do. T must round-trip through
 // encoding/json losslessly for persisted cells to be bit-identical to fresh
 // runs; every result type in this repository does (sim.Duration marshals
 // exactly, and Go's float64 encoding is shortest-round-trip).

@@ -1,7 +1,7 @@
 // Package engine is the shared experiment runner: a bounded-worker parallel
 // sweep executor with deterministic result ordering, fail-fast cancellation,
-// progress callbacks, and a content-addressed, error-aware result cache that
-// can persist across processes.
+// and a content-addressed, error-aware result cache that can persist across
+// processes.
 //
 // Every layer of the suite (figures, classic benchmarks, motif sweeps, SNAP
 // scaling profiles, the CLIs) schedules its simulation cells through one
@@ -15,12 +15,11 @@
 // Cell errors are classified before memoization — see Transient and
 // IsCancellation: cancellations are never cached (a cell aborted because a
 // sibling failed first must stay re-runnable), transient errors are retried
-// under the runner's RetryPolicy and never cached, a cell that panics is
-// reported as an error (neither retried nor cached) instead of taking the
-// process down, and only permanent errors are memoized. A FaultInjector
-// (see internal/faults) can replace attempts with seeded transient failures
-// to exercise the retry path end to end without giving up reproducible
-// tables.
+// up to maxAttempts times and never cached, a cell that panics is reported
+// as an error (neither retried nor cached) instead of taking the process
+// down, and only permanent errors are memoized. Transient failures come from
+// the remote executor (a lost worker, an undecodable result) or from a cell
+// function itself.
 package engine
 
 import (
@@ -47,9 +46,6 @@ type Runner struct {
 	workers   int
 	noCache   bool
 	ephemeral bool
-	progress  func(done, total int)
-	retry     RetryPolicy
-	faults    FaultInjector
 	disk      *DiskCache
 	obs       Observer
 	epoch     time.Time
@@ -65,7 +61,6 @@ type Runner struct {
 	runs       int64
 	hits       int64
 	retries    int64
-	injected   int64
 	diskHits   int64
 	diskWrites int64
 	diskReadB  int64
@@ -132,53 +127,13 @@ func WithSingleFlight() Option {
 	return func(r *Runner) { r.ephemeral = true }
 }
 
-// OnProgress installs a callback invoked after every completed grid cell
-// with the per-grid completion count. Callbacks may run concurrently with
-// other cells but never concurrently with themselves.
-func OnProgress(fn func(done, total int)) Option {
-	return func(r *Runner) { r.progress = fn }
-}
-
-// RetryPolicy bounds how often a cell is re-attempted after a transient
-// failure. A retry follows at once: the simulator is deterministic, so
-// waiting between attempts would only slow the sweep without changing any
-// result.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per cell, first try
-	// included; values below 1 behave as 1 (no retries).
-	MaxAttempts int
-}
-
-// DefaultRetry is the policy installed by New: a few bounded attempts. Only
-// errors wrapped with Transient are retried, so runners without fault
-// injection never re-run cells.
-var DefaultRetry = RetryPolicy{MaxAttempts: 4}
-
-// WithRetry replaces the runner's retry policy.
-func WithRetry(p RetryPolicy) Option {
-	return func(r *Runner) {
-		if p.MaxAttempts < 1 {
-			p.MaxAttempts = 1
-		}
-		r.retry = p
-	}
-}
-
-// FaultInjector decides, before each attempt of a keyed cell, whether the
-// attempt fails with an injected error instead of running the real
-// computation. Implementations must be safe for concurrent use and
-// deterministic in (key, attempt), so that results and Stats stay identical
-// under any worker count; internal/faults provides seeded probabilistic
-// injectors. Injected errors should be wrapped with Transient so the
-// runner's RetryPolicy applies to them.
-type FaultInjector interface {
-	Inject(key string, attempt int) error
-}
-
-// WithFaults installs a fault injector on every keyed cell attempt.
-func WithFaults(fi FaultInjector) Option {
-	return func(r *Runner) { r.faults = fi }
-}
+// maxAttempts bounds the attempts per cell, first try included, after
+// transient failures. Only errors wrapped with Transient are retried, so a
+// runner whose cells never fail transiently never re-runs a cell; a lost
+// remote worker costs its cells one attempt each. A retry follows at once:
+// the simulator is deterministic, so waiting between attempts would only
+// slow the sweep without changing any result.
+const maxAttempts = 4
 
 // WithDiskCache persists successful cell results under the cache's
 // directory and consults it before computing, so repeated invocations reuse
@@ -193,7 +148,6 @@ func WithDiskCache(d *DiskCache) Option {
 func New(opts ...Option) *Runner {
 	r := &Runner{
 		workers: runtime.GOMAXPROCS(0),
-		retry:   DefaultRetry,
 		cache:   map[string]*cacheEntry{},
 		epoch:   time.Now(),
 	}
@@ -229,8 +183,6 @@ type Stats struct {
 	Hits int64
 	// Retries is the number of re-attempts after transient failures.
 	Retries int64
-	// Faults is the number of attempts replaced by an injected failure.
-	Faults int64
 	// DiskHits / DiskWrites count persistent-cache loads and stores;
 	// DiskReadBytes / DiskWriteBytes are the corresponding byte totals of
 	// the persisted cell envelopes.
@@ -266,8 +218,8 @@ type Stats struct {
 
 func (s Stats) String() string {
 	out := fmt.Sprintf("%d cells, %d runs, %d cache hits", s.Cells, s.Runs, s.Hits)
-	if s.Retries > 0 || s.Faults > 0 {
-		out += fmt.Sprintf(", %d retries (%d injected faults)", s.Retries, s.Faults)
+	if s.Retries > 0 {
+		out += fmt.Sprintf(", %d retries", s.Retries)
 	}
 	if s.DiskHits > 0 || s.DiskWrites > 0 {
 		out += fmt.Sprintf(", %d disk hits (%d bytes read), %d disk writes (%d bytes written)",
@@ -312,7 +264,6 @@ func (r *Runner) Stats() Stats {
 		Runs:           atomic.LoadInt64(&r.runs),
 		Hits:           atomic.LoadInt64(&r.hits),
 		Retries:        atomic.LoadInt64(&r.retries),
-		Faults:         atomic.LoadInt64(&r.injected),
 		DiskHits:       atomic.LoadInt64(&r.diskHits),
 		DiskWrites:     atomic.LoadInt64(&r.diskWrites),
 		DiskReadBytes:  atomic.LoadInt64(&r.diskReadB),
@@ -427,9 +378,9 @@ func (r *Runner) do(key string, decode decodeFunc, rc *remoteCell, fn cellFunc) 
 	return e.val, e.err
 }
 
-// compute runs one cell through the disk cache, remote executor, fault
-// injector, and retry policy, reporting where the result came from and how
-// many attempts it took (0 when it did not run).
+// compute runs one cell through the disk cache, remote executor and
+// retries, reporting where the result came from and how many attempts it
+// took (0 when it did not run).
 func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn cellFunc) (any, CellSource, int, error) {
 	useDisk := key != "" && !r.noCache && r.disk != nil && decode != nil
 	if useDisk {
@@ -444,24 +395,13 @@ func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn cellF
 			return v, SourceDisk, 0, nil
 		}
 	}
-	maxAttempts := r.retry.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
 	var v any
 	var err error
 	attempt := 1
 	for ; ; attempt++ {
 		atomic.AddInt64(&r.runs, 1)
 		r.countRun()
-		var injected error
-		if r.faults != nil && key != "" {
-			injected = r.faults.Inject(key, attempt)
-		}
-		if injected != nil {
-			atomic.AddInt64(&r.injected, 1)
-			v, err = nil, injected
-		} else if rc != nil && r.exec != nil {
+		if rc != nil && r.exec != nil {
 			v, err = r.runRemote(key, rc, decode, fn)
 		} else {
 			v, err = r.runLocal(fn)
@@ -648,7 +588,6 @@ func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn 
 	var mu sync.Mutex
 	var firstReal, firstCancel *indexedError
 	running := map[int]context.CancelFunc{}
-	done := 0
 
 	// bound is the smallest recorded failing index (n while error-free):
 	// indices above it are skipped or cancelled, indices below it always
@@ -710,13 +649,6 @@ func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn 
 			return
 		}
 		results[t.index] = v
-		if r.progress != nil {
-			// Serialize callbacks so progress counts arrive in order.
-			mu.Lock()
-			done++
-			r.progress(done, n)
-			mu.Unlock()
-		}
 	}
 
 	// Worker lanes are goroutines that live for the whole sweep, so a stack

@@ -266,29 +266,3 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 		t.Fatal("expected error for unmarshalable part")
 	}
 }
-
-func TestProgressCallback(t *testing.T) {
-	var mu sync.Mutex
-	var seen []int
-	rn := New(Workers(4), OnProgress(func(done, total int) {
-		mu.Lock()
-		seen = append(seen, done)
-		mu.Unlock()
-		if total != 9 {
-			t.Errorf("total = %d, want 9", total)
-		}
-	}))
-	if _, err := rn.Grid(context.Background(), 3, 3, nil, func(_ context.Context, r, c int) (any, error) {
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 9 || seen[len(seen)-1] != 9 {
-		t.Fatalf("progress counts = %v", seen)
-	}
-	for i, d := range seen {
-		if d != i+1 {
-			t.Fatalf("progress out of order: %v", seen)
-		}
-	}
-}

@@ -16,9 +16,9 @@ import (
 //     cell failed first and the sweep's context was torn down; memoizing
 //     that outcome would poison shared cells (e.g. the p=1 baselines reused
 //     across Figs. 4–6/8) for the rest of the process.
-//   - transient (wrapped with Transient): retried under the runner's
-//     RetryPolicy, never cached. This is how injected fabric faults and
-//     other recoverable conditions surface.
+//   - transient (wrapped with Transient): retried up to maxAttempts times,
+//     never cached. This is how a lost remote worker and other recoverable
+//     conditions surface.
 //   - panic (a cell function that panicked, see call): returned as an
 //     error instead of killing the process, not retried and never cached. A
 //     panic is a bug being reported, not a result: one bad spec must not
@@ -33,8 +33,8 @@ type transientError struct{ err error }
 func (e *transientError) Error() string { return "transient: " + e.err.Error() }
 func (e *transientError) Unwrap() error { return e.err }
 
-// Transient wraps err as a transient failure: the runner retries it under
-// its RetryPolicy and never memoizes it. A nil err stays nil.
+// Transient wraps err as a transient failure: the runner retries it up to
+// maxAttempts times and never memoizes it. A nil err stays nil.
 func Transient(err error) error {
 	if err == nil {
 		return nil

@@ -13,14 +13,14 @@ package engine
 // already hashes the full configuration, a cell is location-independent —
 // where it ran can change only wall-clock time, never bytes. Everything
 // above the seam (memoization, single-flight, the disk cache, retries,
-// fault injection, observers) applies to remote cells unchanged:
+// observers) applies to remote cells unchanged:
 //
 //   - a remote result is decoded with the same decodeFunc the disk cache
 //     uses, then stored to disk by the same post-compute path, so a
 //     distributed sweep populates the shared cache exactly like a local one;
 //   - remote failures carry the PR-2 error classes across the wire: a lost
 //     worker or an undecodable response surfaces as a Transient error, so
-//     the runner's RetryPolicy requeues the cell (the executor picks a
+//     the runner's retry requeues the cell (the executor picks a
 //     surviving worker on the next attempt); a permanent cell error is
 //     memoized like a local one;
 //   - ErrNoWorkers degrades gracefully: the cell runs locally, so an
@@ -58,7 +58,7 @@ type RemoteResult struct {
 // Executor runs one cell on a remote backend. Implementations must be safe
 // for concurrent use (every engine worker lane may call Execute at once)
 // and should classify failures: errors wrapped with Transient are retried
-// under the runner's RetryPolicy (use this for worker loss and transport
+// up to maxAttempts times (use this for worker loss and transport
 // failures), anything else is treated — and memoized — as a permanent cell
 // error. Returning ErrNoWorkers makes the runner compute the cell locally.
 type Executor interface {

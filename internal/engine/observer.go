@@ -35,7 +35,7 @@ const (
 )
 
 // CellEvent describes the resolution of one cell through the runner's
-// cache, fault-injection, and retry machinery.
+// cache and retry machinery.
 type CellEvent struct {
 	// Experiment is the label current at resolution time (SetExperiment).
 	Experiment string

@@ -191,77 +191,3 @@ func TestTopologyAffectsLatency(t *testing.T) {
 		t.Fatalf("inter-wing delta = %v, want 5us (intra=%v inter=%v)", inter-intra, intra, inter)
 	}
 }
-
-func TestFaultInjectionPreservesDeliveryAndOrder(t *testing.T) {
-	// With 30% per-attempt loss, every message must still arrive intact and
-	// FIFO order per (src,tag) must hold (losses only delay, and our
-	// transport models the reliable in-order IB link).
-	s := sim.New()
-	cfg := DefaultConfig(2)
-	cfg.Faults = netsim.NewFaults(0.3, 50*sim.Microsecond, 11)
-	w := NewWorld(s, cfg)
-	const msgs = 50
-	s.Spawn("sender", func(p *sim.Proc) {
-		c := w.Comm(0)
-		for i := 0; i < msgs; i++ {
-			c.sendData(p, 1, 0, c.ctxP2P(), []byte{byte(i)})
-		}
-	})
-	var got []byte
-	s.Spawn("recv", func(p *sim.Proc) {
-		c := w.Comm(1)
-		for i := 0; i < msgs; i++ {
-			data := c.recvData(p, 0, 0, c.ctxP2P())
-			got = append(got, data[0])
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != msgs {
-		t.Fatalf("received %d of %d messages", len(got), msgs)
-	}
-	for i, b := range got {
-		if int(b) != i {
-			t.Fatalf("message %d overtaken by %d under loss (go-back-N must preserve order)", i, b)
-		}
-	}
-	if cfg.Faults.Retransmits == 0 {
-		t.Fatal("no retransmissions were injected")
-	}
-}
-
-func TestFaultInjectionInflatesLatency(t *testing.T) {
-	measure := func(faults *netsim.Faults) sim.Duration {
-		s := sim.New()
-		cfg := DefaultConfig(2)
-		cfg.Faults = faults
-		w := NewWorld(s, cfg)
-		var total sim.Duration
-		const msgs = 200
-		s.Spawn("sender", func(p *sim.Proc) {
-			c := w.Comm(0)
-			for i := 0; i < msgs; i++ {
-				c.SendBytes(p, 1, i, 64)
-				p.Sleep(10 * sim.Microsecond)
-			}
-		})
-		s.Spawn("recv", func(p *sim.Proc) {
-			c := w.Comm(1)
-			for i := 0; i < msgs; i++ {
-				r := c.Irecv(p, 0, i)
-				r.Wait(p)
-			}
-			total = sim.Duration(p.Now())
-		})
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return total
-	}
-	clean := measure(nil)
-	lossy := measure(netsim.NewFaults(0.2, 100*sim.Microsecond, 5))
-	if lossy <= clean {
-		t.Fatalf("lossy run (%v) not slower than clean (%v)", lossy, clean)
-	}
-}

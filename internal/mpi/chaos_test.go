@@ -7,12 +7,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"partmb/internal/netsim"
 	"partmb/internal/sim"
 )
 
 // TestQuickChaosTraffic drives randomized, matched traffic across random
-// world shapes under injected link faults: random rank counts, mixed
+// world shapes: random rank counts, mixed
 // blocking/nonblocking/persistent/partitioned operations, random payload
 // sizes straddling the eager threshold, random inter-op delays. The
 // invariants: the world drains (no deadlock), every payload arrives intact,
@@ -55,9 +54,6 @@ func TestQuickChaosTraffic(t *testing.T) {
 
 		s := sim.New()
 		cfg := DefaultConfig(nRanks)
-		if rng.Intn(2) == 0 {
-			cfg.Faults = netsim.NewFaults(0.1, 20*sim.Microsecond, seed)
-		}
 		if rng.Intn(2) == 0 {
 			cfg.PartImpl = PartNative
 		}

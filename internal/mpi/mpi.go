@@ -149,9 +149,6 @@ type Config struct {
 	// single-switch topology at Net.Latency, the paper's single-wing
 	// setup).
 	Topology netsim.Topology
-	// Faults, when non-nil, injects link-level retransmission delays on
-	// every NIC (failure injection for robustness studies; nil disables).
-	Faults *netsim.Faults
 	// Machine is the per-node hardware model (nil selects cluster.Niagara()).
 	Machine *cluster.Machine
 	// Mem is the memory/cache model (nil selects memsim.Default(Hot)).
@@ -304,7 +301,6 @@ func (r *remade[T]) take() *T {
 func (st *rankState) reset(id int, s *sim.Scheduler, cfg *Config, records *recordList) {
 	st.id, st.sched, st.records = id, s, records
 	st.nic = *netsim.NewNIC(cfg.Net)
-	st.nic.SetFaults(cfg.Faults)
 	st.matcher.reset()
 	clear(st.partRegistry)
 	st.preqs.used, st.persist.used = 0, 0
@@ -447,19 +443,15 @@ func extend[T any](xs []T, n int) []T {
 // conservative lookahead. With a one-shard group the world is exactly a
 // sequential NewWorld world (byte-identical event order).
 //
-// Restrictions in multi-shard worlds: cfg.Faults must be nil (the fault
-// injector draws from one shared RNG, which cannot be split across shards),
-// the group's lookahead must not exceed the minimum cross-shard wire latency
-// of the topology (netsim.MinCrossLatency), Comm.Split is unavailable,
-// and all Comm handles must be created before the group runs.
+// Restrictions in multi-shard worlds: the group's lookahead must not exceed
+// the minimum cross-shard wire latency of the topology
+// (netsim.MinCrossLatency), Comm.Split is unavailable, and all Comm handles
+// must be created before the group runs.
 func NewShardedWorld(g *sim.ShardGroup, cfg Config, shardOf func(rank int) int) (*World, error) {
 	w := NewWorld(g.Shard(0), cfg)
 	cfg = w.cfg // defaults filled in
 	if g.Shards() == 1 {
 		return w, nil
-	}
-	if cfg.Faults != nil {
-		return nil, fmt.Errorf("mpi: fault injection shares one RNG across ranks and is not supported with %d shards", g.Shards())
 	}
 	if min := netsim.MinCrossLatency(cfg.Topology, cfg.Ranks, shardOf); g.Lookahead() > min {
 		return nil, fmt.Errorf("mpi: shard lookahead %v exceeds minimum cross-shard latency %v of %s",

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"partmb/internal/netsim"
 	"partmb/internal/sim"
 )
 
@@ -144,13 +143,6 @@ func TestShardedNativePartitioned(t *testing.T) {
 func TestShardedWorldValidation(t *testing.T) {
 	cfg := DefaultConfig(2)
 
-	g := sim.NewShardGroup(2, cfg.Net.Latency)
-	bad := cfg
-	bad.Faults = netsim.NewFaults(0.5, sim.Microsecond, 1)
-	if _, err := NewShardedWorld(g, bad, func(rank int) int { return rank }); err == nil {
-		t.Fatal("fault injection accepted in a sharded world")
-	}
-
 	g2 := sim.NewShardGroup(2, cfg.Net.Latency*10)
 	if _, err := NewShardedWorld(g2, cfg, func(rank int) int { return rank }); err == nil ||
 		!strings.Contains(err.Error(), "lookahead") {
@@ -164,7 +156,7 @@ func TestShardedWorldValidation(t *testing.T) {
 
 	// Single-shard groups accept everything a sequential world does.
 	g4 := sim.NewShardGroup(1, 0)
-	if _, err := NewShardedWorld(g4, bad, func(int) int { return 0 }); err != nil {
+	if _, err := NewShardedWorld(g4, cfg, func(int) int { return 0 }); err != nil {
 		t.Fatalf("single-shard world rejected: %v", err)
 	}
 }

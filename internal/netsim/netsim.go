@@ -125,7 +125,6 @@ type Stats struct {
 // guarantee makes them safe without locks.
 type NIC struct {
 	params *Params
-	faults *Faults
 	txBusy sim.Time
 	rxBusy sim.Time
 	stats  Stats
@@ -138,10 +137,6 @@ func NewNIC(params *Params) *NIC {
 	}
 	return &NIC{params: params}
 }
-
-// SetFaults installs a link fault model on this NIC's transmissions; nil
-// disables injection.
-func (n *NIC) SetFaults(f *Faults) { n.faults = f }
 
 // Params returns the NIC's cost parameters.
 func (n *NIC) Params() *Params { return n.params }
@@ -171,10 +166,7 @@ func (n *NIC) InjectLat(now sim.Time, size int64, extra, oneWay sim.Duration) (t
 	if n.txBusy > start {
 		start = n.txBusy
 	}
-	// Injected link faults follow InfiniBand's reliable-connection
-	// semantics: a lost packet is retransmitted (go-back-N), stalling the
-	// send engine and preserving arrival order.
-	cost := n.params.SendOverhead + extra + n.params.SerializationTime(size) + n.faults.Delay()
+	cost := n.params.SendOverhead + extra + n.params.SerializationTime(size)
 	txDone = start.Add(cost)
 	n.txBusy = txDone
 	n.stats.Messages++

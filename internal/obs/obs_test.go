@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"sort"
+	"sync"
 	"testing"
 
 	"partmb/internal/engine"
-	"partmb/internal/faults"
 	"partmb/internal/figures"
 	"partmb/internal/obs"
 	"partmb/internal/sim"
@@ -23,24 +23,54 @@ type simValue struct {
 
 func (s simValue) SimElapsed() sim.Duration { return s.SimNS }
 
-// gridCell is runSweep's synthetic cell: its value is a function of its
+// gridValue is the value of runSweep's synthetic cells: a function of their
 // (row, column) config.
+func gridValue(c [2]int) simValue {
+	return simValue{V: c[0]*4 + c[1], SimNS: sim.Duration(1000 * (c[1] + 1))}
+}
+
+// gridCell is runSweep's synthetic cell.
 var gridCell = engine.NewCell("obs.grid",
 	func(c [2]int) ([2]int, *stats.RunConfig, bool) { return c, nil, false },
+	func(_ *sim.Arena, c [2]int, _ []int64) (simValue, error) { return gridValue(c), nil }, nil)
+
+// flakyTries counts flakyCell's attempts per config.
+var (
+	flakyMu    sync.Mutex
+	flakyTries map[[2]int]int
+)
+
+// flakyCell is gridCell under another kind whose attempts fail transiently
+// as a pure function of (config, attempt): a config fails its first
+// (row+column) mod 3 attempts, which the engine's retries always outlast.
+var flakyCell = engine.NewCell("obs.flaky",
+	func(c [2]int) ([2]int, *stats.RunConfig, bool) { return c, nil, false },
 	func(_ *sim.Arena, c [2]int, _ []int64) (simValue, error) {
-		return simValue{V: c[0]*4 + c[1], SimNS: sim.Duration(1000 * (c[1] + 1))}, nil
+		flakyMu.Lock()
+		flakyTries[c]++
+		attempt := flakyTries[c]
+		flakyMu.Unlock()
+		if attempt <= (c[0]+c[1])%3 {
+			return simValue{}, engine.Transientf("flaky cell %v, attempt %d", c, attempt)
+		}
+		return gridValue(c), nil
 	}, nil)
 
 // runSweep executes a synthetic 4x4 grid with duplicate keys (so memo hits
 // occur) on a fresh observed runner and returns the collector and runner.
 func runSweep(t *testing.T, opts ...engine.Option) (*obs.Collector, *engine.Runner) {
+	return runSweepOf(t, gridCell, opts...)
+}
+
+// runSweepOf is runSweep over cell.
+func runSweepOf(t *testing.T, cell *engine.Cell[[2]int, simValue], opts ...engine.Option) (*obs.Collector, *engine.Runner) {
 	t.Helper()
 	col := obs.NewCollector()
 	rn := engine.New(append([]engine.Option{engine.WithObserver(col)}, opts...)...)
 	rn.SetExperiment("sweep")
 	_, err := rn.Grid(context.Background(), 4, 4, nil, func(ctx context.Context, r, c int) (any, error) {
 		// Two rows share each key, so half the cells memo-hit.
-		return gridCell.Run(rn, [2]int{r / 2, c})
+		return cell.Run(rn, [2]int{r / 2, c})
 	})
 	if err != nil {
 		t.Fatalf("grid: %v", err)
@@ -105,14 +135,13 @@ func TestJournalByteStableAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestJournalRecordsRetriesAndFaults(t *testing.T) {
-	inj, err := faults.Parse("drop:0.5:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, rn := runSweep(t, engine.WithFaults(inj), engine.WithRetry(engine.RetryPolicy{MaxAttempts: 10}))
+	flakyMu.Lock()
+	flakyTries = map[[2]int]int{}
+	flakyMu.Unlock()
+	col, rn := runSweepOf(t, flakyCell)
 	st := rn.Stats()
 	if st.Retries == 0 {
-		t.Skip("fault schedule injected nothing (seed drift)")
+		t.Fatal("no attempt failed — the test is vacuous")
 	}
 	var buf bytes.Buffer
 	if err := obs.WriteJournal(&buf, "test", col, false); err != nil {

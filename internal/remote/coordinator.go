@@ -47,7 +47,7 @@ const maxMessageBytes = 64 << 20
 //
 // Failure: a worker that misses its heartbeat window (or leaves) has its
 // leased cells failed with an engine-transient error; the runner's
-// RetryPolicy re-enters Execute, which queues the cell for the survivors.
+// retry re-enters Execute, which queues the cell for the survivors.
 // Queued cells belong to no worker and are untouched by a loss — unless it
 // was the last live worker, in which case the queue fails the same way and
 // each retry falls back to computing locally via ErrNoWorkers. Either way

@@ -90,7 +90,7 @@ type Task struct {
 // Error classes a worker reports, mapping onto the engine's error taxonomy.
 const (
 	// ErrClassTransient marks failures worth retrying elsewhere (unknown
-	// kind, resource exhaustion); the engine requeues under its RetryPolicy.
+	// kind, resource exhaustion); the engine retries the cell.
 	ErrClassTransient = "transient"
 	// ErrClassPermanent marks deterministic cell failures (invalid config);
 	// the engine memoizes them exactly like a local error.

@@ -80,14 +80,19 @@ func TestDurationTextCodecAllocs(t *testing.T) {
 	}
 }
 
-// FuzzDurationText: every int64 round-trips exactly, any text decodes without
-// panicking, and text ParseDuration accepts decodes to ParseDuration's value
-// wherever that value is exact in float64 (below 2^53 ns).
+// FuzzDurationText: every int64 round-trips exactly and formats for display
+// without crashing, any text decodes without panicking, and text
+// ParseDuration accepts decodes to ParseDuration's value wherever that value
+// is exact in float64 (below 2^53 ns).
 func FuzzDurationText(f *testing.F) {
 	for _, s := range []string{"0s", "10ms", "-9223372036854775808ns", "9007199254740993ns", "1.5s", " 10 MS", "ns", "-", "1e3us", "+5s"} {
 		f.Add(s, int64(len(s))<<40+7)
 	}
+	f.Add("-9223372036854775808ns", int64(math.MinInt64))
 	f.Fuzz(func(t *testing.T, text string, n int64) {
+		if s := Duration(n).String(); s == "" || (n < 0) != (s[0] == '-') {
+			t.Fatalf("Duration(%d).String() = %q", n, s)
+		}
 		b, err := Duration(n).MarshalText()
 		if err != nil {
 			t.Fatal(err)
@@ -98,6 +103,7 @@ func FuzzDurationText(f *testing.F) {
 		}
 		var d Duration
 		err = d.UnmarshalText([]byte(text))
+		_ = d.String()
 		if want, perr := ParseDuration(text); perr == nil && want > -1<<53 && want < 1<<53 {
 			if err != nil || d != want {
 				t.Fatalf("UnmarshalText(%q) = %d, %v; ParseDuration gives %d", text, int64(d), err, int64(want))

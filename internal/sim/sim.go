@@ -59,17 +59,21 @@ func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
 
 // String formats the duration with an adaptive unit.
 func (d Duration) String() string {
+	// Format the magnitude as a uint64: negating MinInt64 as a Duration
+	// overflows back to itself.
+	sign, m := "", uint64(d)
+	if d < 0 {
+		sign, m = "-", -m
+	}
 	switch {
-	case d < 0:
-		return "-" + (-d).String()
-	case d < Microsecond:
-		return fmt.Sprintf("%dns", int64(d))
-	case d < Millisecond:
-		return fmt.Sprintf("%.3gus", d.Microseconds())
-	case d < Second:
-		return fmt.Sprintf("%.4gms", d.Milliseconds())
+	case m < uint64(Microsecond):
+		return fmt.Sprintf("%s%dns", sign, m)
+	case m < uint64(Millisecond):
+		return fmt.Sprintf("%s%.3gus", sign, float64(m)/1e3)
+	case m < uint64(Second):
+		return fmt.Sprintf("%s%.4gms", sign, float64(m)/1e6)
 	default:
-		return fmt.Sprintf("%.4gs", d.Seconds())
+		return fmt.Sprintf("%s%.4gs", sign, float64(m)/1e9)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -593,6 +594,9 @@ func TestDurationString(t *testing.T) {
 		{2500, "2.5us"},
 		{Millisecond, "1ms"},
 		{1500 * Millisecond, "1.5s"},
+		{-1500 * Millisecond, "-1.5s"},
+		{math.MinInt64, "-9.223e+09s"},
+		{math.MaxInt64, "9.223e+09s"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {

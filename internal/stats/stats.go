@@ -34,7 +34,7 @@ type Summary struct {
 }
 
 // Summarize computes a Summary over xs. An empty sample set — reachable when
-// outlier pruning or fault injection leaves nothing behind — yields the zero
+// outlier pruning leaves nothing behind — yields the zero
 // Summary (N == 0) rather than a panic.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
