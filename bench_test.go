@@ -25,8 +25,8 @@ import (
 
 // ---------------------------------------------------------------------------
 // One benchmark per paper figure. Each op regenerates the figure's data at
-// Quick scale; run with -scale-equivalent sweeps via `go run ./cmd/figures
-// -scale full` for the paper-size parameter ranges.
+// Quick scale; run with -scale-equivalent sweeps via `go run ./cmd/partmb
+// figures -scale full` for the paper-size parameter ranges.
 // ---------------------------------------------------------------------------
 
 func benchFigure(b *testing.B, fig int) {

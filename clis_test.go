@@ -16,15 +16,19 @@ import (
 	"partmb/internal/service"
 )
 
-// cliCase drives one command-line tool end to end with quick parameters.
+// cliCase drives one verb of cmd/partmb end to end with quick parameters.
 type cliCase struct {
 	name string
 	args []string
-	want []string // substrings that must appear on stdout
+	want []string // substrings that must appear in the output
+	// fail marks a case that must exit non-zero with a message, not a
+	// panic.
+	fail bool
 }
 
-// TestCLIsRun executes every command-line tool with fast flags and checks
-// for the expected report fragments.
+// TestCLIsRun executes every verb with fast flags and checks for the
+// expected report fragments, and the usage errors for the expected
+// messages.
 func TestCLIsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping CLI execution in -short mode")
@@ -32,60 +36,95 @@ func TestCLIsRun(t *testing.T) {
 	cases := []cliCase{
 		{
 			name: "partbench",
-			args: []string{"run", "./cmd/partbench", "-size", "256KiB", "-parts", "8", "-noise", "uniform", "-iters", "3", "-stats"},
+			args: []string{"run", "-size", "256KiB", "-parts", "8", "-noise", "uniform", "-iters", "3", "-stats"},
 			want: []string{"overhead", "early-bird", "sample statistics"},
 		},
 		{
 			name: "partbench-sweep-csv",
-			args: []string{"run", "./cmd/partbench", "-sweep", "-min", "64KiB", "-max", "256KiB", "-parts", "4", "-iters", "2", "-csv"},
+			args: []string{"run", "-sweep", "-min", "64KiB", "-max", "256KiB", "-parts", "4", "-iters", "2", "-csv"},
 			want: []string{"size,overhead", "64KiB", "256KiB"},
 		},
 		{
+			name: "scaling",
+			args: []string{"scaling", "-stencil", "halo3d", "-ranks", "64"},
+			want: []string{"halo3d", "weak", "strong"},
+		},
+		{
 			name: "patterns-sweep",
-			args: []string{"run", "./cmd/patterns", "-motif", "sweep3d", "-all-modes", "-px", "2", "-py", "2", "-threads", "4", "-size", "64KiB", "-compute", "1ms", "-repeats", "1"},
+			args: []string{"patterns", "-motif", "sweep3d", "-all-modes", "-px", "2", "-py", "2", "-threads", "4", "-size", "64KiB", "-compute", "1ms", "-repeats", "1"},
 			want: []string{"single", "multi", "partitioned", "throughput"},
 		},
 		{
 			name: "patterns-incast",
-			args: []string{"run", "./cmd/patterns", "-motif", "incast", "-mode", "partitioned", "-senders", "3", "-threads", "4", "-size", "64KiB", "-compute", "1ms"},
+			args: []string{"patterns", "-motif", "incast", "-mode", "partitioned", "-senders", "3", "-threads", "4", "-size", "64KiB", "-compute", "1ms"},
 			want: []string{"partitioned", "throughput"},
 		},
 		{
 			name: "snapproject",
-			args: []string{"run", "./cmd/snapproject", "-nodes", "2,4", "-total-compute", "50ms"},
+			args: []string{"snap", "-nodes", "2,4", "-total-compute", "50ms"},
 			want: []string{"projected speedup", "mpi %"},
 		},
 		{
 			name: "advise",
-			args: []string{"run", "./cmd/advise", "-size", "512KiB", "-compute", "2ms", "-counts", "1,4,8", "-iters", "2"},
+			args: []string{"advise", "-size", "512KiB", "-compute", "2ms", "-counts", "1,4,8", "-iters", "2"},
 			want: []string{"recommended partitions", "availability"},
 		},
 		{
 			name: "figures-quick",
-			args: []string{"run", "./cmd/figures", "-fig", "13", "-scale", "quick"},
+			args: []string{"figures", "-fig", "13", "-scale", "quick"},
 			want: []string{"Figure 13", "projected speedup"},
 		},
 		{
 			name: "classic-latency",
-			args: []string{"run", "./cmd/classic", "-bench", "latency", "-min", "8", "-max", "1KiB", "-iters", "10"},
+			args: []string{"classic", "-bench", "latency", "-min", "8", "-max", "1KiB", "-iters", "10"},
 			want: []string{"ping-pong", "latency us"},
 		},
 		{
 			name: "modelcheck",
-			args: []string{"run", "./cmd/modelcheck"},
+			args: []string{"modelcheck"},
 			want: []string{"closed form", "streaming bandwidth"},
 		},
 		{
 			name: "extensions-pbcast",
-			args: []string{"run", "./cmd/extensions", "-study", "pbcast"},
+			args: []string{"extensions", "-study", "pbcast"},
 			want: []string{"partitioned pbcast", "single bcast after join"},
+		},
+		{
+			name: "scaling-rejects-run-flags",
+			args: []string{"scaling", "-stencil", "halo3d", "-platform", "epyc-hdr"},
+			want: []string{"flag provided but not defined: -platform"},
+			fail: true,
+		},
+		{
+			name: "run-rejects-scaling-flags",
+			args: []string{"run", "-shards", "2"},
+			want: []string{"flag provided but not defined: -shards"},
+			fail: true,
+		},
+		{
+			name: "unknown-verb",
+			args: []string{"partbench"},
+			want: []string{`unknown verb "partbench"`, "verbs:", "run", "scaling", "serve", "work"},
+			fail: true,
+		},
+		{
+			name: "run-reversed-size-range",
+			args: []string{"run", "-sweep", "-min", "4MiB", "-max", "1MiB"},
+			want: []string{"partmb run: core: bad size range"},
+			fail: true,
+		},
+		{
+			name: "classic-zero-size-range",
+			args: []string{"classic", "-bench", "latency", "-min", "0", "-max", "1KiB"},
+			want: []string{"partmb classic: core: bad size range"},
+			fail: true,
 		},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			cmd := exec.Command("go", c.args...)
+			cmd := exec.Command("go", append([]string{"run", "./cmd/partmb"}, c.args...)...)
 			done := make(chan struct{})
 			var out []byte
 			var runErr error
@@ -99,7 +138,14 @@ func TestCLIsRun(t *testing.T) {
 				_ = cmd.Process.Kill()
 				t.Fatalf("%s timed out", c.name)
 			}
-			if runErr != nil {
+			if c.fail {
+				if runErr == nil {
+					t.Fatalf("%s succeeded, want a failure:\n%s", c.name, out)
+				}
+				if strings.Contains(string(out), "goroutine") {
+					t.Fatalf("%s panicked instead of failing with a message:\n%s", c.name, out)
+				}
+			} else if runErr != nil {
 				t.Fatalf("%s failed: %v\n%s", c.name, runErr, out)
 			}
 			for _, want := range c.want {
@@ -167,7 +213,7 @@ func TestFaultInjectionKeepsTablesIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheDirReusesCellsAcrossProcesses: a second partbench invocation
+// TestCacheDirReusesCellsAcrossProcesses: a second `partmb run` invocation
 // sharing -cachedir must emit identical tables without re-running a single
 // cell.
 func TestCacheDirReusesCellsAcrossProcesses(t *testing.T) {
@@ -175,7 +221,7 @@ func TestCacheDirReusesCellsAcrossProcesses(t *testing.T) {
 		t.Skip("skipping CLI execution in -short mode")
 	}
 	dir := t.TempDir()
-	args := []string{"./cmd/partbench", "-sweep", "-min", "1KiB", "-max", "64KiB", "-parts", "4", "-iters", "2", "-cachedir", dir}
+	args := []string{"./cmd/partmb", "run", "-sweep", "-min", "1KiB", "-max", "64KiB", "-parts", "4", "-iters", "2", "-cachedir", dir}
 	cold, coldErr := runCLI(t, args...)
 	warm, warmErr := runCLI(t, args...)
 	if cold != warm {
@@ -200,7 +246,7 @@ func TestJournalByteStableAcrossWorkerCounts(t *testing.T) {
 	journals := make([]string, 2)
 	for i, workers := range []string{"1", "8"} {
 		path := filepath.Join(dir, "j"+workers+".jsonl")
-		runCLI(t, "./cmd/figures", "-fig", "4", "-scale", "quick",
+		runCLI(t, "./cmd/partmb", "figures", "-fig", "4", "-scale", "quick",
 			"-workers", workers, "-journal", path)
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -223,7 +269,7 @@ func TestConflictingOutputFlagsRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping CLI execution in -short mode")
 	}
-	cmd := exec.Command("go", "run", "./cmd/partbench", "-size", "1KiB", "-iters", "1", "-md", "-out", t.TempDir())
+	cmd := exec.Command("go", "run", "./cmd/partmb", "run", "-size", "1KiB", "-iters", "1", "-md", "-out", t.TempDir())
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("-md -out accepted:\n%s", out)

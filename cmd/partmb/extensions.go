@@ -1,29 +1,10 @@
-// Command extensions runs the studies this repository adds beyond the
-// paper's evaluation, each tied to an item from the paper's future-work
-// section (§6.1):
-//
-//   - impl:     layered (MPIPCL) vs native partitioned implementation
-//     ("once other MPI implementations are sufficiently mature, it would be
-//     useful to compare them");
-//   - unequal:  different partition counts on the two sides (the MPIPCL
-//     restriction the paper could not explore);
-//   - overlap:  receive-side consumption pipelining via MPI_Parrived /
-//     per-partition waits (receive-side partitioned communication);
-//   - pbcast:   partitioned collectives (partitioned broadcast pipelining);
-//   - topology: single-wing vs cross-wing Dragonfly+ placement.
-//
-// Example:
-//
-//	extensions -study all
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
-	"partmb/internal/cliutil"
 	"partmb/internal/cluster"
 	"partmb/internal/core"
 	"partmb/internal/engine"
@@ -36,67 +17,82 @@ import (
 	"partmb/internal/stats"
 )
 
-func main() {
-	study := flag.String("study", "all", "study to run: impl|unequal|overlap|pbcast|topology|all")
-	var eng cliutil.EngineFlags
-	eng.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+// A study builds one extension table; the p2p studies take the -samples
+// run configuration (nil = fixed repetitions) through metricCfg.
+type study func(rn *engine.Runner, adaptive *stats.RunConfig) (*report.Table, error)
 
-	studies := map[string]func(*engine.Runner) (*report.Table, error){
-		"impl":     studyImpl,
-		"unequal":  studyUnequal,
-		"overlap":  studyOverlap,
-		"pbcast":   studyPBcast,
-		"topology": studyTopology,
-		"platform": studyPlatform,
-		"pinning":  studyPinning,
-	}
-	order := []string{"impl", "unequal", "overlap", "pbcast", "topology", "platform", "pinning"}
+// extensionStudies lists the studies in the order -study all runs them.
+var extensionStudies = []struct {
+	name string
+	run  study
+}{
+	{"impl", studyImpl},
+	{"unequal", studyUnequal},
+	{"overlap", studyOverlap},
+	{"pbcast", studyPBcast},
+	{"topology", studyTopology},
+	{"platform", studyPlatform},
+	{"pinning", studyPinning},
+}
 
-	var names []string
-	if *study == "all" {
-		names = order
-	} else {
-		if _, ok := studies[*study]; !ok {
-			fatal(fmt.Errorf("unknown study %q (want %s|all)", *study, strings.Join(order, "|")))
+// extensionsVerb runs the studies this repository adds beyond the paper's
+// evaluation, each tied to an item from the paper's future-work section
+// (§6.1):
+//
+//   - impl:     layered (MPIPCL) vs native partitioned implementation
+//     ("once other MPI implementations are sufficiently mature, it would be
+//     useful to compare them");
+//   - unequal:  different partition counts on the two sides (the MPIPCL
+//     restriction the paper could not explore);
+//   - overlap:  receive-side consumption pipelining via MPI_Parrived /
+//     per-partition waits (receive-side partitioned communication);
+//   - pbcast:   partitioned collectives (partitioned broadcast pipelining);
+//   - topology: single-wing vs cross-wing Dragonfly+ placement;
+//   - platform: the partition-count guidance on other hardware;
+//   - pinning:  compact vs scatter thread placement.
+func extensionsVerb(fs *flag.FlagSet) func(*cli) error {
+	which := fs.String("study", "all", "study to run: impl|unequal|overlap|pbcast|topology|platform|pinning|all")
+	return func(c *cli) error {
+		var names []string
+		for _, s := range extensionStudies {
+			names = append(names, s.name)
 		}
-		names = []string{*study}
-	}
-	var err error
-	if adaptiveRC, err = eng.RunConfig(); err != nil {
-		fatal(err)
-	}
-	rn, err := eng.Runner()
-	if err != nil {
-		fatal(err)
-	}
-	for _, name := range names {
-		rn.SetExperiment("extensions/" + name)
-		t, err := studies[name](rn)
+		run := extensionStudies
+		if *which != "all" {
+			run = nil
+			for _, s := range extensionStudies {
+				if s.name == *which {
+					run = append(run, s)
+				}
+			}
+			if run == nil {
+				return fmt.Errorf("unknown study %q (want %s|all)", *which, strings.Join(names, "|"))
+			}
+		}
+		adaptive, err := c.eng.RunConfig()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := t.WriteText(os.Stdout); err != nil {
-			fatal(err)
+		rn, err := c.runner("")
+		if err != nil {
+			return err
 		}
+		for _, s := range run {
+			rn.SetExperiment("extensions/" + s.name)
+			t, err := s.run(rn, adaptive)
+			if err != nil {
+				return err
+			}
+			if err := t.WriteText(c.stdout); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if err := eng.Finish("extensions"); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "extensions: engine: %s\n", rn.Stats())
 }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "extensions:", err)
-	os.Exit(1)
-}
-
-// adaptiveRC is the -samples run configuration (nil = fixed
-// repetitions); the p2p studies pick it up through metricCfg.
-var adaptiveRC *stats.RunConfig
 
 // metricCfg is the shared benchmark point for the p2p studies.
-func metricCfg() core.Config {
+func metricCfg(adaptive *stats.RunConfig) core.Config {
 	return core.Config{
 		MessageBytes: 1 << 20,
 		Partitions:   16,
@@ -104,12 +100,12 @@ func metricCfg() core.Config {
 		Iterations:   6,
 		Warmup:       2,
 		Platform:     platform.Niagara().WithNoise(noise.Uniform, 4).WithThreadMode(mpi.Multiple),
-		Adaptive:     adaptiveRC,
+		Adaptive:     adaptive,
 	}
 }
 
 // studyImpl compares the layered and native implementations across sizes.
-func studyImpl(rn *engine.Runner) (*report.Table, error) {
+func studyImpl(rn *engine.Runner, adaptive *stats.RunConfig) (*report.Table, error) {
 	t := report.New(
 		"Extension: layered (MPIPCL) vs native partitioned implementation — overhead t_part/t_pt2pt, 16 partitions, no noise",
 		"size", "mpipcl", "native", "native gain")
@@ -117,7 +113,7 @@ func studyImpl(rn *engine.Runner) (*report.Table, error) {
 		row := []interface{}{core.FormatBytes(size)}
 		var overheads []float64
 		for _, impl := range []mpi.PartImpl{mpi.PartMPIPCL, mpi.PartNative} {
-			cfg := metricCfg()
+			cfg := metricCfg(adaptive)
 			cfg.MessageBytes = size
 			cfg.Platform = cfg.Platform.WithNoise(noise.None, 0).WithImpl(impl)
 			res, err := core.RunCached(rn, cfg)
@@ -134,7 +130,7 @@ func studyImpl(rn *engine.Runner) (*report.Table, error) {
 }
 
 // studyUnequal exercises MPI 4.0 unequal partition counts (native impl).
-func studyUnequal(*engine.Runner) (*report.Table, error) {
+func studyUnequal(*engine.Runner, *stats.RunConfig) (*report.Table, error) {
 	t := report.New(
 		"Extension: unequal send/receive partitioning (native impl), 1MiB total, Preadys staggered 100us",
 		"send parts", "recv parts", "t_part")
@@ -184,11 +180,11 @@ func unequalSpan(total int64, sendParts, recvParts int) (sim.Duration, error) {
 }
 
 // studyOverlap sweeps receive-side consumer work.
-func studyOverlap(*engine.Runner) (*report.Table, error) {
+func studyOverlap(_ *engine.Runner, adaptive *stats.RunConfig) (*report.Table, error) {
 	t := report.New(
 		"Extension: receive-side overlap via per-partition waits — 64MiB, 16 partitions, uniform 4% noise",
 		"consume/partition", "baseline", "partitioned", "speedup")
-	cfg := metricCfg()
+	cfg := metricCfg(adaptive)
 	cfg.MessageBytes = 64 << 20
 	cfg.Compute = 5 * sim.Millisecond
 	for _, consume := range []sim.Duration{0, 500 * sim.Microsecond, 2 * sim.Millisecond, 5 * sim.Millisecond} {
@@ -204,7 +200,7 @@ func studyOverlap(*engine.Runner) (*report.Table, error) {
 // studyPBcast measures partitioned-broadcast pipelining: time until the
 // deepest rank holds all partitions, vs a non-partitioned broadcast that
 // can only start after the root's last thread finishes.
-func studyPBcast(*engine.Runner) (*report.Table, error) {
+func studyPBcast(*engine.Runner, *stats.RunConfig) (*report.Table, error) {
 	t := report.New(
 		"Extension: partitioned broadcast (8 ranks, 8 partitions of 128KiB, root threads staggered 1ms)",
 		"variant", "deepest rank: first partition", "deepest rank: complete")
@@ -282,12 +278,12 @@ func pbcastArrivals(ranks, parts int, partBytes int64, stagger sim.Duration) (fi
 }
 
 // studyTopology compares intra-wing and cross-wing partitioned transfers.
-func studyTopology(*engine.Runner) (*report.Table, error) {
+func studyTopology(_ *engine.Runner, adaptive *stats.RunConfig) (*report.Table, error) {
 	t := report.New(
 		"Extension: Dragonfly+ placement — 1MiB, 16 partitions, overhead by wing placement",
 		"placement", "overhead", "availability")
 	for _, cross := range []bool{false, true} {
-		cfg := metricCfg()
+		cfg := metricCfg(adaptive)
 		net := netsim.EDR()
 		cfg.Platform = cfg.Platform.WithNet(net)
 		// Wings of 2 ranks: the benchmark's pair either shares a wing or
@@ -316,7 +312,7 @@ func studyTopology(*engine.Runner) (*report.Table, error) {
 // policies: compact spills past one socket only above 20 threads; scatter
 // balances sockets but puts half the threads away from the NIC at every
 // count.
-func studyPinning(*engine.Runner) (*report.Table, error) {
+func studyPinning(*engine.Runner, *stats.RunConfig) (*report.Table, error) {
 	t := report.New(
 		"Extension: thread pinning policy — t_part for 16x64KiB partitions, no noise",
 		"threads/partitions", "compact", "scatter")
@@ -378,7 +374,7 @@ func runWithTopology(cfg core.Config, topo netsim.Topology) (*core.Result, error
 // hardware: the 32-partition socket-spillover step disappears on a
 // 64-core-per-socket EPYC node, and HDR's doubled bandwidth moves the
 // large-message overhead knee.
-func studyPlatform(rn *engine.Runner) (*report.Table, error) {
+func studyPlatform(rn *engine.Runner, adaptive *stats.RunConfig) (*report.Table, error) {
 	t := report.New(
 		"Extension: platform portability of the guidance — overhead at 64KiB, no noise, by partition count",
 		"platform", "p=8", "p=16", "p=32", "p=64")
@@ -395,7 +391,7 @@ func studyPlatform(rn *engine.Runner) (*report.Table, error) {
 	for _, pf := range platforms {
 		row := []interface{}{pf.name}
 		for _, parts := range []int{8, 16, 32, 64} {
-			cfg := metricCfg()
+			cfg := metricCfg(adaptive)
 			cfg.MessageBytes = 64 << 10
 			cfg.Partitions = parts
 			cfg.Platform = pf.spec.WithNoise(noise.None, 0).WithThreadMode(mpi.Multiple)

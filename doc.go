@@ -28,8 +28,8 @@
 //   - internal/figures — regeneration of every figure in the paper's
 //     evaluation.
 //
-// The cmd/ tools (partbench, patterns, snapproject, figures, advise,
-// extensions, classic) expose all of
+// The verbs of cmd/partmb (run, scaling, patterns, snap, figures, advise,
+// extensions, classic, modelcheck, serve, work) expose all of
 // this on the command line, and examples/ holds runnable programs written
 // against the library API. bench_test.go at this level hosts one
 // testing.B benchmark per paper figure plus ablation benchmarks for the

@@ -8,7 +8,7 @@ import (
 )
 
 // This file turns the individual benchmarks into report tables and registers
-// them as named experiments, so cmd/classic and `figures`-style suite drivers
+// them as named experiments, so `partmb classic` and `figures`-style suite drivers
 // share one declarative catalogue.
 
 // SuiteParams bundles the knobs the classic suite sweeps.

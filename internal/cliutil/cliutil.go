@@ -1,5 +1,5 @@
-// Package cliutil holds flag-parsing helpers shared by the command-line
-// tools: byte sizes with binary suffixes and virtual-time durations.
+// Package cliutil parses the values partmb's flags and the service's wire
+// specs share: byte sizes with binary suffixes and virtual-time durations.
 package cliutil
 
 import (

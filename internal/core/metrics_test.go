@@ -112,6 +112,16 @@ func TestMessageSizes(t *testing.T) {
 	}
 }
 
+// TestSizeRangeRejects: an empty or non-positive range from a user is an
+// error, not the panic MessageSizes raises for a literal one.
+func TestSizeRangeRejects(t *testing.T) {
+	for _, r := range [][2]int64{{4 << 20, 1 << 20}, {0, 1 << 10}, {-8, 8}} {
+		if sizes, err := SizeRange(r[0], r[1]); err == nil {
+			t.Errorf("SizeRange(%d, %d) = %v, want an error", r[0], r[1], sizes)
+		}
+	}
+}
+
 // TestMessageSizesOverflowGuard: with max within 2x of MaxInt64, the naive
 // s *= 2 loop wrapped negative and never terminated.
 func TestMessageSizesOverflowGuard(t *testing.T) {

@@ -8,10 +8,21 @@ import (
 )
 
 // MessageSizes returns the power-of-two sweep [min, max] used on the
-// figures' x axes.
+// figures' x axes. It panics on a range SizeRange rejects: a range that
+// comes from a user goes through SizeRange instead.
 func MessageSizes(min, max int64) []int64 {
+	sizes, err := SizeRange(min, max)
+	if err != nil {
+		panic(err.Error())
+	}
+	return sizes
+}
+
+// SizeRange returns the power-of-two sweep [min, max], or an error when
+// the range is empty or not positive.
+func SizeRange(min, max int64) ([]int64, error) {
 	if min <= 0 || max < min {
-		panic(fmt.Sprintf("core: bad size range [%d,%d]", min, max))
+		return nil, fmt.Errorf("core: bad size range [%d, %d]", min, max)
 	}
 	var out []int64
 	for s := min; ; s *= 2 {
@@ -22,7 +33,7 @@ func MessageSizes(min, max int64) []int64 {
 			break
 		}
 	}
-	return out
+	return out, nil
 }
 
 // SweepMessageSizes runs the benchmark at every message size on the

@@ -22,8 +22,8 @@ import (
 //   - panic (a cell function that panicked, see call): returned as an
 //     error instead of killing the process, not retried and never cached. A
 //     panic is a bug being reported, not a result: one bad spec must not
-//     take a long-lived sweepd or sweepworker down, and its outcome must not
-//     outlive the request that hit it.
+//     take a long-lived `partmb serve` or `partmb work` down, and its
+//     outcome must not outlive the request that hit it.
 //   - permanent (everything else): cached like a value — the simulator is
 //     deterministic, so a cell that failed once fails every time.
 

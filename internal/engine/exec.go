@@ -4,8 +4,8 @@ package engine
 // computes a cell by calling its closure on a local worker lane; with an
 // Executor installed (WithExecutor), keyed cells whose configuration travels
 // (Cell.Run) are shipped to the executor instead — the internal/remote
-// coordinator dispatches them to registered sweepworker daemons over a small
-// schema-versioned wire protocol.
+// coordinator dispatches them to registered `partmb work` daemons over a
+// small schema-versioned wire protocol.
 //
 // The seam is deliberately narrow and content-addressed: a remote task is
 // (key, experiment label, kind, config JSON), and a remote result is the

@@ -1,7 +1,7 @@
 // Package figures regenerates the data behind every figure in the paper's
 // evaluation (Figures 4–13). Each figure is one row of an ordered table;
 // Env.Generate runs a row and returns report tables whose rows are the
-// series the paper plots. cmd/figures renders them as text or CSV, and
+// series the paper plots. `partmb figures` renders them as text or CSV, and
 // bench_test.go times each figure.
 //
 // Two scales are provided: Full approximates the paper's parameter ranges;

@@ -8,7 +8,7 @@ package figures
 // at 10²–10³ ranks. Cells report virtual-time metrics only (elapsed,
 // throughput), so the tables are deterministic and identical at every
 // shard count — the wall-clock speedup from -shards is an operator
-// observation (see cmd/partbench and EXPERIMENTS.md), never table content.
+// observation (see `partmb scaling` and EXPERIMENTS.md), never table content.
 
 import (
 	"fmt"

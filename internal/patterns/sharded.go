@@ -60,10 +60,9 @@ func buildWorld(a *sim.Arena, shards, nRanks int, mcfg mpi.Config, topo netsim.T
 		g.SetSpanObserver(func(sp sim.ShardSpan) {
 			tr.Span(pid, sp.Worker, "shard", fmt.Sprintf("shard %d", sp.Shard),
 				sim.Time(sp.StartNS), sim.Time(sp.EndNS), map[string]string{
-					"window":  strconv.FormatInt(sp.Window, 10),
-					"events":  strconv.FormatInt(sp.Events, 10),
-					"pred_ns": strconv.FormatInt(sp.PredNS, 10),
-					"stolen":  strconv.FormatBool(sp.Stolen),
+					"window": strconv.FormatInt(sp.Window, 10),
+					"events": strconv.FormatInt(sp.Events, 10),
+					"stolen": strconv.FormatBool(sp.Stolen),
 				})
 		})
 	}

@@ -1,11 +1,11 @@
 // Package remote distributes engine cells across worker processes.
 //
 // The package has two halves. The Coordinator embeds in a driving process
-// (sweepd with -distributed, or a test harness): it implements
+// (`partmb serve -distributed`, or a test harness): it implements
 // engine.Executor, so a Runner built with engine.WithExecutor ships every
 // serializable cell to it, and it implements http.Handler, exposing the
 // worker-facing wire protocol under /v1/workers/. The Worker runtime embeds
-// in cmd/sweepworker (or runs in-process in tests): it registers with a
+// in `partmb work` (or runs in-process in tests): it registers with a
 // coordinator, heartbeats, long-polls for tasks, executes them through the
 // kind registry, and posts results back.
 //

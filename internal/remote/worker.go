@@ -45,7 +45,7 @@ type WorkerConfig struct {
 // every engine.Cell the binary links: it registers, heartbeats, long-polls
 // for tasks, runs each through its kind's execute function, and posts
 // results back. The same runtime backs
-// cmd/sweepworker and the in-process two-worker CI harness.
+// `partmb work` and the in-process two-worker CI harness.
 type Worker struct {
 	cfg      WorkerConfig
 	client   *http.Client
@@ -125,7 +125,7 @@ func (w *Worker) register(ctx context.Context) error {
 			w.mu.Lock()
 			w.id = resp.WorkerID
 			w.mu.Unlock()
-			w.logf("sweepworker: registered with %s as %s", w.cfg.Coordinator, resp.WorkerID)
+			w.logf("registered with %s as %s", w.cfg.Coordinator, resp.WorkerID)
 			return nil
 		case err == nil && status == http.StatusBadRequest:
 			// Schema mismatch: a newer/older coordinator. Retrying cannot
@@ -134,7 +134,7 @@ func (w *Worker) register(ctx context.Context) error {
 		case ctx.Err() != nil:
 			return ctx.Err()
 		}
-		w.logf("sweepworker: register failed (status %d, err %v); retrying in %v", status, err, backoff)
+		w.logf("register failed (status %d, err %v); retrying in %v", status, err, backoff)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -158,12 +158,12 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		status, err := w.post(ctx, PathHeartbeat, HeartbeatRequest{Schema: WireSchema, WorkerID: w.ID()}, nil)
 		if status == http.StatusGone {
 			// The coordinator expired (or restarted past) us; rejoin.
-			w.logf("sweepworker: coordinator dropped us; re-registering")
+			w.logf("coordinator dropped us; re-registering")
 			if err := w.register(ctx); err != nil {
 				return
 			}
 		} else if err != nil && ctx.Err() == nil {
-			w.logf("sweepworker: heartbeat failed: %v", err)
+			w.logf("heartbeat failed: %v", err)
 		}
 	}
 }
@@ -201,10 +201,10 @@ func (w *Worker) poll(ctx context.Context) (Task, bool) {
 	case err == nil && status == http.StatusOK && task.Schema == WireSchema && task.ID != 0:
 		return task, true
 	case status == http.StatusGone:
-		w.logf("sweepworker: coordinator dropped us; re-registering")
+		w.logf("coordinator dropped us; re-registering")
 		w.register(ctx)
 	case err != nil && ctx.Err() == nil:
-		w.logf("sweepworker: poll failed: %v", err)
+		w.logf("poll failed: %v", err)
 		select {
 		case <-ctx.Done():
 		case <-time.After(200 * time.Millisecond):
@@ -271,7 +271,7 @@ func (w *Worker) postResult(res Result) {
 		if err == nil && status < 500 {
 			return
 		}
-		w.logf("sweepworker: posting result for task %d failed (status %d, err %v)", res.ID, status, err)
+		w.logf("posting result for task %d failed (status %d, err %v)", res.ID, status, err)
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > time.Second {
 			backoff = time.Second
@@ -289,7 +289,7 @@ func (w *Worker) leave() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	w.post(ctx, PathLeave, LeaveRequest{Schema: WireSchema, WorkerID: id}, nil)
-	w.logf("sweepworker: left %s", w.cfg.Coordinator)
+	w.logf("left %s", w.cfg.Coordinator)
 }
 
 // post sends one JSON message and decodes the response into out (when

@@ -1,5 +1,5 @@
 // Package service turns the batch sweep engine into a long-lived HTTP
-// daemon (cmd/sweepd): it accepts sweep specs as JSON, validates them at
+// daemon (`partmb serve`): it accepts sweep specs as JSON, validates them at
 // the door, answers from the engine's content-addressed disk cache,
 // schedules misses through the engine (single-flight across clients,
 // largest cells first), streams per-cell progress over SSE, and
@@ -23,52 +23,106 @@ import (
 	"partmb/internal/noise"
 	"partmb/internal/platform"
 	"partmb/internal/report"
-	"partmb/internal/sim"
 	"partmb/internal/stats"
 )
 
-// Spec is the over-the-wire sweep request: the same parameter surface as
-// the partbench CLI flags, with the same defaults, so a JSON spec and a
-// flag vector describe the same experiment. Every field is validated
-// before any simulation is scheduled; unknown fields are rejected at
-// decode time.
+// Spec is the over-the-wire sweep request and the flag surface of
+// `partmb run`: a JSON spec and a flag vector describe the same experiment
+// and resolve through the same defaults (Defaults). Every field is
+// validated before any simulation is scheduled; unknown fields are
+// rejected at decode time.
 //
-// Unlike the CLI, Platform accepts preset names only — never file paths —
+// Over the wire, Platform accepts preset names only — never file paths —
 // so a remote client cannot make the daemon read local files.
 type Spec struct {
 	// Sweep selects a message-size sweep [Min, Max] (power-of-two steps);
 	// false runs the single point Size.
 	Sweep bool `json:"sweep,omitempty"`
-	// Size is the single-point message size (default "1MiB").
+	// Size is the single-point message size.
 	Size string `json:"size,omitempty"`
-	// Min / Max bound the sweep (defaults "1KiB" / "64MiB").
+	// Min / Max bound the sweep.
 	Min string `json:"min,omitempty"`
 	Max string `json:"max,omitempty"`
-	// Parts is the partition / thread count (default 16).
+	// Parts is the partition / thread count.
 	Parts int `json:"parts,omitempty"`
-	// Compute is the per-thread compute amount (default "10ms").
+	// Compute is the per-thread compute amount.
 	Compute string `json:"compute,omitempty"`
-	// Noise / NoisePct configure the noise model (defaults "none" / 4).
+	// Noise / NoisePct configure the noise model.
 	Noise    string   `json:"noise,omitempty"`
 	NoisePct *float64 `json:"noise_pct,omitempty"`
-	// Cache is the CPU cache mode, "hot" or "cold" (default "hot").
+	// Cache is the CPU cache mode, "hot" or "cold".
 	Cache string `json:"cache,omitempty"`
-	// Impl is the partitioned implementation, "mpipcl" or "native"
-	// (default "mpipcl").
+	// Impl is the partitioned implementation, "mpipcl" or "native".
 	Impl string `json:"impl,omitempty"`
-	// Iters / Warmup are the measured and discarded iteration counts
-	// (defaults 10 / 2).
+	// Iters / Warmup are the measured and discarded iteration counts.
 	Iters  int  `json:"iters,omitempty"`
 	Warmup *int `json:"warmup,omitempty"`
-	// Seed seeds the noise RNG (default 42).
+	// Seed seeds the noise RNG.
 	Seed int64 `json:"seed,omitempty"`
-	// Platform names a platform preset (default "niagara-edr").
+	// Platform names a platform preset.
 	Platform string `json:"platform,omitempty"`
 	// Samples, when non-empty, switches cells to adaptive
 	// confidence-targeted sampling (stats.ParseRunConfig syntax, or "on"
-	// for defaults). Wall-clock budgets are rejected: budget stops depend
-	// on host speed, which would break the service's determinism contract.
+	// for defaults). Over the wire, wall-clock budgets are rejected: budget
+	// stops depend on host speed, which would break the service's
+	// determinism contract.
 	Samples string `json:"samples,omitempty"`
+}
+
+// Defaults returns what every field a spec leaves empty resolves to: the
+// paper's §3.1 point (1MiB in 16 partitions after 10ms of compute, 10
+// measured iterations after 2 warmups) on its Niagara+EDR platform, and
+// the 1KiB–64MiB sweep.
+func Defaults() Spec {
+	noisePct, warmup := 4.0, 2
+	return Spec{
+		Size:     "1MiB",
+		Min:      "1KiB",
+		Max:      "64MiB",
+		Parts:    16,
+		Compute:  "10ms",
+		Noise:    "none",
+		NoisePct: &noisePct,
+		Cache:    "hot",
+		Impl:     "mpipcl",
+		Iters:    10,
+		Warmup:   &warmup,
+		Seed:     platform.DefaultSeed,
+		Platform: "niagara-edr",
+	}
+}
+
+// withDefaults fills every field s leaves empty from Defaults and trims
+// the strings.
+func (s Spec) withDefaults() Spec {
+	d := Defaults()
+	for _, f := range []struct {
+		v   *string
+		def string
+	}{
+		{&s.Size, d.Size}, {&s.Min, d.Min}, {&s.Max, d.Max}, {&s.Compute, d.Compute},
+		{&s.Noise, d.Noise}, {&s.Cache, d.Cache}, {&s.Impl, d.Impl}, {&s.Platform, d.Platform},
+	} {
+		if *f.v = strings.TrimSpace(*f.v); *f.v == "" {
+			*f.v = f.def
+		}
+	}
+	if s.Parts == 0 {
+		s.Parts = d.Parts
+	}
+	if s.Iters == 0 {
+		s.Iters = d.Iters
+	}
+	if s.Seed == 0 {
+		s.Seed = d.Seed
+	}
+	if s.NoisePct == nil {
+		s.NoisePct = d.NoisePct
+	}
+	if s.Warmup == nil {
+		s.Warmup = d.Warmup
+	}
+	return s
 }
 
 // Request is a resolved, validated Spec: the base cell configuration plus
@@ -85,68 +139,52 @@ type Request struct {
 	Sweep bool
 }
 
-// Resolve validates the spec and resolves it against the partbench
-// defaults. All failures are client errors (bad spec), never server
-// state.
-func (s Spec) Resolve() (Request, error) {
+// Resolve validates a spec that came over the wire and resolves it
+// against Defaults. Platform must name a preset and Samples may not carry
+// a wall-clock budget. All failures are client errors (bad spec), never
+// server state.
+func (s Spec) Resolve() (Request, error) { return s.resolve(false) }
+
+// ResolveLocal is Resolve for a spec typed on the local command line,
+// which may do what the wire forbids: Platform may be a spec JSON path,
+// and Samples may carry a wall-clock budget.
+func (s Spec) ResolveLocal() (Request, error) { return s.resolve(true) }
+
+func (s Spec) resolve(local bool) (Request, error) {
 	var rq Request
-	str := func(v, def string) string {
-		if strings.TrimSpace(v) == "" {
-			return def
-		}
-		return strings.TrimSpace(v)
+	s = s.withDefaults()
+	platformOf := platform.Preset
+	if local {
+		platformOf = platform.Resolve
 	}
+	pf, err := platformOf(s.Platform)
+	if err != nil {
+		return rq, err
+	}
+	nk, err := noise.ParseKind(s.Noise)
+	if err != nil {
+		return rq, err
+	}
+	cm, err := memsim.ParseCacheMode(s.Cache)
+	if err != nil {
+		return rq, err
+	}
+	impl, err := mpi.ParsePartImpl(s.Impl)
+	if err != nil {
+		return rq, err
+	}
+	pf = pf.WithNoise(nk, *s.NoisePct).WithCache(cm).WithImpl(impl).
+		WithSeed(s.Seed).WithThreadMode(mpi.Multiple)
 
-	pf, err := platform.Preset(str(s.Platform, "niagara-edr"))
-	if err != nil {
-		return rq, err
-	}
-	nk, err := noise.ParseKind(str(s.Noise, "none"))
-	if err != nil {
-		return rq, err
-	}
-	noisePct := 4.0
-	if s.NoisePct != nil {
-		noisePct = *s.NoisePct
-	}
-	cm, err := memsim.ParseCacheMode(str(s.Cache, "hot"))
-	if err != nil {
-		return rq, err
-	}
-	impl, err := mpi.ParsePartImpl(str(s.Impl, "mpipcl"))
-	if err != nil {
-		return rq, err
-	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = platform.DefaultSeed
-	}
-	pf = pf.WithNoise(nk, noisePct).WithCache(cm).WithImpl(impl).
-		WithSeed(seed).WithThreadMode(mpi.Multiple)
-
-	parts := s.Parts
-	if parts == 0 {
-		parts = 16
-	}
-	iters := s.Iters
-	if iters == 0 {
-		iters = 10
-	}
-	warmup := 2
-	if s.Warmup != nil {
-		warmup = *s.Warmup
-	}
 	rq.Base = core.Config{
-		Partitions: parts,
-		Iterations: iters,
-		Warmup:     warmup,
+		Partitions: s.Parts,
+		Iterations: s.Iters,
+		Warmup:     *s.Warmup,
 		Platform:   pf,
 	}
-	var compute sim.Duration
-	if compute, err = cliutil.ParseDuration(str(s.Compute, "10ms")); err != nil {
+	if rq.Base.Compute, err = cliutil.ParseDuration(s.Compute); err != nil {
 		return rq, fmt.Errorf("compute: %w", err)
 	}
-	rq.Base.Compute = compute
 
 	if s.Samples != "" {
 		spec := s.Samples
@@ -157,7 +195,7 @@ func (s Spec) Resolve() (Request, error) {
 		if err != nil {
 			return rq, fmt.Errorf("samples: %w", err)
 		}
-		if rc.Budget > 0 {
+		if rc.Budget > 0 && !local {
 			return rq, fmt.Errorf("samples: wall-clock budgets are host-speed dependent and not allowed over the wire")
 		}
 		if err := rc.Validate(); err != nil {
@@ -169,32 +207,31 @@ func (s Spec) Resolve() (Request, error) {
 	rq.Sweep = s.Sweep
 	var sizes []int64
 	if s.Sweep {
-		min, err := cliutil.ParseSize(str(s.Min, "1KiB"))
+		min, err := cliutil.ParseSize(s.Min)
 		if err != nil {
 			return rq, fmt.Errorf("min: %w", err)
 		}
-		max, err := cliutil.ParseSize(str(s.Max, "64MiB"))
+		max, err := cliutil.ParseSize(s.Max)
 		if err != nil {
 			return rq, fmt.Errorf("max: %w", err)
 		}
-		if min <= 0 || max < min {
-			return rq, fmt.Errorf("bad size range [%d, %d]", min, max)
+		if sizes, err = core.SizeRange(min, max); err != nil {
+			return rq, err
 		}
-		sizes = core.MessageSizes(min, max)
 	} else {
-		size, err := cliutil.ParseSize(str(s.Size, "1MiB"))
+		size, err := cliutil.ParseSize(s.Size)
 		if err != nil {
 			return rq, fmt.Errorf("size: %w", err)
 		}
 		sizes = []int64{size}
 	}
 	for _, size := range sizes {
-		if size%int64(parts) == 0 {
+		if size%int64(s.Parts) == 0 {
 			rq.Sizes = append(rq.Sizes, size)
 		}
 	}
 	if len(rq.Sizes) == 0 {
-		return rq, fmt.Errorf("no message size in the spec is divisible by parts=%d", parts)
+		return rq, fmt.Errorf("no message size in the spec is divisible by parts=%d", s.Parts)
 	}
 	// Validate one representative cell now, at the door: a spec that can
 	// only fail inside the sweep would otherwise waste a queue slot.
@@ -220,14 +257,14 @@ func (rq Request) CellKeys() []string {
 }
 
 // Run executes the request's cells through the runner — the exact code
-// path the partbench CLI sweeps through, so results (and therefore tables)
+// path `partmb run` sweeps through, so results (and therefore tables)
 // are byte-identical across the wire.
 func (rq Request) Run(rn *engine.Runner) ([]*core.Result, error) {
 	return core.SweepMessageSizes(rn, rq.Base, rq.Sizes)
 }
 
-// ResultTable renders partbench's result table for cfg: the shared table
-// builder both the CLI and the HTTP service use, which is what makes
+// ResultTable renders the §3.1 result table for cfg: the shared table
+// builder both `partmb run` and the HTTP service use, which is what makes
 // HTTP-served tables byte-identical to batch output for the same spec.
 func ResultTable(cfg core.Config, results []*core.Result) *report.Table {
 	pf := cfg.Platform.Resolved()

@@ -3,18 +3,20 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/noise"
+	"partmb/internal/platform"
 	"partmb/internal/sim"
 )
 
-// TestSpecDefaultsMirrorPartbench: an empty spec must resolve to exactly
-// the partbench flag defaults — that equivalence is what makes HTTP specs
-// and CLI flag vectors two spellings of the same experiment.
+// TestSpecDefaultsMirrorPartbench: an empty spec resolves to the paper's
+// §3.1 point. `partmb run` registers its flags with Defaults, so HTTP specs
+// and its flag vectors are two spellings of the same experiment.
 func TestSpecDefaultsMirrorPartbench(t *testing.T) {
 	rq, err := Spec{}.Resolve()
 	if err != nil {
@@ -91,6 +93,38 @@ func TestSpecRejects(t *testing.T) {
 		} else if !strings.Contains(strings.ToLower(err.Error()), strings.ToLower(c.want)) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestSpecResolveLocal: a spec typed on the local command line may name a
+// platform JSON file and a wall-clock sampling budget, which Resolve
+// refuses over the wire; everything else resolves as it does there.
+func TestSpecResolveLocal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hdr.json")
+	if err := platform.EpycHDR().Save(path); err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Platform: path, Samples: "min=2,max=4,budget=1s"}
+	if _, err := spec.Resolve(); err == nil {
+		t.Fatal("Resolve accepted a platform path and a budget")
+	}
+	rq, err := spec.ResolveLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rq.Base.Platform.Name != "epyc-hdr" || rq.Base.Adaptive == nil || rq.Base.Adaptive.Budget == 0 {
+		t.Fatalf("resolved platform %q, adaptive %+v", rq.Base.Platform.Name, rq.Base.Adaptive)
+	}
+	wire, err := Spec{}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := Spec{}.ResolveLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire.CellKeys()[0] != local.CellKeys()[0] {
+		t.Fatal("an empty spec keys differently through ResolveLocal")
 	}
 }
 

@@ -30,9 +30,8 @@ import (
 //
 // Execution decouples logical shards from OS parallelism: Run starts a
 // persistent pool of min(GOMAXPROCS, shards) window workers once, and each
-// round dispatches the shards with work in the window to the pool, ordered
-// largest-predicted-first (LPT, from an EWMA of each shard's recent window
-// host cost), with idle workers claiming the remaining shards off a shared
+// round dispatches the shards with work in the window to the pool in shard
+// order, with idle workers claiming the remaining shards off a shared
 // cursor. Over-decomposition (more shards than cores) thereby becomes the
 // load-balancing mechanism: a hot shard no longer serializes the window,
 // because the other workers drain the rest of the queue around it.
@@ -43,7 +42,7 @@ import (
 // (at, born, src, seq) — a pure sort, independent of which worker ran which
 // shard, in what order, or how fast. Any shard-to-worker assignment (any
 // worker count, any claim order) therefore yields byte-identical results;
-// the dispatch order and the cost model can only change wall-clock time.
+// the dispatch order can only change wall-clock time.
 // The contract is pinned by the determinism tests in shard_test.go.
 //
 // A group of one shard is special-cased to be the sequential kernel,
@@ -64,11 +63,6 @@ type crossEvent struct {
 	h    Handler
 	op   int
 }
-
-// ewmaAlpha is the weight of the latest window in the per-shard host-cost
-// EWMA that drives the LPT dispatch order. The model only affects wall
-// clock, never results.
-const ewmaAlpha = 0.4
 
 // Outbox shrink policy (see tickOutbox): every outboxShrinkEvery windows a
 // shard whose outbox capacity exceeds four times its recent peak use (and
@@ -104,9 +98,9 @@ type ShardStats struct {
 	// Shrinks counts outbox buffers reallocated down by the high-water
 	// shrink policy.
 	Shrinks int64 `json:"shrinks"`
-	// PredNS / ActualNS compare the cost model against reality: summed
-	// EWMA-predicted vs measured host time of all shard-windows (cold
-	// shards predict 0).
+	// PredNS is always 0: the pool no longer predicts window costs. It
+	// stays until the benchmark stops reading it. ActualNS is the measured
+	// host time of all shard-windows summed.
 	PredNS   int64 `json:"pred_ns"`
 	ActualNS int64 `json:"actual_ns"`
 	// ImbalanceMean / ImbalanceMax summarize the per-window imbalance
@@ -128,7 +122,6 @@ type ShardSpan struct {
 	StartNS int64
 	EndNS   int64
 	Events  int64
-	PredNS  int64
 	Stolen  bool
 }
 
@@ -143,10 +136,9 @@ type ShardGroup struct {
 	workers int // 0 = min(GOMAXPROCS, shards)
 	span    func(ShardSpan)
 	// timed enables per-shard-window wall-clock sampling: on for a
-	// multi-worker pool (the EWMA drives LPT dispatch) or a span observer;
-	// off for a one-worker pool, where dispatch order cannot change wall
-	// time and the clock calls would be pure overhead (PredNS/ActualNS
-	// then report 0).
+	// multi-worker pool (ActualNS) or a span observer; off for a one-worker
+	// pool, where the clock calls would be pure overhead (ActualNS then
+	// reports 0).
 	timed bool
 
 	// next[i] caches shard i's head-of-queue time each round; limit is the
@@ -156,8 +148,7 @@ type ShardGroup struct {
 	limit Time
 
 	// Window worker pool. order lists the shards active in the current
-	// window, sorted largest-predicted-first; workers claim positions off
-	// cursor.
+	// window, in shard order; workers claim positions off cursor.
 	startCh []chan struct{}
 	wg      sync.WaitGroup
 	order   []int
@@ -171,11 +162,7 @@ type ShardGroup struct {
 	winNS     []int64
 	winStart  []int64
 	winEnd    []int64
-	winPred   []int64
 	winWorker []int
-
-	// cost[i] is the EWMA of shard i's window host cost in ns (0 = cold).
-	cost []float64
 
 	// Barrier merge scratch: shard ids with non-empty outboxes and the
 	// live run tails of the k-way merge.
@@ -314,9 +301,7 @@ func (g *ShardGroup) Run() error {
 	g.winNS = make([]int64, n)
 	g.winStart = make([]int64, n)
 	g.winEnd = make([]int64, n)
-	g.winPred = make([]int64, n)
 	g.winWorker = make([]int, n)
-	g.cost = make([]float64, n)
 	g.order = make([]int, 0, n)
 
 	// The persistent worker pool: started once, signaled per window, torn
@@ -381,7 +366,6 @@ func (g *ShardGroup) dispatchWindow() {
 			g.order = append(g.order, sid)
 		}
 	}
-	g.predict()
 	if len(g.order) == 1 {
 		g.runShardWindow(g.evenLane(g.order[0]), g.order[0])
 		return
@@ -395,32 +379,6 @@ func (g *ShardGroup) dispatchWindow() {
 		}
 		return
 	}
-	// LPT: largest predicted cost first, so the expensive shards start
-	// immediately and the small ones fill the gaps via the cursor.
-	slices.SortFunc(g.order, func(a, b int) int {
-		ca, cb := g.cost[a], g.cost[b]
-		// Cold shards (no cost observation yet) run first — an unknown
-		// cost is scheduled conservatively — ordered by queue length.
-		if (ca == 0) != (cb == 0) {
-			if ca == 0 {
-				return -1
-			}
-			return 1
-		}
-		if ca == 0 {
-			if la, lb := g.shards[a].queue.n, g.shards[b].queue.n; la != lb {
-				return lb - la
-			}
-			return a - b
-		}
-		if ca != cb {
-			if ca > cb {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
 	g.cursor.Store(0)
 	nwake := g.poolWake(len(g.order))
 	g.wg.Add(nwake)
@@ -507,7 +465,7 @@ func (g *ShardGroup) runShardWindow(w, sid int) {
 }
 
 // accountWindow folds the finished window's per-shard samples into the
-// group counters and the EWMA cost model, and emits trace spans. Runs on
+// group counters and emits trace spans. Runs on
 // the coordinator, after the barrier, so it is single-threaded.
 func (g *ShardGroup) accountWindow() {
 	g.stats.Windows++
@@ -518,14 +476,7 @@ func (g *ShardGroup) accountWindow() {
 		if ev > max {
 			max = ev
 		}
-		actual := g.winNS[sid]
-		g.stats.ActualNS += actual
-		g.stats.PredNS += g.winPred[sid]
-		if g.cost[sid] == 0 {
-			g.cost[sid] = float64(actual)
-		} else {
-			g.cost[sid] = (1-ewmaAlpha)*g.cost[sid] + ewmaAlpha*float64(actual)
-		}
+		g.stats.ActualNS += g.winNS[sid]
 		if g.winWorker[sid] != g.evenLane(sid) {
 			g.stats.Steals++
 		}
@@ -555,18 +506,9 @@ func (g *ShardGroup) accountWindow() {
 				StartNS: g.winStart[sid],
 				EndNS:   g.winEnd[sid],
 				Events:  g.winEvents[sid],
-				PredNS:  g.winPred[sid],
 				Stolen:  g.winWorker[sid] != g.evenLane(sid),
 			})
 		}
-	}
-}
-
-// predict snapshots the EWMA prediction for every active shard (0 for cold
-// shards, which are ordered by queue length instead).
-func (g *ShardGroup) predict() {
-	for _, sid := range g.order {
-		g.winPred[sid] = int64(g.cost[sid])
 	}
 }
 

@@ -761,7 +761,7 @@ func (s *Scheduler) RunUntil(t Time) bool {
 }
 
 // timeNowUnixNano is the test seam for wall-clock access; only the shard
-// pool's cost/telemetry sampling (shard.go) consults the wall clock, and only
-// through it. The shard samples feed the LPT dispatch order and trace spans,
-// never the simulation itself.
+// pool's telemetry sampling (shard.go) consults the wall clock, and only
+// through it. The shard samples feed ShardStats and trace spans, never the
+// simulation itself.
 var timeNowUnixNano = func() int64 { return time.Now().UnixNano() }
