@@ -31,7 +31,7 @@ import (
 
 func benchFigure(b *testing.B, fig int) {
 	b.Helper()
-	sc := figures.Quick()
+	sc, _ := figures.ScaleByName("quick")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tables, err := figures.Env{}.Generate(fig, sc)
@@ -63,7 +63,7 @@ func BenchmarkFig13SnapProjection(b *testing.B) { benchFigure(b, 13) }
 
 func benchFigAll(b *testing.B, rn func() *engine.Runner) {
 	b.Helper()
-	sc := figures.Quick()
+	sc, _ := figures.ScaleByName("quick")
 	for i := 0; i < b.N; i++ {
 		env := figures.Env{Runner: rn()}
 		for _, fig := range figures.Numbers() {
@@ -246,7 +246,7 @@ func partEpoch(n int, impl mpi.PartImpl) *sim.Scheduler {
 	w := mpi.NewWorld(s, cfg)
 	s.Spawn("sender", func(p *sim.Proc) {
 		c := w.Comm(0)
-		c.SetPlacement(cluster.Place(w.Config().Machine, 16))
+		c.SetPlacement(cluster.Place(cfg.Machine, 16))
 		pr := c.PsendInit(p, 1, 0, 16, 4096)
 		c.Barrier(p)
 		for i := 0; i < n; i++ {

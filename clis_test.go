@@ -197,7 +197,7 @@ func TestFaultInjectionKeepsTablesIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := service.ResultTable(base, results).WriteText(&buf); err != nil {
+		if err := (service.Request{Base: base}).Table(results).WriteText(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

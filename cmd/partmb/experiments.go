@@ -242,17 +242,17 @@ func classicVerb(fs *flag.FlagSet) func(*cli) error {
 				return err
 			}
 		}
-		p := classic.SuiteParams{Config: cfg, Sizes: sizes, Window: *window}
+		p := classicParams{Config: cfg, Sizes: sizes, Window: *window}
 		rn, err := c.runner("")
 		if err != nil {
 			return err
 		}
 		var tables []*report.Table
 		if *bench == "all" {
-			tables, err = classic.Suite(rn, p)
+			tables, err = classicSuite(rn, p)
 		} else {
 			var t *report.Table
-			t, err = classic.BenchTable(rn, *bench, p)
+			t, err = classicTable(rn, *bench, p)
 			tables = []*report.Table{t}
 		}
 		if err != nil {

@@ -50,8 +50,8 @@ func TestEngineFlagsRunnerWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rn.Workers() != 2 {
-		t.Fatalf("workers = %d, want 2", rn.Workers())
+	if lanes := len(rn.Stats().LaneBusy); lanes != 2 {
+		t.Fatalf("%d worker lanes, want 2", lanes)
 	}
 	if _, err := diskCell.Run(rn, 7); err != nil {
 		t.Fatal(err)

@@ -21,8 +21,6 @@
 //   - internal/classic — the OSU/SMB-style classic benchmarks plus
 //     partitioned variants;
 //   - internal/omp — OpenMP-like fork/join helpers over the kernel;
-//   - internal/accel — accelerator work queues with device-triggered
-//     partitioned operations;
 //   - internal/snap, internal/prof — the SNAP proxy projection and the
 //     mpiP-style profiler;
 //   - internal/figures — regeneration of every figure in the paper's

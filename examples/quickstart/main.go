@@ -26,7 +26,8 @@ func main() {
 
 	// A deterministic simulation: two Niagara-like nodes on EDR InfiniBand.
 	s := sim.New()
-	w := mpi.NewWorld(s, mpi.DefaultConfig(2))
+	cfg := mpi.DefaultConfig(2)
+	w := mpi.NewWorld(s, cfg)
 
 	// Fill the send buffer with a recognizable pattern.
 	sendBuf := make([]byte, parts*partBytes)
@@ -41,7 +42,7 @@ func main() {
 	// partitions ready; data flows before the threads join.
 	s.Spawn("sender", func(p *sim.Proc) {
 		c := w.Comm(0)
-		c.SetPlacement(cluster.Place(w.Config().Machine, threads))
+		c.SetPlacement(cluster.Place(cfg.Machine, threads))
 		pr := c.PsendInit(p, 1, 99, parts, partBytes)
 		pr.BindSendBuffer(sendBuf)
 		c.Barrier(p)
@@ -90,7 +91,7 @@ func main() {
 	}
 	fmt.Println("payload verified: received bytes identical to sent bytes")
 	fmt.Println("\nper-partition arrival timeline:")
-	for i, at := range rpr.ArrivalTimes() {
-		fmt.Printf("  partition %d arrived at t=%v\n", i, sim.Duration(at))
+	for i := 0; i < parts; i++ {
+		fmt.Printf("  partition %d arrived at t=%v\n", i, sim.Duration(rpr.ArrivedAt(i)))
 	}
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // TestExamplesRun executes every example program end to end. Examples are
-// part of the public contract: if one stops running, the release is broken.
+// demos that must run; they keep no API alive: the callers guard
+// (TestInternalEntryPointsHaveCallers) does not count them as callers.
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping example execution in -short mode")

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"partmb/internal/cluster"
+	"partmb/internal/core"
 	"partmb/internal/engine"
 	"partmb/internal/memsim"
 	"partmb/internal/mpi"
@@ -131,7 +132,7 @@ func sweepPoints(rn *engine.Runner, what string, cell *engine.Cell[Config, float
 	vals, err := r.Sweep(context.Background(), len(sizes), cost, func(ctx context.Context, i int) (any, error) {
 		pt, err := point(r, cell, cfg, append([]int64{sizes[i]}, extra...))
 		if err != nil {
-			return nil, fmt.Errorf("%s: size %s: %w", what, FormatSize(sizes[i]), err)
+			return nil, fmt.Errorf("%s: size %s: %w", what, core.FormatBytes(sizes[i]), err)
 		}
 		return pt, nil
 	})
@@ -168,21 +169,6 @@ func point(r *engine.Runner, cell *engine.Cell[Config, float64], cfg Config, arg
 		}
 		return Point{Size: args[0], Value: est.Mean, CI: &est}, nil
 	})
-}
-
-// FormatSize renders a byte count in the compact power-of-two form used in
-// error messages and tables.
-func FormatSize(n int64) string {
-	switch {
-	case n >= 1<<30 && n%(1<<30) == 0:
-		return fmt.Sprintf("%dGiB", n>>30)
-	case n >= 1<<20 && n%(1<<20) == 0:
-		return fmt.Sprintf("%dMiB", n>>20)
-	case n >= 1<<10 && n%(1<<10) == 0:
-		return fmt.Sprintf("%dKiB", n>>10)
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }
 
 // Latency runs the ping-pong latency benchmark (osu_latency): half the

@@ -128,17 +128,11 @@ func PlaceWith(m *Machine, n int, policy Policy) *Placement {
 	return &Placement{machine: m, threads: n, policy: policy}
 }
 
-// Policy returns the placement policy.
-func (p *Placement) Policy() Policy { return p.policy }
-
 // Threads returns the number of placed threads.
 func (p *Placement) Threads() int { return p.threads }
 
-// Machine returns the machine threads are placed on.
-func (p *Placement) Machine() *Machine { return p.machine }
-
-// Core returns the core index a thread runs on.
-func (p *Placement) Core(thread int) int {
+// core returns the core index a thread runs on.
+func (p *Placement) core(thread int) int {
 	slot := thread % p.machine.TotalCores()
 	if p.policy == Compact {
 		return slot
@@ -149,27 +143,27 @@ func (p *Placement) Core(thread int) int {
 	return socket*p.machine.CoresPerSocket + within
 }
 
-// Socket returns the socket a thread's core belongs to.
-func (p *Placement) Socket(thread int) int {
-	return p.Core(thread) / p.machine.CoresPerSocket
+// socket returns the socket a thread's core belongs to.
+func (p *Placement) socket(thread int) int {
+	return p.core(thread) / p.machine.CoresPerSocket
 }
 
-// OnNICSocket reports whether a thread runs on the socket that owns the NIC.
-func (p *Placement) OnNICSocket(thread int) bool {
-	return p.Socket(thread) == p.machine.NICSocket
+// onNICSocket reports whether a thread runs on the socket that owns the NIC.
+func (p *Placement) onNICSocket(thread int) bool {
+	return p.socket(thread) == p.machine.NICSocket
 }
 
 // InjectionPenalty returns the extra per-message cost a thread pays to start
 // a network transfer, zero when the thread shares a socket with the NIC.
 func (p *Placement) InjectionPenalty(thread int) sim.Duration {
-	if p.OnNICSocket(thread) {
+	if p.onNICSocket(thread) {
 		return 0
 	}
 	return p.machine.CrossSocketPenalty
 }
 
-// ShareFactor returns how many threads share this thread's core (>= 1).
-func (p *Placement) ShareFactor(thread int) int {
+// shareFactor returns how many threads share this thread's core (>= 1).
+func (p *Placement) shareFactor(thread int) int {
 	total := p.machine.TotalCores()
 	if p.threads <= total {
 		return 1
@@ -188,15 +182,10 @@ func (p *Placement) ShareFactor(thread int) int {
 // length base on the given thread, accounting for core sharing when the node
 // is oversubscribed.
 func (p *Placement) ComputeTime(thread int, base sim.Duration) sim.Duration {
-	share := p.ShareFactor(thread)
+	share := p.shareFactor(thread)
 	if share <= 1 {
 		return base
 	}
 	scaled := float64(base) * float64(share) * p.machine.OversubscribedSlowdown
 	return sim.Duration(scaled)
-}
-
-// Oversubscribed reports whether any core runs more than one thread.
-func (p *Placement) Oversubscribed() bool {
-	return p.threads > p.machine.TotalCores()
 }

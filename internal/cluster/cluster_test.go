@@ -44,13 +44,13 @@ func TestCompactPinning(t *testing.T) {
 	// Threads 0..19 on socket 0, 20..31 spill to socket 1 (the paper's
 	// 32-partition effect).
 	for i := 0; i < 20; i++ {
-		if p.Socket(i) != 0 {
-			t.Fatalf("thread %d on socket %d, want 0", i, p.Socket(i))
+		if p.socket(i) != 0 {
+			t.Fatalf("thread %d on socket %d, want 0", i, p.socket(i))
 		}
 	}
 	for i := 20; i < 32; i++ {
-		if p.Socket(i) != 1 {
-			t.Fatalf("thread %d on socket %d, want 1", i, p.Socket(i))
+		if p.socket(i) != 1 {
+			t.Fatalf("thread %d on socket %d, want 1", i, p.socket(i))
 		}
 	}
 }
@@ -69,18 +69,15 @@ func TestInjectionPenaltyOnlyOffNICSocket(t *testing.T) {
 func TestOversubscription(t *testing.T) {
 	m := Niagara()
 	p := Place(m, 64)
-	if !p.Oversubscribed() {
-		t.Fatal("64 threads on 40 cores should be oversubscribed")
-	}
 	// Cores 0..23 host two threads, cores 24..39 host one.
-	if sf := p.ShareFactor(0); sf != 2 {
-		t.Fatalf("ShareFactor(0) = %d, want 2", sf)
+	if sf := p.shareFactor(0); sf != 2 {
+		t.Fatalf("shareFactor(0) = %d, want 2", sf)
 	}
-	if sf := p.ShareFactor(40); sf != 2 {
-		t.Fatalf("ShareFactor(40) = %d, want 2 (shares core 0)", sf)
+	if sf := p.shareFactor(40); sf != 2 {
+		t.Fatalf("shareFactor(40) = %d, want 2 (shares core 0)", sf)
 	}
-	if sf := p.ShareFactor(30); sf != 1 {
-		t.Fatalf("ShareFactor(30) = %d, want 1", sf)
+	if sf := p.shareFactor(30); sf != 1 {
+		t.Fatalf("shareFactor(30) = %d, want 1", sf)
 	}
 	base := 10 * sim.Millisecond
 	if got := p.ComputeTime(0, base); got != 20*sim.Millisecond {
@@ -93,11 +90,8 @@ func TestOversubscription(t *testing.T) {
 
 func TestEightThreadsFitOneSocket(t *testing.T) {
 	p := Place(Niagara(), 8)
-	if p.Oversubscribed() {
-		t.Fatal("8 threads should not oversubscribe")
-	}
 	for i := 0; i < 8; i++ {
-		if !p.OnNICSocket(i) {
+		if !p.onNICSocket(i) {
 			t.Fatalf("thread %d not on NIC socket", i)
 		}
 	}
@@ -118,26 +112,26 @@ func TestQuickPlacementInvariants(t *testing.T) {
 		p := Place(m, n)
 		sumShares := 0
 		for i := 0; i < n; i++ {
-			c := p.Core(i)
+			c := p.core(i)
 			if c < 0 || c >= m.TotalCores() {
 				return false
 			}
-			s := p.Socket(i)
+			s := p.socket(i)
 			if s < 0 || s >= m.Sockets {
 				return false
 			}
-			if p.ShareFactor(i) < 1 {
+			if p.shareFactor(i) < 1 {
 				return false
 			}
 		}
 		// Summing each core's share count over its resident threads counts
-		// every thread ShareFactor times; instead verify per-core residents.
+		// every thread shareFactor times; instead verify per-core residents.
 		perCore := make(map[int]int)
 		for i := 0; i < n; i++ {
-			perCore[p.Core(i)]++
+			perCore[p.core(i)]++
 		}
 		for i := 0; i < n; i++ {
-			if p.ShareFactor(i) != perCore[p.Core(i)] {
+			if p.shareFactor(i) != perCore[p.core(i)] {
 				return false
 			}
 		}
@@ -160,7 +154,7 @@ func TestEpycPreset(t *testing.T) {
 	// 32 partitions fit one EPYC socket (the paper's spillover vanishes).
 	p := Place(m, 32)
 	for i := 0; i < 32; i++ {
-		if !p.OnNICSocket(i) {
+		if !p.onNICSocket(i) {
 			t.Fatalf("thread %d spilled on EPYC", i)
 		}
 	}
@@ -169,14 +163,14 @@ func TestEpycPreset(t *testing.T) {
 func TestScatterPlacementAlternatesSockets(t *testing.T) {
 	p := PlaceWith(Niagara(), 8, Scatter)
 	for i := 0; i < 8; i++ {
-		if want := i % 2; p.Socket(i) != want {
-			t.Fatalf("scatter thread %d on socket %d, want %d", i, p.Socket(i), want)
+		if want := i % 2; p.socket(i) != want {
+			t.Fatalf("scatter thread %d on socket %d, want %d", i, p.socket(i), want)
 		}
 	}
 	// No two of the first 8 threads share a core.
 	seen := map[int]bool{}
 	for i := 0; i < 8; i++ {
-		c := p.Core(i)
+		c := p.core(i)
 		if seen[c] {
 			t.Fatalf("scatter reused core %d early", c)
 		}
@@ -209,10 +203,10 @@ func TestPolicyString(t *testing.T) {
 func TestScatterOversubscription(t *testing.T) {
 	p := PlaceWith(Niagara(), 80, Scatter) // 2x oversubscribed
 	for i := 0; i < 80; i++ {
-		if got := p.ShareFactor(i); got != 2 {
+		if got := p.shareFactor(i); got != 2 {
 			t.Fatalf("thread %d share = %d, want 2", i, got)
 		}
-		if c := p.Core(i); c < 0 || c >= 40 {
+		if c := p.core(i); c < 0 || c >= 40 {
 			t.Fatalf("thread %d core %d out of range", i, c)
 		}
 	}

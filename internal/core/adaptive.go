@@ -39,9 +39,9 @@ type ResultCI struct {
 	Reason    string `json:"reason"`
 }
 
-// Estimates returns the per-metric estimates keyed by the Metric* names, in
+// estimates returns the per-metric estimates keyed by the Metric* names, in
 // reporting order.
-func (ci *ResultCI) Estimates() []struct {
+func (ci *ResultCI) estimates() []struct {
 	Name string
 	Est  stats.Estimate
 } {
@@ -56,11 +56,11 @@ func (ci *ResultCI) Estimates() []struct {
 	}
 }
 
-// MaxRelHalfWidth returns the loosest relative CI half-width across the
+// maxRelHalfWidth returns the loosest relative CI half-width across the
 // four metrics — the single per-cell tightness number journals record.
-func (ci *ResultCI) MaxRelHalfWidth() float64 {
+func (ci *ResultCI) maxRelHalfWidth() float64 {
 	var worst float64
-	for _, e := range ci.Estimates() {
+	for _, e := range ci.estimates() {
 		if e.Est.RelHalfWidth > worst {
 			worst = e.Est.RelHalfWidth
 		}
@@ -76,7 +76,7 @@ func (r *Result) SampleStats() (n int, relCI float64, reason string) {
 	if r.CI == nil {
 		return 0, 0, ""
 	}
-	return r.CI.Overhead.N, r.CI.MaxRelHalfWidth(), r.CI.Reason
+	return r.CI.Overhead.N, r.CI.maxRelHalfWidth(), r.CI.Reason
 }
 
 // metricSamples computes the per-iteration metric streams from raw samples.

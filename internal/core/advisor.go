@@ -64,8 +64,8 @@ type Advice struct {
 	Candidates []Candidate
 }
 
-// Best returns the top-ranked candidate.
-func (a *Advice) Best() Candidate {
+// best returns the top-ranked candidate.
+func (a *Advice) best() Candidate {
 	if len(a.Candidates) == 0 {
 		panic("core: empty advice")
 	}
@@ -74,7 +74,7 @@ func (a *Advice) Best() Candidate {
 
 // String renders a short human-readable recommendation.
 func (a *Advice) String() string {
-	b := a.Best()
+	b := a.best()
 	s := fmt.Sprintf("recommended partitions for %s @ %v compute: %d (overhead %.2fx, availability %.2f, early-bird %.0f%%)",
 		FormatBytes(a.Config.MessageBytes), a.Config.Compute, b.Partitions,
 		b.Result.Overhead, b.Result.Availability, b.Result.EarlyBird)
@@ -89,13 +89,13 @@ func (a *Advice) String() string {
 
 // Advise sweeps the candidate partition counts (counts that do not divide
 // the message size are skipped) on the runner's worker pool and ranks them.
-// base.Partitions is ignored. A nil runner is SweepPartitions' nil runner.
+// base.Partitions is ignored. A nil runner is sweepPartitions' nil runner.
 func Advise(rn *engine.Runner, base Config, counts []int, w AdvisorWeights) (*Advice, error) {
 	if len(counts) == 0 {
 		counts = []int{1, 2, 4, 8, 16, 32}
 	}
 	base = base.withDefaults()
-	results, err := SweepPartitions(rn, base, counts)
+	results, err := sweepPartitions(rn, base, counts)
 	if err != nil {
 		return nil, err
 	}
@@ -142,32 +142,4 @@ func score(r *Result, w AdvisorWeights) float64 {
 	s += w.EarlyBird * (r.EarlyBird / 100)
 	s -= w.Overhead * math.Log2(r.Overhead)
 	return s
-}
-
-// ProjectionPoint is one row of an application-porting projection (the
-// paper's §4.8 methodology generalized): given the fraction of application
-// runtime spent in send/receive communication and the measured partitioned
-// gain for the application's pattern, project the end-to-end speedup.
-type ProjectionPoint struct {
-	CommFraction float64
-	Speedup      float64
-}
-
-// ProjectPort sweeps communication fractions and projects the speedup of
-// porting to partitioned communication with the given gain (Amdahl).
-func ProjectPort(fractions []float64, gain float64) []ProjectionPoint {
-	if gain <= 0 {
-		panic("core: non-positive gain")
-	}
-	out := make([]ProjectionPoint, 0, len(fractions))
-	for _, f := range fractions {
-		if f < 0 || f > 1 {
-			panic(fmt.Sprintf("core: comm fraction %v outside [0,1]", f))
-		}
-		out = append(out, ProjectionPoint{
-			CommFraction: f,
-			Speedup:      1 / ((1 - f) + f/gain),
-		})
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -50,7 +49,7 @@ func TestAdvisePrefersMultiplePartitionsUnderNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best := adv.Best(); best.Partitions == 1 {
+	if best := adv.best(); best.Partitions == 1 {
 		t.Fatalf("advisor recommended 1 partition under noise: %+v", best)
 	}
 }
@@ -91,35 +90,5 @@ func TestAdviseDefaultsAndErrors(t *testing.T) {
 	adv2, err := Advise(nil, cfg, []int{2, 4}, DefaultAdvisorWeights())
 	if err == nil {
 		t.Fatalf("expected error for indivisible size, got %v", adv2.Candidates)
-	}
-}
-
-func TestProjectPort(t *testing.T) {
-	pts := ProjectPort([]float64{0, 0.204, 0.545, 1}, 15.1)
-	if pts[0].Speedup != 1 {
-		t.Fatalf("f=0: %v", pts[0])
-	}
-	// Paper §4.8 end points: 20.4% and 54.5% MPI time.
-	if math.Abs(pts[1].Speedup-1/((1-0.204)+0.204/15.1)) > 1e-12 {
-		t.Fatalf("f=0.204: %v", pts[1])
-	}
-	if math.Abs(pts[3].Speedup-15.1) > 1e-9 {
-		t.Fatalf("f=1: %v", pts[3])
-	}
-}
-
-func TestProjectPortPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"bad fraction": func() { ProjectPort([]float64{1.5}, 15.1) },
-		"bad gain":     func() { ProjectPort([]float64{0.5}, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }

@@ -51,6 +51,6 @@ func ExampleAdvise() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("recommended: %d partitions\n", adv.Best().Partitions)
+	fmt.Printf("recommended: %d partitions\n", adv.Candidates[0].Partitions)
 	// Output: recommended: 16 partitions
 }

@@ -315,7 +315,7 @@ func run(a *sim.Arena, cfg Config) (*Result, error) {
 	res := &Result{Config: cfg}
 	for it := cfg.Warmup; it < total; it++ {
 		rec := &records[it]
-		before, after := SplitAtJoin(rec.firstReady, rec.lastArrive, rec.joinEquiv)
+		before, after := splitAtJoin(rec.firstReady, rec.lastArrive, rec.joinEquiv)
 		res.Samples = append(res.Samples, Sample{
 			TPt2Pt:      rec.pt2ptEnd.Sub(rec.pt2ptStart),
 			TPart:       rec.lastArrive.Sub(rec.firstReady),

@@ -280,7 +280,7 @@ func TestPerceivedBandwidthPeaksThenDeclines(t *testing.T) {
 func TestSweepPartitionsSkipsNonDividing(t *testing.T) {
 	cfg := quickCfg()
 	cfg.MessageBytes = 1 << 20
-	results, err := SweepPartitions(nil, cfg, []int{1, 3, 4})
+	results, err := sweepPartitions(nil, cfg, []int{1, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,11 @@ func EarlyBirdPct(tBeforeJoin, tPart sim.Duration) float64 {
 	return 100 * float64(tBeforeJoin) / float64(tPart)
 }
 
-// SplitAtJoin decomposes the partitioned communication interval
+// splitAtJoin decomposes the partitioned communication interval
 // [firstReady, lastArrive] around the equivalent single-send join instant:
 // before is the portion of communication preceding the join, after the
 // portion following it. Either may be zero; they sum to t_part.
-func SplitAtJoin(firstReady, lastArrive, join sim.Time) (before, after sim.Duration) {
+func splitAtJoin(firstReady, lastArrive, join sim.Time) (before, after sim.Duration) {
 	if lastArrive < firstReady {
 		panic("core: lastArrive before firstReady")
 	}

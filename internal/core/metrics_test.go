@@ -68,9 +68,9 @@ func TestSplitAtJoin(t *testing.T) {
 		{400, 200, 0}, // join after everything
 	}
 	for _, c := range cases {
-		b, a := SplitAtJoin(first, last, c.join)
+		b, a := splitAtJoin(first, last, c.join)
 		if b != c.before || a != c.after {
-			t.Errorf("SplitAtJoin(join=%d) = (%v,%v), want (%v,%v)", c.join, b, a, c.before, c.after)
+			t.Errorf("splitAtJoin(join=%d) = (%v,%v), want (%v,%v)", c.join, b, a, c.before, c.after)
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestSplitAtJoinInvalidPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	SplitAtJoin(100, 50, 75)
+	splitAtJoin(100, 50, 75)
 }
 
 // Property: before+after always equals the communication span and both are
@@ -91,7 +91,7 @@ func TestQuickSplitConserves(t *testing.T) {
 		first := sim.Time(a % 1e6)
 		last := first.Add(sim.Duration(b % 1e6))
 		join := sim.Time(j % 2e6)
-		before, after := SplitAtJoin(first, last, join)
+		before, after := splitAtJoin(first, last, join)
 		return before >= 0 && after >= 0 && before+after == last.Sub(first)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -55,11 +55,11 @@ func SweepMessageSizes(rn *engine.Runner, base Config, sizes []int64) ([]*Result
 	})
 }
 
-// SweepPartitions runs the benchmark at every partition count on the
+// sweepPartitions runs the benchmark at every partition count on the
 // runner's worker pool, holding the rest of base fixed, and returns results
 // in count order. Counts that do not divide the message size are skipped.
 // A nil runner means a fresh engine.New(), as in SweepMessageSizes.
-func SweepPartitions(rn *engine.Runner, base Config, counts []int) ([]*Result, error) {
+func sweepPartitions(rn *engine.Runner, base Config, counts []int) ([]*Result, error) {
 	var eligible []int
 	for _, n := range counts {
 		if base.MessageBytes%int64(n) == 0 {

@@ -57,7 +57,7 @@ func TestCellTaskRoundTrips(t *testing.T) {
 }
 
 func TestSampledCellDrawsAreCells(t *testing.T) {
-	rc := stats.DefaultRunConfig()
+	rc, _ := stats.ParseRunConfig("") // the defaults
 	r := New(Workers(1))
 	v, err := sampledCell.Run(r, seedCfg{RC: &rc})
 	if err != nil || v != 2 {

@@ -34,7 +34,7 @@ const SchemaVersion = 1
 // A cache can run under a byte budget (SetBudget): every load and store
 // maintains a per-key size/recency index, and stores that push the total
 // past the budget evict least-recently-used entries until it fits. Keys
-// pinned with Pin (the runner pins a cell for the whole time it is being
+// pinned with pin (the runner pins a cell for the whole time it is being
 // resolved) are never evicted, so a cell currently being served cannot be
 // deleted out from under its readers. Budget accounting is per process:
 // cooperating processes sharing a directory each enforce their own view,
@@ -122,9 +122,6 @@ func (d *DiskCache) scan() error {
 	return nil
 }
 
-// Dir returns the schema-versioned directory entries are stored in.
-func (d *DiskCache) Dir() string { return d.dir }
-
 // SetBudget bounds the cache's total entry bytes; 0 (the default) means
 // unlimited. Shrinking the budget below the current size evicts
 // immediately, oldest unpinned entries first.
@@ -138,11 +135,11 @@ func (d *DiskCache) SetBudget(maxBytes int64) {
 	d.mu.Unlock()
 }
 
-// Pin marks key as in use: eviction skips pinned keys, so a cell that is
+// pin marks key as in use: eviction skips pinned keys, so a cell that is
 // currently being served (loaded, computed, or stored) can never be
-// deleted mid-flight. Pins nest; each Pin needs a matching Unpin. Safe on
+// deleted mid-flight. Pins nest; each pin needs a matching unpin. Safe on
 // a nil cache.
-func (d *DiskCache) Pin(key string) {
+func (d *DiskCache) pin(key string) {
 	if d == nil || key == "" {
 		return
 	}
@@ -151,10 +148,10 @@ func (d *DiskCache) Pin(key string) {
 	d.mu.Unlock()
 }
 
-// Unpin releases one Pin of key; the final Unpin makes it evictable again
+// unpin releases one pin of key; the final unpin makes it evictable again
 // (and evicts immediately if the cache is over budget). Safe on a nil
 // cache.
-func (d *DiskCache) Unpin(key string) {
+func (d *DiskCache) unpin(key string) {
 	if d == nil || key == "" {
 		return
 	}

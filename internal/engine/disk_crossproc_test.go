@@ -95,7 +95,7 @@ func TestDiskCacheScanRacesEviction(t *testing.T) {
 			default:
 			}
 			key := fmt.Sprintf("cell-%03d", i%n)
-			os.Remove(filepath.Join(seed.Dir(), key+".json"))
+			os.Remove(filepath.Join(seed.dir, key+".json"))
 			// Errors are fine here: the cell is just absent for one scan.
 			seed.store(key, diskCell{Size: 1 << 20, Overhead: 1.5})
 		}
@@ -159,7 +159,7 @@ func TestDiskCacheConcurrentBudgetedCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	des, err := os.ReadDir(fresh.Dir())
+	des, err := os.ReadDir(fresh.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

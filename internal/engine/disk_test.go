@@ -35,7 +35,7 @@ func TestDiskCachePersistsAcrossRunners(t *testing.T) {
 	if st := rn1.Stats(); st.DiskWrites != 1 || st.DiskHits != 0 || st.Runs != 1 {
 		t.Fatalf("cold stats = %+v", st)
 	}
-	if _, err := os.Stat(filepath.Join(d.Dir(), key+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(d.dir, key+".json")); err != nil {
 		t.Fatalf("persisted cell missing: %v", err)
 	}
 
@@ -88,7 +88,7 @@ func TestDiskCacheCorruptEntryRecovered(t *testing.T) {
 	}
 	held := diskCell{Size: 1, Elapsed: 42}
 	for _, tc := range corrupt {
-		path := filepath.Join(d.Dir(), key+".json")
+		path := filepath.Join(d.dir, key+".json")
 		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestDiskCacheFileBytesPinned(t *testing.T) {
 	if _, err := doAs(New(WithDiskCache(d)), key, nil, func(*sim.Arena) (sampleCell, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(filepath.Join(d.Dir(), key+".json")); err != nil || string(got) != cellFileBytes {
+	if got, err := os.ReadFile(filepath.Join(d.dir, key+".json")); err != nil || string(got) != cellFileBytes {
 		t.Fatalf("store wrote %q (%v), want %q", got, err, cellFileBytes)
 	}
 
@@ -163,7 +163,7 @@ func TestDiskCacheFileBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(d.Dir(), key+".json"), []byte(cellFileBytes), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(d.dir, key+".json"), []byte(cellFileBytes), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rn := New(WithDiskCache(d))
@@ -232,7 +232,7 @@ func TestDiskCacheErrorsNeverPersisted(t *testing.T) {
 	if _, err := doAs(rn, key, nil, func(*sim.Arena) (diskCell, error) { return diskCell{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(d.Dir(), key+".json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(d.dir, key+".json")); !os.IsNotExist(err) {
 		t.Fatalf("failed cell was persisted (stat err %v)", err)
 	}
 	// A fresh runner recomputes; the permanent error was only memoized in
@@ -259,7 +259,7 @@ func TestDiskCacheFailedStoreLeavesNoTempFile(t *testing.T) {
 	if _, err := d.store(key, diskCell{Size: 1}); err == nil {
 		t.Fatal("store over a directory succeeded")
 	}
-	des, err := os.ReadDir(d.Dir())
+	des, err := os.ReadDir(d.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestPlainDoSkipsDisk(t *testing.T) {
 	if st := rn.Stats(); st.DiskWrites != 0 || st.DiskHits != 0 {
 		t.Fatalf("stats = %+v, want no disk traffic", st)
 	}
-	if _, err := os.Stat(filepath.Join(d.Dir(), "k.json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(d.dir, "k.json")); !os.IsNotExist(err) {
 		t.Fatalf("plain Do persisted a cell (stat err %v)", err)
 	}
 }

@@ -168,9 +168,6 @@ func OrDefault(r *Runner) *Runner {
 	return New()
 }
 
-// Workers returns the worker bound.
-func (r *Runner) Workers() int { return r.workers }
-
 // Stats reports cumulative scheduling and cache counters.
 type Stats struct {
 	// Cells is the number of grid/map cells executed.
@@ -346,7 +343,7 @@ func (r *Runner) do(key string, decode decodeFunc, rc *remoteCell, fn cellFunc) 
 		atomic.AddInt64(&r.hits, 1)
 		if r.obs != nil {
 			r.obs.CellDone(CellEvent{
-				Experiment: r.Experiment(),
+				Experiment: r.currentExperiment(),
 				Key:        key,
 				Source:     SourceMemo,
 				Value:      e.val,
@@ -387,8 +384,8 @@ func (r *Runner) compute(key string, decode decodeFunc, rc *remoteCell, fn cellF
 		// Pin the cell for the whole resolution (load, compute, store):
 		// the eviction policy must never delete a cell that is currently
 		// being served.
-		r.disk.Pin(key)
-		defer r.disk.Unpin(key)
+		r.disk.pin(key)
+		defer r.disk.unpin(key)
 		if v, n, ok := r.disk.load(key, decode); ok {
 			atomic.AddInt64(&r.diskHits, 1)
 			atomic.AddInt64(&r.diskReadB, n)
@@ -574,14 +571,14 @@ func (r *Runner) Sweep(ctx context.Context, n int, cost func(i int) float64, fn 
 	}
 	r.sweepBegun()
 	defer r.sweepDone()
-	exp := r.Experiment()
+	exp := r.currentExperiment()
 	var order []int // nil = ascending index
 	if cost != nil {
 		costs := make([]float64, n)
 		for i := range costs {
 			costs[i] = cost(i)
 		}
-		order = LPTOrder(costs)
+		order = lptOrder(costs)
 	}
 
 	results := make([]any, n)

@@ -107,7 +107,7 @@ func (r *Runner) runRemote(key string, rc *remoteCell, decode decodeFunc, fn cel
 	}
 	res, err := r.exec.Execute(context.Background(), RemoteTask{
 		Key:        key,
-		Experiment: r.Experiment(),
+		Experiment: r.currentExperiment(),
 		Kind:       rc.kind,
 		Config:     rc.payload,
 	})

@@ -240,7 +240,7 @@ func TestLanesFewerTasksThanWorkers(t *testing.T) {
 // outer Sweep gets an arena, lanes hand arenas on instead of making one per
 // cell, values match runs on no arena, and nothing outlives the outer Sweep.
 func TestLanesArenasNested(t *testing.T) {
-	rc := stats.DefaultRunConfig()
+	rc, _ := stats.ParseRunConfig("") // the defaults
 	seenArenas()
 	want := forkEnds(t)
 	if seen := seenArenas(); len(seen) != 1 || seen[nil] != 6 {

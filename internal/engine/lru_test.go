@@ -36,7 +36,7 @@ func TestDiskCacheLRUEviction(t *testing.T) {
 		t.Fatal("LRU entry b survived eviction")
 	}
 	for _, key := range []string{"a", "c"} {
-		if _, err := os.Stat(filepath.Join(d.Dir(), key+".json")); err != nil {
+		if _, err := os.Stat(filepath.Join(d.dir, key+".json")); err != nil {
 			t.Fatalf("recent entry %s evicted: %v", key, err)
 		}
 	}
@@ -48,32 +48,32 @@ func TestDiskCacheLRUEviction(t *testing.T) {
 
 // TestDiskCachePinBlocksEviction: a pinned key (a cell currently being
 // served) survives eviction even when it is the LRU victim and the cache
-// is over budget; the final Unpin makes it reclaimable again.
+// is over budget; the final unpin makes it reclaimable again.
 func TestDiskCachePinBlocksEviction(t *testing.T) {
 	d, err := OpenDiskCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := put(t, d, "pinned")
-	d.Pin("pinned")
-	d.Pin("pinned") // pins nest
+	d.pin("pinned")
+	d.pin("pinned") // pins nest
 
 	put(t, d, "x")
 	d.SetBudget(one) // only room for one entry; LRU victim is "pinned"
 
-	if _, err := os.Stat(filepath.Join(d.Dir(), "pinned.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(d.dir, "pinned.json")); err != nil {
 		t.Fatalf("pinned entry evicted: %v", err)
 	}
 	if _, _, ok := d.load("x", decodeAs[diskCell]); ok {
 		t.Fatal("unpinned entry x survived while the cache was over budget")
 	}
 
-	d.Unpin("pinned")
-	if _, err := os.Stat(filepath.Join(d.Dir(), "pinned.json")); err != nil {
+	d.unpin("pinned")
+	if _, err := os.Stat(filepath.Join(d.dir, "pinned.json")); err != nil {
 		t.Fatal("entry evicted while still pinned once")
 	}
-	// Second Unpin releases the key; the store below must evict it.
-	d.Unpin("pinned")
+	// Second unpin releases the key; the store below must evict it.
+	d.unpin("pinned")
 	put(t, d, "y")
 	if _, _, ok := d.load("pinned", decodeAs[diskCell]); ok {
 		t.Fatal("fully unpinned LRU entry survived eviction")

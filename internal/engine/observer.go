@@ -164,8 +164,8 @@ func (r *Runner) SetExperiment(name string) {
 	r.mu.Unlock()
 }
 
-// Experiment returns the current experiment label.
-func (r *Runner) Experiment() string {
+// currentExperiment returns the current experiment label.
+func (r *Runner) currentExperiment() string {
 	if r == nil {
 		return ""
 	}
@@ -194,7 +194,7 @@ func (r *Runner) observedCompute(key string, decode decodeFunc, rc *remoteCell, 
 	t0 := time.Now()
 	v, src, attempts, err := r.compute(key, decode, rc, fn)
 	ev := CellEvent{
-		Experiment: r.Experiment(),
+		Experiment: r.currentExperiment(),
 		Key:        key,
 		Source:     src,
 		Attempts:   attempts,

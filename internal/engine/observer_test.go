@@ -29,7 +29,7 @@ func (o *recordingObserver) TaskDone(ev TaskEvent) {
 func TestSetExperimentNilSafe(t *testing.T) {
 	var rn *Runner
 	rn.SetExperiment("x") // must not panic
-	if got := rn.Experiment(); got != "" {
+	if got := rn.currentExperiment(); got != "" {
 		t.Fatalf("nil runner experiment = %q", got)
 	}
 }

@@ -218,7 +218,7 @@ func TestPanickingCellIsAnUncachedError(t *testing.T) {
 	if st := rn.Stats(); st.Retries != 0 || st.DiskWrites != 0 {
 		t.Fatalf("stats after a panic: %d retries, %d disk writes; want 0 and 0", st.Retries, st.DiskWrites)
 	}
-	if _, err := os.Stat(filepath.Join(d.Dir(), key+".json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(d.dir, key+".json")); !os.IsNotExist(err) {
 		t.Fatalf("panicked cell was persisted (stat err %v)", err)
 	}
 	// Not memoized: the same runner computes the key again.

@@ -46,10 +46,10 @@ package engine
 
 import "sort"
 
-// LPTOrder returns the longest-predicted-first dispatch permutation for the
+// lptOrder returns the longest-predicted-first dispatch permutation for the
 // given per-index costs: indices sorted by cost descending, ties broken by
 // the smaller index — fully deterministic in the costs.
-func LPTOrder(costs []float64) []int {
+func lptOrder(costs []float64) []int {
 	order := make([]int, len(costs))
 	for i := range order {
 		order[i] = i

@@ -147,7 +147,7 @@ func TestScheduleStatsAccounting(t *testing.T) {
 }
 
 func TestLPTOrderDeterministicTies(t *testing.T) {
-	order := LPTOrder([]float64{1, 5, 3, 5})
+	order := lptOrder([]float64{1, 5, 3, 5})
 	want := []int{1, 3, 2, 0} // descending cost, ties by smaller index
 	for i := range want {
 		if order[i] != want[i] {

@@ -66,7 +66,7 @@ func quickCells(t *testing.T) []replayed {
 	x := &captureExec{}
 	env := Env{Runner: engine.New(engine.WithExecutor(x))}
 	for _, fig := range Numbers() {
-		if _, err := env.Generate(fig, Quick()); err != nil {
+		if _, err := env.Generate(fig, quick()); err != nil {
 			t.Fatalf("figure %d: %v", fig, err)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // parallel runner twice (a fresh runner and cache each pass) is
 // byte-identical. Host concurrency may only change wall-clock time.
 func TestQuickFiguresDeterministic(t *testing.T) {
-	sc := Quick()
+	sc := quick()
 	render := func() string {
 		env := Env{Runner: engine.New(engine.Workers(8))}
 		var sb strings.Builder

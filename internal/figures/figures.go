@@ -57,8 +57,8 @@ type Scale struct {
 	SnapNodes []int
 }
 
-// Full approximates the paper's parameter ranges.
-func Full() Scale {
+// full approximates the paper's parameter ranges.
+func full() Scale {
 	return Scale{
 		Name:        "full",
 		Iterations:  10,
@@ -77,8 +77,8 @@ func Full() Scale {
 	}
 }
 
-// Quick shrinks the sweeps for tests and benchmarks.
-func Quick() Scale {
+// quick shrinks the sweeps for tests and benchmarks.
+func quick() Scale {
 	return Scale{
 		Name:        "quick",
 		Iterations:  3,
@@ -101,9 +101,9 @@ func Quick() Scale {
 func ScaleByName(name string) (Scale, error) {
 	switch name {
 	case "", "quick":
-		return Quick(), nil
+		return quick(), nil
 	case "full":
-		return Full(), nil
+		return full(), nil
 	}
 	return Scale{}, fmt.Errorf("figures: unknown scale %q (want quick|full)", name)
 }

@@ -10,7 +10,7 @@ import (
 
 // tiny returns an even smaller scale than Quick for unit tests.
 func tiny() Scale {
-	sc := Quick()
+	sc := quick()
 	sc.MetricSizes = []int64{64 << 10, 4 << 20}
 	sc.PartCounts = []int{1, 16}
 	sc.SweepSizes = []int64{128 << 10}
@@ -46,10 +46,10 @@ func TestGenerateAllFigures(t *testing.T) {
 }
 
 func TestGenerateUnknownFigure(t *testing.T) {
-	if _, err := (Env{}).Generate(3, Quick()); err == nil {
+	if _, err := (Env{}).Generate(3, quick()); err == nil {
 		t.Fatal("figure 3 accepted")
 	}
-	if _, err := (Env{}).Generate(14, Quick()); err == nil {
+	if _, err := (Env{}).Generate(14, quick()); err == nil {
 		t.Fatal("figure 14 accepted")
 	}
 }
@@ -71,7 +71,7 @@ func TestParseScale(t *testing.T) {
 }
 
 func TestScalesAreSane(t *testing.T) {
-	for _, sc := range []Scale{Quick(), Full()} {
+	for _, sc := range []Scale{quick(), full()} {
 		if sc.Iterations <= 0 || len(sc.MetricSizes) == 0 || len(sc.PartCounts) == 0 {
 			t.Fatalf("scale %s incomplete: %+v", sc.Name, sc)
 		}

@@ -11,7 +11,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenScale is frozen independently of Quick() so intentional changes to
+// goldenScale is frozen independently of quick() so intentional changes to
 // the quick sweep do not silently invalidate the regression baseline.
 func goldenScale() Scale {
 	return Scale{

@@ -94,7 +94,7 @@ func TestQuickChaosTraffic(t *testing.T) {
 							}
 							pr.Wait(p)
 						} else {
-							c.sendData(p, ex.to, ex.tag, c.ctxP2P(), ex.body)
+							c.sendData(p, ex.to, ex.tag, ctxP2P, ex.body)
 						}
 					}
 					if ex.to == r {
@@ -108,7 +108,7 @@ func TestQuickChaosTraffic(t *testing.T) {
 								ok = false
 							}
 						} else {
-							data := c.recvData(p, ex.from, ex.tag, c.ctxP2P())
+							data := c.recvData(p, ex.from, ex.tag, ctxP2P)
 							if !bytes.Equal(data, ex.body) {
 								ok = false
 							}

@@ -36,12 +36,12 @@ func (c *Comm) Barrier(p *sim.Proc) {
 
 // recvColl posts and completes a receive on the collective context.
 func (c *Comm) recvColl(p *sim.Proc, src, tag int) {
-	c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxColl()).finish(p)
+	c.irecvOn(p, c.state().takeReq(), src, tag, ctxColl).finish(p)
 }
 
 // isendColl starts a send of size bytes on the collective context.
 func (c *Comm) isendColl(p *sim.Proc, dest, tag int, size int64) *Request {
-	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxColl(), size)
+	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, ctxColl, size)
 }
 
 // sendColl sends on the collective context and waits for local completion.
@@ -109,25 +109,4 @@ func (c *Comm) reduce(p *sim.Proc, root int, size int64) {
 func (c *Comm) Allreduce(p *sim.Proc, size int64) {
 	c.reduce(p, 0, size)
 	c.Bcast(p, 0, size)
-}
-
-// allgather models every rank contributing size bytes and receiving all
-// contributions, via a ring: n-1 steps, each forwarding the block received
-// in the previous step.
-func (c *Comm) allgather(p *sim.Proc, size int64) {
-	n := c.size()
-	gen := c.barrierGen
-	c.barrierGen++
-	if n == 1 {
-		p.Sleep(c.world.cfg.CallOverhead)
-		return
-	}
-	right := (c.Rank() + 1) % n
-	left := (c.Rank() - 1 + n) % n
-	for step := 0; step < n-1; step++ {
-		tag := c.collTag(gen, step)
-		sreq := c.isendColl(p, right, tag, size)
-		c.recvColl(p, left, tag)
-		sreq.finish(p)
-	}
 }

@@ -79,24 +79,6 @@ func TestBcastDataSingleRank(t *testing.T) {
 	})
 }
 
-func TestDataCollectivesOnSubcomm(t *testing.T) {
-	runWorld(t, 6, nil, func(c *Comm, p *sim.Proc) {
-		sub := c.Split(p, c.Rank()%2, c.Rank())
-		mine := []byte{byte(c.Rank())}
-		all := sub.allgatherData(p, mine)
-		if len(all) != 3 {
-			t.Errorf("subcomm allgather %d parts", len(all))
-			return
-		}
-		for i, part := range all {
-			wantWorld := byte(c.Rank()%2 + 2*i)
-			if part[0] != wantWorld {
-				t.Errorf("subcomm slot %d = %d, want %d", i, part[0], wantWorld)
-			}
-		}
-	})
-}
-
 func TestBcastDataLargePayloadRendezvous(t *testing.T) {
 	payload := make([]byte, 1<<20)
 	for i := range payload {
@@ -142,7 +124,7 @@ func (c *Comm) bcastData(p *sim.Proc, root int, data []byte) []byte {
 		for mask < n {
 			if vrank&mask != 0 {
 				src := (vrank - mask + root) % n
-				data = c.recvData(p, src, tag, c.ctxColl())
+				data = c.recvData(p, src, tag, ctxColl)
 				break
 			}
 			mask <<= 1
@@ -153,7 +135,7 @@ func (c *Comm) bcastData(p *sim.Proc, root int, data []byte) []byte {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vrank+mask < n {
 			dst := (vrank + mask + root) % n
-			c.sendData(p, dst, tag, c.ctxColl(), data)
+			c.sendData(p, dst, tag, ctxColl, data)
 		}
 	}
 	return data
@@ -172,7 +154,7 @@ func (c *Comm) gatherData(p *sim.Proc, root int, data []byte) [][]byte {
 	}
 	tag := c.collTag(gen, 0)
 	if c.Rank() != root {
-		c.sendData(p, root, tag, c.ctxColl(), data)
+		c.sendData(p, root, tag, ctxColl, data)
 		return nil
 	}
 	out := make([][]byte, n)
@@ -183,7 +165,7 @@ func (c *Comm) gatherData(p *sim.Proc, root int, data []byte) [][]byte {
 		if r == root {
 			continue
 		}
-		out[r] = c.recvData(p, r, tag, c.ctxColl())
+		out[r] = c.recvData(p, r, tag, ctxColl)
 	}
 	return out
 }

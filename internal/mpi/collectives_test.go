@@ -51,19 +51,6 @@ func TestScatterLeavesRootEarly(t *testing.T) {
 	}
 }
 
-func TestAllgatherAllFinishTogether(t *testing.T) {
-	done := runColl(t, 4, func(c *Comm, p *sim.Proc) {
-		c.allgather(p, 32<<10)
-	})
-	for r := 1; r < 4; r++ {
-		if done[r] != done[0] {
-			// Symmetric ring with identical work: all ranks finish at the
-			// same virtual time.
-			t.Fatalf("allgather finish times differ: %v vs %v", done[0], done[r])
-		}
-	}
-}
-
 func TestAlltoallPowerOfTwo(t *testing.T) {
 	done := runColl(t, 8, func(c *Comm, p *sim.Proc) {
 		c.alltoall(p, 16<<10)
@@ -90,7 +77,6 @@ func TestCollectivesSingleRankNoOp(t *testing.T) {
 	runColl(t, 1, func(c *Comm, p *sim.Proc) {
 		c.reduce(p, 0, 1024)
 		c.scatter(p, 0, 1024)
-		c.allgather(p, 1024)
 		c.alltoall(p, 1024)
 	})
 }
@@ -101,7 +87,6 @@ func TestRepeatedCollectivesNoCrossMatch(t *testing.T) {
 	runColl(t, 4, func(c *Comm, p *sim.Proc) {
 		p.Sleep(sim.Duration(c.Rank()*977) * sim.Nanosecond)
 		for i := 0; i < 5; i++ {
-			c.allgather(p, 1024)
 			c.alltoall(p, 512)
 			c.reduce(p, i%4, 256)
 			c.Barrier(p)
@@ -131,8 +116,8 @@ func TestAlltoallMovesExpectedBytes(t *testing.T) {
 }
 
 // The runtime's collectives are Barrier, Bcast and Allreduce, plus the
-// flat reduce and the ring allgather Allreduce and Split are built from;
-// the flat reduce is also the flat gather the tests call. The flat scatter
+// flat reduce Allreduce is built from; the flat reduce is also the flat
+// gather the tests call. The flat scatter
 // and the pairwise alltoall below are built in the test on the collective
 // context, to check fan-in and fan-out timing, tag-block isolation between
 // back-to-back collectives and the bytes the NICs move.

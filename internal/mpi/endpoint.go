@@ -36,7 +36,7 @@ func (c *Comm) Endpoint(thread int) *Endpoint {
 
 // IsendBytes starts a size-only nonblocking send from this thread.
 func (e *Endpoint) IsendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return e.c.isendOn(p, e.c.state().takeReq(), e.thread, dest, tag, e.c.ctxP2P(), size)
+	return e.c.isendOn(p, e.c.state().takeReq(), e.thread, dest, tag, ctxP2P, size)
 }
 
 // SendBytes is the blocking form of IsendBytes.

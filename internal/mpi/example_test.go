@@ -62,27 +62,6 @@ func ExampleComm_PsendInit() {
 	// Output: all 4 partitions arrived
 }
 
-// ExampleComm_SendrecvBytes shows the deadlock-free combined exchange on a
-// ring: every rank sends to its right neighbour while it receives from its
-// left one.
-func ExampleComm_SendrecvBytes() {
-	s := sim.New()
-	const ranks = 3
-	w := mpi.NewWorld(s, mpi.DefaultConfig(ranks))
-	sent := make([]int64, ranks)
-	w.Launch("ring", func(c *mpi.Comm, p *sim.Proc) {
-		right := (c.Rank() + 1) % ranks
-		left := (c.Rank() - 1 + ranks) % ranks
-		c.SendrecvBytes(p, right, 0, 4096, left, 0)
-		sent[c.Rank()] = c.NICStats().Bytes
-	})
-	if err := s.Run(); err != nil {
-		panic(err)
-	}
-	fmt.Println(sent)
-	// Output: [4096 4096 4096]
-}
-
 // ExampleComm_PBcastInit shows a partitioned broadcast: the root's threads
 // contribute partitions over time and the tree forwards each one as it
 // lands.

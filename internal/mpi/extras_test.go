@@ -15,12 +15,12 @@ func TestSendrecvShiftNoDeadlock(t *testing.T) {
 	runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
 		right := (c.Rank() + 1) % ranks
 		left := (c.Rank() - 1 + ranks) % ranks
-		c.SendrecvBytes(p, right, 0, 64, left, 0)
+		c.sendrecv(p, right, 0, 64, left, 0)
 		done[c.Rank()] = true
 	})
 	for r, ok := range done {
 		if !ok {
-			t.Errorf("rank %d did not return from SendrecvBytes", r)
+			t.Errorf("rank %d did not return from sendrecv", r)
 		}
 	}
 }
@@ -31,7 +31,7 @@ func TestSendrecvBytesLargeRing(t *testing.T) {
 	w := runWorld(t, ranks, nil, func(c *Comm, p *sim.Proc) {
 		right := (c.Rank() + 1) % ranks
 		left := (c.Rank() - 1 + ranks) % ranks
-		c.SendrecvBytes(p, right, 0, 1<<20, left, 0)
+		c.sendrecv(p, right, 0, 1<<20, left, 0)
 	})
 	for r := 0; r < ranks; r++ {
 		if n := w.Comm(r).NICStats().Bytes; n != 1<<20 {
@@ -108,14 +108,14 @@ func TestProbeSeesEnvelopeWithoutConsuming(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			c.sendData(p, 1, 5, c.ctxP2P(), []byte("hello"))
+			c.sendData(p, 1, 5, ctxP2P, []byte("hello"))
 		case 1:
 			ps := c.probe(p, 0, 5)
 			if ps.Source != 0 || ps.Tag != 5 || ps.Size != 5 {
 				t.Errorf("probe status = %+v", ps)
 			}
 			// The message must still be receivable.
-			data := c.recvData(p, 0, 5, c.ctxP2P())
+			data := c.recvData(p, 0, 5, ctxP2P)
 			if string(data) != "hello" {
 				t.Errorf("after probe, received %q", data)
 			}
@@ -135,7 +135,7 @@ func TestSsendCompletesOnlyWhenMatched(t *testing.T) {
 		case 1:
 			p.Sleep(time100us)
 			recvPost = p.Now()
-			data := c.recvData(p, 0, 0, c.ctxP2P())
+			data := c.recvData(p, 0, 0, ctxP2P)
 			if string(data) != "x" {
 				t.Errorf("ssend payload = %q", data)
 			}
@@ -169,11 +169,11 @@ func TestSendrecvSelf(t *testing.T) {
 	// with periodic boundaries on tiny grids).
 	done := false
 	runWorld(t, 1, nil, func(c *Comm, p *sim.Proc) {
-		c.SendrecvBytes(p, 0, 0, 8, 0, 0)
+		c.sendrecv(p, 0, 0, 8, 0, 0)
 		done = true
 	})
 	if !done {
-		t.Error("self SendrecvBytes did not return")
+		t.Error("self sendrecv did not return")
 	}
 }
 
@@ -249,12 +249,12 @@ func (c *Comm) iprobe(p *sim.Proc, src, tag int) (probeStatus, bool) {
 	call := c.enter(p, 0)
 	defer call.done()
 	q := &c.state().matcher.unexpected
-	k := matchKey{c.ctxP2P(), c.worldOf(src), tag}
+	k := matchKey{ctxP2P, c.checkRank(src), tag}
 	for i, u := range q.slots {
 		if u.key() == k {
 			// Read the envelope before sleeping: another thread of this rank
 			// may receive the message meanwhile, and the record is recycled.
-			ps := probeStatus{Source: c.localOf(u.src), Tag: u.tag, Size: u.size}
+			ps := probeStatus{Source: u.src, Tag: u.tag, Size: u.size}
 			p.Sleep(sim.Duration(i+1) * c.world.cfg.MatchPerElement)
 			return ps, true
 		}
@@ -284,7 +284,7 @@ func (c *Comm) probe(p *sim.Proc, src, tag int) probeStatus {
 // gives.
 func (c *Comm) issend(p *sim.Proc, dest, tag int, data []byte) *Request {
 	sreq := c.state().takeReq()
-	sreq.comm, sreq.kind, sreq.peer, sreq.tag, sreq.ctx = c, sendReq, c.worldOf(dest), tag, c.ctxP2P()
+	sreq.comm, sreq.kind, sreq.peer, sreq.tag, sreq.ctx = c, sendReq, c.checkRank(dest), tag, ctxP2P
 	sreq.size, sreq.data = int64(len(data)), data
 	call := c.enter(p, 0)
 	c.world.startRendezvous(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(0, sreq.size))

@@ -126,7 +126,7 @@ func TestFreedRequestsServeTheNextCall(t *testing.T) {
 					payload := bytes.Repeat([]byte{byte(i)}, int(size))
 					if th == 0 { // main-thread calls carrying a payload
 						rr = c.Irecv(p, peer, th)
-						sr = c.isendData(p, peer, th, c.ctxP2P(), payload)
+						sr = c.isendData(p, peer, th, ctxP2P, payload)
 					} else {
 						rr = ep.Irecv(p, peer, th)
 						sr = ep.IsendBytes(p, peer, th, size)

@@ -1,7 +1,7 @@
 // Package mpi implements a message-passing runtime with MPI-like semantics
-// on top of the deterministic simulation kernel: communicators, tag matching
-// with posted/unexpected queues, blocking, nonblocking and persistent
-// point-to-point operations, eager and rendezvous protocols, basic
+// on top of the deterministic simulation kernel: the world communicator,
+// tag matching with posted/unexpected queues, blocking, nonblocking and
+// persistent point-to-point operations, eager and rendezvous protocols, basic
 // collectives, the three MPI threading modes with a lock-contention model,
 // and — the subject of the paper — MPI 4.0 partitioned point-to-point
 // communication with two interchangeable implementations (an MPIPCL-style
@@ -234,14 +234,11 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Matching contexts keep independent traffic classes (and independent
-// communicators) from interfering. Every communicator owns a block of three
-// consecutive context ids.
+// Matching contexts keep independent traffic classes from interfering.
 const (
-	ctxOffP2P  = 0 // user point-to-point
-	ctxOffColl = 1 // collectives
-	ctxOffPccl = 2 // MPIPCL internal per-partition messages
-	ctxStride  = 3
+	ctxP2P  = 0 // user point-to-point
+	ctxColl = 1 // collectives
+	ctxPccl = 2 // MPIPCL internal per-partition messages
 )
 
 // rankState is the per-process library state. All of it — NIC, matcher,
@@ -316,8 +313,9 @@ type recordList struct {
 	max int
 }
 
+// partKey pairs native partitioned requests in the receiver's registry.
 type partKey struct {
-	src, tag, ctx int
+	src, tag int
 }
 
 // World is a set of simulated MPI ranks sharing an interconnect.
@@ -343,12 +341,6 @@ type World struct {
 	// records holds one message-record free list per scheduler: one in a
 	// sequential world, one per shard in a sharded one.
 	records []recordList
-
-	// nextCtx hands each created communicator a fresh context block.
-	nextCtx int
-	// splits coordinates in-progress Comm.Split operations; made on first
-	// use.
-	splits map[splitKey]*splitState
 }
 
 // NewWorld builds a world on the scheduler. Nil Config sub-models are filled
@@ -395,10 +387,9 @@ func NewWorld(s *sim.Scheduler, cfg Config) *World {
 // for a later, larger world; the record free list keeps at most what the
 // new world's cap allows.
 func (w *World) reset(s *sim.Scheduler, cfg Config) {
-	w.s, w.cfg, w.group, w.nextCtx = s, cfg, nil, ctxStride
+	w.s, w.cfg, w.group = s, cfg, nil
 	w.congested, _ = cfg.Topology.(netsim.Congested)
 	w.single = cluster.Place(cfg.Machine, 1)
-	clear(w.splits)
 
 	if len(w.records) == 0 {
 		w.records = make([]recordList, 1)
@@ -445,8 +436,8 @@ func extend[T any](xs []T, n int) []T {
 //
 // Restrictions in multi-shard worlds: the group's lookahead must not exceed
 // the minimum cross-shard wire latency of the topology
-// (netsim.MinCrossLatency), Comm.Split is unavailable, and all Comm handles
-// must be created before the group runs.
+// (netsim.MinCrossLatency), and all Comm handles must be created before the
+// group runs.
 func NewShardedWorld(g *sim.ShardGroup, cfg Config, shardOf func(rank int) int) (*World, error) {
 	w := NewWorld(g.Shard(0), cfg)
 	cfg = w.cfg // defaults filled in
@@ -488,9 +479,6 @@ func (w *World) latency(src, dst int) sim.Duration {
 	return w.cfg.Topology.Latency(src, dst)
 }
 
-// Config returns the world configuration.
-func (w *World) Config() Config { return w.cfg }
-
 // Comm returns the world communicator handle for the given rank. Handles
 // are cached: repeated calls return the same object, so collective sequence
 // numbers stay consistent. The handle is bound to a single-thread placement
@@ -525,76 +513,35 @@ func (w *World) Launch(name string, fn func(c *Comm, p *sim.Proc)) {
 	}
 }
 
-// Comm is a communicator handle bound to one rank. It also carries the
+// Comm is the world communicator handle of one rank. It also carries the
 // rank's thread placement so thread-aware calls (Endpoint, partitioned
 // Pready) can charge socket-dependent costs.
 type Comm struct {
-	world *World
-	// rank is this process's WORLD rank; Rank() returns the communicator-
-	// local rank.
-	rank int
-	// group lists the communicator's member world ranks in local-rank
-	// order; nil means the world communicator (identity mapping).
-	group []int
-	// ctxBase is the communicator's matching-context block (ctxStride ids).
-	ctxBase   int
+	world     *World
+	rank      int
 	placement *cluster.Placement
 	// endpoints caches the per-thread handles Endpoint returns.
 	endpoints []Endpoint
-	// barrierGen, pbcastSeq and splitGen are per-rank collective sequence
-	// numbers; they stay aligned across ranks because MPI requires every
-	// rank to issue collectives in the same order.
+	// barrierGen and pbcastSeq are per-rank collective sequence numbers;
+	// they stay aligned across ranks because MPI requires every rank to
+	// issue collectives in the same order.
 	barrierGen int
 	pbcastSeq  int
-	splitGen   int
 }
 
-// ctxP2P/ctxColl/ctxPccl return the communicator's matching contexts.
-func (c *Comm) ctxP2P() int  { return c.ctxBase + ctxOffP2P }
-func (c *Comm) ctxColl() int { return c.ctxBase + ctxOffColl }
-func (c *Comm) ctxPccl() int { return c.ctxBase + ctxOffPccl }
-
-// worldOf translates a communicator-local rank to a world rank.
-func (c *Comm) worldOf(local int) int {
-	if c.group == nil {
-		if local < 0 || local >= c.world.cfg.Ranks {
-			panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", local, c.world.cfg.Ranks))
-		}
-		return local
+// checkRank returns rank, panicking when it names no rank of the world.
+func (c *Comm) checkRank(rank int) int {
+	if rank < 0 || rank >= c.world.cfg.Ranks {
+		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, c.world.cfg.Ranks))
 	}
-	if local < 0 || local >= len(c.group) {
-		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", local, len(c.group)))
-	}
-	return c.group[local]
+	return rank
 }
 
-// localOf translates a world rank to this communicator's local rank (-1 if
-// the rank is not a member).
-func (c *Comm) localOf(world int) int {
-	if c.group == nil {
-		return world
-	}
-	for i, r := range c.group {
-		if r == world {
-			return i
-		}
-	}
-	return -1
-}
+// Rank returns the calling process's rank.
+func (c *Comm) Rank() int { return c.rank }
 
-// Rank returns the calling process's rank within this communicator.
-func (c *Comm) Rank() int { return c.localOf(c.rank) }
-
-// WorldRank returns the calling process's world rank.
-func (c *Comm) WorldRank() int { return c.rank }
-
-// size returns the number of ranks in the communicator.
-func (c *Comm) size() int {
-	if c.group == nil {
-		return c.world.cfg.Ranks
-	}
-	return len(c.group)
-}
+// size returns the number of ranks in the world.
+func (c *Comm) size() int { return c.world.cfg.Ranks }
 
 // SetPlacement installs the thread→core layout used by thread-aware calls.
 func (c *Comm) SetPlacement(p *cluster.Placement) { c.placement = p }
@@ -606,9 +553,9 @@ func (c *Comm) state() *rankState { return c.world.ranks[c.rank] }
 // a sequential world).
 func (c *Comm) sched() *sim.Scheduler { return c.world.ranks[c.rank].sched }
 
-// peer returns another (communicator-local) rank's library state.
+// peer returns another rank's library state.
 func (c *Comm) peer(rank int) *rankState {
-	return c.world.ranks[c.worldOf(rank)]
+	return c.world.ranks[c.checkRank(rank)]
 }
 
 // NICStats returns the rank's NIC traffic counters.

@@ -13,7 +13,7 @@ import (
 // injected (large messages). The request comes off the rank's free list;
 // FreeAll gives it back once it has completed.
 func (c *Comm) IsendBytes(p *sim.Proc, dest, tag int, size int64) *Request {
-	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, c.ctxP2P(), size)
+	return c.isendOn(p, c.state().takeReq(), 0, dest, tag, ctxP2P, size)
 }
 
 // SendBytes is the blocking form of IsendBytes.
@@ -24,37 +24,25 @@ func (c *Comm) SendBytes(p *sim.Proc, dest, tag int, size int64) {
 // send is the blocking send from the given thread, on a request of the
 // rank's free list.
 func (c *Comm) send(p *sim.Proc, thread, dest, tag int, size int64) {
-	c.isendOn(p, c.state().takeReq(), thread, dest, tag, c.ctxP2P(), size).finish(p)
+	c.isendOn(p, c.state().takeReq(), thread, dest, tag, ctxP2P, size).finish(p)
 }
 
 // Irecv posts a nonblocking receive matching (src, tag) exactly. Like
 // IsendBytes's, its request comes off the rank's free list.
 func (c *Comm) Irecv(p *sim.Proc, src, tag int) *Request {
-	return c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxP2P())
+	return c.irecvOn(p, c.state().takeReq(), src, tag, ctxP2P)
 }
 
 // Recv blocks until a matching message arrives.
 func (c *Comm) Recv(p *sim.Proc, src, tag int) {
-	c.irecvOn(p, c.state().takeReq(), src, tag, c.ctxP2P()).finish(p)
-}
-
-// SendrecvBytes performs a combined send and receive (the analogue of
-// MPI_Sendrecv): both transfers progress concurrently, which makes the
-// classic neighbour-shift exchange deadlock-free. Its two requests come off
-// the rank's free list.
-func (c *Comm) SendrecvBytes(p *sim.Proc, dest, sendTag int, size int64, src, recvTag int) {
-	st := c.state()
-	sreq := c.isendOn(p, st.takeReq(), 0, dest, sendTag, c.ctxP2P(), size)
-	rreq := c.irecvOn(p, st.takeReq(), src, recvTag, c.ctxP2P())
-	sreq.finish(p)
-	rreq.finish(p)
+	c.irecvOn(p, c.state().takeReq(), src, tag, ctxP2P).finish(p)
 }
 
 // isendOn implements the send path on context ctx for the given sending
 // thread index, into the blank request sreq (see takeReq). It sets every
 // field of the envelope but the payload, which a blank request has none of.
 func (c *Comm) isendOn(p *sim.Proc, sreq *Request, thread, dest, tag, ctx int, size int64) *Request {
-	sreq.comm, sreq.kind, sreq.peer, sreq.tag, sreq.ctx = c, sendReq, c.worldOf(dest), tag, ctx
+	sreq.comm, sreq.kind, sreq.peer, sreq.tag, sreq.ctx = c, sendReq, c.checkRank(dest), tag, ctx
 	sreq.size, sreq.thread = size, thread
 	call := c.enter(p, 0)
 	c.world.startSend(p.Now(), c.state(), c.peer(dest), sreq, c.sendExtra(thread, size))
@@ -243,7 +231,7 @@ func (c *Comm) postRecv(p *sim.Proc, rreq *Request) {
 // irecvOn posts a receive on context ctx into the blank request rreq (see
 // isendOn).
 func (c *Comm) irecvOn(p *sim.Proc, rreq *Request, src, tag, ctx int) *Request {
-	rreq.comm, rreq.kind, rreq.peer, rreq.tag, rreq.ctx = c, recvReq, c.worldOf(src), tag, ctx
+	rreq.comm, rreq.kind, rreq.peer, rreq.tag, rreq.ctx = c, recvReq, c.checkRank(src), tag, ctx
 	call := c.enter(p, 0)
 	c.postRecv(p, rreq)
 	call.done()

@@ -44,11 +44,22 @@ func (c *Comm) sendData(p *sim.Proc, dest, tag, ctx int, data []byte) {
 	c.isendData(p, dest, tag, ctx, data).finish(p)
 }
 
-// sendrecvData is SendrecvBytes with data on the send side, returning the
+// sendrecv is the combined exchange of MPI_Sendrecv: both transfers
+// progress concurrently, which makes the neighbour shift deadlock-free. Its
+// two requests come off the rank's free list.
+func (c *Comm) sendrecv(p *sim.Proc, dest, sendTag int, size int64, src, recvTag int) {
+	st := c.state()
+	sreq := c.isendOn(p, st.takeReq(), 0, dest, sendTag, ctxP2P, size)
+	rreq := c.irecvOn(p, st.takeReq(), src, recvTag, ctxP2P)
+	sreq.finish(p)
+	rreq.finish(p)
+}
+
+// sendrecvData is sendrecv with data on the send side, returning the
 // payload received.
 func (c *Comm) sendrecvData(p *sim.Proc, dest, sendTag int, data []byte, src, recvTag int) []byte {
-	sreq := c.isendData(p, dest, sendTag, c.ctxP2P(), data)
-	got := c.recvData(p, src, recvTag, c.ctxP2P())
+	sreq := c.isendData(p, dest, sendTag, ctxP2P, data)
+	got := c.recvData(p, src, recvTag, ctxP2P)
 	sreq.finish(p)
 	return got
 }
@@ -67,7 +78,7 @@ func TestSendRecvPayloadIntegrity(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			c.sendData(p, 1, 7, c.ctxP2P(), payload)
+			c.sendData(p, 1, 7, ctxP2P, payload)
 		case 1:
 			r := c.Irecv(p, 0, 7)
 			r.Wait(p)
@@ -89,9 +100,9 @@ func TestRendezvousPayloadIntegrity(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			c.sendData(p, 1, 0, c.ctxP2P(), payload)
+			c.sendData(p, 1, 0, ctxP2P, payload)
 		case 1:
-			if !bytes.Equal(c.recvData(p, 0, 0, c.ctxP2P()), payload) {
+			if !bytes.Equal(c.recvData(p, 0, 0, ctxP2P), payload) {
 				t.Error("rendezvous payload corrupted")
 			}
 		}
@@ -113,8 +124,8 @@ func TestSmallMessageLatency(t *testing.T) {
 			recvAt = r.CompletedAt()
 		}
 	})
-	net := w.Config().Net
-	min := sim.Duration(10*sim.Microsecond) + net.SendOverhead + net.SerializationTime(1024) + net.Latency + net.RecvOverhead
+	net := w.cfg.Net
+	min := sim.Duration(10*sim.Microsecond) + net.SendOverhead + wireTime(net, 1024) + net.Latency + net.RecvOverhead
 	got := sim.Duration(recvAt)
 	if got < min || got > min+5*sim.Microsecond {
 		t.Fatalf("1KiB delivery at %v, want within [%v, %v+5us]", got, min, min)
@@ -129,7 +140,7 @@ func TestUnexpectedMessagePath(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			c.sendData(p, 1, 3, c.ctxP2P(), payload)
+			c.sendData(p, 1, 3, ctxP2P, payload)
 		case 1:
 			p.Sleep(time100us)
 			postAt = p.Now()
@@ -169,8 +180,8 @@ func TestRendezvousStallsUntilPosted(t *testing.T) {
 			recvDone = r.CompletedAt()
 		}
 	})
-	net := w.Config().Net
-	minGap := net.Latency + net.SerializationTime(size) // CTS flight + data
+	net := w.cfg.Net
+	minGap := net.Latency + wireTime(net, size) // CTS flight + data
 	if recvDone.Sub(postAt) < minGap {
 		t.Fatalf("rendezvous completed %v after post, want >= %v", recvDone.Sub(postAt), minGap)
 	}
@@ -614,7 +625,7 @@ func TestQuickDeliveryIntegrity(t *testing.T) {
 			c := w.Comm(0)
 			for _, m := range msgs {
 				p.Sleep(sim.Duration(rng.Intn(2000)))
-				c.isendData(p, 1, m.tag, c.ctxP2P(), m.body)
+				c.isendData(p, 1, m.tag, ctxP2P, m.body)
 			}
 		})
 		s.Spawn("recv", func(p *sim.Proc) {

@@ -106,7 +106,7 @@ func (c *Comm) PrecvInit(p *sim.Proc, src, tag, parts int, partBytes int64) *PRe
 }
 
 func (c *Comm) partInit(p *sim.Proc, kind reqKind, peer, tag, parts int, partBytes int64) *PRequest {
-	peer = c.worldOf(peer) // stored as a world rank
+	peer = c.checkRank(peer)
 	if parts <= 0 || parts >= maxPartitions {
 		panic(fmt.Sprintf("mpi: partition count %d out of range [1,%d)", parts, maxPartitions))
 	}
@@ -180,9 +180,9 @@ func (c *Comm) nativeBind(pr *PRequest) {
 	var key partKey
 	if pr.kind == sendReq {
 		regRank = pr.peer // registry lives at the receiver
-		key = partKey{src: c.rank, tag: pr.tag, ctx: c.ctxPccl()}
+		key = partKey{src: c.rank, tag: pr.tag}
 	} else {
-		key = partKey{src: pr.peer, tag: pr.tag, ctx: c.ctxPccl()}
+		key = partKey{src: pr.peer, tag: pr.tag}
 	}
 	reg := w.ranks[regRank]
 	self := c.sched()
@@ -292,8 +292,7 @@ func (pr *PRequest) pcclTag(i int) int { return pr.tag*maxPartitions + i }
 //
 // The epoch state is sized by the first Start — in the storage of a request
 // an earlier world made, when the init reused one — and cleared in place by
-// every later one; ArrivalTimes hands out a copy, so no caller sees it
-// reused.
+// every later one.
 func (pr *PRequest) Start(p *sim.Proc) {
 	if pr.active {
 		panic("mpi: Start on active partitioned request")
@@ -344,7 +343,7 @@ func (pr *PRequest) startMPIPCL(p *sim.Proc) {
 			kind:    recvReq,
 			peer:    pr.peer,
 			tag:     pr.pcclTag(i),
-			ctx:     c.ctxPccl(),
+			ctx:     ctxPccl,
 			part:    pr,
 			partIdx: i,
 		}
@@ -510,7 +509,7 @@ func (pr *PRequest) Pready(p *sim.Proc, i int) {
 			kind:    sendReq,
 			peer:    pr.peer,
 			tag:     pr.pcclTag(i),
-			ctx:     c.ctxPccl(),
+			ctx:     ctxPccl,
 			size:    pr.partBytes,
 			data:    payload,
 			thread:  i,
@@ -662,11 +661,4 @@ func (pr *PRequest) LastArriveAt() sim.Time {
 		}
 	}
 	return last
-}
-
-// ArrivalTimes returns a copy of all arrival times for the finished epoch.
-func (pr *PRequest) ArrivalTimes() []sim.Time {
-	out := make([]sim.Time, pr.parts)
-	copy(out, pr.arrivedTimes)
-	return out
 }

@@ -32,7 +32,7 @@ func onePartEpoch(t *testing.T, impl PartImpl, parts int, partBytes int64, sendB
 	var spr, rpr *PRequest
 	s.Spawn("sender", func(p *sim.Proc) {
 		c := w.Comm(0)
-		c.SetPlacement(cluster.Place(w.Config().Machine, parts))
+		c.SetPlacement(cluster.Place(w.cfg.Machine, parts))
 		spr = c.PsendInit(p, 1, 42, parts, partBytes)
 		if sendBuf != nil {
 			spr.BindSendBuffer(sendBuf)
@@ -480,7 +480,7 @@ func TestSocketSpilloverStepAt32Partitions(t *testing.T) {
 		var spr, rpr *PRequest
 		s.Spawn("sender", func(p *sim.Proc) {
 			c := w.Comm(0)
-			c.SetPlacement(cluster.Place(w.Config().Machine, 32))
+			c.SetPlacement(cluster.Place(w.cfg.Machine, 32))
 			spr = c.PsendInit(p, 1, 0, 32, total/32)
 			c.Barrier(p)
 			spr.Start(p)
@@ -580,7 +580,7 @@ func TestPartitionedUnderThreadMultiple(t *testing.T) {
 		done := sim.NewBarrier(parts + 1)
 		s.Spawn("sender-main", func(p *sim.Proc) {
 			c := w.Comm(0)
-			c.SetPlacement(cluster.Place(w.Config().Machine, parts))
+			c.SetPlacement(cluster.Place(w.cfg.Machine, parts))
 			spr = c.PsendInit(p, 1, 0, parts, 512)
 			c.Barrier(p)
 			for th := 0; th < parts; th++ {

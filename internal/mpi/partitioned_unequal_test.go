@@ -63,7 +63,7 @@ func TestUnequalCountsFewSendersManyReceivers(t *testing.T) {
 	}
 	// Each sender partition covers 4 receive partitions, so arrivals come
 	// in groups of four sharing a timestamp.
-	times := rpr.ArrivalTimes()
+	times := rpr.arrivedTimes
 	for g := 0; g < 4; g++ {
 		for k := 1; k < 4; k++ {
 			if times[4*g+k] != times[4*g] {
@@ -86,7 +86,7 @@ func TestUnequalCountsManySendersFewReceivers(t *testing.T) {
 	}
 	// With senders readied in order every 10us, receive partition arrival
 	// times must be strictly increasing across the 4 coarse partitions.
-	times := rpr.ArrivalTimes()
+	times := rpr.arrivedTimes
 	for j := 1; j < 4; j++ {
 		if times[j] <= times[j-1] {
 			t.Fatalf("coarse partition %d arrived at %v, not after %v", j, times[j], times[j-1])

@@ -11,9 +11,9 @@ func (c *Comm) SendInitBytes(p *sim.Proc, dest, tag int, size int64) *Request {
 	*r = Request{
 		comm:       c,
 		kind:       sendReq,
-		peer:       c.worldOf(dest),
+		peer:       c.checkRank(dest),
 		tag:        tag,
-		ctx:        c.ctxP2P(),
+		ctx:        ctxP2P,
 		size:       size,
 		persistent: true,
 		done:       r.done,
@@ -30,9 +30,9 @@ func (c *Comm) RecvInit(p *sim.Proc, src, tag int) *Request {
 	*r = Request{
 		comm:       c,
 		kind:       recvReq,
-		peer:       c.worldOf(src),
+		peer:       c.checkRank(src),
 		tag:        tag,
-		ctx:        c.ctxP2P(),
+		ctx:        ctxP2P,
 		persistent: true,
 		done:       r.done,
 	}

@@ -40,8 +40,8 @@ func TestUnexpectedSurvivesRecycling(t *testing.T) {
 	runWorld(t, 2, nil, func(c *Comm, p *sim.Proc) {
 		switch c.Rank() {
 		case 0:
-			c.sendData(p, 1, 99, c.ctxP2P(), small)
-			big := c.isendData(p, 1, 98, c.ctxP2P(), large)
+			c.sendData(p, 1, 99, ctxP2P, small)
+			big := c.isendData(p, 1, 98, ctxP2P, large)
 			for i := 0; i < rounds; i++ {
 				exchange(c, p, 1, i, 1+i%3, 3-i%3)
 			}
@@ -168,7 +168,7 @@ func TestBlockingCallsReuseRequests(t *testing.T) {
 							c.Recv(p, peer, th)
 						}
 					case 3:
-						c.SendrecvBytes(p, peer, th, 4096, peer, th)
+						c.sendrecv(p, peer, th, 4096, peer, th)
 					}
 				})
 			}

@@ -50,7 +50,7 @@ func TestShardedPingPong(t *testing.T) {
 		t.Fatalf("rank 0 elapsed = %v, want > 0", r0Elapsed)
 	}
 	// Sanity: 10 round trips must cost at least 20 one-way latencies.
-	if min := sim.Duration(2*rounds) * w.Config().Net.Latency; r0Elapsed < min {
+	if min := sim.Duration(2*rounds) * w.cfg.Net.Latency; r0Elapsed < min {
 		t.Fatalf("elapsed %v < wire minimum %v", r0Elapsed, min)
 	}
 }
@@ -158,20 +158,5 @@ func TestShardedWorldValidation(t *testing.T) {
 	g4 := sim.NewShardGroup(1, 0)
 	if _, err := NewShardedWorld(g4, cfg, func(int) int { return 0 }); err != nil {
 		t.Fatalf("single-shard world rejected: %v", err)
-	}
-}
-
-func TestShardedSplitRejected(t *testing.T) {
-	g, w := shardedPair(t, nil)
-	w.Launch("split", func(c *Comm, p *sim.Proc) {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Error("Split did not panic in a sharded world")
-			}
-		}()
-		c.Split(p, 0, c.Rank())
-	})
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -32,10 +32,6 @@ type Fabric struct {
 	globalBW float64
 	// busy[src] is the time src's global-link share is occupied until.
 	busy []sim.Time
-	// queued[src] accumulates the queuing delay src's transfers suffered.
-	queued []sim.Duration
-	// crossings[src] counts src's inter-wing transfers.
-	crossings []int64
 }
 
 // NewFabric builds a congestion-aware fabric over a Dragonfly+ shape for
@@ -50,11 +46,9 @@ func NewFabric(topo DragonflyPlus, ranks int, globalBW float64) *Fabric {
 		panic("netsim: fabric global bandwidth must be positive")
 	}
 	return &Fabric{
-		topo:      topo,
-		globalBW:  globalBW,
-		busy:      make([]sim.Time, ranks),
-		queued:    make([]sim.Duration, ranks),
-		crossings: make([]int64, ranks),
+		topo:     topo,
+		globalBW: globalBW,
+		busy:     make([]sim.Time, ranks),
 	}
 }
 
@@ -66,14 +60,11 @@ func (f *Fabric) Describe() string {
 	return fmt.Sprintf("%s, per-rank global-link share %.2gGB/s", f.topo.Describe(), f.globalBW/1e9)
 }
 
-// Wing returns the wing a rank belongs to.
-func (f *Fabric) Wing(rank int) int { return f.topo.Wing(rank) }
-
 // CrossDelay implements Congested: intra-wing transfers are free; an
 // inter-wing transfer of size bytes queues behind src's earlier global
 // transfers and then serializes at the per-rank global share.
 func (f *Fabric) CrossDelay(now sim.Time, src, dst int, size int64) sim.Duration {
-	if f.topo.Wing(src) == f.topo.Wing(dst) {
+	if f.topo.wing(src) == f.topo.wing(dst) {
 		return 0
 	}
 	start := now
@@ -85,30 +76,7 @@ func (f *Fabric) CrossDelay(now sim.Time, src, dst int, size int64) sim.Duration
 		ser = sim.Duration(float64(size) / f.globalBW * 1e9)
 	}
 	f.busy[src] = start.Add(ser)
-	wait := start.Sub(now)
-	f.queued[src] += wait
-	f.crossings[src]++
-	return wait + ser
-}
-
-// QueuedDelay returns the total global-link queuing delay suffered across
-// all ranks. Call after the simulation has finished.
-func (f *Fabric) QueuedDelay() sim.Duration {
-	var total sim.Duration
-	for _, q := range f.queued {
-		total += q
-	}
-	return total
-}
-
-// Crossings returns the total number of inter-wing transfers. Call after
-// the simulation has finished.
-func (f *Fabric) Crossings() int64 {
-	var total int64
-	for _, c := range f.crossings {
-		total += c
-	}
-	return total
+	return start.Sub(now) + ser
 }
 
 // MinCrossLatency returns the minimum one-way latency between any pair of

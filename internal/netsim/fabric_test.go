@@ -11,9 +11,6 @@ func TestFabricIntraWingUncongested(t *testing.T) {
 	if d := f.CrossDelay(0, 0, 3, 1<<20); d != 0 {
 		t.Fatalf("intra-wing delay = %v, want 0", d)
 	}
-	if f.Crossings() != 0 {
-		t.Fatalf("crossings = %d", f.Crossings())
-	}
 	if f.Latency(0, 3) != 900*sim.Nanosecond || f.Latency(0, 4) != 5*sim.Microsecond {
 		t.Fatalf("base latencies wrong: %v %v", f.Latency(0, 3), f.Latency(0, 4))
 	}
@@ -37,12 +34,6 @@ func TestFabricCrossWingQueues(t *testing.T) {
 	// A different source has its own share: no queuing.
 	if d3 := f.CrossDelay(0, 1, 4, size); d3 != ser {
 		t.Fatalf("other-source delay = %v, want %v", d3, ser)
-	}
-	if f.QueuedDelay() != ser {
-		t.Fatalf("queued = %v, want %v", f.QueuedDelay(), ser)
-	}
-	if f.Crossings() != 3 {
-		t.Fatalf("crossings = %d, want 3", f.Crossings())
 	}
 	// Once the share drains, no more queuing.
 	if d4 := f.CrossDelay(sim.Time(10*ser), 0, 4, size); d4 != ser {

@@ -91,8 +91,8 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// SerializationTime returns size/bandwidth as a duration.
-func (p *Params) SerializationTime(size int64) sim.Duration {
+// serializationTime returns size/bandwidth as a duration.
+func (p *Params) serializationTime(size int64) sim.Duration {
 	if size <= 0 {
 		return 0
 	}
@@ -101,16 +101,6 @@ func (p *Params) SerializationTime(size int64) sim.Duration {
 
 // Eager reports whether a message of the given size is sent eagerly.
 func (p *Params) Eager(size int64) bool { return size <= p.EagerThreshold }
-
-// HandshakeCost returns the extra pre-transfer cost for a message of the
-// given size: zero for eager messages, one latency round trip plus setup for
-// rendezvous.
-func (p *Params) HandshakeCost(size int64) sim.Duration {
-	if p.Eager(size) {
-		return 0
-	}
-	return 2*p.Latency + p.RendezvousSetup
-}
 
 // Stats accumulates NIC traffic counters.
 type Stats struct {
@@ -138,9 +128,6 @@ func NewNIC(params *Params) *NIC {
 	return &NIC{params: params}
 }
 
-// Params returns the NIC's cost parameters.
-func (n *NIC) Params() *Params { return n.params }
-
 // Stats returns a copy of the traffic counters.
 func (n *NIC) Stats() Stats { return n.stats }
 
@@ -166,7 +153,7 @@ func (n *NIC) InjectLat(now sim.Time, size int64, extra, oneWay sim.Duration) (t
 	if n.txBusy > start {
 		start = n.txBusy
 	}
-	cost := n.params.SendOverhead + extra + n.params.SerializationTime(size)
+	cost := n.params.SendOverhead + extra + n.params.serializationTime(size)
 	txDone = start.Add(cost)
 	n.txBusy = txDone
 	n.stats.Messages++
@@ -174,9 +161,6 @@ func (n *NIC) InjectLat(now sim.Time, size int64, extra, oneWay sim.Duration) (t
 	n.stats.TxBusy += cost
 	return txDone, txDone.Add(oneWay)
 }
-
-// TxIdleAt returns the earliest time the injection engine is free.
-func (n *NIC) TxIdleAt() sim.Time { return n.txBusy }
 
 // Deliver models receiver-side processing of a message whose last byte
 // arrived at time arrive; it returns the time the payload is visible to the
@@ -211,6 +195,6 @@ func (p *Params) MaxMessageRate() float64 {
 // of the given size: RTS and CTS control flights plus the payload flight.
 func (p *Params) RendezvousLatency(size int64) sim.Duration {
 	control := p.SendOverhead + p.Latency + p.RecvOverhead
-	data := p.RendezvousSetup + p.SendOverhead + p.SerializationTime(size) + p.Latency + p.RecvOverhead
+	data := p.RendezvousSetup + p.SendOverhead + p.serializationTime(size) + p.Latency + p.RecvOverhead
 	return 2*control + data
 }

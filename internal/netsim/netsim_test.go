@@ -33,10 +33,10 @@ func TestValidateRejectsBadParams(t *testing.T) {
 
 func TestSerializationTime(t *testing.T) {
 	p := &Params{Bandwidth: 1e9, Latency: 0, EagerThreshold: 1 << 30}
-	if got := p.SerializationTime(1e9); got != sim.Second {
+	if got := p.serializationTime(1e9); got != sim.Second {
 		t.Fatalf("1GB at 1GB/s = %v, want 1s", got)
 	}
-	if got := p.SerializationTime(0); got != 0 {
+	if got := p.serializationTime(0); got != 0 {
 		t.Fatalf("0 bytes = %v, want 0", got)
 	}
 }
@@ -49,13 +49,6 @@ func TestEagerRendezvousBoundary(t *testing.T) {
 	if p.Eager(p.EagerThreshold + 1) {
 		t.Fatal("message above threshold should be rendezvous")
 	}
-	if p.HandshakeCost(1) != 0 {
-		t.Fatal("eager message has a handshake cost")
-	}
-	want := 2*p.Latency + p.RendezvousSetup
-	if got := p.HandshakeCost(1 << 20); got != want {
-		t.Fatalf("rendezvous handshake = %v, want %v", got, want)
-	}
 }
 
 func TestInjectAccountsOverheadAndBandwidth(t *testing.T) {
@@ -63,7 +56,7 @@ func TestInjectAccountsOverheadAndBandwidth(t *testing.T) {
 	n := NewNIC(p)
 	size := int64(12000) // 1us at 12GB/s
 	txDone, arrive := n.Inject(0, size, 0)
-	wantTx := p.SendOverhead + p.SerializationTime(size)
+	wantTx := p.SendOverhead + p.serializationTime(size)
 	if txDone != sim.Time(wantTx) {
 		t.Fatalf("txDone = %v, want %v", txDone, wantTx)
 	}
@@ -89,13 +82,13 @@ func TestInjectSerializes(t *testing.T) {
 func TestInjectAfterIdleStartsImmediately(t *testing.T) {
 	n := NewNIC(EDR())
 	n.Inject(0, 1000, 0)
-	idle := n.TxIdleAt()
+	idle := n.txBusy
 	late := idle.Add(5 * sim.Microsecond)
 	txDone, _ := n.Inject(late, 1000, 0)
 	if txDone <= late {
 		t.Fatal("injection did not progress")
 	}
-	wantStartBased := late.Add(EDR().SendOverhead + EDR().SerializationTime(1000))
+	wantStartBased := late.Add(EDR().SendOverhead + EDR().serializationTime(1000))
 	if txDone != wantStartBased {
 		t.Fatalf("txDone = %v, want %v (idle NIC starts at request time)", txDone, wantStartBased)
 	}

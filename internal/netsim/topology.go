@@ -58,12 +58,12 @@ func NewDragonflyPlus(wingSize int, intra, inter sim.Duration) DragonflyPlus {
 	return DragonflyPlus{WingSize: wingSize, Intra: intra, Inter: inter}
 }
 
-// Wing returns the wing a rank belongs to.
-func (d DragonflyPlus) Wing(rank int) int { return rank / d.WingSize }
+// wing returns the wing a rank belongs to.
+func (d DragonflyPlus) wing(rank int) int { return rank / d.WingSize }
 
 // Latency implements Topology.
 func (d DragonflyPlus) Latency(src, dst int) sim.Duration {
-	if d.Wing(src) == d.Wing(dst) {
+	if d.wing(src) == d.wing(dst) {
 		return d.Intra
 	}
 	return d.Inter

@@ -20,8 +20,8 @@ func TestUniformTopology(t *testing.T) {
 
 func TestDragonflyPlusWings(t *testing.T) {
 	d := NewDragonflyPlus(4, 900*sim.Nanosecond, 1800*sim.Nanosecond)
-	if d.Wing(3) != 0 || d.Wing(4) != 1 || d.Wing(11) != 2 {
-		t.Fatalf("wing mapping wrong: %d %d %d", d.Wing(3), d.Wing(4), d.Wing(11))
+	if d.wing(3) != 0 || d.wing(4) != 1 || d.wing(11) != 2 {
+		t.Fatalf("wing mapping wrong: %d %d %d", d.wing(3), d.wing(4), d.wing(11))
 	}
 	if got := d.Latency(0, 3); got != 900*sim.Nanosecond {
 		t.Fatalf("intra-wing latency = %v", got)

@@ -148,24 +148,6 @@ func New(kind Kind, percent float64, seed int64, a *sim.Arena) *Model {
 	}
 }
 
-// NewPeriodic returns the daemon-noise model with an explicit firing
-// period; the duty cycle is percent/100, so each firing steals
-// period*percent/100 of CPU time.
-func NewPeriodic(percent float64, period sim.Duration, seed int64) *Model {
-	if period <= 0 {
-		panic("noise: periodic model needs a positive period")
-	}
-	m := New(Periodic, percent, seed, nil)
-	m.period = period
-	return m
-}
-
-// Kind returns the model kind.
-func (m *Model) Kind() Kind { return m.kind }
-
-// Percent returns the configured noise amount in percent.
-func (m *Model) Percent() float64 { return m.percent * 100 }
-
 // Region returns the per-thread compute durations for one parallel region of
 // n threads with the given base compute amount. Thread i computes for
 // result[i].
@@ -248,10 +230,10 @@ func (m *Model) stretchPeriodic(base sim.Duration, phase sim.Duration) sim.Durat
 	return t
 }
 
-// MaxExpected returns an upper bound on the compute duration the model will
-// commonly produce, used for sizing single-send comparisons: base*(1+p) for
+// maxExpected returns an upper bound on the compute duration the model will
+// commonly produce, the bound the tests hold draws to: base*(1+p) for
 // single/uniform, base*(1+3p) for Gaussian (3 sigma).
-func (m *Model) MaxExpected(base sim.Duration) sim.Duration {
+func (m *Model) maxExpected(base sim.Duration) sim.Duration {
 	switch m.kind {
 	case None:
 		return base

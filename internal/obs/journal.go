@@ -59,7 +59,7 @@ type Journal struct {
 // ordered by start time, which makes the journal a timeline but ties its
 // bytes to the machine and schedule.
 func WriteJournal(w io.Writer, tool string, c *Collector, withHost bool) error {
-	tasks, cells := c.Tasks(), c.Cells()
+	tasks, cells := c.taskList(), c.cellList()
 	if !withHost {
 		for i := range tasks {
 			tasks[i].Worker, tasks[i].StartNS, tasks[i].EndNS = 0, 0, 0
@@ -126,7 +126,7 @@ func WriteJournal(w io.Writer, tool string, c *Collector, withHost bool) error {
 			return err
 		}
 	}
-	if err := enc.Encode(statsLine{T: "stats", Tallies: c.Tallies()}); err != nil {
+	if err := enc.Encode(statsLine{T: "stats", Tallies: c.tallies()}); err != nil {
 		return err
 	}
 	return bw.Flush()

@@ -110,9 +110,9 @@ type RemoteWorkerSummary struct {
 	Errors int64 `json:"errors,omitempty"`
 }
 
-// BuildMetrics aggregates the collector's records per experiment label.
-func BuildMetrics(tool string, c *Collector) Metrics {
-	tasks, cells := c.Tasks(), c.Cells()
+// buildMetrics aggregates the collector's records per experiment label.
+func buildMetrics(tool string, c *Collector) Metrics {
+	tasks, cells := c.taskList(), c.cellList()
 	names := map[string]bool{}
 	for _, t := range tasks {
 		names[t.Experiment] = true
@@ -291,5 +291,5 @@ func summarize(name string, tasks []Task, cells []Cell, keep func(string) bool) 
 func WriteMetrics(w io.Writer, tool string, c *Collector) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(BuildMetrics(tool, c))
+	return enc.Encode(buildMetrics(tool, c))
 }

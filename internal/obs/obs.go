@@ -189,29 +189,18 @@ func (c *Collector) TaskDone(ev engine.TaskEvent) {
 	c.mu.Unlock()
 }
 
-// Cells returns a copy of the collected cell records, in arrival order.
-func (c *Collector) Cells() []Cell {
+// cellList returns a copy of the collected cell records, in arrival order.
+func (c *Collector) cellList() []Cell {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Cell(nil), c.cells...)
 }
 
-// Tasks returns a copy of the collected task records, in arrival order.
-func (c *Collector) Tasks() []Task {
+// taskList returns a copy of the collected task records, in arrival order.
+func (c *Collector) taskList() []Task {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Task(nil), c.tasks...)
-}
-
-// Reset discards every collected record. Long-lived services scrape a
-// collector (BuildMetrics) and then Reset it, turning the unbounded
-// accumulate-forever collector into per-scrape-window metrics with bounded
-// memory. Batch CLIs never call it.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.cells = nil
-	c.tasks = nil
-	c.mu.Unlock()
 }
 
 // outcomeOf classifies an error the way the engine's cache does.
@@ -245,8 +234,8 @@ type Tallies struct {
 	Errors int64 `json:"errors"`
 }
 
-// Tallies reconstructs the engine counters from the collected records.
-func (c *Collector) Tallies() Tallies {
+// tallies reconstructs the engine counters from the collected records.
+func (c *Collector) tallies() Tallies {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := Tallies{Cells: int64(len(c.tasks))}
@@ -267,9 +256,9 @@ func (c *Collector) Tallies() Tallies {
 	return t
 }
 
-// DiffStats describes every way t disagrees with the engine's counters, or
+// diffStats describes every way t disagrees with the engine's counters, or
 // "" when they match. Only counters both sides track are compared.
-func (t Tallies) DiffStats(st engine.Stats) string {
+func (t Tallies) diffStats(st engine.Stats) string {
 	var out string
 	cmp := func(name string, got, want int64) {
 		if got != want {

@@ -1,4 +1,4 @@
-package obs_test
+package obs
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 
 	"partmb/internal/engine"
 	"partmb/internal/figures"
-	"partmb/internal/obs"
 	"partmb/internal/sim"
 	"partmb/internal/stats"
 )
@@ -30,7 +29,7 @@ func gridValue(c [2]int) simValue {
 }
 
 // gridCell is runSweep's synthetic cell.
-var gridCell = engine.NewCell("obs.grid",
+var gridCell = engine.NewCell("grid",
 	func(c [2]int) ([2]int, *stats.RunConfig, bool) { return c, nil, false },
 	func(_ *sim.Arena, c [2]int, _ []int64) (simValue, error) { return gridValue(c), nil }, nil)
 
@@ -43,7 +42,7 @@ var (
 // flakyCell is gridCell under another kind whose attempts fail transiently
 // as a pure function of (config, attempt): a config fails its first
 // (row+column) mod 3 attempts, which the engine's retries always outlast.
-var flakyCell = engine.NewCell("obs.flaky",
+var flakyCell = engine.NewCell("flaky",
 	func(c [2]int) ([2]int, *stats.RunConfig, bool) { return c, nil, false },
 	func(_ *sim.Arena, c [2]int, _ []int64) (simValue, error) {
 		flakyMu.Lock()
@@ -58,14 +57,14 @@ var flakyCell = engine.NewCell("obs.flaky",
 
 // runSweep executes a synthetic 4x4 grid with duplicate keys (so memo hits
 // occur) on a fresh observed runner and returns the collector and runner.
-func runSweep(t *testing.T, opts ...engine.Option) (*obs.Collector, *engine.Runner) {
+func runSweep(t *testing.T, opts ...engine.Option) (*Collector, *engine.Runner) {
 	return runSweepOf(t, gridCell, opts...)
 }
 
 // runSweepOf is runSweep over cell.
-func runSweepOf(t *testing.T, cell *engine.Cell[[2]int, simValue], opts ...engine.Option) (*obs.Collector, *engine.Runner) {
+func runSweepOf(t *testing.T, cell *engine.Cell[[2]int, simValue], opts ...engine.Option) (*Collector, *engine.Runner) {
 	t.Helper()
-	col := obs.NewCollector()
+	col := NewCollector()
 	rn := engine.New(append([]engine.Option{engine.WithObserver(col)}, opts...)...)
 	rn.SetExperiment("sweep")
 	_, err := rn.Grid(context.Background(), 4, 4, nil, func(ctx context.Context, r, c int) (any, error) {
@@ -81,14 +80,14 @@ func runSweepOf(t *testing.T, cell *engine.Cell[[2]int, simValue], opts ...engin
 func TestJournalRoundTripMatchesEngineStats(t *testing.T) {
 	col, rn := runSweep(t)
 	var buf bytes.Buffer
-	if err := obs.WriteJournal(&buf, "test", col, false); err != nil {
+	if err := WriteJournal(&buf, "test", col, false); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	j, err := obs.ReadJournal(&buf)
+	j, err := ReadJournal(&buf)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if j.Schema != obs.JournalSchema || j.Tool != "test" {
+	if j.Schema != JournalSchema || j.Tool != "test" {
 		t.Fatalf("header = %+v", j)
 	}
 	if len(j.Tasks) != 16 {
@@ -99,11 +98,11 @@ func TestJournalRoundTripMatchesEngineStats(t *testing.T) {
 	}
 	// The parsed stats trailer, the collector's tallies, and the engine's
 	// own counters must all agree.
-	if j.Stats != col.Tallies() {
-		t.Fatalf("stats trailer %+v != tallies %+v", j.Stats, col.Tallies())
+	if j.Stats != col.tallies() {
+		t.Fatalf("stats trailer %+v != tallies %+v", j.Stats, col.tallies())
 	}
 	st := rn.Stats()
-	if diff := j.Stats.DiffStats(st); diff != "" {
+	if diff := j.Stats.diffStats(st); diff != "" {
 		t.Fatalf("journal stats %+v vs engine stats %+v: %s", j.Stats, st, diff)
 	}
 	if j.Stats.Cells != 16 || j.Stats.Runs != 8 || j.Stats.MemoHits != 8 {
@@ -124,7 +123,7 @@ func TestJournalByteStableAcrossWorkerCounts(t *testing.T) {
 	for i, workers := range []int{1, 8} {
 		col, _ := runSweep(t, engine.Workers(workers))
 		var buf bytes.Buffer
-		if err := obs.WriteJournal(&buf, "test", col, false); err != nil {
+		if err := WriteJournal(&buf, "test", col, false); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		got[i] = buf.Bytes()
@@ -144,14 +143,14 @@ func TestJournalRecordsRetriesAndFaults(t *testing.T) {
 		t.Fatal("no attempt failed — the test is vacuous")
 	}
 	var buf bytes.Buffer
-	if err := obs.WriteJournal(&buf, "test", col, false); err != nil {
+	if err := WriteJournal(&buf, "test", col, false); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	j, err := obs.ReadJournal(&buf)
+	j, err := ReadJournal(&buf)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if diff := j.Stats.DiffStats(st); diff != "" {
+	if diff := j.Stats.diffStats(st); diff != "" {
 		t.Fatalf("journal stats %+v vs engine stats %+v: %s", j.Stats, st, diff)
 	}
 	var retried int
@@ -180,10 +179,10 @@ func TestJournalWithDiskCache(t *testing.T) {
 	if st.DiskHits == 0 || st.Runs != 0 {
 		t.Fatalf("warm run did not replay from disk: %+v", st)
 	}
-	if tl := col.Tallies(); tl.DiskHits != st.DiskHits {
+	if tl := col.tallies(); tl.DiskHits != st.DiskHits {
 		t.Fatalf("collector disk hits %d != engine %d", tl.DiskHits, st.DiskHits)
 	}
-	if diff := col.Tallies().DiffStats(st); diff != "" {
+	if diff := col.tallies().diffStats(st); diff != "" {
 		t.Fatalf("tallies vs stats: %s", diff)
 	}
 }
@@ -202,7 +201,7 @@ type traceEvent struct {
 func TestChromeTraceValidity(t *testing.T) {
 	col, rn := runSweep(t, engine.Workers(4))
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, col); err != nil {
+	if err := WriteChromeTrace(&buf, col); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	var events []traceEvent
@@ -237,8 +236,8 @@ func TestChromeTraceValidity(t *testing.T) {
 
 func TestMetricsAggregation(t *testing.T) {
 	col, rn := runSweep(t)
-	m := obs.BuildMetrics("test", col)
-	if m.Schema != obs.MetricsSchema {
+	m := buildMetrics("test", col)
+	if m.Schema != MetricsSchema {
 		t.Fatalf("schema = %d", m.Schema)
 	}
 	if len(m.Experiments) != 1 || m.Experiments[0].Name != "sweep" {
@@ -264,24 +263,25 @@ func TestMetricsAggregation(t *testing.T) {
 // workload: a quick-scale figure run's journal must account for exactly
 // the cells the engine scheduled.
 func TestFigureJournalMatchesEngineStats(t *testing.T) {
-	col := obs.NewCollector()
+	col := NewCollector()
 	rn := engine.New(engine.WithObserver(col))
 	env := figures.Env{Runner: rn}
+	sc, _ := figures.ScaleByName("quick")
 	for _, fig := range []int{4, 13} {
-		if _, err := env.Generate(fig, figures.Quick()); err != nil {
+		if _, err := env.Generate(fig, sc); err != nil {
 			t.Fatalf("fig %d: %v", fig, err)
 		}
 	}
 	st := rn.Stats()
 	var buf bytes.Buffer
-	if err := obs.WriteJournal(&buf, "figures", col, false); err != nil {
+	if err := WriteJournal(&buf, "figures", col, false); err != nil {
 		t.Fatal(err)
 	}
-	j, err := obs.ReadJournal(&buf)
+	j, err := ReadJournal(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := j.Stats.DiffStats(st); diff != "" {
+	if diff := j.Stats.diffStats(st); diff != "" {
 		t.Fatalf("journal stats %+v vs engine stats %+v: %s", j.Stats, st, diff)
 	}
 	if int64(len(j.Tasks)) != st.Cells {

@@ -1,4 +1,4 @@
-package obs_test
+package obs
 
 import (
 	"bytes"
@@ -8,7 +8,6 @@ import (
 
 	"partmb/internal/core"
 	"partmb/internal/engine"
-	"partmb/internal/obs"
 	"partmb/internal/sim"
 	"partmb/internal/stats"
 )
@@ -23,9 +22,9 @@ type sampledValue struct {
 
 func (s sampledValue) SampleStats() (int, float64, string) { return s.N, s.Rel, s.Reason }
 
-func runSampledSweep(t *testing.T, opts ...engine.Option) *obs.Collector {
+func runSampledSweep(t *testing.T, opts ...engine.Option) *Collector {
 	t.Helper()
-	col := obs.NewCollector()
+	col := NewCollector()
 	rn := engine.New(append([]engine.Option{engine.WithObserver(col)}, opts...)...)
 	rn.SetExperiment("sampled")
 	_, err := rn.Grid(context.Background(), 2, 4, nil, func(ctx context.Context, r, c int) (any, error) {
@@ -53,7 +52,7 @@ func runSampledSweep(t *testing.T, opts ...engine.Option) *obs.Collector {
 func TestCellRecordsSampleStats(t *testing.T) {
 	col := runSampledSweep(t)
 	var sampled, fixed int
-	for _, c := range col.Cells() {
+	for _, c := range col.cellList() {
 		if c.Samples > 0 {
 			sampled++
 			if c.CIRel <= 0 || c.CIReason == "" {
@@ -70,7 +69,7 @@ func TestCellRecordsSampleStats(t *testing.T) {
 		t.Fatalf("sampled/fixed split = %d/%d, want 4/4", sampled, fixed)
 	}
 
-	m := obs.BuildMetrics("test", col)
+	m := buildMetrics("test", col)
 	// Row 0: N = 4..7 across columns 0..3 → 4+5+6+7 = 22 draws, of which
 	// even columns (N=4, N=6) converged.
 	if m.Totals.SamplesTotal != 22 {
@@ -81,7 +80,7 @@ func TestCellRecordsSampleStats(t *testing.T) {
 	}
 
 	// The fixed-path journal must not mention sampling fields anywhere.
-	fixedCol := obs.NewCollector()
+	fixedCol := NewCollector()
 	rn := engine.New(engine.WithObserver(fixedCol))
 	rn.SetExperiment("fixed")
 	if _, err := rn.Grid(context.Background(), 2, 2, nil, func(ctx context.Context, r, c int) (any, error) {
@@ -92,7 +91,7 @@ func TestCellRecordsSampleStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := obs.WriteJournal(&buf, "test", fixedCol, false); err != nil {
+	if err := WriteJournal(&buf, "test", fixedCol, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, forbidden := range []string{"samples", "ci_rel", "ci_reason"} {
@@ -121,14 +120,14 @@ func TestAdaptiveJournalByteStable(t *testing.T) {
 	sizes := core.MessageSizes(32<<10, 256<<10)
 
 	journal := func(workers int, sweep func(rn *engine.Runner) error) []byte {
-		col := obs.NewCollector()
+		col := NewCollector()
 		rn := engine.New(engine.Workers(workers), engine.WithObserver(col))
 		rn.SetExperiment("adaptive-sweep")
 		if err := sweep(rn); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := obs.WriteJournal(&buf, "test", col, false); err != nil {
+		if err := WriteJournal(&buf, "test", col, false); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

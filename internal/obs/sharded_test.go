@@ -1,4 +1,4 @@
-package obs_test
+package obs
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"partmb/internal/engine"
-	"partmb/internal/obs"
 	"partmb/internal/sim"
 )
 
@@ -21,9 +20,9 @@ func (s shardedValue) ShardRun() *sim.ShardStats { return s.Shard }
 
 // runShardedSweep resolves four cells twice each (so memo hits occur): two
 // sharded, two sequential (nil ShardRun).
-func runShardedSweep(t *testing.T) *obs.Collector {
+func runShardedSweep(t *testing.T) *Collector {
 	t.Helper()
-	col := obs.NewCollector()
+	col := NewCollector()
 	rn := engine.New(engine.WithObserver(col))
 	rn.SetExperiment("sharded")
 	_, err := rn.Grid(context.Background(), 2, 4, nil, func(ctx context.Context, r, c int) (any, error) {
@@ -49,7 +48,7 @@ func runShardedSweep(t *testing.T) *obs.Collector {
 func TestCellRecordsShardStats(t *testing.T) {
 	col := runShardedSweep(t)
 	var shardedRuns, bare int
-	for _, c := range col.Cells() {
+	for _, c := range col.cellList() {
 		if c.ShardWindows > 0 {
 			if c.Source != "run" {
 				// Memo hits share the run's Result pointer; recording the
@@ -70,7 +69,7 @@ func TestCellRecordsShardStats(t *testing.T) {
 		t.Fatalf("sharded/bare split = %d/%d, want 2/6", shardedRuns, bare)
 	}
 
-	m := obs.BuildMetrics("test", col)
+	m := buildMetrics("test", col)
 	if m.Shard == nil {
 		t.Fatal("metrics missing shard summary")
 	}
@@ -87,7 +86,7 @@ func TestCellRecordsShardStats(t *testing.T) {
 
 	// A purely sequential sweep reports no shard summary at all.
 	seq, _ := runSweep(t)
-	if m := obs.BuildMetrics("test", seq); m.Shard != nil {
+	if m := buildMetrics("test", seq); m.Shard != nil {
 		t.Fatalf("sequential sweep grew a shard summary %+v", m.Shard)
 	}
 }
@@ -98,7 +97,7 @@ func TestDeterministicJournalOmitsShardFields(t *testing.T) {
 	// Deterministic journals zero the shard telemetry — it tracks
 	// GOMAXPROCS and steal luck, so it is volatile like host time.
 	var det bytes.Buffer
-	if err := obs.WriteJournal(&det, "test", col, false); err != nil {
+	if err := WriteJournal(&det, "test", col, false); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(det.Bytes(), []byte("shard_")) {
@@ -107,7 +106,7 @@ func TestDeterministicJournalOmitsShardFields(t *testing.T) {
 
 	// Host journals keep them.
 	var host bytes.Buffer
-	if err := obs.WriteJournal(&host, "test", col, true); err != nil {
+	if err := WriteJournal(&host, "test", col, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"shard_windows", "shard_events", "shard_workers", "shard_steals", "shard_imbalance"} {
@@ -117,7 +116,7 @@ func TestDeterministicJournalOmitsShardFields(t *testing.T) {
 	}
 
 	// Round trip: parsed host journal preserves the counters.
-	j, err := obs.ReadJournal(&host)
+	j, err := ReadJournal(&host)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // its whole run, so spans within one lane never overlap.
 func WriteChromeTrace(w io.Writer, c *Collector) error {
 	rec := new(trace.Recorder)
-	for _, t := range c.Tasks() {
+	for _, t := range c.taskList() {
 		name := t.Experiment
 		if name == "" {
 			name = "task"
@@ -31,7 +31,7 @@ func WriteChromeTrace(w io.Writer, c *Collector) error {
 	// the local lanes. A cell's span starts when the engine began resolving
 	// it and extends by the worker's own measured execution time — transport
 	// and queueing show up as the gap to the enclosing task span.
-	cells := c.Cells()
+	cells := c.cellList()
 	lanes := map[string]int{}
 	for _, cl := range cells {
 		if cl.Remote != "" {

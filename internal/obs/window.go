@@ -50,12 +50,9 @@ func (w *Window) Count() int64 {
 	return w.total
 }
 
-// Capacity returns the window size.
-func (w *Window) Capacity() int { return len(w.buf) }
-
-// Snapshot returns a copy of the samples currently in the window, oldest
+// snapshot returns a copy of the samples currently in the window, oldest
 // first.
-func (w *Window) Snapshot() []float64 {
+func (w *Window) snapshot() []float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	out := make([]float64, 0, w.n)
@@ -68,16 +65,10 @@ func (w *Window) Snapshot() []float64 {
 	return out
 }
 
-// Summary computes descriptive statistics over the current window
-// (zero Summary when empty).
-func (w *Window) Summary() stats.Summary {
-	return stats.Summarize(w.Snapshot())
-}
-
 // Percentiles evaluates the given percentiles (0–100) over the current
 // window in one sort; an empty window yields zeros.
 func (w *Window) Percentiles(ps ...float64) []float64 {
-	xs := w.Snapshot()
+	xs := w.snapshot()
 	sort.Float64s(xs)
 	out := make([]float64, len(ps))
 	for i, p := range ps {

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"testing"
+
+	"partmb/internal/stats"
 )
 
 func TestWindowWrapsAndSnapshotOrder(t *testing.T) {
@@ -9,10 +11,10 @@ func TestWindowWrapsAndSnapshotOrder(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 5} {
 		w.Add(v)
 	}
-	if w.Count() != 5 || w.Capacity() != 3 {
-		t.Fatalf("count %d cap %d", w.Count(), w.Capacity())
+	if w.Count() != 5 || len(w.buf) != 3 {
+		t.Fatalf("count %d cap %d", w.Count(), len(w.buf))
 	}
-	snap := w.Snapshot()
+	snap := w.snapshot()
 	want := []float64{3, 4, 5}
 	if len(snap) != len(want) {
 		t.Fatalf("snapshot = %v, want %v", snap, want)
@@ -33,7 +35,7 @@ func TestWindowPercentiles(t *testing.T) {
 	if ps[0] < 50 || ps[0] > 51 || ps[1] < 99 || ps[1] > 100 {
 		t.Fatalf("percentiles = %v", ps)
 	}
-	if s := w.Summary(); s.Mean != 50.5 {
+	if s := stats.Summarize(w.snapshot()); s.Mean != 50.5 {
 		t.Fatalf("mean = %v, want 50.5", s.Mean)
 	}
 
@@ -47,20 +49,7 @@ func TestWindowTinyCapacity(t *testing.T) {
 	w := NewWindow(0) // clamped to 1
 	w.Add(7)
 	w.Add(9)
-	if snap := w.Snapshot(); len(snap) != 1 || snap[0] != 9 {
+	if snap := w.snapshot(); len(snap) != 1 || snap[0] != 9 {
 		t.Fatalf("snapshot = %v, want [9]", snap)
-	}
-}
-
-func TestCollectorReset(t *testing.T) {
-	c := NewCollector()
-	c.cells = append(c.cells, Cell{Source: "run"})
-	c.tasks = append(c.tasks, Task{Index: 1})
-	c.Reset()
-	if len(c.Cells()) != 0 || len(c.Tasks()) != 0 {
-		t.Fatal("Reset left records behind")
-	}
-	if tl := c.Tallies(); tl.Cells != 0 || tl.Runs != 0 {
-		t.Fatalf("post-reset tallies = %+v", tl)
 	}
 }

@@ -51,10 +51,10 @@ func ExampleRunHalo3D() {
 	// Output: messages: 336
 }
 
-// ExampleRunIncast shows the fan-in motif: per-sender throughput at the
-// sink is bounded by receiver-side serialization.
-func ExampleRunIncast() {
-	res, err := patterns.RunIncast(patterns.IncastConfig{
+// ExampleIncast shows the fan-in motif: per-sender throughput at the sink
+// is bounded by receiver-side serialization.
+func ExampleIncast() {
+	res, err := patterns.Incast.Run(nil, patterns.IncastConfig{
 		Senders:        4,
 		Threads:        4,
 		BytesPerThread: 128 << 10,

@@ -41,8 +41,8 @@ type Halo2DConfig struct {
 	Adaptive *stats.RunConfig `json:",omitempty"`
 }
 
-// Threads returns the per-rank thread count.
-func (c *Halo2DConfig) Threads() int { return c.ThreadsPerDim * c.ThreadsPerDim }
+// threads returns the per-rank thread count.
+func (c *Halo2DConfig) threads() int { return c.ThreadsPerDim * c.ThreadsPerDim }
 
 func (c Halo2DConfig) withDefaults() Halo2DConfig {
 	if c.Repeats == 0 {
@@ -55,8 +55,8 @@ func (c Halo2DConfig) withDefaults() Halo2DConfig {
 	return c
 }
 
-// Validate checks the configuration.
-func (c *Halo2DConfig) Validate() error {
+// validate checks the configuration.
+func (c *Halo2DConfig) validate() error {
 	if c.Nx <= 0 || c.Ny <= 0 {
 		return fmt.Errorf("patterns: rank grid %dx%d invalid", c.Nx, c.Ny)
 	}
@@ -111,14 +111,11 @@ func edgeBorders(d int) [][]border {
 	return out
 }
 
-// RunHalo2D executes the motif and returns its throughput result.
-func RunHalo2D(cfg Halo2DConfig) (*Result, error) { return runHalo2D(nil, cfg) }
-
-// runHalo2D is RunHalo2D with its simulation built on arena a: Halo3D's
+// runHalo2D executes the motif on a simulation built on arena a: Halo3D's
 // exchange over the four edges of a rank square.
 func runHalo2D(a *sim.Arena, cfg Halo2DConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	pf := cfg.Platform

@@ -24,7 +24,7 @@ func halo2dCfg(mode Mode) Halo2DConfig {
 func TestHalo2DAllModesComplete(t *testing.T) {
 	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := RunHalo2D(halo2dCfg(mode))
+			res, err := runHalo2D(nil, halo2dCfg(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +37,7 @@ func TestHalo2DAllModesComplete(t *testing.T) {
 
 func TestHalo2DPayloadAccounting(t *testing.T) {
 	cfg := halo2dCfg(Single)
-	res, err := RunHalo2D(cfg)
+	res, err := runHalo2D(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,18 +82,18 @@ func TestHalo2DValidate(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := halo2dCfg(Multi).withDefaults()
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("bad halo2d config %d accepted", i)
 		}
 	}
 }
 
 func TestHalo2DDeterministic(t *testing.T) {
-	a, err := RunHalo2D(halo2dCfg(Partitioned))
+	a, err := runHalo2D(nil, halo2dCfg(Partitioned))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunHalo2D(halo2dCfg(Partitioned))
+	b, err := runHalo2D(nil, halo2dCfg(Partitioned))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestHalo2DDeterministic(t *testing.T) {
 func TestHalo2DNativeImpl(t *testing.T) {
 	cfg := halo2dCfg(Partitioned)
 	cfg.Platform = cfg.Platform.WithImpl(mpi.PartNative)
-	res, err := RunHalo2D(cfg)
+	res, err := runHalo2D(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,15 +64,15 @@ type HaloConfig struct {
 	Adaptive *stats.RunConfig `json:",omitempty"`
 }
 
-// Threads returns the per-rank thread count (ThreadsPerDim cubed).
-func (c *HaloConfig) Threads() int {
+// threads returns the per-rank thread count (ThreadsPerDim cubed).
+func (c *HaloConfig) threads() int {
 	t := c.ThreadsPerDim
 	return t * t * t
 }
 
-// FacePartitions returns the partition count per face (ThreadsPerDim
+// facePartitions returns the partition count per face (ThreadsPerDim
 // squared).
-func (c *HaloConfig) FacePartitions() int {
+func (c *HaloConfig) facePartitions() int {
 	return c.ThreadsPerDim * c.ThreadsPerDim
 }
 
@@ -87,8 +87,8 @@ func (c HaloConfig) withDefaults() HaloConfig {
 	return c
 }
 
-// Validate checks the configuration.
-func (c *HaloConfig) Validate() error {
+// validate checks the configuration.
+func (c *HaloConfig) validate() error {
 	if c.Nx <= 0 || c.Ny <= 0 || c.Nz <= 0 {
 		return fmt.Errorf("patterns: rank grid %dx%dx%d invalid", c.Nx, c.Ny, c.Nz)
 	}
@@ -98,8 +98,8 @@ func (c *HaloConfig) Validate() error {
 	if c.FaceBytes <= 0 {
 		return fmt.Errorf("patterns: FaceBytes must be positive")
 	}
-	if c.FaceBytes%int64(c.FacePartitions()) != 0 {
-		return fmt.Errorf("patterns: FaceBytes %d not divisible by %d face partitions", c.FaceBytes, c.FacePartitions())
+	if c.FaceBytes%int64(c.facePartitions()) != 0 {
+		return fmt.Errorf("patterns: FaceBytes %d not divisible by %d face partitions", c.FaceBytes, c.facePartitions())
 	}
 	if c.Compute < 0 {
 		return fmt.Errorf("patterns: negative Compute")
@@ -216,7 +216,7 @@ func RunHalo3D(cfg HaloConfig) (*Result, error) { return runHalo3D(nil, cfg) }
 // runHalo3D is RunHalo3D with a sequential simulation built on arena a.
 func runHalo3D(a *sim.Arena, cfg HaloConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Shards > 1 {
@@ -248,7 +248,7 @@ func runHalo3D(a *sim.Arena, cfg HaloConfig) (*Result, error) {
 			faceYMinus: at(x, y-1, z), faceYPlus: at(x, y+1, z),
 			faceZMinus: at(x, y, z-1), faceZPlus: at(x, y, z+1),
 		}
-		r.faces, r.faceBytes, r.parts, r.borders, r.motif = numFaces, cfg.FaceBytes, cfg.FacePartitions(), borders, "halo"
+		r.faces, r.faceBytes, r.parts, r.borders, r.motif = numFaces, cfg.FaceBytes, cfg.facePartitions(), borders, "halo"
 		ranks[id] = r
 	}
 	res, err := runHalo(w, runSim, ranks)
@@ -267,7 +267,7 @@ func runHalo3D(a *sim.Arena, cfg HaloConfig) (*Result, error) {
 func newHaloRank(a *sim.Arena, comm *mpi.Comm, pf *platform.Spec, mode Mode, threads, repeats int, compute sim.Duration) *haloRank {
 	place := cluster.Place(pf.Machine, threads)
 	comm.SetPlacement(place)
-	nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(comm.WorldRank()), a)
+	nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(comm.Rank()), a)
 	r := &haloRank{mode: mode, repeats: repeats, comm: comm, place: place, computeOf: make([][]sim.Duration, repeats)}
 	for st := range r.computeOf {
 		r.computeOf[st] = nm.Region(threads, compute)
@@ -281,10 +281,10 @@ func newHaloRank(a *sim.Arena, comm *mpi.Comm, pf *platform.Spec, mode Mode, thr
 func runHalo(w *mpi.World, runSim func() error, ranks []*haloRank) (*Result, error) {
 	var startAt sim.Time
 	w.Launch(ranks[0].motif, func(c *mpi.Comm, p *sim.Proc) {
-		r := ranks[c.WorldRank()]
+		r := ranks[c.Rank()]
 		r.setup(p)
 		c.Barrier(p)
-		if c.WorldRank() == 0 {
+		if c.Rank() == 0 {
 			startAt = p.Now()
 		}
 		r.run(p)

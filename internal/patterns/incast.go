@@ -55,8 +55,8 @@ func (c IncastConfig) withDefaults() IncastConfig {
 	return c
 }
 
-// Validate checks the configuration.
-func (c *IncastConfig) Validate() error {
+// validate checks the configuration.
+func (c *IncastConfig) validate() error {
 	if c.Senders <= 0 {
 		return fmt.Errorf("patterns: Senders must be positive")
 	}
@@ -72,13 +72,10 @@ func (c *IncastConfig) Validate() error {
 	return nil
 }
 
-// RunIncast executes the motif and returns its throughput result.
-func RunIncast(cfg IncastConfig) (*Result, error) { return runIncast(nil, cfg) }
-
-// runIncast is RunIncast with its simulation built on arena a.
+// runIncast executes the motif on a simulation built on arena a.
 func runIncast(a *sim.Arena, cfg IncastConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	s := a.New()

@@ -24,7 +24,7 @@ func incastCfg(mode Mode) IncastConfig {
 func TestIncastAllModesComplete(t *testing.T) {
 	for _, mode := range Modes() {
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := RunIncast(incastCfg(mode))
+			res, err := runIncast(nil, incastCfg(mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +37,7 @@ func TestIncastAllModesComplete(t *testing.T) {
 
 func TestIncastPayloadAccounting(t *testing.T) {
 	cfg := incastCfg(Partitioned)
-	res, err := RunIncast(cfg)
+	res, err := runIncast(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestIncastSinkCongestionGrowsWithSenders(t *testing.T) {
 		cfg.Senders = n
 		cfg.Compute = 100 * sim.Microsecond // communication-dominated
 		cfg.BytesPerThread = 512 << 10
-		res, err := RunIncast(cfg)
+		res, err := runIncast(nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,18 +78,18 @@ func TestIncastValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := incastCfg(Multi).withDefaults()
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("bad incast config %d accepted", i)
 		}
 	}
 }
 
 func TestIncastDeterministic(t *testing.T) {
-	a, err := RunIncast(incastCfg(Multi))
+	a, err := runIncast(nil, incastCfg(Multi))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunIncast(incastCfg(Multi))
+	b, err := runIncast(nil, incastCfg(Multi))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestIncastPinned(t *testing.T) {
 		{Multi, 6299320, 9437184, 474},
 		{Partitioned, 6295665, 9437184, 474},
 	} {
-		res, err := RunIncast(incastCfg(want.mode))
+		res, err := runIncast(nil, incastCfg(want.mode))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,7 +114,7 @@ func TestSweepValidate(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := sweepCfg(Multi).withDefaults()
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("bad sweep config %d accepted", i)
 		}
 	}
@@ -234,7 +234,7 @@ func TestHaloValidate(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := haloCfg(Multi).withDefaults()
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("bad halo config %d accepted", i)
 		}
 	}

@@ -76,15 +76,3 @@ func buildWorld(a *sim.Arena, shards, nRanks int, mcfg mpi.Config, topo netsim.T
 	}
 	return w, g.Run, stats, nil
 }
-
-// WingAlignedDragonfly builds a Dragonfly+ topology whose wings coincide
-// with the block-shard mapping of nRanks ranks over shards shards, so the
-// conservative lookahead equals the (large) inter-wing latency. intra and
-// inter are the intra-/inter-wing one-way latencies.
-func WingAlignedDragonfly(nRanks, shards int, intra, inter sim.Duration) netsim.DragonflyPlus {
-	wing := nRanks
-	if shards > 1 {
-		wing = (nRanks + shards - 1) / shards
-	}
-	return netsim.NewDragonflyPlus(wing, intra, inter)
-}

@@ -7,6 +7,7 @@ import (
 
 	"partmb/internal/cluster"
 	"partmb/internal/mpi"
+	"partmb/internal/netsim"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
 	"partmb/internal/trace"
@@ -122,7 +123,7 @@ func TestHalo3DDragonflyShardIdentity(t *testing.T) {
 			Repeats:       3,
 			Mode:          Single,
 			Shards:        shards,
-			Topology:      WingAlignedDragonfly(8, 2, 900*sim.Nanosecond, 5*sim.Microsecond),
+			Topology:      netsim.NewDragonflyPlus(4, 900*sim.Nanosecond, 5*sim.Microsecond),
 		})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)

@@ -76,8 +76,8 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	return c
 }
 
-// Validate checks the configuration.
-func (c *SweepConfig) Validate() error {
+// validate checks the configuration.
+func (c *SweepConfig) validate() error {
 	if c.Px <= 0 || c.Py <= 0 {
 		return fmt.Errorf("patterns: process grid %dx%d invalid", c.Px, c.Py)
 	}
@@ -178,7 +178,7 @@ func RunSweep3D(cfg SweepConfig) (*Result, error) { return runSweep3D(nil, cfg) 
 // runSweep3D is RunSweep3D with a sequential simulation built on arena a.
 func runSweep3D(a *sim.Arena, cfg SweepConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Shards > 1 {
@@ -217,10 +217,10 @@ func runSweep3D(a *sim.Arena, cfg SweepConfig) (*Result, error) {
 		ranks[id] = r
 	}
 	w.Launch("sweep", func(c *mpi.Comm, p *sim.Proc) {
-		r := ranks[c.WorldRank()]
+		r := ranks[c.Rank()]
 		r.setup(p)
 		c.Barrier(p)
-		if c.WorldRank() == 0 {
+		if c.Rank() == 0 {
 			startAt = p.Now()
 		}
 		r.run(p)

@@ -37,7 +37,7 @@ import (
 // by Resolved; a zero Spec therefore reproduces the paper's testbed.
 type Spec struct {
 	// Name labels the spec in reports and registries; presets set it, and
-	// Load fills it from the file name when the JSON omits it.
+	// load fills it from the file name when the JSON omits it.
 	Name string `json:"name,omitempty"`
 	// Net holds the interconnect parameters (nil = netsim.EDR()).
 	Net *netsim.Params `json:"net,omitempty"`
@@ -145,13 +145,13 @@ func Resolve(arg string) (*Spec, error) {
 		return Niagara(), nil
 	}
 	if strings.ContainsAny(arg, "/\\") || strings.HasSuffix(arg, ".json") {
-		return Load(arg)
+		return load(arg)
 	}
 	return Preset(arg)
 }
 
-// Load reads a Spec from a JSON file, applies defaults, and validates it.
-func Load(path string) (*Spec, error) {
+// load reads a Spec from a JSON file, applies defaults, and validates it.
+func load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
@@ -170,15 +170,6 @@ func Load(path string) (*Spec, error) {
 		return nil, fmt.Errorf("platform: %s: %w", path, err)
 	}
 	return r, nil
-}
-
-// Save writes the Spec to a JSON file, indented for hand editing.
-func (s *Spec) Save(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("platform: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Resolved returns a copy with nil/zero fields replaced by the paper's

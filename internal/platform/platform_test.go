@@ -13,6 +13,19 @@ import (
 	"partmb/internal/noise"
 )
 
+// save writes s to a JSON file, indented the way spec files are written by
+// hand.
+func save(t *testing.T, s *Spec, path string) {
+	t.Helper()
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPresetRoundTrip saves every preset to JSON, loads it back, and checks
 // the reloaded spec is identical — the acceptance criterion for the spec
 // file format.
@@ -26,10 +39,8 @@ func TestPresetRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(dir, name+".json")
-			if err := orig.Save(path); err != nil {
-				t.Fatal(err)
-			}
-			got, err := Load(path)
+			save(t, orig, path)
+			got, err := load(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,10 +61,8 @@ func TestRoundTripNonDefaultFields(t *testing.T) {
 		WithSeed(99)
 	orig.Name = "weird"
 	path := filepath.Join(t.TempDir(), "weird.json")
-	if err := orig.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
+	save(t, orig, path)
+	got, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +135,7 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"noise_pct": 4}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(path); err == nil {
+	if _, err := load(path); err == nil {
 		t.Fatal("expected error for unknown JSON field")
 	}
 }

@@ -78,16 +78,16 @@ func (r *Rank) Call(p *sim.Proc, name string, fn func()) {
 	cs.Time += p.Now().Sub(start)
 }
 
-// AppTime returns the measured region's span.
-func (r *Rank) AppTime() sim.Duration {
+// appTime returns the measured region's span.
+func (r *Rank) appTime() sim.Duration {
 	if !r.started || r.appEnd < r.appStart {
 		return 0
 	}
 	return r.appEnd.Sub(r.appStart)
 }
 
-// MPITime returns the total time inside MPI calls.
-func (r *Rank) MPITime() sim.Duration {
+// mpiTime returns the total time inside MPI calls.
+func (r *Rank) mpiTime() sim.Duration {
 	var sum sim.Duration
 	for _, cs := range r.byCall {
 		sum += cs.Time
@@ -131,8 +131,8 @@ func (pf *Profiler) Report() Report {
 	rep := Report{Ranks: len(pf.ranks)}
 	agg := make(map[string]*CallStats)
 	for _, r := range pf.ranks {
-		rep.AppTime += r.AppTime()
-		rep.MPITime += r.MPITime()
+		rep.AppTime += r.appTime()
+		rep.MPITime += r.mpiTime()
 		for name, cs := range r.byCall {
 			a, ok := agg[name]
 			if !ok {

@@ -181,7 +181,7 @@ func (k *kindCounter) Execute(ctx context.Context, t engine.RemoteTask) (engine.
 // entirely on two in-process workers, and the deterministic journal and
 // the values are byte-identical to a local run.
 func TestEveryFamilyDistributes(t *testing.T) {
-	sc := figures.Quick()
+	sc, _ := figures.ScaleByName("quick")
 	sc.HaloSizes, sc.HaloRepeats, sc.SnapNodes = []int64{64 << 10}, 1, []int{2, 4}
 	run := func(opts ...engine.Option) (journal, values []byte, st engine.Stats) {
 		t.Helper()

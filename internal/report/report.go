@@ -21,8 +21,8 @@ func New(title string, columns ...string) *Table {
 	return &Table{Title: title, Columns: columns}
 }
 
-// Add appends a row; the cell count must match the column count.
-func (t *Table) Add(cells ...string) {
+// add appends a row; the cell count must match the column count.
+func (t *Table) add(cells ...string) {
 	if len(cells) != len(t.Columns) {
 		panic(fmt.Sprintf("report: row has %d cells, table has %d columns", len(cells), len(t.Columns)))
 	}
@@ -47,7 +47,7 @@ func (t *Table) AddF(cells ...interface{}) {
 			row[i] = fmt.Sprintf("%v", v)
 		}
 	}
-	t.Add(row...)
+	t.add(row...)
 }
 
 // WriteText renders the table with aligned columns.
@@ -151,13 +151,13 @@ func (t *Table) WriteMarkdown(w io.Writer) error {
 	return err
 }
 
-// sparkLevels are the eight block glyphs used by Spark.
+// sparkLevels are the eight block glyphs used by spark.
 var sparkLevels = []rune("▁▂▃▄▅▆▇█")
 
-// Spark renders a numeric series as a unicode sparkline, scaled to the
+// spark renders a numeric series as a unicode sparkline, scaled to the
 // series' own min..max range ("▁▃▆█"). Empty input yields an empty string;
 // a constant series renders at the lowest level.
-func Spark(values []float64) string {
+func spark(values []float64) string {
 	if len(values) == 0 {
 		return ""
 	}
@@ -187,9 +187,9 @@ func Spark(values []float64) string {
 	return string(out)
 }
 
-// ColumnFloats extracts column i of the table's rows as floats, skipping
+// columnFloats extracts column i of the table's rows as floats, skipping
 // cells that do not parse (e.g. "-" placeholders).
-func (t *Table) ColumnFloats(i int) []float64 {
+func (t *Table) columnFloats(i int) []float64 {
 	if i < 0 || i >= len(t.Columns) {
 		panic(fmt.Sprintf("report: column %d out of range [0,%d)", i, len(t.Columns)))
 	}
@@ -208,11 +208,11 @@ func (t *Table) ColumnFloats(i int) []float64 {
 func (t *Table) SparkSummary() string {
 	var b strings.Builder
 	for i := 1; i < len(t.Columns); i++ {
-		vals := t.ColumnFloats(i)
+		vals := t.columnFloats(i)
 		if len(vals) < 2 {
 			continue
 		}
-		fmt.Fprintf(&b, "%-14s %s\n", t.Columns[i], Spark(vals))
+		fmt.Fprintf(&b, "%-14s %s\n", t.Columns[i], spark(vals))
 	}
 	return b.String()
 }

@@ -8,8 +8,8 @@ import (
 
 func TestTextRendering(t *testing.T) {
 	tab := New("Demo", "size", "value")
-	tab.Add("1KiB", "1.5")
-	tab.Add("128MiB", "12")
+	tab.add("1KiB", "1.5")
+	tab.add("128MiB", "12")
 	var buf bytes.Buffer
 	if err := tab.WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestTextRendering(t *testing.T) {
 
 func TestCSVRendering(t *testing.T) {
 	tab := New("Demo", "a", "b")
-	tab.Add("x", "1")
+	tab.add("x", "1")
 	var buf bytes.Buffer
 	if err := tab.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestAddWrongArityPanics(t *testing.T) {
 			t.Fatal("wrong arity did not panic")
 		}
 	}()
-	tab.Add("only-one")
+	tab.add("only-one")
 }
 
 func TestAddF(t *testing.T) {
@@ -65,9 +65,9 @@ func TestAddF(t *testing.T) {
 
 func TestWriteAllText(t *testing.T) {
 	a := New("A", "x")
-	a.Add("1")
+	a.add("1")
 	b := New("B", "y")
-	b.Add("2")
+	b.add("2")
 	var buf bytes.Buffer
 	if err := WriteAllText(&buf, []*Table{a, b}); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestWriteAllText(t *testing.T) {
 
 func TestMarkdownRendering(t *testing.T) {
 	tab := New("MD", "a", "b")
-	tab.Add("1", "2")
+	tab.add("1", "2")
 	var buf bytes.Buffer
 	if err := tab.WriteMarkdown(&buf); err != nil {
 		t.Fatal(err)
@@ -93,27 +93,27 @@ func TestMarkdownRendering(t *testing.T) {
 }
 
 func TestSpark(t *testing.T) {
-	if got := Spark(nil); got != "" {
-		t.Fatalf("Spark(nil) = %q", got)
+	if got := spark(nil); got != "" {
+		t.Fatalf("spark(nil) = %q", got)
 	}
-	if got := Spark([]float64{5, 5, 5}); got != "▁▁▁" {
+	if got := spark([]float64{5, 5, 5}); got != "▁▁▁" {
 		t.Fatalf("constant series = %q", got)
 	}
-	got := Spark([]float64{0, 1, 2, 3, 4, 5, 6, 7})
+	got := spark([]float64{0, 1, 2, 3, 4, 5, 6, 7})
 	if got != "▁▂▃▄▅▆▇█" {
 		t.Fatalf("ramp = %q", got)
 	}
-	if up := Spark([]float64{1, 100}); up != "▁█" {
+	if up := spark([]float64{1, 100}); up != "▁█" {
 		t.Fatalf("two-point = %q", up)
 	}
 }
 
 func TestColumnFloatsSkipsNonNumeric(t *testing.T) {
 	tab := New("", "size", "v")
-	tab.Add("1KiB", "1.5")
-	tab.Add("2KiB", "-")
-	tab.Add("4KiB", "3")
-	got := tab.ColumnFloats(1)
+	tab.add("1KiB", "1.5")
+	tab.add("2KiB", "-")
+	tab.add("4KiB", "3")
+	got := tab.columnFloats(1)
 	if len(got) != 2 || got[0] != 1.5 || got[1] != 3 {
 		t.Fatalf("ColumnFloats = %v", got)
 	}
@@ -122,14 +122,14 @@ func TestColumnFloatsSkipsNonNumeric(t *testing.T) {
 			t.Fatal("out-of-range column did not panic")
 		}
 	}()
-	tab.ColumnFloats(5)
+	tab.columnFloats(5)
 }
 
 func TestSparkSummary(t *testing.T) {
 	tab := New("", "size", "a", "b")
-	tab.Add("1", "1", "9")
-	tab.Add("2", "2", "8")
-	tab.Add("3", "3", "7")
+	tab.add("1", "1", "9")
+	tab.add("2", "2", "8")
+	tab.add("3", "3", "7")
 	out := tab.SparkSummary()
 	if !strings.Contains(out, "a") || !strings.Contains(out, "▁") {
 		t.Fatalf("SparkSummary = %q", out)

@@ -152,6 +152,9 @@ func (s Spec) ResolveLocal() (Request, error) { return s.resolve(true) }
 
 func (s Spec) resolve(local bool) (Request, error) {
 	var rq Request
+	if s.Parts < 0 {
+		return rq, fmt.Errorf("parts=%d: partitions must be positive", s.Parts)
+	}
 	s = s.withDefaults()
 	platformOf := platform.Preset
 	if local {
@@ -263,10 +266,12 @@ func (rq Request) Run(rn *engine.Runner) ([]*core.Result, error) {
 	return core.SweepMessageSizes(rn, rq.Base, rq.Sizes)
 }
 
-// ResultTable renders the §3.1 result table for cfg: the shared table
-// builder both `partmb run` and the HTTP service use, which is what makes
-// HTTP-served tables byte-identical to batch output for the same spec.
-func ResultTable(cfg core.Config, results []*core.Result) *report.Table {
+// Table renders the §3.1 result table for the request's results: the
+// shared table builder both `partmb run` and the HTTP service use, which is
+// what makes HTTP-served tables byte-identical to batch output for the same
+// spec.
+func (rq Request) Table(results []*core.Result) *report.Table {
+	cfg := rq.Base
 	pf := cfg.Platform.Resolved()
 	title := fmt.Sprintf("partbench: parts=%d compute=%v noise=%s/%.0f%% cache=%s impl=%s",
 		cfg.Partitions, cfg.Compute, pf.NoiseKind, pf.NoisePercent, pf.Cache, pf.Impl)
@@ -288,9 +293,4 @@ func ResultTable(cfg core.Config, results []*core.Result) *report.Table {
 		}
 	}
 	return t
-}
-
-// Table renders the request's results through the shared builder.
-func (rq Request) Table(results []*core.Result) *report.Table {
-	return ResultTable(rq.Base, results)
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -83,7 +84,10 @@ func TestSpecRejects(t *testing.T) {
 		{"bad size", Spec{Size: "12 parsecs"}, "size"},
 		{"bad range", Spec{Sweep: true, Min: "4MiB", Max: "1MiB"}, "bad size range"},
 		{"indivisible", Spec{Size: "1000", Parts: 7}, "divisible"},
-		{"negative parts", Spec{Parts: -4}, "Partitions"},
+		// A negative count is refused before the size filter, so the error
+		// does not depend on which sizes it happens to divide.
+		{"parts -3", Spec{Parts: -3}, "partitions must be positive"},
+		{"parts -4", Spec{Parts: -4}, "partitions must be positive"},
 		{"budget samples", Spec{Samples: "budget=1s"}, "budget"},
 		{"bad samples", Spec{Samples: "min=banana"}, "samples"},
 	}
@@ -101,7 +105,11 @@ func TestSpecRejects(t *testing.T) {
 // refuses over the wire; everything else resolves as it does there.
 func TestSpecResolveLocal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hdr.json")
-	if err := platform.EpycHDR().Save(path); err != nil {
+	data, err := json.Marshal(platform.EpycHDR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	spec := Spec{Platform: path, Samples: "min=2,max=4,budget=1s"}
@@ -150,6 +158,7 @@ func FuzzSpecResolve(f *testing.F) {
 	f.Add([]byte(`{"sweep":true,"min":"1KiB","max":"1MiB","compute":"1ms"}`))
 	f.Add([]byte(`{"size":"64KiB","parts":8,"samples":"min=3,max=6,ci=0.05"}`))
 	f.Add([]byte(`{"size":"4KiB","parts":-4}`))
+	f.Add([]byte(`{"parts":-3}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec Spec
 		dec := json.NewDecoder(bytes.NewReader(body))

@@ -26,12 +26,12 @@ func traced(s *Scheduler, team, iters int) *[]string {
 			for w := 0; w < team; w++ {
 				s.Spawn(fmt.Sprint("w", w), func(p *Proc) {
 					p.Sleep(Duration(1 + (w*7+it)%5))
-					log = append(log, fmt.Sprintf("%s#%d@%d", p.Name(), p.ID(), p.Now()))
+					log = append(log, fmt.Sprintf("%s#%d@%d", p.label(), p.id, p.Now()))
 					wg.Done(s)
 				})
 			}
 			wg.Wait(p)
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	return &log
@@ -167,7 +167,7 @@ func TestArenaReclaimsUnfinishedSchedulers(t *testing.T) {
 		forkJoin(s, 4, 5) // takes the master's runner, never run
 		s = a.New()
 		forkJoin(s, 8, 5)
-		s.RunUntil(Time(3)) // parks procs on stashed and on new runners
+		s.runUntil(Time(3)) // parks procs on stashed and on new runners
 		reclaim()
 		if got := runtime.NumGoroutine(); got != before {
 			t.Fatalf("%d goroutines after reclaiming, %d before", got, before)
@@ -290,7 +290,7 @@ func TestArenaKeepsStateOnlyAcrossCleanDrains(t *testing.T) {
 			panicValue(func() { s.Run() })
 		},
 		"never driven":  func(*Scheduler) {},
-		"partly driven": func(s *Scheduler) { forkJoin(s, 2, 2); s.RunUntil(0) },
+		"partly driven": func(s *Scheduler) { forkJoin(s, 2, 2); s.runUntil(0) },
 		"closed":        func(s *Scheduler) { run(s); a.Close() },
 	} {
 		run(keep(a.New(), 2)) // the state the next one would have inherited
@@ -325,7 +325,7 @@ func TestEventCounts(t *testing.T) {
 			}
 			p.Sleep(20 * Microsecond) // the handler is due first: a pushed wake
 		})
-		s.At(Time(10*Microsecond), func() {})
+		s.at(Time(10*Microsecond), func() {})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func TestProcPanicPropagatesOutOfShardGroupRun(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		boom := fmt.Errorf("boom with %d workers", workers)
 		g := NewShardGroup(4, Microsecond)
-		g.SetWorkers(workers)
+		g.setWorkers(workers)
 		for i := 0; i < 4; i++ {
 			i := i
 			g.Shard(i).Spawn(fmt.Sprintf("r%d", i), func(p *Proc) {
@@ -129,7 +129,7 @@ func TestRunUntilThenRunLeavesNoGoroutines(t *testing.T) {
 	before := goroutineBaseline()
 	s := New()
 	forkJoin(s, 4, 20)
-	if s.RunUntil(Time(10)) {
+	if s.runUntil(Time(10)) {
 		t.Fatal("RunUntil(10ns) drained a 20-iteration run")
 	}
 	// A partial drive keeps its coroutines: the parked procs need theirs and
@@ -148,7 +148,7 @@ func TestRunUntilThenRunLeavesNoGoroutines(t *testing.T) {
 func TestShardGroupRunLeavesNoGoroutines(t *testing.T) {
 	before := goroutineBaseline()
 	g := NewShardGroup(4, Microsecond)
-	g.SetWorkers(2)
+	g.setWorkers(2)
 	for i := 0; i < 4; i++ {
 		forkJoin(g.Shard(i), 3, 20)
 	}
@@ -232,7 +232,7 @@ func TestDeadDriveReleasesEveryCoroutine(t *testing.T) {
 	}
 
 	g := NewShardGroup(4, Microsecond)
-	g.SetWorkers(2)
+	g.setWorkers(2)
 	for i := 0; i < 4; i++ {
 		i := i
 		g.Shard(i).Spawn("stuck", stuck)

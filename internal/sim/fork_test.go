@@ -16,7 +16,7 @@ type recordingThreads struct {
 }
 
 func (b *recordingThreads) Thread(tp *Proc, t int) {
-	b.log = append(b.log, fmt.Sprintf("%d#%d@%d", t, tp.ID(), tp.Now()))
+	b.log = append(b.log, fmt.Sprintf("%d#%d@%d", t, tp.id, tp.Now()))
 	if t == b.park {
 		b.never.Wait(tp)
 	}
@@ -78,7 +78,7 @@ func TestProcName(t *testing.T) {
 	body := &recordingThreads{park: -1}
 	var names []string
 	s.Spawn("main", func(p *Proc) {
-		names = append(names, p.Name())
+		names = append(names, p.label())
 		s.Fork(namingThreads{body, &names}, 2)
 	})
 	if err := s.Run(); err != nil {
@@ -95,4 +95,4 @@ type namingThreads struct {
 	names *[]string
 }
 
-func (b namingThreads) Thread(tp *Proc, t int) { *b.names = append(*b.names, tp.Name()) }
+func (b namingThreads) Thread(tp *Proc, t int) { *b.names = append(*b.names, tp.label()) }

@@ -91,7 +91,7 @@ func TestSleepWakeAllocationFree(t *testing.T) {
 	})
 	// Warm the coroutine and the freelist with the first few events
 	// via a bounded drive, then measure the steady state.
-	s.RunUntil(Time(10 * Microsecond))
+	s.runUntil(Time(10 * Microsecond))
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -161,7 +161,7 @@ func TestSleepShortCutMatchesSlowPath(t *testing.T) {
 		}
 		s.Spawn("a", func(p *Proc) {
 			for i := 0; i < 40; i++ {
-				s.At(p.Now().Add(Duration(2+i%4)), note(fmt.Sprint("cb", i)))
+				s.at(p.Now().Add(Duration(2+i%4)), note(fmt.Sprint("cb", i)))
 				p.Sleep(Duration(1 + i%3)) // sometimes before the callback, sometimes at or past it
 				note("a")()
 			}
@@ -211,7 +211,7 @@ func TestAtAndAtFireShareSchedulingOrder(t *testing.T) {
 		if op%2 == 0 {
 			s.AtFire(Time(5), &got, op)
 		} else {
-			s.At(Time(5), func() { got.Fire(op) })
+			s.at(Time(5), func() { got.Fire(op) })
 		}
 	}
 	s.AtFire(Time(4), &got, -1) // earlier time, scheduled last: fires first
@@ -263,7 +263,7 @@ func TestRunAfterPartialRunUntilFinishes(t *testing.T) {
 			ticks = append(ticks, p.Now())
 		}
 	})
-	if s.RunUntil(Time(2 * Millisecond)) {
+	if s.runUntil(Time(2 * Millisecond)) {
 		t.Fatal("RunUntil(2ms) drained early")
 	}
 	if len(ticks) != 2 {
@@ -287,7 +287,7 @@ func TestRunUntilIncrementalDrives(t *testing.T) {
 		}
 	})
 	for i := 1; i <= 4; i++ {
-		drained := s.RunUntil(Time(i) * Time(Millisecond))
+		drained := s.runUntil(Time(i) * Time(Millisecond))
 		if ticks != i {
 			t.Fatalf("after RunUntil(%dms): %d ticks", i, ticks)
 		}
@@ -303,13 +303,13 @@ func TestDriveAfterDrainPanics(t *testing.T) {
 		drive func(s *Scheduler)
 	}{
 		{"Run", func(s *Scheduler) { s.Run() }},
-		{"RunUntil", func(s *Scheduler) { s.RunUntil(Time(Second)) }},
+		{"RunUntil", func(s *Scheduler) { s.runUntil(Time(Second)) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := New()
 			s.Spawn("p", func(p *Proc) { p.Sleep(Microsecond) })
-			if !s.RunUntil(Time(Second)) {
+			if !s.runUntil(Time(Second)) {
 				t.Fatal("queue did not drain")
 			}
 			defer func() {
@@ -328,13 +328,13 @@ func TestDriveReentryFromEventPanics(t *testing.T) {
 		drive func(s *Scheduler)
 	}{
 		{"Run", func(s *Scheduler) { s.Run() }},
-		{"RunUntil", func(s *Scheduler) { s.RunUntil(Time(Second)) }},
+		{"RunUntil", func(s *Scheduler) { s.runUntil(Time(Second)) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := New()
 			var reentryPanic interface{}
-			s.At(0, func() {
+			s.at(0, func() {
 				defer func() { reentryPanic = recover() }()
 				c.drive(s)
 			})
@@ -354,7 +354,7 @@ func TestDriveReentryFromEventPanics(t *testing.T) {
 func TestRunUntilMonotonicityGuard(t *testing.T) {
 	s := New()
 	s.Spawn("p", func(p *Proc) { p.Sleep(Millisecond) })
-	if s.RunUntil(Time(Millisecond)) != true {
+	if s.runUntil(Time(Millisecond)) != true {
 		t.Fatal("expected drained drive")
 	}
 	s.running = false // re-arm the drive for the forged event
@@ -366,7 +366,7 @@ func TestRunUntilMonotonicityGuard(t *testing.T) {
 			t.Fatal("RunUntil fired an event in the past without panicking")
 		}
 	}()
-	s.RunUntil(Time(2 * Millisecond))
+	s.runUntil(Time(2 * Millisecond))
 }
 
 // ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ func TestEventQueueOrdering(t *testing.T) {
 		i := i
 		at := at
 		order[at] = append(order[at], i)
-		s.At(at, func() {
+		s.at(at, func() {
 			fired = append(fired, at)
 			got := order[at][0]
 			order[at] = order[at][1:]
@@ -408,7 +408,7 @@ func TestEventQueueOrdering(t *testing.T) {
 func TestEventFreelistRecycles(t *testing.T) {
 	s := New()
 	for i := 0; i < 8; i++ {
-		s.At(Time(i), func() {})
+		s.at(Time(i), func() {})
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -418,7 +418,7 @@ func TestEventFreelistRecycles(t *testing.T) {
 	}
 	free := len(s.free)
 	s.running = false
-	s.At(s.now, func() {})
+	s.at(s.now, func() {})
 	if len(s.free) != free-1 {
 		t.Fatalf("scheduling did not reuse a freelist event: %d -> %d", free, len(s.free))
 	}

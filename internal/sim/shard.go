@@ -212,8 +212,8 @@ func (g *ShardGroup) Shard(i int) *Scheduler { return g.shards[i] }
 // Lookahead returns the group's lookahead window.
 func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
 
-// Now returns the maximum virtual time reached by any shard.
-func (g *ShardGroup) Now() Time {
+// now returns the maximum virtual time reached by any shard.
+func (g *ShardGroup) now() Time {
 	var now Time
 	for _, s := range g.shards {
 		if s.now > now {
@@ -223,13 +223,13 @@ func (g *ShardGroup) Now() Time {
 	return now
 }
 
-// SetWorkers overrides the window-worker pool size (normally
+// setWorkers overrides the window-worker pool size (normally
 // min(GOMAXPROCS, shards)); n is clamped to [1, shards]. It must be called
 // before Run. Worker count never affects results, only wall-clock time —
 // the determinism tests drive the same workload at several pool sizes.
-func (g *ShardGroup) SetWorkers(n int) {
+func (g *ShardGroup) setWorkers(n int) {
 	if g.running {
-		panic("sim: ShardGroup.SetWorkers after Run")
+		panic("sim: ShardGroup.setWorkers after Run")
 	}
 	if n < 1 {
 		n = 1
@@ -689,7 +689,3 @@ func (s *Scheduler) DeferFire(dst *Scheduler, t Time, h Handler, op int) {
 func (s *Scheduler) Defer(dst *Scheduler, t Time, fn func()) {
 	s.DeferFire(dst, t, funcHandler(fn), 0)
 }
-
-// Group returns the shard group this scheduler belongs to, or nil for a
-// standalone scheduler (including the single shard of a one-shard group).
-func (s *Scheduler) Group() *ShardGroup { return s.group }

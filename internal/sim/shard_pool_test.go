@@ -26,7 +26,7 @@ func poolWorkload(g *ShardGroup, rounds, burst int) func() []string {
 					// events to every other shard.
 					for k := 0; k < burst; k++ {
 						k := k
-						s.At(p.Now(), func() { logs[0] = append(logs[0], fmt.Sprintf("burst%d", k)) })
+						s.at(p.Now(), func() { logs[0] = append(logs[0], fmt.Sprintf("burst%d", k)) })
 					}
 					for d := 1; d < n; d++ {
 						d := d
@@ -61,7 +61,7 @@ func TestShardPoolDeterminism(t *testing.T) {
 	const shards, rounds, burst = 8, 20, 50
 	run := func(workers int) []string {
 		g := NewShardGroup(shards, 1000)
-		g.SetWorkers(workers)
+		g.setWorkers(workers)
 		snap := poolWorkload(g, rounds, burst)
 		if err := g.Run(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -90,7 +90,7 @@ func TestShardPoolDeterminism(t *testing.T) {
 // imbalance ratio reflects the hot shard.
 func TestShardPoolStats(t *testing.T) {
 	g := NewShardGroup(4, 1000)
-	g.SetWorkers(2)
+	g.setWorkers(2)
 	snap := poolWorkload(g, 10, 100)
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestShardPoolStats(t *testing.T) {
 func TestShardPoolSteals(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
 		g := NewShardGroup(8, 1000)
-		g.SetWorkers(2)
+		g.setWorkers(2)
 		snap := poolWorkload(g, 30, 500)
 		if err := g.Run(); err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestShardPoolSteals(t *testing.T) {
 // consistent worker lanes and event counts.
 func TestShardPoolSpans(t *testing.T) {
 	g := NewShardGroup(4, 1000)
-	g.SetWorkers(2)
+	g.setWorkers(2)
 	var spans []ShardSpan
 	g.SetSpanObserver(func(sp ShardSpan) { spans = append(spans, sp) })
 	snap := poolWorkload(g, 10, 20)
@@ -188,7 +188,7 @@ func TestShardOutboxShrink(t *testing.T) {
 	const la = Duration(1000)
 	const spike = 4096
 	g := NewShardGroup(2, la)
-	g.SetWorkers(1)
+	g.setWorkers(1)
 	s, dst := g.Shard(0), g.Shard(1)
 	s.Spawn("spiker", func(p *Proc) {
 		// One spike window, then enough single-event windows to cross the
@@ -226,7 +226,7 @@ func TestShardPoolSettersContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, fn := range map[string]func(){
-		"SetWorkers":      func() { g.SetWorkers(2) },
+		"SetWorkers":      func() { g.setWorkers(2) },
 		"SetSpanObserver": func() { g.SetSpanObserver(func(ShardSpan) {}) },
 	} {
 		func() {

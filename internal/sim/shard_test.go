@@ -13,7 +13,7 @@ import (
 func TestShardGroupSingleIsPlainScheduler(t *testing.T) {
 	g := NewShardGroup(1, 0)
 	s := g.Shard(0)
-	if s.Group() != nil {
+	if s.group != nil {
 		t.Fatalf("single-shard group attached itself to the scheduler")
 	}
 	var ran bool
@@ -49,7 +49,7 @@ func TestShardGroupTokenRing(t *testing.T) {
 		s := g.Shard(i)
 		s.Defer(g.Shard(next), s.Now().Add(la), func() { hop(next) })
 	}
-	g.Shard(0).At(0, func() { hop(0) })
+	g.Shard(0).at(0, func() { hop(0) })
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,8 @@ func TestShardGroupTokenRing(t *testing.T) {
 		t.Fatalf("hops = %d, want %d", hops, shards*rounds)
 	}
 	want := Time(Duration(shards*rounds-1) * la)
-	if g.Now() != want {
-		t.Fatalf("final time %v, want %v", g.Now(), want)
+	if g.now() != want {
+		t.Fatalf("final time %v, want %v", g.now(), want)
 	}
 }
 
@@ -173,7 +173,7 @@ func TestShardGroupContract(t *testing.T) {
 
 	g := NewShardGroup(2, Microsecond)
 	mustPanic("member Run", "drive it with ShardGroup.Run", func() { _ = g.Shard(0).Run() })
-	mustPanic("member RunUntil", "drive it with ShardGroup.Run", func() { g.Shard(1).RunUntil(10) })
+	mustPanic("member RunUntil", "drive it with ShardGroup.Run", func() { g.Shard(1).runUntil(10) })
 
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestShardGroupContract(t *testing.T) {
 				t.Fatalf("window re-entry panic = %v", r)
 			}
 		}()
-		g2.Shard(0).At(0, func() { _ = g2.Shard(0).Run() })
+		g2.Shard(0).at(0, func() { _ = g2.Shard(0).Run() })
 		_ = g2.Run()
 	}()
 }
@@ -244,8 +244,8 @@ func TestShardGroupWavefrontHorizon(t *testing.T) {
 	// Shard B has dense local work far in the future; shard A sends it a
 	// message that must interleave correctly.
 	var order []string
-	b.At(Time(10*Microsecond), func() { order = append(order, "b-local") })
-	a.At(0, func() {
+	b.at(Time(10*Microsecond), func() { order = append(order, "b-local") })
+	a.at(0, func() {
 		a.Defer(b, Time(5*Microsecond), func() { order = append(order, "from-a") })
 	})
 	if err := g.Run(); err != nil {
@@ -270,9 +270,9 @@ func TestDeferFireInterleavesLikeDefer(t *testing.T) {
 		note := func(what string) func() { return func() { order = append(order, what) } }
 		// b creates local events for the instant at t=1us and t=3us; a
 		// creates its event for b in between, at t=2us.
-		b.At(Time(Microsecond), func() { b.At(at, note("b@1us")) })
-		b.At(Time(3*Microsecond), func() { b.At(at, note("b@3us")) })
-		a.At(Time(2*Microsecond), func() {
+		b.at(Time(Microsecond), func() { b.at(at, note("b@1us")) })
+		b.at(Time(3*Microsecond), func() { b.at(at, note("b@3us")) })
+		a.at(Time(2*Microsecond), func() {
 			if fire {
 				a.DeferFire(b, at, funcHandler(note("a@2us")), 0)
 			} else {

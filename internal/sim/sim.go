@@ -54,9 +54,6 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 // Microseconds returns the duration as a floating-point number of microseconds.
 func (d Duration) Microseconds() float64 { return float64(d) / 1e3 }
 
-// Milliseconds returns the duration as a floating-point number of milliseconds.
-func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
-
 // String formats the duration with an adaptive unit.
 func (d Duration) String() string {
 	// Format the magnitude as a uint64: negating MinInt64 as a Duration
@@ -205,7 +202,7 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // them apart by it, so no step needs a closure of its own.
 type Handler interface{ Fire(op int) }
 
-// funcHandler lets At, After and Defer ride on the handler path. A func
+// funcHandler lets at and Defer ride on the handler path. A func
 // value is pointer-shaped, so converting one to Handler does not allocate.
 type funcHandler func()
 
@@ -290,7 +287,7 @@ type Scheduler struct {
 	// it; keep is what this one keeps for the next (see Keep).
 	kept, keep any
 
-	// driving is set while a drive loop (Run, RunUntil) is on the
+	// driving is set while a drive loop (Run, runUntil) is on the
 	// stack; re-entering a drive from an event callback panics.
 	driving bool
 	// running becomes true once a drive has fully drained the queue; it is
@@ -356,9 +353,9 @@ func (s *Scheduler) AtFire(t Time, h Handler, op int) {
 	s.atBorn(t, s.now, h, op)
 }
 
-// At schedules fn to run in scheduler context at absolute time t: AtFire
+// at schedules fn to run in scheduler context at absolute time t: AtFire
 // with the func itself as the handler.
-func (s *Scheduler) At(t Time, fn func()) { s.AtFire(t, funcHandler(fn), 0) }
+func (s *Scheduler) at(t Time, fn func()) { s.AtFire(t, funcHandler(fn), 0) }
 
 // atBorn is AtFire with an explicit creation stamp born <= t. The window
 // barrier uses it so a cross-shard event inherits its sender-side creation
@@ -371,14 +368,6 @@ func (s *Scheduler) atBorn(t, born Time, h Handler, op int) {
 	e := s.newEvent(t, nil, h, op)
 	e.born = born
 	s.queue.push(e)
-}
-
-// After schedules fn to run d from now. Negative d panics.
-func (s *Scheduler) After(d Duration, fn func()) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	s.At(s.now.Add(d), fn)
 }
 
 // parkKind encodes why a proc is parked; the human-readable reason is only
@@ -444,17 +433,14 @@ func (p *Proc) parkReason() string {
 	}
 }
 
-// Name returns the name the proc was spawned with, or for a fork member
+// label returns the name the proc was spawned with, or for a fork member
 // its body's ThreadName, formatted now.
-func (p *Proc) Name() string {
+func (p *Proc) label() string {
 	if r := p.run; p.name == "" && r != nil && r.body != nil {
 		return r.body.ThreadName(r.t)
 	}
 	return p.name
 }
-
-// ID returns the unique spawn-ordered id of the proc.
-func (p *Proc) ID() int { return p.id }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.s.now }
@@ -463,8 +449,8 @@ func (p *Proc) Now() Time { return p.s.now }
 func (p *Proc) Scheduler() *Scheduler { return p.s }
 
 // Thread is the body of forked procs: member t of a fork runs
-// Thread(tp, t). ThreadName(t) names member t in deadlock diagnostics and
-// Proc.Name; it is called only then, so a fork formats no names. One body
+// Thread(tp, t). ThreadName(t) names member t in deadlock diagnostics; it
+// is called only then, so a fork formats no names. One body
 // value serves every member of a fork and every fork after it, and the
 // thread index travels on the runner, so starting a member allocates
 // nothing.
@@ -649,9 +635,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park(parkSleep, int64(d), int64(until))
 }
 
-// Yield gives other same-time events a chance to run before continuing.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // startDrive begins a drive loop, enforcing the re-entrancy contract: a
 // drive may not start while another is on the stack (an event callback
 // calling Run) or after a previous drive has drained the queue.
@@ -724,7 +707,7 @@ func (s *Scheduler) deadlock() error {
 	}
 	blocked := make([]string, 0, len(s.procs))
 	for _, p := range s.procs {
-		blocked = append(blocked, fmt.Sprintf("%s(#%d): %s", p.Name(), p.id, p.parkReason()))
+		blocked = append(blocked, fmt.Sprintf("%s(#%d): %s", p.label(), p.id, p.parkReason()))
 	}
 	slices.Sort(blocked)
 	return &DeadlockError{Now: s.now, Blocked: blocked}
@@ -733,7 +716,7 @@ func (s *Scheduler) deadlock() error {
 // Run drives the simulation until the event queue drains. It returns nil if
 // every proc has finished, and a *DeadlockError if live procs remain parked
 // with no event able to wake them. Run may be called exactly once, except
-// that it may follow partial RunUntil drives to finish the simulation;
+// that it may follow partial runUntil drives to finish the simulation;
 // calling it from within an event callback panics.
 func (s *Scheduler) Run() error {
 	s.startDrive(maxTime)
@@ -744,13 +727,13 @@ func (s *Scheduler) Run() error {
 	return s.deadlock()
 }
 
-// RunUntil drives the simulation until the clock would pass t or the queue
+// runUntil drives the simulation until the clock would pass t or the queue
 // drains. Events at exactly t still fire. It reports whether the queue
-// drained (all work done). RunUntil may be called repeatedly to drive the
+// drained (all work done). runUntil may be called repeatedly to drive the
 // simulation incrementally, and a final Run may finish the drive;
 // once any drive has drained the queue, all further drives panic, as does
 // re-entering a drive from an event callback.
-func (s *Scheduler) RunUntil(t Time) bool {
+func (s *Scheduler) runUntil(t Time) bool {
 	s.startDrive(t)
 	// What a panic unwinding through the loop leaves: a terminal, dead drive.
 	drained, clean := true, false

@@ -61,12 +61,12 @@ func TestZeroSleepYields(t *testing.T) {
 	var order []string
 	s.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	s.Spawn("b", func(p *Proc) {
 		order = append(order, "b1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "b2")
 	})
 	if err := s.Run(); err != nil {
@@ -87,7 +87,7 @@ func TestEventOrderingIsDeterministic(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			i := i
 			// All events at the same instant must fire in scheduling order.
-			s.At(Time(Millisecond), func() { got = append(got, i) })
+			s.at(Time(Millisecond), func() { got = append(got, i) })
 		}
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(0, func() {})
+	s.at(0, func() {})
 }
 
 func TestNegativeSleepPanics(t *testing.T) {
@@ -221,28 +221,6 @@ func TestMutexFIFO(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	s := New()
-	var m Mutex
-	var got []bool
-	s.Spawn("a", func(p *Proc) {
-		got = append(got, m.TryLock(p))
-		got = append(got, m.TryLock(p))
-		m.Unlock(p)
-		got = append(got, m.TryLock(p))
-		m.Unlock(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TryLock results = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestMutexUnlockByNonOwnerPanics(t *testing.T) {
 	s := New()
 	var m Mutex
@@ -280,7 +258,9 @@ func TestCondSignalWakesOne(t *testing.T) {
 		p.Sleep(Millisecond)
 		m.Lock(p)
 		woken = 3
-		c.Broadcast(p)
+		for i := 0; i < 3; i++ {
+			c.Signal(p)
+		}
 		m.Unlock(p)
 	})
 	if err := s.Run(); err != nil {
@@ -465,7 +445,7 @@ func TestStaleWakeSkipsNextProcOnRunner(t *testing.T) {
 		first = p
 		s.wakeAt(5, p) // still pending when the proc returns at 0
 	})
-	s.At(1, func() {
+	s.at(1, func() {
 		second = s.Spawn("second", func(p *Proc) {
 			p.Sleep(10)
 			woke = p.Now()
@@ -491,7 +471,7 @@ func TestRunUntil(t *testing.T) {
 			ticks = append(ticks, p.Now())
 		}
 	})
-	drained := s.RunUntil(Time(3 * Millisecond))
+	drained := s.runUntil(Time(3 * Millisecond))
 	if drained {
 		t.Fatal("RunUntil reported drained with events pending")
 	}
@@ -614,60 +594,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if b.Sub(a) != 50 {
 		t.Fatalf("Sub: got %d", b.Sub(a))
 	}
-}
-
-func TestCondBroadcastFromEvent(t *testing.T) {
-	s := New()
-	var m Mutex
-	c := NewCond(&m)
-	released := 0
-	for i := 0; i < 3; i++ {
-		s.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			m.Lock(p)
-			c.Wait(p)
-			released++
-			m.Unlock(p)
-		})
-	}
-	// An event (not a proc) releases the waiters.
-	s.Spawn("arm", func(p *Proc) {
-		p.Sleep(Millisecond)
-		p.Scheduler().After(Millisecond, func() {
-			c.BroadcastFromEvent(p.Scheduler())
-		})
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if released != 3 {
-		t.Fatalf("released %d waiters, want 3", released)
-	}
-}
-
-func TestAfterSchedulesRelativeEvent(t *testing.T) {
-	s := New()
-	var firedAt Time
-	s.Spawn("p", func(p *Proc) {
-		p.Sleep(2 * Millisecond)
-		s.After(3*Millisecond, func() { firedAt = s.Now() })
-		p.Sleep(10 * Millisecond)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if firedAt != Time(5*Millisecond) {
-		t.Fatalf("After fired at %v, want 5ms", Duration(firedAt))
-	}
-}
-
-func TestAfterNegativePanics(t *testing.T) {
-	s := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative After did not panic")
-		}
-	}()
-	s.After(-1, func() {})
 }
 
 func TestDeadlockErrorNamesBlockedProcs(t *testing.T) {

@@ -8,9 +8,6 @@ type Mutex struct {
 	waiters []*Proc
 }
 
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.owner != nil }
-
 // Waiters returns the number of procs queued on the mutex. The MPI layer uses
 // this to model lock-contention penalties under MPI_THREAD_MULTIPLE.
 func (m *Mutex) Waiters() int { return len(m.waiters) }
@@ -26,15 +23,6 @@ func (m *Mutex) Lock(p *Proc) {
 	}
 	m.waiters = append(m.waiters, p)
 	p.park(parkMutex, 0, 0)
-}
-
-// TryLock acquires the mutex if it is free and reports whether it did.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.owner != nil {
-		return false
-	}
-	m.owner = p
-	return true
 }
 
 // Unlock releases the mutex. If procs are waiting, ownership transfers to the
@@ -64,7 +52,7 @@ type Cond struct {
 // NewCond returns a condition variable using l.
 func NewCond(l *Mutex) *Cond { return &Cond{L: l} }
 
-// Wait atomically releases c.L, suspends the proc until Signal or Broadcast,
+// Wait atomically releases c.L, suspends the proc until Signal,
 // then reacquires c.L before returning. As with sync.Cond, the awaited
 // predicate must be rechecked in a loop.
 func (c *Cond) Wait(p *Proc) {
@@ -84,23 +72,6 @@ func (c *Cond) Signal(p *Proc) {
 	copy(c.waiters, c.waiters[1:])
 	c.waiters = c.waiters[:len(c.waiters)-1]
 	p.s.wake(w)
-}
-
-// Broadcast wakes all current waiters.
-func (c *Cond) Broadcast(p *Proc) {
-	for _, w := range c.waiters {
-		p.s.wake(w)
-	}
-	c.waiters = c.waiters[:0]
-}
-
-// BroadcastFromEvent wakes all waiters from scheduler (event-callback)
-// context, e.g. a network-arrival event completing a receive.
-func (c *Cond) BroadcastFromEvent(s *Scheduler) {
-	for _, w := range c.waiters {
-		s.wake(w)
-	}
-	c.waiters = c.waiters[:0]
 }
 
 // WaitGroup mirrors sync.WaitGroup for procs.

@@ -92,7 +92,7 @@ func runPortedProxy(a *sim.Arena, cfg Config, nodes, chunks int) (sim.Duration, 
 	mcfg.Mem = memsim.Default(spec.Cache)
 	mcfg.PartImpl = mpi.PartNative
 	w := mpi.NewWorld(s, mcfg)
-	px, py := Grid(nodes)
+	px, py := grid(nodes)
 	perStep := sim.Duration(int64(cfg.TotalCompute) / int64(nodes))
 	perChunk := perStep / sim.Duration(chunks)
 	chunkBytes := cfg.BoundaryBytes / int64(chunks)

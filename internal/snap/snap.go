@@ -92,8 +92,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Grid factors n into the most-square Px x Py process grid (Px <= Py).
-func Grid(n int) (px, py int) {
+// grid factors n into the most-square Px x Py process grid (Px <= Py).
+func grid(n int) (px, py int) {
 	px = int(math.Sqrt(float64(n)))
 	for ; px >= 1; px-- {
 		if n%px == 0 {
@@ -229,7 +229,7 @@ func runProxy(a *sim.Arena, cfg Config, nodes int) (prof.Report, error) {
 	mcfg.Mem = memsim.Default(spec.Cache)
 	w := mpi.NewWorld(s, mcfg)
 	pf := prof.New()
-	px, py := Grid(nodes)
+	px, py := grid(nodes)
 	perStep := sim.Duration(int64(cfg.TotalCompute) / int64(nodes))
 
 	for id := 0; id < nodes; id++ {

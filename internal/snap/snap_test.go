@@ -12,12 +12,12 @@ func TestGrid(t *testing.T) {
 		64: {8, 8}, 128: {8, 16}, 256: {16, 16}, 7: {1, 7},
 	}
 	for n, want := range cases {
-		px, py := Grid(n)
+		px, py := grid(n)
 		if px != want[0] || py != want[1] {
-			t.Errorf("Grid(%d) = %dx%d, want %dx%d", n, px, py, want[0], want[1])
+			t.Errorf("grid(%d) = %dx%d, want %dx%d", n, px, py, want[0], want[1])
 		}
 		if px*py != n {
-			t.Errorf("Grid(%d) does not cover all ranks", n)
+			t.Errorf("grid(%d) does not cover all ranks", n)
 		}
 	}
 }

@@ -1,15 +1,13 @@
 package stats
 
 // This file holds the uncertainty math behind the adaptive measurement
-// methodology (DESIGN.md §9): Student-t and bootstrap confidence intervals
-// on the mean, Tukey's trimean, the iid/stationarity diagnostics (lag-1
-// autocorrelation and the Wald–Wolfowitz runs test), and MSER warmup
-// detection. Everything is deterministic: the bootstrap uses a caller-seeded
-// generator, and no function reads the wall clock.
+// methodology (DESIGN.md §9): Student-t confidence intervals on the mean,
+// Tukey's trimean, the iid/stationarity diagnostics (lag-1 autocorrelation
+// and the Wald–Wolfowitz runs test), and MSER warmup detection. Everything
+// is deterministic: no function reads the wall clock.
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -53,13 +51,13 @@ func normalQuantile(p float64) float64 {
 	}
 }
 
-// TQuantile returns the two-sided Student-t critical value t* such that a
+// tQuantile returns the two-sided Student-t critical value t* such that a
 // t-distributed variable with df degrees of freedom lies in [-t*, t*] with
 // the given confidence (e.g. 0.95). df < 1 or confidence outside (0,1)
 // return NaN. Exact closed forms cover df 1 and 2; larger df use Hill's
 // Cornish–Fisher expansion around the normal quantile (error well under 1%
 // for df >= 3, converging to the normal value as df grows).
-func TQuantile(df int, confidence float64) float64 {
+func tQuantile(df int, confidence float64) float64 {
 	if df < 1 || confidence <= 0 || confidence >= 1 {
 		return math.NaN()
 	}
@@ -87,25 +85,25 @@ func TQuantile(df int, confidence float64) float64 {
 	return z + g1(z)/n + g2(z)/(n*n) + g3(z)/(n*n*n) + g4(z)/(n*n*n*n)
 }
 
-// MeanCI returns the two-sided Student-t confidence interval for the mean
+// meanCI returns the two-sided Student-t confidence interval for the mean
 // of xs at the given confidence level. Fewer than two samples (no variance
 // estimate) yield the degenerate interval [mean, mean].
-func MeanCI(xs []float64, confidence float64) (lo, hi float64) {
+func meanCI(xs []float64, confidence float64) (lo, hi float64) {
 	m := Mean(xs)
 	if len(xs) < 2 {
 		return m, m
 	}
-	sd := Stddev(xs)
+	sd := stddev(xs)
 	if sd == 0 {
 		return m, m
 	}
-	hw := TQuantile(len(xs)-1, confidence) * sd / math.Sqrt(float64(len(xs)))
+	hw := tQuantile(len(xs)-1, confidence) * sd / math.Sqrt(float64(len(xs)))
 	return m - hw, m + hw
 }
 
-// Trimean returns Tukey's trimean (Q1 + 2*median + Q3)/4 — the robust
+// trimean returns Tukey's trimean (Q1 + 2*median + Q3)/4 — the robust
 // location estimate the TEMPI-style harness reports. Empty input yields 0.
-func Trimean(xs []float64) float64 {
+func trimean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -114,33 +112,10 @@ func Trimean(xs []float64) float64 {
 	return (Percentile(sorted, 25) + 2*Percentile(sorted, 50) + Percentile(sorted, 75)) / 4
 }
 
-// BootstrapMeanCI returns a percentile-bootstrap confidence interval for
-// the mean of xs: resamples sample-mean replicates with a generator seeded
-// by seed (fully deterministic) and takes the central confidence mass.
-// Fewer than two samples or resamples < 1 yield [mean, mean].
-func BootstrapMeanCI(xs []float64, confidence float64, resamples int, seed int64) (lo, hi float64) {
-	m := Mean(xs)
-	if len(xs) < 2 || resamples < 1 || confidence <= 0 || confidence >= 1 {
-		return m, m
-	}
-	rng := rand.New(rand.NewSource(seed))
-	reps := make([]float64, resamples)
-	for r := range reps {
-		var sum float64
-		for i := 0; i < len(xs); i++ {
-			sum += xs[rng.Intn(len(xs))]
-		}
-		reps[r] = sum / float64(len(xs))
-	}
-	sort.Float64s(reps)
-	alpha := (1 - confidence) / 2
-	return Percentile(reps, 100*alpha), Percentile(reps, 100*(1-alpha))
-}
-
-// Autocorr1 returns the lag-1 sample autocorrelation of xs, the primary
+// autocorr1 returns the lag-1 sample autocorrelation of xs, the primary
 // stationarity diagnostic of the iid check. Fewer than three samples or
 // zero variance yield 0.
-func Autocorr1(xs []float64) float64 {
+func autocorr1(xs []float64) float64 {
 	n := len(xs)
 	if n < 3 {
 		return 0
@@ -160,12 +135,12 @@ func Autocorr1(xs []float64) float64 {
 	return num / den
 }
 
-// RunsTestZ returns the Wald–Wolfowitz runs-test z statistic of xs around
+// runsTestZ returns the Wald–Wolfowitz runs-test z statistic of xs around
 // its median: the number of runs of consecutive above/below-median samples,
 // standardized against the count expected under independence. |z| > ~1.96
 // rejects independence at the 5% level. Samples equal to the median are
 // dropped; fewer than two samples on either side yield 0 (no evidence).
-func RunsTestZ(xs []float64) float64 {
+func runsTestZ(xs []float64) float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	median := Percentile(sorted, 50)
@@ -207,11 +182,11 @@ const (
 	IIDMaxRunsZ    = 1.96
 )
 
-// IsIID reports whether xs passes both stationarity diagnostics — the
+// isIID reports whether xs passes both stationarity diagnostics — the
 // TEMPI-style gate before trusting a confidence interval. Short or
 // degenerate sample sets pass (no evidence against independence).
-func IsIID(xs []float64) bool {
-	return math.Abs(Autocorr1(xs)) < IIDMaxAutocorr && math.Abs(RunsTestZ(xs)) < IIDMaxRunsZ
+func isIID(xs []float64) bool {
+	return math.Abs(autocorr1(xs)) < IIDMaxAutocorr && math.Abs(runsTestZ(xs)) < IIDMaxRunsZ
 }
 
 // DetectWarmup returns how many leading samples of xs to discard before

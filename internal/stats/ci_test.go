@@ -46,11 +46,11 @@ func TestTQuantile(t *testing.T) {
 		{5, 0.90, 2.015, 0.01},
 	}
 	for _, c := range cases {
-		if got := TQuantile(c.df, c.conf); math.Abs(got-c.want) > c.tol {
+		if got := tQuantile(c.df, c.conf); math.Abs(got-c.want) > c.tol {
 			t.Errorf("TQuantile(%d, %v) = %v, want %v ± %v", c.df, c.conf, got, c.want, c.tol)
 		}
 	}
-	if !math.IsNaN(TQuantile(0, 0.95)) || !math.IsNaN(TQuantile(5, 0)) || !math.IsNaN(TQuantile(5, 1)) {
+	if !math.IsNaN(tQuantile(0, 0.95)) || !math.IsNaN(tQuantile(5, 0)) || !math.IsNaN(tQuantile(5, 1)) {
 		t.Error("bad df/confidence must yield NaN")
 	}
 }
@@ -58,7 +58,7 @@ func TestTQuantile(t *testing.T) {
 func TestMeanCI(t *testing.T) {
 	// n=5, mean=30, sd=sqrt(250)=15.811; t(4, .95)=2.776 → hw=19.63.
 	xs := []float64{10, 20, 30, 40, 50}
-	lo, hi := MeanCI(xs, 0.95)
+	lo, hi := meanCI(xs, 0.95)
 	if math.Abs((hi+lo)/2-30) > 1e-9 {
 		t.Fatalf("CI not centered on mean: [%v, %v]", lo, hi)
 	}
@@ -66,53 +66,32 @@ func TestMeanCI(t *testing.T) {
 		t.Fatalf("half-width = %v, want ≈ 19.63", hw)
 	}
 	// Degenerate: no variance.
-	if lo, hi := MeanCI([]float64{4, 4, 4}, 0.95); lo != 4 || hi != 4 {
+	if lo, hi := meanCI([]float64{4, 4, 4}, 0.95); lo != 4 || hi != 4 {
 		t.Fatalf("zero-variance CI = [%v, %v], want [4,4]", lo, hi)
 	}
 }
 
 func TestTrimean(t *testing.T) {
 	// {1..5}: Q1=2, med=3, Q3=4 → (2+6+4)/4 = 3.
-	if got := Trimean([]float64{5, 1, 4, 2, 3}); !almost(got, 3) {
+	if got := trimean([]float64{5, 1, 4, 2, 3}); !almost(got, 3) {
 		t.Fatalf("Trimean = %v, want 3", got)
 	}
 	// Skewed set: trimean resists the tail more than the mean does.
 	xs := []float64{1, 2, 3, 4, 1000}
-	if tm, m := Trimean(xs), Mean(xs); tm >= m {
+	if tm, m := trimean(xs), Mean(xs); tm >= m {
 		t.Fatalf("Trimean %v should sit below mean %v on a right-skewed set", tm, m)
-	}
-}
-
-func TestBootstrapMeanCIDeterministic(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50, 25, 35}
-	lo1, hi1 := BootstrapMeanCI(xs, 0.95, 500, 42)
-	lo2, hi2 := BootstrapMeanCI(xs, 0.95, 500, 42)
-	if lo1 != lo2 || hi1 != hi2 {
-		t.Fatal("same seed must reproduce the same interval")
-	}
-	if lo1 >= hi1 {
-		t.Fatalf("degenerate bootstrap interval [%v, %v]", lo1, hi1)
-	}
-	m := Mean(xs)
-	if lo1 > m || hi1 < m {
-		t.Fatalf("bootstrap interval [%v, %v] excludes the sample mean %v", lo1, hi1, m)
-	}
-	// Roughly agree with the t interval on benign data.
-	tlo, thi := MeanCI(xs, 0.95)
-	if math.Abs((hi1-lo1)-(thi-tlo)) > (thi - tlo) {
-		t.Fatalf("bootstrap width %v wildly off t width %v", hi1-lo1, thi-tlo)
 	}
 }
 
 func TestAutocorr1(t *testing.T) {
 	// Strong positive correlation: a slow ramp.
 	ramp := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Autocorr1(ramp); got < 0.5 {
+	if got := autocorr1(ramp); got < 0.5 {
 		t.Fatalf("ramp autocorr = %v, want strongly positive", got)
 	}
 	// Alternating series: strong negative correlation.
 	alt := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	if got := Autocorr1(alt); got > -0.5 {
+	if got := autocorr1(alt); got > -0.5 {
 		t.Fatalf("alternating autocorr = %v, want strongly negative", got)
 	}
 }
@@ -120,12 +99,12 @@ func TestAutocorr1(t *testing.T) {
 func TestRunsTest(t *testing.T) {
 	// Perfect alternation around the median → far more runs than chance.
 	alt := []float64{1, 9, 1, 9, 1, 9, 1, 9, 1, 9, 1, 9}
-	if z := RunsTestZ(alt); z < 1.96 {
+	if z := runsTestZ(alt); z < 1.96 {
 		t.Fatalf("alternating runs z = %v, want > 1.96", z)
 	}
 	// Two long blocks → far fewer runs than chance.
 	blocks := []float64{1, 1, 1, 1, 1, 1, 9, 9, 9, 9, 9, 9}
-	if z := RunsTestZ(blocks); z > -1.96 {
+	if z := runsTestZ(blocks); z > -1.96 {
 		t.Fatalf("blocked runs z = %v, want < -1.96", z)
 	}
 }
@@ -137,13 +116,13 @@ func TestIsIID(t *testing.T) {
 	for i := range mixed {
 		mixed[i] = rng.Float64()
 	}
-	if !IsIID(mixed) {
+	if !isIID(mixed) {
 		t.Errorf("mixed sequence flagged non-iid: acf=%v z=%v",
-			Autocorr1(mixed), RunsTestZ(mixed))
+			autocorr1(mixed), runsTestZ(mixed))
 	}
 	// A trending sequence fails.
 	trend := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	if IsIID(trend) {
+	if isIID(trend) {
 		t.Error("monotone trend passed the iid gate")
 	}
 }

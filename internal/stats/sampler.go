@@ -17,7 +17,7 @@ import (
 )
 
 // RunConfig bounds one cell's adaptive sampling. The zero value is not
-// runnable; start from DefaultRunConfig or ParseRunConfig.
+// runnable; start from defaultRunConfig or ParseRunConfig.
 type RunConfig struct {
 	// MinSamples is the smallest sample count before convergence may be
 	// declared (>= 2, so a variance estimate exists).
@@ -38,10 +38,10 @@ type RunConfig struct {
 	Budget time.Duration `json:"budget,omitempty"`
 }
 
-// DefaultRunConfig returns the adaptive defaults: at least 2 and at most 32
+// defaultRunConfig returns the adaptive defaults: at least 2 and at most 32
 // samples, 95% confidence, 5% target relative half-width, no wall-clock
 // budget.
-func DefaultRunConfig() RunConfig {
+func defaultRunConfig() RunConfig {
 	return RunConfig{MinSamples: 2, MaxSamples: 32, Confidence: 0.95, TargetRelCI: 0.05}
 }
 
@@ -81,7 +81,7 @@ func (rc RunConfig) String() string {
 // Go duration syntax). An empty spec returns the defaults. The result is
 // validated; ParseRunConfig never panics on any input.
 func ParseRunConfig(spec string) (RunConfig, error) {
-	rc := DefaultRunConfig()
+	rc := defaultRunConfig()
 	spec = strings.TrimSpace(spec)
 	if spec != "" {
 		for _, field := range strings.Split(spec, ",") {
@@ -169,7 +169,7 @@ func (e Estimate) HalfWidth() float64 { return (e.Hi - e.Lo) / 2 }
 type Sampler struct {
 	rc    RunConfig
 	xs    []float64
-	now   func() time.Time // nil = time.Now, only consulted when Budget > 0
+	now   func() time.Time // nil = time.Now (tests set a fake clock); read only when Budget > 0
 	start time.Time
 	began bool
 }
@@ -179,10 +179,6 @@ type Sampler struct {
 func NewSampler(rc RunConfig) *Sampler {
 	return &Sampler{rc: rc}
 }
-
-// SetClock injects the time source consulted by the wall-clock budget
-// (tests use a fake clock; nil restores time.Now).
-func (s *Sampler) SetClock(now func() time.Time) { s.now = now }
 
 // clock returns the effective time source.
 func (s *Sampler) clock() time.Time {
@@ -203,29 +199,15 @@ func (s *Sampler) Add(x float64) {
 	s.xs = append(s.xs, x)
 }
 
-// AddAll feeds a batch of samples in order.
-func (s *Sampler) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
-// N returns the number of samples consumed.
-func (s *Sampler) N() int { return len(s.xs) }
-
-// Samples returns the consumed samples (not a copy; callers must not
-// mutate).
-func (s *Sampler) Samples() []float64 { return s.xs }
-
 // converged reports whether the CI target is met on the current samples.
 func (s *Sampler) converged() bool {
 	if len(s.xs) < s.rc.MinSamples {
 		return false
 	}
-	if Stddev(s.xs) == 0 {
+	if stddev(s.xs) == 0 {
 		return true // degenerate stream: the interval has zero width
 	}
-	lo, hi := MeanCI(s.xs, s.rc.Confidence)
+	lo, hi := meanCI(s.xs, s.rc.Confidence)
 	hw := (hi - lo) / 2
 	m := math.Abs(Mean(s.xs))
 	if m == 0 {
@@ -256,11 +238,11 @@ func (s *Sampler) Estimate() Estimate {
 	e := Estimate{
 		N:       len(s.xs),
 		Mean:    Mean(s.xs),
-		Trimean: Trimean(s.xs),
-		Stddev:  Stddev(s.xs),
-		IID:     IsIID(s.xs),
+		Trimean: trimean(s.xs),
+		Stddev:  stddev(s.xs),
+		IID:     isIID(s.xs),
 	}
-	e.Lo, e.Hi = MeanCI(s.xs, s.rc.Confidence)
+	e.Lo, e.Hi = meanCI(s.xs, s.rc.Confidence)
 	if m := math.Abs(e.Mean); m > 0 {
 		e.RelHalfWidth = e.HalfWidth() / m
 	}
@@ -306,9 +288,6 @@ func (g *Group) Add(name string, x float64) {
 	s.Add(x)
 }
 
-// Sampler returns the named metric's sampler (nil when unknown).
-func (g *Group) Sampler(name string) *Sampler { return g.samplers[name] }
-
 // Done reports whether every metric's sampler is done.
 func (g *Group) Done() bool {
 	for _, n := range g.names {
@@ -326,18 +305,6 @@ func (g *Group) Estimates() map[string]Estimate {
 		out[n] = g.samplers[n].Estimate()
 	}
 	return out
-}
-
-// MaxRelHalfWidth returns the largest relative CI half-width across the
-// group — the single number journals report per cell.
-func (g *Group) MaxRelHalfWidth() float64 {
-	var worst float64
-	for _, n := range g.names {
-		if e := g.samplers[n].Estimate(); e.RelHalfWidth > worst {
-			worst = e.RelHalfWidth
-		}
-	}
-	return worst
 }
 
 // WorstReason returns the least-satisfied stop reason across the group:

@@ -48,11 +48,11 @@ func Summarize(xs []float64) Summary {
 		Median: Percentile(sorted, 50),
 		Min:    sorted[0],
 		Max:    sorted[len(sorted)-1],
-		Stddev: Stddev(sorted),
+		Stddev: stddev(sorted),
 		P05:    Percentile(sorted, 5),
 		P95:    Percentile(sorted, 95),
 	}
-	s.CILo, s.CIHi = MeanCI(sorted, SummaryConfidence)
+	s.CILo, s.CIHi = meanCI(sorted, SummaryConfidence)
 	s.Trimean = (Percentile(sorted, 25) + 2*s.Median + Percentile(sorted, 75)) / 4
 	return s
 }
@@ -75,8 +75,8 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Stddev returns the sample standard deviation of xs (0 for n < 2).
-func Stddev(xs []float64) float64 {
+// stddev returns the sample standard deviation of xs (0 for n < 2).
+func stddev(xs []float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
@@ -113,9 +113,9 @@ func Percentile(xs []float64, p float64) float64 {
 	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
-// Median returns the middle value of xs (interpolated for even n, 0 for
+// median returns the middle value of xs (interpolated for even n, 0 for
 // empty input).
-func Median(xs []float64) float64 {
+func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -124,19 +124,19 @@ func Median(xs []float64) float64 {
 	return Percentile(sorted, 50)
 }
 
-// MAD returns the median absolute deviation of xs scaled by 1.4826, the
+// mad returns the median absolute deviation of xs scaled by 1.4826, the
 // consistency constant that makes it estimate the standard deviation for
 // normal data (0 for empty input).
-func MAD(xs []float64) float64 {
+func mad(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	med := Median(xs)
+	med := median(xs)
 	devs := make([]float64, len(xs))
 	for i, x := range xs {
 		devs[i] = math.Abs(x - med)
 	}
-	return 1.4826 * Median(devs)
+	return 1.4826 * median(devs)
 }
 
 // PruneOutliers drops samples more than k robust standard deviations from a
@@ -154,10 +154,10 @@ func PruneOutliers(xs []float64, k float64) []float64 {
 	if len(xs) < 3 || k <= 0 {
 		return xs
 	}
-	center := Median(xs)
-	scale := MAD(xs)
+	center := median(xs)
+	scale := mad(xs)
 	if scale == 0 {
-		scale = Stddev(xs)
+		scale = stddev(xs)
 	}
 	if scale == 0 {
 		return xs
@@ -172,66 +172,4 @@ func PruneOutliers(xs []float64, k float64) []float64 {
 		return xs // degenerate; keep everything rather than nothing
 	}
 	return kept
-}
-
-// TrimmedMean returns the mean after discarding the lowest and highest
-// fraction of the sorted samples. Like every function in this package it
-// never panics: frac <= 0 is the plain mean, frac >= 0.5 (everything
-// trimmed) degrades to the median, and empty input yields 0.
-func TrimmedMean(xs []float64, frac float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if frac <= 0 {
-		return Mean(xs)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if frac >= 0.5 {
-		return Percentile(sorted, 50)
-	}
-	cut := int(float64(len(sorted)) * frac)
-	trimmed := sorted[cut : len(sorted)-cut]
-	if len(trimmed) == 0 {
-		return Percentile(sorted, 50)
-	}
-	return Mean(trimmed)
-}
-
-// GeoMean returns the geometric mean of the positive samples in xs.
-// Non-positive samples have no logarithm and are skipped rather than
-// panicking; if nothing positive remains (or xs is empty) the result is 0,
-// matching the empty-input contract of Mean and Summarize.
-func GeoMean(xs []float64) float64 {
-	var sumLog float64
-	n := 0
-	for _, x := range xs {
-		if x <= 0 {
-			continue
-		}
-		sumLog += math.Log(x)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sumLog / float64(n))
-}
-
-// MinMax returns the smallest and largest values in xs. Empty input yields
-// (0, 0), matching the package's non-panicking empty-set contract.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }

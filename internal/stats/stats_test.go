@@ -19,10 +19,10 @@ func TestMean(t *testing.T) {
 }
 
 func TestStddev(t *testing.T) {
-	if got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138089935) > 1e-6 {
+	if got := stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138089935) > 1e-6 {
 		t.Fatalf("Stddev = %v", got)
 	}
-	if got := Stddev([]float64{5}); got != 0 {
+	if got := stddev([]float64{5}); got != 0 {
 		t.Fatalf("Stddev single = %v, want 0", got)
 	}
 }
@@ -105,92 +105,34 @@ func TestPruneOutliersDegenerate(t *testing.T) {
 	}
 }
 
-func TestTrimmedMean(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 100}
-	if got := TrimmedMean(xs, 0.2); !almost(got, 3) {
-		t.Fatalf("TrimmedMean = %v, want 3", got)
-	}
-	if got := TrimmedMean(xs, 0); !almost(got, 22) {
-		t.Fatalf("untrimmed = %v, want 22", got)
-	}
-	if got := TrimmedMean(nil, 0.1); got != 0 {
-		t.Fatalf("TrimmedMean(nil) = %v", got)
-	}
-}
-
-func TestTrimmedMeanFullTrimIsMedian(t *testing.T) {
-	// frac >= 0.5 used to panic; the unified contract degrades to the median.
-	if got := TrimmedMean([]float64{1, 2, 9}, 0.5); !almost(got, 2) {
-		t.Fatalf("TrimmedMean(frac=0.5) = %v, want median 2", got)
-	}
-	if got := TrimmedMean([]float64{1, 2, 9}, 0.9); !almost(got, 2) {
-		t.Fatalf("TrimmedMean(frac=0.9) = %v, want median 2", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !almost(got, 10) {
-		t.Fatalf("GeoMean = %v, want 10", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Fatalf("GeoMean(nil) = %v", got)
-	}
-}
-
-func TestGeoMeanSkipsNonPositive(t *testing.T) {
-	// Non-positive samples used to panic; the unified contract skips them.
-	if got := GeoMean([]float64{1, 0, 100, -3}); !almost(got, 10) {
-		t.Fatalf("GeoMean with non-positive samples = %v, want 10", got)
-	}
-	if got := GeoMean([]float64{0, -1}); got != 0 {
-		t.Fatalf("GeoMean of all non-positive = %v, want 0", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v, %v", min, max)
-	}
-}
-
 // TestEdgeCaseContract pins the unified non-panicking behavior of every
 // exported function on empty and degenerate input.
 func TestEdgeCaseContract(t *testing.T) {
 	for name, got := range map[string]float64{
-		"Mean(nil)":             Mean(nil),
-		"Stddev(nil)":           Stddev(nil),
-		"Stddev(single)":        Stddev([]float64{5}),
-		"Percentile(nil)":       Percentile(nil, 50),
-		"TrimmedMean(nil)":      TrimmedMean(nil, 0.2),
-		"GeoMean(nil)":          GeoMean(nil),
-		"GeoMean(non-positive)": GeoMean([]float64{-1, 0}),
-		"Median(nil)":           Median(nil),
-		"MAD(nil)":              MAD(nil),
-		"Trimean(nil)":          Trimean(nil),
-		"Autocorr1(nil)":        Autocorr1(nil),
-		"Autocorr1(pair)":       Autocorr1([]float64{1, 2}),
-		"RunsTestZ(nil)":        RunsTestZ(nil),
-		"RunsTestZ(ties)":       RunsTestZ([]float64{3, 3, 3, 3}),
+		"Mean(nil)":       Mean(nil),
+		"Stddev(nil)":     stddev(nil),
+		"Stddev(single)":  stddev([]float64{5}),
+		"Percentile(nil)": Percentile(nil, 50),
+		"Median(nil)":     median(nil),
+		"MAD(nil)":        mad(nil),
+		"Trimean(nil)":    trimean(nil),
+		"Autocorr1(nil)":  autocorr1(nil),
+		"Autocorr1(pair)": autocorr1([]float64{1, 2}),
+		"RunsTestZ(nil)":  runsTestZ(nil),
+		"RunsTestZ(ties)": runsTestZ([]float64{3, 3, 3, 3}),
 	} {
 		if got != 0 {
 			t.Errorf("%s = %v, want 0", name, got)
 		}
 	}
-	if min, max := MinMax(nil); min != 0 || max != 0 {
-		t.Errorf("MinMax(nil) = %v, %v, want 0, 0", min, max)
-	}
 	if s := Summarize(nil); s != (Summary{}) {
 		t.Errorf("Summarize(nil) = %+v, want zero", s)
 	}
-	if lo, hi := MeanCI(nil, 0.95); lo != 0 || hi != 0 {
+	if lo, hi := meanCI(nil, 0.95); lo != 0 || hi != 0 {
 		t.Errorf("MeanCI(nil) = %v, %v, want 0, 0", lo, hi)
 	}
-	if lo, hi := MeanCI([]float64{4}, 0.95); lo != 4 || hi != 4 {
+	if lo, hi := meanCI([]float64{4}, 0.95); lo != 4 || hi != 4 {
 		t.Errorf("MeanCI(single) = %v, %v, want degenerate [4,4]", lo, hi)
-	}
-	if lo, hi := BootstrapMeanCI(nil, 0.95, 100, 1); lo != 0 || hi != 0 {
-		t.Errorf("BootstrapMeanCI(nil) = %v, %v, want 0, 0", lo, hi)
 	}
 	if d := DetectWarmup(nil, 0); d != 0 {
 		t.Errorf("DetectWarmup(nil) = %d, want 0", d)
@@ -198,7 +140,7 @@ func TestEdgeCaseContract(t *testing.T) {
 	if d := DetectWarmup([]float64{9, 1, 1}, 0); d != 0 {
 		t.Errorf("DetectWarmup(short) = %d, want 0 (n < 4 never truncates)", d)
 	}
-	if !IsIID(nil) || !IsIID([]float64{1}) {
+	if !isIID(nil) || !isIID([]float64{1}) {
 		t.Error("IsIID on empty/tiny input must pass (no evidence)")
 	}
 	if kept := PruneOutliers(nil, 3); kept != nil {
@@ -212,7 +154,7 @@ func TestEdgeCaseContract(t *testing.T) {
 // mean/sd implementation kept it. The robust cut must prune it.
 func TestPruneOutliersSpikeRegression(t *testing.T) {
 	xs := []float64{10, 11, 9, 10, 10, 11, 9, 10, 11, 1e6}
-	m, sd := Mean(xs), Stddev(xs)
+	m, sd := Mean(xs), stddev(xs)
 	if math.Abs(1e6-m) > 3*sd {
 		t.Fatalf("fixture no longer exercises the bug: spike is %.2f sd from mean, want <= 3",
 			math.Abs(1e6-m)/sd)
@@ -244,17 +186,17 @@ func TestPruneOutliersMADZeroFallsBackToStddev(t *testing.T) {
 }
 
 func TestMedianAndMAD(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); !almost(got, 2) {
+	if got := median([]float64{3, 1, 2}); !almost(got, 2) {
 		t.Fatalf("Median = %v, want 2", got)
 	}
-	if got := Median([]float64{1, 2, 3, 4}); !almost(got, 2.5) {
+	if got := median([]float64{1, 2, 3, 4}); !almost(got, 2.5) {
 		t.Fatalf("Median even = %v, want 2.5", got)
 	}
 	// MAD of {1,2,3,4,5}: median 3, |devs| {2,1,0,1,2}, median dev 1.
-	if got := MAD([]float64{1, 2, 3, 4, 5}); !almost(got, 1.4826) {
+	if got := mad([]float64{1, 2, 3, 4, 5}); !almost(got, 1.4826) {
 		t.Fatalf("MAD = %v, want 1.4826", got)
 	}
-	if got := MAD([]float64{7, 7, 7}); got != 0 {
+	if got := mad([]float64{7, 7, 7}); got != 0 {
 		t.Fatalf("MAD identical = %v, want 0", got)
 	}
 }

@@ -70,8 +70,8 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-// Events returns a copy of the recorded events sorted by timestamp.
-func (r *Recorder) Events() []Event {
+// sortedEvents returns a copy of the recorded events sorted by timestamp.
+func (r *Recorder) sortedEvents() []Event {
 	if r == nil {
 		return nil
 	}
@@ -83,5 +83,5 @@ func (r *Recorder) Events() []Event {
 // WriteChromeTrace renders the events as a Chrome trace-event JSON array.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	return enc.Encode(r.Events())
+	return enc.Encode(r.sortedEvents())
 }

@@ -12,7 +12,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.Span(0, 0, "c", "n", 0, 10, nil)
 	r.Instant(0, 0, "c", "n", 0, nil)
-	if r.Len() != 0 || r.Events() != nil {
+	if r.Len() != 0 || r.sortedEvents() != nil {
 		t.Fatal("nil recorder recorded something")
 	}
 }
@@ -24,7 +24,7 @@ func TestSpanAndInstant(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	evs := r.Events()
+	evs := r.sortedEvents()
 	if evs[0].Phase != "X" || evs[0].TsUs != 1 || evs[0].DurUs != 2 {
 		t.Fatalf("span event = %+v", evs[0])
 	}
@@ -37,7 +37,7 @@ func TestEventsSortedByTime(t *testing.T) {
 	var r Recorder
 	r.Instant(0, 0, "c", "late", sim.Time(5000), nil)
 	r.Instant(0, 0, "c", "early", sim.Time(1000), nil)
-	evs := r.Events()
+	evs := r.sortedEvents()
 	if evs[0].Name != "early" || evs[1].Name != "late" {
 		t.Fatalf("events not sorted: %+v", evs)
 	}
