@@ -339,7 +339,11 @@ func TestAllocPins(t *testing.T) {
 // sleeps that skip the queue and the coroutine resumes, counted on a fresh
 // arena (sim.Arena.Events). They are deterministic, so a kernel change that
 // claims to leave the simulation as it was (a new event queue, say) must
-// leave every count as it is.
+// leave every count as it is. The Halo3D cell also runs on a two-shard
+// group, built from the same arena: its pops and short cuts are the
+// events the group dispatched in its windows (ShardStats.Events), and they
+// sum to the sequential cell's, since sharding moves a sleep between the
+// queue and the short cut but adds or drops no event.
 func TestEventPins(t *testing.T) {
 	spec := (*platform.Spec)(nil).Resolved().WithNoise(noise.SingleThread, 4)
 	for _, pin := range []struct {
@@ -358,6 +362,13 @@ func TestEventPins(t *testing.T) {
 			})
 			return err
 		}, sim.EventCounts{Popped: 29032, ShortCut: 2122, Resumes: 22696}},
+		{"patterns.Halo3D shards=2", func(rn *engine.Runner) error {
+			_, err := patterns.Halo3D.Run(rn, patterns.HaloConfig{
+				Nx: 2, Ny: 2, Nz: 2, ThreadsPerDim: 4, FaceBytes: 256 << 10,
+				Compute: 10 * sim.Millisecond, Repeats: 2, Mode: patterns.Partitioned, Platform: spec, Shards: 2,
+			})
+			return err
+		}, sim.EventCounts{Popped: 28773, ShortCut: 2381, Resumes: 22437}},
 		{"patterns.Sweep3D", func(rn *engine.Runner) error {
 			_, err := patterns.Sweep3D.Run(rn, patterns.SweepConfig{
 				Px: 2, Py: 2, Threads: 16, BytesPerThread: 64 << 10, Compute: 10 * sim.Millisecond,
@@ -377,15 +388,23 @@ func TestEventPins(t *testing.T) {
 			t.Fatalf("%s: %v", pin.name, err)
 		}
 		var a sim.Arena
+		var windowed int64 // the events a sharded cell dispatched in its windows
 		for _, task := range x.tasks {
-			if _, err := engine.LookupKind(task.Kind)(&a, task.Config); err != nil {
+			v, err := engine.LookupKind(task.Kind)(&a, task.Config)
+			if err != nil {
 				t.Fatalf("%s: %v", pin.name, err)
+			}
+			if res, ok := v.(*patterns.Result); ok && res.Shard != nil {
+				windowed += res.Shard.Events
 			}
 		}
 		got := a.Events()
 		a.Close()
 		if got != pin.want {
 			t.Errorf("%s: events %+v, pinned at %+v", pin.name, got, pin.want)
+		}
+		if windowed != 0 && got.Popped+got.ShortCut != windowed {
+			t.Errorf("%s: the arena counted %d events, the shard group %d", pin.name, got.Popped+got.ShortCut, windowed)
 		}
 	}
 }

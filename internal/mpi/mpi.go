@@ -313,6 +313,14 @@ type recordList struct {
 	max int
 }
 
+// trim drops the records beyond the list's cap.
+func (l *recordList) trim() {
+	if len(l.free) > l.max {
+		clear(l.free[l.max:])
+		l.free = l.free[:l.max]
+	}
+}
+
 // partKey pairs native partitioned requests in the receiver's registry.
 type partKey struct {
 	src, tag int
@@ -391,16 +399,10 @@ func (w *World) reset(s *sim.Scheduler, cfg Config) {
 	w.congested, _ = cfg.Topology.(netsim.Congested)
 	w.single = cluster.Place(cfg.Machine, 1)
 
-	if len(w.records) == 0 {
-		w.records = make([]recordList, 1)
-	}
-	w.records = w.records[:1]
+	w.records = extend(w.records, 1)
 	l := &w.records[0]
 	l.max = recordsPerRank * cfg.Ranks
-	if len(l.free) > l.max {
-		clear(l.free[l.max:])
-		l.free = l.free[:l.max]
-	}
+	l.trim()
 
 	w.ranks = extend(w.ranks, cfg.Ranks)
 	for i, st := range w.ranks {
@@ -434,6 +436,11 @@ func extend[T any](xs []T, n int) []T {
 // conservative lookahead. With a one-shard group the world is exactly a
 // sequential NewWorld world (byte-identical event order).
 //
+// The world is NewWorld's on shard 0, so a group built from a sim.Arena
+// takes the world the arena kept and keeps this one, as NewWorld does. The
+// per-shard record free lists are reset in place: each keeps the records
+// the last world left in it, up to recordsPerRank per rank on its shard.
+//
 // Restrictions in multi-shard worlds: the group's lookahead must not exceed
 // the minimum cross-shard wire latency of the topology
 // (netsim.MinCrossLatency), and all Comm handles must be created before the
@@ -449,7 +456,10 @@ func NewShardedWorld(g *sim.ShardGroup, cfg Config, shardOf func(rank int) int) 
 			g.Lookahead(), min, cfg.Topology.Describe())
 	}
 	w.group = g
-	w.records = make([]recordList, g.Shards())
+	w.records = extend(w.records, g.Shards())
+	for i := range w.records {
+		w.records[i].max = 0
+	}
 	for i, st := range w.ranks {
 		s := shardOf(i)
 		if s < 0 || s >= g.Shards() {
@@ -458,6 +468,9 @@ func NewShardedWorld(g *sim.ShardGroup, cfg Config, shardOf func(rank int) int) 
 		st.sched = g.Shard(s)
 		st.records = &w.records[s]
 		st.records.max += recordsPerRank
+	}
+	for i := range w.records {
+		w.records[i].trim()
 	}
 	return w, nil
 }

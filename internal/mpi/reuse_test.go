@@ -239,32 +239,8 @@ func TestKeptWorldReusesItsParts(t *testing.T) {
 func TestKeptWorldAllocs(t *testing.T) {
 	cfg := DefaultConfig(2)
 	var w *World
-	rank := func(c *Comm, p *sim.Proc) {
-		peer := c.Rank() ^ 1
-		var pr *PRequest
-		if c.Rank() == 0 {
-			pr = c.PsendInit(p, peer, 0, 16, 4096)
-		} else {
-			pr = c.PrecvInit(p, peer, 0, 16, 4096)
-		}
-		single := c.SendInitBytes(p, peer, 1, 1<<20)
-		recv := c.RecvInit(p, peer, 1)
-		for e := 0; e < 2; e++ {
-			pr.Start(p)
-			if c.Rank() == 0 {
-				pr.preadyRange(p, 0, 16)
-			}
-			pr.Wait(p)
-			recv.Start(p)
-			single.Start(p)
-			WaitAll(p, recv, single)
-			rr, sr := c.Irecv(p, peer, 2), c.IsendBytes(p, peer, 2, 256)
-			WaitAll(p, rr, sr)
-			FreeAll(rr, sr)
-		}
-	}
-	rank0 := func(p *sim.Proc) { rank(w.Comm(0), p) }
-	rank1 := func(p *sim.Proc) { rank(w.Comm(1), p) }
+	rank0 := func(p *sim.Proc) { keptProgram(w.Comm(0), p) }
+	rank1 := func(p *sim.Proc) { keptProgram(w.Comm(1), p) }
 	run := func(a *sim.Arena) {
 		s := a.New()
 		w = NewWorld(s, cfg)
@@ -280,5 +256,69 @@ func TestKeptWorldAllocs(t *testing.T) {
 	// On no arena the same run costs 142.
 	if got := testing.AllocsPerRun(20, func() { run(&a) }); got > 3 {
 		t.Errorf("a kept world's run: %v allocations, pinned at 3", got)
+	}
+}
+
+// The sharded twin of TestKeptWorldAllocs: four ranks on a two-shard group,
+// every pair split across the shards, one pair sending each way. The
+// group's second run on an arena takes the world and its records from shard
+// 0's slot and each shard's runners, events, queue and outbox from its own,
+// so what it allocates is the group's own: the group, its two schedulers,
+// its per-run window scratch, worker channel and worker, and its barrier
+// merge lists, beside the world's placement and topology.
+func TestKeptShardedWorldAllocs(t *testing.T) {
+	cfg := DefaultConfig(4)
+	shardOf := func(rank int) int { return (rank ^ rank>>1) & 1 }
+	var w *World
+	var ranks [4]func(p *sim.Proc)
+	for r := range ranks {
+		ranks[r] = func(p *sim.Proc) { keptProgram(w.Comm(r), p) }
+	}
+	run := func(a *sim.Arena) {
+		g := sim.NewShardGroup(a, 2, cfg.Net.Latency)
+		var err error
+		if w, err = NewShardedWorld(g, cfg, shardOf); err != nil {
+			t.Fatal(err)
+		}
+		for r, f := range ranks {
+			g.Shard(shardOf(r)).Spawn("rank", f)
+		}
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var a sim.Arena
+	defer a.Close()
+	run(&a)
+	// On no arena the same run costs 303.
+	if got := testing.AllocsPerRun(20, func() { run(&a) }); got > 22 {
+		t.Errorf("a kept sharded world's run: %v allocations, pinned at 22", got)
+	}
+}
+
+// keptProgram is the rank body of the alloc pins: partitioned, persistent
+// and freed nonblocking traffic with the partner rank c.Rank()^1.
+func keptProgram(c *Comm, p *sim.Proc) {
+	peer := c.Rank() ^ 1
+	var pr *PRequest
+	if c.Rank()%2 == 0 {
+		pr = c.PsendInit(p, peer, 0, 16, 4096)
+	} else {
+		pr = c.PrecvInit(p, peer, 0, 16, 4096)
+	}
+	single := c.SendInitBytes(p, peer, 1, 1<<20)
+	recv := c.RecvInit(p, peer, 1)
+	for e := 0; e < 2; e++ {
+		pr.Start(p)
+		if c.Rank()%2 == 0 {
+			pr.preadyRange(p, 0, 16)
+		}
+		pr.Wait(p)
+		recv.Start(p)
+		single.Start(p)
+		WaitAll(p, recv, single)
+		rr, sr := c.Irecv(p, peer, 2), c.IsendBytes(p, peer, 2, 256)
+		WaitAll(p, rr, sr)
+		FreeAll(rr, sr)
 	}
 }

@@ -15,7 +15,7 @@ func shardedPair(t *testing.T, mutate func(*Config)) (*sim.ShardGroup, *World) {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	g := sim.NewShardGroup(2, cfg.Net.Latency)
+	g := sim.NewShardGroup(nil, 2, cfg.Net.Latency)
 	w, err := NewShardedWorld(g, cfg, func(rank int) int { return rank })
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 			w = NewWorld(s, cfg)
 			runIt = s.Run
 		} else {
-			g := sim.NewShardGroup(shards, cfg.Net.Latency)
+			g := sim.NewShardGroup(nil, shards, cfg.Net.Latency)
 			sw, err := NewShardedWorld(g, cfg, func(rank int) int { return rank % shards })
 			if err != nil {
 				t.Fatal(err)
@@ -143,19 +143,19 @@ func TestShardedNativePartitioned(t *testing.T) {
 func TestShardedWorldValidation(t *testing.T) {
 	cfg := DefaultConfig(2)
 
-	g2 := sim.NewShardGroup(2, cfg.Net.Latency*10)
+	g2 := sim.NewShardGroup(nil, 2, cfg.Net.Latency*10)
 	if _, err := NewShardedWorld(g2, cfg, func(rank int) int { return rank }); err == nil ||
 		!strings.Contains(err.Error(), "lookahead") {
 		t.Fatal("oversized lookahead accepted")
 	}
 
-	g3 := sim.NewShardGroup(2, cfg.Net.Latency)
+	g3 := sim.NewShardGroup(nil, 2, cfg.Net.Latency)
 	if _, err := NewShardedWorld(g3, cfg, func(rank int) int { return rank + 5 }); err == nil {
 		t.Fatal("out-of-range shard mapping accepted")
 	}
 
 	// Single-shard groups accept everything a sequential world does.
-	g4 := sim.NewShardGroup(1, 0)
+	g4 := sim.NewShardGroup(nil, 1, 0)
 	if _, err := NewShardedWorld(g4, cfg, func(int) int { return 0 }); err != nil {
 		t.Fatalf("single-shard world rejected: %v", err)
 	}

@@ -213,14 +213,11 @@ func haloPartTag(face int) int { return face + 1 }
 // RunHalo3D executes the motif and returns its throughput result.
 func RunHalo3D(cfg HaloConfig) (*Result, error) { return runHalo3D(nil, cfg) }
 
-// runHalo3D is RunHalo3D with a sequential simulation built on arena a.
+// runHalo3D is RunHalo3D with its simulation built on arena a.
 func runHalo3D(a *sim.Arena, cfg HaloConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		a = nil // a shard group builds its own schedulers (see buildWorld)
 	}
 	pf := cfg.Platform
 	nRanks := cfg.Nx * cfg.Ny * cfg.Nz

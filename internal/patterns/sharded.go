@@ -25,11 +25,12 @@ var shardTracePids atomic.Int64
 
 const shardTracePidBase = 2
 
-// buildWorld constructs the simulation world a motif runs in: the sequential
-// reference kernel, built on arena a, when shards <= 1, otherwise a
-// conservatively synchronized shard group with ranks block-mapped onto
-// shards and the topology's minimum cross-shard latency as lookahead, whose
-// schedulers take nothing from a. A non-nil tr records one span per
+// buildWorld constructs the simulation world a motif runs in on arena a: the
+// sequential reference kernel when shards <= 1, otherwise a conservatively
+// synchronized shard group with ranks block-mapped onto shards and the
+// topology's minimum cross-shard latency as lookahead, built from a's shard
+// slots, so it starts from the world, coroutines and events the arena's last
+// simulation left and hands its own on. A non-nil tr records one span per
 // executed shard-window on per-worker lanes. The returned run function
 // drives the simulation to completion; the stats function reports the
 // group's execution counters after the run (nil for the sequential kernel,
@@ -54,7 +55,7 @@ func buildWorld(a *sim.Arena, shards, nRanks int, mcfg mpi.Config, topo netsim.T
 		return nil, nil, nil, fmt.Errorf("patterns: %s yields zero cross-shard lookahead for %d shards over %d ranks",
 			mcfg.Topology.Describe(), shards, nRanks)
 	}
-	g := sim.NewShardGroup(shards, la)
+	g := sim.NewShardGroup(a, shards, la)
 	if tr != nil {
 		pid := shardTracePidBase + int(shardTracePids.Add(1)) - 1
 		g.SetSpanObserver(func(sp sim.ShardSpan) {

@@ -175,14 +175,11 @@ func partTag(oct, axis int) int { return oct*2 + axis + 1 }
 // RunSweep3D executes the motif and returns its throughput result.
 func RunSweep3D(cfg SweepConfig) (*Result, error) { return runSweep3D(nil, cfg) }
 
-// runSweep3D is RunSweep3D with a sequential simulation built on arena a.
+// runSweep3D is RunSweep3D with its simulation built on arena a.
 func runSweep3D(a *sim.Arena, cfg SweepConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		a = nil // a shard group builds its own schedulers (see buildWorld)
 	}
 	pf := cfg.Platform
 	mcfg := mpi.DefaultConfig(cfg.Px * cfg.Py)

@@ -4,12 +4,18 @@ import "math/rand"
 
 // Arena hands what one simulation leaves behind to the next one built from
 // it: the coroutines of its finished procs, its event freelist, its event
-// queue's buckets and chunks, the capacity of its proc list, the random
-// generators its noise models drew from, and whatever the layer above asked
-// it to keep (Keep): the MPI world, whose ranks, matchers, free lists and
-// partitioned requests the next world is built from. A cell that forks
-// worker teams every iteration pays for those once per arena instead of once
-// per cell.
+// queue's buckets and chunks, the capacity of its proc list and cross-shard
+// outbox, the random generators its noise models drew from, and whatever the
+// layer above asked it to keep (Keep): the MPI world, whose ranks, matchers,
+// free lists and partitioned requests the next world is built from. A cell
+// that forks worker teams every iteration pays for those once per arena
+// instead of once per cell.
+//
+// A shard group built from the arena (NewShardGroup) draws on one slot per
+// shard: shard 0 on the arena itself, so sequential simulations and shard
+// groups on one arena share what they keep, the MPI world included, and
+// shard i > 0 on a sub-arena of its own that the arena makes on first use
+// and closes with it.
 //
 // New is the only way in: a Scheduler from a.New() starts with whatever the
 // previous scheduler from a gave back. A drive that drains cleanly — every
@@ -27,10 +33,11 @@ import "math/rand"
 // change from one simulation to the next. Close stops the coroutines it
 // holds.
 type Arena struct {
-	idle  []*runner
-	free  []*event
-	queue *eventQueue
-	procs []*Proc
+	idle   []*runner
+	free   []*event
+	queue  *eventQueue
+	procs  []*Proc
+	outbox []crossEvent
 
 	// rngs are the generators Rand has made; the first lent of them are in
 	// use until the next New or Close.
@@ -48,6 +55,10 @@ type Arena struct {
 	// counts sums the event counts of the schedulers that gave back or
 	// discarded (see Events).
 	counts EventCounts
+
+	// slots[i-1] is the slot of shard i of the shard groups built from the
+	// arena (see slot).
+	slots []*Arena
 }
 
 // New returns an empty scheduler with the clock at zero that starts with
@@ -56,8 +67,8 @@ func (a *Arena) New() *Scheduler {
 	s := &Scheduler{arena: a}
 	if a != nil {
 		a.reclaim()
-		s.idle, s.free, s.queue, s.procs, s.kept = a.idle, a.free, a.queue, a.procs, a.kept
-		a.idle, a.free, a.queue, a.procs, a.kept = nil, nil, nil, nil, nil
+		s.idle, s.free, s.queue, s.procs, s.outbox, s.kept = a.idle, a.free, a.queue, a.procs, a.outbox, a.kept
+		a.idle, a.free, a.queue, a.procs, a.outbox, a.kept = nil, nil, nil, nil, nil, nil
 		for _, r := range s.idle {
 			r.s = s
 		}
@@ -85,19 +96,41 @@ func (a *Arena) Rand(seed int64) *rand.Rand {
 	return a.rngs[a.lent-1]
 }
 
-// Events returns the summed event counts of every scheduler built from the
-// arena whose last drive has ended, drained or dead, since the arena was
-// made or closed. A cell run on a fresh arena thus reports the events its
-// simulations popped, the sleeps that skipped the queue and the coroutine
-// resumes.
-func (a *Arena) Events() EventCounts { return a.counts }
+// slot returns the arena shard i of a group built from a draws on: a itself
+// for shard 0, a sub-arena of a for the others. The nil arena's slots are
+// all nil.
+func (a *Arena) slot(i int) *Arena {
+	if a == nil || i == 0 {
+		return a
+	}
+	for len(a.slots) < i {
+		a.slots = append(a.slots, new(Arena))
+	}
+	return a.slots[i-1]
+}
 
-// Close stops the coroutines the arena holds, those of a scheduler that
-// never finished its drive included, and empties it. A closed arena may be
-// used again; it starts empty.
+// Events returns the summed event counts of every scheduler built from the
+// arena, the shards of its shard groups included, whose last drive has
+// ended, drained or dead, since the arena was made or closed. A cell run on
+// a fresh arena thus reports the events its simulations popped, the sleeps
+// that skipped the queue and the coroutine resumes.
+func (a *Arena) Events() EventCounts {
+	c := a.counts
+	for _, sub := range a.slots {
+		c.add(sub.counts)
+	}
+	return c
+}
+
+// Close stops the coroutines the arena and its shard slots hold, those of a
+// scheduler that never finished its drive included, and empties it. A
+// closed arena may be used again; it starts empty.
 func (a *Arena) Close() {
 	if a == nil {
 		return
+	}
+	for _, sub := range a.slots {
+		sub.Close()
 	}
 	a.reclaim()
 	for _, r := range a.idle {
@@ -121,25 +154,24 @@ func (a *Arena) reclaim() {
 
 // release ends the scheduler's hold on its coroutines and events once its
 // last drive is over. After a clean drain the idle runners, the event
-// freelist, the queue's storage, the proc-list capacity and what Keep was
-// given go back to the arena; without an arena, or after a dead drive, every
-// runner is stopped and the rest is dropped.
+// freelist, the queue's storage, the proc-list and outbox capacity and what
+// Keep was given go back to the arena; without an arena, or after a dead
+// drive, every runner is stopped and the rest is dropped.
 func (s *Scheduler) release(clean bool) {
 	a := s.arena
 	s.arena = nil
 	if a != nil {
-		a.counts.Popped += s.counts.Popped
-		a.counts.ShortCut += s.counts.ShortCut
-		a.counts.Resumes += s.counts.Resumes
+		a.counts.add(s.counts)
 	}
 	if a == nil || !clean {
 		s.stopRunners()
 		return
 	}
-	// The queue has drained; the next scheduler's clock starts at zero.
+	// The queue has drained, and so has the outbox at the last barrier; the
+	// next scheduler's clock starts at zero.
 	s.queue.last = 0
-	a.idle, a.free, a.queue, a.procs, a.kept = s.idle, s.free, s.queue, s.procs[:0], s.keep
-	s.idle, s.free, s.queue, s.procs = nil, nil, nil, nil
+	a.idle, a.free, a.queue, a.procs, a.outbox, a.kept = s.idle, s.free, s.queue, s.procs[:0], s.outbox, s.keep
+	s.idle, s.free, s.queue, s.procs, s.outbox = nil, nil, nil, nil, nil
 }
 
 // Keep asks the scheduler to hand v to the next scheduler built from its

@@ -340,3 +340,124 @@ func TestEventCounts(t *testing.T) {
 		}
 	}
 }
+
+// shardedTraced builds a simulation on g: every shard runs a fork/join team
+// whose members log their wakes and send a message to the next shard, which
+// logs its arrival. It returns the per-shard logs, each written only by its
+// own shard.
+func shardedTraced(g *ShardGroup, team, iters int) [][]string {
+	n := g.Shards()
+	logs := make([][]string, n)
+	for i := 0; i < n; i++ {
+		s, dst := g.Shard(i), g.Shard((i+1)%n)
+		s.Spawn("master", func(p *Proc) {
+			for it := 0; it < iters; it++ {
+				var wg WaitGroup
+				wg.Add(s, team)
+				for w := 0; w < team; w++ {
+					s.Spawn(fmt.Sprint("w", w), func(p *Proc) {
+						p.Sleep(Duration(1 + (w*7+it+i)%5))
+						logs[i] = append(logs[i], fmt.Sprintf("%s#%d@%d", p.label(), p.id, p.Now()))
+						at := p.Now().Add(g.Lookahead() + Duration(w))
+						s.Defer(dst, at, func() {
+							j := (i + 1) % n
+							logs[j] = append(logs[j], fmt.Sprintf("from %d@%d", i, at))
+						})
+						wg.Done(s)
+					})
+				}
+				wg.Wait(p)
+			}
+		})
+	}
+	return logs
+}
+
+// A shard group built from an arena draws each shard from its slot, gives
+// every shard's runners and events back after a clean Run, runs exactly as
+// a group on no arena, and discards what it borrowed when its Run dies.
+func TestArenaShardGroups(t *testing.T) {
+	before := goroutineBaseline()
+	run := func(a *Arena, shards, team, iters int) ([][]string, *ShardGroup) {
+		g := NewShardGroup(a, shards, 10)
+		g.setWorkers(2)
+		logs := shardedTraced(g, team, iters)
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return logs, g
+	}
+	var a Arena
+	for _, shape := range [][3]int{{2, 4, 5}, {4, 3, 4}, {1, 4, 5}, {4, 3, 4}, {2, 4, 5}, {2, 2, 3}} {
+		want, _ := run(nil, shape[0], shape[1], shape[2])
+		events := a.Events()
+		got, g := run(&a, shape[0], shape[1], shape[2])
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: on the arena %q, on none %q", shape, got, want)
+		}
+		if ev, st := a.Events(), g.Stats(); shape[0] > 1 && ev.Popped+ev.ShortCut-events.Popped-events.ShortCut != st.Events {
+			t.Fatalf("%v: the arena counted %+v more events, the group %d", shape, ev, st.Events)
+		}
+		for i := 0; i < shape[0]; i++ {
+			slot := a.slot(i)
+			if s := g.Shard(i); s.arena != nil || slot.queue == nil || len(slot.idle) < shape[1]+1 {
+				t.Fatalf("%v: shard %d gave back %d runners, want at least %d", shape, i, len(slot.idle), shape[1]+1)
+			}
+		}
+	}
+	// The shapes above repeat, so the last group made no runner of its own.
+	if _, g := run(&a, 2, 2, 3); g.Shard(0).runners+g.Shard(1).runners != 0 {
+		t.Fatal("a group after an equal one on the arena made runners")
+	}
+	if len(a.slots) != 3 {
+		t.Fatalf("%d shard slots after four-shard groups, want 3", len(a.slots))
+	}
+
+	stuck := func(p *Proc) {
+		var never Completion
+		never.Wait(p)
+	}
+	for name, dead := range map[string]func(g *ShardGroup){
+		"deadlock": func(g *ShardGroup) {
+			g.Shard(1).Spawn("stuck", stuck)
+			var dl *DeadlockError
+			if err := g.Run(); !errors.As(err, &dl) {
+				t.Fatalf("Run = %v, want a deadlock", err)
+			}
+		},
+		"panic": func(g *ShardGroup) {
+			g.Shard(0).Spawn("stuck", stuck)
+			g.Shard(1).Spawn("bad", func(p *Proc) {
+				p.Sleep(2 * Microsecond)
+				panic("boom")
+			})
+			if panicValue(func() { g.Run() }) != "boom" {
+				t.Fatal("Run did not panic")
+			}
+		},
+	} {
+		g := NewShardGroup(&a, 4, 10)
+		g.setWorkers(2)
+		shardedTraced(g, 3, 4)
+		dead(g)
+		if got := settleGoroutines(before); got != before {
+			t.Fatalf("%s: %d goroutines, %d before; want every runner stopped", name, got, before)
+		}
+		for i := 0; i < 4; i++ {
+			if n := len(a.slot(i).idle); n != 0 {
+				t.Fatalf("%s: shard %d's slot holds %d runners", name, i, n)
+			}
+		}
+		want, _ := run(nil, 4, 3, 4)
+		if got, _ := run(&a, 4, 3, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the next group on the arena ran differently", name)
+		}
+	}
+	a.Close()
+	if got := settleGoroutines(before); got != before {
+		t.Fatalf("%d goroutines after Close, %d before: a shard slot kept its runners", got, before)
+	}
+	if a.slots != nil || a.Events() != (EventCounts{}) {
+		t.Fatal("Close left shard slots or counts behind")
+	}
+}

@@ -40,7 +40,7 @@ func TestProcPanicPropagatesOutOfRun(t *testing.T) {
 func TestProcPanicPropagatesOutOfShardGroupRun(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		boom := fmt.Errorf("boom with %d workers", workers)
-		g := NewShardGroup(4, Microsecond)
+		g := NewShardGroup(nil, 4, Microsecond)
 		g.setWorkers(workers)
 		for i := 0; i < 4; i++ {
 			i := i
@@ -147,7 +147,7 @@ func TestRunUntilThenRunLeavesNoGoroutines(t *testing.T) {
 
 func TestShardGroupRunLeavesNoGoroutines(t *testing.T) {
 	before := goroutineBaseline()
-	g := NewShardGroup(4, Microsecond)
+	g := NewShardGroup(nil, 4, Microsecond)
 	g.setWorkers(2)
 	for i := 0; i < 4; i++ {
 		forkJoin(g.Shard(i), 3, 20)
@@ -231,7 +231,7 @@ func TestDeadDriveReleasesEveryCoroutine(t *testing.T) {
 		t.Fatalf("panicked Run: %d goroutines (started with %d), %d procs unwound, want 2", got, before, unwound)
 	}
 
-	g := NewShardGroup(4, Microsecond)
+	g := NewShardGroup(nil, 4, Microsecond)
 	g.setWorkers(2)
 	for i := 0; i < 4; i++ {
 		i := i

@@ -173,12 +173,17 @@ type ShardGroup struct {
 	imbalanceSum float64
 }
 
-// NewShardGroup creates n shard schedulers. For n > 1 the lookahead must be
-// positive: it is the minimum virtual latency of any cross-shard
-// interaction, and the window width of the conservative protocol. A group
-// of one shard is exactly the sequential kernel (the shard may even be
-// driven directly via Scheduler.Run).
-func NewShardGroup(n int, lookahead Duration) *ShardGroup {
+// NewShardGroup creates n shard schedulers, built from arena a's shard slots
+// (see Arena): shard 0 is a.New(), shard i > 0 comes from the arena's
+// sub-arena i. A Run whose procs all finish gives every shard's runners,
+// free events, queue, proc-list and outbox capacity back to its slot; a
+// deadlock or a panic discards them, as Scheduler.Run does. The nil arena
+// keeps nothing.
+// For n > 1 the lookahead must be positive: it is the minimum virtual
+// latency of any cross-shard interaction, and the window width of the
+// conservative protocol. A group of one shard is exactly the sequential
+// kernel (the shard may even be driven directly via Scheduler.Run).
+func NewShardGroup(a *Arena, n int, lookahead Duration) *ShardGroup {
 	if n <= 0 {
 		panic(fmt.Sprintf("sim: shard count %d must be positive", n))
 	}
@@ -188,7 +193,7 @@ func NewShardGroup(n int, lookahead Duration) *ShardGroup {
 	g := &ShardGroup{lookahead: lookahead, next: make([]Time, n)}
 	g.shards = make([]*Scheduler, n)
 	for i := range g.shards {
-		s := New()
+		s := a.slot(i).New()
 		s.shardID = i
 		if n > 1 {
 			// A single-shard group leaves group nil so the shard is an
@@ -346,7 +351,7 @@ func (g *ShardGroup) Run() error {
 		g.dispatchWindow()
 		for i := range g.shards {
 			if r := g.panics[i]; r != nil {
-				g.stopRunners()
+				g.release(false)
 				panic(r)
 			}
 		}
@@ -618,17 +623,19 @@ func (g *ShardGroup) tickOutboxes() {
 	}
 }
 
-// stopRunners releases every shard's coroutines.
-func (g *ShardGroup) stopRunners() {
+// release ends every shard's hold on its coroutines and events (see
+// Scheduler.release): clean gives them back to the shards' arena slots,
+// otherwise they are stopped and dropped.
+func (g *ShardGroup) release(clean bool) {
 	for _, s := range g.shards {
-		s.stopRunners()
+		s.release(clean)
 	}
 }
 
 // finish marks all shards terminally run, aggregates their deadlock state
-// into one error, and releases their coroutines.
+// into one error, and releases their coroutines: back to the arena when no
+// proc is left live.
 func (g *ShardGroup) finish() error {
-	defer g.stopRunners()
 	live := 0
 	var now Time
 	var blocked []string
@@ -642,6 +649,7 @@ func (g *ShardGroup) finish() error {
 			blocked = append(blocked, err.(*DeadlockError).Blocked...)
 		}
 	}
+	g.release(live == 0)
 	if live == 0 {
 		return nil
 	}

@@ -15,7 +15,7 @@ func benchCrossTraffic(b *testing.B, shards, fanout, rounds int) {
 	const la = Duration(1000)
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
-		g := NewShardGroup(shards, la)
+		g := NewShardGroup(nil, shards, la)
 		for i := 0; i < shards; i++ {
 			s := g.Shard(i)
 			dst := g.Shard((i + 1) % shards)

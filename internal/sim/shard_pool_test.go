@@ -60,7 +60,7 @@ func poolWorkload(g *ShardGroup, rounds, burst int) func() []string {
 func TestShardPoolDeterminism(t *testing.T) {
 	const shards, rounds, burst = 8, 20, 50
 	run := func(workers int) []string {
-		g := NewShardGroup(shards, 1000)
+		g := NewShardGroup(nil, shards, 1000)
 		g.setWorkers(workers)
 		snap := poolWorkload(g, rounds, burst)
 		if err := g.Run(); err != nil {
@@ -89,7 +89,7 @@ func TestShardPoolDeterminism(t *testing.T) {
 // windows and events are counted, cross events are merged, and the
 // imbalance ratio reflects the hot shard.
 func TestShardPoolStats(t *testing.T) {
-	g := NewShardGroup(4, 1000)
+	g := NewShardGroup(nil, 4, 1000)
 	g.setWorkers(2)
 	snap := poolWorkload(g, 10, 100)
 	if err := g.Run(); err != nil {
@@ -124,7 +124,7 @@ func TestShardPoolStats(t *testing.T) {
 // schedule.
 func TestShardPoolSteals(t *testing.T) {
 	for attempt := 0; attempt < 5; attempt++ {
-		g := NewShardGroup(8, 1000)
+		g := NewShardGroup(nil, 8, 1000)
 		g.setWorkers(2)
 		snap := poolWorkload(g, 30, 500)
 		if err := g.Run(); err != nil {
@@ -142,7 +142,7 @@ func TestShardPoolSteals(t *testing.T) {
 // shard-window is reported exactly once, in coordinator order, with
 // consistent worker lanes and event counts.
 func TestShardPoolSpans(t *testing.T) {
-	g := NewShardGroup(4, 1000)
+	g := NewShardGroup(nil, 4, 1000)
 	g.setWorkers(2)
 	var spans []ShardSpan
 	g.SetSpanObserver(func(sp ShardSpan) { spans = append(spans, sp) })
@@ -187,7 +187,7 @@ func TestShardPoolSpans(t *testing.T) {
 func TestShardOutboxShrink(t *testing.T) {
 	const la = Duration(1000)
 	const spike = 4096
-	g := NewShardGroup(2, la)
+	g := NewShardGroup(nil, 2, la)
 	g.setWorkers(1)
 	s, dst := g.Shard(0), g.Shard(1)
 	s.Spawn("spiker", func(p *Proc) {
@@ -217,7 +217,7 @@ func TestShardOutboxShrink(t *testing.T) {
 // TestShardPoolSettersContract pins the configuration lifecycle: pool knobs
 // are frozen once Run starts.
 func TestShardPoolSettersContract(t *testing.T) {
-	g := NewShardGroup(2, 1000)
+	g := NewShardGroup(nil, 2, 1000)
 	for i := 0; i < 2; i++ {
 		s := g.Shard(i)
 		s.Spawn("noop", func(p *Proc) { _ = s })

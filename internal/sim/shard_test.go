@@ -11,7 +11,7 @@ import (
 // TestShardGroupSingleIsPlainScheduler: a one-shard group is the sequential
 // kernel — no group attached, direct Run allowed.
 func TestShardGroupSingleIsPlainScheduler(t *testing.T) {
-	g := NewShardGroup(1, 0)
+	g := NewShardGroup(nil, 1, 0)
 	s := g.Shard(0)
 	if s.group != nil {
 		t.Fatalf("single-shard group attached itself to the scheduler")
@@ -36,7 +36,7 @@ func TestShardGroupTokenRing(t *testing.T) {
 	const shards = 4
 	const rounds = 8
 	la := 900 * Nanosecond
-	g := NewShardGroup(shards, la)
+	g := NewShardGroup(nil, shards, la)
 
 	hops := 0
 	var hop func(i int)
@@ -67,7 +67,7 @@ func TestShardGroupTokenRing(t *testing.T) {
 // event from shard A.
 func TestShardGroupCompletionAcrossWindows(t *testing.T) {
 	la := Microsecond
-	g := NewShardGroup(2, la)
+	g := NewShardGroup(nil, 2, la)
 	a, b := g.Shard(0), g.Shard(1)
 
 	var done Completion
@@ -94,7 +94,7 @@ func TestShardGroupCompletionAcrossWindows(t *testing.T) {
 func TestShardGroupDeterministic(t *testing.T) {
 	run := func() []string {
 		la := 500 * Nanosecond
-		g := NewShardGroup(2, la)
+		g := NewShardGroup(nil, 2, la)
 		// One log per shard: events append to their own shard's log (shared
 		// state across shards would itself be a race).
 		logs := make([][]string, 2)
@@ -136,7 +136,7 @@ func TestShardGroupDeterministic(t *testing.T) {
 // TestShardGroupDeadlockAggregates: parked procs on several shards surface
 // in one DeadlockError.
 func TestShardGroupDeadlockAggregates(t *testing.T) {
-	g := NewShardGroup(2, Microsecond)
+	g := NewShardGroup(nil, 2, Microsecond)
 	var c0, c1 Completion
 	g.Shard(0).Spawn("a", func(p *Proc) { c0.Wait(p) })
 	g.Shard(1).Spawn("b", func(p *Proc) { c1.Wait(p) })
@@ -171,7 +171,7 @@ func TestShardGroupContract(t *testing.T) {
 		fn()
 	}
 
-	g := NewShardGroup(2, Microsecond)
+	g := NewShardGroup(nil, 2, Microsecond)
 	mustPanic("member Run", "drive it with ShardGroup.Run", func() { _ = g.Shard(0).Run() })
 	mustPanic("member RunUntil", "drive it with ShardGroup.Run", func() { g.Shard(1).runUntil(10) })
 
@@ -180,12 +180,12 @@ func TestShardGroupContract(t *testing.T) {
 	}
 	mustPanic("Run twice", "called twice", func() { _ = g.Run() })
 
-	mustPanic("zero shards", "must be positive", func() { NewShardGroup(0, Microsecond) })
-	mustPanic("no lookahead", "positive lookahead", func() { NewShardGroup(2, 0) })
+	mustPanic("zero shards", "must be positive", func() { NewShardGroup(nil, 0, Microsecond) })
+	mustPanic("no lookahead", "positive lookahead", func() { NewShardGroup(nil, 2, 0) })
 
 	// Re-entering a drive from inside a window keeps the existing panic; the
 	// group re-raises window panics on the coordinator goroutine.
-	g2 := NewShardGroup(2, Microsecond)
+	g2 := NewShardGroup(nil, 2, Microsecond)
 	func() {
 		defer func() {
 			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "re-entered") {
@@ -200,7 +200,7 @@ func TestShardGroupContract(t *testing.T) {
 // TestDeferContract pins Defer's safety checks: local Defer is At, foreign
 // schedulers are rejected, and lookahead violations panic.
 func TestDeferContract(t *testing.T) {
-	g := NewShardGroup(2, Microsecond)
+	g := NewShardGroup(nil, 2, Microsecond)
 	a, b := g.Shard(0), g.Shard(1)
 
 	ran := false
@@ -238,7 +238,7 @@ func TestDeferContract(t *testing.T) {
 // not a single global window.
 func TestShardGroupWavefrontHorizon(t *testing.T) {
 	la := Microsecond
-	g := NewShardGroup(2, la)
+	g := NewShardGroup(nil, 2, la)
 	a, b := g.Shard(0), g.Shard(1)
 
 	// Shard B has dense local work far in the future; shard A sends it a
@@ -264,7 +264,7 @@ func TestShardGroupWavefrontHorizon(t *testing.T) {
 func TestDeferFireInterleavesLikeDefer(t *testing.T) {
 	const at = Time(20 * Microsecond)
 	run := func(shards int, fire bool) []string {
-		g := NewShardGroup(shards, Microsecond)
+		g := NewShardGroup(nil, shards, Microsecond)
 		a, b := g.Shard(0), g.Shard(shards-1)
 		var order []string
 		note := func(what string) func() { return func() { order = append(order, what) } }

@@ -256,6 +256,13 @@ type EventCounts struct {
 	Resumes  int64 `json:"resumes"`
 }
 
+// add sums d into c.
+func (c *EventCounts) add(d EventCounts) {
+	c.Popped += d.Popped
+	c.ShortCut += d.ShortCut
+	c.Resumes += d.Resumes
+}
+
 // maxTime is the fast-path drive limit for an unbounded Run.
 const maxTime = Time(math.MaxInt64)
 
