@@ -119,7 +119,7 @@ func scalingVerb(fs *flag.FlagSet) func(*cli) error {
 	fs.StringVar(&opt.Stencil, "stencil", "halo3d", "stencil to scale: halo3d|sweep3d")
 	ranks := fs.Int("ranks", 512, "largest rank count of the scaling axis")
 	fs.IntVar(&opt.Shards, "shards", 1, "event-loop shards per simulation (results are shard-invariant)")
-	traceOut := fs.String("shardtrace", "", "write a Chrome trace of per-worker shard-window execution to this file (disables the result cache)")
+	traceOut := fs.String("shardtrace", "", "write a Chrome trace of shard-window execution, one lane per shard, to this file (disables the result cache)")
 	fs.StringVar(&opt.Topology, "topology", "uniform", "network topology: uniform|dragonfly")
 	return func(c *cli) error {
 		if opt.Shards < 1 {

@@ -42,9 +42,10 @@ type ScalingOptions struct {
 	// Shards is the event-loop shard count each simulation runs on
 	// (virtual results are identical at every value; see patterns).
 	Shards int
-	// ShardTrace, when non-nil, records per-worker shard-window spans for
-	// every cell on this recorder. Traced cells bypass the result cache
-	// (see patterns), so use it for one-off profiling runs only.
+	// ShardTrace, when non-nil, records shard-window spans, one lane per
+	// shard, for every cell on this recorder. Traced cells bypass the
+	// result cache (see patterns), so use it for one-off profiling runs
+	// only.
 	ShardTrace *trace.Recorder
 	// Topology is "uniform" (default) or "dragonfly".
 	Topology string

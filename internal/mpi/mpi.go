@@ -14,6 +14,7 @@ package mpi
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"partmb/internal/cluster"
@@ -321,6 +322,55 @@ func (l *recordList) trim() {
 	}
 }
 
+// deal pools the records the last world left on the lists and deals them
+// back out like cards, one to each list in turn, skipping lists at their
+// cap, and drops what no list has room for. Records go back to the
+// receiver's list, so one-way traffic leaves them all on the receiving
+// shards, while the next world's senders need them on theirs.
+func deal(lists []recordList) {
+	pool := &lists[0]
+	top := 0
+	for i := range lists {
+		l := &lists[i]
+		top = max(top, l.max)
+		if i > 0 {
+			pool.free = append(pool.free, l.free...)
+			clear(l.free)
+			l.free = l.free[:0]
+		}
+	}
+	// After k rounds a list holds min(max, k) records. Find the last full
+	// round k; the r records left go to the first r lists still open.
+	dealt := func(k int) int {
+		n := 0
+		for i := range lists {
+			n += min(lists[i].max, k)
+		}
+		return n
+	}
+	total := len(pool.free)
+	k := sort.Search(top+1, func(k int) bool { return dealt(k) > total }) - 1
+	r := total - dealt(k)
+	share := func(l *recordList) int {
+		n := min(l.max, k)
+		if l.max > k && r > 0 {
+			n++
+			r--
+		}
+		return n
+	}
+	kept := share(pool)
+	rest := pool.free[kept:]
+	for i := range lists[1:] {
+		l := &lists[1+i]
+		n := share(l)
+		l.free = append(l.free, rest[:n]...)
+		rest = rest[n:]
+	}
+	clear(pool.free[kept:])
+	pool.free = pool.free[:kept]
+}
+
 // partKey pairs native partitioned requests in the receiver's registry.
 type partKey struct {
 	src, tag int
@@ -438,8 +488,8 @@ func extend[T any](xs []T, n int) []T {
 //
 // The world is NewWorld's on shard 0, so a group built from a sim.Arena
 // takes the world the arena kept and keeps this one, as NewWorld does. The
-// per-shard record free lists are reset in place: each keeps the records
-// the last world left in it, up to recordsPerRank per rank on its shard.
+// records the last world left on its per-shard free lists are dealt back
+// out, up to recordsPerRank per rank on each shard.
 //
 // Restrictions in multi-shard worlds: the group's lookahead must not exceed
 // the minimum cross-shard wire latency of the topology
@@ -469,9 +519,7 @@ func NewShardedWorld(g *sim.ShardGroup, cfg Config, shardOf func(rank int) int) 
 		st.records = &w.records[s]
 		st.records.max += recordsPerRank
 	}
-	for i := range w.records {
-		w.records[i].trim()
-	}
+	deal(w.records)
 	return w, nil
 }
 

@@ -260,39 +260,50 @@ func TestKeptWorldAllocs(t *testing.T) {
 }
 
 // The sharded twin of TestKeptWorldAllocs: four ranks on a two-shard group,
-// every pair split across the shards, one pair sending each way. The
-// group's second run on an arena takes the world and its records from shard
-// 0's slot and each shard's runners, events, queue and outbox from its own,
-// so what it allocates is the group's own: the group, its two schedulers,
-// its per-run window scratch, worker channel and worker, and its barrier
-// merge lists, beside the world's placement and topology.
+// every pair split across the shards. The group's second run on an arena
+// takes the world and its records from shard 0's slot and each shard's
+// runners, events, queue and outbox from its own, so what it allocates is
+// the group's own: the group, its two schedulers, its per-run window
+// scratch, channels and shard goroutines, beside the world's placement and
+// topology. That holds with one pair sending each way and with every
+// partitioned sender on shard 0, where the records all end up on shard 1's
+// list and the next world deals them back.
 func TestKeptShardedWorldAllocs(t *testing.T) {
-	cfg := DefaultConfig(4)
-	shardOf := func(rank int) int { return (rank ^ rank>>1) & 1 }
-	var w *World
-	var ranks [4]func(p *sim.Proc)
-	for r := range ranks {
-		ranks[r] = func(p *sim.Proc) { keptProgram(w.Comm(r), p) }
-	}
-	run := func(a *sim.Arena) {
-		g := sim.NewShardGroup(a, 2, cfg.Net.Latency)
-		var err error
-		if w, err = NewShardedWorld(g, cfg, shardOf); err != nil {
-			t.Fatal(err)
-		}
-		for r, f := range ranks {
-			g.Shard(shardOf(r)).Spawn("rank", f)
-		}
-		if err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var a sim.Arena
-	defer a.Close()
-	run(&a)
-	// On no arena the same run costs 303.
-	if got := testing.AllocsPerRun(20, func() { run(&a) }); got > 22 {
-		t.Errorf("a kept sharded world's run: %v allocations, pinned at 22", got)
+	for _, c := range []struct {
+		name    string
+		shardOf func(rank int) int
+	}{
+		{"one sender per shard", func(rank int) int { return (rank ^ rank>>1) & 1 }},
+		{"senders on shard 0", func(rank int) int { return rank % 2 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			var w *World
+			var ranks [4]func(p *sim.Proc)
+			for r := range ranks {
+				ranks[r] = func(p *sim.Proc) { keptProgram(w.Comm(r), p) }
+			}
+			run := func(a *sim.Arena) {
+				g := sim.NewShardGroup(a, 2, cfg.Net.Latency)
+				var err error
+				if w, err = NewShardedWorld(g, cfg, c.shardOf); err != nil {
+					t.Fatal(err)
+				}
+				for r, f := range ranks {
+					g.Shard(c.shardOf(r)).Spawn("rank", f)
+				}
+				if err := g.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var a sim.Arena
+			defer a.Close()
+			run(&a)
+			// On no arena the same run costs 303.
+			if got := testing.AllocsPerRun(20, func() { run(&a) }); got > 22 {
+				t.Errorf("a kept sharded world's run: %v allocations, pinned at 22", got)
+			}
+		})
 	}
 }
 

@@ -70,11 +70,10 @@ func WriteJournal(w io.Writer, tool string, c *Collector, withHost bool) error {
 			// distributed run's journal byte-identical to a local run's.
 			cells[i].HostNS, cells[i].StartNS = 0, 0
 			cells[i].Remote, cells[i].RemoteHostNS = "", 0
-			// Shard telemetry tracks GOMAXPROCS and steal luck; a sharded
-			// run's deterministic journal must stay byte-identical to the
-			// sequential run's.
+			// A sharded run's deterministic journal must stay
+			// byte-identical to the sequential run's, which has no shard
+			// telemetry.
 			cells[i].ShardWindows, cells[i].ShardEvents = 0, 0
-			cells[i].ShardWorkers, cells[i].ShardSteals = 0, 0
 			cells[i].ShardImbalance = 0
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // MetricsSchema versions the aggregated metrics JSON.
-const MetricsSchema = 1
+const MetricsSchema = 2
 
 // HostSummary is the distribution of per-task host wall times within one
 // experiment, computed with internal/stats.
@@ -86,15 +86,12 @@ type Metrics struct {
 
 // ShardSummary aggregates the sharded DES kernel's execution counters
 // across every cell that ran on a multi-shard group: total windows and
-// events, rebalancing steals made by the work-stealing dispatch, the widest
-// worker pool observed, and the windows-weighted mean imbalance ratio
-// (max/mean events per window; 1.0 is perfectly balanced).
+// events, and the windows-weighted mean imbalance ratio (max/mean events
+// per window; 1.0 is perfectly balanced).
 type ShardSummary struct {
 	Cells         int64   `json:"cells"`
 	Windows       int64   `json:"windows"`
 	Events        int64   `json:"events"`
-	Steals        int64   `json:"steals"`
-	MaxWorkers    int     `json:"max_workers"`
 	ImbalanceMean float64 `json:"imbalance_mean"`
 }
 
@@ -150,10 +147,6 @@ func summarizeShard(cells []Cell) *ShardSummary {
 		s.Cells++
 		s.Windows += cl.ShardWindows
 		s.Events += cl.ShardEvents
-		s.Steals += cl.ShardSteals
-		if cl.ShardWorkers > s.MaxWorkers {
-			s.MaxWorkers = cl.ShardWorkers
-		}
 		imbalance += cl.ShardImbalance * float64(cl.ShardWindows)
 	}
 	if s.Cells == 0 {

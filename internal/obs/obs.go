@@ -86,16 +86,13 @@ type Cell struct {
 	// distributed and local runs.
 	Remote       string `json:"remote,omitempty"`
 	RemoteHostNS int64  `json:"remote_host_ns,omitempty"`
-	// ShardWindows / ShardEvents / ShardWorkers / ShardSteals /
-	// ShardImbalance carry the sharded-kernel execution counters when the
-	// cell's result implements Sharded, actually ran sharded, and came from
-	// Source "run". All volatile: the worker count tracks GOMAXPROCS and
-	// steal counts depend on host scheduling, so deterministic journals
+	// ShardWindows / ShardEvents / ShardImbalance carry the sharded-kernel
+	// execution counters when the cell's result implements Sharded,
+	// actually ran sharded, and came from Source "run". All volatile: a
+	// sequential run of the same cell has none, so deterministic journals
 	// zero them like host times.
 	ShardWindows   int64   `json:"shard_windows,omitempty"`
 	ShardEvents    int64   `json:"shard_events,omitempty"`
-	ShardWorkers   int     `json:"shard_workers,omitempty"`
-	ShardSteals    int64   `json:"shard_steals,omitempty"`
 	ShardImbalance float64 `json:"shard_imbalance,omitempty"`
 	// Samples / CIRel / CIReason carry the adaptive sampling outcome when
 	// the cell's result type implements Sampled and actually sampled
@@ -159,8 +156,6 @@ func (c *Collector) CellDone(ev engine.CellEvent) {
 		if st := sh.ShardRun(); st != nil {
 			rec.ShardWindows = st.Windows
 			rec.ShardEvents = st.Events
-			rec.ShardWorkers = st.Workers
-			rec.ShardSteals = st.Steals
 			rec.ShardImbalance = st.ImbalanceMean
 		}
 	}

@@ -31,9 +31,9 @@ func runShardedSweep(t *testing.T) *Collector {
 			v := shardedValue{simValue: simValue{V: c, SimNS: sim.Duration(1000)}}
 			if c < 2 {
 				v.Shard = &sim.ShardStats{
-					Shards: 4, Workers: 2,
+					Shards:  4,
 					Windows: int64(10 * (c + 1)), Events: int64(100 * (c + 1)),
-					Steals: int64(c + 1), ImbalanceMean: float64(c + 2),
+					ImbalanceMean: float64(c + 2),
 				}
 			}
 			return v, nil
@@ -56,7 +56,7 @@ func TestCellRecordsShardStats(t *testing.T) {
 				t.Fatalf("shard stats recorded for source %q: %+v", c.Source, c)
 			}
 			shardedRuns++
-			if c.ShardEvents == 0 || c.ShardWorkers != 2 || c.ShardImbalance == 0 {
+			if c.ShardEvents == 0 || c.ShardImbalance == 0 {
 				t.Fatalf("incomplete shard record %+v", c)
 			}
 		} else {
@@ -73,11 +73,8 @@ func TestCellRecordsShardStats(t *testing.T) {
 	if m.Shard == nil {
 		t.Fatal("metrics missing shard summary")
 	}
-	if m.Shard.Cells != 2 || m.Shard.Windows != 30 || m.Shard.Events != 300 || m.Shard.Steals != 3 {
+	if m.Shard.Cells != 2 || m.Shard.Windows != 30 || m.Shard.Events != 300 {
 		t.Fatalf("shard summary %+v", m.Shard)
-	}
-	if m.Shard.MaxWorkers != 2 {
-		t.Fatalf("MaxWorkers = %d", m.Shard.MaxWorkers)
 	}
 	// Windows-weighted imbalance: (2*10 + 3*20) / 30.
 	if want := (2.0*10 + 3.0*20) / 30; m.Shard.ImbalanceMean != want {
@@ -94,8 +91,8 @@ func TestCellRecordsShardStats(t *testing.T) {
 func TestDeterministicJournalOmitsShardFields(t *testing.T) {
 	col := runShardedSweep(t)
 
-	// Deterministic journals zero the shard telemetry — it tracks
-	// GOMAXPROCS and steal luck, so it is volatile like host time.
+	// Deterministic journals zero the shard telemetry: a sequential run of
+	// the same cells has none, so it is volatile like host time.
 	var det bytes.Buffer
 	if err := WriteJournal(&det, "test", col, false); err != nil {
 		t.Fatal(err)
@@ -109,7 +106,7 @@ func TestDeterministicJournalOmitsShardFields(t *testing.T) {
 	if err := WriteJournal(&host, "test", col, true); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"shard_windows", "shard_events", "shard_workers", "shard_steals", "shard_imbalance"} {
+	for _, want := range []string{"shard_windows", "shard_events", "shard_imbalance"} {
 		if !bytes.Contains(host.Bytes(), []byte(want)) {
 			t.Fatalf("host journal missing %q:\n%s", want, host.Bytes())
 		}

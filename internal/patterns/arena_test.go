@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"partmb/internal/mpi"
 	"partmb/internal/netsim"
@@ -87,18 +87,35 @@ func deadShardedDrive(t *testing.T, a *sim.Arena, panics bool) {
 	t.Fatal("the panicking drive returned")
 }
 
-// settledGoroutines waits until the goroutine count stops changing, so
-// that the window workers of groups run before have exited, and returns it.
-func settledGoroutines() int {
-	n := runtime.NumGoroutine()
+// kernelGoroutines counts the goroutines, the caller's aside, that are
+// inside the simulation kernel's code: coroutine runners, parked or stashed
+// in an arena, and shard goroutines that have not returned. runtime.Stack
+// stops the world to list them, so the count is exact; a goroutine that has
+// returned and is only exiting is not counted, nor is any goroutine of the
+// test framework.
+func kernelGoroutines() int {
+	buf := make([]byte, 1<<16)
 	for {
-		time.Sleep(5 * time.Millisecond)
-		m := runtime.NumGoroutine()
-		if m == n {
-			return n
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
 		}
-		n = m
+		buf = make([]byte, 2*len(buf))
 	}
+	n := 0
+	for _, r := range strings.Split(string(buf), "\n\n")[1:] {
+		for _, line := range strings.Split(r, "\n") {
+			// A frame in the kernel's methods. The wrapper of a go statement
+			// is left only once its function has returned, and the "created
+			// by" line names the creator.
+			if strings.HasPrefix(line, "partmb/internal/sim.(*") && !strings.Contains(line, ".gowrap") {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // shardCounts are the deterministic part of a result's shard telemetry: the
@@ -127,7 +144,7 @@ func TestShardedArenaReuseChangesNoResult(t *testing.T) {
 			}
 			want[i] = res
 		}
-		before := settledGoroutines()
+		before := kernelGoroutines()
 		var a sim.Arena
 		for k, i := range rand.New(rand.NewSource(seed)).Perm(len(cells)) {
 			switch k {
@@ -153,13 +170,8 @@ func TestShardedArenaReuseChangesNoResult(t *testing.T) {
 			}
 		}
 		a.Close()
-		// A group's window workers exit just after its Run returns.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if now := runtime.NumGoroutine(); now > before {
-			t.Errorf("%d goroutines before the cells, %d after Close", before, now)
+		if now := kernelGoroutines(); now != before {
+			t.Errorf("%d kernel goroutines before the cells, %d after Close", before, now)
 		}
 	}
 	replay(t, 46)

@@ -47,7 +47,7 @@ type HaloConfig struct {
 	// (cluster.BlockShards). Results are identical at any shard count.
 	Shards int
 	// ShardTrace, when non-nil, records one Chrome-trace span per executed
-	// shard-window on per-worker lanes. Host-timing dependent, so traced
+	// shard-window, one lane per shard. Host-timing dependent, so traced
 	// configs are never cached (excluded from the cache key and forced to
 	// run fresh, like core.Config.Trace).
 	ShardTrace *trace.Recorder `json:"-"`

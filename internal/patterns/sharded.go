@@ -31,7 +31,7 @@ const shardTracePidBase = 2
 // topology's minimum cross-shard latency as lookahead, built from a's shard
 // slots, so it starts from the world, coroutines and events the arena's last
 // simulation left and hands its own on. A non-nil tr records one span per
-// executed shard-window on per-worker lanes. The returned run function
+// executed shard-window on one lane per shard. The returned run function
 // drives the simulation to completion; the stats function reports the
 // group's execution counters after the run (nil for the sequential kernel,
 // whose results the sharded runs must reproduce exactly).
@@ -59,11 +59,10 @@ func buildWorld(a *sim.Arena, shards, nRanks int, mcfg mpi.Config, topo netsim.T
 	if tr != nil {
 		pid := shardTracePidBase + int(shardTracePids.Add(1)) - 1
 		g.SetSpanObserver(func(sp sim.ShardSpan) {
-			tr.Span(pid, sp.Worker, "shard", fmt.Sprintf("shard %d", sp.Shard),
+			tr.Span(pid, sp.Shard, "shard", fmt.Sprintf("shard %d", sp.Shard),
 				sim.Time(sp.StartNS), sim.Time(sp.EndNS), map[string]string{
 					"window": strconv.FormatInt(sp.Window, 10),
 					"events": strconv.FormatInt(sp.Events, 10),
-					"stolen": strconv.FormatBool(sp.Stolen),
 				})
 		})
 	}

@@ -421,7 +421,7 @@ func TestShardedKeysUnchanged(t *testing.T) {
 	}
 }
 
-// TestShardTraceSmoke checks the per-worker trace lanes: a traced sharded
+// TestShardTraceSmoke checks the per-shard trace lanes: a traced sharded
 // run records one span per executed shard-window, and traced configs bypass
 // the cache (the recorder is host-timing dependent and excluded from the
 // key, so a memo hit would leave it empty).

@@ -47,7 +47,7 @@ type SweepConfig struct {
 	// Shards runs the simulation on this many parallel event-loop shards
 	// (0 or 1 = the sequential reference kernel); see HaloConfig.Shards.
 	Shards int
-	// ShardTrace records per-worker shard-window spans; see
+	// ShardTrace records shard-window spans, one lane per shard; see
 	// HaloConfig.ShardTrace. It does not affect the result.
 	ShardTrace *trace.Recorder `json:"-"`
 	// Topology overrides the network topology (nil = single-switch uniform).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -63,14 +62,14 @@ func TestArenaRunsMatchFreshSchedulers(t *testing.T) {
 // The second scheduler of an arena creates no runner and no event the first
 // one already made, and the arena holds the coroutines in between.
 func TestArenaHandsRunnersAndEventsOn(t *testing.T) {
-	before := goroutineBaseline()
+	before := kernelGoroutines()
 	var a Arena
 	s := a.New()
 	runTraced(t, s, 8, 10)
 	if s.runners != 9 || len(a.idle) != 9 || len(s.idle) != 0 {
 		t.Fatalf("first scheduler made %d runners; arena holds %d, scheduler %d; want 9, 9, 0", s.runners, len(a.idle), len(s.idle))
 	}
-	if got := runtime.NumGoroutine(); got != before+9 {
+	if got := kernelGoroutines(); got != before+9 {
 		t.Fatalf("%d goroutines with 9 runners stashed, %d before", got, before)
 	}
 	if a.queue == nil {
@@ -92,7 +91,7 @@ func TestArenaHandsRunnersAndEventsOn(t *testing.T) {
 			s.runners, len(a.free), freeChunks(a.queue), events, chunks)
 	}
 	a.Close()
-	if got := runtime.NumGoroutine(); got != before {
+	if got := kernelGoroutines(); got != before {
 		t.Fatalf("%d goroutines after Close, %d before: stashed runners survived", got, before)
 	}
 	if len(a.idle) != 0 || len(a.free) != 0 || a.queue != nil {
@@ -112,7 +111,7 @@ func freeChunks(q *eventQueue) int {
 // A dead drive discards what it borrowed instead of giving it back, and the
 // arena's next scheduler still runs the simulation a fresh one runs.
 func TestArenaDeadDriveDiscards(t *testing.T) {
-	before := goroutineBaseline()
+	before := kernelGoroutines()
 	wantLog, wantNow, _ := runTraced(t, New(), 4, 10)
 	stuck := func(p *Proc) {
 		var never Completion
@@ -142,7 +141,7 @@ func TestArenaDeadDriveDiscards(t *testing.T) {
 		},
 	} {
 		dead(a.New())
-		if got := runtime.NumGoroutine(); got != before || len(a.idle) != 0 {
+		if got := kernelGoroutines(); got != before || len(a.idle) != 0 {
 			t.Fatalf("%s: %d goroutines (%d before), arena holds %d runners; want every runner stopped", name, got, before, len(a.idle))
 		}
 		if log, now, _ := runTraced(t, a.New(), 4, 10); !reflect.DeepEqual(log, wantLog) || now != wantNow {
@@ -150,7 +149,7 @@ func TestArenaDeadDriveDiscards(t *testing.T) {
 		}
 	}
 	a.Close()
-	if got := runtime.NumGoroutine(); got != before {
+	if got := kernelGoroutines(); got != before {
 		t.Fatalf("%d goroutines after Close, %d before", got, before)
 	}
 }
@@ -159,7 +158,7 @@ func TestArenaDeadDriveDiscards(t *testing.T) {
 // after a partial RunUntil — keeps the runners it took until the arena's next
 // New or Close stops them.
 func TestArenaReclaimsUnfinishedSchedulers(t *testing.T) {
-	before := goroutineBaseline()
+	before := kernelGoroutines()
 	var a Arena
 	runTraced(t, a.New(), 4, 5)
 	for _, reclaim := range []func(){func() { a.New() }, a.Close} {
@@ -169,22 +168,22 @@ func TestArenaReclaimsUnfinishedSchedulers(t *testing.T) {
 		forkJoin(s, 8, 5)
 		s.runUntil(Time(3)) // parks procs on stashed and on new runners
 		reclaim()
-		if got := runtime.NumGoroutine(); got != before {
+		if got := kernelGoroutines(); got != before {
 			t.Fatalf("%d goroutines after reclaiming, %d before", got, before)
 		}
 	}
 }
 
 func TestArenaCloseStopsStashedRunners(t *testing.T) {
-	before := goroutineBaseline()
+	before := kernelGoroutines()
 	var a Arena
 	runTraced(t, a.New(), 16, 3)
-	if got := runtime.NumGoroutine(); got != before+len(a.idle) || len(a.idle) != 17 {
+	if got := kernelGoroutines(); got != before+len(a.idle) || len(a.idle) != 17 {
 		t.Fatalf("%d goroutines, %d before, %d runners stashed; want 17 stashed", got, before, len(a.idle))
 	}
 	a.Close()
 	a.Close() // idempotent
-	if got := runtime.NumGoroutine(); got != before {
+	if got := kernelGoroutines(); got != before {
 		t.Fatalf("%d goroutines after Close, %d before", got, before)
 	}
 	// A closed arena starts empty.
@@ -377,87 +376,90 @@ func shardedTraced(g *ShardGroup, team, iters int) [][]string {
 // every shard's runners and events back after a clean Run, runs exactly as
 // a group on no arena, and discards what it borrowed when its Run dies.
 func TestArenaShardGroups(t *testing.T) {
-	before := goroutineBaseline()
-	run := func(a *Arena, shards, team, iters int) ([][]string, *ShardGroup) {
-		g := NewShardGroup(a, shards, 10)
-		g.setWorkers(2)
-		logs := shardedTraced(g, team, iters)
-		if err := g.Run(); err != nil {
-			t.Fatal(err)
+	before := kernelGoroutines()
+	// Every shard runs on a goroutine of its own, whatever GOMAXPROCS is;
+	// the sweep varies how many of them the host runs at once.
+	for _, procs := range []int{1, 2, 4} {
+		setProcs(t, procs)
+		run := func(a *Arena, shards, team, iters int) ([][]string, *ShardGroup) {
+			g := NewShardGroup(a, shards, 10)
+			logs := shardedTraced(g, team, iters)
+			if err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return logs, g
 		}
-		return logs, g
-	}
-	var a Arena
-	for _, shape := range [][3]int{{2, 4, 5}, {4, 3, 4}, {1, 4, 5}, {4, 3, 4}, {2, 4, 5}, {2, 2, 3}} {
-		want, _ := run(nil, shape[0], shape[1], shape[2])
-		events := a.Events()
-		got, g := run(&a, shape[0], shape[1], shape[2])
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: on the arena %q, on none %q", shape, got, want)
-		}
-		if ev, st := a.Events(), g.Stats(); shape[0] > 1 && ev.Popped+ev.ShortCut-events.Popped-events.ShortCut != st.Events {
-			t.Fatalf("%v: the arena counted %+v more events, the group %d", shape, ev, st.Events)
-		}
-		for i := 0; i < shape[0]; i++ {
-			slot := a.slot(i)
-			if s := g.Shard(i); s.arena != nil || slot.queue == nil || len(slot.idle) < shape[1]+1 {
-				t.Fatalf("%v: shard %d gave back %d runners, want at least %d", shape, i, len(slot.idle), shape[1]+1)
+		var a Arena
+		for _, shape := range [][3]int{{2, 4, 5}, {4, 3, 4}, {1, 4, 5}, {4, 3, 4}, {2, 4, 5}, {2, 2, 3}} {
+			want, _ := run(nil, shape[0], shape[1], shape[2])
+			events := a.Events()
+			got, g := run(&a, shape[0], shape[1], shape[2])
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: on the arena %q, on none %q", shape, got, want)
+			}
+			if ev, st := a.Events(), g.Stats(); shape[0] > 1 && ev.Popped+ev.ShortCut-events.Popped-events.ShortCut != st.Events {
+				t.Fatalf("%v: the arena counted %+v more events, the group %d", shape, ev, st.Events)
+			}
+			for i := 0; i < shape[0]; i++ {
+				slot := a.slot(i)
+				if s := g.Shard(i); s.arena != nil || slot.queue == nil || len(slot.idle) < shape[1]+1 {
+					t.Fatalf("%v: shard %d gave back %d runners, want at least %d", shape, i, len(slot.idle), shape[1]+1)
+				}
 			}
 		}
-	}
-	// The shapes above repeat, so the last group made no runner of its own.
-	if _, g := run(&a, 2, 2, 3); g.Shard(0).runners+g.Shard(1).runners != 0 {
-		t.Fatal("a group after an equal one on the arena made runners")
-	}
-	if len(a.slots) != 3 {
-		t.Fatalf("%d shard slots after four-shard groups, want 3", len(a.slots))
-	}
+		// The shapes above repeat, so the last group made no runner of its own.
+		if _, g := run(&a, 2, 2, 3); g.Shard(0).runners+g.Shard(1).runners != 0 {
+			t.Fatal("a group after an equal one on the arena made runners")
+		}
+		if len(a.slots) != 3 {
+			t.Fatalf("%d shard slots after four-shard groups, want 3", len(a.slots))
+		}
 
-	stuck := func(p *Proc) {
-		var never Completion
-		never.Wait(p)
-	}
-	for name, dead := range map[string]func(g *ShardGroup){
-		"deadlock": func(g *ShardGroup) {
-			g.Shard(1).Spawn("stuck", stuck)
-			var dl *DeadlockError
-			if err := g.Run(); !errors.As(err, &dl) {
-				t.Fatalf("Run = %v, want a deadlock", err)
-			}
-		},
-		"panic": func(g *ShardGroup) {
-			g.Shard(0).Spawn("stuck", stuck)
-			g.Shard(1).Spawn("bad", func(p *Proc) {
-				p.Sleep(2 * Microsecond)
-				panic("boom")
-			})
-			if panicValue(func() { g.Run() }) != "boom" {
-				t.Fatal("Run did not panic")
-			}
-		},
-	} {
-		g := NewShardGroup(&a, 4, 10)
-		g.setWorkers(2)
-		shardedTraced(g, 3, 4)
-		dead(g)
-		if got := settleGoroutines(before); got != before {
-			t.Fatalf("%s: %d goroutines, %d before; want every runner stopped", name, got, before)
+		stuck := func(p *Proc) {
+			var never Completion
+			never.Wait(p)
 		}
-		for i := 0; i < 4; i++ {
-			if n := len(a.slot(i).idle); n != 0 {
-				t.Fatalf("%s: shard %d's slot holds %d runners", name, i, n)
+		for name, dead := range map[string]func(g *ShardGroup){
+			"deadlock": func(g *ShardGroup) {
+				g.Shard(1).Spawn("stuck", stuck)
+				var dl *DeadlockError
+				if err := g.Run(); !errors.As(err, &dl) {
+					t.Fatalf("Run = %v, want a deadlock", err)
+				}
+			},
+			"panic": func(g *ShardGroup) {
+				g.Shard(0).Spawn("stuck", stuck)
+				g.Shard(1).Spawn("bad", func(p *Proc) {
+					p.Sleep(2 * Microsecond)
+					panic("boom")
+				})
+				if panicValue(func() { g.Run() }) != "boom" {
+					t.Fatal("Run did not panic")
+				}
+			},
+		} {
+			g := NewShardGroup(&a, 4, 10)
+			shardedTraced(g, 3, 4)
+			dead(g)
+			if got := kernelGoroutines(); got != before {
+				t.Fatalf("%s: %d goroutines, %d before; want every runner stopped", name, got, before)
+			}
+			for i := 0; i < 4; i++ {
+				if n := len(a.slot(i).idle); n != 0 {
+					t.Fatalf("%s: shard %d's slot holds %d runners", name, i, n)
+				}
+			}
+			want, _ := run(nil, 4, 3, 4)
+			if got, _ := run(&a, 4, 3, 4); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the next group on the arena ran differently", name)
 			}
 		}
-		want, _ := run(nil, 4, 3, 4)
-		if got, _ := run(&a, 4, 3, 4); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: the next group on the arena ran differently", name)
+		a.Close()
+		if got := kernelGoroutines(); got != before {
+			t.Fatalf("%d goroutines after Close, %d before: a shard slot kept its runners", got, before)
 		}
-	}
-	a.Close()
-	if got := settleGoroutines(before); got != before {
-		t.Fatalf("%d goroutines after Close, %d before: a shard slot kept its runners", got, before)
-	}
-	if a.slots != nil || a.Events() != (EventCounts{}) {
-		t.Fatal("Close left shard slots or counts behind")
+		if a.slots != nil || a.Events() != (EventCounts{}) {
+			t.Fatal("Close left shard slots or counts behind")
+		}
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
-	"time"
 )
 
 // ---------------------------------------------------------------------------
@@ -38,10 +38,10 @@ func TestProcPanicPropagatesOutOfRun(t *testing.T) {
 }
 
 func TestProcPanicPropagatesOutOfShardGroupRun(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		boom := fmt.Errorf("boom with %d workers", workers)
+	for _, procs := range []int{1, 2, 4} {
+		setProcs(t, procs)
+		boom := fmt.Errorf("boom at GOMAXPROCS %d", procs)
 		g := NewShardGroup(nil, 4, Microsecond)
-		g.setWorkers(workers)
 		for i := 0; i < 4; i++ {
 			i := i
 			g.Shard(i).Spawn(fmt.Sprintf("r%d", i), func(p *Proc) {
@@ -53,10 +53,10 @@ func TestProcPanicPropagatesOutOfShardGroupRun(t *testing.T) {
 				}
 			})
 		}
-		// The panic crosses a goroutine on the way: the window worker that
-		// ran shard 2 recovers it and the coordinator raises it again.
+		// The panic crosses a goroutine on the way: shard 2's goroutine
+		// recovers it and the coordinator raises it again.
 		if got := panicValue(func() { g.Run() }); got != boom {
-			t.Fatalf("workers=%d: ShardGroup.Run panicked with %v, want %v", workers, got, boom)
+			t.Fatalf("GOMAXPROCS=%d: ShardGroup.Run panicked with %v, want %v", procs, got, boom)
 		}
 	}
 }
@@ -65,30 +65,35 @@ func TestProcPanicPropagatesOutOfShardGroupRun(t *testing.T) {
 // Lifetime of the runner pool.
 // ---------------------------------------------------------------------------
 
-// settleGoroutines waits for the goroutine count to come down to want.
-// Coroutines are gone when a drive returns; the only thing waited for is
-// a shard group's window workers, which exit on their own just after Run
-// closes their channels.
-func settleGoroutines(want int) int {
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	return runtime.NumGoroutine()
-}
-
-// goroutineBaseline is the count a lifetime test starts from, taken once
-// window workers left over from earlier tests have exited.
-func goroutineBaseline() int {
-	n := runtime.NumGoroutine()
+// kernelGoroutines counts the goroutines, the caller's aside, that are
+// inside this package's code: coroutine runners, parked or stashed, and
+// shard goroutines that have not returned. runtime.Stack stops the world to
+// list them, so the count is exact. A goroutine that has returned and is
+// only exiting is not counted, nor is any goroutine of the test framework,
+// such as the previous test's on its way out.
+func kernelGoroutines() int {
+	buf := make([]byte, 1<<16)
 	for {
-		time.Sleep(5 * time.Millisecond)
-		m := runtime.NumGoroutine()
-		if m == n {
-			return n
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
 		}
-		n = m
+		buf = make([]byte, 2*len(buf))
 	}
+	n := 0
+	for _, r := range strings.Split(string(buf), "\n\n")[1:] {
+		for _, line := range strings.Split(r, "\n") {
+			// A frame in the kernel's methods. The wrapper of a go statement
+			// is left only once its function has returned, and the "created
+			// by" line names the creator.
+			if strings.HasPrefix(line, "partmb/internal/sim.(*") && !strings.Contains(line, ".gowrap") {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // forkJoin spawns a master that forks and joins a team of `team` procs per
@@ -111,13 +116,13 @@ func forkJoin(s *Scheduler, team, iters int) {
 }
 
 func TestRunLeavesNoGoroutines(t *testing.T) {
-	before := goroutineBaseline()
+	before := kernelGoroutines()
 	s := New()
 	forkJoin(s, 8, 50)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := runtime.NumGoroutine(); got != before {
+	if got := kernelGoroutines(); got != before {
 		t.Fatalf("%d goroutines after Run, %d before: coroutines leaked", got, before)
 	}
 	if len(s.idle) != 0 {
@@ -126,7 +131,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 }
 
 func TestRunUntilThenRunLeavesNoGoroutines(t *testing.T) {
-	before := goroutineBaseline()
+	before := kernelGoroutines()
 	s := New()
 	forkJoin(s, 4, 20)
 	if s.runUntil(Time(10)) {
@@ -134,28 +139,27 @@ func TestRunUntilThenRunLeavesNoGoroutines(t *testing.T) {
 	}
 	// A partial drive keeps its coroutines: the parked procs need theirs and
 	// the idle ones are about to be reused.
-	if runtime.NumGoroutine() <= before {
+	if kernelGoroutines() <= before {
 		t.Fatal("no coroutines alive between RunUntil and Run")
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := runtime.NumGoroutine(); got != before {
+	if got := kernelGoroutines(); got != before {
 		t.Fatalf("%d goroutines after RunUntil+Run, %d before", got, before)
 	}
 }
 
 func TestShardGroupRunLeavesNoGoroutines(t *testing.T) {
-	before := goroutineBaseline()
+	before := kernelGoroutines()
 	g := NewShardGroup(nil, 4, Microsecond)
-	g.setWorkers(2)
 	for i := 0; i < 4; i++ {
 		forkJoin(g.Shard(i), 3, 20)
 	}
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := settleGoroutines(before); got != before {
+	if got := kernelGoroutines(); got != before {
 		t.Fatalf("%d goroutines after ShardGroup.Run, %d before", got, before)
 	}
 }
@@ -196,7 +200,7 @@ func TestForkJoinReusesRunners(t *testing.T) {
 // unwinding through it — unwinds those procs (their deferred calls run) and
 // releases their coroutines along with the idle ones.
 func TestDeadDriveReleasesEveryCoroutine(t *testing.T) {
-	before := goroutineBaseline()
+	before := kernelGoroutines()
 	unwound := 0
 	stuck := func(p *Proc) {
 		defer func() { unwound++ }()
@@ -211,7 +215,7 @@ func TestDeadDriveReleasesEveryCoroutine(t *testing.T) {
 	if err := s.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 1 {
 		t.Fatalf("Run = %v, want a deadlock with one blocked proc", err)
 	}
-	if got := runtime.NumGoroutine(); got != before || unwound != 1 {
+	if got := kernelGoroutines(); got != before || unwound != 1 {
 		t.Fatalf("deadlocked Run: %d goroutines (started with %d), %d procs unwound, want 1", got, before, unwound)
 	}
 
@@ -227,12 +231,11 @@ func TestDeadDriveReleasesEveryCoroutine(t *testing.T) {
 	if got := panicValue(func() { s.Run() }); got != "boom" {
 		t.Fatalf("Run panicked with %v, want boom", got)
 	}
-	if got := runtime.NumGoroutine(); got != before || unwound != 2 {
+	if got := kernelGoroutines(); got != before || unwound != 2 {
 		t.Fatalf("panicked Run: %d goroutines (started with %d), %d procs unwound, want 2", got, before, unwound)
 	}
 
 	g := NewShardGroup(nil, 4, Microsecond)
-	g.setWorkers(2)
 	for i := 0; i < 4; i++ {
 		i := i
 		g.Shard(i).Spawn("stuck", stuck)
@@ -248,7 +251,7 @@ func TestDeadDriveReleasesEveryCoroutine(t *testing.T) {
 	if got := panicValue(func() { g.Run() }); got != "boom" {
 		t.Fatalf("ShardGroup.Run panicked with %v, want boom", got)
 	}
-	if got := settleGoroutines(before); got != before || unwound != 6 {
+	if got := kernelGoroutines(); got != before || unwound != 6 {
 		t.Fatalf("panicked ShardGroup.Run: %d goroutines (started with %d), %d procs unwound, want 6", got, before, unwound)
 	}
 }

@@ -2,10 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // This file adds the conservative parallel layer over the sequential kernel:
@@ -28,21 +26,21 @@ import (
 // can deliver events that wake it and make it reply only one lookahead
 // later.
 //
-// Execution decouples logical shards from OS parallelism: Run starts a
-// persistent pool of min(GOMAXPROCS, shards) window workers once, and each
-// round dispatches the shards with work in the window to the pool in shard
-// order, with idle workers claiming the remaining shards off a shared
-// cursor. Over-decomposition (more shards than cores) thereby becomes the
-// load-balancing mechanism: a hot shard no longer serializes the window,
-// because the other workers drain the rest of the queue around it.
+// Execution gives every shard a goroutine of its own, started once by Run
+// and joined before Run returns. Each window wakes the goroutines of the
+// shards with work in it, runs the last such shard on the coordinator
+// itself, and waits for the rest; a window with one active shard therefore
+// signals nobody. No goroutine is spawned per window.
 //
 // Determinism is by construction, not by scheduling: shards touch only
-// their own state inside a window, cross-shard events are buffered in
-// per-shard outboxes, and the barrier delivers them in the total order
-// (at, born, src, seq) — a pure sort, independent of which worker ran which
-// shard, in what order, or how fast. Any shard-to-worker assignment (any
-// worker count, any claim order) therefore yields byte-identical results;
-// the dispatch order can only change wall-clock time.
+// their own state inside a window, and cross-shard events are buffered in
+// per-shard outboxes. The barrier pushes them into their destination queues
+// shard by shard, each outbox in issue order. The destination queue orders
+// events by (at, born, seq) and stamps seq on delivery, so events of equal
+// (at, born) fire in (source shard, issue) order: a function of the
+// outboxes' contents alone, independent of which goroutine ran which shard,
+// in what order, or how fast. Any GOMAXPROCS therefore yields
+// byte-identical results; the host can only change wall-clock time.
 // The contract is pinned by the determinism tests in shard_test.go.
 //
 // A group of one shard is special-cased to be the sequential kernel,
@@ -57,50 +55,31 @@ import (
 type crossEvent struct {
 	dst  *Scheduler
 	at   Time
-	born Time   // sender-side creation time, the first same-time tiebreak
-	src  int    // source shard id, part of the deterministic merge order
-	seq  uint64 // per-source issue order, the rest of the merge order
+	born Time // sender-side creation time, the first same-time tiebreak
 	h    Handler
 	op   int
 }
 
-// Outbox shrink policy (see tickOutbox): every outboxShrinkEvery windows a
-// shard whose outbox capacity exceeds four times its recent peak use (and
-// the floor) is reallocated down, so one bursty window does not pin the
-// high-water buffer for the rest of the run.
-const (
-	outboxShrinkEvery = 32
-	outboxMinCap      = 64
-)
-
 // ShardStats are the group's execution counters, in the style of
 // engine.Stats. All of it is host-side telemetry: none of these values
 // feed back into the simulation, and deterministic journals exclude them
-// (they legitimately differ across shard counts, worker counts, and runs).
+// (they legitimately differ across shard counts, hosts, and runs).
 type ShardStats struct {
-	// Shards and Workers are the group's shard count and window-worker
-	// pool size.
-	Shards  int `json:"shards"`
-	Workers int `json:"workers"`
+	// Shards is the group's shard count.
+	Shards int `json:"shards"`
 	// Windows is the number of conservative windows executed.
 	Windows int64 `json:"windows"`
 	// Events is the total number of events dispatched inside windows.
 	Events int64 `json:"events"`
-	// Merged counts cross-shard events k-way-merged at barriers;
-	// MergeSkips counts windows that ended with zero cross-shard events
-	// and skipped the merge entirely.
+	// Merged counts cross-shard events delivered at barriers; MergeSkips
+	// counts windows that ended with no cross-shard event.
 	Merged     int64 `json:"merged"`
 	MergeSkips int64 `json:"merge_skips"`
-	// Steals counts shard-windows executed by a worker other than the one
-	// an even contiguous split would give the shard (worker sid*W/n) — the
-	// number of rebalancing moves the cursor made.
-	Steals int64 `json:"steals"`
-	// Shrinks counts outbox buffers reallocated down by the high-water
-	// shrink policy.
-	Shrinks int64 `json:"shrinks"`
-	// PredNS is always 0: the pool no longer predicts window costs. It
-	// stays until the benchmark stops reading it. ActualNS is the measured
-	// host time of all shard-windows summed.
+	// Steals and PredNS are always 0: every shard runs on its own
+	// goroutine, so nothing is stolen, and nothing predicts window costs.
+	// They stay until the benchmark stops reading them. ActualNS is the
+	// measured host time of all shard-windows summed.
+	Steals   int64 `json:"steals"`
 	PredNS   int64 `json:"pred_ns"`
 	ActualNS int64 `json:"actual_ns"`
 	// ImbalanceMean / ImbalanceMax summarize the per-window imbalance
@@ -110,19 +89,16 @@ type ShardStats struct {
 	ImbalanceMax  float64 `json:"imbalance_max"`
 }
 
-// ShardSpan describes one executed shard-window for tracing: which pool
-// worker ran which shard in which window, in host time relative to the
-// group's Run epoch. Stolen marks spans executed off the shard's even-split
-// lane (see ShardStats.Steals). Spans are emitted by the coordinator between
-// windows, in shard order, so observers need no locking.
+// ShardSpan describes one executed shard-window for tracing: which shard
+// ran in which window, in host time relative to the group's Run epoch.
+// Spans are emitted by the coordinator between windows, in shard order, so
+// observers need no locking.
 type ShardSpan struct {
 	Window  int64
-	Worker  int
 	Shard   int
 	StartNS int64
 	EndNS   int64
 	Events  int64
-	Stolen  bool
 }
 
 // ShardGroup owns a set of shard Schedulers and drives them with the
@@ -131,43 +107,30 @@ type ShardGroup struct {
 	shards    []*Scheduler
 	lookahead Duration
 	running   bool
-
-	// Pool configuration, frozen when Run starts.
-	workers int // 0 = min(GOMAXPROCS, shards)
-	span    func(ShardSpan)
-	// timed enables per-shard-window wall-clock sampling: on for a
-	// multi-worker pool (ActualNS) or a span observer; off for a one-worker
-	// pool, where the clock calls would be pure overhead (ActualNS then
-	// reports 0).
-	timed bool
+	span      func(ShardSpan)
 
 	// next[i] caches shard i's head-of-queue time each round; limit is the
 	// current window's inclusive drive limit. Both are written by the
-	// coordinator before workers are signaled.
+	// coordinator before the shards' goroutines are woken.
 	next  []Time
 	limit Time
 
-	// Window worker pool. order lists the shards active in the current
-	// window, in shard order; workers claim positions off cursor.
-	startCh []chan struct{}
+	// wake[i] wakes shard i's goroutine for one window, and closing it ends
+	// the goroutine, whose last act is a send on exited. wg counts the woken
+	// windows still running. order lists the shards active in the current
+	// window, in shard order.
+	wake    []chan struct{}
+	exited  chan struct{}
 	wg      sync.WaitGroup
 	order   []int
-	cursor  atomic.Int64
 	epochNS int64 // wall-clock epoch of Run, for span timestamps
 
-	// Per-shard per-window scratch, written by the executing worker and
+	// Per-shard per-window scratch, written by the executing goroutine and
 	// read by the coordinator after the window barrier.
 	panics    []any
 	winEvents []int64
-	winNS     []int64
 	winStart  []int64
 	winEnd    []int64
-	winWorker []int
-
-	// Barrier merge scratch: shard ids with non-empty outboxes and the
-	// live run tails of the k-way merge.
-	heads []int
-	runs  [][]crossEvent
 
 	stats        ShardStats
 	imbalanceSum float64
@@ -228,27 +191,10 @@ func (g *ShardGroup) now() Time {
 	return now
 }
 
-// setWorkers overrides the window-worker pool size (normally
-// min(GOMAXPROCS, shards)); n is clamped to [1, shards]. It must be called
-// before Run. Worker count never affects results, only wall-clock time —
-// the determinism tests drive the same workload at several pool sizes.
-func (g *ShardGroup) setWorkers(n int) {
-	if g.running {
-		panic("sim: ShardGroup.setWorkers after Run")
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(g.shards) {
-		n = len(g.shards)
-	}
-	g.workers = n
-}
-
 // SetSpanObserver installs fn to receive one ShardSpan per executed
 // shard-window, called from the coordinator between windows (no locking
 // needed). Must be set before Run; nil disables. The observer cost is off
-// the workers' critical path but still host time — leave it nil outside
+// the shards' critical path but still host time — leave it nil outside
 // tracing runs.
 func (g *ShardGroup) SetSpanObserver(fn func(ShardSpan)) {
 	if g.running {
@@ -269,24 +215,10 @@ func (g *ShardGroup) Stats() ShardStats {
 	return st
 }
 
-// poolSize resolves the effective worker count.
-func (g *ShardGroup) poolSize() int {
-	w := g.workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(g.shards) {
-		w = len(g.shards)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Run drives all shards to completion and returns nil if every proc
 // finished, or a *DeadlockError aggregating all shards' parked procs.
-// Like Scheduler.Run it may be called exactly once.
+// Like Scheduler.Run it may be called exactly once. The shards' goroutines
+// have exited when it returns, panics included.
 func (g *ShardGroup) Run() error {
 	if len(g.shards) == 1 {
 		return g.shards[0].Run()
@@ -297,28 +229,25 @@ func (g *ShardGroup) Run() error {
 	g.running = true
 
 	n := len(g.shards)
-	W := g.poolSize()
-	g.stats.Workers = W
-	g.timed = W > 1 || g.span != nil
 	g.epochNS = timeNowUnixNano()
 	g.panics = make([]any, n)
 	g.winEvents = make([]int64, n)
-	g.winNS = make([]int64, n)
 	g.winStart = make([]int64, n)
 	g.winEnd = make([]int64, n)
-	g.winWorker = make([]int, n)
 	g.order = make([]int, 0, n)
-
-	// The persistent worker pool: started once, signaled per window, torn
-	// down when Run returns. Zero goroutine spawns per window.
-	g.startCh = make([]chan struct{}, W)
-	for w := 0; w < W; w++ {
-		g.startCh[w] = make(chan struct{}, 1)
-		go g.windowWorker(w)
+	g.wake = make([]chan struct{}, n)
+	g.exited = make(chan struct{})
+	for sid := range g.wake {
+		g.wake[sid] = make(chan struct{}, 1)
+		go g.shardLoop(sid)
 	}
+	// The join, one shard at a time: the coordinator waits on exited while
+	// the goroutine whose channel it closed returns, so none is left when
+	// Run returns or panics.
 	defer func() {
-		for _, ch := range g.startCh {
+		for _, ch := range g.wake {
 			close(ch)
+			<-g.exited
 		}
 	}()
 
@@ -361,9 +290,9 @@ func (g *ShardGroup) Run() error {
 	return g.finish()
 }
 
-// dispatchWindow runs every shard with work in the current window on the
-// worker pool and waits for the window barrier. A window with a single
-// active shard runs inline on the coordinator — no signaling at all.
+// dispatchWindow runs every shard with work in the current window and
+// waits for the window barrier: the goroutines of all active shards but the
+// last are woken, and the last runs on the coordinator meanwhile.
 func (g *ShardGroup) dispatchWindow() {
 	g.order = g.order[:0]
 	for sid := range g.shards {
@@ -371,102 +300,42 @@ func (g *ShardGroup) dispatchWindow() {
 			g.order = append(g.order, sid)
 		}
 	}
-	if len(g.order) == 1 {
-		g.runShardWindow(g.evenLane(g.order[0]), g.order[0])
-		return
+	last := len(g.order) - 1
+	g.wg.Add(last)
+	for _, sid := range g.order[:last] {
+		g.wake[sid] <- struct{}{}
 	}
-	if len(g.startCh) == 1 {
-		// A one-worker pool (GOMAXPROCS=1) degenerates to sequential
-		// execution; run the window inline on the coordinator instead of
-		// bouncing through the worker's channel.
-		for _, sid := range g.order {
-			g.runShardWindow(0, sid)
-		}
-		return
-	}
-	g.cursor.Store(0)
-	nwake := g.poolWake(len(g.order))
-	g.wg.Add(nwake)
-	for w := 0; w < nwake; w++ {
-		g.startCh[w] <- struct{}{}
-	}
+	g.runShardWindow(g.order[last])
 	g.wg.Wait()
 }
 
-// poolWake caps the number of workers woken at the number of active shards.
-func (g *ShardGroup) poolWake(active int) int {
-	if active < len(g.startCh) {
-		return active
-	}
-	return len(g.startCh)
-}
-
-// evenLane is the worker an even contiguous split of the shards over the
-// pool would give sid: the reference Steals and ShardSpan.Stolen count
-// against, and the lane a window with one active shard is attributed to.
-func (g *ShardGroup) evenLane(sid int) int { return sid * len(g.startCh) / len(g.shards) }
-
-// windowWorker is the body of one pool worker: woken once per window, it
-// claims shards off the cursor and runs each through the window.
-func (g *ShardGroup) windowWorker(w int) {
-	for range g.startCh[w] {
-		for {
-			pos := int(g.cursor.Add(1)) - 1
-			if pos >= len(g.order) {
-				break
-			}
-			g.runShardWindow(w, g.order[pos])
-		}
+// shardLoop is the body of shard sid's goroutine: it runs the shard through
+// one window per wake, and exits when Run closes its channel.
+func (g *ShardGroup) shardLoop(sid int) {
+	for range g.wake[sid] {
+		g.runShardWindow(sid)
 		g.wg.Done()
 	}
+	g.exited <- struct{}{}
 }
 
-// runShardWindow executes one shard's window on worker w, capturing any
-// escaping panic (re-raised on the coordinator, lowest shard first), the
-// deterministic event count, and the host-time cost sample. It ends by
-// sorting the shard's outbox — the parallel half of the barrier merge.
-func (g *ShardGroup) runShardWindow(w, sid int) {
+// runShardWindow executes one shard's window, capturing any escaping panic
+// (re-raised on the coordinator, lowest shard first), the deterministic
+// event count, and the host-time span.
+func (g *ShardGroup) runShardWindow(sid int) {
 	s := g.shards[sid]
 	defer func() {
 		if r := recover(); r != nil {
 			g.panics[sid] = r
 		}
 	}()
-	var start int64
-	if g.timed {
-		start = timeNowUnixNano()
-	}
+	start := timeNowUnixNano()
 	// The events processed this window: those popped and the sleeps that
 	// took Sleep's short cut, each of which counts as one event.
 	ev0 := s.counts.Popped + s.counts.ShortCut
 	s.runWindow(g.limit)
 	g.winEvents[sid] = s.counts.Popped + s.counts.ShortCut - ev0
-	slices.SortFunc(s.outbox, func(a, b crossEvent) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		}
-		if a.born != b.born {
-			if a.born < b.born {
-				return -1
-			}
-			return 1
-		}
-		// seq is unique per source shard and every event in this outbox
-		// shares src, so (at, born, seq) is a total order here.
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
-	if g.timed {
-		end := timeNowUnixNano()
-		g.winNS[sid] = end - start
-		g.winStart[sid], g.winEnd[sid] = start-g.epochNS, end-g.epochNS
-	}
-	g.winWorker[sid] = w
+	g.winStart[sid], g.winEnd[sid] = start-g.epochNS, timeNowUnixNano()-g.epochNS
 }
 
 // accountWindow folds the finished window's per-shard samples into the
@@ -481,146 +350,53 @@ func (g *ShardGroup) accountWindow() {
 		if ev > max {
 			max = ev
 		}
-		g.stats.ActualNS += g.winNS[sid]
-		if g.winWorker[sid] != g.evenLane(sid) {
-			g.stats.Steals++
-		}
+		g.stats.ActualNS += g.winEnd[sid] - g.winStart[sid]
 	}
 	g.stats.Events += sum
-	if len(g.order) > 0 && sum > 0 {
+	if sum > 0 {
 		mean := float64(sum) / float64(len(g.order))
-		if r := float64(max) / mean; r > 0 {
-			g.imbalanceSum += r
-			if r > g.stats.ImbalanceMax {
-				g.stats.ImbalanceMax = r
-			}
+		r := float64(max) / mean
+		g.imbalanceSum += r
+		if r > g.stats.ImbalanceMax {
+			g.stats.ImbalanceMax = r
 		}
 	} else {
 		g.imbalanceSum += 1
 	}
 	if g.span != nil {
-		win := g.stats.Windows - 1
-		for sid := range g.shards {
-			if g.next[sid] > g.limit {
-				continue
-			}
+		for _, sid := range g.order {
 			g.span(ShardSpan{
-				Window:  win,
-				Worker:  g.winWorker[sid],
+				Window:  g.stats.Windows - 1,
 				Shard:   sid,
 				StartNS: g.winStart[sid],
 				EndNS:   g.winEnd[sid],
 				Events:  g.winEvents[sid],
-				Stolen:  g.winWorker[sid] != g.evenLane(sid),
 			})
 		}
 	}
 }
 
 // deliver moves the window's cross-shard events into their destination
-// queues in deterministic (at, born, src, seq) order. The per-shard
-// outboxes were already sorted in parallel by the workers; the coordinator
-// k-way-merges the sorted runs. Windows with no cross-shard traffic skip
-// the merge entirely.
+// queues, shard by shard and each outbox in issue order. The destination
+// queue orders them by (at, born, seq) and stamps seq here, so events of
+// equal (at, born) fire in (source shard, issue) order; atBorn keeps the
+// sender-side creation time as the same-time tiebreak, so an event
+// interleaves with the destination's local events exactly as it would have
+// on a single scheduler.
 func (g *ShardGroup) deliver() {
-	g.heads = g.heads[:0]
 	total := 0
-	for sid, s := range g.shards {
-		if len(s.outbox) > 0 {
-			g.heads = append(g.heads, sid)
-			total += len(s.outbox)
+	for _, s := range g.shards {
+		for i, e := range s.outbox {
+			e.dst.atBorn(e.at, e.born, e.h, e.op)
+			s.outbox[i] = crossEvent{}
 		}
+		total += len(s.outbox)
+		s.outbox = s.outbox[:0]
 	}
 	if total == 0 {
 		g.stats.MergeSkips++
-		g.tickOutboxes()
-		return
 	}
 	g.stats.Merged += int64(total)
-	if len(g.heads) == 1 {
-		// A single sorted run needs no merge.
-		for _, e := range g.shards[g.heads[0]].outbox {
-			e.dst.atBorn(e.at, e.born, e.h, e.op)
-		}
-	} else {
-		// K-way merge over the sorted runs. The scan works on a compacted
-		// list of live run tails (advanced in place, swap-removed when
-		// exhausted), so each step touches only the head elements.
-		g.runs = g.runs[:0]
-		for _, sid := range g.heads {
-			g.runs = append(g.runs, g.shards[sid].outbox)
-		}
-		runs := g.runs
-		for len(runs) > 1 {
-			best := 0
-			be := &runs[0][0]
-			for hi := 1; hi < len(runs); hi++ {
-				if e := &runs[hi][0]; crossBefore(e, be) {
-					best, be = hi, e
-				}
-			}
-			// atBorn keeps the sender-side creation time as the same-time
-			// tiebreak, so the event interleaves with the destination's
-			// local events exactly as it would have on a single scheduler.
-			be.dst.atBorn(be.at, be.born, be.h, be.op)
-			if runs[best] = runs[best][1:]; len(runs[best]) == 0 {
-				runs[best] = runs[len(runs)-1]
-				runs = runs[:len(runs)-1]
-			}
-		}
-		for _, e := range runs[0] {
-			e.dst.atBorn(e.at, e.born, e.h, e.op)
-		}
-	}
-	for _, sid := range g.heads {
-		s := g.shards[sid]
-		for i := range s.outbox {
-			s.outbox[i] = crossEvent{}
-		}
-		s.outbox = s.outbox[:0]
-	}
-	for i := range g.runs {
-		g.runs[i] = nil // do not pin a shrunk-away outbox array
-	}
-	g.tickOutboxes()
-}
-
-// crossBefore is the (at, born, src, seq) merge order. The heads compared
-// always come from different outboxes, so src breaks every remaining tie.
-func crossBefore(a, b *crossEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.born != b.born {
-		return a.born < b.born
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
-// tickOutboxes advances every shard's outbox high-water bookkeeping by one
-// window and shrinks buffers whose capacity greatly exceeds recent use: a
-// spike window would otherwise pin the peak allocation for the rest of the
-// run. Peak use per shrink epoch is recorded by Defer as the outbox grows;
-// this runs at the barrier, after the outboxes have drained.
-func (g *ShardGroup) tickOutboxes() {
-	for _, s := range g.shards {
-		s.outboxTick++
-		if s.outboxTick < outboxShrinkEvery {
-			continue
-		}
-		if c := cap(s.outbox); c > outboxMinCap && c > 4*s.outboxPeak {
-			nc := 2 * s.outboxPeak
-			if nc < outboxMinCap {
-				nc = outboxMinCap
-			}
-			s.outbox = make([]crossEvent, 0, nc)
-			g.stats.Shrinks++
-		}
-		s.outboxTick, s.outboxPeak = 0, 0
-	}
 }
 
 // release ends every shard's hold on its coroutines and events (see
@@ -686,11 +462,7 @@ func (s *Scheduler) DeferFire(dst *Scheduler, t Time, h Handler, op int) {
 		panic(fmt.Sprintf("sim: cross-shard event at %v violates lookahead %v (now %v)",
 			t, s.group.lookahead, s.now))
 	}
-	s.outSeq++
-	s.outbox = append(s.outbox, crossEvent{dst: dst, at: t, born: s.now, src: s.shardID, seq: s.outSeq, h: h, op: op})
-	if n := len(s.outbox); n > s.outboxPeak {
-		s.outboxPeak = n
-	}
+	s.outbox = append(s.outbox, crossEvent{dst: dst, at: t, born: s.now, h: h, op: op})
 }
 
 // Defer is DeferFire with the func itself as the handler.

@@ -9,8 +9,9 @@ import (
 // every shard hosts one proc that each round defers `fanout` events onto the
 // next shard and sleeps one lookahead, so every window ends with
 // shards*fanout cross-shard events at the barrier. With trivial event
-// bodies the run time is dominated by the window machinery — dispatch,
-// outbox sort, and the barrier merge — which is what this benchmark pins.
+// bodies the run time is dominated by the window machinery — waking the
+// shard goroutines and delivering the outboxes at the barrier — which is
+// what this benchmark pins.
 func benchCrossTraffic(b *testing.B, shards, fanout, rounds int) {
 	const la = Duration(1000)
 	b.ReportAllocs()
@@ -35,12 +36,12 @@ func benchCrossTraffic(b *testing.B, shards, fanout, rounds int) {
 	}
 }
 
-// BenchmarkShardBarrierMerge is the satellite micro-benchmark for the
-// window-barrier merge: 8 shards x 64 cross events per shard per window,
-// 50 windows. Before the k-way merge this cost one reflection-based
-// sort.Slice over the 512-event concatenation per window; after it, each
-// worker sorts its own 64-event run in parallel and the coordinator merges
-// the sorted runs.
+// BenchmarkShardBarrierMerge is the micro-benchmark for the window
+// barrier's delivery: up to 8 shards x 512 cross events per shard per
+// window, 50 windows. The barrier pushes each outbox into its destination
+// queue in issue order and leaves the same-time order to the queue. It once
+// sorted every outbox and k-way merged the sorted runs, and before that
+// sort.Slice'd the concatenation of all outboxes.
 func BenchmarkShardBarrierMerge(b *testing.B) {
 	for _, c := range []struct{ shards, fanout int }{
 		{2, 64},

@@ -2,15 +2,24 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 )
+
+// setProcs sets GOMAXPROCS to n until the test ends. Tests that call it must
+// not be parallel: GOMAXPROCS is process-wide.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // poolWorkload spawns a deterministic, deliberately imbalanced cross-shard
 // workload on g and returns a function that snapshots its observable
 // outcome: per-shard logs of (time, value) pairs appended by event
 // execution. Shard 0 is the hot shard (fan bursts each round); the others
 // run a light token ring through shard 0. Any two runs of the same shard
-// count must produce identical logs, whatever the pool size.
+// count must produce identical logs, whatever GOMAXPROCS is.
 func poolWorkload(g *ShardGroup, rounds, burst int) func() []string {
 	n := g.Shards()
 	logs := make([][]string, n)
@@ -53,18 +62,18 @@ func poolWorkload(g *ShardGroup, rounds, burst int) func() []string {
 	}
 }
 
-// TestShardPoolDeterminism pins the core contract of the worker pool: the
-// same workload run at every pool size produces an identical
-// event-execution log. Dispatch order and worker count may only change
+// TestShardPoolDeterminism pins the core contract of the shard goroutines:
+// the same workload run at every GOMAXPROCS produces an identical
+// event-execution log. How many shards the host runs at once may only change
 // wall-clock time.
 func TestShardPoolDeterminism(t *testing.T) {
 	const shards, rounds, burst = 8, 20, 50
-	run := func(workers int) []string {
+	run := func(procs int) []string {
+		setProcs(t, procs)
 		g := NewShardGroup(nil, shards, 1000)
-		g.setWorkers(workers)
 		snap := poolWorkload(g, rounds, burst)
 		if err := g.Run(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		return snap()
 	}
@@ -72,32 +81,31 @@ func TestShardPoolDeterminism(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("workload produced no events")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		got := run(workers)
+	for _, procs := range []int{1, 2, 4} {
+		got := run(procs)
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d log entries, want %d", workers, len(got), len(want))
+			t.Fatalf("GOMAXPROCS=%d: %d log entries, want %d", procs, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: log[%d] = %q, want %q", workers, i, got[i], want[i])
+				t.Fatalf("GOMAXPROCS=%d: log[%d] = %q, want %q", procs, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestShardPoolStats checks the execution counters of a known workload:
-// windows and events are counted, cross events are merged, and the
+// windows and events are counted, cross events are delivered, and the
 // imbalance ratio reflects the hot shard.
 func TestShardPoolStats(t *testing.T) {
 	g := NewShardGroup(nil, 4, 1000)
-	g.setWorkers(2)
 	snap := poolWorkload(g, 10, 100)
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
 	_ = snap()
 	st := g.Stats()
-	if st.Shards != 4 || st.Workers != 2 {
+	if st.Shards != 4 || st.Steals != 0 {
 		t.Fatalf("identity counters wrong: %+v", st)
 	}
 	if st.Windows == 0 || st.Events == 0 {
@@ -116,34 +124,11 @@ func TestShardPoolStats(t *testing.T) {
 	}
 }
 
-// TestShardPoolSteals runs the hot-shard workload on a 2-worker pool where
-// an even contiguous split is maximally wrong (all heavy work in worker 0's
-// half). A schedule with zero steals across every window of several runs
-// would require every cursor claim to coincidentally match that split;
-// retry a few fresh groups so the assertion is robust against one unlucky
-// schedule.
-func TestShardPoolSteals(t *testing.T) {
-	for attempt := 0; attempt < 5; attempt++ {
-		g := NewShardGroup(nil, 8, 1000)
-		g.setWorkers(2)
-		snap := poolWorkload(g, 30, 500)
-		if err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
-		_ = snap()
-		if st := g.Stats(); st.Steals > 0 {
-			return
-		}
-	}
-	t.Fatal("no steals observed in 5 imbalanced runs on a 2-worker pool")
-}
-
 // TestShardPoolSpans exercises the span observer: every executed
-// shard-window is reported exactly once, in coordinator order, with
-// consistent worker lanes and event counts.
+// shard-window is reported exactly once, in coordinator order, on its
+// shard's lane, with event counts that sum to the group's.
 func TestShardPoolSpans(t *testing.T) {
 	g := NewShardGroup(nil, 4, 1000)
-	g.setWorkers(2)
 	var spans []ShardSpan
 	g.SetSpanObserver(func(sp ShardSpan) { spans = append(spans, sp) })
 	snap := poolWorkload(g, 10, 20)
@@ -156,66 +141,70 @@ func TestShardPoolSpans(t *testing.T) {
 		t.Fatal("no spans emitted")
 	}
 	var events int64
-	lastWin := int64(-1)
+	last := ShardSpan{Window: -1}
+	laneEnd := make([]int64, st.Shards)
 	for _, sp := range spans {
-		if sp.Window < lastWin {
-			t.Fatalf("span windows out of order: %d after %d", sp.Window, lastWin)
+		if sp.Window < last.Window || sp.Window == last.Window && sp.Shard <= last.Shard {
+			t.Fatalf("span (window %d, shard %d) after (window %d, shard %d)", sp.Window, sp.Shard, last.Window, last.Shard)
 		}
-		lastWin = sp.Window
-		if sp.Worker < 0 || sp.Worker >= st.Workers {
-			t.Fatalf("span worker %d outside pool of %d", sp.Worker, st.Workers)
-		}
+		last = sp
 		if sp.Shard < 0 || sp.Shard >= st.Shards {
 			t.Fatalf("span shard %d outside group of %d", sp.Shard, st.Shards)
 		}
-		if sp.EndNS < sp.StartNS {
-			t.Fatalf("span ends before it starts: %+v", sp)
+		// A shard's lane is one goroutine at a time: its windows never
+		// overlap.
+		if sp.EndNS < sp.StartNS || sp.StartNS < laneEnd[sp.Shard] {
+			t.Fatalf("span %+v overlaps its lane, which ended at %d", sp, laneEnd[sp.Shard])
 		}
+		laneEnd[sp.Shard] = sp.EndNS
 		events += sp.Events
 	}
-	if lastWin != st.Windows-1 {
-		t.Fatalf("last span window %d, want %d", lastWin, st.Windows-1)
+	if last.Window != st.Windows-1 {
+		t.Fatalf("last span window %d, want %d", last.Window, st.Windows-1)
 	}
 	if events != st.Events {
 		t.Fatalf("span events sum %d != stats events %d", events, st.Events)
 	}
 }
 
-// TestShardOutboxShrink pins the barrier buffer high-water fix: a single
-// spike window must not hold the outbox at peak capacity for the rest of
-// the run — after enough quiet windows the buffer is reallocated down.
-func TestShardOutboxShrink(t *testing.T) {
+// TestShardDeliveryOrder pins the barrier's delivery order. Shards 2, 0 and
+// 1 send shard 3 events of equal (at, born) in one window, and they fire in
+// shard order, then issue order; an event shard 2 created earlier fires
+// before all of them, although its shard comes last.
+func TestShardDeliveryOrder(t *testing.T) {
 	const la = Duration(1000)
-	const spike = 4096
-	g := NewShardGroup(nil, 2, la)
-	g.setWorkers(1)
-	s, dst := g.Shard(0), g.Shard(1)
-	s.Spawn("spiker", func(p *Proc) {
-		// One spike window, then enough single-event windows to cross the
-		// shrink epoch twice.
-		for k := 0; k < spike; k++ {
-			s.Defer(dst, p.Now().Add(la), func() {})
+	const at = Time(5000)
+	for _, procs := range []int{1, 2, 4} {
+		setProcs(t, procs)
+		g := NewShardGroup(nil, 4, la)
+		dst := g.Shard(3)
+		var order []string
+		send := func(src int, what string) {
+			g.Shard(src).Defer(dst, at, func() { order = append(order, what) })
 		}
-		p.Sleep(la)
-		for r := 0; r < 3*outboxShrinkEvery; r++ {
-			s.Defer(dst, p.Now().Add(la), func() {})
-			p.Sleep(la)
+		g.Shard(2).at(0, func() { send(2, "2 born 0") })
+		for _, src := range []int{2, 0, 1} {
+			src := src
+			g.Shard(src).at(100, func() {
+				send(src, fmt.Sprintf("%d first", src))
+				send(src, fmt.Sprintf("%d second", src))
+			})
 		}
-	})
-	dst.Spawn("idle", func(p *Proc) { p.Sleep(la) })
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c := cap(s.outbox); c >= spike {
-		t.Fatalf("outbox capacity %d still at spike level %d after quiet windows", c, spike)
-	}
-	if st := g.Stats(); st.Shrinks == 0 {
-		t.Fatalf("no shrink counted: %+v", st)
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"2 born 0", "0 first", "0 second", "1 first", "1 second", "2 first", "2 second"}
+		if !reflect.DeepEqual(order, want) {
+			t.Errorf("GOMAXPROCS=%d: order %q, want %q", procs, order, want)
+		}
+		if st := g.Stats(); st.Windows != 2 || st.Merged != 7 {
+			t.Errorf("GOMAXPROCS=%d: %d windows delivered %d events, want 2 and 7", procs, st.Windows, st.Merged)
+		}
 	}
 }
 
-// TestShardPoolSettersContract pins the configuration lifecycle: pool knobs
-// are frozen once Run starts.
+// TestShardPoolSettersContract pins the configuration lifecycle: the span
+// observer is frozen once Run starts.
 func TestShardPoolSettersContract(t *testing.T) {
 	g := NewShardGroup(nil, 2, 1000)
 	for i := 0; i < 2; i++ {
@@ -225,17 +214,10 @@ func TestShardPoolSettersContract(t *testing.T) {
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for name, fn := range map[string]func(){
-		"SetWorkers":      func() { g.setWorkers(2) },
-		"SetSpanObserver": func() { g.SetSpanObserver(func(ShardSpan) {}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s after Run did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetSpanObserver after Run did not panic")
+		}
+	}()
+	g.SetSpanObserver(func(ShardSpan) {})
 }

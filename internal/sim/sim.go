@@ -219,9 +219,9 @@ type event struct {
 	// for same-time events, compared only in the queue's current-time list
 	// (see eventQueue). On a single scheduler seq order is already
 	// nondecreasing in born (the clock is monotonic), so born never reorders
-	// anything; it exists for cross-shard events merged at a window barrier,
-	// which must interleave with local same-time events exactly as they
-	// would have on one scheduler (see ShardGroup.deliver).
+	// anything; it exists for cross-shard events delivered at a window
+	// barrier, which must interleave with local same-time events exactly as
+	// they would have on one scheduler (see ShardGroup.deliver).
 	born Time
 	seq  uint64
 	proc *Proc
@@ -314,12 +314,6 @@ type Scheduler struct {
 	shardID   int
 	windowing bool
 	outbox    []crossEvent
-	outSeq    uint64
-	// outboxPeak / outboxTick drive the barrier's outbox high-water shrink
-	// policy (ShardGroup.tickOutboxes): peak use in the current shrink
-	// epoch, and windows elapsed in it.
-	outboxPeak int
-	outboxTick int
 }
 
 // New returns an empty simulation scheduler with the clock at zero: the
@@ -750,8 +744,8 @@ func (s *Scheduler) runUntil(t Time) bool {
 	return drained
 }
 
-// timeNowUnixNano is the test seam for wall-clock access; only the shard
-// pool's telemetry sampling (shard.go) consults the wall clock, and only
-// through it. The shard samples feed ShardStats and trace spans, never the
-// simulation itself.
+// timeNowUnixNano is the kernel's one wall-clock read: only the shard
+// group's per-shard window timing (shard.go) consults the wall clock, and
+// only through it. The samples feed ShardStats.ActualNS and trace spans,
+// never the simulation itself.
 var timeNowUnixNano = func() int64 { return time.Now().UnixNano() }
