@@ -82,12 +82,9 @@ func TestEndpointBoundsPanic(t *testing.T) {
 		if c.Rank() != 0 {
 			return
 		}
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range endpoint did not panic")
-			}
-		}()
-		c.Endpoint(5) // default placement has one thread
+		// The default placement has one thread.
+		mustPanic(t, "thread 1 out of range", func() { c.Endpoint(1) })
+		mustPanic(t, "thread -1 out of range", func() { c.Endpoint(-1) })
 	})
 }
 
@@ -107,7 +104,14 @@ func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Ranks = 0 },
 		func(c *Config) { c.Net = nil },
+		func(c *Config) { c.Machine = nil },
+		func(c *Config) { c.Mem = nil },
 		func(c *Config) { c.CallOverhead = -1 },
+		func(c *Config) { c.MatchPerElement = -1 },
+		func(c *Config) { c.LockBase = -1 },
+		func(c *Config) { c.LockContention = -1 },
+		func(c *Config) { c.NativePreadyCost = -1 },
+		func(c *Config) { c.NativeRxOverhead = -1 },
 		func(c *Config) { c.CopyBandwidth = 0 },
 		func(c *Config) { c.PcclPartitionSetup = -1 },
 	}
@@ -118,17 +122,19 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d passed Validate", i)
 		}
 	}
+	// Zero costs are free, not invalid.
+	cfg := DefaultConfig(2)
+	cfg.CallOverhead, cfg.MatchPerElement, cfg.LockBase, cfg.LockContention = 0, 0, 0, 0
+	cfg.PcclPartitionSetup, cfg.NativePreadyCost, cfg.NativeRxOverhead = 0, 0, 0
+	if err := cfg.validate(); err != nil {
+		t.Errorf("zero costs rejected: %v", err)
+	}
 }
 
 func TestNewWorldPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid world config did not panic")
-		}
-	}()
 	cfg := DefaultConfig(2)
 	cfg.CallOverhead = -1
-	NewWorld(sim.New(), cfg)
+	mustPanic(t, "negative cost parameter", func() { NewWorld(sim.New(), cfg) })
 }
 
 func TestCommCaching(t *testing.T) {

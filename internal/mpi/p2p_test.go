@@ -347,14 +347,7 @@ func TestPersistentStartWhileActivePanics(t *testing.T) {
 		case 1:
 			req := c.RecvInit(p, 0, 0)
 			req.Start(p)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("Start on active persistent request did not panic")
-					}
-				}()
-				req.Start(p)
-			}()
+			mustPanic(t, "Start on active persistent request", func() { req.Start(p) })
 			req.Wait(p)
 		}
 	})
@@ -365,14 +358,7 @@ func TestStartOnNonPersistentPanics(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			r := c.IsendBytes(p, 1, 0, 8)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("Start on non-persistent request did not panic")
-					}
-				}()
-				r.Start(p)
-			}()
+			mustPanic(t, "Start on non-persistent request", func() { r.Start(p) })
 			r.Wait(p)
 		case 1:
 			c.Recv(p, 0, 0)
@@ -414,10 +400,18 @@ func TestRepeatedBarriersDoNotCrossMatch(t *testing.T) {
 }
 
 func TestBarrierSingleRank(t *testing.T) {
+	var at sim.Time
 	runWorld(t, 1, nil, func(c *Comm, p *sim.Proc) {
 		c.Barrier(p)
 		c.Barrier(p)
+		c.Bcast(p, 0, 8)
+		c.reduce(p, 0, 8)
+		at = p.Now()
 	})
+	// Alone, each collective costs one call overhead and sends nothing.
+	if want := sim.Time(4 * DefaultConfig(1).CallOverhead); at != want {
+		t.Fatalf("four single-rank collectives ended at %v, want %v", at, want)
+	}
 }
 
 func TestBcastRootFirst(t *testing.T) {
@@ -428,7 +422,7 @@ func TestBcastRootFirst(t *testing.T) {
 		done[c.Rank()] = p.Now()
 	})
 	for r := 0; r < ranks; r++ {
-		if r != 2 && done[r] < done[2] {
+		if r != 2 && done[r] <= done[2] {
 			t.Fatalf("rank %d finished bcast at %v, before root at %v", r, done[r], done[2])
 		}
 	}
@@ -438,12 +432,17 @@ func TestReduceAndAllreduceComplete(t *testing.T) {
 	var after [5]sim.Time
 	runWorld(t, 5, nil, func(c *Comm, p *sim.Proc) {
 		c.reduce(p, 0, 2048)
+		if c.Rank() == 4 {
+			p.Sleep(sim.Millisecond)
+		}
 		c.Allreduce(p, 2048)
 		after[c.Rank()] = p.Now()
 	})
+	// Allreduce reduces to rank 0 and broadcasts back, so no rank leaves it
+	// before rank 4 joins, a millisecond after its reduce.
 	for r, at := range after {
-		if at == 0 {
-			t.Fatalf("rank %d never completed collectives", r)
+		if at <= sim.Time(sim.Millisecond) {
+			t.Fatalf("rank %d left Allreduce at %v, before rank 4 joined", r, at)
 		}
 	}
 }
@@ -592,12 +591,9 @@ func TestInvalidRankPanics(t *testing.T) {
 		if c.Rank() != 0 {
 			return
 		}
-		defer func() {
-			if recover() == nil {
-				t.Error("send to out-of-range rank did not panic")
-			}
-		}()
-		c.SendBytes(p, 5, 0, 8)
+		mustPanic(t, "rank 2 out of range", func() { c.SendBytes(p, 2, 0, 8) })
+		mustPanic(t, "rank -1 out of range", func() { c.SendBytes(p, -1, 0, 8) })
+		mustPanic(t, "rank 2 out of range", func() { c.world.Comm(2) })
 	})
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"partmb/internal/sim"
@@ -32,20 +33,13 @@ func TestPartitionCountBounds(t *testing.T) {
 	s, w := partWorld(t, PartMPIPCL, nil)
 	s.Spawn("r0", func(p *sim.Proc) {
 		c := w.Comm(0)
-		for name, f := range map[string]func(){
-			"zero parts":     func() { c.PsendInit(p, 1, 0, 0, 64) },
-			"negative parts": func() { c.PsendInit(p, 1, 0, -1, 64) },
-			"too many parts": func() { c.PsendInit(p, 1, 0, maxPartitions, 64) },
-			"negative bytes": func() { c.PsendInit(p, 1, 0, 4, -1) },
+		for want, f := range map[string]func(){
+			"partition count 0 out of range":                              func() { c.PsendInit(p, 1, 0, 0, 64) },
+			"partition count -1 out of range":                             func() { c.PsendInit(p, 1, 0, -1, 64) },
+			fmt.Sprintf("partition count %d out of range", maxPartitions): func() { c.PsendInit(p, 1, 0, maxPartitions, 64) },
+			"negative partition size":                                     func() { c.PsendInit(p, 1, 0, 4, -1) },
 		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s did not panic", name)
-					}
-				}()
-				f()
-			}()
+			mustPanic(t, want, f)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -59,20 +53,13 @@ func TestBindBufferLengthMismatchPanics(t *testing.T) {
 		c := w.Comm(0)
 		spr := c.PsendInit(p, 1, 0, 4, 64)
 		rpr := c.PrecvInit(p, 1, 1, 4, 64)
-		for name, f := range map[string]func(){
-			"short send buffer": func() { spr.BindSendBuffer(make([]byte, 100)) },
-			"long recv buffer":  func() { rpr.BindRecvBuffer(make([]byte, 1000)) },
-			"send bind on recv": func() { rpr.BindSendBuffer(make([]byte, 256)) },
-			"recv bind on send": func() { spr.BindRecvBuffer(make([]byte, 256)) },
+		for want, f := range map[string]func(){
+			"send buffer length 100":            func() { spr.BindSendBuffer(make([]byte, 100)) },
+			"recv buffer length 1000":           func() { rpr.BindRecvBuffer(make([]byte, 1000)) },
+			"BindSendBuffer on receive request": func() { rpr.BindSendBuffer(make([]byte, 256)) },
+			"BindRecvBuffer on send request":    func() { spr.BindRecvBuffer(make([]byte, 256)) },
 		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s did not panic", name)
-					}
-				}()
-				f()
-			}()
+			mustPanic(t, want, f)
 		}
 	})
 	_ = s.Run() // native-less MPIPCL init has no pairing to drain
@@ -85,16 +72,8 @@ func TestTimestampAccessorMisuse(t *testing.T) {
 		pr := c.PsendInit(p, 1, 0, 2, 64)
 		c.Barrier(p)
 		pr.Start(p)
-		mustPanic := func(name string, f func()) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}
-		mustPanic("ReadyAt before Pready", func() { pr.ReadyAt(0) })
-		mustPanic("FirstReadyAt with none readied", func() { pr.FirstReadyAt() })
+		mustPanic(t, "ReadyAt on un-readied partition", func() { pr.ReadyAt(0) })
+		mustPanic(t, "FirstReadyAt with no partitions readied", func() { pr.FirstReadyAt() })
 		pr.Pready(p, 0)
 		pr.Pready(p, 1)
 		pr.Wait(p)
@@ -105,16 +84,8 @@ func TestTimestampAccessorMisuse(t *testing.T) {
 		pr := c.PrecvInit(p, 0, 0, 2, 64)
 		c.Barrier(p)
 		pr.Start(p)
-		mustPanic := func(name string, f func()) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}
 		// LastArriveAt before all partitions land must panic.
-		mustPanic("LastArriveAt too early", func() {
+		mustPanic(t, "LastArriveAt before all partitions arrived", func() {
 			if !pr.Parrived(p, 0) && !pr.Parrived(p, 1) {
 				pr.LastArriveAt()
 			} else {

@@ -304,22 +304,14 @@ func TestPartitionedMisusePanics(t *testing.T) {
 		c := w.Comm(0)
 		pr := c.PsendInit(p, 1, 0, 2, 64)
 
-		mustPanic := func(name string, f func()) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}
-		mustPanic("Pready before Start", func() { pr.Pready(p, 0) })
-		mustPanic("Wait on inactive", func() { pr.Wait(p) })
+		mustPanic(t, "Pready before Start", func() { pr.Pready(p, 0) })
+		mustPanic(t, "Wait on inactive partitioned request", func() { pr.Wait(p) })
 		pr.Start(p)
-		mustPanic("Start while active", func() { pr.Start(p) })
+		mustPanic(t, "Start on active partitioned request", func() { pr.Start(p) })
 		pr.Pready(p, 0)
-		mustPanic("double Pready", func() { pr.Pready(p, 0) })
-		mustPanic("Pready out of range", func() { pr.Pready(p, 2) })
-		mustPanic("Parrived on send side", func() { pr.Parrived(p, 0) })
+		mustPanic(t, "partition 0 readied twice", func() { pr.Pready(p, 0) })
+		mustPanic(t, "partition 2 out of range", func() { pr.Pready(p, 2) })
+		mustPanic(t, "Parrived on send request", func() { pr.Parrived(p, 0) })
 		pr.Pready(p, 1)
 		pr.Wait(p)
 	})
@@ -387,14 +379,9 @@ func TestNativeInitMismatchPanics(t *testing.T) {
 		c.PsendInit(p, 1, 0, 4, 64)
 	})
 	s.Spawn("r1", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("mismatched native init did not panic")
-			}
-		}()
 		c := w.Comm(1)
 		p.Sleep(sim.Microsecond) // ensure the sender registered first
-		c.PrecvInit(p, 0, 0, 8, 64)
+		mustPanic(t, "partitioned init size mismatch", func() { c.PrecvInit(p, 0, 0, 8, 64) })
 	})
 	_ = s.Run() // the panic may leave the sender parked; ignore run error
 }
@@ -404,12 +391,7 @@ func TestNativeStartUnboundPanics(t *testing.T) {
 	s.Spawn("r0", func(p *sim.Proc) {
 		c := w.Comm(0)
 		pr := c.PsendInit(p, 1, 0, 4, 64)
-		defer func() {
-			if recover() == nil {
-				t.Error("unbound native Start did not panic")
-			}
-		}()
-		pr.Start(p)
+		mustPanic(t, "before the peer initialized", func() { pr.Start(p) })
 	})
 	_ = s.Run()
 }

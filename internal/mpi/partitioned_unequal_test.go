@@ -113,12 +113,7 @@ func TestUnequalTotalSizeMismatchPanics(t *testing.T) {
 	})
 	s.Spawn("r1", func(p *sim.Proc) {
 		p.Sleep(sim.Microsecond)
-		defer func() {
-			if recover() == nil {
-				t.Error("total-size mismatch did not panic")
-			}
-		}()
-		w.Comm(1).PrecvInit(p, 0, 0, 4, 512)
+		mustPanic(t, "partitioned init size mismatch", func() { w.Comm(1).PrecvInit(p, 0, 0, 4, 512) })
 	})
 	_ = s.Run()
 }

@@ -133,20 +133,12 @@ func TestPBcastMisuse(t *testing.T) {
 			pb := c.PBcastInit(p, 0, 2, 64)
 			c.Barrier(p)
 			pb.Start(p)
-			mustPanic := func(name string, f func()) {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s did not panic", name)
-					}
-				}()
-				f()
-			}
 			if pb.Root() {
-				mustPanic("Start while active", func() { pb.Start(p) })
+				mustPanic(t, "Start on active PBcast", func() { pb.Start(p) })
 				pb.Pready(p, 0)
 				pb.Pready(p, 1)
 			} else {
-				mustPanic("Pready on non-root", func() { pb.Pready(p, 0) })
+				mustPanic(t, "PBcast.Pready on non-root rank", func() { pb.Pready(p, 0) })
 			}
 			pb.Wait(p)
 			c.Barrier(p)
@@ -196,12 +188,7 @@ func TestWaitPartitionMisuse(t *testing.T) {
 	s.Spawn("r0", func(p *sim.Proc) {
 		c := w.Comm(0)
 		pr := c.PsendInit(p, 1, 0, 2, 64)
-		defer func() {
-			if recover() == nil {
-				t.Error("WaitPartition on send request did not panic")
-			}
-		}()
-		pr.WaitPartition(p, 0)
+		mustPanic(t, "WaitPartition on send request", func() { pr.WaitPartition(p, 0) })
 	})
 	_ = s.Run()
 }

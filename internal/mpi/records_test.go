@@ -203,19 +203,8 @@ func TestCompletingPooledRequestPanics(t *testing.T) {
 		}
 		r := st.freeReqs[0]
 		r.comm = w.Comm(i) // so that only the pooled mark can stop it
-		for what, complete := range map[string]func(){
-			"completeAt": func() { r.completeAt(w.s.Now()) },
-			"Fire":       func() { r.Fire(0) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("rank %d: %s on a pooled request did not panic", i, what)
-					}
-				}()
-				complete()
-			}()
-		}
+		mustPanic(t, "completing a request on a free list", func() { r.completeAt(w.s.Now()) })
+		mustPanic(t, "completing a request on a free list", func() { r.Fire(0) })
 	}
 }
 
@@ -269,27 +258,18 @@ func TestEpochsRestartInnerRequests(t *testing.T) {
 // A request is the handler of its own completion event, so it can have one
 // pending at most.
 func TestSecondPendingCompletionPanics(t *testing.T) {
-	mustPanic := func(what string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", what)
-			}
-		}()
-		f()
-	}
 	s := sim.New()
 	w := NewWorld(s, DefaultConfig(2))
 	s.Spawn("sender", func(p *sim.Proc) {
 		c := w.Comm(0)
 		r := &Request{comm: c, kind: sendReq}
 		r.completeAt(p.Now().Add(sim.Microsecond))
-		mustPanic("completeAt with a completion pending", func() { r.completeAt(p.Now().Add(sim.Microsecond)) })
+		mustPanic(t, "already has a completion pending", func() { r.completeAt(p.Now().Add(sim.Microsecond)) })
 
 		pr := c.PsendInit(p, 1, 0, 2, 1024)
 		pr.Start(p)
 		pr.Pready(p, 0) // partition 0's send completes a little later
-		mustPanic("restarting an inner request with a completion pending", func() { pr.innerRequest(0) })
+		mustPanic(t, "partition 0 restarted with a completion pending", func() { pr.innerRequest(0) })
 		pr.innerRequest(1) // never used yet: fine
 	})
 	if err := s.Run(); err != nil {

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +12,10 @@ import (
 func TestEDRValidates(t *testing.T) {
 	if err := EDR().Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// Zero costs are free, not invalid.
+	if err := (&Params{Bandwidth: 1}).Validate(); err != nil {
+		t.Fatalf("zero costs rejected: %v", err)
 	}
 }
 
@@ -106,12 +112,34 @@ func TestInjectExtraCost(t *testing.T) {
 
 func TestNegativeSizePanics(t *testing.T) {
 	n := NewNIC(EDR())
+	mustPanic(t, "negative message size", func() { n.Inject(0, -1, 0) })
+}
+
+// TestGuardMessages trips the NIC's and the fabric's other guards and checks
+// each message; a zero wire latency is allowed.
+func TestGuardMessages(t *testing.T) {
+	d := NewDragonflyPlus(4, 1, 2)
+	for want, f := range map[string]func(){
+		"negative cost parameter":     func() { NewNIC(&Params{Latency: -1, Bandwidth: 1}) },
+		"negative latency":            func() { NewNIC(EDR()).InjectLat(0, 8, 0, -1) },
+		"needs a positive rank count": func() { NewFabric(d, 0, 1) },
+		"bandwidth must be positive":  func() { NewFabric(d, 1, 0) },
+	} {
+		mustPanic(t, want, f)
+	}
+	NewNIC(EDR()).InjectLat(0, 8, 0, 0)
+}
+
+// mustPanic runs f and fails t unless it panics with a value whose text
+// contains want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("negative size did not panic")
+		if v := recover(); !strings.Contains(fmt.Sprint(v), want) {
+			t.Errorf("panicked with %v, want a panic about %q", v, want)
 		}
 	}()
-	n.Inject(0, -1, 0)
+	f()
 }
 
 func TestDeliverSerializesAtReceiver(t *testing.T) {
@@ -214,8 +242,9 @@ func TestDerivedQuantities(t *testing.T) {
 	if (&Params{Bandwidth: 1}).MaxMessageRate() != 0 {
 		t.Fatal("zero-overhead rate should report 0")
 	}
-	rl := p.RendezvousLatency(1 << 20)
-	if rl <= p.SmallMessageLatency()*3 {
-		t.Fatalf("RendezvousLatency(1MiB) = %v, implausibly small", rl)
+	// RTS and CTS flights of o_s+L+o_r = 1.7 µs each, then setup, o_s, the
+	// 87.381 µs serialization, L and o_r.
+	if rl := p.RendezvousLatency(1 << 20); rl != 92881 {
+		t.Fatalf("RendezvousLatency(1MiB) = %d ns, want 92881", int64(rl))
 	}
 }

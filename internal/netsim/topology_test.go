@@ -35,20 +35,10 @@ func TestDragonflyPlusWings(t *testing.T) {
 }
 
 func TestDragonflyPlusValidation(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero wing":         func() { NewDragonflyPlus(0, 1, 2) },
-		"inter below intra": func() { NewDragonflyPlus(4, 2, 1) },
-		"negative intra":    func() { NewDragonflyPlus(4, -1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
+	mustPanic(t, "wing size must be positive", func() { NewDragonflyPlus(0, 1, 2) })
+	mustPanic(t, "need 0 <= intra <= inter latency", func() { NewDragonflyPlus(4, 2, 1) })
+	mustPanic(t, "need 0 <= intra <= inter latency", func() { NewDragonflyPlus(4, -1, 1) })
+	NewDragonflyPlus(4, 0, 0) // zero and equal latencies are allowed
 }
 
 // Property: dragonfly latency is symmetric and bounded by [intra, inter].

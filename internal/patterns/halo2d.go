@@ -41,9 +41,6 @@ type Halo2DConfig struct {
 	Adaptive *stats.RunConfig `json:",omitempty"`
 }
 
-// threads returns the per-rank thread count.
-func (c *Halo2DConfig) threads() int { return c.ThreadsPerDim * c.ThreadsPerDim }
-
 func (c Halo2DConfig) withDefaults() Halo2DConfig {
 	if c.Repeats == 0 {
 		c.Repeats = 4

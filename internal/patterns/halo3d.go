@@ -25,8 +25,8 @@ import (
 type HaloConfig struct {
 	// Nx, Ny, Nz define the periodic rank grid.
 	Nx, Ny, Nz int
-	// ThreadsPerDim is the per-rank thread cube edge; Threads() is its
-	// cube. Forced to 1 in Single mode.
+	// ThreadsPerDim is the per-rank thread cube edge. Forced to 1 in
+	// Single mode.
 	ThreadsPerDim int
 	// FaceBytes is the total message size per face (the figures' x axis);
 	// it must be divisible by ThreadsPerDim^2.
@@ -62,12 +62,6 @@ type HaloConfig struct {
 	// interval meets the target (see cells.go); nil keeps the fixed path
 	// and its cache keys byte-identical.
 	Adaptive *stats.RunConfig `json:",omitempty"`
-}
-
-// threads returns the per-rank thread count (ThreadsPerDim cubed).
-func (c *HaloConfig) threads() int {
-	t := c.ThreadsPerDim
-	return t * t * t
 }
 
 // facePartitions returns the partition count per face (ThreadsPerDim

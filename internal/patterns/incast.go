@@ -98,7 +98,7 @@ func runIncast(a *sim.Arena, cfg IncastConfig) (*Result, error) {
 		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id), a)
 		s.Spawn(fmt.Sprintf("incast/rank%d", id), func(p *sim.Proc) {
 			if id == 0 {
-				runIncastSink(p, comm, cfg)
+				startAt = runIncastSink(p, comm, cfg)
 			} else {
 				runIncastSender(p, comm, cfg, nm, place)
 			}
@@ -168,8 +168,9 @@ func runIncastSender(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig, nm *noise.Mo
 	comm.Barrier(p)
 }
 
-// runIncastSink receives every sender's contribution each round.
-func runIncastSink(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig) {
+// runIncastSink receives every sender's contribution each round and
+// returns when it left the opening barrier, where timing starts.
+func runIncastSink(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig) sim.Time {
 	precvs := make([]*mpi.PRequest, 0, cfg.Senders)
 	if cfg.Mode == Partitioned {
 		for src := 1; src <= cfg.Senders; src++ {
@@ -177,6 +178,7 @@ func runIncastSink(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig) {
 		}
 	}
 	comm.Barrier(p)
+	startAt := p.Now()
 	var reqs []*mpi.Request
 	for rep := 0; rep < cfg.Repeats; rep++ {
 		reqs = reqs[:0]
@@ -203,4 +205,5 @@ func runIncastSink(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig) {
 		mpi.FreeAll(reqs...)
 	}
 	comm.Barrier(p)
+	return startAt
 }

@@ -82,11 +82,10 @@ type ShardStats struct {
 	Steals   int64 `json:"steals"`
 	PredNS   int64 `json:"pred_ns"`
 	ActualNS int64 `json:"actual_ns"`
-	// ImbalanceMean / ImbalanceMax summarize the per-window imbalance
-	// ratio: max over active shards of events processed, divided by the
-	// mean — 1.0 is perfectly balanced.
+	// ImbalanceMean is the mean per-window imbalance ratio: max over
+	// active shards of events processed, divided by the mean — 1.0 is
+	// perfectly balanced.
 	ImbalanceMean float64 `json:"imbalance_mean"`
-	ImbalanceMax  float64 `json:"imbalance_max"`
 }
 
 // ShardSpan describes one executed shard-window for tracing: which shard
@@ -355,11 +354,7 @@ func (g *ShardGroup) accountWindow() {
 	g.stats.Events += sum
 	if sum > 0 {
 		mean := float64(sum) / float64(len(g.order))
-		r := float64(max) / mean
-		g.imbalanceSum += r
-		if r > g.stats.ImbalanceMax {
-			g.stats.ImbalanceMax = r
-		}
+		g.imbalanceSum += float64(max) / mean
 	} else {
 		g.imbalanceSum += 1
 	}

@@ -116,6 +116,40 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	s.at(0, func() {})
 }
 
+// TestGuardMessages trips each misuse guard that no other test reaches and
+// checks the guard's own message, so a dropped guard cannot pass on some
+// later panic.
+func TestGuardMessages(t *testing.T) {
+	for _, c := range []struct {
+		want string
+		f    func()
+	}{
+		{"recursive Mutex.Lock", func() {
+			s := New()
+			var m Mutex
+			s.Spawn("p", func(p *Proc) { m.Lock(p); m.Lock(p) })
+			s.Run()
+		}},
+		{"negative WaitGroup counter", func() {
+			var wg WaitGroup
+			wg.Add(New(), -1)
+		}},
+		{"barrier parties must be positive", func() { NewBarrier(0) }},
+		{"before now", func() {
+			s := New()
+			s.Spawn("p", func(p *Proc) {
+				p.Sleep(Millisecond)
+				s.wakeAt(0, p)
+			})
+			s.Run()
+		}},
+	} {
+		if v := panicValue(c.f); !strings.Contains(fmt.Sprint(v), c.want) {
+			t.Errorf("panicked with %v, want a panic about %q", v, c.want)
+		}
+	}
+}
+
 func TestNegativeSleepPanics(t *testing.T) {
 	s := New()
 	var panicked bool
