@@ -339,7 +339,9 @@ func TestAllocPins(t *testing.T) {
 // sleeps that skip the queue and the coroutine resumes, counted on a fresh
 // arena (sim.Arena.Events). They are deterministic, so a kernel change that
 // claims to leave the simulation as it was (a new event queue, say) must
-// leave every count as it is. The Halo3D cell also runs on a two-shard
+// leave every count as it is, and so must a change to how a motif builds,
+// launches and times its world: each of the four motifs has a row, Incast
+// two. The Halo3D cell also runs on a two-shard
 // group, built from the same arena: its pops and short cuts are the
 // events the group dispatched in its windows (ShardStats.Events), and they
 // sum to the sequential cell's, since sharding moves a sleep between the
@@ -376,6 +378,27 @@ func TestEventPins(t *testing.T) {
 			})
 			return err
 		}, sim.EventCounts{Popped: 25307, ShortCut: 12370, Resumes: 21659}},
+		{"patterns.Halo2D", func(rn *engine.Runner) error {
+			_, err := patterns.Halo2D.Run(rn, patterns.Halo2DConfig{
+				Nx: 3, Ny: 2, ThreadsPerDim: 4, EdgeBytes: 256 << 10,
+				Compute: 10 * sim.Millisecond, Repeats: 2, Mode: patterns.Partitioned, Platform: spec,
+			})
+			return err
+		}, sim.EventCounts{Popped: 4615, ShortCut: 267, Resumes: 3127}},
+		{"patterns.Incast", func(rn *engine.Runner) error {
+			_, err := patterns.Incast.Run(rn, patterns.IncastConfig{
+				Senders: 4, Threads: 8, BytesPerThread: 64 << 10,
+				Compute: 2 * sim.Millisecond, Repeats: 3, Mode: patterns.Partitioned, Platform: spec,
+			})
+			return err
+		}, sim.EventCounts{Popped: 1395, ShortCut: 124, Resumes: 603}},
+		{"patterns.Incast multi", func(rn *engine.Runner) error {
+			_, err := patterns.Incast.Run(rn, patterns.IncastConfig{
+				Senders: 4, Threads: 8, BytesPerThread: 64 << 10,
+				Compute: 2 * sim.Millisecond, Repeats: 3, Mode: patterns.Multi, Platform: spec,
+			})
+			return err
+		}, sim.EventCounts{Popped: 1634, ShortCut: 194, Resumes: 842}},
 		{"snap.Profile", func(rn *engine.Runner) error {
 			_, err := snap.ProfileScaling(rn, snap.DefaultConfig(), []int{8})
 			return err
