@@ -3,21 +3,18 @@ package mpi
 import "partmb/internal/sim"
 
 // Collectives are implemented over point-to-point on a dedicated matching
-// context. Every invocation draws a fresh tag block from the communicator's
-// collective sequence number, so back-to-back collectives cannot cross-match
-// even when ranks run skewed. All ranks of the world must participate in
-// every collective, in the same order (MPI semantics).
-
-// collTag returns the internal tag for the comm's current collective
-// generation and round.
-func (c *Comm) collTag(gen, round int) int { return gen*64 + round }
+// context, tagged by round. All ranks of the world must participate in
+// every collective, in the same order (MPI semantics), and a collective
+// sends at most one message per (source, destination, round). So the k-th
+// message a rank receives from a peer with a given tag is the peer's k-th
+// send of that tag to it, and since matching is FIFO per (context, source,
+// tag), back-to-back collectives cannot cross-match even when ranks run
+// skewed.
 
 // Barrier blocks until every rank has entered the barrier, using the
 // dissemination algorithm (ceil(log2 n) rounds of size-0 messages).
 func (c *Comm) Barrier(p *sim.Proc) {
 	n := c.size()
-	gen := c.barrierGen
-	c.barrierGen++
 	if n == 1 {
 		p.Sleep(c.world.cfg.CallOverhead)
 		return
@@ -26,7 +23,7 @@ func (c *Comm) Barrier(p *sim.Proc) {
 	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
 		to := (me + dist) % n
 		from := (me - dist + n) % n
-		tag := c.collTag(gen, round)
+		tag := round
 		// Size-0 sends complete locally at injection, so a blocking send
 		// followed by the receive cannot deadlock.
 		c.sendColl(p, to, tag, 0)
@@ -53,13 +50,11 @@ func (c *Comm) sendColl(p *sim.Proc, dest, tag int, size int64) {
 // timing is modeled; no payload is carried.
 func (c *Comm) Bcast(p *sim.Proc, root int, size int64) {
 	n := c.size()
-	gen := c.barrierGen
-	c.barrierGen++
 	if n == 1 {
 		p.Sleep(c.world.cfg.CallOverhead)
 		return
 	}
-	tag := c.collTag(gen, 0)
+	const tag = 0
 	vrank := (c.Rank() - root + n) % n // position in the tree rooted at 0
 	// Climb the mask until the bit where this rank receives its copy; the
 	// root (vrank 0) never receives and exits with mask covering the tree.
@@ -86,13 +81,11 @@ func (c *Comm) Bcast(p *sim.Proc, root int, size int64) {
 // of Allreduce.
 func (c *Comm) reduce(p *sim.Proc, root int, size int64) {
 	n := c.size()
-	gen := c.barrierGen
-	c.barrierGen++
 	if n == 1 {
 		p.Sleep(c.world.cfg.CallOverhead)
 		return
 	}
-	tag := c.collTag(gen, 0)
+	const tag = 0
 	if c.Rank() == root {
 		for r := 0; r < n; r++ {
 			if r == root {

@@ -119,20 +119,18 @@ func TestAlltoallMovesExpectedBytes(t *testing.T) {
 // flat reduce Allreduce is built from; the flat reduce is also the flat
 // gather the tests call. The flat scatter
 // and the pairwise alltoall below are built in the test on the collective
-// context, to check fan-in and fan-out timing, tag-block isolation between
+// context, to check fan-in and fan-out timing, isolation between
 // back-to-back collectives and the bytes the NICs move.
 
 // scatter models root sending a distinct size-byte block to every rank
 // (flat algorithm).
 func (c *Comm) scatter(p *sim.Proc, root int, size int64) {
 	n := c.size()
-	gen := c.barrierGen
-	c.barrierGen++
 	if n == 1 {
 		p.Sleep(c.world.cfg.CallOverhead)
 		return
 	}
-	tag := c.collTag(gen, 0)
+	const tag = 0
 	if c.Rank() == root {
 		// Nonblocking sends so blocks stream back to back.
 		var reqs []*Request
@@ -154,8 +152,6 @@ func (c *Comm) scatter(p *sim.Proc, root int, size int64) {
 // algorithm, n-1 rounds).
 func (c *Comm) alltoall(p *sim.Proc, size int64) {
 	n := c.size()
-	gen := c.barrierGen
-	c.barrierGen++
 	if n == 1 {
 		p.Sleep(c.world.cfg.CallOverhead)
 		return
@@ -174,7 +170,7 @@ func (c *Comm) alltoall(p *sim.Proc, size int64) {
 			to = (me + step) % n
 			from = (me - step + n) % n
 		}
-		tag := c.collTag(gen, step)
+		tag := step
 		sreq := c.isendColl(p, to, tag, size)
 		c.recvColl(p, from, tag)
 		sreq.finish(p)

@@ -583,11 +583,10 @@ type Comm struct {
 	placement *cluster.Placement
 	// endpoints caches the per-thread handles Endpoint returns.
 	endpoints []Endpoint
-	// barrierGen and pbcastSeq are per-rank collective sequence numbers;
-	// they stay aligned across ranks because MPI requires every rank to
+	// pbcastSeq is a per-rank sequence number of partitioned broadcasts;
+	// it stays aligned across ranks because MPI requires every rank to
 	// issue collectives in the same order.
-	barrierGen int
-	pbcastSeq  int
+	pbcastSeq int
 }
 
 // checkRank returns rank, panicking when it names no rank of the world.

@@ -192,7 +192,7 @@ func TestKeptWorldReusesItsParts(t *testing.T) {
 					pg.name, st.id, len(m.posted.slots), len(m.unexpected.slots), len(st.partRegistry), st.nic.Stats(), st.preqs.used, st.persist.used)
 			}
 		}
-		if c := small.comms[0]; c.world != small || c.placement != small.single || c.barrierGen != 0 || len(c.endpoints) != len(comms[0].endpoints) {
+		if c := small.comms[0]; c.world != small || c.placement != small.single || c.pbcastSeq != 0 || len(c.endpoints) != len(comms[0].endpoints) {
 			t.Fatalf("after %s: rank 0's handle is not reset: %+v", pg.name, c)
 		}
 		// A library lock the last program left held would park this probe
