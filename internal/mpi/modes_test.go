@@ -131,6 +131,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestDefaultNativeCosts pins the native implementation's two costs in
+// DefaultConfig; only goldens in other packages read them otherwise.
+func TestDefaultNativeCosts(t *testing.T) {
+	cfg := DefaultConfig(2)
+	if cfg.NativePreadyCost != 120*sim.Nanosecond || cfg.NativeRxOverhead != 80*sim.Nanosecond {
+		t.Errorf("native Pready %v, rx overhead %v; pinned at 120ns, 80ns", cfg.NativePreadyCost, cfg.NativeRxOverhead)
+	}
+}
+
 func TestNewWorldPanicsOnInvalid(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.CallOverhead = -1
