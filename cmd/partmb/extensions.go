@@ -137,46 +137,13 @@ func studyUnequal(*engine.Runner, *stats.RunConfig) (*report.Table, error) {
 	total := int64(1 << 20)
 	layouts := [][2]int{{16, 16}, {16, 4}, {4, 16}, {32, 8}, {8, 32}}
 	for _, lay := range layouts {
-		span, err := unequalSpan(total, lay[0], lay[1])
+		span, err := epochSpan(mpi.PartNative, nil, total, lay[0], lay[1], 100*sim.Microsecond)
 		if err != nil {
 			return nil, err
 		}
 		t.AddF(lay[0], lay[1], span.String())
 	}
 	return t, nil
-}
-
-// unequalSpan measures one native epoch with the given partitionings.
-func unequalSpan(total int64, sendParts, recvParts int) (sim.Duration, error) {
-	s := sim.New()
-	cfg := mpi.DefaultConfig(2)
-	cfg.PartImpl = mpi.PartNative
-	w := mpi.NewWorld(s, cfg)
-	var spr, rpr *mpi.PRequest
-	s.Spawn("sender", func(p *sim.Proc) {
-		c := w.Comm(0)
-		spr = c.PsendInit(p, 1, 0, sendParts, total/int64(sendParts))
-		c.Barrier(p)
-		spr.Start(p)
-		for i := 0; i < sendParts; i++ {
-			p.Sleep(100 * sim.Microsecond)
-			spr.Pready(p, i)
-		}
-		spr.Wait(p)
-		c.Barrier(p)
-	})
-	s.Spawn("recv", func(p *sim.Proc) {
-		c := w.Comm(1)
-		rpr = c.PrecvInit(p, 0, 0, recvParts, total/int64(recvParts))
-		c.Barrier(p)
-		rpr.Start(p)
-		rpr.Wait(p)
-		c.Barrier(p)
-	})
-	if err := s.Run(); err != nil {
-		return 0, err
-	}
-	return rpr.LastArriveAt().Sub(spr.FirstReadyAt()), nil
 }
 
 // studyOverlap sweeps receive-side consumer work.
@@ -319,7 +286,7 @@ func studyPinning(*engine.Runner, *stats.RunConfig) (*report.Table, error) {
 	for _, parts := range []int{8, 16, 32} {
 		row := []interface{}{parts}
 		for _, policy := range []cluster.Policy{cluster.Compact, cluster.Scatter} {
-			span, err := pinnedSpan(parts, policy)
+			span, err := epochSpan(mpi.PartMPIPCL, cluster.PlaceWith(cluster.Niagara(), parts, policy), int64(parts)*64<<10, parts, parts, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -330,19 +297,28 @@ func studyPinning(*engine.Runner, *stats.RunConfig) (*report.Table, error) {
 	return t, nil
 }
 
-// pinnedSpan measures one partitioned epoch under the given placement.
-func pinnedSpan(parts int, policy cluster.Policy) (sim.Duration, error) {
+// epochSpan measures one two-rank partitioned epoch of total bytes, from
+// the first Pready to the last arrival: the sender readies sendParts
+// partitions, after gap each when gap > 0, into a receive of recvParts
+// partitions. place, when non-nil, lays out the sender's threads.
+func epochSpan(impl mpi.PartImpl, place *cluster.Placement, total int64, sendParts, recvParts int, gap sim.Duration) (sim.Duration, error) {
 	s := sim.New()
 	cfg := mpi.DefaultConfig(2)
+	cfg.PartImpl = impl
 	w := mpi.NewWorld(s, cfg)
+	if place != nil {
+		w.Comm(0).SetPlacement(place)
+	}
 	var spr, rpr *mpi.PRequest
 	s.Spawn("sender", func(p *sim.Proc) {
 		c := w.Comm(0)
-		c.SetPlacement(cluster.PlaceWith(cfg.Machine, parts, policy))
-		spr = c.PsendInit(p, 1, 0, parts, 64<<10)
+		spr = c.PsendInit(p, 1, 0, sendParts, total/int64(sendParts))
 		c.Barrier(p)
 		spr.Start(p)
-		for i := 0; i < parts; i++ {
+		for i := 0; i < sendParts; i++ {
+			if gap > 0 {
+				p.Sleep(gap)
+			}
 			spr.Pready(p, i)
 		}
 		spr.Wait(p)
@@ -350,7 +326,7 @@ func pinnedSpan(parts int, policy cluster.Policy) (sim.Duration, error) {
 	})
 	s.Spawn("recv", func(p *sim.Proc) {
 		c := w.Comm(1)
-		rpr = c.PrecvInit(p, 0, 0, parts, 64<<10)
+		rpr = c.PrecvInit(p, 0, 0, recvParts, total/int64(recvParts))
 		c.Barrier(p)
 		rpr.Start(p)
 		rpr.Wait(p)
@@ -362,8 +338,8 @@ func pinnedSpan(parts int, policy cluster.Policy) (sim.Duration, error) {
 	return rpr.LastArriveAt().Sub(spr.FirstReadyAt()), nil
 }
 
-// runWithTopology is core.Run with an explicit topology; the core harness
-// does not expose the knob directly, so this mirrors its configuration.
+// runWithTopology is core.Run of cfg under single-thread 4% noise on the
+// given topology (core.Config.Topology).
 func runWithTopology(cfg core.Config, topo netsim.Topology) (*core.Result, error) {
 	cfg.Platform = cfg.Platform.WithNoise(noise.SingleThread, 4)
 	cfg.Topology = topo
