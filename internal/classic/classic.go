@@ -16,7 +16,6 @@ import (
 	"partmb/internal/cluster"
 	"partmb/internal/core"
 	"partmb/internal/engine"
-	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/omp"
 	"partmb/internal/platform"
@@ -83,10 +82,7 @@ func (p Point) SampleStats() (n int, relCI float64, reason string) {
 
 // world builds a 2-rank world.
 func (c Config) world(s *sim.Scheduler, mode mpi.ThreadMode) *mpi.World {
-	mcfg := mpi.DefaultConfig(2)
-	mcfg.Net = c.Platform.Net
-	mcfg.Machine = c.Platform.Machine
-	mcfg.Mem = memsim.Default(c.Platform.Cache)
+	mcfg := c.Platform.MPIConfig(2)
 	mcfg.ThreadMode = mode
 	return mpi.NewWorld(s, mcfg)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"partmb/internal/cluster"
-	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/noise"
 	"partmb/internal/omp"
@@ -102,12 +101,9 @@ func (b *consumers) ThreadName(i int) string {
 func runConsumeMode(a *sim.Arena, cfg Config, consume sim.Duration, pipelined bool) (sim.Duration, error) {
 	pf := cfg.Platform
 	s := a.New()
-	mcfg := mpi.DefaultConfig(2)
+	mcfg := pf.MPIConfig(2)
 	mcfg.ThreadMode = pf.ThreadMode
 	mcfg.PartImpl = pf.Impl
-	mcfg.Mem = memsim.Default(pf.Cache)
-	mcfg.Net = pf.Net
-	mcfg.Machine = pf.Machine
 	w := mpi.NewWorld(s, mcfg)
 
 	n := cfg.Partitions

@@ -6,7 +6,6 @@ import (
 
 	"partmb/internal/cluster"
 	"partmb/internal/engine"
-	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/netsim"
 	"partmb/internal/noise"
@@ -203,12 +202,9 @@ func run(a *sim.Arena, cfg Config) (*Result, error) {
 	}
 	pf := cfg.Platform
 	s := a.New()
-	mcfg := mpi.DefaultConfig(2)
+	mcfg := pf.MPIConfig(2)
 	mcfg.ThreadMode = pf.ThreadMode
 	mcfg.PartImpl = pf.Impl
-	mcfg.Mem = memsim.Default(pf.Cache)
-	mcfg.Net = pf.Net
-	mcfg.Machine = pf.Machine
 	mcfg.Topology = cfg.Topology
 	w := mpi.NewWorld(s, mcfg)
 

@@ -3,8 +3,6 @@ package patterns
 import (
 	"fmt"
 
-	"partmb/internal/memsim"
-	"partmb/internal/mpi"
 	"partmb/internal/platform"
 	"partmb/internal/sim"
 	"partmb/internal/stats"
@@ -115,35 +113,16 @@ func runHalo2D(a *sim.Arena, cfg Halo2DConfig) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	pf := cfg.Platform
-	nRanks := cfg.Nx * cfg.Ny
-	mcfg := mpi.DefaultConfig(nRanks)
-	mcfg.Net = pf.Net
-	mcfg.Machine = pf.Machine
-	mcfg.Mem = memsim.Default(pf.Cache)
-	configureMode(&mcfg, cfg.Mode, pf.Impl)
-	w, runSim, _, err := buildWorld(a, 1, nRanks, mcfg, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	ranks := make([]*haloRank, nRanks)
-	borders := edgeBorders(cfg.ThreadsPerDim)
-	wrap := func(v, n int) int { return ((v % n) + n) % n }
+	proto := haloRank{mode: cfg.Mode, repeats: cfg.Repeats, faces: numEdges, faceBytes: cfg.EdgeBytes,
+		parts: cfg.ThreadsPerDim, borders: edgeBorders(cfg.ThreadsPerDim), motif: "halo2d"}
 	at := func(x, y int) int { return wrap(y, cfg.Ny)*cfg.Nx + wrap(x, cfg.Nx) }
-	for id := range ranks {
-		r := newHaloRank(a, w.Comm(id), pf, cfg.Mode, len(borders), cfg.Repeats, cfg.Compute)
+	f := frame{name: "halo2d", procs: proto.motif, ranks: cfg.Nx * cfg.Ny, threads: len(proto.borders),
+		mode: cfg.Mode, pf: cfg.Platform}
+	return f.run(a, proto.program(cfg.Compute, func(id int) [numFaces]int {
 		x, y := id%cfg.Nx, id/cfg.Nx
-		r.neighbour = [numFaces]int{
+		return [numFaces]int{
 			edgeWest: at(x-1, y), edgeEast: at(x+1, y),
 			edgeSouth: at(x, y-1), edgeNorth: at(x, y+1),
 		}
-		r.faces, r.faceBytes, r.parts, r.borders, r.motif = numEdges, cfg.EdgeBytes, cfg.ThreadsPerDim, borders, "halo2d"
-		ranks[id] = r
-	}
-	res, err := runHalo(w, runSim, ranks)
-	if err != nil {
-		return nil, fmt.Errorf("patterns: halo2d simulation failed: %w", err)
-	}
-	return res, nil
+	}))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"partmb/internal/cluster"
-	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/netsim"
 	"partmb/internal/noise"
@@ -154,8 +153,6 @@ type haloRank struct {
 
 	team    *omp.Team
 	curStep int
-
-	endAt sim.Time
 }
 
 // border is one face (or edge) of a rank that a thread borders, and the
@@ -213,90 +210,36 @@ func runHalo3D(a *sim.Arena, cfg HaloConfig) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	pf := cfg.Platform
-	nRanks := cfg.Nx * cfg.Ny * cfg.Nz
-	mcfg := mpi.DefaultConfig(nRanks)
-	mcfg.Net = pf.Net
-	mcfg.Machine = pf.Machine
-	mcfg.Mem = memsim.Default(pf.Cache)
-	configureMode(&mcfg, cfg.Mode, pf.Impl)
-	w, runSim, shardStats, err := buildWorld(a, cfg.Shards, nRanks, mcfg, cfg.Topology, cfg.ShardTrace)
-	if err != nil {
-		return nil, err
-	}
-
-	ranks := make([]*haloRank, nRanks)
-	borders := faceBorders(cfg.ThreadsPerDim)
-	wrap := func(v, n int) int { return ((v % n) + n) % n }
+	proto := haloRank{mode: cfg.Mode, repeats: cfg.Repeats, faces: numFaces, faceBytes: cfg.FaceBytes,
+		parts: cfg.facePartitions(), borders: faceBorders(cfg.ThreadsPerDim), motif: "halo"}
 	at := func(x, y, z int) int {
 		return wrap(z, cfg.Nz)*cfg.Nx*cfg.Ny + wrap(y, cfg.Ny)*cfg.Nx + wrap(x, cfg.Nx)
 	}
-	for id := range ranks {
-		r := newHaloRank(a, w.Comm(id), pf, cfg.Mode, len(borders), cfg.Repeats, cfg.Compute)
+	f := frame{name: "halo3d", procs: proto.motif, ranks: cfg.Nx * cfg.Ny * cfg.Nz, threads: len(proto.borders),
+		mode: cfg.Mode, pf: cfg.Platform, shards: cfg.Shards, topo: cfg.Topology, tr: cfg.ShardTrace}
+	return f.run(a, proto.program(cfg.Compute, func(id int) [numFaces]int {
 		x, y, z := id%cfg.Nx, (id/cfg.Nx)%cfg.Ny, id/(cfg.Nx*cfg.Ny)
-		r.neighbour = [numFaces]int{
+		return [numFaces]int{
 			faceXMinus: at(x-1, y, z), faceXPlus: at(x+1, y, z),
 			faceYMinus: at(x, y-1, z), faceYPlus: at(x, y+1, z),
 			faceZMinus: at(x, y, z-1), faceZPlus: at(x, y, z+1),
 		}
-		r.faces, r.faceBytes, r.parts, r.borders, r.motif = numFaces, cfg.FaceBytes, cfg.facePartitions(), borders, "halo"
-		ranks[id] = r
-	}
-	res, err := runHalo(w, runSim, ranks)
-	if err != nil {
-		return nil, fmt.Errorf("patterns: halo3d simulation failed: %w", err)
-	}
-	if shardStats != nil {
-		res.Shard = shardStats()
-	}
-	return res, nil
+	}))
 }
 
-// newHaloRank builds a rank's state on comm: its placement and the compute
-// time of every thread in every step, drawn from a noise model seeded for
-// the rank.
-func newHaloRank(a *sim.Arena, comm *mpi.Comm, pf *platform.Spec, mode Mode, threads, repeats int, compute sim.Duration) *haloRank {
-	place := cluster.Place(pf.Machine, threads)
-	comm.SetPlacement(place)
-	nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(comm.Rank()), a)
-	r := &haloRank{mode: mode, repeats: repeats, comm: comm, place: place, computeOf: make([][]sim.Duration, repeats)}
-	for st := range r.computeOf {
-		r.computeOf[st] = nm.Region(threads, compute)
-	}
-	return r
-}
+// wrap maps v onto the periodic range [0, n).
+func wrap(v, n int) int { return ((v % n) + n) % n }
 
-// runHalo launches one proc per rank on w — set up, meet, run the steps,
-// meet again — drives the simulation and totals the result, timed from the
-// first meeting to the last rank done.
-func runHalo(w *mpi.World, runSim func() error, ranks []*haloRank) (*Result, error) {
-	var startAt sim.Time
-	w.Launch(ranks[0].motif, func(c *mpi.Comm, p *sim.Proc) {
-		r := ranks[c.Rank()]
-		r.setup(p)
-		c.Barrier(p)
-		if c.Rank() == 0 {
-			startAt = p.Now()
-		}
-		r.run(p)
-		c.Barrier(p)
-		r.endAt = p.Now()
-	})
-	if err := runSim(); err != nil {
-		return nil, err
+// program builds each rank of a halo exchange as a copy of proto with the
+// rank's communicator, placement, neighbours and compute times, drawn from
+// its noise model.
+func (proto *haloRank) program(compute sim.Duration, neighbours func(id int) [numFaces]int) rankBuilder {
+	return func(comm *mpi.Comm, place *cluster.Placement, nm *noise.Model) rankProgram {
+		r := *proto
+		r.comm, r.place, r.neighbour = comm, place, neighbours(comm.Rank())
+		r.computeOf = drawSteps(nm, r.repeats, len(r.borders), compute)
+		return &r
 	}
-	res := &Result{}
-	var maxEnd sim.Time
-	for _, r := range ranks {
-		st := r.comm.NICStats()
-		res.PayloadBytes += st.Bytes
-		res.Messages += st.Messages
-		if r.endAt > maxEnd {
-			maxEnd = r.endAt
-		}
-	}
-	res.Elapsed = maxEnd.Sub(startAt)
-	return res, nil
 }
 
 // setup creates the persistent requests and worker threads.

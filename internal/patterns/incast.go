@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"partmb/internal/cluster"
-	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/noise"
 	"partmb/internal/omp"
@@ -31,7 +30,8 @@ type IncastConfig struct {
 	Compute sim.Duration
 	// Repeats is the number of incast rounds.
 	Repeats int
-	// Mode selects single / multi / partitioned communication.
+	// Mode selects single / multi / partitioned communication; persistent
+	// is rejected.
 	Mode Mode
 	// Platform bundles the hardware, noise, cache and partitioned-impl
 	// settings (nil = the paper's Niagara/EDR defaults). ThreadMode is
@@ -69,6 +69,9 @@ func (c *IncastConfig) validate() error {
 	if c.Compute < 0 || c.Repeats <= 0 {
 		return fmt.Errorf("patterns: negative Compute or non-positive Repeats")
 	}
+	if c.Mode == Persistent {
+		return fmt.Errorf("patterns: incast does not support persistent mode (halo3d and halo2d only)")
+	}
 	return nil
 }
 
@@ -78,107 +81,81 @@ func runIncast(a *sim.Arena, cfg IncastConfig) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := a.New()
-	pf := cfg.Platform
-	nRanks := cfg.Senders + 1
-	mcfg := mpi.DefaultConfig(nRanks)
-	mcfg.Net = pf.Net
-	mcfg.Machine = pf.Machine
-	mcfg.Mem = memsim.Default(pf.Cache)
-	configureMode(&mcfg, cfg.Mode, pf.Impl)
-	w := mpi.NewWorld(s, mcfg)
+	f := frame{name: "incast", procs: "incast", ranks: cfg.Senders + 1, threads: cfg.Threads,
+		mode: cfg.Mode, pf: cfg.Platform}
+	return f.run(a, func(comm *mpi.Comm, place *cluster.Placement, nm *noise.Model) rankProgram {
+		if comm.Rank() == 0 {
+			return &incastSink{cfg: &cfg, comm: comm}
+		}
+		s := &incastSender{cfg: &cfg, comm: comm}
+		s.compute = omp.NewCompute(place, nm, cfg.Compute, s)
+		return s
+	})
+}
 
-	var startAt, maxEnd sim.Time
-	ends := make([]sim.Time, nRanks)
-	for id := 0; id < nRanks; id++ {
-		id := id
-		comm := w.Comm(id)
-		place := cluster.Place(pf.Machine, cfg.Threads)
-		comm.SetPlacement(place)
-		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id), a)
-		s.Spawn(fmt.Sprintf("incast/rank%d", id), func(p *sim.Proc) {
-			if id == 0 {
-				startAt = runIncastSink(p, comm, cfg)
-			} else {
-				runIncastSender(p, comm, cfg, nm, place)
-			}
-			ends[id] = p.Now()
-		})
+// incastSender computes and sends toward the sink each round. Its threads
+// send their share after computing (Multi) or ready their partition
+// (Partitioned).
+type incastSender struct {
+	cfg     *IncastConfig
+	comm    *mpi.Comm
+	compute *omp.Compute
+	psend   *mpi.PRequest
+	rep     int
+}
+
+func (s *incastSender) setup(p *sim.Proc) {
+	if s.cfg.Mode == Partitioned {
+		s.psend = s.comm.PsendInit(p, 0, s.comm.Rank(), s.cfg.Threads, s.cfg.BytesPerThread)
 	}
-	if err := s.Run(); err != nil {
-		return nil, fmt.Errorf("patterns: incast simulation failed: %w", err)
-	}
-	res := &Result{}
-	for id := 0; id < nRanks; id++ {
-		st := w.Comm(id).NICStats()
-		res.PayloadBytes += st.Bytes
-		res.Messages += st.Messages
-		if ends[id] > maxEnd {
-			maxEnd = ends[id]
+}
+
+func (s *incastSender) run(p *sim.Proc) {
+	for rep := 0; rep < s.cfg.Repeats; rep++ {
+		s.rep = rep
+		switch s.cfg.Mode {
+		case Single:
+			s.compute.Draw()
+			p.Sleep(s.compute.Times[0])
+			s.comm.SendBytes(p, 0, rep*1024+s.comm.Rank(), s.cfg.BytesPerThread)
+		case Multi:
+			omp.ComputeRegion(p, s.compute)
+		case Partitioned:
+			s.psend.Start(p)
+			omp.ComputeRegion(p, s.compute)
+			s.psend.Wait(p)
 		}
 	}
-	res.Elapsed = maxEnd.Sub(startAt)
-	return res, nil
 }
 
-// incastThreads is what a sender's threads do after computing, one body for
-// every round: send their share (Multi) or ready their partition
-// (Partitioned).
-type incastThreads struct {
-	comm  *mpi.Comm
-	bytes int64
-	psend *mpi.PRequest
-	rep   int
-}
-
-func (b *incastThreads) Thread(tp *sim.Proc, t int) {
-	if b.psend != nil {
-		b.psend.Pready(tp, t)
+func (s *incastSender) Thread(tp *sim.Proc, t int) {
+	if s.psend != nil {
+		s.psend.Pready(tp, t)
 		return
 	}
-	tag := b.rep*1024 + b.comm.Rank()*64 + t
-	b.comm.Endpoint(t).SendBytes(tp, 0, tag, b.bytes)
+	tag := s.rep*1024 + s.comm.Rank()*64 + t
+	s.comm.Endpoint(t).SendBytes(tp, 0, tag, s.cfg.BytesPerThread)
 }
 
-func (b *incastThreads) ThreadName(t int) string { return fmt.Sprintf("incast/w%d", t) }
+func (s *incastSender) ThreadName(t int) string { return fmt.Sprintf("incast/w%d", t) }
 
-// runIncastSender computes and sends toward the sink each round.
-func runIncastSender(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig, nm *noise.Model, place *cluster.Placement) {
-	threads := &incastThreads{comm: comm, bytes: cfg.BytesPerThread}
-	if cfg.Mode == Partitioned {
-		threads.psend = comm.PsendInit(p, 0, comm.Rank(), cfg.Threads, cfg.BytesPerThread)
-	}
-	compute := omp.NewCompute(place, nm, cfg.Compute, threads)
-	comm.Barrier(p)
-	for rep := 0; rep < cfg.Repeats; rep++ {
-		threads.rep = rep
-		switch cfg.Mode {
-		case Single:
-			compute.Draw()
-			p.Sleep(compute.Times[0])
-			comm.SendBytes(p, 0, rep*1024+comm.Rank(), cfg.BytesPerThread)
-		case Multi:
-			omp.ComputeRegion(p, compute)
-		case Partitioned:
-			threads.psend.Start(p)
-			omp.ComputeRegion(p, compute)
-			threads.psend.Wait(p)
-		}
-	}
-	comm.Barrier(p)
+// incastSink receives every sender's contribution each round.
+type incastSink struct {
+	cfg    *IncastConfig
+	comm   *mpi.Comm
+	precvs []*mpi.PRequest
 }
 
-// runIncastSink receives every sender's contribution each round and
-// returns when it left the opening barrier, where timing starts.
-func runIncastSink(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig) sim.Time {
-	precvs := make([]*mpi.PRequest, 0, cfg.Senders)
-	if cfg.Mode == Partitioned {
-		for src := 1; src <= cfg.Senders; src++ {
-			precvs = append(precvs, comm.PrecvInit(p, src, src, cfg.Threads, cfg.BytesPerThread))
+func (k *incastSink) setup(p *sim.Proc) {
+	if k.cfg.Mode == Partitioned {
+		for src := 1; src <= k.cfg.Senders; src++ {
+			k.precvs = append(k.precvs, k.comm.PrecvInit(p, src, src, k.cfg.Threads, k.cfg.BytesPerThread))
 		}
 	}
-	comm.Barrier(p)
-	startAt := p.Now()
+}
+
+func (k *incastSink) run(p *sim.Proc) {
+	cfg, comm := k.cfg, k.comm
 	var reqs []*mpi.Request
 	for rep := 0; rep < cfg.Repeats; rep++ {
 		reqs = reqs[:0]
@@ -194,16 +171,14 @@ func runIncastSink(p *sim.Proc, comm *mpi.Comm, cfg IncastConfig) sim.Time {
 				}
 			}
 		case Partitioned:
-			for _, pr := range precvs {
+			for _, pr := range k.precvs {
 				pr.Start(p)
 			}
-			for _, pr := range precvs {
+			for _, pr := range k.precvs {
 				pr.Wait(p)
 			}
 		}
 		mpi.WaitAll(p, reqs...)
 		mpi.FreeAll(reqs...)
 	}
-	comm.Barrier(p)
-	return startAt
 }

@@ -1,6 +1,7 @@
 package patterns
 
 import (
+	"strings"
 	"testing"
 
 	"partmb/internal/mpi"
@@ -118,5 +119,14 @@ func TestIncastPinned(t *testing.T) {
 			t.Errorf("%v: elapsed %d ns, %d B in %d messages; pinned at %d ns, %d B in %d",
 				want.mode, int64(res.Elapsed), res.PayloadBytes, res.Messages, int64(want.elapsed), want.payload, want.messages)
 		}
+	}
+}
+
+// TestIncastRejectsPersistent: incast has no persistent-mode program, so a
+// persistent config must fail validation instead of measuring nothing.
+func TestIncastRejectsPersistent(t *testing.T) {
+	res, err := runIncast(nil, incastCfg(Persistent))
+	if err == nil || !strings.Contains(err.Error(), "persistent") {
+		t.Fatalf("persistent incast: %v, %v; want a persistent-mode error", res, err)
 	}
 }

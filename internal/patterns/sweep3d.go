@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"partmb/internal/cluster"
-	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/netsim"
 	"partmb/internal/noise"
@@ -97,7 +96,7 @@ func (c *SweepConfig) validate() error {
 		return fmt.Errorf("patterns: ZBlocks and Repeats must be positive")
 	}
 	if c.Mode == Persistent {
-		return fmt.Errorf("patterns: sweep3d does not support persistent mode (halo3d only)")
+		return fmt.Errorf("patterns: sweep3d does not support persistent mode (halo3d and halo2d only)")
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("patterns: Shards = %d, must be nonnegative", c.Shards)
@@ -138,8 +137,6 @@ type sweepRank struct {
 
 	// pending holds the current octant's Single-mode sends.
 	pending []*mpi.Request
-
-	endAt sim.Time
 }
 
 // neighbours returns the upstream and downstream rank ids for octant o
@@ -181,80 +178,14 @@ func runSweep3D(a *sim.Arena, cfg SweepConfig) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	pf := cfg.Platform
-	mcfg := mpi.DefaultConfig(cfg.Px * cfg.Py)
-	mcfg.Net = pf.Net
-	mcfg.Machine = pf.Machine
-	mcfg.Mem = memsim.Default(pf.Cache)
-	configureMode(&mcfg, cfg.Mode, pf.Impl)
-	w, runSim, shardStats, err := buildWorld(a, cfg.Shards, cfg.Px*cfg.Py, mcfg, cfg.Topology, cfg.ShardTrace)
-	if err != nil {
-		return nil, err
-	}
-
+	f := frame{name: "sweep3d", procs: "sweep", ranks: cfg.Px * cfg.Py, threads: cfg.Threads,
+		mode: cfg.Mode, pf: cfg.Platform, shards: cfg.Shards, topo: cfg.Topology, tr: cfg.ShardTrace}
 	steps := cfg.Repeats * cfg.Octants * cfg.ZBlocks
-	ranks := make([]*sweepRank, cfg.Px*cfg.Py)
-	var startAt sim.Time
-	for id := range ranks {
-		comm := w.Comm(id)
-		place := cluster.Place(pf.Machine, cfg.Threads)
-		comm.SetPlacement(place)
-		nm := noise.New(pf.NoiseKind, pf.NoisePercent, pf.Seed+int64(id), a)
-		r := &sweepRank{
-			cfg:   cfg,
-			comm:  comm,
-			x:     id % cfg.Px,
-			y:     id / cfg.Px,
-			place: place,
-		}
-		r.computeOf = make([][]sim.Duration, steps)
-		for st := range r.computeOf {
-			r.computeOf[st] = nm.Region(cfg.Threads, cfg.Compute)
-		}
-		ranks[id] = r
-	}
-	w.Launch("sweep", func(c *mpi.Comm, p *sim.Proc) {
-		r := ranks[c.Rank()]
-		r.setup(p)
-		c.Barrier(p)
-		if c.Rank() == 0 {
-			startAt = p.Now()
-		}
-		r.run(p)
-		c.Barrier(p)
-		r.endAt = p.Now()
+	return f.run(a, func(comm *mpi.Comm, place *cluster.Placement, nm *noise.Model) rankProgram {
+		id := comm.Rank()
+		return &sweepRank{cfg: cfg, comm: comm, x: id % cfg.Px, y: id / cfg.Px, place: place,
+			computeOf: drawSteps(nm, steps, cfg.Threads, cfg.Compute)}
 	})
-	if err := runSim(); err != nil {
-		return nil, fmt.Errorf("patterns: sweep3d simulation failed: %w", err)
-	}
-	res := &Result{}
-	var maxEnd sim.Time
-	for _, r := range ranks {
-		st := r.comm.NICStats()
-		res.PayloadBytes += st.Bytes
-		res.Messages += st.Messages
-		if r.endAt > maxEnd {
-			maxEnd = r.endAt
-		}
-	}
-	res.Elapsed = maxEnd.Sub(startAt)
-	if shardStats != nil {
-		res.Shard = shardStats()
-	}
-	return res, nil
-}
-
-// configureMode applies the mode-dependent library configuration: Single
-// mode funnels all MPI calls through one thread; the threaded modes require
-// MPI_THREAD_MULTIPLE (as the paper's MPIPCL setup did).
-func configureMode(mcfg *mpi.Config, mode Mode, impl mpi.PartImpl) {
-	switch mode {
-	case Single, Persistent:
-		mcfg.ThreadMode = mpi.Funneled
-	case Multi, Partitioned:
-		mcfg.ThreadMode = mpi.Multiple
-	}
-	mcfg.PartImpl = impl
 }
 
 // setup creates the persistent requests and the long-lived worker threads

@@ -193,6 +193,18 @@ func (s *Spec) Resolved() *Spec {
 	return &out
 }
 
+// MPIConfig returns mpi.DefaultConfig(ranks) with the spec's network,
+// machine and memory model (from Cache) filled in; threading level,
+// partitioned implementation and topology stay the caller's to set. The
+// receiver must be resolved.
+func (s *Spec) MPIConfig(ranks int) mpi.Config {
+	c := mpi.DefaultConfig(ranks)
+	c.Net = s.Net
+	c.Machine = s.Machine
+	c.Mem = memsim.Default(s.Cache)
+	return c
+}
+
 // Validate checks the spec for consistency. Nil Net/Machine are allowed
 // (they mean "paper default").
 func (s *Spec) Validate() error {

@@ -151,3 +151,21 @@ func TestWithHelpersDoNotMutate(t *testing.T) {
 		t.Fatalf("With* helpers mutated the base spec: %+v", base)
 	}
 }
+
+// TestMPIConfig: the spec fills in the network, machine and memory model and
+// leaves every other field at mpi.DefaultConfig's value.
+func TestMPIConfig(t *testing.T) {
+	s := EpycHDR().WithCache(memsim.Cold)
+	got := s.MPIConfig(3)
+	want := mpi.DefaultConfig(3)
+	if got.Net != s.Net || got.Machine != s.Machine {
+		t.Errorf("MPIConfig took Net %p, Machine %p; the spec has %p, %p", got.Net, got.Machine, s.Net, s.Machine)
+	}
+	if !reflect.DeepEqual(got.Mem, memsim.Default(memsim.Cold)) {
+		t.Errorf("MPIConfig Mem = %+v, want the cold-cache model", got.Mem)
+	}
+	got.Net, got.Machine, got.Mem = want.Net, want.Machine, want.Mem
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("MPIConfig(3) = %+v, want DefaultConfig(3) apart from Net, Machine and Mem", got)
+	}
+}

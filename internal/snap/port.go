@@ -3,7 +3,6 @@ package snap
 import (
 	"fmt"
 
-	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/sim"
 )
@@ -85,11 +84,7 @@ func ComparePort(cfg Config, nodes, chunks int) (*PortResult, error) {
 // arena a and returns the mean per-rank elapsed time of the measured region.
 func runPortedProxy(a *sim.Arena, cfg Config, nodes, chunks int) (sim.Duration, error) {
 	s := a.New()
-	mcfg := mpi.DefaultConfig(nodes)
-	spec := cfg.Platform.Resolved()
-	mcfg.Net = spec.Net
-	mcfg.Machine = spec.Machine
-	mcfg.Mem = memsim.Default(spec.Cache)
+	mcfg := cfg.Platform.Resolved().MPIConfig(nodes)
 	mcfg.PartImpl = mpi.PartNative
 	w := mpi.NewWorld(s, mcfg)
 	px, py := grid(nodes)

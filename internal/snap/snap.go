@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"partmb/internal/engine"
-	"partmb/internal/memsim"
 	"partmb/internal/mpi"
 	"partmb/internal/platform"
 	"partmb/internal/prof"
@@ -222,12 +221,7 @@ func ProjectSpeedup(fraction, gain float64) float64 {
 // on a simulation built on arena a.
 func runProxy(a *sim.Arena, cfg Config, nodes int) (prof.Report, error) {
 	s := a.New()
-	mcfg := mpi.DefaultConfig(nodes)
-	spec := cfg.Platform.Resolved()
-	mcfg.Net = spec.Net
-	mcfg.Machine = spec.Machine
-	mcfg.Mem = memsim.Default(spec.Cache)
-	w := mpi.NewWorld(s, mcfg)
+	w := mpi.NewWorld(s, cfg.Platform.Resolved().MPIConfig(nodes))
 	pf := prof.New()
 	px, py := grid(nodes)
 	perStep := sim.Duration(int64(cfg.TotalCompute) / int64(nodes))
